@@ -1,8 +1,10 @@
 """Exact arithmetic for finitely generated abelian groups and their colimits.
 
 Everything in this module is exact: integer matrices are lists of lists of
-Python ints, rational computations use ``fractions.Fraction``.  The two main
-exports are
+Python ints, rational computations use ``fractions.Fraction``.  Products and
+ranks run on sparse rows (``{column: value}`` maps of the nonzero entries),
+so their cost follows the nonzero entries rather than the dimension.  The
+two main exports are
 
 * ``smith_normal_form`` and friends (``cokernel``, ``kernel_lattice_basis``),
   with the convention ``a == u @ d @ v`` where ``u`` and ``v`` are unimodular
@@ -27,6 +29,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .errors import InputError, UnsupportedSystemError
 
@@ -47,11 +50,21 @@ def mat_shape(a):
     return rows, cols
 
 
+_INT = frozenset((int,))
+
+
 def as_int_matrix(a):
-    """Copy ``a`` as a list of lists of Python ints, rejecting non-integers."""
-    rows, cols = mat_shape(a)
+    """Copy ``a`` as a list of lists of Python ints, rejecting non-integers.
+
+    ``bool`` entries and non-integral ``Fraction`` entries are rejected;
+    ``Fraction(k, 1)`` is accepted as ``k``.
+    """
+    mat_shape(a)
     out = []
     for row in a:
+        if _INT.issuperset(map(type, row)):
+            out.append(list(row))
+            continue
         new = []
         for x in row:
             if isinstance(x, bool) or not isinstance(x, int):
@@ -68,14 +81,59 @@ def identity_matrix(k):
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
+def _sparse_rows(a):
+    """The rows of a dense matrix as ``{column: value}`` maps of nonzero entries."""
+    return [dict(zip(compress(range(len(row)), row), compress(row, row))) for row in a]
+
+
+def _dense_rows(rows, cols):
+    """The dense ``len(rows) x cols`` matrix of sparse rows (absent cells are ``0``)."""
+    out = []
+    for row in rows:
+        new = [0] * cols
+        for j, x in row.items():
+            new[j] = x
+        out.append(new)
+    return out
+
+
+def _sparse_mul(a_rows, b_rows):
+    """``a @ b`` for matrices given as sparse rows; the product is sparse too.
+
+    Each nonzero entry ``a[i][k]`` meets only the nonzero entries of row
+    ``k`` of ``b``, so the work is the number of nonzero products.
+    """
+    out = []
+    for arow in a_rows:
+        acc = {}
+        for k, x in arow.items():
+            for j, y in b_rows[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
 def mat_mul(a, b):
-    """Matrix product (exact; works for int or Fraction entries)."""
+    """Matrix product (exact; works for int or Fraction entries).
+
+    Works row by row over the nonzero entries of ``a`` and of the rows of
+    ``b``.  Every cell keeps the type the dense sum
+    ``sum(a[i][k] * b[k][j])`` gives it: a ``Fraction`` (zero included) when
+    row ``i`` of ``a`` or column ``j`` of ``b`` holds a ``Fraction``, an int
+    otherwise.
+    """
     m, n = mat_shape(a)
     n2, p = mat_shape(b)
     if n != n2:
         raise InputError(f"cannot multiply {m}x{n} by {n2}x{p}")
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    frac_cols = {j for row in b for j, x in enumerate(row) if type(x) is Fraction}
+    out = _dense_rows(_sparse_mul(_sparse_rows(a), _sparse_rows(b)), p)
+    for row, new in zip(a, out):
+        cols = range(p) if any(type(x) is Fraction for x in row) else frac_cols
+        for j in cols:
+            if type(new[j]) is not Fraction:
+                new[j] = Fraction(new[j])
+    return out
 
 
 def mat_vec(a, v):
@@ -92,25 +150,38 @@ def mat_eq(a, b):
 
 
 def rank(a):
-    """Rank over Q (Gaussian elimination on Fractions)."""
-    m, n = mat_shape(a)
-    rows = [[Fraction(x) for x in row] for row in a]
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(r + 1, m):
-            f = rows[i][col]
-            if f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+    """Rank over Q (exact elimination on sparse ``Fraction`` rows)."""
+    mat_shape(a)
+    return _sparse_rank(_sparse_rows(a))
+
+
+def _sparse_rank(rows):
+    """Rank over Q of a matrix given as sparse rows.
+
+    Rows are added one at a time.  Each is reduced, lowest column first,
+    against the pivot rows kept so far; a row that is not reduced to zero is
+    kept as the pivot row of its lowest column.  A pivot row has no entry
+    left of its pivot, so every reduction step raises the lowest column of
+    the row being reduced and the loop ends.  Entries become ``Fraction``
+    only when a reduction step touches them.
+    """
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = row
+                break
+            f = Fraction(row[c]) / piv[c]
+            for j, y in piv.items():
+                v = row.get(j, 0) - f * y
+                if v:
+                    row[j] = v
+                else:
+                    row.pop(j, None)
+    return len(pivots)
 
 
 def determinant(a):
@@ -851,20 +922,21 @@ def _relation_pairs(kernel_basis):
     return tuple(rels)
 
 
-def _progressive_composites(mats):
-    comps = []
+def _composite_ranks(maps):
+    """Ranks of the progressive composites ``M_t ... M_1`` of sparse maps,
+    and the last composite (sparse)."""
+    ranks = []
     w = None
-    for m in mats:
-        w = [row[:] for row in m] if w is None else mat_mul(m, w)
-        comps.append(w)
-    return comps
+    for m in maps:
+        w = m if w is None else _sparse_mul(m, w)
+        ranks.append(_sparse_rank(w))
+    return ranks, w
 
 
 def _colimit_finite(system, mats):
     dim = system.dim
-    comps = _progressive_composites(mats)
-    ranks = [rank(w) for w in comps]
-    w = comps[-1]
+    ranks, w = _composite_ranks([_sparse_rows(m) for m in mats])
+    w = _dense_rows(w, dim)
     r = ranks[-1]
     stab = 1 + ranks.index(r)
     unimodular = all(abs(determinant(m)) == 1 for m in mats)
@@ -946,27 +1018,34 @@ def _direction_type(samples):
     return GroupDescriptor.localized(sorted(primes))
 
 
-def _union_pattern(mats):
-    dim = len(mats[0])
-    return [
-        [any(m[i][j] for m in mats) for j in range(dim)] for i in range(dim)
-    ]
+def _union_pattern(maps):
+    """Feed arcs of the union zero pattern of sparse maps.
 
-
-def _triangular_order(pattern):
-    """Permutation making every matrix with this zero pattern upper triangular.
-
-    Entry (i, j) being set means coordinate j feeds coordinate i, so i must
-    come first.  Returns the permutation (list of original indices in new
-    order) or None if the feed graph has a cycle.
+    Entry ``j`` is the set of coordinates ``i != j`` that coordinate ``j``
+    feeds: some map has a nonzero entry at ``(i, j)``.
     """
-    dim = len(pattern)
-    targets = {j: {i for i in range(dim) if i != j and pattern[i][j]} for j in range(dim)}
+    feeds = [set() for _ in maps[0]]
+    for m in maps:
+        for i, row in enumerate(m):
+            for j in row:
+                if j != i:
+                    feeds[j].add(i)
+    return feeds
+
+
+def _triangular_order(feeds):
+    """Permutation making every matrix with these feed arcs upper triangular.
+
+    Coordinate j feeding coordinate i means i must come first.  Returns the
+    permutation (list of original indices in new order) or None if the feed
+    graph has a cycle.
+    """
+    dim = len(feeds)
     placed = []
     placed_set = set()
     while len(placed) < dim:
         ready = [j for j in range(dim)
-                 if j not in placed_set and targets[j] <= placed_set]
+                 if j not in placed_set and feeds[j] <= placed_set]
         if not ready:
             return None
         nxt = min(ready)
@@ -975,26 +1054,27 @@ def _triangular_order(pattern):
     return placed
 
 
-def _reachable(pattern, start):
+def _reachable(feeds, start):
     """All coordinates strictly reachable from ``start`` along feed arcs."""
-    dim = len(pattern)
     seen = set()
     stack = [start]
     while stack:
         j = stack.pop()
-        for i in range(dim):
-            if i != j and pattern[i][j] and i not in seen:
+        # Ascending visits fix the insertion order of ``seen``, hence its
+        # iteration order and the coordinate a split-safety error names.
+        for i in sorted(feeds[j]):
+            if i not in seen:
                 seen.add(i)
                 stack.append(i)
     seen.discard(start)
     return seen
 
 
-def _classify_triangular(samples_per_coord, pattern, r_expected):
-    order = _triangular_order(pattern)
+def _classify_triangular(samples_per_coord, feeds, r_expected):
+    order = _triangular_order(feeds)
     if order is None:
         return None
-    dim = len(pattern)
+    dim = len(feeds)
     types = {}
     for p in range(dim):
         types[p] = _direction_type(samples_per_coord[p])
@@ -1010,7 +1090,7 @@ def _classify_triangular(samples_per_coord, pattern, r_expected):
         tp = types[p]
         if tp.is_free:
             continue
-        for q in _reachable(pattern, p):
+        for q in _reachable(feeds, p):
             tq = types.get(q)
             if tq is not None and not tq.is_divisible:
                 raise UnsupportedSystemError(
@@ -1153,8 +1233,8 @@ def _colimit_symbolic(system, max_horizon=None):
         raise InputError("symbolic classification needs a horizon of at least 8")
     mats = [system.matrix(t) for t in range(1, cap + 1)]
     d_values = [system.d_value(t) for t in range(1, cap + 1)]
-    comps = _progressive_composites(mats)
-    ranks = [rank(w) for w in comps]
+    maps = [_sparse_rows(m) for m in mats]
+    ranks, w = _composite_ranks(maps)
     r = ranks[-1]
     if any(x != r for x in ranks[-4:]):
         raise UnsupportedSystemError(
@@ -1163,11 +1243,10 @@ def _colimit_symbolic(system, max_horizon=None):
     stab = 1 + ranks.index(r)
     # The eventual rank must not depend on where the window starts.
     tail_start = cap // 2
-    tail = mats[tail_start:]
-    tail_comp = tail[0]
-    for m in tail[1:]:
-        tail_comp = mat_mul(m, tail_comp)
-    if rank(tail_comp) != r:
+    tail_comp = maps[tail_start]
+    for m in maps[tail_start + 1:]:
+        tail_comp = _sparse_mul(m, tail_comp)
+    if _sparse_rank(tail_comp) != r:
         raise UnsupportedSystemError(
             "window rank depends on the starting level; the system is outside "
             "the certified class"
@@ -1175,16 +1254,18 @@ def _colimit_symbolic(system, max_horizon=None):
     # Confirmation samples beyond the horizon guard against families whose
     # behaviour changes past the materialized chain.
     confirm_ds = [101, 102]
-    confirm = [(d, system.matrix_at(d)) for d in confirm_ds]
-    pattern = _union_pattern(mats + [m for _, m in confirm])
+    confirm = [(d, _sparse_rows(system.matrix_at(d))) for d in confirm_ds]
+    feeds = _union_pattern(maps + [m for _, m in confirm])
     samples_per_coord = {
-        p: [(d, m[p][p]) for d, m in zip(d_values, mats)] + [(d, m[p][p]) for d, m in confirm]
+        p: [(d, m[p].get(p, 0)) for d, m in zip(d_values, maps)]
+        + [(d, m[p].get(p, 0)) for d, m in confirm]
         for p in range(dim)
     }
-    invariants = _classify_triangular(samples_per_coord, pattern, r)
+    invariants = _classify_triangular(samples_per_coord, feeds, r)
+    w = _dense_rows(w, dim)
     if invariants is None:
-        invariants = _classify_eigen(mats, d_values, comps[-1], r)
-    rels = _relation_pairs(kernel_lattice_basis(comps[-1]))
+        invariants = _classify_eigen(mats, d_values, w, r)
+    rels = _relation_pairs(kernel_lattice_basis(w))
     return ColimitReport(
         invariants=invariants,
         relations=rels,

@@ -320,7 +320,7 @@ def k_of_B0(n, engine_check=None):
     * ``K_j = Q^(2^(n-1) - 1) + Z`` for ``j = n (mod 2)``.
 
     The closed form is verified against the colimit engine on the diagonal
-    system (always for ``n <= 3``; pass ``engine_check=True`` to force it).
+    system (always for ``n <= 6``; pass ``engine_check=True`` to force it).
     """
     if not isinstance(n, int) or n < 1:
         raise InputError("the level count n must be an integer >= 1")
@@ -330,7 +330,7 @@ def k_of_B0(n, engine_check=None):
     k1 = GroupDescriptor(free_rank=1 if n % 2 == 1 else 0, q_rank=q_odd)
     out = GradedKGroup(k0, k1)
     if engine_check is None:
-        engine_check = n <= 3
+        engine_check = n <= 6
     if engine_check:
         for parity, expected in ((0, k0), (1, k1)):
             degrees = [len(s) for s in subsets_graded_lex(n) if len(s) % 2 == parity]
@@ -359,7 +359,7 @@ def k_of_A0(n, engine_check=None):
     * ``n`` even: ``K_0 = Z^2 + Q^(2^(n-1) - 1)``.
 
     Verified against the colimit engine on the full structure-matrix family
-    (always for ``n <= 3``; pass ``engine_check=True`` to force it).
+    (always for ``n <= 5``; pass ``engine_check=True`` to force it).
     """
     if not isinstance(n, int) or n < 1:
         raise InputError("the level count n must be an integer >= 1")
@@ -369,7 +369,7 @@ def k_of_A0(n, engine_check=None):
         k0 = GroupDescriptor(free_rank=2, q_rank=2 ** (n - 1) - 1)
     out = GradedKGroup(k0, GroupDescriptor.zero())
     if engine_check is None:
-        engine_check = n <= 3
+        engine_check = n <= 5
     if engine_check:
         system = DirectedSystem.from_family(
             kappa(n, 2).size, lambda d: kappa(n, d).dense()

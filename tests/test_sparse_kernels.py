@@ -1,0 +1,110 @@
+"""Property tests for the sparse matrix kernels behind ``mat_mul`` and ``rank``.
+
+References: the dense triple loop (the cell type it gives is part of the
+contract, since callers serialize cells) and ``sympy.Matrix.rank``.
+"""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ringkt.abgrp import as_int_matrix, mat_mul, rank
+from ringkt.errors import InputError
+from ringkt.ktheory import EndoBlocks, _phi_blocks, kappa
+
+KINDS = ("int", "fraction", "mixed")
+DENSITIES = (0.0, 0.1, 0.3, 0.6, 1.0)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None, kind=None):
+    """Int, Fraction or mixed matrices at a drawn density, with some rows
+    and columns forced to zero."""
+    m = rows if rows is not None else draw(st.integers(1, 7))
+    n = cols if cols is not None else draw(st.integers(1, 7))
+    kind = kind or draw(st.sampled_from(KINDS))
+    density = draw(st.sampled_from(DENSITIES))
+    zero_rows = draw(st.sets(st.integers(0, m - 1), max_size=m))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=n))
+
+    def cell(i, j):
+        as_fraction = kind == "fraction" or (kind == "mixed" and draw(st.booleans()))
+        keep = draw(st.floats(0, 1, exclude_max=True)) < density
+        if keep and i not in zero_rows and j not in zero_cols:
+            num = draw(st.integers(-9, 9).filter(bool))
+            den = draw(st.integers(1, 5)) if as_fraction else 1
+            return Fraction(num, den) if as_fraction else num
+        return Fraction(0) if as_fraction else 0
+
+    return [[cell(i, j) for j in range(n)] for i in range(m)]
+
+
+@st.composite
+def products(draw):
+    m, n, p = (draw(st.integers(1, 7)) for _ in range(3))
+    return draw(matrices(rows=m, cols=n)), draw(matrices(rows=n, cols=p))
+
+
+def naive_mul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def cell_types(a):
+    return [[type(x) for x in row] for row in a]
+
+
+@settings(max_examples=100, deadline=None)
+@given(products())
+@example(([[1, 2, 3]], [[1], [0], [2]]))                    # 1 x n times n x 1
+@example(([[2], [0], [Fraction(1, 2)]], [[1, 0, 3]]))      # n x 1 times 1 x n
+@example(([[0, 0], [0, 0]], [[Fraction(0), 0], [0, 0]]))   # zero cells keep types
+def test_mat_mul_matches_triple_loop(ab):
+    a, b = ab
+    got = mat_mul(a, b)
+    want = naive_mul(a, b)
+    assert got == want
+    assert cell_types(got) == cell_types(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+@example([[0, 0, 0]])
+@example([[0], [Fraction(3, 2)], [0]])
+def test_rank_matches_sympy(a):
+    want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in a]).rank()
+    assert rank(a) == want
+    # rank over Q ignores the entry types and is invariant under transposition
+    assert rank([list(col) for col in zip(*a)]) == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 40), st.integers(2, 40))
+def test_mat_mul_of_dense_kappa_matches_compose(n, a, b):
+    dense = mat_mul(kappa(n, a).dense(), kappa(n, b).dense())
+    assert dense == kappa(n, a).compose(kappa(n, b)).dense()
+
+
+def test_phi_mix_cells_stay_fractions():
+    blocks = EndoBlocks.build(2, 2, q=[[2, 0], [0, 3]], mix=[[0, 0], [0, 0]])
+    _, _, phi_mix = _phi_blocks(blocks)
+    assert phi_mix == [[0, 0], [0, 0]]
+    assert all(type(x) is Fraction for row in phi_mix for x in row)
+
+
+def test_as_int_matrix_entry_rules():
+    a = [[1, Fraction(4, 1)], [0, -3]]
+    out = as_int_matrix(a)
+    assert out == [[1, 4], [0, -3]]
+    assert cell_types(out) == [[int, int], [int, int]]
+    assert out[1] is not a[1]
+    with pytest.raises(InputError):
+        as_int_matrix([[1, True]])
+    with pytest.raises(InputError):
+        as_int_matrix([[False]])
+    with pytest.raises(InputError):
+        as_int_matrix([[1, 2], [Fraction(1, 2), 0]])
