@@ -2,9 +2,11 @@
 
 Everything in this module is exact: integer matrices are lists of lists of
 Python ints, rational computations use ``fractions.Fraction``.  Products and
-ranks run on sparse rows (``{column: value}`` maps of the nonzero entries),
-so their cost follows the nonzero entries rather than the dimension.  The
-two main exports are
+the one elimination over Q (``_echelon``, behind ``rank``, ``rref_fractions``
+and ``solve_exact``) run on sparse rows (``{column: value}`` maps of the
+nonzero entries), so their cost follows the nonzero entries rather than the
+dimension.  Determinants (fraction-free Bareiss) and Smith normal forms stay
+dense integer computations.  The two main exports are
 
 * ``smith_normal_form`` and friends (``cokernel``, ``kernel_lattice_basis``),
   with the convention ``a == u @ d @ v`` where ``u`` and ``v`` are unimodular
@@ -143,45 +145,55 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def mat_eq(a, b):
-    return mat_shape(a) == mat_shape(b) and all(
-        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-    )
-
-
 def rank(a):
     """Rank over Q (exact elimination on sparse ``Fraction`` rows)."""
     mat_shape(a)
-    return _sparse_rank(_sparse_rows(a))
+    return len(_echelon(_sparse_rows(a)))
 
 
-def _sparse_rank(rows):
-    """Rank over Q of a matrix given as sparse rows.
+def _subtract(row, f, piv):
+    """``row -= f * piv`` in place for sparse rows; cancelled cells are dropped."""
+    for j, y in piv.items():
+        v = row.get(j, 0) - f * y
+        if v:
+            row[j] = v
+        else:
+            row.pop(j, None)
 
-    Rows are added one at a time.  Each is reduced, lowest column first,
-    against the pivot rows kept so far; a row that is not reduced to zero is
-    kept as the pivot row of its lowest column.  A pivot row has no entry
-    left of its pivot, so every reduction step raises the lowest column of
-    the row being reduced and the loop ends.  Entries become ``Fraction``
-    only when a reduction step touches them.
+
+def _reduce(row, pivots):
+    """Reduce the sparse ``row`` in place against echelon ``pivots``.
+
+    Each step clears the lowest column of ``row`` with the pivot row of that
+    column; a pivot row has no entry left of its pivot, so the lowest column
+    rises and the loop ends.  Returns the lowest column left, which holds no
+    pivot, or None when ``row`` reduces to zero (it lies in the row space).
+    Entries become ``Fraction`` only when a step touches them.
+    """
+    while row:
+        c = min(row)
+        piv = pivots.get(c)
+        if piv is None:
+            return c
+        _subtract(row, Fraction(row[c]) / piv[c], piv)
+    return None
+
+
+def _echelon(rows):
+    """Row echelon form over Q of sparse rows, as ``{pivot column: row}``.
+
+    Rows are added one at a time; a row that does not reduce to zero against
+    the pivot rows kept so far becomes the pivot row of its lowest column.
+    This is the only elimination over Q: ``rank`` counts the pivots and
+    ``rref_fractions`` back-substitutes them.
     """
     pivots = {}
     for row in rows:
         row = dict(row)
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                pivots[c] = row
-                break
-            f = Fraction(row[c]) / piv[c]
-            for j, y in piv.items():
-                v = row.get(j, 0) - f * y
-                if v:
-                    row[j] = v
-                else:
-                    row.pop(j, None)
-    return len(pivots)
+        c = _reduce(row, pivots)
+        if c is not None:
+            pivots[c] = row
+    return pivots
 
 
 def determinant(a):
@@ -208,42 +220,26 @@ def determinant(a):
 
 
 def rref_fractions(a):
-    """Reduced row echelon form over Q; returns (rows, pivot_columns)."""
+    """Reduced row echelon form over Q; returns (rows, pivot_columns).
+
+    Back-substitutes the pivot rows of the sparse echelon, highest pivot
+    first, so each row is cleared with rows that are already reduced.  The
+    ``m`` output rows are ``Fraction`` lists, zero rows last.
+    """
     m, n = mat_shape(a)
-    rows = [[Fraction(x) for x in row] for row in a]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
+    reduced = {}
+    for c, row in sorted(_echelon(_sparse_rows(a)).items(), reverse=True):
+        inv = Fraction(1) / row[c]
+        row = {j: x * inv for j, x in row.items()}
+        for k in [k for k in row if k != c and k in reduced]:
+            _subtract(row, row[k], reduced[k])
+        reduced[c] = row
+    pivots = sorted(reduced)
+    rows = [[Fraction(0)] * n for _ in range(m)]
+    for out, c in zip(rows, pivots):
+        for j, x in reduced[c].items():
+            out[j] = x
     return rows, pivots
-
-
-def nullspace_rational(a):
-    """Basis (list of Fraction vectors) of the rational nullspace of ``a``."""
-    m, n = mat_shape(a)
-    rows, pivots = rref_fractions(a)
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -rows[r][f]
-        basis.append(vec)
-    return basis
 
 
 def solve_exact(a, b):
@@ -311,13 +307,6 @@ def _snf_with_inverse(a):
         v[c], v[s] = v[s], v[c]
         for row in vi:
             row[c], row[s] = row[s], row[c]
-
-    def col_negate(c):
-        for row in d:
-            row[c] = -row[c]
-        v[c] = [-x for x in v[c]]
-        for row in vi:
-            row[c] = -row[c]
 
     def col_add(c, s, q):
         # d: col c += q * col s; v gets the inverse row op, vi mirrors d.
@@ -442,23 +431,11 @@ def image_lattice_basis(a):
 # ---------------------------------------------------------------------------
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _factor_multiplicity(x):
-    """dict prime -> exponent for x >= 2 (trial division; inputs are small)."""
+    """dict prime -> exponent for x >= 2 (trial division; inputs are small).
+
+    Any ``x < 2`` gives the empty dict.
+    """
     out = {}
     f = 2
     while f * f <= x:
@@ -469,6 +446,10 @@ def _factor_multiplicity(x):
     if x > 1:
         out[x] = out.get(x, 0) + 1
     return out
+
+
+def _is_prime(p):
+    return _factor_multiplicity(p) == {p: 1}
 
 
 def invariant_factors(orders):
@@ -929,7 +910,7 @@ def _composite_ranks(maps):
     w = None
     for m in maps:
         w = m if w is None else _sparse_mul(m, w)
-        ranks.append(_sparse_rank(w))
+        ranks.append(len(_echelon(w)))
     return ranks, w
 
 
@@ -1185,7 +1166,7 @@ def _classify_eigen(mats, d_values, w_final, r_expected):
     # The flag argument needs a commuting family.
     for a in range(len(mats)):
         for b in range(a + 1, len(mats)):
-            if not mat_eq(mat_mul(mats[a], mats[b]), mat_mul(mats[b], mats[a])):
+            if mat_mul(mats[a], mats[b]) != mat_mul(mats[b], mats[a]):
                 raise UnsupportedSystemError(
                     "structure maps do not commute and no common triangular "
                     "coordinate order exists; the system is outside the "
@@ -1226,11 +1207,9 @@ def _classify_eigen(mats, d_values, w_final, r_expected):
     return total
 
 
-def _colimit_symbolic(system, max_horizon=None):
+def _colimit_symbolic(system):
     dim = system.dim
-    cap = max_horizon if max_horizon is not None else max(14, dim + 6)
-    if cap < 8:
-        raise InputError("symbolic classification needs a horizon of at least 8")
+    cap = max(14, dim + 6)
     mats = [system.matrix(t) for t in range(1, cap + 1)]
     d_values = [system.d_value(t) for t in range(1, cap + 1)]
     maps = [_sparse_rows(m) for m in mats]
@@ -1246,7 +1225,7 @@ def _colimit_symbolic(system, max_horizon=None):
     tail_comp = maps[tail_start]
     for m in maps[tail_start + 1:]:
         tail_comp = _sparse_mul(m, tail_comp)
-    if _sparse_rank(tail_comp) != r:
+    if len(_echelon(tail_comp)) != r:
         raise UnsupportedSystemError(
             "window rank depends on the starting level; the system is outside "
             "the certified class"
@@ -1276,7 +1255,7 @@ def _colimit_symbolic(system, max_horizon=None):
     )
 
 
-def colimit(system, max_horizon=None):
+def colimit(system):
     """Classify the colimit of a directed system of free abelian groups.
 
     Symbolic systems on the canonical chain get an exact answer
@@ -1291,7 +1270,7 @@ def colimit(system, max_horizon=None):
     """
     if not isinstance(system, DirectedSystem):
         raise InputError("colimit expects a DirectedSystem")
-    if system._analysis_cache is not None and max_horizon is None:
+    if system._analysis_cache is not None:
         return system._analysis_cache
     if system.mode == "explicit":
         report = _colimit_finite(system, system._matrices)
@@ -1299,9 +1278,8 @@ def colimit(system, max_horizon=None):
         mats = [system.matrix(t) for t in range(1, len(system._d_chain) + 1)]
         report = _colimit_finite(system, mats)
     else:
-        report = _colimit_symbolic(system, max_horizon)
-    if max_horizon is None:
-        system._analysis_cache = report
+        report = _colimit_symbolic(system)
+    system._analysis_cache = report
     return report
 
 

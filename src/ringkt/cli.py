@@ -135,14 +135,15 @@ def snf(matrix_str, pretty):
         nrows = len(d)
         ncols = len(d[0]) if d else 0
         diag = [d[i][i] for i in range(min(nrows, ncols))]
+        coker = abgrp.cokernel(rows)
         return {
             "matrix": rows,
             "u": u,
             "d": d,
             "v": v,
             "diagonal": diag,
-            "cokernel": abgrp.cokernel(rows).to_json_dict(),
-            "cokernel_pretty": str(abgrp.cokernel(rows)),
+            "cokernel": coker.to_json_dict(),
+            "cokernel_pretty": str(coker),
             "kernel_rank": len(abgrp.kernel_lattice_basis(rows)),
         }
 
@@ -176,8 +177,7 @@ def colim(system_path, pretty):
 @click.option("--system", "system_path", required=True,
               help="Path to a JSON file with 'group' and 'action' objects.")
 @click.option("--resolution",
-              type=click.Choice(["require_split", "elementary_divisors",
-                                 "report_both"]),
+              type=click.Choice(["require_split", "elementary_divisors"]),
               default="require_split", show_default=True)
 @pretty_option
 def pv(system_path, resolution, pretty):

@@ -52,5 +52,3 @@ class CrossCheckError(RingKTError):
 
 class AmbiguityError(RingKTError):
     """Raised only if caller code treats an unresolved extension as a group."""
-
-    exit_code = 1

@@ -50,8 +50,10 @@ from .abgrp import (
     kernel_lattice_basis,
     mat_mul,
     rank,
-    rref_fractions,
     solve_exact,
+    _echelon,
+    _reduce,
+    _sparse_rows,
 )
 from .errors import AmbiguityError, CrossCheckError, HypothesisError, InputError
 
@@ -593,16 +595,15 @@ def _degree_kernel_cokernel(desc, blocks):
     torsion = GroupDescriptor(torsion=desc.torsion)
     phi_z, phi_q, phi_mix = _phi_blocks(blocks)
 
-    if a and b:
-        col_basis = _column_space_rref(phi_q)
-        for col in zip(*phi_mix):
-            resid = _residual_against(col_basis, list(col))
-            if any(x != 0 for x in resid):
-                raise InputError(
-                    "unsupported six-term step: the free part mixes into a "
-                    "direction that survives in the divisible quotient, so "
-                    "kernel and cokernel are not block sums; refusing to guess"
-                )
+    # Echelon of the columns of phi_q: the mix columns must reduce to zero
+    # against it, and its size is rank phi_q.
+    span = _echelon(_sparse_rows(zip(*phi_q)))
+    if any(_reduce(col, span) is not None for col in _sparse_rows(zip(*phi_mix))):
+        raise InputError(
+            "unsupported six-term step: the free part mixes into a "
+            "direction that survives in the divisible quotient, so "
+            "kernel and cokernel are not block sums; refusing to guess"
+        )
 
     if a:
         ker_free = len(kernel_lattice_basis(phi_z))
@@ -610,36 +611,14 @@ def _degree_kernel_cokernel(desc, blocks):
     else:
         ker_free = 0
         coker_z = GroupDescriptor.zero()
-    q_null = b - (rank(phi_q) if b else 0)
+    q_null = b - len(span)
 
     ker = GroupDescriptor(free_rank=ker_free, q_rank=q_null).direct_sum(torsion)
     coker = coker_z.direct_sum(GroupDescriptor(q_rank=q_null), torsion)
     return ker, coker
 
 
-def _column_space_rref(m):
-    """An rref basis (list of Fraction row-vectors) of the column space."""
-    cols = [list(c) for c in zip(*m)] if m and m[0] else []
-    if not cols:
-        return []
-    rows, _ = rref_fractions(cols)
-    return [r for r in rows if any(x != 0 for x in r)]
-
-
-def _residual_against(basis_rows, vec):
-    """Reduce ``vec`` against rref basis rows; zero iff in their span."""
-    v = [Fraction(x) for x in vec]
-    for row in basis_rows:
-        piv = next((i for i, x in enumerate(row) if x != 0), None)
-        if piv is None:
-            continue
-        if v[piv] != 0:
-            f = v[piv] / row[piv]
-            v = [x - f * y for x, y in zip(v, row)]
-    return v
-
-
-_RESOLUTIONS = ("require_split", "elementary_divisors", "report_both")
+_RESOLUTIONS = ("require_split", "elementary_divisors")
 
 
 @dataclass(frozen=True)
@@ -721,9 +700,9 @@ def pv_step(g, act=None, resolution="require_split"):
     * ``require_split`` (default): direct sum only when certified (free
       quotient or divisible subgroup), otherwise an AmbiguityReport;
     * ``elementary_divisors``: always the direct sum in invariant-factor
-      normal form;
-    * ``report_both``: like ``require_split`` but callers read the sub/quot
-      pairs (always exposed on the result).
+      normal form.
+
+    The sub/quot pairs of both degrees are always exposed on the result.
     """
     if resolution not in _RESOLUTIONS:
         raise InputError(f"unknown resolution {resolution!r} (expected one of {_RESOLUTIONS})")

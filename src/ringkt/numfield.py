@@ -27,10 +27,11 @@ ascending order of degree.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from fractions import Fraction
 
-from .abgrp import determinant
+from .abgrp import _factor_multiplicity, determinant
 from .errors import CrossCheckError, HypothesisError, InputError
 
 # ---------------------------------------------------------------------------
@@ -286,17 +287,9 @@ def _is_irreducible_over_q(coeffs):
 
 
 def _euler_phi(m):
-    out = m
-    f = 2
-    mm = m
-    while f * f <= mm:
-        if mm % f == 0:
-            out -= out // f
-            while mm % f == 0:
-                mm //= f
-        f += 1 if f == 2 else 2
-    if mm > 1:
-        out -= out // mm
+    out = 1
+    for p, e in _factor_multiplicity(m).items():
+        out *= p ** (e - 1) * (p - 1)
     return out
 
 
@@ -335,15 +328,9 @@ def resultant_with_rational(f_int, g_frac):
         return Fraction(0)
     denom = 1
     for c in g:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
+        denom = denom * c.denominator // math.gcd(denom, c.denominator)
     g_int = [int(c * denom) for c in g]
     return Fraction(_sylvester_resultant(f_int, g_int), denom ** n)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def poly_discriminant(coeffs):
@@ -939,10 +926,9 @@ def fundamental_unit_real_quadratic(field):
             "fundamental units"
         )
     d = -c0
-    for p, e in _small_factor(d).items():
+    for p, e in _factor_multiplicity(d).items():
         if e >= 2:
             raise InputError(f"radicand {d} is not squarefree (divisible by {p}^2)")
-    import math
 
     a0 = math.isqrt(d)
     m, den, a = 0, 1, a0
@@ -960,16 +946,3 @@ def fundamental_unit_real_quadratic(field):
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
     raise CrossCheckError(f"continued fraction of sqrt({d}) did not close up")
-
-
-def _small_factor(x):
-    out = {}
-    f = 2
-    while f * f <= x:
-        while x % f == 0:
-            out[f] = out.get(f, 0) + 1
-            x //= f
-        f += 1 if f == 2 else 2
-    if x > 1:
-        out[x] = out.get(x, 0) + 1
-    return out

@@ -152,7 +152,7 @@ def test_verify_all_suites(runner):
     res = invoke(runner, "verify")
     assert res.exit_code == 0
     lines = res.output.splitlines()
-    assert sum(1 for l in lines if l.startswith("PASS")) >= 18
+    assert sum(1 for l in lines if l.startswith("PASS")) == 20
     assert not any(l.startswith("FAIL") for l in lines)
     for suite in ("q-case", "kappa", "colim", "classify"):
         assert any(f"[{suite}]" in l for l in lines)

@@ -280,14 +280,13 @@ def test_pv_ambiguity_handling():
     forced = pv_step(g, act, resolution="elementary_divisors")
     assert forced.k0 == GroupDescriptor(torsion=(2, 2))
     assert forced.k1 == GroupDescriptor(torsion=(2,))
-    both = pv_step(g, act, resolution="report_both")
-    assert isinstance(both.k0, AmbiguityReport)
-    assert (both.coker0, both.ker1) == (
+    # the sub/quot pair is exposed on the require_split result
+    assert (res.coker0, res.ker1) == (
         GroupDescriptor(torsion=(2,)),
         GroupDescriptor(torsion=(2,)),
     )
     # JSON carries the pair either way
-    blob = json.dumps(both.to_json_dict())
+    blob = json.dumps(res.to_json_dict())
     assert "ambiguity" in blob
 
 
@@ -295,6 +294,8 @@ def test_pv_resolution_validation():
     g = GradedKGroup(GroupDescriptor.free(1), GroupDescriptor.zero())
     with pytest.raises(InputError):
         pv_step(g, identity_action(g), resolution="guess")
+    with pytest.raises(InputError):
+        pv_step(g, identity_action(g), resolution="report_both")
     with pytest.raises(InputError):
         pv_step(g, None)
     other = GradedKGroup(GroupDescriptor.free(2), GroupDescriptor.zero())

@@ -1,7 +1,9 @@
-"""Property tests for the sparse matrix kernels behind ``mat_mul`` and ``rank``.
+"""Property tests for the sparse matrix kernels behind ``mat_mul``, ``rank``,
+``rref_fractions`` and ``solve_exact``.
 
 References: the dense triple loop (the cell type it gives is part of the
-contract, since callers serialize cells) and ``sympy.Matrix.rank``.
+contract, since callers serialize cells), ``sympy.Matrix.rank`` and
+``sympy.Matrix.rref``.
 """
 
 from fractions import Fraction
@@ -11,7 +13,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ringkt.abgrp import as_int_matrix, mat_mul, rank
+from ringkt.abgrp import as_int_matrix, mat_mul, rank, rref_fractions, solve_exact
 from ringkt.errors import InputError
 from ringkt.ktheory import EndoBlocks, _phi_blocks, kappa
 
@@ -57,6 +59,25 @@ def cell_types(a):
     return [[type(x) for x in row] for row in a]
 
 
+def to_sympy(a):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in a])
+
+
+def from_sympy(a):
+    return [[Fraction(int(a[i, j].p), int(a[i, j].q)) for j in range(a.cols)]
+            for i in range(a.rows)]
+
+
+@st.composite
+def linear_systems(draw):
+    """``(a, x, e)``: a coefficient matrix, a solution block and one
+    right-hand column that may lie outside the column span of ``a``."""
+    a = draw(matrices())
+    m, n = len(a), len(a[0])
+    return a, draw(matrices(rows=n)), draw(matrices(rows=m, cols=1))
+
+
 @settings(max_examples=100, deadline=None)
 @given(products())
 @example(([[1, 2, 3]], [[1], [0], [2]]))                    # 1 x n times n x 1
@@ -80,6 +101,44 @@ def test_rank_matches_sympy(a):
     assert rank(a) == want
     # rank over Q ignores the entry types and is invariant under transposition
     assert rank([list(col) for col in zip(*a)]) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+@example([[0, 0, 0], [1, 2, 3]])                   # m < n, zero row first
+@example([[2], [0], [Fraction(1, 3)], [4]])        # m > n
+@example([[0, 1], [0, 2], [0, 0]])                 # zero column and row
+@example([[Fraction(0), 0], [0, 0]])               # zero matrix
+def test_rref_fractions_matches_sympy(a):
+    rows, pivots = rref_fractions(a)
+    want, want_pivots = to_sympy(a).rref()
+    assert pivots == list(want_pivots)
+    assert rows == from_sympy(want)
+    assert all(type(x) is Fraction for row in rows for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(linear_systems())
+@example(([[1, 0], [0, 1], [0, 0]], [[2], [3]], [[0], [0], [1]]))    # inconsistent
+@example(([[1, 2], [2, 4]], [[1], [1]], [[1], [2]]))                 # rank-deficient
+@example(([[Fraction(1, 2)]], [[3, 0]], [[1]]))                      # 1 x 1
+def test_solve_exact_contract(system):
+    a, x, e = system
+    n = len(a[0])
+    b = mat_mul(a, x)
+    if rank(a) < n:
+        with pytest.raises(InputError, match="full column rank"):
+            solve_exact(a, b)
+        return
+    got = solve_exact(a, b)
+    assert mat_mul(a, got) == b
+    assert got == x  # full column rank: the solution is unique
+    aug = [row + col for row, col in zip(a, e)]
+    if rank(aug) > n:
+        with pytest.raises(InputError, match="inconsistent"):
+            solve_exact(a, e)
+    else:
+        assert mat_mul(a, solve_exact(a, e)) == e
 
 
 @settings(max_examples=50, deadline=None)
