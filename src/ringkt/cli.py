@@ -135,7 +135,10 @@ def snf(matrix_str, pretty):
         nrows = len(d)
         ncols = len(d[0]) if d else 0
         diag = [d[i][i] for i in range(min(nrows, ncols))]
-        coker = abgrp.cokernel(rows)
+        nonzero = sum(1 for x in diag if x)
+        # The cokernel and the kernel rank follow from the one diagonal.
+        coker = abgrp.GroupDescriptor(free_rank=nrows - nonzero,
+                                      torsion=[x for x in diag if x > 1])
         return {
             "matrix": rows,
             "u": u,
@@ -144,7 +147,7 @@ def snf(matrix_str, pretty):
             "diagonal": diag,
             "cokernel": coker.to_json_dict(),
             "cokernel_pretty": str(coker),
-            "kernel_rank": len(abgrp.kernel_lattice_basis(rows)),
+            "kernel_rank": ncols - nonzero,
         }
 
     _emit(_run(work), pretty)

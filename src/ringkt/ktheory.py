@@ -713,6 +713,8 @@ def pv_step(g, act=None, resolution="require_split"):
         g = act.domain
     if not isinstance(act, ActionDescriptor):
         raise InputError("pv_step needs an ActionDescriptor")
+    if g is None:
+        g = act.domain
     if g != act.domain:
         raise InputError("the graded group does not match the action's domain")
     ker0, coker0 = _degree_kernel_cokernel(g.k0, act.deg0)

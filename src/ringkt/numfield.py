@@ -9,10 +9,11 @@ power-basis convention; every report that depends on it says so).
 Highlights:
 
 * ``signature`` via exact Sturm chains (no floating point anywhere);
-* ``roots_of_unity_order`` decided by an exact norm-descent test (resultants
-  and factorization over Q, then a gcd verification inside the field), and
-  cross-checked against a residue-field sieve over many primes -- the two
-  routes disagreeing is a hard ``CrossCheckError``;
+* ``roots_of_unity_order`` searched sieve first: each candidate order is
+  refuted by a residue-field witness whose degrees sympy's factorization over
+  GF(p) re-derives, and only the survivors run the exact norm-descent test
+  (resultants and factorization over Q, then a gcd verification inside the
+  field) -- any disagreement between the routes is a hard ``CrossCheckError``;
 * ``residue_system`` for the quotients ``Z[theta]/(d)`` in the standard or
   centered digit styles;
 * ``real_sign_vector`` / ``sign_parity`` of an element under all real
@@ -641,9 +642,17 @@ class NumberField:
         """Order of the group of roots of unity in the field.
 
         Any real embedding forces exactly ``{+1, -1}``.  Totally imaginary
-        fields are searched over all even candidate orders ``m`` with
-        ``phi(m) | degree``; each exact hit or miss is cross-checked against a
-        residue-field sieve and a disagreement raises ``CrossCheckError``.
+        fields walk the even candidate orders ``m`` with ``phi(m) | degree``
+        in descending order, sieve first: a residue-field witness ``(p, f)``
+        refutes ``m``, and its residue degrees are re-derived by sympy's
+        factorization over GF(p) (a mismatch, or re-derived degrees that do
+        not refute ``m``, raises ``CrossCheckError``).  The exact
+        norm-descent test runs only on candidates without a witness; the
+        first exact hit is the answer, and its sieve table is spot-checked
+        by sympy the same way.  With every candidate refuted the answer is 2.
+
+        >>> parse_field("x^2 + 1").roots_of_unity_order
+        4
         """
         if self._w is None:
             self._w = self._compute_roots_of_unity_order()
@@ -652,19 +661,13 @@ class NumberField:
     def _compute_roots_of_unity_order(self):
         if self.r1 > 0:
             return 2
-        n = self.degree
-        cands = [m for m in range(3, 2 * n * n + 4)
-                 if m % 2 == 0 and n % _euler_phi(m) == 0]
-        for m in sorted(cands, reverse=True):
-            exact = self._contains_primitive_root(m)
-            refuted = self._sieve_refutes_root(m)
-            if exact and refuted:
-                raise CrossCheckError(
-                    f"roots-of-unity routes disagree for order {m}: the exact "
-                    "norm-descent test found a root but the residue-field "
-                    "sieve refutes it"
-                )
-            if exact:
+        sieve = _ResidueSieve(self.coeffs, self.disc)
+        for m in _root_of_unity_candidates(self.degree):
+            witness = sieve.witness(m)
+            if witness is not None:
+                sieve.check_witness(m, *witness)
+            elif self._contains_primitive_root(m):
+                sieve.check_survivor(m)
                 return m
         return 2
 
@@ -743,29 +746,90 @@ class NumberField:
             a, b = b, r
         return len(a) - 1 == 1
 
-    def _sieve_refutes_root(self, m, prime_count=50):
-        """Residue-field sieve: True if some unramified prime rules out
-        a primitive m-th root of unity.
 
-        For a prime ``p`` not dividing ``m`` or the discriminant, a root of
-        unity of order ``m`` in the field forces ``m | p^f - 1`` for the
-        residue degree ``f`` of every prime above ``p`` (read off from the
-        factorization degrees of the defining polynomial mod p).
-        """
+def _root_of_unity_candidates(n):
+    """Even orders ``m > 2`` with ``phi(m) | n``, in descending order: the
+    orders a primitive root of unity in a degree-n field can have."""
+    return [m for m in range(2 * n * n + 2, 3, -2) if n % _euler_phi(m) == 0]
+
+
+class _ResidueSieve:
+    """Residue-field sieve for roots of unity, shared by every candidate order.
+
+    For a prime ``p`` not dividing ``m`` or the discriminant, a root of unity
+    of order ``m`` in the field forces ``m | p^f - 1`` for the residue degree
+    ``f`` of every prime above ``p`` (Dedekind--Kummer: the degrees are those
+    of the irreducible factors of the defining polynomial mod p).  The table
+    of factor-degree patterns over the unramified primes 3, 5, 7, ... is
+    built lazily, once per search; each candidate reads the first
+    ``PRIME_COUNT`` primes of it that do not divide ``m``.
+    """
+
+    PRIME_COUNT = 50
+
+    def __init__(self, coeffs, disc):
+        self.coeffs = coeffs
+        self.disc = disc
+        self.table = {}      # p -> residue degrees, p unramified, ascending
+        self._primes = []
+        self._last = 2       # nextprime(2) = 3: the sieve starts at 3
+        self._confirmed = set()
+
+    def _primes_for(self, m):
+        """The primes the sieve tests for order ``m``, in ascending order."""
         import sympy
 
-        disc = self.disc
-        checked = 0
-        p = 2
-        while checked < prime_count:
-            p = int(sympy.nextprime(p))
-            if m % p == 0 or disc % p == 0:
-                continue
-            for f_deg in _factor_degrees_mod_p(self.coeffs, p):
-                if (p ** f_deg - 1) % m != 0:
-                    return True
-            checked += 1
-        return False
+        i = tested = 0
+        while tested < self.PRIME_COUNT:
+            while i == len(self._primes):
+                p = self._last = int(sympy.nextprime(self._last))
+                if self.disc % p:
+                    self._primes.append(p)
+                    self.table[p] = _factor_degrees_mod_p(self.coeffs, p)
+            p = self._primes[i]
+            i += 1
+            if m % p:
+                tested += 1
+                yield p
+
+    def witness(self, m):
+        """First ``(p, f)`` ruling out a primitive m-th root of unity, or None."""
+        for p in self._primes_for(m):
+            for f in self.table[p]:
+                if pow(p, f, m) != 1:
+                    return p, f
+        return None
+
+    def _confirm_degrees(self, p):
+        """Re-derive the residue degrees at ``p`` by sympy's factorization over
+        GF(p); raise ``CrossCheckError`` unless they match the table's."""
+        if p in self._confirmed:
+            return
+        import sympy
+
+        poly = sympy.Poly(list(reversed(self.coeffs)), sympy.Symbol("x"), modulus=p)
+        rederived = sorted(factor.degree() for factor, mult in poly.factor_list()[1]
+                           for _ in range(mult))
+        read = sorted(self.table.get(p, ()))
+        if rederived != read:
+            raise CrossCheckError(
+                f"residue degrees mod {p} disagree: the sieve read {read}, "
+                f"GF({p}) factorization gives {rederived}"
+            )
+        self._confirmed.add(p)
+
+    def check_witness(self, m, p, f):
+        """A refuted candidate: the witness must refute ``m`` on checked degrees."""
+        self._confirm_degrees(p)
+        if not (m % p and self.disc % p and f in self.table[p] and pow(p, f, m) != 1):
+            raise CrossCheckError(
+                f"the residue-field witness (p={p}, f={f}) does not refute "
+                f"roots of unity of order {m}"
+            )
+
+    def check_survivor(self, m):
+        """An exact hit: spot-check the first table entry the sieve read for ``m``."""
+        self._confirm_degrees(next(self._primes_for(m)))
 
 
 def _polymod_mul(a, b, f, p):

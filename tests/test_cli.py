@@ -165,6 +165,26 @@ def test_snf_matrix_from_file(runner, tmp_path):
     assert json.loads(res.output)["diagonal"] == [1, 3]
 
 
+@pytest.mark.parametrize("matrix", [
+    [[2, 4], [6, 8]],                 # square
+    [[2, 0, 4], [0, 6, 3]],           # wide
+    [[1, 2], [3, 4], [5, 6]],         # tall
+    [[0, 0, 0], [0, 0, 0]],           # all zero
+    [[4, 6, 10]],                     # 1 x n
+], ids=["square", "wide", "tall", "zero", "one-row"])
+def test_snf_verb_matches_the_library(runner, matrix):
+    from ringkt import abgrp
+
+    out = json.loads(invoke(runner, "snf", "--matrix", json.dumps(matrix)).output)
+    u, d, v = abgrp.smith_normal_form(matrix)
+    coker = abgrp.cokernel(matrix)
+    assert (out["u"], out["d"], out["v"]) == (u, d, v)
+    assert out["diagonal"] == [d[i][i] for i in range(min(len(d), len(d[0])))]
+    assert out["cokernel"] == coker.to_json_dict()
+    assert out["cokernel_pretty"] == str(coker)
+    assert out["kernel_rank"] == len(abgrp.kernel_lattice_basis(matrix))
+
+
 def test_grading_override_flag(runner):
     res = invoke(runner, "kgroups", "--algebra", "B", "--field", "x - 1",
                  "--gamma", "2", "--grading", "0")

@@ -303,6 +303,13 @@ def test_pv_resolution_validation():
         pv_step(other, identity_action(g))
 
 
+def test_pv_none_group_takes_the_action_domain():
+    act = involution_action(3)
+    assert pv_step(None, act) == pv_step(act)
+    assert pv_step(None, act, resolution="elementary_divisors") == pv_step(
+        act.domain, act, resolution="elementary_divisors")
+
+
 def test_pv_square_map_rank_balance():
     # for a square endomorphism the kernel and cokernel free ranks agree,
     # and the divisible nullities match on both sides
