@@ -28,12 +28,11 @@ outside this class are rejected with a diagnostic instead of guessed at.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
-from .errors import InputError, UnsupportedSystemError
+from .errors import CrossCheckError, InputError, UnsupportedSystemError
 
 # ---------------------------------------------------------------------------
 # basic integer / rational matrix helpers
@@ -55,27 +54,29 @@ def mat_shape(a):
 _INT = frozenset((int,))
 
 
-def as_int_matrix(a):
-    """Copy ``a`` as a list of lists of Python ints, rejecting non-integers.
+def _as_int(x, what):
+    """``x`` as a Python int: the one integer rule for values from outside.
 
-    ``bool`` entries and non-integral ``Fraction`` entries are rejected;
-    ``Fraction(k, 1)`` is accepted as ``k``.
+    ``bool`` and every non-integral value (floats included) raise
+    ``InputError`` naming ``what``; ``Fraction(k, 1)`` is accepted as ``k``.
     """
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"{what} {x!r} is not an integer")
+    return int(x)
+
+
+def as_int_matrix(a):
+    """Copy ``a`` as a list of lists of Python ints, rejecting non-integers
+    by the rule of ``_as_int``."""
     mat_shape(a)
     out = []
     for row in a:
         if _INT.issuperset(map(type, row)):
             out.append(list(row))
-            continue
-        new = []
-        for x in row:
-            if isinstance(x, bool) or not isinstance(x, int):
-                if isinstance(x, Fraction) and x.denominator == 1:
-                    x = x.numerator
-                else:
-                    raise InputError(f"matrix entry {x!r} is not an integer")
-            new.append(int(x))
-        out.append(new)
+        else:
+            out.append([_as_int(x, "matrix entry") for x in row])
     return out
 
 
@@ -463,7 +464,7 @@ def invariant_factors(orders):
     exps = {}
     count = 0
     for x in orders:
-        x = int(x)
+        x = _as_int(x, "cyclic order")
         if x < 1:
             raise InputError(f"cyclic order {x} is not positive")
         if x == 1:
@@ -503,13 +504,13 @@ class GroupDescriptor:
     __slots__ = ("free_rank", "q_rank", "loc", "torsion")
 
     def __init__(self, free_rank=0, q_rank=0, loc=(), torsion=()):
-        free_rank = int(free_rank)
-        q_rank = int(q_rank)
+        free_rank = _as_int(free_rank, "free rank")
+        q_rank = _as_int(q_rank, "rational rank")
         if free_rank < 0 or q_rank < 0:
             raise InputError("ranks must be nonnegative")
         supports = []
         for supp in loc:
-            s = tuple(sorted({int(p) for p in supp}))
+            s = tuple(sorted({_as_int(p, "localization prime") for p in supp}))
             for p in s:
                 if not _is_prime(p):
                     raise InputError(f"{p} is not prime in a localization support")
@@ -667,7 +668,7 @@ def _law_to_poly(obj):
     if kind == "mult_d":
         return (0, 1)
     if kind == "diag_power":
-        e = int(obj.get("exp", 1))
+        e = _as_int(obj.get("exp", 1), "diag_power exponent")
         if e < 0:
             raise InputError("diag_power exponent must be nonnegative")
         return (0,) * e + (1,)
@@ -675,7 +676,7 @@ def _law_to_poly(obj):
         coeffs = obj.get("coeffs")
         if not isinstance(coeffs, (list, tuple)) or not coeffs:
             raise InputError("poly law needs a non-empty 'coeffs' list")
-        return tuple(int(c) for c in coeffs)
+        return tuple(_as_int(c, "poly coefficient") for c in coeffs)
     raise InputError(f"unknown scaling-law kind {kind!r} (expected one of {_LAW_KINDS})")
 
 
@@ -704,9 +705,10 @@ class DirectedSystem:
 
     def __init__(self, dim, mode, matrices=None, family=None, d_chain=None,
                  diag_polys=None, offdiag=None):
+        dim = _as_int(dim, "system dimension")
         if dim < 1:
             raise InputError("system dimension must be at least 1")
-        self.dim = int(dim)
+        self.dim = dim
         self.mode = mode
         self._matrices = matrices
         self._family = family
@@ -736,7 +738,7 @@ class DirectedSystem:
 
     @classmethod
     def symbolic(cls, dim, diag_laws, offdiag=(), d_chain=None):
-        dim = int(dim)
+        dim = _as_int(dim, "system dimension")
         polys = [_law_to_poly(law) for law in diag_laws]
         if len(polys) != dim:
             raise InputError("need exactly one diagonal law per coordinate")
@@ -744,11 +746,12 @@ class DirectedSystem:
         for entry in offdiag:
             if not isinstance(entry, dict):
                 raise InputError("offdiag entries must be objects")
-            r, c = int(entry.get("row", -1)), int(entry.get("col", -1))
+            r = _as_int(entry.get("row", -1), "offdiag row")
+            c = _as_int(entry.get("col", -1), "offdiag col")
             if not (0 <= r < dim and 0 <= c < dim) or r == c:
                 raise InputError("offdiag entry needs distinct in-range row/col")
             if "poly" in entry:
-                coeffs = tuple(int(x) for x in entry["poly"])
+                coeffs = tuple(_as_int(x, "poly coefficient") for x in entry["poly"])
             else:
                 coeffs = _law_to_poly(entry)
             off.append((r, c, coeffs))
@@ -766,7 +769,7 @@ class DirectedSystem:
 
     @classmethod
     def from_family(cls, dim, fn, d_chain=None):
-        return cls(int(dim), "symbolic", family=fn, d_chain=d_chain)
+        return cls(dim, "symbolic", family=fn, d_chain=d_chain)
 
     # -- serialization ------------------------------------------------------
 
@@ -1312,34 +1315,32 @@ def compose_window(system, i, j):
     return out
 
 
-def _verify_depth_cap(max_depth):
-    if max_depth is not None:
-        return int(max_depth)
-    env = os.environ.get("RKT_VERIFY_DEPTH")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise InputError("RKT_VERIFY_DEPTH must be an integer") from exc
-        if value < 1:
-            raise InputError("RKT_VERIFY_DEPTH must be positive")
-        return value
-    return 64
+# Steps the window walk of ``identified`` may take before reaching the
+# certified rank; running out means the certification is wrong.
+_WINDOW_STEPS = 64
 
 
-def identified(system, a, b, max_depth=None):
+def identified(system, a, b):
     """Decide whether two formal elements agree in the colimit.
 
     Elements are pairs ``(level, vector)`` with 1-based levels; the element
-    lives in the copy of Z^dim at that level.  For symbolic systems on the
-    canonical chain the answer is exact: pushforwards are compared at a level
-    where the window rank from ``max(level_a, level_b)`` has provably
-    stabilized, beyond which structure maps are injective on the relevant
-    images.  For explicit chains the colimit of the finite diagram is its last
-    object, so comparison at the final level is also exact.
+    lives in the copy of Z^dim at that level.  For explicit chains the colimit
+    of the finite diagram is its last object, so both elements are compared
+    there.
 
-    ``RKT_VERIFY_DEPTH`` (or ``max_depth``) bounds how far the chain is
-    materialized; an insufficient bound raises instead of guessing.
+    For symbolic systems on the canonical chain both elements are pushed to
+    ``base = max(level_a, level_b)`` and their difference is pushed on; a
+    difference that vanishes means True.  A "no" rests on the certified
+    colimit rank ``r = colimit(system).rank`` alone.  The window
+    ``W = M_(base+k) ... M_base`` has ``rank W >= r`` at every step, and the
+    answer is False once ``rank W == r`` with the difference still nonzero:
+    every later composite satisfies
+    ``rank(M_j ... M_base) >= rank(M_j ... M_1) = r = rank W``, so the maps
+    after ``W`` are injective on the image of ``W``, which holds the
+    difference, and it never vanishes.  The same bound shows that ``W``
+    reaches rank ``r`` after finitely many steps; a walk that does not reach
+    it within a fixed number of steps raises ``CrossCheckError``, since the
+    certified rank must then be wrong.
     """
     if not isinstance(system, DirectedSystem):
         raise InputError("identified expects a DirectedSystem")
@@ -1350,14 +1351,13 @@ def identified(system, a, b, max_depth=None):
         level, vec = el
         if not isinstance(level, int) or level < 1:
             raise InputError("element levels are 1-based integers")
-        vec = [int(x) for x in vec]
+        vec = [_as_int(x, "element entry") for x in vec]
         if len(vec) != system.dim:
             raise InputError(f"element vectors must have length {system.dim}")
         return level, vec
 
     (la, va), (lb, vb) = check_element(a), check_element(b)
     length = system.finite_length
-    cap = _verify_depth_cap(max_depth)
 
     if length is not None:
         if max(la, lb) > length + 1:
@@ -1368,36 +1368,26 @@ def identified(system, a, b, max_depth=None):
             vb = mat_vec(system.matrix(t), vb)
         return va == vb
 
-    # Certify the system first (also caches the analysis).
-    colimit(system)
+    r = colimit(system).rank
     base = max(la, lb)
     for t in range(la, base):
         va = mat_vec(system.matrix(t), va)
     for t in range(lb, base):
         vb = mat_vec(system.matrix(t), vb)
-    if va == vb:
+    diff = [x - y for x, y in zip(va, vb)]
+    if not any(diff):
         return True
     window = None
-    window_ranks = []
-    level = base
-    while level - base < cap:
+    for level in range(base, base + _WINDOW_STEPS):
         step = system.matrix(level)
-        va = mat_vec(step, va)
-        vb = mat_vec(step, vb)
-        level += 1
-        if va == vb:
+        diff = mat_vec(step, diff)
+        if not any(diff):
             return True
-        window = [row[:] for row in step] if window is None else mat_mul(step, window)
-        window_ranks.append(rank(window))
-        if (
-            len(window_ranks) >= 6
-            and len(set(window_ranks[-4:])) == 1
-        ):
-            # Window rank from the base level has stabilized; for a certified
-            # system all further maps are injective on the stabilized images,
-            # so a present difference can never close up.
+        rows = _sparse_rows(step)
+        window = rows if window is None else _sparse_mul(rows, window)
+        if len(_echelon(window)) == r:
             return False
-    raise InputError(
-        "identified: verification depth exhausted before the window rank "
-        "stabilized; raise RKT_VERIFY_DEPTH"
+    raise CrossCheckError(
+        f"identified: the window from level {base} did not reach the certified "
+        f"colimit rank {r} within {_WINDOW_STEPS} steps"
     )

@@ -36,13 +36,14 @@ from .abgrp import _factor_multiplicity, determinant
 from .errors import CrossCheckError, HypothesisError, InputError
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Q (ascending coefficients)
+# dense univariate polynomials (ascending coefficients) over Q; the arithmetic
+# helpers also take ``FieldElement`` coefficients, for polynomials over a field
 # ---------------------------------------------------------------------------
 
 
 def poly_trim(p):
     p = list(p)
-    while p and p[-1] == 0:
+    while p and not p[-1]:
         p.pop()
     return p
 
@@ -84,16 +85,16 @@ def poly_divmod(p, q):
     q = poly_trim(q)
     if not q:
         raise InputError("polynomial division by zero")
-    p = [Fraction(c) for c in poly_trim(p)]
+    p = poly_trim(p)
     dq = len(q) - 1
-    inv = Fraction(1) / Fraction(q[-1])
+    inv = Fraction(1) / q[-1]
     quot = [Fraction(0)] * max(0, len(p) - dq)
     while len(p) - 1 >= dq and p:
         shift = len(p) - 1 - dq
         c = p[-1] * inv
         quot[shift] = c
-        for i in range(len(q)):
-            p[shift + i] -= c * Fraction(q[i])
+        for i, y in enumerate(q):
+            p[shift + i] -= c * y
         p = poly_trim(p)
     return poly_trim(quot), p
 
@@ -115,7 +116,7 @@ def poly_gcd(p, q):
         _, r = poly_divmod(a, b)
         a, b = b, r
     if a:
-        a = poly_scale(a, Fraction(1) / Fraction(a[-1]))
+        a = poly_scale(a, Fraction(1) / a[-1])
     return a
 
 
@@ -367,6 +368,9 @@ class FieldElement:
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
 
+    def __bool__(self):
+        return not self.is_zero
+
     def __eq__(self, other):
         return (
             isinstance(other, FieldElement)
@@ -388,9 +392,14 @@ class FieldElement:
         other = self._check(other)
         return FieldElement(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         other = self._check(other)
         return FieldElement(self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __rsub__(self, other):
+        return self._check(other) - self
 
     def __neg__(self):
         return FieldElement(self.field, [-a for a in self.coeffs])
@@ -399,6 +408,11 @@ class FieldElement:
         other = self._check(other)
         prod = poly_mul(list(self.coeffs), list(other.coeffs))
         return FieldElement(self.field, _reduce_mod(prod, self.field._f))
+
+    __rmul__ = __mul__
+
+    def __rtruediv__(self, other):
+        return self._check(other) * self.inverse()
 
     def __pow__(self, e):
         if e < 0:
@@ -703,48 +717,14 @@ class NumberField:
 
     def _confirm_root_via_gcd(self, phi_coeffs, h_coeffs, s):
         """gcd over the field of Phi_m(y) and h(y + s*theta) has degree one?"""
-        s_theta = self.element([Fraction(0), Fraction(s)])
-
-        def kpoly_trim(p):
-            while p and p[-1].is_zero:
-                p.pop()
-            return p
-
-        # h(y + s*theta) via Horner in K[y]
+        s_theta = self.element([0, s])
         hk = []
-        for a in reversed(h_coeffs):
-            # hk = hk * (y + s*theta) + a
-            shifted = [self.element([0])] + hk
-            scaled = [c * s_theta for c in hk]
-            hk = [
-                (shifted[i] if i < len(shifted) else self.element([0]))
-                + (scaled[i] if i < len(scaled) else self.element([0]))
-                for i in range(max(len(shifted), len(scaled)))
-            ]
-            if hk:
-                hk[0] = hk[0] + self.element([a])
-            else:
-                hk = [self.element([a])]
-        hk = kpoly_trim(hk)
-        pk = kpoly_trim([self.element([c]) for c in phi_coeffs])
-
-        def kdivmod(p, q):
-            p = list(p)
-            dq = len(q) - 1
-            inv = q[-1].inverse()
-            while len(p) - 1 >= dq and p:
-                c = p[-1] * inv
-                shift = len(p) - 1 - dq
-                for i in range(len(q)):
-                    p[shift + i] = p[shift + i] - c * q[i]
-                p = kpoly_trim(p)
-            return p
-
-        a, b = pk, hk
+        for a in reversed(h_coeffs):  # Horner in K[y]: hk * (y + s*theta) + a
+            hk = poly_add([a] + hk, poly_scale(hk, s_theta))
+        a, b = phi_coeffs, hk  # Euclid in K[y]; only the degree matters
         while b:
-            r = kdivmod(a, b)
-            a, b = b, r
-        return len(a) - 1 == 1
+            a, b = b, poly_divmod(a, b)[1]
+        return len(a) == 2
 
 
 def _root_of_unity_candidates(n):
@@ -832,44 +812,47 @@ class _ResidueSieve:
         self._confirm_degrees(next(self._primes_for(m)))
 
 
+def _trim_mod(a, p):
+    """``a`` reduced mod ``p``, without leading zero coefficients."""
+    a = [x % p for x in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
 def _polymod_mul(a, b, f, p):
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _polymod_rem(out, f, p)
+                out[i + j] += x * y
+    return _polymod_divmod(out, f, p)[1]  # reduces the sums mod p
 
 
-def _polymod_rem(a, f, p):
-    a = [x % p for x in a]
-    df = len(f) - 1
-    inv = pow(f[-1], -1, p)
-    while len(a) - 1 >= df:
-        while a and a[-1] % p == 0:
+def _polymod_divmod(a, b, p):
+    """Quotient and remainder of ``a`` by ``b`` over F_p, both trimmed.
+
+    ``b`` must be reduced mod ``p`` with a nonzero leading coefficient.
+    """
+    a = _trim_mod(a, p)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    quot = [0] * max(0, len(a) - db)
+    while len(a) - 1 >= db:
+        c = a[-1] * inv % p
+        shift = len(a) - 1 - db
+        quot[shift] = c
+        for i, y in enumerate(b):
+            a[shift + i] = (a[shift + i] - c * y) % p
+        while a and not a[-1]:
             a.pop()
-        if len(a) - 1 < df:
-            break
-        c = (a[-1] * inv) % p
-        shift = len(a) - 1 - df
-        for i in range(len(f)):
-            a[shift + i] = (a[shift + i] - c * f[i]) % p
-        while a and a[-1] % p == 0:
-            a.pop()
-    return a
+    return quot, a
 
 
 def _polymod_gcd(a, b, p):
-    a = [x % p for x in a]
-    b = [x % p for x in b]
-    while any(b):
-        b_trim = b[:]
-        while b_trim and b_trim[-1] == 0:
-            b_trim.pop()
-        a_r = _polymod_rem(a, b_trim, p)
-        a, b = b_trim, a_r
-    while a and a[-1] == 0:
-        a.pop()
+    a, b = _trim_mod(a, p), _trim_mod(b, p)
+    while b:
+        a, b = b, _polymod_divmod(a, b, p)[1]
     return a
 
 
@@ -879,9 +862,7 @@ def _factor_degrees_mod_p(coeffs, p):
     Only called for p not dividing the discriminant, so f mod p is squarefree
     and distinct-degree factorization determines the degrees exactly.
     """
-    f = [int(c) % p for c in coeffs]
-    while f and f[-1] == 0:
-        f.pop()
+    f = _trim_mod(coeffs, p)
     degrees = []
     work = f[:]
     # x^(p^k) mod work, recomputed against the shrinking modulus
@@ -895,12 +876,12 @@ def _factor_degrees_mod_p(coeffs, p):
             # whatever is left is a single irreducible factor
             degrees.append(len(work) - 1)
             break
-        diff = _polymod_rem(_poly_sub_mod(xq, [0, 1], p), work, p)
+        diff = _polymod_divmod(_poly_sub_mod(xq, [0, 1], p), work, p)[1]
         g = _polymod_gcd(work, diff, p)
         if len(g) - 1 > 0:
             count = (len(g) - 1) // k
             degrees.extend([k] * count)
-            work = _polymod_quot(work, g, p)
+            work = _polymod_divmod(work, g, p)[0]
     return degrees
 
 
@@ -913,31 +894,10 @@ def _poly_sub_mod(a, b, p):
     return out
 
 
-def _polymod_quot(a, b, p):
-    a = [x % p for x in a]
-    b = [x % p for x in b]
-    while b and b[-1] == 0:
-        b.pop()
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    quot = [0] * (len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        c = (a[-1] * inv) % p
-        shift = len(a) - 1 - db
-        quot[shift] = c
-        for i in range(len(b)):
-            a[shift + i] = (a[shift + i] - c * b[i]) % p
-    return quot
-
-
 def _polymod_pow_p(base, p, f):
     """base(x)^p mod f over F_p (square and multiply)."""
     out = [1]
-    b = _polymod_rem(base, f, p)
+    b = _polymod_divmod(base, f, p)[1]
     e = p
     while e:
         if e & 1:

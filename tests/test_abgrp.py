@@ -1,6 +1,11 @@
 """Tests for exact linear algebra, group descriptors and the colimit engine."""
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import check_smith_form, random_int_matrix, seeded_rng
 from ringkt.abgrp import (
@@ -20,7 +25,7 @@ from ringkt.abgrp import (
     rank,
     smith_normal_form,
 )
-from ringkt.errors import InputError, UnsupportedSystemError
+from ringkt.errors import CrossCheckError, InputError, UnsupportedSystemError
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +152,31 @@ def test_descriptor_validation():
         GroupDescriptor(torsion=(0,))
 
 
+def test_descriptor_integer_rule():
+    assert GroupDescriptor(free_rank=Fraction(2, 1), q_rank=Fraction(1)) == \
+        GroupDescriptor(free_rank=2, q_rank=1)
+    assert GroupDescriptor(loc=[(Fraction(3, 1),)]) == GroupDescriptor.localized([3])
+    for bad in (
+        {"free_rank": 1.5},
+        {"free_rank": 1.0},
+        {"q_rank": True},
+        {"q_rank": Fraction(1, 2)},
+        {"loc": [(2.5,)]},
+        {"free_rank": "1"},
+    ):
+        with pytest.raises(InputError, match="not an integer"):
+            GroupDescriptor(**bad)
+    with pytest.raises(InputError, match="not an integer"):
+        GroupDescriptor.from_json_dict({"free": 1.5, "torsion": [2.9]})
+
+
+def test_invariant_factors_integer_rule():
+    assert invariant_factors([Fraction(4, 1), 2]) == (2, 4)
+    for bad in ([2.9], [True], [Fraction(5, 2)], [2, 4.0]):
+        with pytest.raises(InputError, match="not an integer"):
+            invariant_factors(bad)
+
+
 # ---------------------------------------------------------------------------
 # directed systems: construction and serialization
 # ---------------------------------------------------------------------------
@@ -194,6 +224,41 @@ def test_system_validation():
         DirectedSystem.from_json({"mode": "weird"})
     with pytest.raises(InputError):
         DirectedSystem.symbolic(1, [{"kind": "identity"}], d_chain=[1])
+
+
+def test_scaling_law_integer_rule():
+    ok = DirectedSystem.symbolic(
+        1, [{"kind": "poly", "coeffs": [Fraction(6, 1)]}])
+    assert ok.matrix(1) == [[6]]
+    ok = DirectedSystem.symbolic(1, [{"kind": "diag_power", "exp": Fraction(2, 1)}])
+    assert ok.matrix(1) == [[4]]
+    for law in (
+        {"kind": "poly", "coeffs": [6.7]},
+        {"kind": "poly", "coeffs": [0, True]},
+        {"kind": "diag_power", "exp": 1.5},
+        {"kind": "diag_power", "exp": False},
+    ):
+        with pytest.raises(InputError, match="not an integer"):
+            DirectedSystem.symbolic(1, [law])
+
+
+def test_symbolic_system_integer_rule():
+    laws = [{"kind": "identity"}] * 2
+    ok = DirectedSystem.symbolic(
+        Fraction(2, 1), laws,
+        [{"row": Fraction(0, 1), "col": 1, "poly": [Fraction(3, 1)]}])
+    assert ok.matrix(1) == [[1, 3], [0, 1]]
+    for dim, off in (
+        (2.0, ()),
+        (True, ()),
+        (2, [{"row": 0.5, "col": 1, "poly": [1]}]),
+        (2, [{"row": 0, "col": True, "poly": [1]}]),
+        (2, [{"row": 0, "col": 1, "poly": [1.5]}]),
+    ):
+        with pytest.raises(InputError, match="not an integer"):
+            DirectedSystem.symbolic(dim, laws, off)
+    with pytest.raises(InputError, match="not an integer"):
+        DirectedSystem.from_family(2.5, lambda d: [[1]])
 
 
 def test_compose_window_example():
@@ -355,19 +420,88 @@ def test_identified_explicit_chain():
         identified(sys2, (4, (1,)), (1, (1,)))
 
 
-def test_identified_depth_cap(monkeypatch):
+def test_identified_wrong_certified_rank_raises():
+    # A certified rank one below the true rank is never reached by the
+    # window, so a "no" cannot be certified and the walk must fail loudly.
     sys31 = _rank3_system()
-    monkeypatch.setenv("RKT_VERIFY_DEPTH", "2")
-    with pytest.raises(InputError):
-        identified(sys31, (1, (0, 1, 0)), (1, (0, 0, 1)))
-    monkeypatch.setenv("RKT_VERIFY_DEPTH", "40")
+    report = colimit(sys31)
+    sys31._analysis_cache = dataclasses.replace(report, rank=report.rank - 1)
+    with pytest.raises(CrossCheckError):
+        identified(sys31, (1, (1, 0, 0)), (1, (0, 1, 0)))
+    # a difference that vanishes is still found before the bound
     assert identified(sys31, (1, (1, 0, 0)), (1, (0, 2, 0))) is True
-    monkeypatch.delenv("RKT_VERIFY_DEPTH")
-    # equality can be found within any depth, but a negative answer needs the
-    # window rank to stabilize, which a depth of 1 cannot provide
-    assert identified(sys31, (1, (1, 0, 0)), (1, (0, 2, 0)), max_depth=1) is True
-    with pytest.raises(InputError):
-        identified(sys31, (1, (0, 1, 0)), (1, (0, 0, 1)), max_depth=1)
+
+
+def test_identified_outlasts_a_window_rank_plateau():
+    # Seven dead coordinates on a path; at d = 5 every arc but the first
+    # vanishes, so the window from level 4 keeps rank 1 for six steps before
+    # dropping to the certified rank 0.  The colimit is 0, so every element
+    # is identified with 0; a plateau rule would have answered "no".
+    dim = 7
+    off = [{"row": 1, "col": 0, "poly": [1]}] + [
+        {"row": i + 1, "col": i, "poly": [-5, 1]} for i in range(1, dim - 1)
+    ]
+    chain = DirectedSystem.symbolic(dim, [{"kind": "zero"}] * dim, off)
+    assert colimit(chain).rank == 0
+    e0 = (1,) + (0,) * (dim - 1)
+    assert identified(chain, (4, e0), (4, (0,) * dim)) is True
+
+
+_SCALING_LAWS = {
+    "Q": ({"kind": "mult_d"}, {"kind": "diag_power", "exp": 2},
+          {"kind": "poly", "coeffs": [0, -3]}, {"kind": "poly", "coeffs": [0, 2]}),
+    "Z": ({"kind": "identity"}, {"kind": "poly", "coeffs": [-1]}),
+    "Loc": ({"kind": "poly", "coeffs": [2]}, {"kind": "poly", "coeffs": [6]},
+            {"kind": "poly", "coeffs": [-3]}),
+    "dead": ({"kind": "zero"},),
+}
+
+
+@st.composite
+def triangular_systems(draw):
+    """A certified triangular symbolic system: acyclic feeds that run only
+    into ``Q`` coordinates or out of ``Z`` ones, so every filtration splits."""
+    dim = draw(st.integers(2, 8))
+    types = draw(st.lists(st.sampled_from(sorted(_SCALING_LAWS)), min_size=dim, max_size=dim))
+    laws = [draw(st.sampled_from(_SCALING_LAWS[t])) for t in types]
+    order = draw(st.permutations(range(dim)))
+    offdiag = []
+    for i in range(dim):
+        for j in range(dim):
+            if order.index(i) < order.index(j) and (types[i] == "Q" or types[j] == "Z"):
+                coeffs = draw(st.sampled_from(([], [1], [0, 1], [-2, 1], [2, -1], [0, -2])))
+                if coeffs:
+                    offdiag.append({"row": i, "col": j, "poly": coeffs})
+    return DirectedSystem.symbolic(dim, laws, offdiag)
+
+
+def _push(system, level, vec, target):
+    for t in range(level, target):
+        vec = mat_vec(system.matrix(t), vec)
+    return vec
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=triangular_systems(), data=st.data())
+def test_identified_matches_far_pushforward(system, data):
+    report = colimit(system)
+    assert not report.truncated
+    small = st.lists(st.integers(-2, 2), min_size=system.dim, max_size=system.dim)
+    la = data.draw(st.integers(1, 20))
+    va = data.draw(small)
+    if data.draw(st.booleans()):
+        lb, vb = data.draw(st.integers(1, 20)), data.draw(small)
+    else:
+        # the same class: va pushed on, plus multiples of level-1 relations
+        lb = data.draw(st.integers(la, 20))
+        vb = _push(system, la, va, lb)
+        for (_, x), (_, y) in report.relations:
+            k = data.draw(st.integers(-2, 2))
+            rel = _push(system, 1, [p - q for p, q in zip(x, y)], lb)
+            vb = [u + k * w for u, w in zip(vb, rel)]
+    top = max(la, lb) + 64
+    expect = _push(system, la, va, top) == _push(system, lb, vb, top)
+    assert identified(system, (la, va), (lb, vb)) is expect
 
 
 def test_identified_validation():
@@ -376,3 +510,10 @@ def test_identified_validation():
         identified(sys31, (0, (1, 0, 0)), (1, (1, 0, 0)))
     with pytest.raises(InputError):
         identified(sys31, (1, (1, 0)), (1, (1, 0, 0)))
+
+def test_identified_integer_rule():
+    sys31 = _rank3_system()
+    assert identified(sys31, (1, (Fraction(2, 1), 0, 0)), (1, (0, 4, 0))) is True
+    for vec in ((1.9, 0, 0), (1.0, 0, 0), (True, 0, 0), (Fraction(1, 2), 0, 0)):
+        with pytest.raises(InputError, match="not an integer"):
+            identified(sys31, (1, vec), (1, (1, 0, 0)))

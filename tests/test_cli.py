@@ -108,6 +108,22 @@ def test_pv_verb(runner, tmp_path):
     assert out["k0"]["resolved"]["torsion"] == [2, 2]
 
 
+def test_non_integral_json_values_exit_2(runner, tmp_path):
+    # non-integral numbers where integers belong are rejected, not truncated
+    act = tmp_path / "act.json"
+    act.write_text(json.dumps({
+        "group": {"k0": {"free": 1.5, "torsion": [2.9]}, "k1": {}}, "action": {},
+    }))
+    res = invoke(runner, "pv", "--system", str(act))
+    assert res.exit_code == 2
+    assert "not an integer" in res.output
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps({
+        "mode": "symbolic", "dim": 1, "law": [{"kind": "poly", "coeffs": [6.7]}],
+    }))
+    assert invoke(runner, "colim", "--system", str(law)).exit_code == 2
+
+
 def test_kgroups_classification_verbs(runner):
     res = invoke(runner, "kgroups", "--algebra", "B", "--field", "x - 1",
                  "--gamma", "2;3;5", "--truncate", "2")

@@ -15,6 +15,9 @@ from ringkt.numfield import (
     parse_field,
     parse_polynomial,
     poly_discriminant,
+    poly_divmod,
+    poly_gcd,
+    poly_mul,
     signature,
 )
 
@@ -243,6 +246,19 @@ def test_norms_and_inverse():
     assert (th * th.inverse()).coeffs == (Fraction(1), Fraction(0), Fraction(0))
     k = parse_field("x^2 - 2")
     assert k.element([1, 1]).norm() == -1
+
+
+def test_polynomial_helpers_over_a_field():
+    # the Q[x] helpers take field elements as coefficients: over Q(i),
+    # y^2 + 1 = (y - i)(y + i), mixing rational and field coefficients
+    k = parse_field("x^2 + 1")
+    i = k.element([0, 1])
+    assert 1 - i == k.element([1, -1]) and 2 * i == i + i
+    assert Fraction(1) / i == -i and not k.element([0]) and i
+    q, r = poly_divmod([1, 0, 1], [-i, 1])
+    assert q == [i, 1] and r == []
+    assert poly_gcd([1, 0, 1], poly_mul([i, 1], [3, 1])) == [i, k.element([1])]
+    assert poly_gcd([1, 0, 1], [Fraction(1, 2), 1]) == [1]
 
 
 def test_fundamental_units():

@@ -7,6 +7,8 @@ refuted candidates is checked here, candidate by candidate.
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ringkt import numfield
 from ringkt.errors import CrossCheckError
@@ -40,6 +42,19 @@ def test_routes_agree_on_every_candidate(poly, w):
             sieve.check_witness(m, *witness)
     # The golden value, through the sieve-first search.
     assert k.roots_of_unity_order == w
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-30, 30), min_size=1, max_size=9).map(lambda c: c + [1]),
+    p=st.sampled_from([3, 5, 7, 11, 13, 31, 97, 211]),
+)
+def test_residue_degrees_match_gf_p_factorization(coeffs, p):
+    # the sieve's table entry for p against sympy's factorization over GF(p)
+    assume(numfield.poly_discriminant(coeffs) % p)
+    poly = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"), modulus=p)
+    expect = sorted(f.degree() for f, mult in poly.factor_list()[1] for _ in range(mult))
+    assert sorted(numfield._factor_degrees_mod_p(coeffs, p)) == expect
 
 
 def test_roots_of_unity_golden_x8_plus_1():
