@@ -28,6 +28,7 @@ outside this class are rejected with a diagnostic instead of guessed at.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -456,35 +457,29 @@ def _is_prime(p):
 def invariant_factors(orders):
     """Normalize a list of cyclic orders to an ascending divisibility chain.
 
+    ``Z/x + Z/y`` is ``Z/gcd(x, y) + Z/lcm(x, y)``, so gcd/lcm exchanges
+    between pairs put the orders in Smith form without factoring them (Cohen,
+    *A Course in Computational Algebraic Number Theory*, 2.4): after its
+    exchanges with every later order, ``chain[i]`` divides all of them, and
+    later exchanges keep that.  Trivial factors are dropped.
+
     >>> invariant_factors([4, 2, 3])
     (2, 12)
     >>> invariant_factors([2, 2])
     (2, 2)
     """
-    exps = {}
-    count = 0
+    chain = []
     for x in orders:
         x = _as_int(x, "cyclic order")
         if x < 1:
             raise InputError(f"cyclic order {x} is not positive")
-        if x == 1:
-            continue
-        for p, e in _factor_multiplicity(x).items():
-            exps.setdefault(p, []).append(e)
-        count += 1
-    if not exps:
-        return ()
-    for lst in exps.values():
-        lst.sort(reverse=True)
-    slots = max(len(lst) for lst in exps.values())
-    out = []
-    for s in range(slots):
-        f = 1
-        for p, lst in sorted(exps.items()):
-            if s < len(lst):
-                f *= p ** lst[s]
-        out.append(f)
-    return tuple(reversed(out))
+        if x > 1:
+            chain.append(x)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = math.gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] // g * chain[j]
+    return tuple(x for x in chain if x > 1)
 
 
 class GroupDescriptor:
@@ -1349,7 +1344,8 @@ def identified(system, a, b):
         if (not isinstance(el, (tuple, list))) or len(el) != 2:
             raise InputError("elements are (level, vector) pairs")
         level, vec = el
-        if not isinstance(level, int) or level < 1:
+        level = _as_int(level, "element level")
+        if level < 1:
             raise InputError("element levels are 1-based integers")
         vec = [_as_int(x, "element entry") for x in vec]
         if len(vec) != system.dim:

@@ -37,19 +37,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .abgrp import (
     DirectedSystem,
     GroupDescriptor,
+    as_int_matrix,
     cokernel,
     colimit,
-    determinant,
     identity_matrix,
-    kernel_lattice_basis,
     mat_mul,
-    rank,
     solve_exact,
     _echelon,
     _reduce,
@@ -401,6 +399,19 @@ def _as_fraction_matrix(rows, shape_rows, shape_cols, what):
     return out
 
 
+def _inverse(rows, error):
+    """The inverse over Q of a square matrix, one elimination against the
+    identity; ``InputError(error)`` when the matrix is singular."""
+    n = len(rows)
+    if not n:
+        return ()
+    try:
+        inv = solve_exact(rows, identity_matrix(n))
+    except InputError:
+        raise InputError(error) from None
+    return tuple(map(tuple, inv))
+
+
 @dataclass(frozen=True)
 class EndoBlocks:
     """Action of an automorphism on ``Z^a + Q^b (+ torsion)`` in block form.
@@ -409,44 +420,48 @@ class EndoBlocks:
     invertible rational b x b matrix, ``mix`` a rational b x a matrix for the
     component from the free part into the divisible part.  Torsion summands
     are carried along unchanged (only the identity action on torsion is
-    supported).
+    supported).  ``z_inv`` and ``q_inv`` are the inverses of the two blocks,
+    found by the one elimination per block that validates it in ``build``.
     """
 
     z_block: tuple
     q_block: tuple
     mix: tuple
+    z_inv: tuple = field(compare=False, repr=False)
+    q_inv: tuple = field(compare=False, repr=False)
 
     @classmethod
     def build(cls, a, b, z=None, q=None, mix=None):
         if z is None:
             z = identity_matrix(a)
         if q is None:
-            q = [[Fraction(int(i == j)) for j in range(b)] for i in range(b)]
+            q = identity_matrix(b)
         if mix is None:
             mix = [[Fraction(0)] * a for _ in range(b)]
-        zz = []
-        for row in z:
-            out_row = []
-            for x in row:
-                fx = Fraction(x)
-                if fx.denominator != 1:
-                    raise InputError("free-part block must have integer entries")
-                out_row.append(int(fx))
-            zz.append(out_row)
-        z = zz
+        z = as_int_matrix(z) if z else []
         if len(z) != a or any(len(r) != a for r in z):
             raise InputError(f"free-part block must be {a}x{a}")
-        if a and abs(determinant(z)) != 1:
-            raise InputError("the free-part block of an automorphism must be unimodular")
+        # an integer block is unimodular exactly when its inverse over Q is integral
+        unimodular = "the free-part block of an automorphism must be unimodular"
+        z_inv = _inverse(z, unimodular)
+        if any(x.denominator != 1 for row in z_inv for x in row):
+            raise InputError(unimodular)
         qm = _as_fraction_matrix(q, b, b, "divisible-part block")
-        if b and rank(qm) != b:
-            raise InputError("the divisible-part block must be invertible")
+        q_inv = _inverse(qm, "the divisible-part block must be invertible")
         mm = _as_fraction_matrix(mix, b, a, "mix block")
         return cls(
-            tuple(tuple(r) for r in z),
-            tuple(tuple(r) for r in qm),
-            tuple(tuple(r) for r in mm),
+            tuple(map(tuple, z)),
+            tuple(map(tuple, qm)),
+            tuple(map(tuple, mm)),
+            tuple(tuple(int(x) for x in row) for row in z_inv),
+            q_inv,
         )
+
+    @property
+    def is_identity(self):
+        """True when the action is the identity, so ``id - act^(-1)`` is zero."""
+        return all(m == tuple(map(tuple, identity_matrix(len(m))))
+                   for m in (self.z_block, self.q_block)) and not any(map(any, self.mix))
 
     def to_json_dict(self):
         return {
@@ -543,39 +558,16 @@ class AmbiguityReport:
         }
 
 
-def _int_inverse_unimodular(z):
-    a = len(z)
-    if a == 0:
-        return []
-    inv = solve_exact([list(r) for r in z], identity_matrix(a))
-    out = [[int(x) for x in row] for row in inv]
-    for row, frow in zip(out, inv):
-        for x, fx in zip(row, frow):
-            if Fraction(x) != fx:
-                raise InputError("free-part block is not unimodular")
-    return out
-
-
-def _fraction_inverse(q):
-    b = len(q)
-    if b == 0:
-        return []
-    eye = [[Fraction(int(i == j)) for j in range(b)] for i in range(b)]
-    return solve_exact([list(r) for r in q], eye)
-
-
 def _phi_blocks(blocks):
     """``id - act^(-1)`` in block form for one degree."""
     a = len(blocks.z_block)
     b = len(blocks.q_block)
-    z_inv = _int_inverse_unimodular(blocks.z_block)
-    q_inv = _fraction_inverse(blocks.q_block)
+    z_inv, q_inv = blocks.z_inv, blocks.q_inv
     phi_z = [[(1 if i == j else 0) - z_inv[i][j] for j in range(a)] for i in range(a)]
     phi_q = [[Fraction(int(i == j)) - q_inv[i][j] for j in range(b)] for i in range(b)]
     if a and b:
         # the mix block of act^(-1) is -q_inv . mix . z_inv, so phi's is its negative
-        mix_rows = [list(r) for r in blocks.mix]
-        phi_mix = mat_mul(mat_mul(q_inv, mix_rows), z_inv)
+        phi_mix = mat_mul(mat_mul(q_inv, blocks.mix), z_inv)
     else:
         phi_mix = [[Fraction(0)] * a for _ in range(b)]
     return phi_z, phi_q, phi_mix
@@ -605,15 +597,11 @@ def _degree_kernel_cokernel(desc, blocks):
             "kernel and cokernel are not block sums; refusing to guess"
         )
 
-    if a:
-        ker_free = len(kernel_lattice_basis(phi_z))
-        coker_z = cokernel(phi_z)
-    else:
-        ker_free = 0
-        coker_z = GroupDescriptor.zero()
+    # phi_z is square, so its kernel rank is the free rank of its cokernel
+    coker_z = cokernel(phi_z) if a else GroupDescriptor.zero()
     q_null = b - len(span)
 
-    ker = GroupDescriptor(free_rank=ker_free, q_rank=q_null).direct_sum(torsion)
+    ker = GroupDescriptor(free_rank=coker_z.free_rank, q_rank=q_null).direct_sum(torsion)
     coker = coker_z.direct_sum(GroupDescriptor(q_rank=q_null), torsion)
     return ker, coker
 
@@ -671,11 +659,8 @@ class PVStepResult:
         }
 
 
-def _resolve_extension(sub, quot, resolution):
-    if quot.is_free or sub.is_divisible or sub.is_trivial or quot.is_trivial:
-        return sub.direct_sum(quot)
-    if resolution == "elementary_divisors":
-        # normal form: force the direct sum and renormalize the torsion
+def _resolve_extension(sub, quot, split):
+    if split or quot.is_free or sub.is_divisible or sub.is_trivial or quot.is_trivial:
         return sub.direct_sum(quot)
     return AmbiguityReport(
         sub=sub,
@@ -697,8 +682,12 @@ def pv_step(g, act=None, resolution="require_split"):
 
     resolved according to ``resolution``:
 
-    * ``require_split`` (default): direct sum only when certified (free
-      quotient or divisible subgroup), otherwise an AmbiguityReport;
+    * ``require_split`` (default): direct sum only when certified, otherwise
+      an AmbiguityReport.  The split is certified by a free quotient, by a
+      divisible subgroup, or by an action that is the identity in both
+      degrees: that descriptor stands for the trivial automorphism (or one
+      homotopic to it through automorphisms), whose crossed product is
+      ``A (x) C(T)``, so by the Kuenneth theorem ``K_j' = K_j + K_(1-j)``;
     * ``elementary_divisors``: always the direct sum in invariant-factor
       normal form.
 
@@ -719,8 +708,10 @@ def pv_step(g, act=None, resolution="require_split"):
         raise InputError("the graded group does not match the action's domain")
     ker0, coker0 = _degree_kernel_cokernel(g.k0, act.deg0)
     ker1, coker1 = _degree_kernel_cokernel(g.k1, act.deg1)
-    k0 = _resolve_extension(coker0, ker1, resolution)
-    k1 = _resolve_extension(coker1, ker0, resolution)
+    split = resolution == "elementary_divisors" or (
+        act.deg0.is_identity and act.deg1.is_identity)
+    k0 = _resolve_extension(coker0, ker1, split)
+    k1 = _resolve_extension(coker1, ker0, split)
     return PVStepResult(
         k0=k0, k1=k1,
         coker0=coker0, ker0=ker0, coker1=coker1, ker1=ker1,

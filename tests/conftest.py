@@ -39,6 +39,28 @@ def check_smith_form(a, u, d, v):
     assert mat_mul(mat_mul(u, d), v) == [list(map(int, row)) for row in a]
 
 
+def random_unimodular(rng, n, steps=8):
+    """A random unimodular n x n integer matrix and its inverse.
+
+    Each step negates a row or adds a multiple of one row to another; the
+    inverse takes the opposite column operation, so no inversion is needed.
+    """
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [row[:] for row in u]
+    for _ in range(steps):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            u[i] = [-x for x in u[i]]
+            for row in u_inv:
+                row[i] = -row[i]
+        else:
+            q = rng.randint(-3, 3)
+            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+            for row in u_inv:
+                row[j] -= q * row[i]
+    return u, u_inv
+
+
 def seeded_rng(name):
     """Deterministic RNG per test, keyed by a label."""
     return random.Random(f"ringkt::{name}")

@@ -4,10 +4,11 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_smith_form, random_int_matrix, seeded_rng
+from conftest import check_smith_form, random_int_matrix, random_unimodular, seeded_rng
 from ringkt.abgrp import (
     ColimitReport,
     DirectedSystem,
@@ -73,6 +74,24 @@ def test_cokernel_examples():
     assert cokernel([[1], [2], [3]]) == GroupDescriptor.free(2)
 
 
+def test_cokernel_of_a_large_chain():
+    # diagonal entries of more than 100 bits: a random one of that size has a
+    # prime factor that trial division does not reach
+    rng = seeded_rng("large-chain")
+    for _ in range(5):
+        chain = [rng.getrandbits(101) | 1 << 100]
+        for _ in range(2):
+            chain.append(chain[-1] * (rng.getrandbits(40) | 1 << 39))
+        diag = chain + [0]  # and one free summand
+        d = [[diag[i] if i == j else 0 for j in range(4)] for i in range(4)]
+        u, u_inv = random_unimodular(rng, 4)
+        v, _ = random_unimodular(rng, 4)
+        assert mat_mul(u, u_inv) == [[int(i == j) for j in range(4)] for i in range(4)]
+        got = cokernel(mat_mul(mat_mul(u, d), v))
+        assert got.free_rank == 1
+        assert got.torsion == tuple(chain)
+
+
 def test_kernel_lattice_is_saturated():
     rng = seeded_rng("kernel-module")
     for _ in range(60):
@@ -112,6 +131,34 @@ def test_invariant_factor_normalization():
     assert invariant_factors([1, 1]) == ()
     assert invariant_factors([6, 4]) == (2, 12)
     assert invariant_factors([30]) == (30,)
+
+
+def _factoring_invariant_factors(orders):
+    """Reference: split each order into prime powers, then collect the
+    largest power of every prime into the last factor, the next largest into
+    the one before, and so on."""
+    exps = {}
+    for x in orders:
+        for p, e in sympy.factorint(x).items():
+            exps.setdefault(p, []).append(e)
+    if not exps:
+        return ()
+    for lst in exps.values():
+        lst.sort(reverse=True)
+    out = []
+    for s in range(max(len(lst) for lst in exps.values())):
+        f = 1
+        for p, lst in exps.items():
+            if s < len(lst):
+                f *= p ** lst[s]
+        out.append(f)
+    return tuple(reversed(out))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 5000), max_size=8))
+def test_invariant_factors_match_factoring_reference(orders):
+    assert invariant_factors(orders) == _factoring_invariant_factors(orders)
 
 
 def test_descriptor_canonical_equality():
@@ -517,3 +564,7 @@ def test_identified_integer_rule():
     for vec in ((1.9, 0, 0), (1.0, 0, 0), (True, 0, 0), (Fraction(1, 2), 0, 0)):
         with pytest.raises(InputError, match="not an integer"):
             identified(sys31, (1, vec), (1, (1, 0, 0)))
+    assert identified(sys31, (1, (1, 0, 0)), (Fraction(2, 1), (4, 0, 0))) is True
+    for level in (True, 2.0, Fraction(3, 2)):
+        with pytest.raises(InputError, match="not an integer"):
+            identified(sys31, (level, (1, 0, 0)), (1, (1, 0, 0)))

@@ -117,6 +117,12 @@ def test_non_integral_json_values_exit_2(runner, tmp_path):
     res = invoke(runner, "pv", "--system", str(act))
     assert res.exit_code == 2
     assert "not an integer" in res.output
+    act.write_text(json.dumps({
+        "group": {"k0": {"free": 1}, "k1": {}}, "action": {"deg0": {"z": [[1.0]]}},
+    }))
+    res = invoke(runner, "pv", "--system", str(act))
+    assert res.exit_code == 2
+    assert "not an integer" in res.output
     law = tmp_path / "law.json"
     law.write_text(json.dumps({
         "mode": "symbolic", "dim": 1, "law": [{"kind": "poly", "coeffs": [6.7]}],

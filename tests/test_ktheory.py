@@ -2,16 +2,27 @@
 six-term steps, and classification reports."""
 
 import json
+from fractions import Fraction
 
 import pytest
-from conftest import seeded_rng
+from conftest import random_unimodular, seeded_rng
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ringkt.abgrp import GroupDescriptor, colimit, identified, mat_mul
+from ringkt.abgrp import (
+    GroupDescriptor,
+    colimit,
+    determinant,
+    identified,
+    identity_matrix,
+    mat_mul,
+)
 from ringkt.errors import AmbiguityError, HypothesisError, InputError
 from ringkt.ktheory import (
     RESULT_TAGS,
     ActionDescriptor,
     AmbiguityReport,
+    EndoBlocks,
     GradedKGroup,
     classify_A,
     classify_B,
@@ -187,6 +198,9 @@ def test_action_validation():
         ActionDescriptor.build(g, deg0={"z": [[2, 0], [0, 1]]})
     with pytest.raises(InputError):  # wrong shape
         ActionDescriptor.build(g, deg0={"z": [[1]]})
+    for bad in (1.0, True, "1"):  # the integer rule
+        with pytest.raises(InputError, match="not an integer"):
+            ActionDescriptor.build(g, deg0={"z": [[bad, 0], [0, 1]]})
     gq = GradedKGroup(GroupDescriptor(q_rank=1), GroupDescriptor.zero())
     with pytest.raises(InputError):  # singular divisible block
         ActionDescriptor.build(gq, deg0={"q": [[0]]})
@@ -227,12 +241,17 @@ def test_involution_normal_form():
 
 
 def test_pv_identity_action_doubles():
-    g = GradedKGroup(
-        GroupDescriptor(free_rank=2, torsion=(3,)), GroupDescriptor.free(1)
-    )
-    res = pv_step(g, identity_action(g), resolution="elementary_divisors")
-    assert res.k0 == g.k0.direct_sum(g.k1)
-    assert res.k1 == g.k1.direct_sum(g.k0)
+    # the crossed product by the trivial action is A (x) C(T), so the split
+    # is certified even where a torsion quotient meets a free subgroup
+    for g in (
+        GradedKGroup(GroupDescriptor(free_rank=2, torsion=(3,)), GroupDescriptor.free(1)),
+        GradedKGroup(GroupDescriptor(free_rank=1, torsion=(2,)), GroupDescriptor.free(1)),
+    ):
+        for resolution in ("require_split", "elementary_divisors"):
+            res = pv_step(g, identity_action(g), resolution=resolution)
+            assert not res.ambiguous
+            assert res.k0 == g.k0.direct_sum(g.k1)
+            assert res.k1 == g.k1.direct_sum(g.k0)
 
 
 def test_pv_divisible_halving_step():
@@ -328,6 +347,59 @@ def test_pv_square_map_rank_balance():
                       resolution="elementary_divisors")
         assert res.ker0.free_rank == res.coker0.free_rank
         assert res.ker0.q_rank == res.coker0.q_rank == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_endo_blocks_accept_exactly_the_unimodular_z(z):
+    n = len(z)
+    if abs(determinant(z)) != 1:
+        with pytest.raises(InputError, match="must be unimodular"):
+            EndoBlocks.build(n, 0, z=z)
+        return
+    blocks = EndoBlocks.build(n, 0, z=z)
+    assert mat_mul(z, blocks.z_inv) == identity_matrix(n)
+
+
+def _random_blocks(rng, a, b):
+    z, _ = random_unimodular(rng, a, steps=rng.randint(0, 6)) if a else ([], [])
+    q = [[rng.choice((1, 2, -1, Fraction(1, 2), 3)) if i == j else 0 for j in range(b)]
+         for i in range(b)]
+    mix = [[rng.randint(-2, 2) for _ in range(a)] for _ in range(b)]
+    return {"z": z, "q": q, "mix": mix}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_pv_step_invariant_under_unimodular_change_of_basis(rng):
+    # z -> P z P^-1 and mix -> mix P^-1 is the same action in another basis of
+    # the free part, so every kernel and cokernel must come out the same
+    descs = [GroupDescriptor(free_rank=rng.randint(0, 3), q_rank=rng.randint(0, 2),
+                             torsion=[rng.choice((2, 3, 4))] * rng.randint(0, 1))
+             for _ in range(2)]
+    g = GradedKGroup(*descs)
+    given_blocks = [_random_blocks(rng, d.free_rank, d.q_rank) for d in descs]
+    conjugated = []
+    for d, blocks in zip(descs, given_blocks):
+        a = d.free_rank
+        if not a:
+            conjugated.append(blocks)
+            continue
+        p, p_inv = random_unimodular(rng, a)
+        conjugated.append({
+            "z": mat_mul(mat_mul(p, blocks["z"]), p_inv),
+            "q": blocks["q"],
+            "mix": mat_mul(blocks["mix"], p_inv) if d.q_rank else [],
+        })
+    results = []
+    for blocks in (given_blocks, conjugated):
+        act = ActionDescriptor.build(g, *blocks)
+        try:
+            results.append(pv_step(g, act, resolution="elementary_divisors"))
+        except InputError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
 
 
 def test_k_of_A_truncated_Q():
