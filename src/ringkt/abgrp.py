@@ -198,6 +198,22 @@ def _echelon(rows):
     return pivots
 
 
+def _is_unimodular(rows):
+    """True iff the square matrix ``rows`` has determinant +-1.
+
+    The echelon only subtracts multiples of earlier rows, which keeps
+    ``|det|``; so the matrix is unimodular exactly when every row keeps a
+    pivot and the pivots multiply to +-1.
+
+    >>> _is_unimodular([[2, 1], [1, 1]]), _is_unimodular([[2, 0], [0, 1]])
+    (True, False)
+    >>> _is_unimodular([[1, 2], [2, 4]]), _is_unimodular([])
+    (False, True)
+    """
+    pivots = _echelon(_sparse_rows(rows))
+    return len(pivots) == len(rows) and abs(math.prod(r[c] for c, r in pivots.items())) == 1
+
+
 def determinant(a):
     """Determinant of a square integer matrix (fraction-free Bareiss)."""
     m, n = mat_shape(a)
@@ -255,9 +271,7 @@ def solve_exact(a, b):
     mb, p = mat_shape(b)
     if mb != m:
         raise InputError("incompatible shapes in solve_exact")
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(b[i][j]) for j in range(p)]
-           for i in range(m)]
-    rows, pivots = rref_fractions(aug)
+    rows, pivots = rref_fractions([list(ra) + list(rb) for ra, rb in zip(a, b)])
     if len([c for c in pivots if c < n]) != n:
         raise InputError("solve_exact: coefficient matrix is not of full column rank")
     if any(c >= n for c in pivots):
@@ -570,10 +584,6 @@ class GroupDescriptor:
         """True iff the group is divisible (a rational vector space here)."""
         return not (self.free_rank or self.loc or self.torsion)
 
-    @property
-    def is_torsion_free(self):
-        return not self.torsion
-
     def _key(self):
         return (self.free_rank, self.q_rank, self.loc, self.torsion)
 
@@ -815,11 +825,6 @@ class DirectedSystem:
             return len(self._d_chain)
         return None
 
-    @property
-    def is_certifiable(self):
-        """True iff classifications of this system are exact (not truncated)."""
-        return self.mode == "symbolic" and self._d_chain is None
-
     def d_value(self, t):
         """Step parameter of the t-th map (1-based); canonical chain is t+1."""
         if self.mode != "symbolic":
@@ -918,7 +923,7 @@ def _colimit_finite(system, mats):
     w = _dense_rows(w, dim)
     r = ranks[-1]
     stab = 1 + ranks.index(r)
-    unimodular = all(abs(determinant(m)) == 1 for m in mats)
+    unimodular = all(map(_is_unimodular, mats))
     rels = _relation_pairs(kernel_lattice_basis(w))
     if unimodular:
         return ColimitReport(

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .abgrp import (
@@ -47,9 +47,8 @@ from .abgrp import (
     cokernel,
     colimit,
     identity_matrix,
-    mat_mul,
-    solve_exact,
     _echelon,
+    _is_unimodular,
     _reduce,
     _sparse_rows,
 )
@@ -399,19 +398,6 @@ def _as_fraction_matrix(rows, shape_rows, shape_cols, what):
     return out
 
 
-def _inverse(rows, error):
-    """The inverse over Q of a square matrix, one elimination against the
-    identity; ``InputError(error)`` when the matrix is singular."""
-    n = len(rows)
-    if not n:
-        return ()
-    try:
-        inv = solve_exact(rows, identity_matrix(n))
-    except InputError:
-        raise InputError(error) from None
-    return tuple(map(tuple, inv))
-
-
 @dataclass(frozen=True)
 class EndoBlocks:
     """Action of an automorphism on ``Z^a + Q^b (+ torsion)`` in block form.
@@ -420,15 +406,12 @@ class EndoBlocks:
     invertible rational b x b matrix, ``mix`` a rational b x a matrix for the
     component from the free part into the divisible part.  Torsion summands
     are carried along unchanged (only the identity action on torsion is
-    supported).  ``z_inv`` and ``q_inv`` are the inverses of the two blocks,
-    found by the one elimination per block that validates it in ``build``.
+    supported).
     """
 
     z_block: tuple
     q_block: tuple
     mix: tuple
-    z_inv: tuple = field(compare=False, repr=False)
-    q_inv: tuple = field(compare=False, repr=False)
 
     @classmethod
     def build(cls, a, b, z=None, q=None, mix=None):
@@ -441,21 +424,13 @@ class EndoBlocks:
         z = as_int_matrix(z) if z else []
         if len(z) != a or any(len(r) != a for r in z):
             raise InputError(f"free-part block must be {a}x{a}")
-        # an integer block is unimodular exactly when its inverse over Q is integral
-        unimodular = "the free-part block of an automorphism must be unimodular"
-        z_inv = _inverse(z, unimodular)
-        if any(x.denominator != 1 for row in z_inv for x in row):
-            raise InputError(unimodular)
+        if not _is_unimodular(z):
+            raise InputError("the free-part block of an automorphism must be unimodular")
         qm = _as_fraction_matrix(q, b, b, "divisible-part block")
-        q_inv = _inverse(qm, "the divisible-part block must be invertible")
+        if len(_echelon(_sparse_rows(qm))) != b:
+            raise InputError("the divisible-part block must be invertible")
         mm = _as_fraction_matrix(mix, b, a, "mix block")
-        return cls(
-            tuple(map(tuple, z)),
-            tuple(map(tuple, qm)),
-            tuple(map(tuple, mm)),
-            tuple(tuple(int(x) for x in row) for row in z_inv),
-            q_inv,
-        )
+        return cls(tuple(map(tuple, z)), tuple(map(tuple, qm)), tuple(map(tuple, mm)))
 
     @property
     def is_identity(self):
@@ -559,22 +534,20 @@ class AmbiguityReport:
 
 
 def _phi_blocks(blocks):
-    """``id - act^(-1)`` in block form for one degree."""
-    a = len(blocks.z_block)
-    b = len(blocks.q_block)
-    z_inv, q_inv = blocks.z_inv, blocks.q_inv
-    phi_z = [[(1 if i == j else 0) - z_inv[i][j] for j in range(a)] for i in range(a)]
-    phi_q = [[Fraction(int(i == j)) - q_inv[i][j] for j in range(b)] for i in range(b)]
-    if a and b:
-        # the mix block of act^(-1) is -q_inv . mix . z_inv, so phi's is its negative
-        phi_mix = mat_mul(mat_mul(q_inv, blocks.mix), z_inv)
-    else:
-        phi_mix = [[Fraction(0)] * a for _ in range(b)]
-    return phi_z, phi_q, phi_mix
+    """``act - id`` in block form for one degree: ``z - I``, ``q - I``, ``mix``."""
+    def minus_identity(m):
+        return [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+    return (minus_identity(blocks.z_block), minus_identity(blocks.q_block),
+            [list(row) for row in blocks.mix])
 
 
 def _degree_kernel_cokernel(desc, blocks):
     """(ker, coker) of ``id - act^(-1)`` on ``Z^a + Q^b + torsion``.
+
+    Both are read off ``phi = act - id``: ``id - act^(-1) = act^(-1) phi``
+    with ``act^(-1)`` an automorphism, so the two maps have the same kernel,
+    and ``act`` maps the cokernel of the one onto the cokernel of the other.
 
     Supported class: the mix image must land inside the image of the
     divisible block.  Then kernel and cokernel split into blocks: for every
@@ -617,7 +590,9 @@ class PVStepResult:
     ``coker(id - act^(-1))`` of the same degree and quotient
     ``ker(id - act^(-1))`` of the other degree.  ``k0``/``k1`` hold the
     resolved descriptor, or an :class:`AmbiguityReport` when the chosen
-    resolution policy cannot certify the extension split.
+    resolution policy cannot certify the extension split.  The groups are
+    found up to isomorphism from ``act - id``, which differs from
+    ``id - act^(-1)`` by the automorphism ``act^(-1)``.
     """
 
     k0: object
@@ -680,7 +655,9 @@ def pv_step(g, act=None, resolution="require_split"):
 
         0 -> coker(id - act^(-1) on K_j) -> K_j' -> ker(id - act^(-1) on K_(1-j)) -> 0
 
-    resolved according to ``resolution``:
+    (Pimsner-Voiculescu).  Since ``id - act^(-1) = act^(-1) (act - id)``,
+    the kernel and cokernel are computed, up to isomorphism, from ``act - id``.
+    The extension is resolved according to ``resolution``:
 
     * ``require_split`` (default): direct sum only when certified, otherwise
       an AmbiguityReport.  The split is certified by a free quotient, by a

@@ -1,6 +1,7 @@
 """Tests for exact linear algebra, group descriptors and the colimit engine."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -549,6 +550,33 @@ def test_identified_matches_far_pushforward(system, data):
     top = max(la, lb) + 64
     expect = _push(system, la, va, top) == _push(system, lb, vb, top)
     assert identified(system, (la, va), (lb, vb)) is expect
+
+
+def _conjugated(system, p, p_inv):
+    """The system ``P M_t P^-1``: the same colimit, seen in another basis."""
+    return DirectedSystem.from_family(
+        system.dim, lambda d: mat_mul(mat_mul(p, system.matrix_at(d)), p_inv))
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=triangular_systems(), data=st.data())
+def test_colimit_invariant_under_constant_conjugation(system, data):
+    report = colimit(system)
+    dim = system.dim
+    # a signed permutation only relabels the union pattern
+    perm = data.draw(st.permutations(range(dim)))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=dim, max_size=dim))
+    p = [[signs[i] if j == perm[i] else 0 for j in range(dim)] for i in range(dim)]
+    p_inv = [list(col) for col in zip(*p)]
+    relabelled = colimit(_conjugated(system, p, p_inv))
+    assert (relabelled.invariants, relabelled.rank) == (report.invariants, report.rank)
+    # a general unimodular P may leave the certified class, but never changes the answer
+    u, u_inv = random_unimodular(random.Random(data.draw(st.integers(0, 2 ** 32))), dim)
+    try:
+        mixed = colimit(_conjugated(system, u, u_inv))
+    except UnsupportedSystemError:
+        return
+    assert (mixed.invariants, mixed.rank) == (report.invariants, report.rank)
 
 
 def test_identified_validation():

@@ -2,6 +2,7 @@
 six-term steps, and classification reports."""
 
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,14 @@ from hypothesis import strategies as st
 
 from ringkt.abgrp import (
     GroupDescriptor,
+    cokernel,
     colimit,
     determinant,
     identified,
     identity_matrix,
     mat_mul,
+    rank,
+    solve_exact,
 )
 from ringkt.errors import AmbiguityError, HypothesisError, InputError
 from ringkt.ktheory import (
@@ -358,8 +362,7 @@ def test_endo_blocks_accept_exactly_the_unimodular_z(z):
         with pytest.raises(InputError, match="must be unimodular"):
             EndoBlocks.build(n, 0, z=z)
         return
-    blocks = EndoBlocks.build(n, 0, z=z)
-    assert mat_mul(z, blocks.z_inv) == identity_matrix(n)
+    assert EndoBlocks.build(n, 0, z=z).z_block == tuple(map(tuple, z))
 
 
 def _random_blocks(rng, a, b):
@@ -400,6 +403,111 @@ def test_pv_step_invariant_under_unimodular_change_of_basis(rng):
         except InputError as exc:
             results.append(str(exc))
     assert results[0] == results[1]
+
+
+PV_GOLDENS = json.loads(pathlib.Path(__file__).with_name("pv_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(PV_GOLDENS))
+def test_pv_json_matches_golden(name):
+    # pv_step(...).to_json_dict(), or the refusal text, under both
+    # resolutions, as produced when the step still inverted the action blocks
+    entry = PV_GOLDENS[name]
+    for resolution in ("require_split", "elementary_divisors"):
+        try:
+            act = ActionDescriptor.from_json(entry["doc"])
+            got = {"result": pv_step(act.domain, act, resolution=resolution).to_json_dict()}
+        except InputError as exc:
+            got = {"error": str(exc)}
+        assert json.dumps(got, sort_keys=True) == json.dumps(entry[resolution], sort_keys=True)
+
+
+def _reference_kernels_cokernels(g, given_blocks):
+    """(ker0, coker0, ker1, coker1) of ``id - act^(-1)`` itself: each block is
+    inverted over Q, and refused as ``EndoBlocks.build`` and ``pv_step`` do."""
+    inverses = []
+    for desc, blocks in zip((g.k0, g.k1), given_blocks):
+        a, b = desc.free_rank, desc.q_rank
+        unimodular = "the free-part block of an automorphism must be unimodular"
+        try:
+            z_inv = solve_exact(blocks["z"], identity_matrix(a)) if a else []
+        except InputError:
+            raise InputError(unimodular) from None
+        if any(x.denominator != 1 for row in z_inv for x in row):
+            raise InputError(unimodular)
+        try:
+            q_inv = solve_exact(blocks["q"], identity_matrix(b)) if b else []
+        except InputError:
+            raise InputError("the divisible-part block must be invertible") from None
+        inverses.append((z_inv, q_inv))
+    out = []
+    for desc, blocks, (z_inv, q_inv) in zip((g.k0, g.k1), given_blocks, inverses):
+        a, b = desc.free_rank, desc.q_rank
+        phi_z = [[int(i == j) - int(z_inv[i][j]) for j in range(a)] for i in range(a)]
+        phi_q = [[int(i == j) - q_inv[i][j] for j in range(b)] for i in range(b)]
+        rank_q = rank(phi_q) if b else 0
+        if a and b:
+            # the mix block of act^(-1) is -q_inv . mix . z_inv
+            phi_mix = mat_mul(mat_mul(q_inv, blocks["mix"]), z_inv)
+            if rank([rq + rm for rq, rm in zip(phi_q, phi_mix)]) != rank_q:
+                raise InputError(
+                    "unsupported six-term step: the free part mixes into a "
+                    "direction that survives in the divisible quotient, so "
+                    "kernel and cokernel are not block sums; refusing to guess")
+        torsion = GroupDescriptor(torsion=desc.torsion)
+        free_null = a - rank(phi_z) if a else 0
+        coker_z = cokernel(phi_z) if a else GroupDescriptor.zero()
+        q_part = GroupDescriptor(q_rank=b - rank_q)
+        out += [GroupDescriptor(free_rank=free_null).direct_sum(q_part, torsion),
+                coker_z.direct_sum(q_part, torsion)]
+    return tuple(out)
+
+
+def _any_action_blocks(rng, a, b):
+    """Free, divisible and mix blocks of any kind: z unimodular or not, q
+    singular or not, mix inside the image of ``q - I`` or not."""
+    if a and rng.random() < 0.6:
+        z, _ = random_unimodular(rng, a, steps=rng.randint(0, 6))
+    else:
+        z = [[rng.randint(-2, 2) for _ in range(a)] for _ in range(a)]
+    q = [[rng.choice((1, 1, 2, -1, 0, Fraction(1, 2))) if i == j
+          else rng.choice((0, 0, 0, 1, Fraction(-1, 3))) for j in range(b)] for i in range(b)]
+    mix = [[rng.choice((0, 0, 1, -2, Fraction(1, 3))) for _ in range(a)] for _ in range(b)]
+    return {"z": z, "q": q, "mix": mix}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_pv_step_matches_the_inverse_route(rng):
+    # pv_step reads everything off act - id; inverting the blocks and taking
+    # id - act^(-1) must give the same groups, or the same refusal
+    descs = [GroupDescriptor(free_rank=rng.randint(0, 3), q_rank=rng.randint(0, 2),
+                             torsion=[rng.choice((2, 3, 4))] * rng.randint(0, 1))
+             for _ in range(2)]
+    g = GradedKGroup(*descs)
+    blocks = [_any_action_blocks(rng, d.free_rank, d.q_rank) for d in descs]
+    try:
+        res = pv_step(g, ActionDescriptor.build(g, *blocks))
+        got = (res.ker0, res.coker0, res.ker1, res.coker1)
+    except InputError as exc:
+        got = str(exc)
+    try:
+        want = _reference_kernels_cokernels(g, blocks)
+    except InputError as exc:
+        want = str(exc)
+    assert got == want
+
+
+def test_classify_A_truncation_rows_match_six_term_steps():
+    # a second route for the rational truncation table: the rows of the
+    # exterior-algebra closed form against iterated six-term steps
+    rows = classify_A(parse_field("x - 1"), truncate=8).truncations
+    assert [row["m"] for row in rows] == list(range(9))
+    for row in rows[1:]:
+        g = k_of_A_truncated_Q(row["m"])
+        assert g.k0.is_free and g.k1.is_free
+        assert (row["k0_rank"], row["k1_rank"]) == (g.k0.free_rank, g.k1.free_rank)
+        assert row["torsion"] == {"k0": [], "k1": []}
 
 
 def test_k_of_A_truncated_Q():
