@@ -10,7 +10,10 @@ dense integer computations.  The two main exports are
 
 * ``smith_normal_form`` and friends (``cokernel``, ``kernel_lattice_basis``),
   with the convention ``a == u @ d @ v`` where ``u`` and ``v`` are unimodular
-  and ``d`` is diagonal, nonnegative, with each entry dividing the next; and
+  and ``d`` is diagonal, nonnegative, with each entry dividing the next.  One
+  elimination (``_snf``) serves all three and tracks only the transforms its
+  caller reads; it never carries ``u``, which ``smith_normal_form`` rebuilds
+  once from ``a @ v^-1`` and the log of row operations; and
 
 * a classifier for sequential colimits ``Z^k -M1-> Z^k -M2-> ...`` of free
   abelian groups along integer matrices (``DirectedSystem`` / ``colimit``),
@@ -31,7 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
+from operator import mul
 
 from .errors import CrossCheckError, InputError, UnsupportedSystemError
 
@@ -288,111 +292,158 @@ def solve_exact(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _snf_with_inverse(a):
-    """Core SNF reduction.
+def _snf(a, inverse=False, transforms=False):
+    """Core SNF reduction of ``a``: the diagonal, and only the transforms asked for.
 
-    Returns ``(u, d, v, v_inv)`` with ``a == u @ d @ v``, ``v_inv == v^-1``,
-    ``u`` and ``v`` unimodular, ``d`` diagonal nonnegative with a divisibility
-    chain along the diagonal.
+    Returns ``(d, v, vi_cols, log)``.  ``d`` is the Smith form of ``a``.
+    ``vi_cols`` (the columns of ``v^-1``, the product of the column
+    operations) is tracked when ``inverse`` or ``transforms``; ``v`` and the
+    ``log`` of row operations only when ``transforms``.  Untracked ones are
+    None.  ``u`` is never tracked: ``_rebuild_u`` makes it from ``vi_cols``
+    and the log.
+
+    A log entry ``(r, s, q)`` adds ``q`` times row ``s`` to row ``r``; ``q == 0``
+    swaps rows ``r`` and ``s`` instead, and ``r == s`` negates row ``r``.
+
+    Step ``t`` takes the first entry (row by row) of least absolute value in
+    the trailing block as its pivot; a unit ends the search.  The cells left
+    of and above the trailing block are zero, so row operations touch only
+    the columns ``>= t`` and column operations only the rows ``>= t``.
     """
     m, n = mat_shape(a)
     d = as_int_matrix(a)
-    u = identity_matrix(m)
-    v = identity_matrix(n)
-    vi = identity_matrix(n)
-
-    def row_swap(r, s):
-        d[r], d[s] = d[s], d[r]
-        for row in u:
-            row[r], row[s] = row[s], row[r]
-
-    def row_negate(r):
-        d[r] = [-x for x in d[r]]
-        for row in u:
-            row[r] = -row[r]
+    track = inverse or transforms
+    vi_cols = identity_matrix(n) if track else None
+    v = identity_matrix(n) if transforms else None
+    log = [] if transforms else None
 
     def row_add(r, s, q):
-        # d: row r += q * row s; compensate u on the right by the inverse op.
-        d[r] = [x + q * y for x, y in zip(d[r], d[s])]
-        for row in u:
-            row[s] -= q * row[r]
+        d[r][t:] = [x + q * y for x, y in zip(islice(d[r], t, None), islice(d[s], t, None))]
+        if log is not None:
+            log.append((r, s, q))
 
-    def col_swap(c, s):
-        for row in d:
-            row[c], row[s] = row[s], row[c]
-        v[c], v[s] = v[s], v[c]
-        for row in vi:
-            row[c], row[s] = row[s], row[c]
-
-    def col_add(c, s, q):
-        # d: col c += q * col s; v gets the inverse row op, vi mirrors d.
-        for row in d:
+    def col_add(c, s, q, rows):
+        # d: col c += q * col s on ``rows``; v gets the inverse row op.
+        for i in rows:
+            row = d[i]
             row[c] += q * row[s]
-        v[s] = [x - q * y for x, y in zip(v[s], v[c])]
-        for row in vi:
-            row[c] += q * row[s]
+        if track:
+            vi_cols[c] = [x + q * y for x, y in zip(vi_cols[c], vi_cols[s])]
+        if v is not None:
+            v[s] = [x - q * y for x, y in zip(v[s], v[c])]
 
     t = 0
     while t < min(m, n):
-        best = None
+        best = bi = bj = 0
         for i in range(t, m):
-            for j in range(t, n):
-                x = d[i][j]
-                if x and (best is None or abs(x) < abs(best[0])):
-                    best = (x, i, j)
-        if best is None:
+            low = min(map(abs, filter(None, islice(d[i], t, None))), default=0)
+            if low and (not best or low < best):
+                best, bi = low, i
+                bj = next(j for j in range(t, n) if abs(d[i][j]) == low)
+                if low == 1:
+                    break
+        if not best:
             break
-        _, bi, bj = best
         if bi != t:
-            row_swap(t, bi)
+            d[t], d[bi] = d[bi], d[t]
+            if log is not None:
+                log.append((t, bi, 0))
         if bj != t:
-            col_swap(t, bj)
+            for i in range(t, m):
+                row = d[i]
+                row[t], row[bj] = row[bj], row[t]
+            if track:
+                vi_cols[t], vi_cols[bj] = vi_cols[bj], vi_cols[t]
+            if v is not None:
+                v[t], v[bj] = v[bj], v[t]
         p = d[t][t]
-        dirty = False
-        for i in range(t + 1, m):
-            if d[i][t] % p:
-                row_add(i, t, -(d[i][t] // p))
-                dirty = True
-        if dirty:
-            continue
-        for j in range(t + 1, n):
-            if d[t][j] % p:
-                col_add(j, t, -(d[t][j] // p))
-                dirty = True
-        if dirty:
-            continue
+        if best != 1:
+            dirty = False
+            for i in range(t + 1, m):
+                if d[i][t] % p:
+                    row_add(i, t, -(d[i][t] // p))
+                    dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, n):
+                if d[t][j] % p:
+                    col_add(j, t, -(d[t][j] // p), range(t, m))
+                    dirty = True
+            if dirty:
+                continue
         for i in range(t + 1, m):
             if d[i][t]:
                 row_add(i, t, -(d[i][t] // p))
+        # Column t is now zero below the pivot, so clearing row t changes row t alone.
         for j in range(t + 1, n):
             if d[t][j]:
-                col_add(j, t, -(d[t][j] // p))
-        stray = next(
-            ((i, j) for i in range(t + 1, m) for j in range(t + 1, n) if d[i][j] % p),
-            None,
-        )
-        if stray is not None:
-            # Pull the offending row into the pivot row; the next pass reduces it.
-            row_add(t, stray[0], 1)
-            continue
-        if d[t][t] < 0:
-            row_negate(t)
+                col_add(j, t, -(d[t][j] // p), (t,))
+        if best != 1:
+            stray = next((i for i in range(t + 1, m)
+                          if any(map(p.__rmod__, filter(None, islice(d[i], t + 1, None))))), None)
+            if stray is not None:
+                # Pull the offending row into the pivot row; the next pass reduces it.
+                row_add(t, stray, 1)
+                continue
+        if p < 0:
+            d[t][t] = -p
+            if log is not None:
+                log.append((t, t, -1))
         t += 1
-    return u, d, v, vi
+    return d, v, vi_cols, log
+
+
+def _rebuild_u(a, d, vi_cols, log):
+    """The unimodular ``u`` with ``a == u @ d @ v``, rebuilt once after ``_snf``.
+
+    ``a @ v^-1 == u @ d``, so for ``d[j][j] != 0`` column ``j`` of ``u`` is
+    column ``j`` of ``a @ v^-1`` divided by ``d[j][j]``; the division is
+    exact, and a remainder raises ``CrossCheckError``.  The other columns
+    (``d[j][j] == 0``, and ``j >= n`` when ``m > n``) are ``e_j`` with the
+    logged row operations undone, the last one first.
+    """
+    m = len(d)
+    rank = sum(1 for j in range(min(m, len(vi_cols))) if d[j][j])
+    cols = []
+    for j in range(rank):
+        col = []
+        for row in a:
+            q, r = divmod(sum(map(mul, row, vi_cols[j])), d[j][j])
+            if r:
+                raise CrossCheckError(
+                    f"smith_normal_form: column {j} of a @ v^-1 is not divisible by d[{j}][{j}]"
+                )
+            col.append(q)
+        cols.append(col)
+    rest = [[1 if i == j else 0 for j in range(rank, m)] for i in range(m)]
+    if rank < m:
+        for r, s, q in reversed(log):
+            if r == s:
+                rest[r] = [-x for x in rest[r]]
+            elif q:
+                rest[r] = [x - q * y for x, y in zip(rest[r], rest[s])]
+            else:
+                rest[r], rest[s] = rest[s], rest[r]
+    lead = zip(*cols) if cols else [()] * m
+    return [list(head) + tail for head, tail in zip(lead, rest)]
 
 
 def smith_normal_form(a):
     """Smith normal form with transforms: ``a == u @ d @ v``.
 
     ``u`` (rows x rows) and ``v`` (cols x cols) are unimodular, ``d`` is
-    diagonal with nonnegative entries ``d[0][0] | d[1][1] | ...``.
+    diagonal with nonnegative entries ``d[0][0] | d[1][1] | ...``.  The
+    elimination tracks ``v``, ``v^-1`` and a log of its row operations, not
+    ``u``; ``u`` is rebuilt once at the end from ``a @ v^-1`` (exact division
+    by the diagonal) and, for the zero diagonal entries, the log.
 
     >>> u, d, v = smith_normal_form([[2, 4], [6, 8]])
     >>> [d[i][i] for i in range(2)]
     [2, 4]
     """
-    u, d, v, _ = _snf_with_inverse(a)
-    return u, d, v
+    a = as_int_matrix(a)
+    d, v, vi_cols, log = _snf(a, transforms=True)
+    return _rebuild_u(a, d, vi_cols, log), d, v
 
 
 def kernel_lattice_basis(a):
@@ -403,10 +454,9 @@ def kernel_lattice_basis(a):
     Vectors are returned as lists of ints.
     """
     m, n = mat_shape(a)
-    _, d, _, vi = _snf_with_inverse(a)
+    d, _, vi_cols, _ = _snf(a, inverse=True)
     k = min(m, n)
-    free_cols = [j for j in range(n) if j >= k or d[j][j] == 0]
-    return [[vi[i][j] for i in range(n)] for j in free_cols]
+    return [vi_cols[j] for j in range(n) if j >= k or d[j][j] == 0]
 
 
 def image_lattice_basis(a):
@@ -646,7 +696,7 @@ def cokernel(a):
     Z/2 + Z/4
     """
     m, n = mat_shape(a)
-    _, d, _, _ = _snf_with_inverse(a)
+    d = _snf(a)[0]
     diag = [d[i][i] for i in range(min(m, n))]
     nonzero = sum(1 for x in diag if x)
     return GroupDescriptor(

@@ -422,6 +422,22 @@ def test_pv_json_matches_golden(name):
         assert json.dumps(got, sort_keys=True) == json.dumps(entry[resolution], sort_keys=True)
 
 
+def test_is_identity_matches_identity_comparison():
+    # The in-place check against the comparison with a built identity matrix.
+    seen = set()
+    for entry in PV_GOLDENS.values():
+        try:
+            act = ActionDescriptor.from_json(entry["doc"])
+        except InputError:
+            continue
+        for blocks in (act.deg0, act.deg1):
+            want = all(m == tuple(map(tuple, identity_matrix(len(m))))
+                       for m in (blocks.z_block, blocks.q_block)) and not any(map(any, blocks.mix))
+            assert blocks.is_identity == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
 def _reference_kernels_cokernels(g, given_blocks):
     """(ker0, coker0, ker1, coker1) of ``id - act^(-1)`` itself: each block is
     inverted over Q, and refused as ``EndoBlocks.build`` and ``pv_step`` do."""
