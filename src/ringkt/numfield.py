@@ -8,6 +8,10 @@ power-basis convention; every report that depends on it says so).
 
 Highlights:
 
+* irreducibility of the defining polynomial proved from its residue degrees
+  at a few unramified primes (Musser's degree-set test, each prime
+  cross-checked by Berlekamp's factor count), in plain integers; sympy's
+  factorization over Q decides only when those primes prove nothing;
 * ``signature`` via exact Sturm chains (no floating point anywhere);
 * ``roots_of_unity_order`` searched sieve first: each candidate order is
   refuted by a residue-field witness whose degrees sympy's factorization over
@@ -32,7 +36,7 @@ import math
 import re
 from fractions import Fraction
 
-from .abgrp import _factor_multiplicity, determinant
+from .abgrp import _factor_multiplicity, _is_prime, determinant
 from .errors import CrossCheckError, HypothesisError, InputError
 
 # ---------------------------------------------------------------------------
@@ -125,7 +129,8 @@ def squarefree_part(p):
     if poly_degree(g) <= 0:
         return poly_trim(p)
     q, r = poly_divmod(p, g)
-    assert not r
+    if r:
+        raise CrossCheckError(f"gcd(p, p') does not divide p: remainder {r}")
     return q
 
 
@@ -280,7 +285,9 @@ def parse_polynomial(text):
     return out
 
 
-def _is_irreducible_over_q(coeffs):
+def _sympy_is_irreducible(coeffs):
+    """sympy's factorization over Q: the fallback when no residue-degree
+    certificate is found (see ``_ResidueSieve.proves_irreducible``)."""
     import sympy
 
     x = sympy.Symbol("x")
@@ -381,38 +388,46 @@ class FieldElement:
     def __hash__(self):
         return hash((id(self.field), self.coeffs))
 
-    def _check(self, other):
+    def _rational(self, other):
+        """``other`` as a ``Fraction``, or None for an element of this field."""
         if not isinstance(other, FieldElement):
-            other = FieldElement(self.field, [Fraction(other)])
+            return Fraction(other)
         if other.field is not self.field:
             raise InputError("elements live in different fields")
-        return other
+        return None
 
     def __add__(self, other):
-        other = self._check(other)
+        c = self._rational(other)
+        if c is not None:
+            return FieldElement(self.field, (self.coeffs[0] + c,) + self.coeffs[1:])
         return FieldElement(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
+        c = self._rational(other)
+        if c is not None:
+            return FieldElement(self.field, (self.coeffs[0] - c,) + self.coeffs[1:])
         return FieldElement(self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __rsub__(self, other):
-        return self._check(other) - self
+        c = self._rational(other)
+        return FieldElement(self.field, [c - self.coeffs[0]] + [-a for a in self.coeffs[1:]])
 
     def __neg__(self):
         return FieldElement(self.field, [-a for a in self.coeffs])
 
     def __mul__(self, other):
-        other = self._check(other)
+        c = self._rational(other)
+        if c is not None:
+            return FieldElement(self.field, [a * c for a in self.coeffs])
         prod = poly_mul(list(self.coeffs), list(other.coeffs))
         return FieldElement(self.field, _reduce_mod(prod, self.field._f))
 
     __rmul__ = __mul__
 
     def __rtruediv__(self, other):
-        return self._check(other) * self.inverse()
+        return self._rational(other) * self.inverse()
 
     def __pow__(self, e):
         if e < 0:
@@ -478,7 +493,17 @@ def _reduce_mod(p, f):
 
 
 class NumberField:
-    """``Q[x]/(f)`` for monic irreducible integer ``f``; power basis order."""
+    """``Q[x]/(f)`` for monic irreducible integer ``f``; power basis order.
+
+    Irreducibility is proved in plain integers where it can be: ``f`` needs a
+    nonzero discriminant, and the residue degrees of ``f`` at a few unramified
+    primes must leave no degree a proper factor over Q could have (Musser's
+    degree-set test); Berlekamp's factor count cross-checks every prime the
+    proof reads.  Only when those primes prove nothing (a Galois group
+    without the needed cycle types, as for ``x^4 + 1``) does sympy's
+    factorization over Q decide.  The discriminant and the residue-degree
+    table stay with the field; the roots-of-unity sieve reads the same table.
+    """
 
     def __init__(self, coeffs):
         coeffs = [int(c) for c in poly_trim(list(coeffs))]
@@ -487,14 +512,17 @@ class NumberField:
             raise InputError("a field needs a polynomial of degree >= 1")
         if coeffs[-1] != 1:
             raise InputError("the defining polynomial must be monic")
-        if not _is_irreducible_over_q(coeffs):
+        disc = poly_discriminant(coeffs)
+        sieve = _ResidueSieve(coeffs, disc) if disc else None
+        if not (sieve and (sieve.proves_irreducible() or _sympy_is_irreducible(coeffs))):
             raise InputError("the defining polynomial must be irreducible over Q")
         self.coeffs = tuple(coeffs)
         self._f = tuple(Fraction(c) for c in coeffs)
         self.degree = n
         self.r1, self.r2 = signature(coeffs)
         self._w = None
-        self._disc = None
+        self._disc = disc
+        self._sieve = sieve
         self._root_intervals = None
 
     @classmethod
@@ -510,8 +538,6 @@ class NumberField:
     @property
     def disc(self):
         """Discriminant of the defining polynomial (power-basis convention)."""
-        if self._disc is None:
-            self._disc = poly_discriminant(self.coeffs)
         return self._disc
 
     def element(self, coeffs):
@@ -655,15 +681,18 @@ class NumberField:
     def roots_of_unity_order(self):
         """Order of the group of roots of unity in the field.
 
-        Any real embedding forces exactly ``{+1, -1}``.  Totally imaginary
-        fields walk the even candidate orders ``m`` with ``phi(m) | degree``
-        in descending order, sieve first: a residue-field witness ``(p, f)``
-        refutes ``m``, and its residue degrees are re-derived by sympy's
-        factorization over GF(p) (a mismatch, or re-derived degrees that do
-        not refute ``m``, raises ``CrossCheckError``).  The exact
-        norm-descent test runs only on candidates without a witness; the
-        first exact hit is the answer, and its sieve table is spot-checked
-        by sympy the same way.  With every candidate refuted the answer is 2.
+        Any real embedding forces exactly ``{+1, -1}``, with no sympy call.
+        Totally imaginary fields walk the even candidate orders ``m`` with
+        ``phi(m) | degree`` in descending order, sieve first: a residue-field
+        witness ``(p, f)`` refutes ``m``, and its residue degrees are
+        re-derived by sympy's factorization over GF(p) (a mismatch, or
+        re-derived degrees that do not refute ``m``, raises
+        ``CrossCheckError``).  The sieve reads the residue-degree table the
+        irreducibility proof started.  The exact norm-descent test (sympy
+        resultants and factorization over Q) runs only on candidates without
+        a witness; the first exact hit is the answer, and its sieve table is
+        spot-checked by sympy the same way.  With every candidate refuted the
+        answer is 2.
 
         >>> parse_field("x^2 + 1").roots_of_unity_order
         4
@@ -675,7 +704,7 @@ class NumberField:
     def _compute_roots_of_unity_order(self):
         if self.r1 > 0:
             return 2
-        sieve = _ResidueSieve(self.coeffs, self.disc)
+        sieve = self._sieve
         for m in _root_of_unity_candidates(self.degree):
             witness = sieve.witness(m)
             if witness is not None:
@@ -696,12 +725,19 @@ class NumberField:
         import sympy
 
         x, y = sympy.symbols("x y")
-        f_expr = sum(int(c) * x ** i for i, c in enumerate(self.coeffs))
-        phi = sympy.cyclotomic_poly(m, y)
-        phi_coeffs = [int(c) for c in reversed(sympy.Poly(phi, y).all_coeffs())]
+        zy = sympy.ZZ[y]  # polynomials in x over Z[y]: the resultant eliminates x
+        f_poly = sympy.Poly(list(reversed(self.coeffs)), x, domain=zy)
+        phi = sympy.cyclotomic_poly(m, y, polys=True)
+        phi_coeffs = [int(c) for c in reversed(phi.all_coeffs())]
         for s in (1, -1, 2, -2, 3, -3, 5, -5, 7, -7):
-            norm = sympy.resultant(f_expr, phi.subs(y, y - s * x), x)
-            norm_poly = sympy.Poly(norm, y)
+            shift = sympy.Poly.from_list([-s, zy.gens[0]], x, domain=zy)  # y - s*x
+            phi_shifted = sympy.Poly(0, x, domain=zy)
+            for c in reversed(phi_coeffs):  # Horner: Phi_m(y - s*x)
+                phi_shifted = phi_shifted * shift + c
+            # On the representations: Poly.resultant would turn the element
+            # of Z[y] into an Expr, and Poly(..., y) would expand it back.
+            norm = f_poly.rep.resultant(phi_shifted.rep)
+            norm_poly = sympy.Poly(norm.to_dense(), y)
             if sympy.degree(sympy.gcd(norm_poly, norm_poly.diff(y)), y) > 0:
                 continue
             for factor, _mult in sympy.factor_list(norm_poly)[1]:
@@ -733,44 +769,94 @@ def _root_of_unity_candidates(n):
     return [m for m in range(2 * n * n + 2, 3, -2) if n % _euler_phi(m) == 0]
 
 
-class _ResidueSieve:
-    """Residue-field sieve for roots of unity, shared by every candidate order.
+def _primes():
+    """2, 3, 5, 7, ...: every prime in ascending order, by trial division."""
+    return filter(_is_prime, itertools.count(2))
 
-    For a prime ``p`` not dividing ``m`` or the discriminant, a root of unity
-    of order ``m`` in the field forces ``m | p^f - 1`` for the residue degree
-    ``f`` of every prime above ``p`` (Dedekind--Kummer: the degrees are those
-    of the irreducible factors of the defining polynomial mod p).  The table
-    of factor-degree patterns over the unramified primes 3, 5, 7, ... is
-    built lazily, once per search; each candidate reads the first
-    ``PRIME_COUNT`` primes of it that do not divide ``m``.
+
+def _subset_sums(degrees, n):
+    """The sums of sub-multisets of ``degrees`` strictly between 0 and ``n``."""
+    sums = {0}
+    for d in degrees:
+        sums |= {t + d for t in sums}
+    return sums & set(range(1, n))
+
+
+class _ResidueSieve:
+    """Residue degrees of one field at its unramified primes, and what they
+    prove: that the defining polynomial is irreducible, and which orders of
+    roots of unity the field cannot contain.
+
+    For a prime ``p`` not dividing the discriminant, the residue degrees of
+    the primes above ``p`` are the degrees of the irreducible factors of the
+    defining polynomial mod p (Dedekind--Kummer).  The table of these
+    patterns over the unramified primes 2, 3, 5, ... is built lazily, once
+    per field: the irreducibility certificate reads its first rows, and the
+    sieve for every candidate order reads the same rows.
+
+    *Irreducibility* (Musser, J. ACM 25, 1978): a factor of degree ``d`` over
+    Q reduces mod p to a product of some of the factors mod p, so ``d`` is a
+    sum of residue degrees at every unramified ``p``.  When no ``d`` in
+    ``1..n-1`` is such a sum at all of the first ``IRREDUCIBILITY_PRIMES``
+    primes, the polynomial is irreducible.  Each prime that proof read is
+    cross-checked by Berlekamp's count of the factors mod p.
+
+    *Roots of unity*: for ``p`` not dividing ``m`` either, a root of unity of
+    order ``m`` in the field forces ``m | p^f - 1`` for every residue degree
+    ``f`` at ``p``.  Each candidate reads the first ``PRIME_COUNT`` primes of
+    the table that do not divide ``m`` (``m`` is even, so 2 never counts).
     """
 
     PRIME_COUNT = 50
+    # About twice the most that 1408 random irreducible polynomials of degree
+    # 2..9 (coefficients in +-20) needed, 14; past it sympy decides, as it
+    # must for Galois groups without the needed cycle types.
+    IRREDUCIBILITY_PRIMES = 30
 
     def __init__(self, coeffs, disc):
         self.coeffs = coeffs
         self.disc = disc
         self.table = {}      # p -> residue degrees, p unramified, ascending
-        self._primes = []
-        self._last = 2       # nextprime(2) = 3: the sieve starts at 3
+        self._primes = []    # the keys of the table, in ascending order
+        self._candidates = _primes()
         self._confirmed = set()
 
-    def _primes_for(self, m):
-        """The primes the sieve tests for order ``m``, in ascending order."""
-        import sympy
-
-        i = tested = 0
-        while tested < self.PRIME_COUNT:
+    def _unramified(self):
+        """The unramified primes in ascending order, extending the table."""
+        for i in itertools.count():
             while i == len(self._primes):
-                p = self._last = int(sympy.nextprime(self._last))
+                p = next(self._candidates)
                 if self.disc % p:
                     self._primes.append(p)
                     self.table[p] = _factor_degrees_mod_p(self.coeffs, p)
-            p = self._primes[i]
-            i += 1
-            if m % p:
-                tested += 1
-                yield p
+            yield self._primes[i]
+
+    def proves_irreducible(self):
+        """True when the residue degrees prove the defining polynomial
+        irreducible; False when the first ``IRREDUCIBILITY_PRIMES`` unramified
+        primes leave a possible factor degree (which proves nothing)."""
+        n = len(self.coeffs) - 1
+        possible = set(range(1, n))
+        primes = itertools.islice(self._unramified(), self.IRREDUCIBILITY_PRIMES)
+        read = []
+        while possible:
+            p = next(primes, None)
+            if p is None:
+                return False
+            read.append(p)
+            possible &= _subset_sums(self.table[p], n)
+        for p in read:
+            count = _berlekamp_factor_count(self.coeffs, p)
+            if count != len(self.table[p]):
+                raise CrossCheckError(
+                    f"residue degrees mod {p} disagree: distinct-degree factorization "
+                    f"gives {self.table[p]}, Berlekamp's Q-matrix counts {count} factors"
+                )
+        return True
+
+    def _primes_for(self, m):
+        """The primes the sieve tests for order ``m``, in ascending order."""
+        return itertools.islice((p for p in self._unramified() if m % p), self.PRIME_COUNT)
 
     def witness(self, m):
         """First ``(p, f)`` ruling out a primitive m-th root of unity, or None."""
@@ -854,6 +940,48 @@ def _polymod_gcd(a, b, p):
     while b:
         a, b = b, _polymod_divmod(a, b, p)[1]
     return a
+
+
+def _rank_mod_p(rows, p):
+    """Rank over GF(p) of an integer matrix (Gaussian elimination)."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            c = rows[i][col] * inv % p
+            if c:
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _berlekamp_factor_count(coeffs, p):
+    """Number of irreducible factors of a monic f, squarefree mod p.
+
+    Berlekamp (Math. Comp. 24, 1970; Cohen, section 3.4): row ``i`` of the
+    matrix Q holds ``x^(i p) mod f``, and the count is ``n - rank(Q - I)``
+    over GF(p).  It shares no step with the distinct-degree split of
+    ``_factor_degrees_mod_p`` beyond ``x^p mod f``.
+
+    >>> _berlekamp_factor_count([1, 0, 0, 0, 1], 3)  # x^4 + 1 = two quadratics mod 3
+    2
+    """
+    f = _trim_mod(coeffs, p)
+    n = len(f) - 1
+    xp = _polymod_pow_p([0, 1], p, f)
+    power = [1]
+    q_minus_i = []
+    for i in range(n):
+        row = power + [0] * (n - len(power))
+        row[i] -= 1
+        q_minus_i.append(row)
+        power = _polymod_mul(power, xp, f, p)
+    return n - _rank_mod_p(q_minus_i, p)
 
 
 def _factor_degrees_mod_p(coeffs, p):
@@ -962,7 +1090,11 @@ def fundamental_unit_real_quadratic(field):
         val = p_cur * p_cur - d * q_cur * q_cur
         if val in (1, -1):
             unit = field.element([p_cur, q_cur])
-            assert unit.norm() in (Fraction(1), Fraction(-1))
+            if unit.norm() not in (1, -1):
+                raise CrossCheckError(
+                    f"the convergent {p_cur}/{q_cur} of sqrt({d}) gives a unit of "
+                    f"norm {unit.norm()}, not +-1"
+                )
             return unit
         m = den * a - m
         den = (d - m * m) // den

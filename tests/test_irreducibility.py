@@ -1,0 +1,182 @@
+"""Irreducibility over Q without sympy: the residue-degree certificate, its
+Berlekamp cross-check, the sympy fallback, and the CLI paths that no longer
+import sympy."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ringkt
+from ringkt import numfield
+from ringkt.errors import CrossCheckError, InputError
+from ringkt.numfield import NumberField, _ResidueSieve, parse_field, poly_discriminant
+
+
+def _sympy_says(coeffs):
+    x = sympy.Symbol("x")
+    return sympy.Poly(list(reversed(coeffs)), x, domain="QQ").is_irreducible
+
+
+def _accepted(coeffs):
+    try:
+        NumberField(coeffs)
+    except InputError as exc:
+        assert str(exc) == "the defining polynomial must be irreducible over Q"
+        return False
+    return True
+
+
+def _certified(coeffs):
+    """What the residue degrees alone prove (no fallback)."""
+    disc = poly_discriminant(coeffs)
+    return bool(disc) and _ResidueSieve(coeffs, disc).proves_irreducible()
+
+
+def _monic(min_degree, max_degree, bound=12):
+    return st.lists(st.integers(-bound, bound), min_size=min_degree, max_size=max_degree).map(
+        lambda c: c + [1])
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# Fields whose Galois group has no element with the cycle types a proof
+# needs: every prime splits them the same way, so sympy decides.
+FALLBACK = ["x^4 + 1", "x^4 - x^2 + 1", "x^4 - 10x^2 + 1", "x^8 + 1"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(coeffs=_monic(1, 9))
+def test_route_agrees_with_sympy_on_random_monic_polynomials(coeffs):
+    expect = _sympy_says(coeffs)
+    assert _accepted(coeffs) == expect
+    if _certified(coeffs):
+        assert expect
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=_monic(1, 4, 6), b=_monic(1, 5, 6))
+def test_built_products_are_refused(a, b):
+    product = _times(a, b)
+    assert not _certified(product)
+    assert not _accepted(product)
+
+
+@pytest.mark.parametrize("poly", FALLBACK)
+def test_named_fallback_cases_are_decided_by_sympy(poly):
+    coeffs = numfield.parse_polynomial(poly)
+    assert not _certified(coeffs)
+    assert _accepted(coeffs) and _sympy_says(coeffs)
+
+
+@pytest.mark.parametrize("poly", ["x^2 - 2", "x^3 - 2", "x^5 - x - 1", "x^6 + x^3 + 1",
+                                  "x^4 + x^3 + x^2 + x + 1", "x"])
+def test_common_fields_are_certified_without_sympy(poly, monkeypatch):
+    monkeypatch.setattr(numfield, "_sympy_is_irreducible", None)  # a call would fail
+    assert parse_field(poly).degree == len(numfield.parse_polynomial(poly)) - 1
+
+
+def test_sieve_reads_the_rows_the_certificate_built():
+    k = parse_field("x^4 + 1")  # no proof: the certificate reads all its primes
+    built = dict(k._sieve.table)
+    assert len(built) == _ResidueSieve.IRREDUCIBILITY_PRIMES
+    assert k.roots_of_unity_order == 8
+    assert all(k._sieve.table[p] is row for p, row in built.items())
+
+
+@settings(max_examples=80, deadline=None)
+@given(coeffs=_monic(1, 8, 30), p=st.sampled_from([2, 3, 5, 7, 11, 13, 97]))
+def test_berlekamp_count_matches_distinct_degree_split(coeffs, p):
+    if poly_discriminant(coeffs) % p:
+        assert numfield._berlekamp_factor_count(coeffs, p) == len(
+            numfield._factor_degrees_mod_p(coeffs, p))
+
+
+def test_plain_prime_generator_matches_nextprime():
+    want, p = [], 1
+    for _ in range(200):
+        p = int(sympy.nextprime(p))
+        want.append(p)
+    primes = numfield._primes()
+    assert [next(primes) for _ in range(200)] == want
+
+
+# ---------------------------------------------------------------------------
+# fault injection
+# ---------------------------------------------------------------------------
+
+
+def test_false_residue_degrees_are_stopped_by_berlekamp(monkeypatch):
+    # x^3 - 2 = (x - 3)(x^2 + 3x + 9) mod 5, the first unramified prime; the
+    # false pattern [3] would prove irreducibility on its own.
+    monkeypatch.setattr(numfield, "_factor_degrees_mod_p", lambda coeffs, p: [3])
+    with pytest.raises(CrossCheckError, match=r"mod 5 disagree: .* \[3\], .* counts 2"):
+        parse_field("x^3 - 2")
+
+
+def test_false_berlekamp_count_raises(monkeypatch):
+    monkeypatch.setattr(numfield, "_berlekamp_factor_count", lambda coeffs, p: 1)
+    with pytest.raises(CrossCheckError, match="mod 5 disagree"):
+        parse_field("x^3 - 2")
+
+
+# ---------------------------------------------------------------------------
+# no sympy on the default CLI path
+# ---------------------------------------------------------------------------
+
+_CHILD = """
+import runpy, sys
+sys.argv = ["ringkt", *sys.argv[1:]]
+try:
+    runpy.run_module("ringkt.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code or 0
+else:
+    code = 0
+sys.stderr.write(f"\\nexit={code} sympy={'sympy' in sys.modules}\\n")
+"""
+
+
+def _run_verb(*argv):
+    src = str(Path(ringkt.__file__).resolve().parent.parent)
+    old = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
+    out = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    status = out.stderr.strip().splitlines()[-1]
+    return json.loads(out.stdout), status
+
+
+@pytest.mark.parametrize("argv", [
+    ("field-info", "--field", "x^2-2"),
+    ("kgroups", "--algebra", "A0", "--field", "x^3-2"),
+    ("kgroups", "--algebra", "B0", "--field", "x^3-2"),
+])
+def test_default_verbs_do_not_import_sympy(argv):
+    _, status = _run_verb(*argv)
+    assert status == "exit=0 sympy=False"
+
+
+def test_the_probe_sees_sympy_where_the_exact_route_runs():
+    out, status = _run_verb("field-info", "--field", "x^2+1")
+    assert out["roots_of_unity_order"] == 4
+    assert status == "exit=0 sympy=True"
+
+
+def test_sympy_fallback_keeps_the_error_text():
+    with pytest.raises(InputError, match="must be irreducible over Q"):
+        parse_field("x^4 + 4")  # (x^2 + 2x + 2)(x^2 - 2x + 2): no residue proof
+    with pytest.raises(InputError, match="must be irreducible over Q"):
+        parse_field("x^2 + 2x + 1")  # discriminant 0

@@ -4,10 +4,14 @@ sign vectors, fundamental units)."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import numpy_real_root_count, seeded_rng
-from ringkt.errors import HypothesisError, InputError
+from ringkt import numfield
+from ringkt.errors import CrossCheckError, HypothesisError, InputError
 from ringkt.numfield import (
+    FieldElement,
     NumberField,
     count_real_roots,
     fundamental_unit_real_quadratic,
@@ -259,6 +263,57 @@ def test_polynomial_helpers_over_a_field():
     assert q == [i, 1] and r == []
     assert poly_gcd([1, 0, 1], poly_mul([i, 1], [3, 1])) == [i, k.element([1])]
     assert poly_gcd([1, 0, 1], [Fraction(1, 2), 1]) == [1]
+
+
+_OPERAND_FIELDS = [parse_field(p) for p in ("x^2 - 2", "x^3 - 2", "x^4 + 1")]
+_rationals = st.one_of(
+    st.integers(-20, 20),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from(_OPERAND_FIELDS),
+    coords=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6),
+                    min_size=1, max_size=4),
+    c=_rationals,
+)
+def test_rational_operands_match_the_padded_element_route(field, coords, c):
+    # The reference promotes c to a padded field element first, as every
+    # rational operand once was; the results must be identical.
+    a = field.element(coords[: field.degree])
+    e = FieldElement(field, [Fraction(c)])
+    pairs = [(a + c, a + e), (c + a, e + a), (a - c, a - e), (c - a, e - a),
+             (a * c, a * e), (c * a, e * a)]
+    if a:
+        pairs.append((c / a, e * a.inverse()))
+    for fast, reference in pairs:
+        assert fast == reference
+        assert all(type(x) is Fraction for x in fast.coeffs)
+        assert repr(fast.coeffs) == repr(reference.coeffs)
+
+
+def test_rational_operands_keep_the_errors():
+    k, other = parse_field("x^2 - 2"), parse_field("x^2 + 1")
+    with pytest.raises(InputError, match="different fields"):
+        k.element([1, 1]) + other.element([1])
+    with pytest.raises(InputError, match="different fields"):
+        k.element([1, 1]) * other.element([1])
+    with pytest.raises(TypeError):
+        k.element([1, 1]) + 1.5j
+
+
+def test_squarefree_part_rejects_a_gcd_that_does_not_divide(monkeypatch):
+    monkeypatch.setattr(numfield, "poly_gcd", lambda p, q: [Fraction(1), Fraction(1)])
+    with pytest.raises(CrossCheckError, match="does not divide"):
+        numfield.squarefree_part([Fraction(1), Fraction(0), Fraction(1)])  # x^2 + 1
+
+
+def test_fundamental_unit_with_a_wrong_norm_raises(monkeypatch):
+    monkeypatch.setattr(FieldElement, "norm", lambda self: Fraction(2))
+    with pytest.raises(CrossCheckError, match=r"convergent 1/1 of sqrt\(2\) .* norm 2"):
+        fundamental_unit_real_quadratic(parse_field("x^2 - 2"))
 
 
 def test_fundamental_units():

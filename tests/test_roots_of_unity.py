@@ -57,6 +57,38 @@ def test_residue_degrees_match_gf_p_factorization(coeffs, p):
     assert sorted(numfield._factor_degrees_mod_p(coeffs, p)) == expect
 
 
+def _expr_route_norm(k, m):
+    """The norm as it was once built, on ``Expr`` with ``subs``: the first
+    squarefree ``Res_x(f(x), Phi_m(y - s x))`` over the fixed shift order."""
+    x, y = sympy.symbols("x y")
+    f_expr = sum(int(c) * x ** i for i, c in enumerate(k.coeffs))
+    phi = sympy.cyclotomic_poly(m, y)
+    for s in (1, -1, 2, -2, 3, -3, 5, -5, 7, -7):
+        norm = sympy.Poly(sympy.resultant(f_expr, phi.subs(y, y - s * x), x), y)
+        if sympy.degree(sympy.gcd(norm, norm.diff(y)), y) == 0:
+            return norm
+
+
+@pytest.mark.parametrize("poly,w", AGREEMENT_TABLE, ids=[p for p, _ in AGREEMENT_TABLE])
+def test_norm_on_poly_matches_the_expr_route(poly, w, monkeypatch):
+    # Same first squarefree shift, same norm, hence the same factors are read.
+    k = parse_field(poly)
+    seen = []
+    original = sympy.factor_list
+
+    def recorded(norm, *args, **kwargs):
+        seen.append(norm)
+        return original(norm, *args, **kwargs)
+
+    monkeypatch.setattr(sympy, "factor_list", recorded)
+    for m in _root_of_unity_candidates(k.degree):
+        seen.clear()
+        assert k._contains_primitive_root(m) == (w % m == 0)
+        reference = _expr_route_norm(k, m)
+        assert seen == [reference]
+        assert original(seen[0]) == original(reference)
+
+
 def test_roots_of_unity_golden_x8_plus_1():
     # Candidates 30, 24 and 20 are refuted by the sieve; only 16 runs exact.
     assert parse_field("x^8 + 1").roots_of_unity_order == 16
@@ -117,7 +149,11 @@ def test_false_exact_hit_on_a_surviving_candidate_raises(monkeypatch):
     # A table that refutes nothing lets 12 survive the sieve, and the exact
     # route claims a root of order 12; the spot check of the table at the
     # first prime read for 12 (p = 5, two quadratic factors) contradicts it.
+    # The irreducibility proof would read the false [4] at p = 3 first, and
+    # Berlekamp's count would stop it there (see test_irreducibility.py), so
+    # the proof is skipped to let the lie reach the survivor check.
     monkeypatch.setattr(numfield, "_factor_degrees_mod_p", lambda coeffs, p: [4])
+    monkeypatch.setattr(_ResidueSieve, "proves_irreducible", lambda self: True)
     monkeypatch.setattr(numfield.NumberField, "_contains_primitive_root",
                         lambda self, m: True)
     with pytest.raises(CrossCheckError, match="mod 5 disagree"):
