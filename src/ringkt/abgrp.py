@@ -767,14 +767,15 @@ class DirectedSystem:
         self.mode = mode
         self._matrices = matrices
         self._family = family
-        self._d_chain = tuple(d_chain) if d_chain is not None else None
+        self._d_chain = (tuple(_as_int(d, "d_chain entry") for d in d_chain)
+                         if d_chain is not None else None)
         self._diag_polys = diag_polys
         self._offdiag = offdiag
         self._matrix_cache = {}
         self._analysis_cache = None
         if self._d_chain is not None:
             for d in self._d_chain:
-                if not isinstance(d, int) or d < 2:
+                if d < 2:
                     raise InputError("d_chain entries must be integers >= 2")
 
     # -- constructors -------------------------------------------------------
@@ -1185,7 +1186,7 @@ def _common_flag_eigenvalues(ts):
         for t in maps:
             new = []
             for vals, b in spaces:
-                restricted = solve_exact(b, mat_mul(t, b))
+                (restricted,) = _restricted_maps([t], b)
                 for val, sub in _sympy_rational_eigenspaces(restricted):
                     sub_cols = mat_mul(b, sub)
                     new.append((vals + (val,), sub_cols))
@@ -1354,7 +1355,8 @@ def compose_window(system, i, j):
     """
     if not isinstance(system, DirectedSystem):
         raise InputError("compose_window expects a DirectedSystem")
-    if not (isinstance(i, int) and isinstance(j, int)) or i < 1 or j < i:
+    i, j = _as_int(i, "window start"), _as_int(j, "window end")
+    if i < 1 or j < i:
         raise InputError("compose_window needs integer steps 1 <= i <= j")
     length = system.finite_length
     if length is not None and j > length:

@@ -19,7 +19,8 @@ import traceback
 import click
 
 from . import abgrp, ktheory, numfield
-from .errors import CrossCheckError, HypothesisError, InputError, RingKTError
+from .errors import (CrossCheckError, HypothesisError, InputError, RingKTError,
+                     UnsupportedSystemError)
 
 
 def _emit(obj, pretty):
@@ -259,181 +260,8 @@ def kgroups(algebra, field_str, gamma, truncate, grading, pretty):
 
 
 # ---------------------------------------------------------------------------
-# verify suites
+# verify: one table of (suite, label, predicate) rows
 # ---------------------------------------------------------------------------
-
-
-def _suite_q_case():
-    from .abgrp import GroupDescriptor, colimit, identified
-
-    checks = []
-
-    def add(name, fn):
-        checks.append((name, fn))
-
-    add("rank-one inclusion matrix d=2 is [[2,1,0],[0,0,1],[0,0,1]]",
-        lambda: ktheory.rank_one_inclusion_matrix(2)
-        == [[2, 1, 0], [0, 0, 1], [0, 0, 1]])
-    add("rank-one inclusion matrix d=3 is [[3,1,1],[0,1,0],[0,0,1]]",
-        lambda: ktheory.rank_one_inclusion_matrix(3)
-        == [[3, 1, 1], [0, 1, 0], [0, 0, 1]])
-    add("rank-one chain colimit is Z + Q",
-        lambda: str(colimit(ktheory.rank_one_system()).invariants) == "Z + Q")
-    add("rank-one chain identifies the unit class with twice the mixed class",
-        lambda: identified(ktheory.rank_one_system(), (1, (1, 0, 0)),
-                           (1, (0, 2, 0))))
-    add("rank-one chain separates the two projection classes",
-        lambda: not identified(ktheory.rank_one_system(), (1, (0, 1, 0)),
-                               (1, (0, 0, 1))))
-
-    def shells():
-        for m in range(1, 7):
-            g = ktheory.k_of_A_truncated_Q(m)
-            half = 2 ** (m - 1)
-            if g != ktheory.GradedKGroup(GroupDescriptor.free(half),
-                                         GroupDescriptor.free(half)):
-                return False
-        return True
-
-    add("rational shells are free of rank 2^(m-1) in both degrees (m<=6)",
-        shells)
-    q = numfield.parse_field("x - 1")
-    add("rationals classify as the free exterior pattern",
-        lambda: ktheory.classify_B(
-            q, [q.parse_element("2")]).case == "odd-reals-even-signs")
-    return checks
-
-
-def _suite_kappa():
-    checks = []
-    checks.append((
-        "structure-matrix composition kappa(n,2).kappa(n,d) = kappa(n,2d) "
-        "for n<=4, odd d<=31",
-        lambda: all(
-            ktheory.kappa(n, 2).compose(ktheory.kappa(n, d))
-            == ktheory.kappa(n, 2 * d)
-            for n in range(1, 5) for d in range(3, 32, 2)
-        ),
-    ))
-    checks.append((
-        "sparse product agrees with dense matrix product (n<=3)",
-        lambda: all(
-            ktheory.kappa(n, a).compose(ktheory.kappa(n, b)).dense()
-            == abgrp.mat_mul(ktheory.kappa(n, a).dense(),
-                             ktheory.kappa(n, b).dense())
-            for n in range(1, 4) for a, b in ((2, 3), (4, 5), (6, 7))
-        ),
-    ))
-    checks.append((
-        "infinite-part diagonal for three levels, multiplier 2 is (8,2,2,2)",
-        lambda: ktheory.kappa_inf(3, 2) == (8, 2, 2, 2),
-    ))
-    checks.append((
-        "fixed-subalgebra closed forms match the colimit engine (n<=3)",
-        lambda: all(
-            str(ktheory.k_of_B0(n)) == expected
-            for n, expected in ((1, "K0 = Q, K1 = Z"),
-                                (2, "K0 = Z + Q, K1 = Q^2"),
-                                (3, "K0 = Q^4, K1 = Z + Q^3"))
-        ),
-    ))
-    checks.append((
-        "crossed-base closed forms match the colimit engine (n<=3)",
-        lambda: all(
-            str(ktheory.k_of_A0(n)) == expected
-            for n, expected in ((1, "K0 = Z + Q, K1 = 0"),
-                                (2, "K0 = Z^2 + Q, K1 = 0"),
-                                (3, "K0 = Z + Q^4, K1 = 0"))
-        ),
-    ))
-    return checks
-
-
-def _suite_colim():
-    from .abgrp import DirectedSystem, GroupDescriptor, colimit
-    from .errors import UnsupportedSystemError
-
-    checks = []
-    checks.append((
-        "unimodular constant system keeps Z^2",
-        lambda: colimit(DirectedSystem.explicit([[[0, 1], [1, 0]]] * 4)).invariants
-        == GroupDescriptor.free(2),
-    ))
-    checks.append((
-        "multiplication by the chain parameter gives Q",
-        lambda: str(colimit(DirectedSystem.symbolic(
-            1, [{"kind": "mult_d"}])).invariants) == "Q",
-    ))
-    checks.append((
-        "constant multiplication by 6 localizes at {2, 3}",
-        lambda: str(colimit(DirectedSystem.symbolic(
-            1, [{"kind": "poly", "coeffs": [6]}])).invariants) == "Loc{2,3}",
-    ))
-
-    def rejects():
-        bad = DirectedSystem.from_family(
-            2, lambda d: [[1, 1], [1, 2 + d]])
-        try:
-            colimit(bad)
-        except UnsupportedSystemError:
-            return True
-        return False
-
-    checks.append((
-        "a family outside the certified class is rejected, not guessed",
-        rejects,
-    ))
-    return checks
-
-
-def _suite_classify():
-    from .abgrp import GroupDescriptor
-
-    checks = []
-    checks.append((
-        "Gaussian integers: ring algebra classifies free, adelic algebra "
-        "refuses (four roots of unity)",
-        lambda: ktheory.classify_B(
-            numfield.parse_field("x^2 + 1")).case == "no-real-embedding"
-        and _raises(HypothesisError,
-                    lambda: ktheory.classify_A(numfield.parse_field("x^2 + 1"))),
-    ))
-
-    def sqrt2():
-        f = numfield.parse_field("x^2 - 2")
-        rb = ktheory.classify_B(f, [f.parse_element("1,1")])
-        ra = ktheory.classify_A(f)
-        return (rb.formula(0) == "(Z/2) (x) Lambda_even(Gamma)"
-                and ra.formula(0)
-                == "Lambda_even(Gamma) + (Z/2) (x) Lambda_even(Gamma)")
-
-    checks.append(("real quadratic field matches the even-reals pattern",
-                   sqrt2))
-    checks.append((
-        "pure cubic field classifies free in the adelic case",
-        lambda: ktheory.classify_A(
-            numfield.parse_field("x^3 - 2")).formula(0) == "Lambda_even(Gamma)",
-    ))
-
-    def involution():
-        for m in (1, 2, 3):
-            act = ktheory.involution_action(m)
-            res = ktheory.pv_step(act.domain, act,
-                                  resolution="elementary_divisors")
-            half = 2 ** (m - 1)
-            if res.coker0 != GroupDescriptor(free_rank=half,
-                                             torsion=(2,) * half):
-                return False
-            if res.k0 != GroupDescriptor(free_rank=2 ** m,
-                                         torsion=(2,) * half):
-                return False
-        return True
-
-    checks.append((
-        "involution step: cokernel and resolved groups in normal form (m<=3)",
-        involution,
-    ))
-    return checks
 
 
 def _raises(exc_type, fn):
@@ -441,37 +269,126 @@ def _raises(exc_type, fn):
         fn()
     except exc_type:
         return True
-    except Exception:
-        return False
     return False
 
 
-_SUITES = {
-    "q-case": _suite_q_case,
-    "kappa": _suite_kappa,
-    "colim": _suite_colim,
-    "classify": _suite_classify,
-}
+def _invariants(system):
+    return abgrp.colimit(system).invariants
+
+
+def _free_shell(m):
+    half = abgrp.GroupDescriptor.free(2 ** (m - 1))
+    return ktheory.k_of_A_truncated_Q(m) == ktheory.GradedKGroup(half, half)
+
+
+def _involution_normal_form(m):
+    act = ktheory.involution_action(m)
+    res = ktheory.pv_step(act.domain, act, resolution="elementary_divisors")
+    half = 2 ** (m - 1)
+    return (res.coker0 == abgrp.GroupDescriptor(free_rank=half, torsion=(2,) * half)
+            and res.k0 == abgrp.GroupDescriptor(free_rank=2 ** m, torsion=(2,) * half))
+
+
+def _sqrt2_even_reals():
+    f = numfield.parse_field("x^2 - 2")
+    rb = ktheory.classify_B(f, [f.parse_element("1,1")])
+    ra = ktheory.classify_A(f)
+    return (rb.formula(0) == "(Z/2) (x) Lambda_even(Gamma)"
+            and ra.formula(0) == "Lambda_even(Gamma) + (Z/2) (x) Lambda_even(Gamma)")
+
+
+def _rationals_free_exterior():
+    q = numfield.parse_field("x - 1")
+    return ktheory.classify_B(q, [q.parse_element("2")]).case == "odd-reals-even-signs"
+
+
+# ``verify`` prints the suites in sorted order (a stable sort) and each
+# suite's rows in the order given here.
+_CHECKS = (
+    ("q-case", "rank-one inclusion matrix d=2 is [[2,1,0],[0,0,1],[0,0,1]]",
+     lambda: ktheory.rank_one_inclusion_matrix(2) == [[2, 1, 0], [0, 0, 1], [0, 0, 1]]),
+    ("q-case", "rank-one inclusion matrix d=3 is [[3,1,1],[0,1,0],[0,0,1]]",
+     lambda: ktheory.rank_one_inclusion_matrix(3) == [[3, 1, 1], [0, 1, 0], [0, 0, 1]]),
+    ("q-case", "rank-one chain colimit is Z + Q",
+     lambda: str(_invariants(ktheory.rank_one_system())) == "Z + Q"),
+    ("q-case", "rank-one chain identifies the unit class with twice the mixed class",
+     lambda: abgrp.identified(ktheory.rank_one_system(), (1, (1, 0, 0)),
+                              (1, (0, 2, 0)))),
+    ("q-case", "rank-one chain separates the two projection classes",
+     lambda: not abgrp.identified(ktheory.rank_one_system(), (1, (0, 1, 0)),
+                                  (1, (0, 0, 1)))),
+    ("q-case", "rational shells are free of rank 2^(m-1) in both degrees (m<=6)",
+     lambda: all(_free_shell(m) for m in range(1, 7))),
+    ("q-case", "rationals classify as the free exterior pattern",
+     _rationals_free_exterior),
+    ("kappa", "structure-matrix composition kappa(n,2).kappa(n,d) = kappa(n,2d) "
+              "for n<=4, odd d<=31",
+     lambda: all(ktheory.kappa(n, 2).compose(ktheory.kappa(n, d))
+                 == ktheory.kappa(n, 2 * d)
+                 for n in range(1, 5) for d in range(3, 32, 2))),
+    ("kappa", "sparse product agrees with dense matrix product (n<=3)",
+     lambda: all(ktheory.kappa(n, a).compose(ktheory.kappa(n, b)).dense()
+                 == abgrp.mat_mul(ktheory.kappa(n, a).dense(),
+                                  ktheory.kappa(n, b).dense())
+                 for n in range(1, 4) for a, b in ((2, 3), (4, 5), (6, 7)))),
+    ("kappa", "infinite-part diagonal for three levels, multiplier 2 is (8,2,2,2)",
+     lambda: ktheory.kappa_inf(3, 2) == (8, 2, 2, 2)),
+    ("kappa", "fixed-subalgebra closed forms match the colimit engine (n<=3)",
+     lambda: all(str(ktheory.k_of_B0(n)) == expected
+                 for n, expected in ((1, "K0 = Q, K1 = Z"),
+                                     (2, "K0 = Z + Q, K1 = Q^2"),
+                                     (3, "K0 = Q^4, K1 = Z + Q^3")))),
+    ("kappa", "crossed-base closed forms match the colimit engine (n<=3)",
+     lambda: all(str(ktheory.k_of_A0(n)) == expected
+                 for n, expected in ((1, "K0 = Z + Q, K1 = 0"),
+                                     (2, "K0 = Z^2 + Q, K1 = 0"),
+                                     (3, "K0 = Z + Q^4, K1 = 0")))),
+    ("colim", "unimodular constant system keeps Z^2",
+     lambda: _invariants(abgrp.DirectedSystem.explicit([[[0, 1], [1, 0]]] * 4))
+     == abgrp.GroupDescriptor.free(2)),
+    ("colim", "multiplication by the chain parameter gives Q",
+     lambda: str(_invariants(abgrp.DirectedSystem.symbolic(
+         1, [{"kind": "mult_d"}]))) == "Q"),
+    ("colim", "constant multiplication by 6 localizes at {2, 3}",
+     lambda: str(_invariants(abgrp.DirectedSystem.symbolic(
+         1, [{"kind": "poly", "coeffs": [6]}]))) == "Loc{2,3}"),
+    ("colim", "a family outside the certified class is rejected, not guessed",
+     lambda: _raises(UnsupportedSystemError, lambda: abgrp.colimit(
+         abgrp.DirectedSystem.from_family(2, lambda d: [[1, 1], [1, 2 + d]])))),
+    ("classify", "Gaussian integers: ring algebra classifies free, adelic algebra "
+                 "refuses (four roots of unity)",
+     lambda: ktheory.classify_B(
+         numfield.parse_field("x^2 + 1")).case == "no-real-embedding"
+     and _raises(HypothesisError,
+                 lambda: ktheory.classify_A(numfield.parse_field("x^2 + 1")))),
+    ("classify", "real quadratic field matches the even-reals pattern",
+     _sqrt2_even_reals),
+    ("classify", "pure cubic field classifies free in the adelic case",
+     lambda: ktheory.classify_A(
+         numfield.parse_field("x^3 - 2")).formula(0) == "Lambda_even(Gamma)"),
+    ("classify", "involution step: cokernel and resolved groups in normal form (m<=3)",
+     lambda: all(_involution_normal_form(m) for m in (1, 2, 3))),
+)
 
 
 @main.command("verify")
-@click.option("--suite", type=click.Choice(sorted(_SUITES) + ["all"]),
+@click.option("--suite",
+              type=click.Choice(sorted({suite for suite, _, _ in _CHECKS}) + ["all"]),
               default="all", show_default=True)
 def verify(suite):
     """Re-run the bundled assertion suites; one PASS/FAIL line each."""
-    names = sorted(_SUITES) if suite == "all" else [suite]
     failures = 0
-    for name in names:
-        for label, fn in _SUITES[name]():
-            try:
-                ok = bool(fn())
-            except Exception as exc:  # a crash is a failure with a reason
-                ok = False
-                label = f"{label} (raised {type(exc).__name__}: {exc})"
-            line = f"{'PASS' if ok else 'FAIL'} [{name}] {label}"
-            click.echo(line)
-            if not ok:
-                failures += 1
+    for name, label, check in sorted(_CHECKS, key=lambda row: row[0]):
+        if suite not in ("all", name):
+            continue
+        try:
+            ok = bool(check())
+        except Exception as exc:  # a crash is a failure with a reason
+            ok = False
+            label = f"{label} (raised {type(exc).__name__}: {exc})"
+        click.echo(f"{'PASS' if ok else 'FAIL'} [{name}] {label}")
+        if not ok:
+            failures += 1
     if failures:
         click.echo(f"{failures} check(s) failed", err=True)
         raise SystemExit(CrossCheckError("verify failed").exit_code)

@@ -47,6 +47,7 @@ from .abgrp import (
     cokernel,
     colimit,
     identity_matrix,
+    _as_int,
     _echelon,
     _is_unimodular,
     _reduce,
@@ -234,9 +235,10 @@ def kappa(n, d):
     multiplier), which commute; ``kappa(n, a).compose(kappa(n, b)) ==
     kappa(n, a*b)`` holds exactly.
     """
-    if not isinstance(n, int) or n < 1:
+    n, d = _as_int(n, "the level count n"), _as_int(d, "the multiplier d")
+    if n < 1:
         raise InputError("the level count n must be an integer >= 1")
-    if not isinstance(d, int) or d < 2:
+    if d < 2:
         raise InputError("the multiplier d must be an integer >= 2")
     a = 0
     q = d
@@ -321,7 +323,8 @@ def k_of_B0(n, engine_check=None):
     The closed form is verified against the colimit engine on the diagonal
     system (always for ``n <= 6``; pass ``engine_check=True`` to force it).
     """
-    if not isinstance(n, int) or n < 1:
+    n = _as_int(n, "the level count n")
+    if n < 1:
         raise InputError("the level count n must be an integer >= 1")
     q_even = sum(math.comb(n, k) for k in range(0, n) if k % 2 == 0)
     q_odd = sum(math.comb(n, k) for k in range(0, n) if k % 2 == 1)
@@ -360,7 +363,8 @@ def k_of_A0(n, engine_check=None):
     Verified against the colimit engine on the full structure-matrix family
     (always for ``n <= 5``; pass ``engine_check=True`` to force it).
     """
-    if not isinstance(n, int) or n < 1:
+    n = _as_int(n, "the level count n")
+    if n < 1:
         raise InputError("the level count n must be an integer >= 1")
     if n % 2 == 1:
         k0 = GroupDescriptor(free_rank=1, q_rank=2 ** (n - 1))
@@ -388,8 +392,6 @@ def k_of_A0(n, engine_check=None):
 
 
 def _as_fraction_matrix(rows, shape_rows, shape_cols, what):
-    if rows is None:
-        rows = []
     out = [[Fraction(x) for x in row] for row in rows]
     if len(out) != shape_rows or any(len(r) != shape_cols for r in out):
         raise InputError(
@@ -504,7 +506,8 @@ def involution_action(m):
     In the exterior-algebra normal form the involution acts diagonally with
     alternating signs ``diag(1, -1, 1, -1, ...)`` in both degrees.
     """
-    if not isinstance(m, int) or m < 1:
+    m = _as_int(m, "involution_action m")
+    if m < 1:
         raise InputError("involution_action needs an integer m >= 1")
     size = 2 ** m
     diag = [[(1 if i % 2 == 0 else -1) if i == j else 0 for j in range(size)]
@@ -705,7 +708,8 @@ def k_of_A_truncated_Q(m):
     adjoined generator acts by ``1/2`` on the divisible part (killing it
     exactly), every further generator acts trivially and doubles the ranks.
     """
-    if not isinstance(m, int) or m < 1:
+    m = _as_int(m, "k_of_A_truncated_Q m")
+    if m < 1:
         raise InputError("k_of_A_truncated_Q needs an integer m >= 1")
     g = k_of_A0(1, engine_check=False)  # (Z + Q, 0)
     act = ActionDescriptor.build(
@@ -740,7 +744,8 @@ def exterior_graded_ranks(r, parity):
     >>> [exterior_graded_ranks(0, 0), exterior_graded_ranks(0, 1)]
     [1, 0]
     """
-    if not isinstance(r, int) or r < 0:
+    r = _as_int(r, "exterior_graded_ranks r")
+    if r < 0:
         raise InputError("exterior_graded_ranks needs an integer r >= 0")
     if parity not in (0, 1):
         raise InputError("parity must be 0 or 1")

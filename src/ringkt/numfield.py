@@ -36,7 +36,7 @@ import math
 import re
 from fractions import Fraction
 
-from .abgrp import _factor_multiplicity, _is_prime, determinant
+from .abgrp import _as_int, _factor_multiplicity, _is_prime, determinant
 from .errors import CrossCheckError, HypothesisError, InputError
 
 # ---------------------------------------------------------------------------
@@ -659,7 +659,8 @@ class NumberField:
         ``-d' <= l <= d'`` for odd ``d = 2 d' + 1`` (an even modulus has no
         symmetric digit set and is rejected).
         """
-        if not isinstance(d, int) or d < 2:
+        d = _as_int(d, "the residue modulus")
+        if d < 2:
             raise InputError("the residue modulus must be an integer >= 2")
         if style == "standard":
             digits = range(d)
@@ -719,8 +720,10 @@ class NumberField:
 
         Norm descent: for a shift ``s`` making ``N(y) = Res_x(f(x),
         Phi_m(y - s x))`` squarefree, the degree-n irreducible factors of
-        ``N`` over Q correspond to the roots of ``Phi_m`` in the field; each
-        candidate is confirmed by a gcd computation inside the field.
+        ``N`` over Q are the norms of the linear factors of ``Phi_m`` over the
+        field (Trager), that is, of its roots in the field.  A gcd inside the
+        field cross-checks the first such factor; a gcd of degree other than
+        one is a disagreement and raises ``CrossCheckError``.
         """
         import sympy
 
@@ -744,8 +747,12 @@ class NumberField:
                 if sympy.degree(factor, y) != self.degree:
                     continue
                 h = [int(c) for c in reversed(sympy.Poly(factor, y).all_coeffs())]
-                if self._confirm_root_via_gcd(phi_coeffs, h, s):
-                    return True
+                if not self._confirm_root_via_gcd(phi_coeffs, h, s):
+                    raise CrossCheckError(
+                        f"the degree-{self.degree} norm factor {factor.as_expr()} "
+                        f"is not the norm of a linear factor of Phi_{m} over the field"
+                    )
+                return True
             return False
         raise CrossCheckError(
             f"no squarefree norm found while testing for roots of unity of order {m}"

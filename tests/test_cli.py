@@ -1,11 +1,17 @@
 """CLI contract tests: JSON shape, determinism, exit codes."""
 
 import json
+import pathlib
 
 import pytest
 from click.testing import CliRunner
 
+from ringkt import cli
 from ringkt.cli import main
+
+# The exact stdout of `verify --suite all`; each suite prints its own lines.
+VERIFY_GOLDEN = (pathlib.Path(__file__).with_name("verify_golden.txt")
+                 .read_text(encoding="utf-8"))
 
 
 @pytest.fixture()
@@ -178,6 +184,41 @@ def test_verify_all_suites(runner):
     assert not any(l.startswith("FAIL") for l in lines)
     for suite in ("q-case", "kappa", "colim", "classify"):
         assert any(f"[{suite}]" in l for l in lines)
+
+
+@pytest.mark.parametrize("suite", ["all", "classify", "colim", "kappa", "q-case"])
+def test_verify_matches_golden(runner, suite):
+    res = invoke(runner, "verify", "--suite", suite)
+    assert res.exit_code == 0
+    assert res.stderr == ""
+    if suite == "all":
+        assert res.stdout == VERIFY_GOLDEN
+    else:
+        want = [l for l in VERIFY_GOLDEN.splitlines(keepends=True)
+                if l.startswith(f"PASS [{suite}] ")]
+        assert want and res.stdout == "".join(want)
+
+
+def test_verify_failure_path(runner, monkeypatch):
+    table = list(cli._CHECKS)
+    false_at, raise_at = [k for k, row in enumerate(table) if row[0] == "kappa"][:2]
+
+    def crash():
+        raise ZeroDivisionError("boom")
+
+    false_label, raise_label = table[false_at][1], table[raise_at][1]
+    table[false_at] = ("kappa", false_label, lambda: False)
+    table[raise_at] = ("kappa", raise_label, crash)
+    monkeypatch.setattr(cli, "_CHECKS", tuple(table))
+    res = invoke(runner, "verify", "--suite", "kappa")
+    assert res.exit_code == 4
+    lines = res.stdout.splitlines()
+    assert lines[:2] == [
+        f"FAIL [kappa] {false_label}",
+        f"FAIL [kappa] {raise_label} (raised ZeroDivisionError: boom)",
+    ]
+    assert len(lines) == 5 and all(l.startswith("PASS [kappa] ") for l in lines[2:])
+    assert res.stderr == "2 check(s) failed\n"
 
 
 def test_snf_matrix_from_file(runner, tmp_path):

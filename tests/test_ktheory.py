@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringkt.abgrp import (
+    DirectedSystem,
     GroupDescriptor,
     cokernel,
     colimit,
+    compose_window,
     determinant,
     identified,
     identity_matrix,
@@ -189,6 +191,33 @@ def test_base_k_validation():
             k_of_B0(bad)
         with pytest.raises(InputError):
             k_of_A0(bad)
+
+
+# Each integer parameter guarded by the integer rule (``abgrp._as_int``):
+# a call taking the integer k, and a valid k.
+_INTEGER_GUARDS = {
+    "d_chain": (lambda k: DirectedSystem.symbolic(
+        1, [{"kind": "mult_d"}], d_chain=[k]).matrix(1), 3),
+    "compose_window-i": (lambda k: compose_window(rank_one_system(), k, 2), 1),
+    "compose_window-j": (lambda k: compose_window(rank_one_system(), 1, k), 2),
+    "kappa-n": (lambda k: kappa(k, 2), 2),
+    "kappa-d": (lambda k: kappa(2, k), 3),
+    "k_of_B0": (lambda k: k_of_B0(k), 2),
+    "k_of_A0": (lambda k: k_of_A0(k), 2),
+    "involution_action": (lambda k: involution_action(k), 2),
+    "k_of_A_truncated_Q": (lambda k: k_of_A_truncated_Q(k), 2),
+    "exterior_graded_ranks": (lambda k: exterior_graded_ranks(k, 0), 4),
+    "residue_system": (lambda k: parse_field("x^2 + 1").residue_system(k), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGER_GUARDS))
+def test_integer_rule_at_every_guard(name):
+    call, k = _INTEGER_GUARDS[name]
+    with pytest.raises(InputError, match="not an integer"):
+        call(True)
+    # repr, not ==: a Fraction that leaked into the result would show.
+    assert repr(call(Fraction(k, 1))) == repr(call(k))
 
 
 # ---------------------------------------------------------------------------

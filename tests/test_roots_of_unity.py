@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ringkt import numfield
 from ringkt.errors import CrossCheckError
+from ringkt.ktheory import classify_A
 from ringkt.numfield import _ResidueSieve, _root_of_unity_candidates, parse_field
 
 # (field, w): imaginary quadratics with and without extra roots of unity and
@@ -171,3 +172,16 @@ def test_witness_that_does_not_refute_raises(monkeypatch):
     monkeypatch.setattr(_ResidueSieve, "witness", wrong)
     with pytest.raises(CrossCheckError, match=r"\(p=5, f=2\) does not refute .* order 12"):
         parse_field("x^4 + 1").roots_of_unity_order
+
+
+def test_unconfirmed_norm_factor_raises(monkeypatch):
+    # The norm of x^2 + 1 against Phi_4 is squarefree, so its degree-2 factor
+    # is the norm of a linear factor of Phi_4 over Q(i) (Trager): a gcd that
+    # disagrees is a fault, not a reason to move on.  Skipping the factor
+    # would give w = 2 and let classify_A accept Q(i).
+    monkeypatch.setattr(numfield.NumberField, "_confirm_root_via_gcd",
+                        lambda self, phi, h, s: False)
+    with pytest.raises(CrossCheckError, match="not the norm of a linear factor of Phi_4"):
+        parse_field("x^2 + 1").roots_of_unity_order
+    with pytest.raises(CrossCheckError):
+        classify_A(parse_field("x^2 + 1"))
