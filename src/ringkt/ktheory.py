@@ -209,6 +209,7 @@ def kappa_inf(n, d):
     >>> kappa_inf(3, 2)
     (8, 2, 2, 2)
     """
+    n, d = _as_int(n, "the level count n"), _as_int(d, "the multiplier d")
     if n < 1:
         raise InputError("the level count n must be at least 1")
     if d < 2:
@@ -808,10 +809,20 @@ class ClassificationReport:
         }
 
 
+def _grading_offset(grading_offset, default):
+    offset = default if grading_offset is None else _as_int(grading_offset, "grading_offset")
+    if offset not in (0, 1):
+        raise InputError("grading_offset must be 0 or 1")
+    return offset
+
+
 def _truncation_rows(k0_comps, k1_comps, truncate):
     rows = []
-    if truncate is None or truncate < 0:
+    if truncate is None:
         return tuple(rows)
+    truncate = _as_int(truncate, "truncate")
+    if truncate < 0:
+        raise InputError("truncate must be an integer >= 0")
     for m in range(0, truncate + 1):
         row = {"m": m}
         tors = {}
@@ -873,9 +884,7 @@ def classify_B(field, gamma=(), truncate=None, grading_offset=None):
     and an ``InputError`` explains what is missing.  The default grading
     places exterior degree ``k`` in ``K_((k + n) mod 2)``.
     """
-    offset = field.degree % 2 if grading_offset is None else int(grading_offset)
-    if offset not in (0, 1):
-        raise InputError("grading_offset must be 0 or 1")
+    offset = _grading_offset(grading_offset, field.degree % 2)
     parities = []
     notes = []
     for el in gamma:
@@ -931,9 +940,7 @@ def classify_A(field, truncate=None, grading_offset=None):
 
     The default grading places exterior degree ``k`` in ``K_(k mod 2)``.
     """
-    offset = 0 if grading_offset is None else int(grading_offset)
-    if offset not in (0, 1):
-        raise InputError("grading_offset must be 0 or 1")
+    offset = _grading_offset(grading_offset, 0)
     w = field.roots_of_unity_order
     if w != 2:
         raise HypothesisError(
@@ -968,9 +975,7 @@ def k_full_adele_Q(truncate=None, grading_offset=None):
     Truncation to the first ``m`` generators has per-degree free rank
     ``2 * 2^(m-1)``.
     """
-    offset = 0 if grading_offset is None else int(grading_offset)
-    if offset not in (0, 1):
-        raise InputError("grading_offset must be 0 or 1")
+    offset = _grading_offset(grading_offset, 0)
     k0, k1 = _component_sets("doubled-free", offset)
     return ClassificationReport(
         algebra="A_full_Q",

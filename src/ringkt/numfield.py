@@ -13,11 +13,11 @@ Highlights:
   cross-checked by Berlekamp's factor count), in plain integers; sympy's
   factorization over Q decides only when those primes prove nothing;
 * ``signature`` via exact Sturm chains (no floating point anywhere);
-* ``roots_of_unity_order`` searched sieve first: each candidate order is
-  refuted by a residue-field witness whose degrees sympy's factorization over
-  GF(p) re-derives, and only the survivors run the exact norm-descent test
-  (resultants and factorization over Q, then a gcd verification inside the
-  field) -- any disagreement between the routes is a hard ``CrossCheckError``;
+* ``roots_of_unity_order`` searched sieve first, in plain integers: each
+  candidate order is refuted by a residue-field witness whose degrees the
+  factor counts over GF(p^d) re-derive, and only the survivors run the exact
+  test, a p-adic lift whose root is checked in the field and whose "no" needs
+  a witness -- any disagreement between the routes is a ``CrossCheckError``;
 * ``residue_system`` for the quotients ``Z[theta]/(d)`` in the standard or
   centered digit styles;
 * ``real_sign_vector`` / ``sign_parity`` of an element under all real
@@ -502,7 +502,8 @@ class NumberField:
     proof reads.  Only when those primes prove nothing (a Galois group
     without the needed cycle types, as for ``x^4 + 1``) does sympy's
     factorization over Q decide.  The discriminant and the residue-degree
-    table stay with the field; the roots-of-unity sieve reads the same table.
+    table stay with the field; the roots-of-unity search reads the same table
+    and needs no sympy: its exact test is a p-adic lift checked in the field.
     """
 
     def __init__(self, coeffs):
@@ -682,18 +683,19 @@ class NumberField:
     def roots_of_unity_order(self):
         """Order of the group of roots of unity in the field.
 
-        Any real embedding forces exactly ``{+1, -1}``, with no sympy call.
-        Totally imaginary fields walk the even candidate orders ``m`` with
-        ``phi(m) | degree`` in descending order, sieve first: a residue-field
-        witness ``(p, f)`` refutes ``m``, and its residue degrees are
-        re-derived by sympy's factorization over GF(p) (a mismatch, or
-        re-derived degrees that do not refute ``m``, raises
-        ``CrossCheckError``).  The sieve reads the residue-degree table the
-        irreducibility proof started.  The exact norm-descent test (sympy
-        resultants and factorization over Q) runs only on candidates without
-        a witness; the first exact hit is the answer, and its sieve table is
-        spot-checked by sympy the same way.  With every candidate refuted the
-        answer is 2.
+        Any real embedding forces exactly ``{+1, -1}``.  Totally imaginary
+        fields walk the even candidate orders ``m`` with ``phi(m) | degree``
+        in descending order, sieve first: a residue-field witness ``(p, f)``
+        refutes ``m``, and its residue degrees are re-derived from the factor
+        counts ``n - rank(Q^d - I)`` over GF(p^d) (a mismatch, or re-derived
+        degrees that do not refute ``m``, raises ``CrossCheckError``).  The
+        sieve reads the residue-degree table the irreducibility proof started.
+        A candidate without a witness runs the exact test: a p-adic lift at a
+        sieve prime, to a precision a trace-form bound proves enough, whose
+        root is checked in K and whose "no" a witness further on must confirm.
+        The first exact hit is the answer, and its sieve table is
+        spot-checked the same way.  With every candidate refuted the answer
+        is 2.  No step calls sympy.
 
         >>> parse_field("x^2 + 1").roots_of_unity_order
         4
@@ -718,56 +720,76 @@ class NumberField:
     def _contains_primitive_root(self, m):
         """Exact: does the field contain a primitive m-th root of unity?
 
-        Norm descent: for a shift ``s`` making ``N(y) = Res_x(f(x),
-        Phi_m(y - s x))`` squarefree, the degree-n irreducible factors of
-        ``N`` over Q are the norms of the linear factors of ``Phi_m`` over the
-        field (Trager), that is, of its roots in the field.  A gcd inside the
-        field cross-checks the first such factor; a gcd of degree other than
-        one is a disagreement and raises ``CrossCheckError``.
+        The lift runs at the prime the sieve read for ``m`` with the fewest
+        residue factors (the smallest on ties) among those with ``m | p^f - 1``
+        for every residue degree ``f``; its "yes" is checked in K.  A "no" must
+        also be refuted by a residue witness (``confirm_refuted``).
         """
-        import sympy
-
-        x, y = sympy.symbols("x y")
-        zy = sympy.ZZ[y]  # polynomials in x over Z[y]: the resultant eliminates x
-        f_poly = sympy.Poly(list(reversed(self.coeffs)), x, domain=zy)
-        phi = sympy.cyclotomic_poly(m, y, polys=True)
-        phi_coeffs = [int(c) for c in reversed(phi.all_coeffs())]
-        for s in (1, -1, 2, -2, 3, -3, 5, -5, 7, -7):
-            shift = sympy.Poly.from_list([-s, zy.gens[0]], x, domain=zy)  # y - s*x
-            phi_shifted = sympy.Poly(0, x, domain=zy)
-            for c in reversed(phi_coeffs):  # Horner: Phi_m(y - s*x)
-                phi_shifted = phi_shifted * shift + c
-            # On the representations: Poly.resultant would turn the element
-            # of Z[y] into an Expr, and Poly(..., y) would expand it back.
-            norm = f_poly.rep.resultant(phi_shifted.rep)
-            norm_poly = sympy.Poly(norm.to_dense(), y)
-            if sympy.degree(sympy.gcd(norm_poly, norm_poly.diff(y)), y) > 0:
-                continue
-            for factor, _mult in sympy.factor_list(norm_poly)[1]:
-                if sympy.degree(factor, y) != self.degree:
-                    continue
-                h = [int(c) for c in reversed(sympy.Poly(factor, y).all_coeffs())]
-                if not self._confirm_root_via_gcd(phi_coeffs, h, s):
-                    raise CrossCheckError(
-                        f"the degree-{self.degree} norm factor {factor.as_expr()} "
-                        f"is not the norm of a linear factor of Phi_{m} over the field"
-                    )
+        table = self._sieve.table
+        admissible = [p for p in self._sieve._primes_for(m)
+                      if all(pow(p, f, m) == 1 for f in table[p])]
+        if admissible:
+            p = min(admissible, key=lambda q: (len(table[q]), q))
+            if self._lift_primitive_root(m, p) is not None:
                 return True
-            return False
-        raise CrossCheckError(
-            f"no squarefree norm found while testing for roots of unity of order {m}"
-        )
+        self._sieve.confirm_refuted(m)
+        return False
 
-    def _confirm_root_via_gcd(self, phi_coeffs, h_coeffs, s):
-        """gcd over the field of Phi_m(y) and h(y + s*theta) has degree one?"""
-        s_theta = self.element([0, s])
-        hk = []
-        for a in reversed(h_coeffs):  # Horner in K[y]: hk * (y + s*theta) + a
-            hk = poly_add([a] + hk, poly_scale(hk, s_theta))
-        a, b = phi_coeffs, hk  # Euclid in K[y]; only the degree matters
-        while b:
-            a, b = b, poly_divmod(a, b)[1]
-        return len(a) == 2
+    def _lift_primitive_root(self, m, p):
+        """A primitive m-th root of unity in K lifted from ``p``, or None.
+
+        ``p`` is unramified, prime to ``m``, with ``m | p^f - 1`` for every
+        residue degree ``f``: each field ``F_p[x]/(g_i)`` of ``Z[theta]/p``
+        (``g_i`` from Cantor--Zassenhaus) holds ``phi(m)`` primitive m-th
+        roots.  A root ``zeta`` of K gives one in each, and ``zeta^j`` (``j`` a
+        unit mod m) is in K too, so the first field's root is fixed.  Each
+        field's root is Newton-lifted once to ``(Z/p^k)[x]/(f)`` as ``z_i``,
+        1 in the other fields; ``1 + sum (z_i^j_i - 1)`` is then the unique
+        lift of each of the ``phi(m)^(r-1)`` combinations.  ``T c = t`` for
+        the trace matrix ``T`` (``det T = disc``), the coordinates ``c`` of a
+        root of unity and the integers ``t_j = Tr(alpha theta^j)``, ``|t_j| <=
+        n R^j``; so Cramer and Hadamard bound ``disc * c = adj(T) t`` by ``B``,
+        and with ``p^k > 2B`` symmetric residues read ``disc * zeta`` exactly.
+        ``alpha`` is accepted only if ``alpha^m = 1`` and ``alpha^(m/q) != 1``
+        for the primes ``q | m``, computed in K.
+        """
+        n, disc, fz = self.degree, self._disc, list(self.coeffs)
+        f = _trim_mod(fz, p)
+        primes_m = list(_factor_multiplicity(m))
+        form, tbound = _trace_form(fz)
+        cols = [sum(x * x for x in row) for row in form]  # T is symmetric
+        bound_sq = sum(b * b for b in tbound) * math.prod(cols) // min(cols)
+        big = p
+        while big * big <= 4 * bound_sq:
+            big *= p
+        units = [j for j in range(1, m) if math.gcd(j, m) == 1]
+        shifts = []  # per field: z^j - 1 for its lifted root z, zero in the other fields
+        parts = _distinct_degree_parts(f, p)
+        if any((p ** k - 1) % m for k, _ in parts):
+            return None  # a residue field without m-th roots: a witness, not a lift
+        for k, part in parts:
+            for g in _equal_degree_split(part, k, p):
+                cofactor = (p ** k - 1) // m
+                y = next(y for y in (_polymod_pow(t, cofactor, g, p) for t in _trial_elements(p))
+                         if _polymod_pow(y, m, g, p) == [1]
+                         and all(_polymod_pow(y, m // q, g, p) != [1] for q in primes_m))
+                e = _polymod_pow(_polymod_divmod(f, g, p)[0], p ** k - 1, f, p)  # 1 at g, 0 elsewhere
+                start = _poly_sub_mod([1], _polymod_mul(e, _poly_sub_mod([1], y, p), f, p), p)
+                z = _lift_unit_root(start, m, fz, p, big)
+                shifts.append([_poly_sub_mod(_polymod_pow(z, j, fz, big), [1], big) for j in units])
+        for combo in itertools.product(shifts[0][:1], *shifts[1:]):
+            coords = [1] + [0] * (n - 1)
+            for w in combo:
+                for i, c in enumerate(w):
+                    coords[i] += c
+            read = [(disc * c + big // 2) % big - big // 2 for c in coords]
+            traces = [sum(a * b for a, b in zip(row, read)) for row in form]  # disc * t
+            if any(t % disc or abs(t) > b * abs(disc) for t, b in zip(traces, tbound)):
+                continue  # not integral traces within the bounds: no root of unity
+            alpha = self.element([Fraction(c, disc) for c in read])
+            if (alpha ** m - 1).is_zero and all(alpha ** (m // q) - 1 for q in primes_m):
+                return alpha
+        return None
 
 
 def _root_of_unity_candidates(n):
@@ -815,6 +837,8 @@ class _ResidueSieve:
     """
 
     PRIME_COUNT = 50
+    # A "no" of the exact route needs a witness within this many more primes.
+    CROSS_CHECK_PRIMES = 200
     # About twice the most that 1408 random irreducible polynomials of degree
     # 2..9 (coefficients in +-20) needed, 14; past it sympy decides, as it
     # must for Galois groups without the needed cycle types.
@@ -865,29 +889,41 @@ class _ResidueSieve:
         """The primes the sieve tests for order ``m``, in ascending order."""
         return itertools.islice((p for p in self._unramified() if m % p), self.PRIME_COUNT)
 
+    def _witness_among(self, m, primes):
+        return next(((p, f) for p in primes for f in self.table[p] if pow(p, f, m) != 1), None)
+
     def witness(self, m):
         """First ``(p, f)`` ruling out a primitive m-th root of unity, or None."""
-        for p in self._primes_for(m):
-            for f in self.table[p]:
-                if pow(p, f, m) != 1:
-                    return p, f
-        return None
+        return self._witness_among(m, self._primes_for(m))
+
+    def confirm_refuted(self, m):
+        """Back a "no" of the exact route with a checked witness among the
+        first ``PRIME_COUNT + CROSS_CHECK_PRIMES`` primes not dividing ``m``.
+        Their density is at least ``1/(2n)``: a Frobenius that fixes an
+        embedding of K but not ``zeta_m`` is one."""
+        count = self.PRIME_COUNT + self.CROSS_CHECK_PRIMES
+        primes = itertools.islice((p for p in self._unramified() if m % p), count)
+        witness = self._witness_among(m, primes)
+        if witness is None:
+            raise CrossCheckError(
+                f"the exact route finds no root of unity of order {m}, but no residue "
+                f"witness among the first {count} primes refutes it"
+            )
+        self.check_witness(m, *witness)
 
     def _confirm_degrees(self, p):
-        """Re-derive the residue degrees at ``p`` by sympy's factorization over
-        GF(p); raise ``CrossCheckError`` unless they match the table's."""
+        """Raise ``CrossCheckError`` unless the factor counts of f over
+        GF(p^d), d = 1..n, which fix the degrees, match the table's at ``p``."""
         if p in self._confirmed:
             return
-        import sympy
-
-        poly = sympy.Poly(list(reversed(self.coeffs)), sympy.Symbol("x"), modulus=p)
-        rederived = sorted(factor.degree() for factor, mult in poly.factor_list()[1]
-                           for _ in range(mult))
         read = sorted(self.table.get(p, ()))
-        if rederived != read:
+        n = len(self.coeffs) - 1
+        want = [sum(math.gcd(d, f) for f in read) for d in range(1, n + 1)]
+        counts = list(_factor_counts(self.coeffs, p))
+        if counts != want:
             raise CrossCheckError(
-                f"residue degrees mod {p} disagree: the sieve read {read}, "
-                f"GF({p}) factorization gives {rederived}"
+                f"residue degrees mod {p} disagree: the sieve read {read}, with {want} "
+                f"factors over GF({p}^d) for d = 1..{n}; n - rank(Q^d - I) gives {counts}"
             )
         self._confirmed.add(p)
 
@@ -978,17 +1014,51 @@ def _berlekamp_factor_count(coeffs, p):
     >>> _berlekamp_factor_count([1, 0, 0, 0, 1], 3)  # x^4 + 1 = two quadratics mod 3
     2
     """
+    return next(_factor_counts(coeffs, p))
+
+
+def _factor_counts(coeffs, p):
+    """Numbers of irreducible factors of f over GF(p^d), d = 1..n, for f
+    squarefree mod p: ``sum gcd(d, f_i) = n - rank(Q^d - I)``, as ``a ->
+    a^(p^d)`` fixes the subfields ``F_(p^gcd(d, f_i))`` of the ``F_(p^f_i)``.
+
+    >>> list(_factor_counts([1, 0, 0, 0, 1], 3))  # x^4 + 1: two quadratics mod 3
+    [2, 4, 2, 4]
+    """
     f = _trim_mod(coeffs, p)
     n = len(f) - 1
-    xp = _polymod_pow_p([0, 1], p, f)
-    power = [1]
-    q_minus_i = []
-    for i in range(n):
-        row = power + [0] * (n - len(power))
-        row[i] -= 1
-        q_minus_i.append(row)
-        power = _polymod_mul(power, xp, f, p)
-    return n - _rank_mod_p(q_minus_i, p)
+    xq = [0, 1]
+    for _ in range(n):
+        xq = _polymod_pow(xq, p, f, p)  # x^(p^d) mod f; row i of Q^d is xq^i mod f
+        power, q_minus_i = [1], []
+        for i in range(n):
+            row = power + [0] * (n - len(power))
+            row[i] -= 1
+            q_minus_i.append(row)
+            power = _polymod_mul(power, xq, f, p)
+        yield n - _rank_mod_p(q_minus_i, p)
+
+
+def _distinct_degree_parts(f, p):
+    """``(k, g_k)``, ``g_k`` the product of the degree-k irreducible factors of
+    ``f`` over F_p, for ``f`` reduced and squarefree mod p."""
+    parts = []
+    work = f[:]
+    k = 0
+    xq = [0, 1]
+    while len(work) > 1:
+        k += 1
+        # xq = x^(p^k) mod f  (against the original f to keep the ladder simple)
+        xq = _polymod_pow(xq, p, f, p)
+        if len(work) - 1 < 2 * k:
+            # whatever is left is a single irreducible factor
+            parts.append((len(work) - 1, work))
+            break
+        g = _polymod_gcd(work, _poly_sub_mod(xq, [0, 1], p), p)
+        if len(g) > 1:
+            parts.append((k, g))
+            work = _polymod_divmod(work, g, p)[0]
+    return parts
 
 
 def _factor_degrees_mod_p(coeffs, p):
@@ -997,27 +1067,60 @@ def _factor_degrees_mod_p(coeffs, p):
     Only called for p not dividing the discriminant, so f mod p is squarefree
     and distinct-degree factorization determines the degrees exactly.
     """
-    f = _trim_mod(coeffs, p)
-    degrees = []
-    work = f[:]
-    # x^(p^k) mod work, recomputed against the shrinking modulus
-    k = 0
-    xq = [0, 1]
-    while len(work) - 1 > 0:
-        k += 1
-        # xq = x^(p^k) mod f  (against the original f to keep the ladder simple)
-        xq = _polymod_pow_p(xq, p, f)
-        if len(work) - 1 < 2 * k:
-            # whatever is left is a single irreducible factor
-            degrees.append(len(work) - 1)
-            break
-        diff = _polymod_divmod(_poly_sub_mod(xq, [0, 1], p), work, p)[1]
-        g = _polymod_gcd(work, diff, p)
-        if len(g) - 1 > 0:
-            count = (len(g) - 1) // k
-            degrees.extend([k] * count)
-            work = _polymod_divmod(work, g, p)[0]
-    return degrees
+    parts = _distinct_degree_parts(_trim_mod(coeffs, p), p)
+    return [k for k, g in parts for _ in range((len(g) - 1) // k)]
+
+
+def _trial_elements(p):
+    """x, x + 1, ..., 2x, ..., x^2, ...: every nonconstant polynomial over F_p."""
+    for j in itertools.count(p):
+        digits = []
+        while j:
+            j, d = divmod(j, p)
+            digits.append(d)
+        yield digits
+
+
+def _equal_degree_split(g, k, p):
+    """The irreducible factors of ``g``, a product of distinct irreducibles of
+    degree ``k`` over F_p for an odd prime p (Cantor--Zassenhaus; Cohen,
+    section 3.4.3): ``gcd(h, a^((p^k - 1)/2) - 1)`` for the trial ``a``."""
+    todo, out = [g], []
+    trials = _trial_elements(p)
+    while todo:
+        h = todo.pop()
+        if len(h) - 1 == k:
+            out.append(h)
+            continue
+        b = _polymod_pow(next(trials), (p ** k - 1) // 2, h, p)
+        d = _polymod_gcd(h, _poly_sub_mod(b, [1], p), p)
+        todo += [d, _polymod_divmod(h, d, p)[0]] if 1 < len(d) < len(h) else [h]
+    return out
+
+
+def _lift_unit_root(y, m, f, p, big):
+    """The m-th root of unity in ``(Z/big)[x]/(f)`` that is ``y`` mod p, for
+    big a power of p: Newton's ``y <- y - y (y^m - 1)/m``, squaring the modulus."""
+    mod = p
+    while mod < big:
+        mod = min(mod * mod, big)
+        step = _polymod_mul(y, _poly_sub_mod(_polymod_pow(y, m, f, mod), [1], mod), f, mod)
+        inv = pow(m, -1, mod)
+        y = _poly_sub_mod(y, [c * inv for c in step], mod)
+    return y
+
+
+def _trace_form(coeffs):
+    """The trace matrix ``T_ij = Tr(theta^(i+j))`` by Newton's identities, and
+    the bounds ``n R^j`` on ``|Tr(alpha theta^j)|`` for a root of unity
+    ``alpha``, ``R`` the Cauchy root bound of the monic ``f``."""
+    n = len(coeffs) - 1
+    s = [n]
+    for k in range(1, 2 * n - 1):
+        s.append(-(k * coeffs[n - k] if k <= n else 0)
+                 - sum(coeffs[n - i] * s[k - i] for i in range(1, min(k, n + 1))))
+    r = 1 + max(abs(c) for c in coeffs[:-1])
+    return [s[j:j + n] for j in range(n)], [n * r ** j for j in range(n)]
 
 
 def _poly_sub_mod(a, b, p):
@@ -1029,11 +1132,10 @@ def _poly_sub_mod(a, b, p):
     return out
 
 
-def _polymod_pow_p(base, p, f):
-    """base(x)^p mod f over F_p (square and multiply)."""
+def _polymod_pow(base, e, f, p):
+    """base(x)^e mod f over Z/p (square and multiply): p prime, or f monic."""
     out = [1]
     b = _polymod_divmod(base, f, p)[1]
-    e = p
     while e:
         if e & 1:
             out = _polymod_mul(out, b, f, p)

@@ -114,6 +114,12 @@ def test_pv_verb(runner, tmp_path):
     assert out["k0"]["resolved"]["torsion"] == [2, 2]
 
 
+def test_negative_truncate_exits_2(runner):
+    res = invoke(runner, "kgroups", "--algebra", "A_full_Q", "--truncate", "-3")
+    assert res.exit_code == 2
+    assert "truncate must be an integer >= 0" in res.output
+
+
 def test_non_integral_json_values_exit_2(runner, tmp_path):
     # non-integral numbers where integers belong are rejected, not truncated
     act = tmp_path / "act.json"

@@ -156,22 +156,28 @@ def _run_verb(*argv):
     out = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     status = out.stderr.strip().splitlines()[-1]
-    return json.loads(out.stdout), status
+    return out.stdout, status
 
 
 @pytest.mark.parametrize("argv", [
     ("field-info", "--field", "x^2-2"),
     ("kgroups", "--algebra", "A0", "--field", "x^3-2"),
     ("kgroups", "--algebra", "B0", "--field", "x^3-2"),
+    # totally imaginary: the roots-of-unity search runs, in plain integers
+    ("verify", "--suite", "all"),
+    ("field-info", "--field", "x^2+7"),
+    ("field-info", "--field", "x^4 + x^3 + x^2 + x + 1"),
 ])
 def test_default_verbs_do_not_import_sympy(argv):
     _, status = _run_verb(*argv)
     assert status == "exit=0 sympy=False"
 
 
-def test_the_probe_sees_sympy_where_the_exact_route_runs():
-    out, status = _run_verb("field-info", "--field", "x^2+1")
-    assert out["roots_of_unity_order"] == 4
+def test_the_probe_sees_sympy_where_the_irreducibility_fallback_runs():
+    # No residue degrees prove x^4 + 1 irreducible (every prime splits it),
+    # so sympy's factorization over Q decides, and the probe sees it.
+    out, status = _run_verb("field-info", "--field", "x^4+1")
+    assert json.loads(out)["roots_of_unity_order"] == 8
     assert status == "exit=0 sympy=True"
 
 

@@ -208,16 +208,40 @@ _INTEGER_GUARDS = {
     "k_of_A_truncated_Q": (lambda k: k_of_A_truncated_Q(k), 2),
     "exterior_graded_ranks": (lambda k: exterior_graded_ranks(k, 0), 4),
     "residue_system": (lambda k: parse_field("x^2 + 1").residue_system(k), 3),
+    "kappa_inf-n": (lambda k: kappa_inf(k, 2), 2),
+    "kappa_inf-d": (lambda k: kappa_inf(2, k), 3),
+    "classify_A-grading_offset": (lambda k: classify_A(parse_field("x - 1"), grading_offset=k), 1),
+    "classify_B-grading_offset": (lambda k: classify_B(parse_field("x^2 + 1"), grading_offset=k), 1),
+    "k_full_adele_Q-grading_offset": (lambda k: k_full_adele_Q(grading_offset=k), 1),
+    "truncate": (lambda k: k_full_adele_Q(truncate=k), 2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_INTEGER_GUARDS))
 def test_integer_rule_at_every_guard(name):
     call, k = _INTEGER_GUARDS[name]
-    with pytest.raises(InputError, match="not an integer"):
-        call(True)
+    # True once read as 1, 1.5 as 1 (int()), 2.5 a bare TypeError, and
+    # Fraction(5, 2) gave Fractions at some of these guards.
+    for bad in (True, 1.5, 2.5, Fraction(5, 2)):
+        with pytest.raises(InputError, match="not an integer"):
+            call(bad)
     # repr, not ==: a Fraction that leaked into the result would show.
     assert repr(call(Fraction(k, 1))) == repr(call(k))
+
+
+_REPORTS = {
+    "classify_A": lambda **kw: classify_A(parse_field("x - 1"), **kw),
+    "classify_B": lambda **kw: classify_B(parse_field("x^2 + 1"), **kw),
+    "k_full_adele_Q": lambda **kw: k_full_adele_Q(**kw),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPORTS))
+def test_negative_truncate_is_refused(name):
+    # -3 once gave an empty table without a word.
+    with pytest.raises(InputError, match="truncate must be an integer >= 0"):
+        _REPORTS[name](truncate=-3)
+    assert _REPORTS[name](truncate=0).truncations[0]["m"] == 0
 
 
 # ---------------------------------------------------------------------------

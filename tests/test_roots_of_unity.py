@@ -1,9 +1,13 @@
 """Roots of unity: the sieve-first search and the routes that back each verdict.
 
-The search runs the exact norm-descent test only on candidate orders the
-residue-field sieve cannot refute, so the agreement of the two routes on
-refuted candidates is checked here, candidate by candidate.
+The search runs the exact test, a p-adic lift checked in the field, only on
+candidate orders the residue-field sieve cannot refute, so the agreement of
+the routes on refuted candidates is checked here, candidate by candidate.  An
+independent oracle, Trager's norm descent with sympy (resultants and
+factorization over Q), checks the lift on the smaller fields.
 """
+
+import itertools
 
 import pytest
 import sympy
@@ -17,7 +21,7 @@ from ringkt.numfield import _ResidueSieve, _root_of_unity_candidates, parse_fiel
 
 # (field, w): imaginary quadratics with and without extra roots of unity and
 # the cyclotomic fields of orders 8, 5, 12, 9 and 7.
-AGREEMENT_TABLE = [
+SMALL_TABLE = [
     ("x^2 + 1", 4),
     ("x^2 + x + 1", 6),
     ("x^2 + 2", 2),
@@ -27,6 +31,12 @@ AGREEMENT_TABLE = [
     ("x^4 - x^2 + 1", 12),
     ("x^6 + x^3 + 1", 18),
     ("x^6 + x^5 + x^4 + x^3 + x^2 + x + 1", 14),
+]
+# ... and those of orders 16, 24 and 36, where the norm descent took seconds.
+AGREEMENT_TABLE = SMALL_TABLE + [
+    ("x^8 + 1", 16),
+    ("x^8 - x^4 + 1", 24),
+    ("x^12 - x^6 + 1", 36),
 ]
 
 
@@ -70,9 +80,51 @@ def _expr_route_norm(k, m):
             return norm
 
 
-@pytest.mark.parametrize("poly,w", AGREEMENT_TABLE, ids=[p for p, _ in AGREEMENT_TABLE])
+def _gcd_degree_in_k(k, phi_coeffs, h_coeffs, s):
+    """Degree of the gcd over the field of Phi_m(y) and h(y + s*theta)."""
+    s_theta = k.element([0, s])
+    hk = []
+    for a in reversed(h_coeffs):  # Horner in K[y]: hk * (y + s*theta) + a
+        hk = numfield.poly_add([a] + hk, numfield.poly_scale(hk, s_theta))
+    a, b = phi_coeffs, hk  # Euclid in K[y]; only the degree matters
+    while b:
+        a, b = b, numfield.poly_divmod(a, b)[1]
+    return len(a) - 1
+
+
+def _trager_contains(k, m):
+    """The oracle: Trager's norm descent.  For a shift ``s`` making ``N(y) =
+    Res_x(f(x), Phi_m(y - s x))`` squarefree, the degree-n irreducible factors
+    of ``N`` over Q are the norms of the linear factors of ``Phi_m`` over the
+    field, that is, of its roots in the field; a gcd in the field confirms
+    the first one."""
+    x, y = sympy.symbols("x y")
+    zy = sympy.ZZ[y]  # polynomials in x over Z[y]: the resultant eliminates x
+    f_poly = sympy.Poly(list(reversed(k.coeffs)), x, domain=zy)
+    phi = sympy.cyclotomic_poly(m, y, polys=True)
+    phi_coeffs = [int(c) for c in reversed(phi.all_coeffs())]
+    for s in (1, -1, 2, -2, 3, -3, 5, -5, 7, -7):
+        shift = sympy.Poly.from_list([-s, zy.gens[0]], x, domain=zy)  # y - s*x
+        phi_shifted = sympy.Poly(0, x, domain=zy)
+        for c in reversed(phi_coeffs):  # Horner: Phi_m(y - s*x)
+            phi_shifted = phi_shifted * shift + c
+        # Poly.resultant would turn the element of Z[y] into an Expr.
+        norm = sympy.Poly(f_poly.rep.resultant(phi_shifted.rep).to_dense(), y)
+        if sympy.degree(sympy.gcd(norm, norm.diff(y)), y) > 0:
+            continue
+        for factor, _mult in sympy.factor_list(norm)[1]:
+            if sympy.degree(factor, y) == k.degree:
+                h = [int(c) for c in reversed(sympy.Poly(factor, y).all_coeffs())]
+                assert _gcd_degree_in_k(k, phi_coeffs, h, s) == 1, (k.coeffs, m)
+                return True
+        return False
+    raise AssertionError(f"no squarefree norm for order {m}")
+
+
+@pytest.mark.parametrize("poly,w", SMALL_TABLE, ids=[p for p, _ in SMALL_TABLE])
 def test_norm_on_poly_matches_the_expr_route(poly, w, monkeypatch):
-    # Same first squarefree shift, same norm, hence the same factors are read.
+    # The oracle's norm on Poly is the norm of the Expr route: same first
+    # squarefree shift, same norm, hence the same factors are read.
     k = parse_field(poly)
     seen = []
     original = sympy.factor_list
@@ -84,10 +136,35 @@ def test_norm_on_poly_matches_the_expr_route(poly, w, monkeypatch):
     monkeypatch.setattr(sympy, "factor_list", recorded)
     for m in _root_of_unity_candidates(k.degree):
         seen.clear()
-        assert k._contains_primitive_root(m) == (w % m == 0)
+        assert _trager_contains(k, m) == (w % m == 0)
         reference = _expr_route_norm(k, m)
         assert seen == [reference]
         assert original(seen[0]) == original(reference)
+
+
+def _admissible_primes(k, m):
+    """The unramified primes p not dividing m with ``m | p^f - 1`` for every
+    residue degree f: where the lift of a primitive m-th root can run."""
+    sieve = _ResidueSieve(k.coeffs, k.disc)
+    for p in sieve._unramified():
+        if m % p and all(pow(p, f, m) == 1 for f in sieve.table[p]):
+            yield p
+
+
+@pytest.mark.parametrize("poly,w", SMALL_TABLE, ids=[p for p, _ in SMALL_TABLE])
+def test_lift_forced_at_the_first_admissible_primes(poly, w):
+    # Every candidate, the refuted ones included, at its first three
+    # admissible primes: the lift agrees with w and with the oracle.
+    k = parse_field(poly)
+    for m in _root_of_unity_candidates(k.degree):
+        expect = w % m == 0
+        assert _trager_contains(k, m) == expect, m
+        for p in itertools.islice(_admissible_primes(k, m), 3):
+            root = k._lift_primitive_root(m, p)
+            assert (root is not None) == expect, (m, p)
+            if root is not None:
+                assert (root ** m - 1).is_zero
+                assert all(root ** (m // q) - 1 for q in numfield._factor_multiplicity(m))
 
 
 def test_roots_of_unity_golden_x8_plus_1():
@@ -103,29 +180,36 @@ def test_sieve_tests_the_first_fifty_unramified_primes_not_dividing_m():
         assert list(sieve._primes_for(m)) == want
 
 
-def _count_calls(monkeypatch, name):
+def _record_exact_tests(monkeypatch):
     calls = []
-    original = getattr(sympy, name)
+    original = numfield.NumberField._contains_primitive_root
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(self, m):
+        calls.append(m)
+        return original(self, m)
 
-    monkeypatch.setattr(sympy, name, counted)
+    monkeypatch.setattr(numfield.NumberField, "_contains_primitive_root", counted)
     return calls
 
 
 def test_exact_route_runs_only_on_survivors(monkeypatch):
-    cyclotomic = _count_calls(monkeypatch, "cyclotomic_poly")
-    factor_list = _count_calls(monkeypatch, "factor_list")
+    calls = _record_exact_tests(monkeypatch)
     # Both candidates 6 and 4 of x^2 + 7 are refuted by witnesses.
     assert parse_field("x^2 + 7").roots_of_unity_order == 2
-    assert cyclotomic == [] and factor_list == []
-    # 12 and 10 are refuted; the one exact test is on the answer 8.  The
-    # witness re-checks factor over GF(p) without calling sympy.factor_list.
+    assert calls == []
+    # 12 and 10 are refuted; the one exact test is on the answer 8.
     assert parse_field("x^4 + 1").roots_of_unity_order == 8
-    assert [args[0] for args in cyclotomic] == [8]
-    assert len(factor_list) == 1
+    assert calls == [8]
+
+
+def test_a_no_on_a_survivor_is_confirmed_by_a_further_witness(monkeypatch):
+    # With one sieve prime, 6 and 4 survive for x^2 + 7: 5 is inert, and both
+    # divide 5^2 - 1.  The lift at 5 finds no root of either order, and the
+    # split prime 11 (11 != 1 mod 6, 11 != 1 mod 4) confirms both refusals.
+    monkeypatch.setattr(_ResidueSieve, "PRIME_COUNT", 1)
+    calls = _record_exact_tests(monkeypatch)
+    assert parse_field("x^2 + 7").roots_of_unity_order == 2
+    assert calls == [6, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +228,22 @@ def test_false_witness_degrees_raise(monkeypatch):
     monkeypatch.setattr(numfield, "_factor_degrees_mod_p", lying)
     with pytest.raises(CrossCheckError, match="mod 3 disagree"):
         parse_field("x^4 + 1").roots_of_unity_order
+
+
+def test_false_factor_count_over_gf_p2_raises(monkeypatch):
+    # x^2 + 7 splits mod 11, the witness against order 6.  A count over
+    # GF(11^2) that does not fit the degrees [1, 1] stops the search; the
+    # count over GF(p) stays honest, so the irreducibility proof passes.
+    honest = numfield._factor_counts
+
+    def lying(coeffs, p):
+        counts = list(honest(coeffs, p))
+        counts[1] += p == 11
+        return iter(counts)
+
+    monkeypatch.setattr(numfield, "_factor_counts", lying)
+    with pytest.raises(CrossCheckError, match="mod 11 disagree"):
+        parse_field("x^2 + 7").roots_of_unity_order
 
 
 def test_false_exact_hit_on_a_surviving_candidate_raises(monkeypatch):
@@ -174,14 +274,13 @@ def test_witness_that_does_not_refute_raises(monkeypatch):
         parse_field("x^4 + 1").roots_of_unity_order
 
 
-def test_unconfirmed_norm_factor_raises(monkeypatch):
-    # The norm of x^2 + 1 against Phi_4 is squarefree, so its degree-2 factor
-    # is the norm of a linear factor of Phi_4 over Q(i) (Trager): a gcd that
-    # disagrees is a fault, not a reason to move on.  Skipping the factor
-    # would give w = 2 and let classify_A accept Q(i).
-    monkeypatch.setattr(numfield.NumberField, "_confirm_root_via_gcd",
-                        lambda self, phi, h, s: False)
-    with pytest.raises(CrossCheckError, match="not the norm of a linear factor of Phi_4"):
+def test_lift_that_finds_nothing_raises(monkeypatch):
+    # Q(i) contains i, so no residue witness refutes the order 4: a lift that
+    # finds nothing is a fault, not an answer.  Believing it would give w = 2
+    # and let classify_A accept Q(i).
+    monkeypatch.setattr(numfield.NumberField, "_lift_primitive_root",
+                        lambda self, m, p: None)
+    with pytest.raises(CrossCheckError, match="no root of unity of order 4, but no residue witness"):
         parse_field("x^2 + 1").roots_of_unity_order
     with pytest.raises(CrossCheckError):
         classify_A(parse_field("x^2 + 1"))
