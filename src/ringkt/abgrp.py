@@ -18,7 +18,9 @@ dense integer computations.  The two main exports are
 * a classifier for sequential colimits ``Z^k -M1-> Z^k -M2-> ...`` of free
   abelian groups along integer matrices (``DirectedSystem`` / ``colimit``),
   together with ``compose_window`` and the element-identification decision
-  procedure ``identified``.
+  procedure ``identified``.  The engine keeps every structure map as sparse
+  rows, checked once in whichever form it came; only the kernel lattice, the
+  eigen classifier and public return values get dense copies.
 
 The colimit classifier certifies exact answers for the class of systems whose
 matrices become upper triangular under a common permutation of coordinates
@@ -65,6 +67,8 @@ def _as_int(x, what):
     ``bool`` and every non-integral value (floats included) raise
     ``InputError`` naming ``what``; ``Fraction(k, 1)`` is accepted as ``k``.
     """
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator
     if isinstance(x, bool) or not isinstance(x, int):
@@ -144,13 +148,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    m, n = mat_shape(a)
-    if len(v) != n:
-        raise InputError(f"vector length {len(v)} does not match {m}x{n} matrix")
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def rank(a):
     """Rank over Q (exact elimination on sparse ``Fraction`` rows)."""
     mat_shape(a)
@@ -203,18 +200,18 @@ def _echelon(rows):
 
 
 def _is_unimodular(rows):
-    """True iff the square matrix ``rows`` has determinant +-1.
+    """True iff the square matrix of sparse ``rows`` has determinant +-1.
 
     The echelon only subtracts multiples of earlier rows, which keeps
     ``|det|``; so the matrix is unimodular exactly when every row keeps a
     pivot and the pivots multiply to +-1.
 
-    >>> _is_unimodular([[2, 1], [1, 1]]), _is_unimodular([[2, 0], [0, 1]])
+    >>> _is_unimodular([{0: 2, 1: 1}, {0: 1, 1: 1}]), _is_unimodular([{0: 2}, {1: 1}])
     (True, False)
-    >>> _is_unimodular([[1, 2], [2, 4]]), _is_unimodular([])
+    >>> _is_unimodular([{0: 1, 1: 2}, {0: 2, 1: 4}]), _is_unimodular([])
     (False, True)
     """
-    pivots = _echelon(_sparse_rows(rows))
+    pivots = _echelon(rows)
     return len(pivots) == len(rows) and abs(math.prod(r[c] for c, r in pivots.items())) == 1
 
 
@@ -304,14 +301,15 @@ def _snf(a, inverse=False, transforms=False):
 
     A log entry ``(r, s, q)`` adds ``q`` times row ``s`` to row ``r``; ``q == 0``
     swaps rows ``r`` and ``s`` instead, and ``r == s`` negates row ``r``.
+    ``a`` is an int matrix its caller has checked; it is copied, not changed.
 
     Step ``t`` takes the first entry (row by row) of least absolute value in
     the trailing block as its pivot; a unit ends the search.  The cells left
     of and above the trailing block are zero, so row operations touch only
     the columns ``>= t`` and column operations only the rows ``>= t``.
     """
-    m, n = mat_shape(a)
-    d = as_int_matrix(a)
+    m, n = len(a), len(a[0])
+    d = [list(row) for row in a]
     track = inverse or transforms
     vi_cols = identity_matrix(n) if track else None
     v = identity_matrix(n) if transforms else None
@@ -453,43 +451,27 @@ def kernel_lattice_basis(a):
     returned here generates the whole kernel (not a finite-index sublattice).
     Vectors are returned as lists of ints.
     """
-    m, n = mat_shape(a)
+    return _kernel_basis(as_int_matrix(a))
+
+
+def _kernel_basis(a):
+    """``kernel_lattice_basis`` of a checked int matrix: columns of ``v^-1``."""
     d, _, vi_cols, _ = _snf(a, inverse=True)
-    k = min(m, n)
-    return [vi_cols[j] for j in range(n) if j >= k or d[j][j] == 0]
+    k = min(len(a), len(a[0]))
+    return [col for j, col in enumerate(vi_cols) if j >= k or d[j][j] == 0]
 
 
 def image_lattice_basis(a):
     """Basis of the subgroup of Z^m generated by the columns of ``a``.
 
-    Column reduction over Z (unimodular column operations preserve the
-    generated subgroup); output columns are echelon-shaped with positive
-    leading entries.
+    ``a @ v^-1 == u @ d`` generates the same subgroup, since ``v`` is
+    unimodular; its columns at the nonzero diagonal entries of ``d`` are
+    independent, and the others vanish, so they are a basis.
     """
-    m, n = mat_shape(a)
-    work = [[a[i][j] for i in range(m)] for j in range(n)]
-    work = [list(map(int, c)) for c in work if any(c)]
-    basis = []
-    for r in range(m):
-        while True:
-            live = [c for c in work if c[r] != 0]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda c: abs(c[r]))
-            c0 = live[0]
-            for c in live[1:]:
-                q = c[r] // c0[r]
-                for i in range(m):
-                    c[i] -= q * c0[i]
-            work = [c for c in work if any(c)]
-        live = [c for c in work if c[r] != 0]
-        if live:
-            c0 = live[0]
-            if c0[r] < 0:
-                c0[:] = [-x for x in c0]
-            basis.append(list(c0))
-            work.remove(c0)
-    return basis
+    a = as_int_matrix(a)
+    d, _, vi_cols, _ = _snf(a, inverse=True)
+    return [[sum(map(mul, row, vi_cols[j])) for row in a]
+            for j in range(min(len(a), len(vi_cols))) if d[j][j]]
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +677,8 @@ def cokernel(a):
     >>> print(cokernel([[2, 4], [6, 8]]))
     Z/2 + Z/4
     """
-    m, n = mat_shape(a)
+    a = as_int_matrix(a)
+    m, n = len(a), len(a[0])
     d = _snf(a)[0]
     diag = [d[i][i] for i in range(min(m, n))]
     nonzero = sum(1 for x in diag if x)
@@ -735,11 +718,35 @@ def _law_to_poly(obj):
     raise InputError(f"unknown scaling-law kind {kind!r} (expected one of {_LAW_KINDS})")
 
 
-def _poly_eval(coeffs, d):
+def _poly_eval(coeffs, x):
+    """The polynomial with ascending ``coeffs`` at ``x`` (Horner's rule)."""
     acc = 0
     for c in reversed(coeffs):
-        acc = acc * d + c
+        acc = acc * x + c
     return acc
+
+
+def _as_int_rows(a, dim, wrong_size):
+    """A step ``a`` (dense, or sparse rows of ``{column: value}``) as sparse
+    rows without zeros, by the rule of ``_as_int``; a size other than
+    ``dim x dim`` raises ``InputError(wrong_size)``."""
+    if isinstance(a, (list, tuple)) and a and all(isinstance(row, dict) for row in a):
+        rows = []
+        for row in a:
+            cols, vals = list(row), list(row.values())
+            if not _INT.issuperset(map(type, cols + vals)):
+                cols = [_as_int(j, "sparse row column") for j in cols]
+                vals = [_as_int(x, "matrix entry") for x in vals]
+            if cols and not 0 <= min(cols) <= max(cols) < dim:
+                raise InputError(f"sparse row columns {cols} are not all in 0..{dim - 1}")
+            rows.append(dict(zip(compress(cols, vals), compress(vals, vals))))
+    else:
+        rows = _sparse_rows(as_int_matrix(a))
+        if len(a[0]) != dim:
+            raise InputError(wrong_size)
+    if len(rows) != dim:
+        raise InputError(wrong_size)
+    return rows
 
 
 class DirectedSystem:
@@ -756,22 +763,26 @@ class DirectedSystem:
       supplied instead; the system is then treated like an explicit chain.
     * ``DirectedSystem.from_family(dim, fn)``: an arbitrary callable
       ``d -> matrix`` on the canonical chain (or an explicit ``d_chain``).
+
+    Steps, given or returned by a family, are dense square matrices or
+    sparse rows (``{column: value}`` dicts); either is checked once and kept
+    as sparse rows.  ``matrix``, ``matrix_at`` and ``to_json`` copy them dense.
     """
 
-    def __init__(self, dim, mode, matrices=None, family=None, d_chain=None,
+    def __init__(self, dim, mode, steps=None, family=None, d_chain=None,
                  diag_polys=None, offdiag=None):
         dim = _as_int(dim, "system dimension")
         if dim < 1:
             raise InputError("system dimension must be at least 1")
         self.dim = dim
         self.mode = mode
-        self._matrices = matrices
+        self._steps = steps
         self._family = family
         self._d_chain = (tuple(_as_int(d, "d_chain entry") for d in d_chain)
                          if d_chain is not None else None)
         self._diag_polys = diag_polys
         self._offdiag = offdiag
-        self._matrix_cache = {}
+        self._step_cache = {}
         self._analysis_cache = None
         if self._d_chain is not None:
             for d in self._d_chain:
@@ -782,15 +793,13 @@ class DirectedSystem:
 
     @classmethod
     def explicit(cls, matrices):
-        mats = [as_int_matrix(m) for m in matrices]
-        if not mats:
+        matrices = list(matrices)
+        if not matrices:
             raise InputError("explicit system needs at least one matrix")
-        dim = len(mats[0])
-        for m in mats:
-            r, c = mat_shape(m)
-            if r != dim or c != dim:
-                raise InputError("all matrices must be square of equal size")
-        return cls(dim, "explicit", matrices=mats)
+        dim = len(matrices[0]) if isinstance(matrices[0], (list, tuple)) else 0
+        steps = [_as_int_rows(m, dim, "all matrices must be square of equal size")
+                 for m in matrices]
+        return cls(dim, "explicit", steps=steps)
 
     @classmethod
     def symbolic(cls, dim, diag_laws, offdiag=(), d_chain=None):
@@ -850,7 +859,8 @@ class DirectedSystem:
 
     def to_json(self):
         if self.mode == "explicit":
-            return {"mode": "explicit", "matrices": [list(map(list, m)) for m in self._matrices]}
+            return {"mode": "explicit",
+                    "matrices": [_dense_rows(rows, self.dim) for rows in self._steps]}
         if self._diag_polys is None:
             raise InputError("a family-backed system has no JSON form")
         out = {
@@ -871,7 +881,7 @@ class DirectedSystem:
     def finite_length(self):
         """Number of maps if the chain is finite, else None."""
         if self.mode == "explicit":
-            return len(self._matrices)
+            return len(self._steps)
         if self._d_chain is not None:
             return len(self._d_chain)
         return None
@@ -888,25 +898,30 @@ class DirectedSystem:
 
     def matrix(self, t):
         """The t-th structure map (1-based) as an integer matrix."""
-        if t < 1:
-            raise InputError("step indices are 1-based")
-        if self.mode == "explicit":
-            if t > len(self._matrices):
-                raise InputError(f"step {t} outside the explicit chain")
-            return self._matrices[t - 1]
-        if t not in self._matrix_cache:
-            self._matrix_cache[t] = self.matrix_at(self.d_value(t))
-        return self._matrix_cache[t]
+        return _dense_rows(self._step(t), self.dim)
 
     def matrix_at(self, d):
         """Evaluate a symbolic family at an arbitrary parameter ``d >= 2``."""
+        return _dense_rows(self._step_at(d), self.dim)
+
+    def _step(self, t):
+        """The t-th structure map as checked sparse rows, kept after the first call."""
+        if t < 1:
+            raise InputError("step indices are 1-based")
+        if self.mode == "explicit":
+            if t > len(self._steps):
+                raise InputError(f"step {t} outside the explicit chain")
+            return self._steps[t - 1]
+        if t not in self._step_cache:
+            self._step_cache[t] = self._step_at(self.d_value(t))
+        return self._step_cache[t]
+
+    def _step_at(self, d):
+        """The family at parameter ``d`` as checked sparse rows."""
         if self.mode != "symbolic":
             raise InputError("explicit systems cannot be evaluated at a parameter")
-        m = as_int_matrix(self._family(d))
-        r, c = mat_shape(m)
-        if r != self.dim or c != self.dim:
-            raise InputError("family returned a matrix of the wrong size")
-        return m
+        return _as_int_rows(self._family(d), self.dim,
+                            "family returned a matrix of the wrong size")
 
 
 # ---------------------------------------------------------------------------
@@ -957,6 +972,11 @@ def _relation_pairs(kernel_basis):
     return tuple(rels)
 
 
+def _apply(rows, v):
+    """``rows @ v`` for a matrix of sparse rows and a dense vector."""
+    return [sum(x * v[j] for j, x in row.items()) for row in rows]
+
+
 def _composite_ranks(maps):
     """Ranks of the progressive composites ``M_t ... M_1`` of sparse maps,
     and the last composite (sparse)."""
@@ -968,15 +988,13 @@ def _composite_ranks(maps):
     return ranks, w
 
 
-def _colimit_finite(system, mats):
+def _colimit_finite(system, maps):
     dim = system.dim
-    ranks, w = _composite_ranks([_sparse_rows(m) for m in mats])
-    w = _dense_rows(w, dim)
+    ranks, w = _composite_ranks(maps)
     r = ranks[-1]
     stab = 1 + ranks.index(r)
-    unimodular = all(map(_is_unimodular, mats))
-    rels = _relation_pairs(kernel_lattice_basis(w))
-    if unimodular:
+    rels = _relation_pairs(_kernel_basis(_dense_rows(w, dim)))
+    if all(map(_is_unimodular, maps)):
         return ColimitReport(
             invariants=GroupDescriptor.free(dim),
             relations=rels,
@@ -1002,8 +1020,6 @@ def _fit_monomial(samples):
     Returns ``("zero",)`` if all values vanish, ``("monomial", c, e)`` on an
     exact fit with c a nonzero Fraction and integer e >= 0, or None.
     """
-    if not samples:
-        return ("zero",)
     if all(lam == 0 for _, lam in samples):
         return ("zero",)
     if any(lam == 0 for _, lam in samples):
@@ -1023,31 +1039,35 @@ def _direction_type(samples):
     ``d`` (this covers parity-dependent laws).  Returns ``None`` for a dead
     direction, a GroupDescriptor for a surviving one, and raises for laws
     outside the certified class.
+
+    The answer inverts the primes that divide infinitely many steps: all of
+    them for an even-class ``e >= 1``; for an odd-class ``e >= 1`` the odd
+    ones, and 2 when it divides either constant (else ``Z[1/p : p odd]``,
+    which is refused); the primes of the constants otherwise.
     """
-    odd = [(d, lam) for d, lam in samples if d % 2]
-    even = [(d, lam) for d, lam in samples if d % 2 == 0]
-    fits = []
-    for part in (odd, even):
-        fit = _fit_monomial(part)
-        if fit is None:
-            raise UnsupportedSystemError(
-                "diagonal scaling law fits no monomial c*d^e on a parity class; "
-                "the system is outside the certified class"
-            )
-        fits.append(fit)
+    fits = [_fit_monomial([(d, lam) for d, lam in samples if d % 2 == parity])
+            for parity in (1, 0)]
+    if None in fits:
+        raise UnsupportedSystemError(
+            "diagonal scaling law fits no monomial c*d^e on a parity class; "
+            "the system is outside the certified class"
+        )
     if any(f[0] == "zero" for f in fits):
         # Zeros recur on a full parity class of the canonical chain: the
         # direction is annihilated infinitely often, so it dies in the colimit.
         return None
-    consts = []
-    for _, c, e in fits:
-        if e >= 1:
-            return GroupDescriptor.rationals(1)
-        consts.append(c)
-    primes = set()
-    for c in consts:
-        primes.update(_factor_multiplicity(abs(c.numerator)))
-        primes.update(_factor_multiplicity(c.denominator))
+    (_, c_odd, e_odd), (_, c_even, e_even) = fits
+    if e_odd >= 1 and e_even == 0 and c_odd.numerator % 2 and c_even.numerator % 2:
+        raise UnsupportedSystemError(
+            "the odd-step scaling c*d^e (e >= 1) inverts every odd prime but "
+            "2 divides no step, so the colimit is Z[1/p : p odd], which no "
+            "group descriptor expresses; the system is outside the certified class"
+        )
+    if e_odd >= 1 or e_even >= 1:
+        return GroupDescriptor.rationals(1)
+    # Both laws are constant, hence integers (e = 0 fits lambda itself).
+    primes = set(_factor_multiplicity(abs(c_odd.numerator)))
+    primes.update(_factor_multiplicity(abs(c_even.numerator)))
     if not primes:
         return GroupDescriptor.free(1)
     return GroupDescriptor.localized(sorted(primes))
@@ -1264,9 +1284,8 @@ def _classify_eigen(mats, d_values, w_final, r_expected):
 def _colimit_symbolic(system):
     dim = system.dim
     cap = max(14, dim + 6)
-    mats = [system.matrix(t) for t in range(1, cap + 1)]
+    maps = [system._step(t) for t in range(1, cap + 1)]
     d_values = [system.d_value(t) for t in range(1, cap + 1)]
-    maps = [_sparse_rows(m) for m in mats]
     ranks, w = _composite_ranks(maps)
     r = ranks[-1]
     if any(x != r for x in ranks[-4:]):
@@ -1287,7 +1306,7 @@ def _colimit_symbolic(system):
     # Confirmation samples beyond the horizon guard against families whose
     # behaviour changes past the materialized chain.
     confirm_ds = [101, 102]
-    confirm = [(d, _sparse_rows(system.matrix_at(d))) for d in confirm_ds]
+    confirm = [(d, system._step_at(d)) for d in confirm_ds]
     feeds = _union_pattern(maps + [m for _, m in confirm])
     samples_per_coord = {
         p: [(d, m[p].get(p, 0)) for d, m in zip(d_values, maps)]
@@ -1297,8 +1316,8 @@ def _colimit_symbolic(system):
     invariants = _classify_triangular(samples_per_coord, feeds, r)
     w = _dense_rows(w, dim)
     if invariants is None:
-        invariants = _classify_eigen(mats, d_values, w, r)
-    rels = _relation_pairs(kernel_lattice_basis(w))
+        invariants = _classify_eigen([_dense_rows(m, dim) for m in maps], d_values, w, r)
+    rels = _relation_pairs(_kernel_basis(w))
     return ColimitReport(
         invariants=invariants,
         relations=rels,
@@ -1326,11 +1345,9 @@ def colimit(system):
         raise InputError("colimit expects a DirectedSystem")
     if system._analysis_cache is not None:
         return system._analysis_cache
-    if system.mode == "explicit":
-        report = _colimit_finite(system, system._matrices)
-    elif system._d_chain is not None:
-        mats = [system.matrix(t) for t in range(1, len(system._d_chain) + 1)]
-        report = _colimit_finite(system, mats)
+    length = system.finite_length
+    if length is not None:
+        report = _colimit_finite(system, [system._step(t) for t in range(1, length + 1)])
     else:
         report = _colimit_symbolic(system)
     system._analysis_cache = report
@@ -1361,10 +1378,10 @@ def compose_window(system, i, j):
     length = system.finite_length
     if length is not None and j > length:
         raise InputError(f"window end {j} exceeds the chain length {length}")
-    out = system.matrix(i)
+    out = system._step(i)
     for t in range(i + 1, j + 1):
-        out = mat_mul(system.matrix(t), out)
-    return out
+        out = _sparse_mul(system._step(t), out)
+    return _dense_rows(out, system.dim)
 
 
 # Steps the window walk of ``identified`` may take before reaching the
@@ -1411,33 +1428,27 @@ def identified(system, a, b):
 
     (la, va), (lb, vb) = check_element(a), check_element(b)
     length = system.finite_length
-
-    if length is not None:
-        if max(la, lb) > length + 1:
-            raise InputError("element level beyond the end of the finite chain")
-        for t in range(la, length + 1):
-            va = mat_vec(system.matrix(t), va)
-        for t in range(lb, length + 1):
-            vb = mat_vec(system.matrix(t), vb)
-        return va == vb
-
-    r = colimit(system).rank
-    base = max(la, lb)
+    if length is None:
+        r = colimit(system).rank
+        base = max(la, lb)
+    elif max(la, lb) > length + 1:
+        raise InputError("element level beyond the end of the finite chain")
+    else:
+        base = length + 1
     for t in range(la, base):
-        va = mat_vec(system.matrix(t), va)
+        va = _apply(system._step(t), va)
     for t in range(lb, base):
-        vb = mat_vec(system.matrix(t), vb)
+        vb = _apply(system._step(t), vb)
     diff = [x - y for x, y in zip(va, vb)]
-    if not any(diff):
-        return True
+    if length is not None or not any(diff):
+        return not any(diff)
     window = None
     for level in range(base, base + _WINDOW_STEPS):
-        step = system.matrix(level)
-        diff = mat_vec(step, diff)
+        step = system._step(level)
+        diff = _apply(step, diff)
         if not any(diff):
             return True
-        rows = _sparse_rows(step)
-        window = rows if window is None else _sparse_mul(rows, window)
+        window = step if window is None else _sparse_mul(step, window)
         if len(_echelon(window)) == r:
             return False
     raise CrossCheckError(

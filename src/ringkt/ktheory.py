@@ -48,6 +48,7 @@ from .abgrp import (
     colimit,
     identity_matrix,
     _as_int,
+    _dense_rows,
     _echelon,
     _is_unimodular,
     _reduce,
@@ -180,23 +181,17 @@ class KappaMatrix:
         inf_diag = tuple(a * b for a, b in zip(self.inf_diag, other.inf_diag))
         return KappaMatrix(self.n, self.d * other.d, fin_identity, mixing, inf_diag)
 
+    def rows(self):
+        """The matrix as sparse rows ``{column: entry}``, read off the blocks."""
+        n2 = 2 ** self.n
+        out = [{i if self.fin_identity else 0: 1} for i in range(n2)]
+        out += [{n2 + t: x} for t, x in enumerate(self.inf_diag)]
+        out[n2].update((j, x) for j, x in enumerate(self.mixing) if x)
+        return out
+
     def dense(self):
         """The full integer matrix on the ordered basis (finite + infinite)."""
-        n2 = 2 ** self.n
-        ni = 2 ** (self.n - 1)
-        size = n2 + ni
-        m = [[0] * size for _ in range(size)]
-        if self.fin_identity:
-            for i in range(n2):
-                m[i][i] = 1
-        else:
-            for i in range(n2):
-                m[i][0] = 1
-        for j in range(n2):
-            m[n2][j] = self.mixing[j]
-        for t in range(ni):
-            m[n2 + t][n2 + t] = self.inf_diag[t]
-        return m
+        return _dense_rows(self.rows(), self.size)
 
     @property
     def size(self):
@@ -376,7 +371,7 @@ def k_of_A0(n, engine_check=None):
         engine_check = n <= 5
     if engine_check:
         system = DirectedSystem.from_family(
-            kappa(n, 2).size, lambda d: kappa(n, d).dense()
+            kappa(n, 2).size, lambda d: kappa(n, d).rows()
         )
         got = colimit(system).invariants
         if got != k0:
@@ -427,7 +422,7 @@ class EndoBlocks:
         z = as_int_matrix(z) if z else []
         if len(z) != a or any(len(r) != a for r in z):
             raise InputError(f"free-part block must be {a}x{a}")
-        if not _is_unimodular(z):
+        if not _is_unimodular(_sparse_rows(z)):
             raise InputError("the free-part block of an automorphism must be unimodular")
         qm = _as_fraction_matrix(q, b, b, "divisible-part block")
         if len(_echelon(_sparse_rows(qm))) != b:

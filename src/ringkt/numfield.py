@@ -36,7 +36,7 @@ import math
 import re
 from fractions import Fraction
 
-from .abgrp import _as_int, _factor_multiplicity, _is_prime, determinant
+from .abgrp import _as_int, _factor_multiplicity, _is_prime, _poly_eval, determinant
 from .errors import CrossCheckError, HypothesisError, InputError
 
 # ---------------------------------------------------------------------------
@@ -103,13 +103,6 @@ def poly_divmod(p, q):
     return poly_trim(quot), p
 
 
-def poly_eval(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + Fraction(c)
-    return acc
-
-
 def poly_deriv(p):
     return poly_trim([Fraction(i) * Fraction(c) for i, c in enumerate(p)][1:])
 
@@ -156,7 +149,7 @@ def _sign_changes(vals):
 
 
 def _chain_changes_at(chain, x):
-    return _sign_changes([poly_eval(c, x) for c in chain])
+    return _sign_changes([_poly_eval(c, x) for c in chain])
 
 
 def _chain_changes_at_infinity(chain, positive):
@@ -213,7 +206,7 @@ def isolate_real_roots(p):
             out.append((lo, hi))
             return
         mid = (lo + hi) / 2
-        while poly_eval(p, mid) == 0:
+        while _poly_eval(p, mid) == 0:
             mid = (lo + mid) / 2
         left = count(lo, mid)
         split(lo, mid, left)
@@ -626,21 +619,21 @@ class NumberField:
 
         for lo, hi in self._intervals():
             if lo == hi:  # rational root (degree-one field)
-                val = poly_eval(g, lo)
+                val = _poly_eval(g, lo)
                 out.append(1 if val > 0 else -1)
                 continue
             # refine the isolating interval until g has no root inside, then
             # the sign of g at the midpoint equals the sign at the field root
             while groots(lo, hi) > 0:
                 mid = (lo + hi) / 2
-                while poly_eval(f, mid) == 0:
+                while _poly_eval(f, mid) == 0:
                     mid = (lo + mid) / 2
                 if froots(lo, mid) == 1:
                     hi = mid
                 else:
                     lo = mid
             mid = (lo + hi) / 2
-            val = poly_eval(g, mid)
+            val = _poly_eval(g, mid)
             # g cannot vanish at the field root (deg g < deg f, f irreducible)
             # and has no root in the refined interval, so val is nonzero.
             out.append(1 if val > 0 else -1)

@@ -23,11 +23,16 @@ from ringkt.abgrp import (
     invariant_factors,
     kernel_lattice_basis,
     mat_mul,
-    mat_vec,
     rank,
     smith_normal_form,
+    solve_exact,
 )
 from ringkt.errors import CrossCheckError, InputError, UnsupportedSystemError
+
+
+def _dense_mat_vec(a, v):
+    """The dense product ``a @ v``: a reference apart from the engine's sparse rows."""
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +104,7 @@ def test_kernel_lattice_is_saturated():
         a = random_int_matrix(rng, max_side=5, lo=-6, hi=6)
         basis = kernel_lattice_basis(a)
         for vec in basis:
-            assert all(x == 0 for x in mat_vec(a, vec))
+            assert all(x == 0 for x in _dense_mat_vec(a, vec))
         if basis:
             bmat = [[vec[i] for vec in basis] for i in range(len(basis[0]))]
             assert rank(bmat) == len(basis)
@@ -119,6 +124,29 @@ def test_image_lattice_basis():
     # The generated subgroup has index |det| = 8
     bmat = [[vec[i] for vec in basis] for i in range(2)]
     assert abs(determinant(bmat)) == 8
+
+
+def _nonzero_invariants(a):
+    _, d, _ = smith_normal_form(a)
+    return [x for x in (d[i][i] for i in range(min(len(a), len(a[0])))) if x]
+
+
+def test_image_lattice_basis_spans_the_column_lattice():
+    rng = seeded_rng("image-lattice-span")
+    for _ in range(60):
+        m, n, r = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 4)
+        # A product through Z^r keeps the rank at most r, so deficient ranks occur.
+        left = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(m)]
+        right = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)]
+        a = mat_mul(left, right) if r else [[0] * n for _ in range(m)]
+        basis = image_lattice_basis(a)
+        assert len(basis) == rank(a)
+        if not basis:
+            continue
+        bmat = [[vec[i] for vec in basis] for i in range(m)]
+        coords = solve_exact(bmat, a)
+        assert all(x.denominator == 1 for row in coords for x in row)
+        assert _nonzero_invariants(bmat) == _nonzero_invariants(a)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +453,82 @@ def test_colimit_rejects_non_monomial_law():
         colimit(DirectedSystem.symbolic(1, [{"kind": "poly", "coeffs": [-2, 1]}]))
 
 
+def test_colimit_refuses_odd_class_growth_that_never_inverts_two():
+    # Odd d multiply by d and even d by 1: every odd prime is inverted, 2 never.
+    system = DirectedSystem.from_family(1, lambda d: [[d if d % 2 else 1]])
+    with pytest.raises(UnsupportedSystemError, match=r"Z\[1/p : p odd\]"):
+        colimit(system)
+
+
+@pytest.mark.parametrize("family", [
+    lambda d: [[2 * d if d % 2 else 1]],
+    lambda d: [[d if d % 2 else 2]],
+    lambda d: [[1 if d % 2 else d]],
+])
+def test_colimit_parity_laws_that_invert_two_give_q(family):
+    report = colimit(DirectedSystem.from_family(1, family))
+    assert report.invariants == GroupDescriptor.rationals(1)
+    assert not report.truncated
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _primes_dividing_infinitely_many(step):
+    """The primes in ``_SMALL_PRIMES`` dividing ``step(d)`` for infinitely many d.
+
+    Whether p divides ``c * d^e`` depends on d mod p, and the law on d mod 2,
+    so it holds for infinitely many d when it holds for one d in a period 2p.
+    """
+    return {p for p in _SMALL_PRIMES if any(step(d) % p == 0 for d in range(2, 2 * p + 2))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(c_odd=st.integers(-12, 12), e_odd=st.integers(0, 3),
+       c_even=st.integers(-12, 12), e_even=st.integers(0, 3))
+def test_parity_family_inverts_the_primes_dividing_infinitely_many_steps(
+        c_odd, e_odd, c_even, e_even):
+    def step(d):
+        return c_odd * d ** e_odd if d % 2 else c_even * d ** e_even
+
+    system = DirectedSystem.from_family(1, lambda d: [[step(d)]])
+    support = _primes_dividing_infinitely_many(step)
+    if 0 in (c_odd, c_even):
+        expected = GroupDescriptor.zero()
+    elif 13 not in support:
+        # 13 exceeds every |c|, so only d carries it: the support is finite.
+        expected = GroupDescriptor(loc=[tuple(support)])
+    elif 2 in support:
+        expected = GroupDescriptor.rationals(1)
+    else:
+        # Every odd prime and not 2: Z[1/p : p odd] has no descriptor.
+        with pytest.raises(UnsupportedSystemError):
+            colimit(system)
+        return
+    assert colimit(system).invariants == expected
+
+
+@pytest.mark.parametrize("rows", [
+    [{0: 1}, {2: 1}],                  # column out of range
+    [{0: 1}, {-1: 1}],                 # negative column
+    [{0: True}, {1: 1}],               # bool entry
+    [{0: Fraction(1, 2)}, {1: 1}],     # non-integral entry
+    [{0: 1}],                          # wrong row count
+])
+def test_malformed_sparse_rows_are_refused(rows):
+    with pytest.raises(InputError):
+        DirectedSystem.from_family(2, lambda d: rows).matrix(1)
+    with pytest.raises(InputError):
+        DirectedSystem.explicit([[{0: 1}, {1: 1}], rows])
+
+
+def test_sparse_and_dense_steps_are_one_system():
+    sparse = DirectedSystem.explicit([[{0: 2}, {0: 1, 1: Fraction(3, 1)}]])
+    dense = DirectedSystem.explicit([[[2, 0], [1, 3]]])
+    assert sparse.to_json() == dense.to_json() == {"mode": "explicit", "matrices": [[[2, 0], [1, 3]]]}
+    assert colimit(sparse) == colimit(dense)
+
+
 def test_colimit_shift_family_dies():
     rep = colimit(
         DirectedSystem.symbolic(
@@ -525,7 +629,7 @@ def triangular_systems(draw):
 
 def _push(system, level, vec, target):
     for t in range(level, target):
-        vec = mat_vec(system.matrix(t), vec)
+        vec = _dense_mat_vec(system.matrix(t), vec)
     return vec
 
 

@@ -5,13 +5,17 @@ as produced by the dense engine; the sparse engine must reproduce them byte
 for byte, ``relations`` included.
 """
 
+import collections
 import json
 import pathlib
 
 import pytest
 
-from ringkt.abgrp import DirectedSystem, colimit
+from conftest import seeded_rng
+from ringkt import abgrp, ktheory
+from ringkt.abgrp import DirectedSystem, colimit, compose_window, identified
 from ringkt.ktheory import (
+    KappaMatrix,
     k_of_A0,
     k_of_B0,
     kappa,
@@ -56,3 +60,42 @@ def test_k_of_A0_engine_check_up_to_5(n):
 def test_colimit_json_matches_golden(name, make):
     got = json.dumps(colimit(make()).to_json_dict(), sort_keys=True)
     assert got == json.dumps(GOLDENS[name], sort_keys=True)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_k_of_A0_engine_check_reads_kappa_rows_only(n, monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(KappaMatrix, "rows", counted("rows", KappaMatrix.rows))
+    monkeypatch.setattr(KappaMatrix, "dense", counted("dense", KappaMatrix.dense))
+    for module in (abgrp, ktheory):
+        monkeypatch.setattr(module, "as_int_matrix",
+                            counted("as_int_matrix", abgrp.as_int_matrix))
+    assert k_of_A0(n, engine_check=True) == k_of_A0(n, engine_check=False)
+    assert calls["rows"] > 0
+    assert calls["dense"] == calls["as_int_matrix"] == 0
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_kappa_rows_and_dense_families_give_one_system(n):
+    size = kappa(n, 2).size
+    by_rows = DirectedSystem.from_family(size, lambda d: kappa(n, d).rows())
+    by_dense = _a0_system(n)
+    assert colimit(by_rows).to_json_dict() == colimit(by_dense).to_json_dict()
+    for t in (1, 2, 5):
+        assert by_rows.matrix(t) == by_dense.matrix(t)
+    assert compose_window(by_rows, 2, 5) == compose_window(by_dense, 2, 5)
+    rng = seeded_rng(f"kappa-rows-{n}")
+    for _ in range(8):
+        level = rng.randint(1, 4)
+        vec = [rng.randint(-2, 2) for _ in range(size)]
+        pushed = [sum(x * y for x, y in zip(row, vec)) for row in by_dense.matrix(level)]
+        other = [rng.randint(-2, 2) for _ in range(size)]
+        for a, b in (((level, vec), (level + 1, pushed)), ((level, vec), (level + 1, other))):
+            assert identified(by_rows, a, b) == identified(by_dense, a, b)
