@@ -51,7 +51,7 @@ def mat_shape(a):
     if not isinstance(a, (list, tuple)) or not a:
         raise InputError("matrix must be a non-empty list of rows")
     rows = len(a)
-    cols = len(a[0])
+    cols = len(a[0]) if isinstance(a[0], (list, tuple)) else -1
     for row in a:
         if not isinstance(row, (list, tuple)) or len(row) != cols:
             raise InputError("matrix rows must all have the same length")
@@ -74,6 +74,13 @@ def _as_int(x, what):
     if isinstance(x, bool) or not isinstance(x, int):
         raise InputError(f"{what} {x!r} is not an integer")
     return int(x)
+
+
+def _as_list(x, what):
+    """``x`` if it is a list or tuple (a JSON array), else ``InputError``."""
+    if not isinstance(x, (list, tuple)):
+        raise InputError(f"{what} must be a list")
+    return x
 
 
 def as_int_matrix(a):
@@ -664,8 +671,9 @@ class GroupDescriptor:
         return cls(
             free_rank=obj.get("free", 0),
             q_rank=obj.get("q", 0),
-            loc=obj.get("loc", ()),
-            torsion=obj.get("torsion", ()),
+            loc=[_as_list(supp, "a 'loc' support")
+                 for supp in _as_list(obj.get("loc", ()), "'loc'")],
+            torsion=_as_list(obj.get("torsion", ()), "'torsion'"),
         )
 
 
@@ -778,7 +786,8 @@ class DirectedSystem:
         self.mode = mode
         self._steps = steps
         self._family = family
-        self._d_chain = (tuple(_as_int(d, "d_chain entry") for d in d_chain)
+        self._d_chain = (tuple(_as_int(d, "d_chain entry")
+                               for d in _as_list(d_chain, "d_chain"))
                          if d_chain is not None else None)
         self._diag_polys = diag_polys
         self._offdiag = offdiag
@@ -804,11 +813,11 @@ class DirectedSystem:
     @classmethod
     def symbolic(cls, dim, diag_laws, offdiag=(), d_chain=None):
         dim = _as_int(dim, "system dimension")
-        polys = [_law_to_poly(law) for law in diag_laws]
+        polys = [_law_to_poly(law) for law in _as_list(diag_laws, "'law'")]
         if len(polys) != dim:
             raise InputError("need exactly one diagonal law per coordinate")
         off = []
-        for entry in offdiag:
+        for entry in _as_list(offdiag, "'offdiag'"):
             if not isinstance(entry, dict):
                 raise InputError("offdiag entries must be objects")
             r = _as_int(entry.get("row", -1), "offdiag row")
@@ -816,7 +825,8 @@ class DirectedSystem:
             if not (0 <= r < dim and 0 <= c < dim) or r == c:
                 raise InputError("offdiag entry needs distinct in-range row/col")
             if "poly" in entry:
-                coeffs = tuple(_as_int(x, "poly coefficient") for x in entry["poly"])
+                coeffs = tuple(_as_int(x, "poly coefficient")
+                               for x in _as_list(entry["poly"], "offdiag 'poly'"))
             else:
                 coeffs = _law_to_poly(entry)
             off.append((r, c, coeffs))
@@ -846,7 +856,7 @@ class DirectedSystem:
         if mode == "explicit":
             if "matrices" not in obj:
                 raise InputError("explicit system JSON needs 'matrices'")
-            return cls.explicit(obj["matrices"])
+            return cls.explicit(_as_list(obj["matrices"], "'matrices'"))
         if mode == "symbolic":
             for key in ("dim", "law"):
                 if key not in obj:

@@ -387,13 +387,26 @@ def k_of_A0(n, engine_check=None):
 # ---------------------------------------------------------------------------
 
 
+def _as_fraction(x, what):
+    """``x`` as a ``Fraction``: the rational rule for block entries from
+    outside.  An int (not bool), a ``Fraction``, or a string ``Fraction``
+    parses, like ``"1/2"``; anything else, floats included, raises
+    ``InputError`` naming ``what``."""
+    if isinstance(x, Fraction) or (isinstance(x, int) and not isinstance(x, bool)):
+        return Fraction(x)
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"{what} {x!r} is not a rational number")
+
+
 def _as_fraction_matrix(rows, shape_rows, shape_cols, what):
-    out = [[Fraction(x) for x in row] for row in rows]
-    if len(out) != shape_rows or any(len(r) != shape_cols for r in out):
-        raise InputError(
-            f"{what} must be a {shape_rows}x{shape_cols} matrix"
-        )
-    return out
+    if (not isinstance(rows, (list, tuple)) or len(rows) != shape_rows
+            or any(not isinstance(r, (list, tuple)) or len(r) != shape_cols for r in rows)):
+        raise InputError(f"{what} must be a {shape_rows}x{shape_cols} matrix")
+    return [[_as_fraction(x, f"{what} entry") for x in row] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -463,6 +476,8 @@ class ActionDescriptor:
                 if (len(given.z_block), len(given.q_block)) != (a, b):
                     raise InputError("action blocks do not match the group")
                 return given
+            if not isinstance(given, dict) or not set(given) <= {"z", "q", "mix"}:
+                raise InputError("an action block must be an object with keys among z, q, mix")
             return EndoBlocks.build(a, b, **given)
 
         for desc in (domain.k0, domain.k1):
@@ -474,14 +489,14 @@ class ActionDescriptor:
 
     @classmethod
     def from_json(cls, obj):
-        if not isinstance(obj, dict) or "group" not in obj or "action" not in obj:
+        if not (isinstance(obj, dict) and isinstance(obj.get("group"), dict)
+                and isinstance(obj.get("action"), dict)):
             raise InputError("action JSON needs 'group' and 'action' objects")
-        g = obj["group"]
+        g, act = obj["group"], obj["action"]
         domain = GradedKGroup(
             GroupDescriptor.from_json_dict(g.get("k0", {})),
             GroupDescriptor.from_json_dict(g.get("k1", {})),
         )
-        act = obj["action"]
         return cls.build(domain, act.get("deg0"), act.get("deg1"))
 
     def to_json_dict(self):

@@ -13,6 +13,8 @@ Highlights:
   cross-checked by Berlekamp's factor count), in plain integers; sympy's
   factorization over Q decides only when those primes prove nothing;
 * ``signature`` via exact Sturm chains (no floating point anywhere);
+* the discriminant as the determinant of the trace form, and the norm as
+  that of multiplication by the element (whose inverse solves ``M x = e_0``);
 * ``roots_of_unity_order`` searched sieve first, in plain integers: each
   candidate order is refuted by a residue-field witness whose degrees the
   factor counts over GF(p^d) re-derive, and only the survivors run the exact
@@ -21,7 +23,8 @@ Highlights:
 * ``residue_system`` for the quotients ``Z[theta]/(d)`` in the standard or
   centered digit styles;
 * ``real_sign_vector`` / ``sign_parity`` of an element under all real
-  embeddings (ordered by ascending real root);
+  embeddings (ordered by ascending real root), one Tarski query per root,
+  the parity checked against the sign of the norm;
 * ``fundamental_unit_real_quadratic`` by continued fractions for fields
   ``x^2 - D``.
 
@@ -31,12 +34,14 @@ ascending order of degree.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
 from fractions import Fraction
 
-from .abgrp import _as_int, _factor_multiplicity, _is_prime, _poly_eval, determinant
+from .abgrp import (_as_int, _factor_multiplicity, _is_prime, _poly_eval, determinant,
+                    solve_exact)
 from .errors import CrossCheckError, HypothesisError, InputError
 
 # ---------------------------------------------------------------------------
@@ -55,15 +60,6 @@ def poly_trim(p):
 def poly_degree(p):
     p = poly_trim(p)
     return len(p) - 1 if p else -1
-
-
-def poly_add(p, q):
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return poly_trim(out)
 
 
 def poly_neg(p):
@@ -132,15 +128,19 @@ def squarefree_part(p):
 # ---------------------------------------------------------------------------
 
 
-def sturm_chain(p):
-    """The Sturm chain of a squarefree rational polynomial."""
-    chain = [poly_trim(p), poly_deriv(p)]
+def _signed_remainders(p, q):
+    """The signed remainder sequence ``p, q, -rem(p, q), ...`` to its last nonzero
+    term (Basu--Pollack--Roy, *Algorithms in Real Algebraic Geometry*, ch. 2)."""
+    chain = [poly_trim(p), poly_trim(q)]
     while chain[-1]:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(poly_neg(r))
+        chain.append(poly_neg(poly_divmod(chain[-2], chain[-1])[1]))
     return [c for c in chain if c]
+
+
+def sturm_chain(p):
+    """The Sturm chain of a squarefree rational polynomial: the signed
+    remainder sequence of ``(p, p')``."""
+    return _signed_remainders(p, poly_deriv(p))
 
 
 def _sign_changes(vals):
@@ -295,52 +295,16 @@ def _euler_phi(m):
     return out
 
 
-# ---------------------------------------------------------------------------
-# resultants, norms
-# ---------------------------------------------------------------------------
-
-
-def _sylvester_resultant(f, g):
-    """Res(f, g) for integer-coefficient polynomials (ascending lists)."""
-    f = poly_trim(list(f))
-    g = poly_trim(list(g))
-    n, m = len(f) - 1, len(g) - 1
-    if n < 0 or m < 0:
-        return 0
-    if m == 0:
-        return g[0] ** n
-    if n == 0:
-        return f[0] ** m
-    size = n + m
-    fd = list(reversed(f))
-    gd = list(reversed(g))
-    rows = []
-    for i in range(m):
-        rows.append([0] * i + fd + [0] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + gd + [0] * (size - m - 1 - i))
-    return determinant(rows)
-
-
-def resultant_with_rational(f_int, g_frac):
-    """Res(f, g) for integer f and rational g, exactly."""
-    g = [Fraction(c) for c in poly_trim(list(g_frac))]
-    n = poly_degree(list(f_int))
-    if not g:
-        return Fraction(0)
-    denom = 1
-    for c in g:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    g_int = [int(c * denom) for c in g]
-    return Fraction(_sylvester_resultant(f_int, g_int), denom ** n)
-
-
 def poly_discriminant(coeffs):
-    """Discriminant of a monic integer polynomial."""
-    n = poly_degree(list(coeffs))
-    res = _sylvester_resultant(coeffs, [i * c for i, c in enumerate(coeffs)][1:])
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res
+    """Discriminant of a monic integer polynomial, 0 for a constant: the
+    determinant of the trace form ``Tr(theta^(i+j))`` (Cohen, *A Course in
+    Computational Algebraic Number Theory*, ch. 4).
+
+    >>> poly_discriminant([-2, 0, 1]), poly_discriminant([1, 1, 0, 1])  # x^2 - 2, x^3 + x + 1
+    (8, -31)
+    """
+    coeffs = poly_trim(list(coeffs))
+    return determinant(_trace_form(coeffs)[0]) if len(coeffs) > 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -435,24 +399,23 @@ class FieldElement:
         return out
 
     def inverse(self):
+        """The ``x`` with ``M x = e_0`` for the multiplication matrix ``M``."""
         if self.is_zero:
             raise InputError("division by zero in the field")
-        # extended Euclid in Q[x]: s*self + t*f = 1
-        a, b = list(self.coeffs), list(self.field._f)
-        s0, s1 = [Fraction(1)], []
-        while poly_trim(b):
-            q, r = poly_divmod(a, b)
-            a, b = b, r
-            s0, s1 = s1, poly_add(s0, poly_neg(poly_mul(q, s1)))
-        lead = poly_trim(a)[-1]
-        inv = poly_scale(s0, Fraction(1) / lead)
-        return FieldElement(self.field, _reduce_mod(inv, self.field._f))
+        rows, den = _multiplication_rows(self)
+        e0 = [[1]] + [[0]] * (self.field.degree - 1)
+        x = solve_exact([list(col) for col in zip(*rows)], e0)
+        return FieldElement(self.field, [den * c for c, in x])
 
     def norm(self):
-        """Field norm (product of the images under all embeddings)."""
-        if self.is_zero:
-            return Fraction(0)
-        return resultant_with_rational(self.field.coeffs, list(self.coeffs))
+        """Field norm (product of the images under all embeddings): the
+        determinant of multiplication by the element.
+
+        >>> parse_field("x^2 - 2").element([Fraction(1, 2), 1]).norm()  # 1/4 - 2
+        Fraction(-7, 4)
+        """
+        rows, den = _multiplication_rows(self)
+        return Fraction(determinant(rows), den ** self.field.degree)
 
     def __repr__(self):
         return f"FieldElement({self.as_string()!r})"
@@ -480,6 +443,20 @@ def _reduce_mod(p, f):
     return r
 
 
+def _multiplication_rows(elem):
+    """The integer rows ``theta^j * den * elem``, j = 0..n-1, on the power
+    basis, and ``den``, the common denominator of the coordinates: shift and
+    reduce with the monic f.  Their determinant is ``den^n`` times the norm."""
+    den = math.lcm(*(c.denominator for c in elem.coeffs))
+    row = [c.numerator * (den // c.denominator) for c in elem.coeffs]
+    rows = [row]
+    for _ in range(elem.field.degree - 1):
+        top, row = row[-1], [0] + row[:-1]
+        row = [a - top * c for a, c in zip(row, elem.field.coeffs)]
+        rows.append(row)
+    return rows, den
+
+
 # ---------------------------------------------------------------------------
 # the number field
 # ---------------------------------------------------------------------------
@@ -500,7 +477,7 @@ class NumberField:
     """
 
     def __init__(self, coeffs):
-        coeffs = [int(c) for c in poly_trim(list(coeffs))]
+        coeffs = poly_trim([_as_int(c, "polynomial coefficient") for c in coeffs])
         n = len(coeffs) - 1
         if n < 1:
             raise InputError("a field needs a polynomial of degree >= 1")
@@ -517,7 +494,6 @@ class NumberField:
         self._w = None
         self._disc = disc
         self._sieve = sieve
-        self._root_intervals = None
 
     @classmethod
     def from_string(cls, text):
@@ -583,66 +559,50 @@ class NumberField:
 
     # -- real embeddings -----------------------------------------------------
 
+    @functools.cached_property
     def _intervals(self):
-        if self._root_intervals is None:
-            if self.degree == 1:
-                root = Fraction(-self.coeffs[0])
-                self._root_intervals = [(root, root)]
-            else:
-                self._root_intervals = isolate_real_roots(self.coeffs)
-        return self._root_intervals
+        return isolate_real_roots(self.coeffs)
 
     def real_sign_vector(self, elem):
         """Signs (+1/-1) of ``elem`` under the real embeddings, ascending.
 
         The embeddings are ordered by the ascending real roots of the
-        defining polynomial.
+        defining polynomial.  The sign at the one root of f in an isolating
+        interval ``(lo, hi]`` is a Tarski query (Basu--Pollack--Roy, ch. 2):
+        the sign changes at ``lo`` less those at ``hi`` of the signed
+        remainder sequence of ``(f, f' g mod f)``, g the element's polynomial.
+        A query other than +-1 raises ``CrossCheckError``.
+
+        >>> k = parse_field("x^2 - 2")
+        >>> k.real_sign_vector(k.element([1, 1]))  # 1 - sqrt(2), 1 + sqrt(2)
+        (-1, 1)
         """
         if not isinstance(elem, FieldElement) or elem.field is not self:
             raise InputError("real_sign_vector needs an element of this field")
         if elem.is_zero:
             raise InputError("the zero element has no sign vector")
-        g = poly_trim(list(elem.coeffs))
+        f = list(self._f)
+        chain = _signed_remainders(f, _reduce_mod(poly_mul(poly_deriv(f), list(elem.coeffs)), f))
         out = []
-        f = [Fraction(c) for c in self.coeffs]
-        fchain = sturm_chain(f) if self.degree > 1 else None
-        gsf = squarefree_part(g)
-        gchain = sturm_chain(gsf) if poly_degree(gsf) >= 1 else None
-
-        def froots(lo, hi):
-            return _chain_changes_at(fchain, lo) - _chain_changes_at(fchain, hi)
-
-        def groots(lo, hi):
-            if gchain is None:
-                return 0
-            return _chain_changes_at(gchain, lo) - _chain_changes_at(gchain, hi)
-
-        for lo, hi in self._intervals():
-            if lo == hi:  # rational root (degree-one field)
-                val = _poly_eval(g, lo)
-                out.append(1 if val > 0 else -1)
-                continue
-            # refine the isolating interval until g has no root inside, then
-            # the sign of g at the midpoint equals the sign at the field root
-            while groots(lo, hi) > 0:
-                mid = (lo + hi) / 2
-                while _poly_eval(f, mid) == 0:
-                    mid = (lo + mid) / 2
-                if froots(lo, mid) == 1:
-                    hi = mid
-                else:
-                    lo = mid
-            mid = (lo + hi) / 2
-            val = _poly_eval(g, mid)
-            # g cannot vanish at the field root (deg g < deg f, f irreducible)
-            # and has no root in the refined interval, so val is nonzero.
-            out.append(1 if val > 0 else -1)
+        for lo, hi in self._intervals:
+            query = _chain_changes_at(chain, lo) - _chain_changes_at(chain, hi)
+            if query not in (1, -1):
+                raise CrossCheckError(f"the Tarski query of {elem.as_string()} on the "
+                                      f"isolating interval ({lo}, {hi}] is {query}, not +-1")
+            out.append(query)
         return tuple(out)
 
     def sign_parity(self, elem):
-        """``(-1)**(number of negative real embeddings)`` of an element."""
-        vec = self.real_sign_vector(elem)
-        return -1 if sum(1 for s in vec if s < 0) % 2 else 1
+        """``(-1)**(number of negative real embeddings)`` of an element.
+
+        The norm must have this sign, as each complex pair enters it as
+        ``|sigma|^2 > 0``; a disagreement raises ``CrossCheckError``.
+        """
+        parity = -1 if self.real_sign_vector(elem).count(-1) % 2 else 1
+        norm = elem.norm()
+        if (norm > 0) != (parity > 0):
+            raise CrossCheckError(f"{elem.as_string()} has sign parity {parity} but norm {norm}")
+        return parity
 
     # -- residue systems ------------------------------------------------------
 

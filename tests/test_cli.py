@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -140,6 +141,15 @@ def test_non_integral_json_values_exit_2(runner, tmp_path):
         "mode": "symbolic", "dim": 1, "law": [{"kind": "poly", "coeffs": [6.7]}],
     }))
     assert invoke(runner, "colim", "--system", str(law)).exit_code == 2
+    # q and mix entries are ints or strings Fraction parses: 0.1 was read as
+    # 3602879701896397/36028797018963968, true as 1, "abc" exited 1
+    for block in ({"q": [[0.1]]}, {"mix": [[True]]}, {"q": [["abc"]]}):
+        act.write_text(json.dumps({
+            "group": {"k0": {"free": 1, "q": 1}, "k1": {}}, "action": {"deg0": block},
+        }))
+        res = invoke(runner, "pv", "--system", str(act))
+        assert res.exit_code == 2
+        assert "not a rational number" in res.output
 
 
 def test_kgroups_classification_verbs(runner):
@@ -267,3 +277,88 @@ def test_pretty_flag(runner):
     pretty = invoke(runner, "field-info", "--field", "x - 1", "--pretty")
     assert json.loads(plain.output) == json.loads(pretty.output)
     assert "\n  " in pretty.output and "\n  " not in plain.output
+
+
+_PV_OK = {"group": {"k0": {"free": 1, "q": 1}, "k1": {}},
+          "action": {"deg0": {"z": [[1]], "q": [["1/2"]]}}}
+_COLIM_OK = {"mode": "symbolic", "dim": 1, "law": [{"kind": "mult_d"}],
+             "offdiag": [], "d_chain": [2, 3]}
+
+
+def _with(doc, path, value):
+    """A deep copy of ``doc`` with the value at ``path`` (keys and indices)
+    replaced."""
+    doc = json.loads(json.dumps(doc))
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# Documents that exited 1 with a traceback before they were type-checked.
+_MALFORMED = {
+    "pv-group-list": ("pv", _with(_PV_OK, ("group",), [])),
+    "pv-action-list": ("pv", _with(_PV_OK, ("action",), [])),
+    "pv-block-list": ("pv", _with(_PV_OK, ("action", "deg0"), [[1]])),
+    "pv-block-key-zz": ("pv", _with(_PV_OK, ("action", "deg0", "zz"), [[1]])),
+    "pv-q-flat": ("pv", _with(_PV_OK, ("action", "deg0", "q"), [1])),
+    "pv-z-flat": ("pv", _with(_PV_OK, ("action", "deg0", "z"), [1])),
+    "pv-torsion-int": ("pv", _with(_PV_OK, ("group", "k1", "torsion"), 5)),
+    "pv-loc-support-int": ("pv", _with(_PV_OK, ("group", "k1", "loc"), [5])),
+    "colim-law-int": ("colim", _with(_COLIM_OK, ("law",), 5)),
+    "colim-offdiag-int": ("colim", _with(_COLIM_OK, ("offdiag",), 5)),
+    "colim-d_chain-int": ("colim", _with(_COLIM_OK, ("d_chain",), 5)),
+    "colim-offdiag-poly-int": ("colim", {"mode": "symbolic", "dim": 2,
+                                         "law": [{"kind": "identity"}] * 2,
+                                         "offdiag": [{"row": 0, "col": 1, "poly": 5}]}),
+    "colim-matrices-int": ("colim", {"mode": "explicit", "matrices": 5}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_json_exits_2(runner, tmp_path, name):
+    verb, doc = _MALFORMED[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    res = invoke(runner, verb, "--system", str(path))
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+
+
+def _readme_examples():
+    """The two JSON example documents of the README, in order: a directed
+    system and an action description."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return [json.loads(block) for block in re.findall(r"```json\n(.*?)```", text, re.S)]
+
+
+def _paths(doc, prefix=()):
+    """The path of every value in a JSON document, the document itself first."""
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+# one value of each JSON type, empty and not for arrays and objects
+_JSON_VALUES = [2, 1.5, "x", True, None, [], [1], {}, {"zz": 1}]
+
+
+@pytest.mark.parametrize("verb,index", [("colim", 0), ("pv", 1)])
+def test_any_json_value_in_the_readme_examples_exits_0_or_2(runner, tmp_path, verb, index):
+    examples = _readme_examples()
+    assert len(examples) == 2
+    doc = examples[index]
+    path = tmp_path / "doc.json"
+    for where in _paths(doc):
+        for value in _JSON_VALUES:
+            path.write_text(json.dumps(_with(doc, where, value)))
+            res = invoke(runner, verb, "--system", str(path))
+            assert res.exit_code in (0, 2), (where, value, res.output)
+            assert "Traceback" not in res.output, (where, value)

@@ -47,7 +47,7 @@ from ringkt.ktheory import (
     rank_one_system,
     subsets_graded_lex,
 )
-from ringkt.numfield import parse_field
+from ringkt.numfield import NumberField, parse_field
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +214,8 @@ _INTEGER_GUARDS = {
     "classify_B-grading_offset": (lambda k: classify_B(parse_field("x^2 + 1"), grading_offset=k), 1),
     "k_full_adele_Q-grading_offset": (lambda k: k_full_adele_Q(grading_offset=k), 1),
     "truncate": (lambda k: k_full_adele_Q(truncate=k), 2),
+    # int(c) once read 1.5 as 1, so NumberField([1.5, 0, 1]) was Q(i)
+    "NumberField": (lambda k: NumberField([k, 0, 1]).to_json_dict(), 1),
 }
 
 
@@ -261,6 +263,23 @@ def test_action_validation():
     gq = GradedKGroup(GroupDescriptor(q_rank=1), GroupDescriptor.zero())
     with pytest.raises(InputError):  # singular divisible block
         ActionDescriptor.build(gq, deg0={"q": [[0]]})
+    # the rational rule: 0.1 was read as 3602879701896397/36028797018963968,
+    # true as 1, and "abc" raised a bare ValueError
+    for bad in (0.1, True, "abc", "1/0", None, [1]):
+        with pytest.raises(InputError, match="not a rational number"):
+            ActionDescriptor.build(gq, deg0={"q": [[bad]]})
+    gm = GradedKGroup(GroupDescriptor(free_rank=1, q_rank=1), GroupDescriptor.zero())
+    for bad in (0.5, True, "x"):
+        with pytest.raises(InputError, match="not a rational number"):
+            ActionDescriptor.build(gm, deg0={"mix": [[bad]]})
+    for good in (3, Fraction(3), "3", " 6/2 "):
+        act = ActionDescriptor.build(gq, deg0={"q": [[good]]})
+        assert act.deg0.q_block == ((Fraction(3),),)
+    with pytest.raises(InputError, match="must be a 1x1 matrix"):  # a bare TypeError once
+        ActionDescriptor.build(gq, deg0={"q": [1]})
+    for bad in ([], {"zz": [[1]]}, "z"):  # not an object with keys among z, q, mix
+        with pytest.raises(InputError, match="an action block must be an object"):
+            ActionDescriptor.build(gq, deg0=bad)
     gl = GradedKGroup(GroupDescriptor.localized((2,)), GroupDescriptor.zero())
     with pytest.raises(InputError):  # localized summands unsupported
         ActionDescriptor.build(gl)

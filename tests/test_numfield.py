@@ -52,6 +52,9 @@ def test_field_validation():
         parse_field("2x^2 - 1")  # not monic
     with pytest.raises(InputError):
         parse_field("7")  # degree zero
+    for bad in ("1", 1.5, Fraction(3, 2)):  # once int(c): "1" accepted, 3/2 truncated
+        with pytest.raises(InputError, match="not an integer"):
+            NumberField([bad, 0, 1])
     k = parse_field("x^2 - 2")
     with pytest.raises(InputError):
         k.parse_element("1,2,3")  # too many coordinates

@@ -83,9 +83,10 @@ def _expr_route_norm(k, m):
 def _gcd_degree_in_k(k, phi_coeffs, h_coeffs, s):
     """Degree of the gcd over the field of Phi_m(y) and h(y + s*theta)."""
     s_theta = k.element([0, s])
-    hk = []
-    for a in reversed(h_coeffs):  # Horner in K[y]: hk * (y + s*theta) + a
-        hk = numfield.poly_add([a] + hk, numfield.poly_scale(hk, s_theta))
+    hk = [h_coeffs[-1]]
+    for a in reversed(h_coeffs[:-1]):  # Horner in K[y]: hk * (y + s*theta) + a
+        hk = numfield.poly_mul(hk, [s_theta, 1])
+        hk[0] += a
     a, b = phi_coeffs, hk  # Euclid in K[y]; only the degree matters
     while b:
         a, b = b, numfield.poly_divmod(a, b)[1]
