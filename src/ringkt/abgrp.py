@@ -24,11 +24,13 @@ dense integer computations.  The two main exports are
 
 The colimit classifier certifies exact answers for the class of systems whose
 matrices become upper triangular under a common permutation of coordinates
-(detected from the union zero pattern) or which form a commuting family that
-can be put into a common flag over Q; on each filtration direction the
-diagonal scaling must follow a monomial law ``c * d**e`` (separately on odd
-and even step parameters, which covers parity-dependent laws).  Systems
-outside this class are rejected with a diagnostic instead of guessed at.
+(detected from the union zero pattern) or which form a commuting family with
+an integral joint spectrum, read in integers (characteristic polynomials,
+Sturm isolation and generalized eigenspaces; no sympy) and checked against
+the traces; on each filtration direction the diagonal scaling must follow a
+monomial law ``c * d**e`` (separately on odd and even step parameters, which
+covers parity-dependent laws).  Systems outside this class are rejected with
+a diagnostic instead of guessed at.
 """
 
 from __future__ import annotations
@@ -81,6 +83,14 @@ def _as_list(x, what):
     if not isinstance(x, (list, tuple)):
         raise InputError(f"{what} must be a list")
     return x
+
+
+def _check_keys(obj, keys, what):
+    """Refuse a key of the JSON object ``obj`` that is not among ``keys``."""
+    for key in obj:
+        if key not in keys:
+            raise InputError(f"{what} must be an object with keys among "
+                             f"{', '.join(keys)}; unknown key {key!r}")
 
 
 def as_int_matrix(a):
@@ -668,6 +678,7 @@ class GroupDescriptor:
     def from_json_dict(cls, obj):
         if not isinstance(obj, dict):
             raise InputError("group descriptor JSON must be an object")
+        _check_keys(obj, ("free", "q", "loc", "torsion"), "a group descriptor")
         return cls(
             free_rank=obj.get("free", 0),
             q_rank=obj.get("q", 0),
@@ -699,7 +710,8 @@ def cokernel(a):
 # directed systems
 # ---------------------------------------------------------------------------
 
-_LAW_KINDS = ("identity", "zero", "mult_d", "diag_power", "poly")
+_FIXED_LAWS = {"identity": (1,), "zero": (0,), "mult_d": (0, 1)}
+_LAW_KINDS = (*_FIXED_LAWS, "diag_power", "poly")
 
 
 def _law_to_poly(obj):
@@ -707,23 +719,21 @@ def _law_to_poly(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("scaling law must be an object with a 'kind'")
     kind = obj["kind"]
-    if kind == "identity":
-        return (1,)
-    if kind == "zero":
-        return (0,)
-    if kind == "mult_d":
-        return (0, 1)
+    if kind not in _LAW_KINDS:
+        raise InputError(f"unknown scaling-law kind {kind!r} (expected one of {_LAW_KINDS})")
+    extra = {"diag_power": ("exp",), "poly": ("coeffs",)}.get(kind, ())
+    _check_keys(obj, ("kind",) + extra, f"a {kind} law")
+    if kind in _FIXED_LAWS:
+        return _FIXED_LAWS[kind]
     if kind == "diag_power":
         e = _as_int(obj.get("exp", 1), "diag_power exponent")
         if e < 0:
             raise InputError("diag_power exponent must be nonnegative")
         return (0,) * e + (1,)
-    if kind == "poly":
-        coeffs = obj.get("coeffs")
-        if not isinstance(coeffs, (list, tuple)) or not coeffs:
-            raise InputError("poly law needs a non-empty 'coeffs' list")
-        return tuple(_as_int(c, "poly coefficient") for c in coeffs)
-    raise InputError(f"unknown scaling-law kind {kind!r} (expected one of {_LAW_KINDS})")
+    coeffs = obj.get("coeffs")
+    if not isinstance(coeffs, (list, tuple)) or not coeffs:
+        raise InputError("poly law needs a non-empty 'coeffs' list")
+    return tuple(_as_int(c, "poly coefficient") for c in coeffs)
 
 
 def _poly_eval(coeffs, x):
@@ -824,11 +834,12 @@ class DirectedSystem:
             c = _as_int(entry.get("col", -1), "offdiag col")
             if not (0 <= r < dim and 0 <= c < dim) or r == c:
                 raise InputError("offdiag entry needs distinct in-range row/col")
-            if "poly" in entry:
-                coeffs = tuple(_as_int(x, "poly coefficient")
-                               for x in _as_list(entry["poly"], "offdiag 'poly'"))
+            if "kind" in entry:
+                coeffs = _law_to_poly({k: v for k, v in entry.items() if k not in ("row", "col")})
             else:
-                coeffs = _law_to_poly(entry)
+                _check_keys(entry, ("row", "col", "poly"), "an offdiag entry")
+                coeffs = tuple(_as_int(x, "poly coefficient")
+                               for x in _as_list(entry.get("poly"), "offdiag 'poly'"))
             off.append((r, c, coeffs))
 
         def family(d):
@@ -1178,72 +1189,61 @@ def _restricted_maps(mats, basis):
     return out
 
 
-def _sympy_rational_eigenspaces(t):
-    """Eigenvalue/eigenbasis pairs of a Fraction matrix; rationals required."""
-    import sympy
+def _rational_eigenspaces(t):
+    """``(k, columns of its generalized eigenspace)`` per rational eigenvalue
+    ``k`` of ``t``, an integer map restricted to an invariant subspace: its
+    characteristic polynomial (Faddeev--LeVerrier; Cohen, section 2.2) is
+    monic and integral, so ``k`` is the integer left in a real root's
+    isolating interval halved below width 1, if ``(t - k)^n`` has a kernel."""
+    from . import numfield
 
-    mat = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
-                        for row in t])
+    n = len(t)
+    poly, tm = [Fraction(1)], t  # descending coefficients; tm = t @ M_k
+    for k in range(1, n + 1):
+        poly.append(-sum(tm[i][i] for i in range(n)) / k)
+        tm = mat_mul(t, [[x + poly[-1] * (i == j) for j, x in enumerate(row)]
+                         for i, row in enumerate(tm)])
+    poly.reverse()
     out = []
-    for val, _mult, vecs in mat.eigenvects():
-        if not val.is_rational:
-            raise UnsupportedSystemError(
-                "a restricted structure map has an irrational eigenvalue; "
-                "the system is outside the certified class"
-            )
-        basis = [
-            [Fraction(sympy.Rational(v[i]).p, sympy.Rational(v[i]).q) for v in vecs]
-            for i in range(mat.rows)
-        ]
-        out.append((Fraction(val.p, val.q), basis))
+    for lo, hi in numfield.isolate_real_roots(poly):
+        while hi - lo >= 1:
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if numfield.count_real_roots(poly, lo, mid) else (mid, hi)
+        k = math.floor(hi)
+        if k <= lo:
+            continue
+        shifted = [[x - k * (i == j) for j, x in enumerate(row)] for i, row in enumerate(t)]
+        den = math.lcm(*(x.denominator for row in shifted for x in row))
+        power = step = [[int(x * den) for x in row] for row in shifted]
+        for _ in range(n - 1):
+            power = mat_mul(power, step)
+        vecs = _kernel_basis(power)
+        if vecs:
+            out.append((k, [list(col) for col in zip(*vecs)]))
     return out
 
 
 def _common_flag_eigenvalues(ts):
-    """Eigenvalue tuples of a common flag for the commuting family ``ts``.
-
-    Returns a list (deepest flag direction first) of tuples giving, for each
-    map in ``ts``, the scaling on that flag quotient.  Divisible (fast
-    growing) directions are placed deepest so the split-safety scan can
-    certify the filtration.
-    """
-    dim = len(ts[0])
-    if dim == 0:
-        return []
-
-    def common_eigenspaces(maps, basis):
-        spaces = [((), basis)]
-        for t in maps:
-            new = []
-            for vals, b in spaces:
-                (restricted,) = _restricted_maps([t], b)
-                for val, sub in _sympy_rational_eigenspaces(restricted):
-                    sub_cols = mat_mul(b, sub)
-                    new.append((vals + (val,), sub_cols))
-            spaces = new
-        return spaces
-
-    identity_basis = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    spaces = common_eigenspaces(ts, identity_basis)
-
-    # Fastest-scaling directions go deepest in the flag so that divisible
-    # parts sit at the bottom; exact template fitting happens later with the
-    # true step parameters.
-    spaces.sort(key=lambda item: (tuple(-abs(v) for v in item[0]), item[0]))
-    vals, b = spaces[0]
-    vec = [row[0] for row in b]
-
-    # Quotient every map by the chosen common eigendirection.
-    pivot = max(range(dim), key=lambda i: (abs(vec[i]), -i))
-    others = [i for i in range(dim) if i != pivot]
-    basis_cols = [[Fraction(int(i == j)) for j in others] for i in range(dim)]
-    full = [[Fraction(vec[i])] + basis_cols[i] for i in range(dim)]
-    quotient_maps = []
+    """Eigenvalue tuples of a common flag for the commuting family ``ts``:
+    each map in turn splits every space by its generalized eigenspaces, and
+    each joint tuple comes as often as its space has dimensions.  Divisible
+    (fast growing) directions go deepest, first, so the split-safety scan can
+    certify the filtration."""
+    r = len(ts[0])
+    spaces = [((), identity_matrix(r))]
     for t in ts:
-        images = mat_mul(t, basis_cols)
-        coords = solve_exact(full, images)
-        quotient_maps.append([coords[i + 1] for i in range(dim - 1)])
-    return [vals] + _common_flag_eigenvalues(quotient_maps)
+        spaces = [(vals + (k,), mat_mul(b, sub))
+                  for vals, b in spaces
+                  for k, sub in _rational_eigenspaces(_restricted_maps([t], b)[0])]
+    flag = sorted((vals for vals, b in spaces for _ in b[0]),
+                  key=lambda vals: (tuple(-abs(v) for v in vals), vals))
+    if len(flag) < r:
+        raise UnsupportedSystemError("a restricted structure map has an irrational "
+                                     "eigenvalue; the system is outside the certified class")
+    for i, t in enumerate(ts):
+        if sum(vals[i] for vals in flag) != sum(t[j][j] for j in range(r)):
+            raise CrossCheckError(f"the eigenvalues of structure map {i} do not sum to its trace")
+    return flag
 
 
 def _classify_eigen(mats, d_values, w_final, r_expected):

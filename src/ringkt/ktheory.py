@@ -48,6 +48,7 @@ from .abgrp import (
     colimit,
     identity_matrix,
     _as_int,
+    _check_keys,
     _dense_rows,
     _echelon,
     _is_unimodular,
@@ -476,8 +477,9 @@ class ActionDescriptor:
                 if (len(given.z_block), len(given.q_block)) != (a, b):
                     raise InputError("action blocks do not match the group")
                 return given
-            if not isinstance(given, dict) or not set(given) <= {"z", "q", "mix"}:
+            if not isinstance(given, dict):
                 raise InputError("an action block must be an object with keys among z, q, mix")
+            _check_keys(given, ("z", "q", "mix"), "an action block")
             return EndoBlocks.build(a, b, **given)
 
         for desc in (domain.k0, domain.k1):

@@ -113,16 +113,6 @@ def poly_gcd(p, q):
     return a
 
 
-def squarefree_part(p):
-    g = poly_gcd(p, poly_deriv(p))
-    if poly_degree(g) <= 0:
-        return poly_trim(p)
-    q, r = poly_divmod(p, g)
-    if r:
-        raise CrossCheckError(f"gcd(p, p') does not divide p: remainder {r}")
-    return q
-
-
 # ---------------------------------------------------------------------------
 # Sturm chains and real root isolation
 # ---------------------------------------------------------------------------
@@ -138,9 +128,21 @@ def _signed_remainders(p, q):
 
 
 def sturm_chain(p):
-    """The Sturm chain of a squarefree rational polynomial: the signed
-    remainder sequence of ``(p, p')``."""
-    return _signed_remainders(p, poly_deriv(p))
+    """The Sturm chain of a rational polynomial: the signed remainder sequence
+    of ``(p, p')``.  Its last term is ``gcd(p, p')``; when that is
+    nonconstant every term is divided by it, so the chain counts the distinct
+    roots of ``p`` even at an endpoint on a multiple root."""
+    chain = _signed_remainders(p, poly_deriv(p))
+    g = chain[-1]
+    if len(g) == 1:
+        return chain
+    out = []
+    for c in chain:
+        q, r = poly_divmod(c, g)
+        if r:
+            raise CrossCheckError(f"gcd(p, p') does not divide the Sturm chain: remainder {r}")
+        out.append(q)
+    return out
 
 
 def _sign_changes(vals):
@@ -165,7 +167,7 @@ def _chain_changes_at_infinity(chain, positive):
 
 def count_real_roots(p, lo=None, hi=None):
     """Number of distinct real roots of ``p`` in ``(lo, hi]`` (None = +-inf)."""
-    p = squarefree_part([Fraction(c) for c in p])
+    p = poly_trim([Fraction(c) for c in p])
     if poly_degree(p) <= 0:
         return 0
     chain = sturm_chain(p)
@@ -185,12 +187,10 @@ def root_bound(p):
 def isolate_real_roots(p):
     """Disjoint rational intervals ``(lo, hi]``, ascending, one root each.
 
-    ``p`` must be squarefree with no rational roots on interval endpoints;
-    irreducible polynomials of degree >= 2 qualify automatically, and
-    endpoints are perturbed away from roots for the rest.
+    A multiple root is one root; endpoints are perturbed away from roots.
     """
-    p = squarefree_part([Fraction(c) for c in p])
-    chain = sturm_chain(p)
+    chain = sturm_chain([Fraction(c) for c in p])
+    p = chain[0]  # squarefree
     b = root_bound(p)
 
     def count(lo, hi):
@@ -830,7 +830,7 @@ class _ResidueSieve:
             read.append(p)
             possible &= _subset_sums(self.table[p], n)
         for p in read:
-            count = _berlekamp_factor_count(self.coeffs, p)
+            count = next(_factor_counts(self.coeffs, p))
             if count != len(self.table[p]):
                 raise CrossCheckError(
                     f"residue degrees mod {p} disagree: distinct-degree factorization "
@@ -956,24 +956,13 @@ def _rank_mod_p(rows, p):
     return rank
 
 
-def _berlekamp_factor_count(coeffs, p):
-    """Number of irreducible factors of a monic f, squarefree mod p.
-
-    Berlekamp (Math. Comp. 24, 1970; Cohen, section 3.4): row ``i`` of the
-    matrix Q holds ``x^(i p) mod f``, and the count is ``n - rank(Q - I)``
-    over GF(p).  It shares no step with the distinct-degree split of
-    ``_factor_degrees_mod_p`` beyond ``x^p mod f``.
-
-    >>> _berlekamp_factor_count([1, 0, 0, 0, 1], 3)  # x^4 + 1 = two quadratics mod 3
-    2
-    """
-    return next(_factor_counts(coeffs, p))
-
-
 def _factor_counts(coeffs, p):
     """Numbers of irreducible factors of f over GF(p^d), d = 1..n, for f
     squarefree mod p: ``sum gcd(d, f_i) = n - rank(Q^d - I)``, as ``a ->
     a^(p^d)`` fixes the subfields ``F_(p^gcd(d, f_i))`` of the ``F_(p^f_i)``.
+    The first count is Berlekamp's (Math. Comp. 24, 1970; Cohen, section
+    3.4), which shares no step with ``_factor_degrees_mod_p`` beyond
+    ``x^p mod f``.
 
     >>> list(_factor_counts([1, 0, 0, 0, 1], 3))  # x^4 + 1: two quadratics mod 3
     [2, 4, 2, 4]

@@ -328,6 +328,31 @@ def test_malformed_json_exits_2(runner, tmp_path, name):
     assert "Traceback" not in res.output
 
 
+_COLIM_2 = {"mode": "symbolic", "dim": 2, "law": [{"kind": "identity"}] * 2}
+
+# Documents with a misspelt key, which was ignored (exit 0) before keys were checked.
+_UNKNOWN_KEY = {
+    "fre": ("pv", {"group": {"k0": {"fre": 1}, "k1": {}}, "action": {}}),
+    "expo": ("colim", _with(_COLIM_OK, ("law",), [{"kind": "diag_power", "expo": 3}])),
+    "exp": ("colim", _with(_COLIM_OK, ("law",), [{"kind": "mult_d", "exp": 2}])),
+    "polly": ("colim", dict(_COLIM_2, offdiag=[{"row": 0, "col": 1, "polly": [1]}])),
+    "coeffs": ("colim", dict(_COLIM_2, offdiag=[{"row": 0, "col": 1, "kind": "zero",
+                                                 "coeffs": [1]}])),
+    "zz": ("pv", _with(_PV_OK, ("action", "deg1"), {"zz": [[1]]})),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_UNKNOWN_KEY))
+def test_unknown_json_key_exits_2_and_is_named(runner, tmp_path, key):
+    verb, doc = _UNKNOWN_KEY[key]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    res = invoke(runner, verb, "--system", str(path))
+    assert res.exit_code == 2, res.output
+    assert f"unknown key {key!r}" in res.output
+    assert "Traceback" not in res.output
+
+
 def _readme_examples():
     """The two JSON example documents of the README, in order: a directed
     system and an action description."""

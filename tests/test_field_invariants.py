@@ -24,12 +24,13 @@ from ringkt.numfield import (
     NumberField,
     isolate_real_roots,
     parse_field,
+    poly_deriv,
     poly_discriminant,
     poly_divmod,
+    poly_gcd,
     poly_mul,
     poly_scale,
     poly_trim,
-    squarefree_part,
     sturm_chain,
 )
 
@@ -88,6 +89,12 @@ def _changes(chain, x):
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+def _squarefree_part(p):
+    """``p`` divided by ``gcd(p, p')``."""
+    g = poly_gcd(p, poly_deriv(p))
+    return poly_trim(p) if len(g) <= 1 else poly_divmod(p, g)[0]
+
+
 def _reference_sign_vector(field, elem):
     """Bisect each isolating interval of f until g has no root in it, then
     read the sign of g at the midpoint."""
@@ -96,7 +103,7 @@ def _reference_sign_vector(field, elem):
     if field.degree == 1:
         return (1 if _poly_eval(g, -f[0]) > 0 else -1,)
     fchain = sturm_chain(f)
-    gsf = squarefree_part(g)
+    gsf = _squarefree_part(g)
     gchain = sturm_chain(gsf) if len(gsf) > 1 else None
     out = []
     for lo, hi in isolate_real_roots(field.coeffs):

@@ -100,7 +100,7 @@ def test_sieve_reads_the_rows_the_certificate_built():
 @given(coeffs=_monic(1, 8, 30), p=st.sampled_from([2, 3, 5, 7, 11, 13, 97]))
 def test_berlekamp_count_matches_distinct_degree_split(coeffs, p):
     if poly_discriminant(coeffs) % p:
-        assert numfield._berlekamp_factor_count(coeffs, p) == len(
+        assert next(numfield._factor_counts(coeffs, p)) == len(
             numfield._factor_degrees_mod_p(coeffs, p))
 
 
@@ -127,7 +127,7 @@ def test_false_residue_degrees_are_stopped_by_berlekamp(monkeypatch):
 
 
 def test_false_berlekamp_count_raises(monkeypatch):
-    monkeypatch.setattr(numfield, "_berlekamp_factor_count", lambda coeffs, p: 1)
+    monkeypatch.setattr(numfield, "_factor_counts", lambda coeffs, p: iter([1]))
     with pytest.raises(CrossCheckError, match="mod 5 disagree"):
         parse_field("x^3 - 2")
 
@@ -170,6 +170,20 @@ def _run_verb(*argv):
 ])
 def test_default_verbs_do_not_import_sympy(argv):
     _, status = _run_verb(*argv)
+    assert status == "exit=0 sympy=False"
+
+
+def test_colim_on_the_eigen_path_does_not_import_sympy(tmp_path):
+    # P diag(d, 1) P^-1 for P = [[1, 1], [1, 2]]: every entry is nonzero, so
+    # the eigen classifier decides, and it reads the joint spectrum in integers.
+    system = {"mode": "symbolic", "dim": 2,
+              "law": [{"kind": "poly", "coeffs": [-1, 2]}, {"kind": "poly", "coeffs": [2, -1]}],
+              "offdiag": [{"row": 0, "col": 1, "poly": [1, -1]},
+                          {"row": 1, "col": 0, "poly": [-2, 2]}]}
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system))
+    out, status = _run_verb("colim", "--system", str(path))
+    assert json.loads(out)["pretty"] == "Z + Q"
     assert status == "exit=0 sympy=False"
 
 

@@ -22,6 +22,7 @@ from ringkt.numfield import (
     poly_divmod,
     poly_gcd,
     poly_mul,
+    poly_trim,
     signature,
 )
 
@@ -81,6 +82,17 @@ def test_count_real_roots_handles_repeated_roots():
     assert count_real_roots([1, -2, 1]) == 1
     # (x^2 + 1)^2 has none
     assert count_real_roots([1, 0, 2, 0, 1]) == 0
+
+
+def test_count_real_roots_with_an_endpoint_on_a_double_root():
+    # (x - 1)^2 (x - 2)(x^2 - 2): distinct real roots -sqrt(2), 1, sqrt(2), 2
+    poly = poly_mul(poly_mul([-1, 1], [-1, 1]), poly_mul([-2, 1], [-2, 0, 1]))
+    assert count_real_roots(poly) == 4
+    assert count_real_roots(poly, 0, 1) == 1
+    assert count_real_roots(poly, 1, 2) == 2
+    assert count_real_roots(poly, 1, Fraction(3, 2)) == 1
+    assert count_real_roots(poly, -2, 1) == 2
+    assert [count_real_roots(poly, lo, hi) for lo, hi in isolate_real_roots(poly)] == [1] * 4
 
 
 def test_isolated_intervals_are_ordered_and_exclusive():
@@ -307,10 +319,12 @@ def test_rational_operands_keep_the_errors():
         k.element([1, 1]) + 1.5j
 
 
-def test_squarefree_part_rejects_a_gcd_that_does_not_divide(monkeypatch):
-    monkeypatch.setattr(numfield, "poly_gcd", lambda p, q: [Fraction(1), Fraction(1)])
+def test_sturm_chain_rejects_a_gcd_that_does_not_divide(monkeypatch):
+    # x^2 + 1 with a last term x + 1 that is no gcd of the chain
+    monkeypatch.setattr(numfield, "_signed_remainders",
+                        lambda p, q: [poly_trim(p), poly_trim(q), [Fraction(1), Fraction(1)]])
     with pytest.raises(CrossCheckError, match="does not divide"):
-        numfield.squarefree_part([Fraction(1), Fraction(0), Fraction(1)])  # x^2 + 1
+        numfield.sturm_chain([Fraction(1), Fraction(0), Fraction(1)])
 
 
 def test_fundamental_unit_with_a_wrong_norm_raises(monkeypatch):
