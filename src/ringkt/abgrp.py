@@ -865,10 +865,12 @@ class DirectedSystem:
             raise InputError("system JSON must be an object with a 'mode'")
         mode = obj["mode"]
         if mode == "explicit":
+            _check_keys(obj, ("mode", "matrices"), "an explicit system")
             if "matrices" not in obj:
                 raise InputError("explicit system JSON needs 'matrices'")
             return cls.explicit(_as_list(obj["matrices"], "'matrices'"))
         if mode == "symbolic":
+            _check_keys(obj, ("mode", "dim", "law", "offdiag", "d_chain"), "a symbolic system")
             for key in ("dim", "law"):
                 if key not in obj:
                     raise InputError(f"symbolic system JSON needs {key!r}")

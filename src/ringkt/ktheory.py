@@ -495,6 +495,9 @@ class ActionDescriptor:
                 and isinstance(obj.get("action"), dict)):
             raise InputError("action JSON needs 'group' and 'action' objects")
         g, act = obj["group"], obj["action"]
+        _check_keys(obj, ("group", "action"), "action JSON")
+        _check_keys(g, ("k0", "k1"), "the action's 'group'")
+        _check_keys(act, ("deg0", "deg1"), "the action's 'action'")
         domain = GradedKGroup(
             GroupDescriptor.from_json_dict(g.get("k0", {})),
             GroupDescriptor.from_json_dict(g.get("k1", {})),

@@ -10,8 +10,12 @@ Highlights:
 
 * irreducibility of the defining polynomial proved from its residue degrees
   at a few unramified primes (Musser's degree-set test, each prime
-  cross-checked by Berlekamp's factor count), in plain integers; sympy's
-  factorization over Q decides only when those primes prove nothing;
+  cross-checked by Berlekamp's factor count), in plain integers; when those
+  primes prove nothing, an exact search for idempotents decides: ``f`` is
+  reducible exactly when ``Q[x]/(f)`` has an idempotent other than 0 and 1,
+  and each candidate is a sum of idempotents lifted from one residue
+  factorization (at most ``2^(r-1)`` sums, ``r`` the fewest residue factors
+  at any prime read);
 * ``signature`` via exact Sturm chains (no floating point anywhere);
 * the discriminant as the determinant of the trace form, and the norm as
   that of multiplication by the element (whose inverse solves ``M x = e_0``);
@@ -278,16 +282,6 @@ def parse_polynomial(text):
     return out
 
 
-def _sympy_is_irreducible(coeffs):
-    """sympy's factorization over Q: the fallback when no residue-degree
-    certificate is found (see ``_ResidueSieve.proves_irreducible``)."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(int(c) * x ** i for i, c in enumerate(coeffs))
-    return sympy.Poly(expr, x, domain="QQ").is_irreducible
-
-
 def _euler_phi(m):
     out = 1
     for p, e in _factor_multiplicity(m).items():
@@ -465,15 +459,16 @@ def _multiplication_rows(elem):
 class NumberField:
     """``Q[x]/(f)`` for monic irreducible integer ``f``; power basis order.
 
-    Irreducibility is proved in plain integers where it can be: ``f`` needs a
-    nonzero discriminant, and the residue degrees of ``f`` at a few unramified
-    primes must leave no degree a proper factor over Q could have (Musser's
+    Irreducibility is proved in plain integers: ``f`` needs a nonzero
+    discriminant, and the residue degrees of ``f`` at a few unramified primes
+    must leave no degree a proper factor over Q could have (Musser's
     degree-set test); Berlekamp's factor count cross-checks every prime the
-    proof reads.  Only when those primes prove nothing (a Galois group
-    without the needed cycle types, as for ``x^4 + 1``) does sympy's
-    factorization over Q decide.  The discriminant and the residue-degree
-    table stay with the field; the roots-of-unity search reads the same table
-    and needs no sympy: its exact test is a p-adic lift checked in the field.
+    proof reads.  When those primes prove nothing (a Galois group without
+    the needed cycle types, as for ``x^4 + 1``), ``f`` is irreducible exactly
+    when ``Q[x]/(f)`` has no idempotent but 0 and 1, and the search for one
+    (``_ResidueSieve.split_idempotent``) is exact and finite.  The
+    discriminant and the residue-degree table stay with the field; the
+    roots-of-unity search reads the same table.  No step calls sympy.
     """
 
     def __init__(self, coeffs):
@@ -485,7 +480,7 @@ class NumberField:
             raise InputError("the defining polynomial must be monic")
         disc = poly_discriminant(coeffs)
         sieve = _ResidueSieve(coeffs, disc) if disc else None
-        if not (sieve and (sieve.proves_irreducible() or _sympy_is_irreducible(coeffs))):
+        if not (sieve and (sieve.proves_irreducible() or sieve.split_idempotent() is None)):
             raise InputError("the defining polynomial must be irreducible over Q")
         self.coeffs = tuple(coeffs)
         self._f = tuple(Fraction(c) for c in coeffs)
@@ -698,48 +693,37 @@ class NumberField:
         unit mod m) is in K too, so the first field's root is fixed.  Each
         field's root is Newton-lifted once to ``(Z/p^k)[x]/(f)`` as ``z_i``,
         1 in the other fields; ``1 + sum (z_i^j_i - 1)`` is then the unique
-        lift of each of the ``phi(m)^(r-1)`` combinations.  ``T c = t`` for
-        the trace matrix ``T`` (``det T = disc``), the coordinates ``c`` of a
-        root of unity and the integers ``t_j = Tr(alpha theta^j)``, ``|t_j| <=
-        n R^j``; so Cramer and Hadamard bound ``disc * c = adj(T) t`` by ``B``,
-        and with ``p^k > 2B`` symmetric residues read ``disc * zeta`` exactly.
-        ``alpha`` is accepted only if ``alpha^m = 1`` and ``alpha^(m/q) != 1``
-        for the primes ``q | m``, computed in K.
+        lift of each of the ``phi(m)^(r-1)`` combinations, read back exactly
+        by ``_read_back`` (a root of unity has absolute value 1 at every
+        embedding).  ``alpha`` is accepted only if ``alpha^m = 1`` and
+        ``alpha^(m/q) != 1`` for the primes ``q | m``, computed in K.
         """
         n, disc, fz = self.degree, self._disc, list(self.coeffs)
         f = _trim_mod(fz, p)
         primes_m = list(_factor_multiplicity(m))
-        form, tbound = _trace_form(fz)
-        cols = [sum(x * x for x in row) for row in form]  # T is symmetric
-        bound_sq = sum(b * b for b in tbound) * math.prod(cols) // min(cols)
-        big = p
-        while big * big <= 4 * bound_sq:
-            big *= p
+        form, tbound, big = _lift_precision(fz, p)
         units = [j for j in range(1, m) if math.gcd(j, m) == 1]
         shifts = []  # per field: z^j - 1 for its lifted root z, zero in the other fields
         parts = _distinct_degree_parts(f, p)
         if any((p ** k - 1) % m for k, _ in parts):
             return None  # a residue field without m-th roots: a witness, not a lift
-        for k, part in parts:
-            for g in _equal_degree_split(part, k, p):
-                cofactor = (p ** k - 1) // m
-                y = next(y for y in (_polymod_pow(t, cofactor, g, p) for t in _trial_elements(p))
-                         if _polymod_pow(y, m, g, p) == [1]
-                         and all(_polymod_pow(y, m // q, g, p) != [1] for q in primes_m))
-                e = _polymod_pow(_polymod_divmod(f, g, p)[0], p ** k - 1, f, p)  # 1 at g, 0 elsewhere
-                start = _poly_sub_mod([1], _polymod_mul(e, _poly_sub_mod([1], y, p), f, p), p)
-                z = _lift_unit_root(start, m, fz, p, big)
-                shifts.append([_poly_sub_mod(_polymod_pow(z, j, fz, big), [1], big) for j in units])
+        for k, g, e in _local_idempotents(f, p, parts):
+            cofactor = (p ** k - 1) // m
+            y = next(y for y in (_polymod_pow(t, cofactor, g, p) for t in _trial_elements(p))
+                     if _polymod_pow(y, m, g, p) == [1]
+                     and all(_polymod_pow(y, m // q, g, p) != [1] for q in primes_m))
+            start = _poly_sub_mod([1], _polymod_mul(e, _poly_sub_mod([1], y, p), f, p), p)
+            z = _lift_unit_root(start, m, fz, p, big)
+            shifts.append([_poly_sub_mod(_polymod_pow(z, j, fz, big), [1], big) for j in units])
         for combo in itertools.product(shifts[0][:1], *shifts[1:]):
             coords = [1] + [0] * (n - 1)
             for w in combo:
                 for i, c in enumerate(w):
                     coords[i] += c
-            read = [(disc * c + big // 2) % big - big // 2 for c in coords]
-            traces = [sum(a * b for a, b in zip(row, read)) for row in form]  # disc * t
-            if any(t % disc or abs(t) > b * abs(disc) for t, b in zip(traces, tbound)):
+            found = _read_back(coords, disc, form, tbound, big)
+            if found is None:
                 continue  # not integral traces within the bounds: no root of unity
-            alpha = self.element([Fraction(c, disc) for c in read])
+            alpha = self.element(found[0])
             if (alpha ** m - 1).is_zero and all(alpha ** (m // q) - 1 for q in primes_m):
                 return alpha
         return None
@@ -781,7 +765,8 @@ class _ResidueSieve:
     sum of residue degrees at every unramified ``p``.  When no ``d`` in
     ``1..n-1`` is such a sum at all of the first ``IRREDUCIBILITY_PRIMES``
     primes, the polynomial is irreducible.  Each prime that proof read is
-    cross-checked by Berlekamp's count of the factors mod p.
+    cross-checked by Berlekamp's count of the factors mod p.  When a degree
+    stays possible, ``split_idempotent`` decides.
 
     *Roots of unity*: for ``p`` not dividing ``m`` either, a root of unity of
     order ``m`` in the field forces ``m | p^f - 1`` for every residue degree
@@ -793,8 +778,8 @@ class _ResidueSieve:
     # A "no" of the exact route needs a witness within this many more primes.
     CROSS_CHECK_PRIMES = 200
     # About twice the most that 1408 random irreducible polynomials of degree
-    # 2..9 (coefficients in +-20) needed, 14; past it sympy decides, as it
-    # must for Galois groups without the needed cycle types.
+    # 2..9 (coefficients in +-20) needed, 14; past it the idempotent search
+    # decides, as it must for Galois groups without the needed cycle types.
     IRREDUCIBILITY_PRIMES = 30
 
     def __init__(self, coeffs, disc):
@@ -815,28 +800,106 @@ class _ResidueSieve:
                     self.table[p] = _factor_degrees_mod_p(self.coeffs, p)
             yield self._primes[i]
 
+    @functools.cached_property
+    def _open_degrees(self):
+        """The degrees in ``1..n-1`` that a proper factor over Q could still
+        have, and the primes read: the first ``IRREDUCIBILITY_PRIMES``
+        unramified ones, or fewer when no degree is left.  Berlekamp's count
+        cross-checks each prime read when no degree is left, and otherwise
+        each prime whose residue degrees narrowed the possible ones (no other
+        row is a premise of the idempotent search)."""
+        n = len(self.coeffs) - 1
+        possible = set(range(1, n))
+        primes = itertools.islice(self._unramified(), self.IRREDUCIBILITY_PRIMES)
+        read, narrowed = [], []
+        while possible and (p := next(primes, None)) is not None:
+            read.append(p)
+            left = possible & _subset_sums(self.table[p], n)
+            if left != possible:
+                narrowed.append(p)
+            possible = left
+        for p in narrowed if possible else read:
+            self._check_count(p, self.table[p])
+        return possible, read
+
+    def _check_count(self, p, degrees):
+        """Raise ``CrossCheckError`` unless Berlekamp's count of the factors
+        of f mod p is the number of residue ``degrees`` read at ``p``."""
+        count = next(_factor_counts(self.coeffs, p))
+        if count != len(degrees):
+            raise CrossCheckError(
+                f"residue degrees mod {p} disagree: distinct-degree factorization "
+                f"gives {degrees}, Berlekamp's Q-matrix counts {count} factors"
+            )
+
     def proves_irreducible(self):
         """True when the residue degrees prove the defining polynomial
         irreducible; False when the first ``IRREDUCIBILITY_PRIMES`` unramified
         primes leave a possible factor degree (which proves nothing)."""
-        n = len(self.coeffs) - 1
-        possible = set(range(1, n))
-        primes = itertools.islice(self._unramified(), self.IRREDUCIBILITY_PRIMES)
-        read = []
-        while possible:
-            p = next(primes, None)
-            if p is None:
-                return False
-            read.append(p)
-            possible &= _subset_sums(self.table[p], n)
-        for p in read:
-            count = next(_factor_counts(self.coeffs, p))
-            if count != len(self.table[p]):
-                raise CrossCheckError(
-                    f"residue degrees mod {p} disagree: distinct-degree factorization "
-                    f"gives {self.table[p]}, Berlekamp's Q-matrix counts {count} factors"
-                )
-        return True
+        return not self._open_degrees[0]
+
+    def split_idempotent(self):
+        """The coordinates of an idempotent of ``Q[x]/(f)`` other than 0 and
+        1, or None when there is none: then ``f`` is irreducible.
+
+        If ``f = G H`` over Z, the idempotent ``eps`` that is 1 mod G and 0
+        mod H is integral, so ``disc * eps`` is in ``Z[theta]`` (Cramer, with
+        ``det T = disc`` for the trace matrix ``T``).  At an odd prime ``p``
+        read by ``_open_degrees``, with the residue factors ``g_0, ..., g_(r-1)``
+        (Cantor--Zassenhaus) and the local idempotents ``e_i = (f/g_i)^(p^deg
+        g_i - 1)`` mod ``(f, p)``, ``eps`` or ``1 - eps`` reduces to ``e_S =
+        sum of e_i over i in S`` for an ``S`` that holds ``g_0`` and whose
+        degree sum is a possible factor degree; ``p`` does not divide ``disc``.
+        So each ``e_i`` is Newton-lifted (``e <- e^2 (3 - 2e)``) to ``p^k >
+        2B`` and every such ``S`` but the full set is tried, at most
+        ``2^(r-1)`` sums, ``r`` the fewest residue factors at an odd prime
+        read (the smallest such prime on ties).  An idempotent is 0 or 1 at
+        every embedding, so ``|Tr(eps theta^j)| <= n R^j``, the bound
+        ``_read_back`` reads ``disc * e_S`` with.  ``e_S`` is accepted only
+        if ``eps^2 = eps`` in ``Q[x]/(f)``; ``Tr(eps)``, the degree of its
+        factor, must then equal the degree sum of ``S``, or the search
+        raises ``CrossCheckError``.
+
+        >>> f = [4, 0, 0, 0, 1]  # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2)
+        >>> _ResidueSieve(f, poly_discriminant(f)).split_idempotent()
+        [Fraction(1, 2), Fraction(1, 4), Fraction(0, 1), Fraction(-1, 8)]
+        >>> f = [1, 0, 0, 0, 1]  # x^4 + 1: every prime splits it, yet no idempotent
+        >>> _ResidueSieve(f, poly_discriminant(f)).split_idempotent() is None
+        True
+        """
+        possible, read = self._open_degrees
+        if not possible:
+            return None
+        p = min((q for q in read if q > 2), key=lambda q: (len(self.table[q]), q))
+        fz = list(self.coeffs)
+        f = _trim_mod(fz, p)
+        form, tbound, big = _lift_precision(fz, p)
+        lifts = [(k, _lift_idempotent(e, fz, p, big))
+                 for k, _, e in _local_idempotents(f, p, _distinct_degree_parts(f, p))]
+        self._check_count(p, [k for k, _ in lifts])  # so each g_i is irreducible
+        (k0, e0), rest = lifts[0], lifts[1:]
+        for size in range(len(rest)):
+            for chosen in itertools.combinations(rest, size):
+                degree = k0 + sum(k for k, _ in chosen)
+                if degree not in possible:
+                    continue
+                coords = e0 + [0] * (len(fz) - 1 - len(e0))
+                for _, e in chosen:
+                    for i, c in enumerate(e):
+                        coords[i] += c
+                found = _read_back(coords, self.disc, form, tbound, big)
+                if found is None:
+                    continue
+                eps, traces = found
+                if _reduce_mod(poly_mul(eps, eps), fz) != poly_trim(eps):
+                    continue
+                if traces[0] != degree:
+                    raise CrossCheckError(
+                        f"an idempotent lifted from mod {p} has trace {traces[0]}, but its "
+                        f"residue factors have degree sum {degree}"
+                    )
+                return eps
+        return None
 
     def _primes_for(self, m):
         """The primes the sieve tests for order ``m``, in ascending order."""
@@ -1040,6 +1103,27 @@ def _equal_degree_split(g, k, p):
     return out
 
 
+def _local_idempotents(f, p, parts):
+    """``(k, g, e)`` for each irreducible factor ``g`` of degree ``k`` of
+    ``f`` mod an odd prime ``p`` (``parts`` from ``_distinct_degree_parts``):
+    ``e = (f/g)^(p^k - 1)`` mod ``(f, p)`` is 1 mod ``g`` and 0 mod the other
+    factors, as ``f/g`` is a unit mod ``g`` and divisible by them."""
+    for k, part in parts:
+        for g in _equal_degree_split(part, k, p):
+            yield k, g, _polymod_pow(_polymod_divmod(f, g, p)[0], p ** k - 1, f, p)
+
+
+def _lift_idempotent(e, f, p, big):
+    """The idempotent of ``(Z/big)[x]/(f)`` that is ``e`` mod p, for big a
+    power of p: Newton's ``e <- e^2 (3 - 2e)``, squaring the modulus."""
+    mod = p
+    while mod < big:
+        mod = min(mod * mod, big)
+        e = _polymod_mul(_polymod_mul(e, e, f, mod), _poly_sub_mod([3], [2 * c for c in e], mod),
+                         f, mod)
+    return e
+
+
 def _lift_unit_root(y, m, f, p, big):
     """The m-th root of unity in ``(Z/big)[x]/(f)`` that is ``y`` mod p, for
     big a power of p: Newton's ``y <- y - y (y^m - 1)/m``, squaring the modulus."""
@@ -1063,6 +1147,34 @@ def _trace_form(coeffs):
                  - sum(coeffs[n - i] * s[k - i] for i in range(1, min(k, n + 1))))
     r = 1 + max(abs(c) for c in coeffs[:-1])
     return [s[j:j + n] for j in range(n)], [n * r ** j for j in range(n)]
+
+
+def _lift_precision(coeffs, p):
+    """The trace matrix ``T``, the trace bounds ``n R^j`` and the least power
+    ``big`` of ``p`` above ``2B``: for an element ``alpha`` of absolute value at
+    most 1 at every embedding, ``T c = t`` for its coordinates ``c`` and
+    ``t_j = Tr(alpha theta^j)``, ``|t_j| <= n R^j``, so Cramer and Hadamard
+    bound ``disc * c = adj(T) t`` by ``B`` (``det T = disc``)."""
+    form, tbound = _trace_form(coeffs)
+    cols = [sum(x * x for x in row) for row in form]  # T is symmetric
+    bound_sq = sum(b * b for b in tbound) * math.prod(cols) // min(cols)
+    big = p
+    while big * big <= 4 * bound_sq:
+        big *= p
+    return form, tbound, big
+
+
+def _read_back(coords, disc, form, tbound, big):
+    """``alpha`` from the coordinates of ``alpha`` mod ``big`` (from
+    ``_lift_precision``), whose ``disc * alpha`` symmetric residues read
+    exactly, and its traces ``Tr(alpha theta^j)``; None when a trace is not an
+    integer within its bound, which no integral ``alpha`` of absolute value at
+    most 1 at every embedding can have."""
+    read = [(disc * c + big // 2) % big - big // 2 for c in coords]
+    traces = [sum(a * b for a, b in zip(row, read)) for row in form]  # disc * t
+    if any(t % disc or abs(t) > b * abs(disc) for t, b in zip(traces, tbound)):
+        return None
+    return [Fraction(c, disc) for c in read], [t // disc for t in traces]
 
 
 def _poly_sub_mod(a, b, p):

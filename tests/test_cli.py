@@ -339,6 +339,12 @@ _UNKNOWN_KEY = {
     "coeffs": ("colim", dict(_COLIM_2, offdiag=[{"row": 0, "col": 1, "kind": "zero",
                                                  "coeffs": [1]}])),
     "zz": ("pv", _with(_PV_OK, ("action", "deg1"), {"zz": [[1]]})),
+    "ofdiag": ("colim", dict(_COLIM_2, law=[{"kind": "mult_d"}, {"kind": "identity"}],
+                             ofdiag=[{"row": 0, "col": 1, "poly": [1]}])),
+    "matrix": ("colim", {"mode": "explicit", "matrices": [[[2]]], "matrix": [[[3]]]}),
+    "dge0": ("pv", {"group": _PV_OK["group"], "action": {"dge0": {"z": [[-1]]}}}),
+    "k2": ("pv", _with(_PV_OK, ("group", "k2"), {"free": 1})),
+    "acton": ("pv", dict(_PV_OK, acton={})),
 }
 
 

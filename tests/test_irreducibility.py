@@ -1,6 +1,7 @@
 """Irreducibility over Q without sympy: the residue-degree certificate, its
-Berlekamp cross-check, the sympy fallback, and the CLI paths that no longer
-import sympy."""
+Berlekamp cross-check, the idempotent search that decides when the
+certificate proves nothing, and the CLI paths that never import sympy.
+sympy's factorization over Q is the test oracle only."""
 
 import json
 import os
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 import ringkt
 from ringkt import numfield
 from ringkt.errors import CrossCheckError, InputError
-from ringkt.numfield import NumberField, _ResidueSieve, parse_field, poly_discriminant
+from ringkt.numfield import (NumberField, _ResidueSieve, _reduce_mod, parse_field,
+                             poly_discriminant, poly_mul, poly_trim)
 
 
 def _sympy_says(coeffs):
@@ -53,8 +55,9 @@ def _times(a, b):
 
 
 # Fields whose Galois group has no element with the cycle types a proof
-# needs: every prime splits them the same way, so sympy decides.
-FALLBACK = ["x^4 + 1", "x^4 - x^2 + 1", "x^4 - 10x^2 + 1", "x^8 + 1"]
+# needs: every prime splits them, so the idempotent search decides.
+FALLBACK = ["x^4 + 1", "x^4 - x^2 + 1", "x^4 - 10x^2 + 1", "x^8 + 1", "x^8 - x^4 + 1",
+            "x^12 - x^6 + 1"]
 
 
 @settings(max_examples=80, deadline=None)
@@ -75,17 +78,56 @@ def test_built_products_are_refused(a, b):
 
 
 @pytest.mark.parametrize("poly", FALLBACK)
-def test_named_fallback_cases_are_decided_by_sympy(poly):
+def test_named_fallback_cases_are_accepted(poly):
     coeffs = numfield.parse_polynomial(poly)
     assert not _certified(coeffs)
+    assert _ResidueSieve(coeffs, poly_discriminant(coeffs)).split_idempotent() is None
     assert _accepted(coeffs) and _sympy_says(coeffs)
 
 
 @pytest.mark.parametrize("poly", ["x^2 - 2", "x^3 - 2", "x^5 - x - 1", "x^6 + x^3 + 1",
                                   "x^4 + x^3 + x^2 + x + 1", "x"])
 def test_common_fields_are_certified_without_sympy(poly, monkeypatch):
-    monkeypatch.setattr(numfield, "_sympy_is_irreducible", None)  # a call would fail
+    monkeypatch.setattr(_ResidueSieve, "split_idempotent", None)  # a call would fail
     assert parse_field(poly).degree == len(numfield.parse_polynomial(poly)) - 1
+
+
+def _cyclotomic(m):
+    """Phi_m in ascending coefficients: x^m - 1 divided by Phi_d for d | m, d < m."""
+    out = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            out = numfield.poly_divmod(out, _cyclotomic(d))[0]
+    return [int(c) for c in out]
+
+
+# Products whose residue degrees leave a factor degree possible at every
+# prime, like those of the named fallback fields: (x^2 - a)(x^2 - b) for
+# distinct nonsquares, Phi_m Phi_k, and x^4 + 4c^4 = (x^2 + 2cx + 2c^2)(x^2 - 2cx + 2c^2).
+_NONSQUARES = [a for a in range(-12, 13) if a < 0 or int(a ** 0.5) ** 2 != a]
+_UNREFUTED_PRODUCTS = st.one_of(
+    st.lists(st.sampled_from(_NONSQUARES), min_size=2, max_size=2, unique=True).map(
+        lambda ab: _times([-ab[0], 0, 1], [-ab[1], 0, 1])),
+    st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12]), min_size=2, max_size=2,
+             unique=True).map(lambda mk: _times(_cyclotomic(mk[0]), _cyclotomic(mk[1]))),
+    st.integers(1, 4).map(lambda c: [4 * c ** 4, 0, 0, 0, 1]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(coeffs=_UNREFUTED_PRODUCTS)
+def test_unrefuted_products_are_refused_by_an_idempotent(coeffs):
+    assert not _sympy_says(coeffs)
+    assert not _accepted(coeffs)
+    disc = poly_discriminant(coeffs)
+    assert disc  # distinct factors: the idempotent search, not the discriminant, refuses
+    sieve = _ResidueSieve(coeffs, disc)
+    assert not sieve.proves_irreducible()
+    eps = sieve.split_idempotent()
+    assert eps is not None and poly_trim(eps) not in ([], [1])
+    assert _reduce_mod(poly_mul(eps, eps), coeffs) == poly_trim(eps)
+    trace = sum(a * b for a, b in zip(numfield._trace_form(coeffs)[0][0], eps))
+    assert trace in sieve._open_degrees[0]
 
 
 def test_sieve_reads_the_rows_the_certificate_built():
@@ -132,6 +174,26 @@ def test_false_berlekamp_count_raises(monkeypatch):
         parse_field("x^3 - 2")
 
 
+def test_an_unsplit_residue_factor_is_stopped_by_berlekamp(monkeypatch):
+    # x^4 + 1 = (x^2 + x + 2)(x^2 + 2x + 2) mod 3, the prime the search splits
+    # at; left unsplit, the one "factor" would give only the idempotent 1.
+    monkeypatch.setattr(numfield, "_equal_degree_split", lambda g, k, p: [g])
+    with pytest.raises(CrossCheckError, match=r"mod 3 disagree: .* \[2\], .* counts 2"):
+        parse_field("x^4 + 1")
+
+
+def test_a_lifted_idempotent_whose_trace_disagrees_raises(monkeypatch):
+    # (x - 1)(x^3 - 2): mod 7 the factors are x - 1 and x^3 - 2, so the search
+    # tries S = {x - 1}, of degree 1.  A lift that returns the idempotent of
+    # the other factor yields an exact idempotent of trace 3, not 1.
+    lift = numfield._lift_idempotent
+    monkeypatch.setattr(numfield, "_lift_idempotent", lambda e, f, p, big: lift(
+        numfield._poly_sub_mod([1], e, p), f, p, big))
+    with pytest.raises(CrossCheckError, match="mod 7 has trace 3, but its residue factors "
+                                              "have degree sum 1"):
+        parse_field("x^4 - x^3 - 2x + 2")
+
+
 # ---------------------------------------------------------------------------
 # no sympy on the default CLI path
 # ---------------------------------------------------------------------------
@@ -149,11 +211,11 @@ sys.stderr.write(f"\\nexit={code} sympy={'sympy' in sys.modules}\\n")
 """
 
 
-def _run_verb(*argv):
+def _run_verb(*argv, preload=""):
     src = str(Path(ringkt.__file__).resolve().parent.parent)
     old = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
-    out = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env,
+    out = subprocess.run([sys.executable, "-c", preload + _CHILD, *argv], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     status = out.stderr.strip().splitlines()[-1]
     return out.stdout, status
@@ -167,6 +229,10 @@ def _run_verb(*argv):
     ("verify", "--suite", "all"),
     ("field-info", "--field", "x^2+7"),
     ("field-info", "--field", "x^4 + x^3 + x^2 + x + 1"),
+    # no residue degrees prove these: the idempotent search decides
+    ("field-info", "--field", "x^4-x^2+1"),
+    ("field-info", "--field", "x^8+1"),
+    ("field-info", "--field", "x^12-x^6+1"),
 ])
 def test_default_verbs_do_not_import_sympy(argv):
     _, status = _run_verb(*argv)
@@ -187,15 +253,18 @@ def test_colim_on_the_eigen_path_does_not_import_sympy(tmp_path):
     assert status == "exit=0 sympy=False"
 
 
-def test_the_probe_sees_sympy_where_the_irreducibility_fallback_runs():
-    # No residue degrees prove x^4 + 1 irreducible (every prime splits it),
-    # so sympy's factorization over Q decides, and the probe sees it.
+def test_the_irreducibility_fallback_runs_without_sympy():
+    # No residue degrees prove x^4 + 1 irreducible (every prime splits it), so
+    # the idempotent search decides, in plain integers.
     out, status = _run_verb("field-info", "--field", "x^4+1")
     assert json.loads(out)["roots_of_unity_order"] == 8
+    assert status == "exit=0 sympy=False"
+    # the probe sees sympy when something loads it
+    _, status = _run_verb("field-info", "--field", "x^4+1", preload="import sympy")
     assert status == "exit=0 sympy=True"
 
 
-def test_sympy_fallback_keeps_the_error_text():
+def test_refusals_keep_the_error_text():
     with pytest.raises(InputError, match="must be irreducible over Q"):
         parse_field("x^4 + 4")  # (x^2 + 2x + 2)(x^2 - 2x + 2): no residue proof
     with pytest.raises(InputError, match="must be irreducible over Q"):

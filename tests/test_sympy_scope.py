@@ -1,7 +1,7 @@
-"""sympy is the irreducibility fallback and nothing else in the library.
+"""The library imports no sympy; sympy is a test oracle only.
 
 Scans the sources of ``ringkt`` with ``ast`` so that an ``import sympy``
-outside ``numfield._sympy_is_irreducible`` cannot come back unnoticed.
+cannot come back unnoticed.
 """
 
 import ast
@@ -25,15 +25,15 @@ def _sympy_imports(node, where=None):
         yield from _sympy_imports(child, inner)
 
 
-def test_sympy_is_imported_only_by_the_irreducibility_fallback():
-    sources = sorted(Path(ringkt.__file__).parent.glob("*.py"))
+def test_the_library_imports_no_sympy():
+    sources = sorted(Path(ringkt.__file__).parent.rglob("*.py"))
     assert sources
     found = [
         f"{path.stem}.{where}"
         for path in sources
         for where in _sympy_imports(ast.parse(path.read_text(), str(path)))
     ]
-    assert found == ["numfield._sympy_is_irreducible"]
+    assert found == []
 
 
 def test_scan_catches_sympy_imports():
