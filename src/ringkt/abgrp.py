@@ -696,14 +696,14 @@ def cokernel(a):
     >>> print(cokernel([[2, 4], [6, 8]]))
     Z/2 + Z/4
     """
-    a = as_int_matrix(a)
-    m, n = len(a), len(a[0])
-    d = _snf(a)[0]
-    diag = [d[i][i] for i in range(min(m, n))]
-    nonzero = sum(1 for x in diag if x)
-    return GroupDescriptor(
-        free_rank=m - nonzero, torsion=[x for x in diag if x > 1]
-    )
+    return _diagonal_cokernel(_snf(as_int_matrix(a))[0])[1]
+
+
+def _diagonal_cokernel(d):
+    """The diagonal of an m x n Smith form ``d`` and ``Z^m / (d . Z^n)``."""
+    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
+    return diag, GroupDescriptor(free_rank=len(d) - sum(1 for x in diag if x),
+                                 torsion=[x for x in diag if x > 1])
 
 
 # ---------------------------------------------------------------------------
@@ -1038,20 +1038,30 @@ def _colimit_finite(system, maps):
 
 
 def _fit_monomial(samples):
-    """Fit ``lambda = c * d**e`` exactly to (d, lambda) samples.
+    """Fit ``lambda = c * d**e`` exactly to (d, lambda) samples, d >= 1 distinct.
 
     Returns ``("zero",)`` if all values vanish, ``("monomial", c, e)`` on an
-    exact fit with c a nonzero Fraction and integer e >= 0, or None.
+    exact fit with c a nonzero Fraction and integer 0 <= e <= 63, or None.
+    The first two samples fix e: with ``d2/d1 = a/b`` and ``l2/l1 = u/v`` in
+    lowest terms a fit needs ``u/v = (a/b)^e``, so e is the multiplicity of
+    whichever of a, b exceeds 1 in u or v; every sample then checks in integers.
     """
     if all(lam == 0 for _, lam in samples):
         return ("zero",)
     if any(lam == 0 for _, lam in samples):
         return None
     d1, l1 = samples[0]
-    for e in range(0, 64):
-        c = Fraction(l1, d1 ** e)
-        if all(Fraction(lam, d ** e) == c for d, lam in samples[1:]):
-            return ("monomial", c, e)
+    e = 0
+    if len(samples) > 1:
+        d2, l2 = samples[1]
+        ratio_d, ratio_l = Fraction(d2, d1), Fraction(l2, l1)
+        base, power = ((ratio_d.numerator, ratio_l.numerator) if ratio_d.numerator > 1
+                       else (ratio_d.denominator, ratio_l.denominator))
+        while base > 1 and e < 64 and power % base == 0:
+            power //= base
+            e += 1
+    if e < 64 and all(lam * d1 ** e == l1 * d ** e for d, lam in samples[1:]):
+        return ("monomial", Fraction(l1, d1 ** e), e)
     return None
 
 

@@ -133,13 +133,8 @@ def snf(matrix_str, pretty):
         else:
             rows = _load_json_arg(matrix_str, "--matrix")
         u, d, v = abgrp.smith_normal_form(rows)
-        nrows = len(d)
-        ncols = len(d[0]) if d else 0
-        diag = [d[i][i] for i in range(min(nrows, ncols))]
-        nonzero = sum(1 for x in diag if x)
         # The cokernel and the kernel rank follow from the one diagonal.
-        coker = abgrp.GroupDescriptor(free_rank=nrows - nonzero,
-                                      torsion=[x for x in diag if x > 1])
+        diag, coker = abgrp._diagonal_cokernel(d)
         return {
             "matrix": rows,
             "u": u,
@@ -148,7 +143,7 @@ def snf(matrix_str, pretty):
             "diagonal": diag,
             "cokernel": coker.to_json_dict(),
             "cokernel_pretty": str(coker),
-            "kernel_rank": ncols - nonzero,
+            "kernel_rank": len(d[0]) - sum(1 for x in diag if x),
         }
 
     _emit(_run(work), pretty)
@@ -198,6 +193,12 @@ def pv(system_path, resolution, pretty):
 
 _ALGEBRAS = ("A", "B", "A0", "B0", "A_full_Q")
 
+# The level-zero algebras: closed form of degree n and its citations.
+_CLOSED_FORMS = {
+    "B0": (ktheory.k_of_B0, ["fixed-subalgebra-base-k", "adele-scaling-diagonal"]),
+    "A0": (ktheory.k_of_A0, ["crossed-base-k", "kappa-structure-matrices"]),
+}
+
 
 @main.command("kgroups")
 @click.option("--algebra", type=click.Choice(_ALGEBRAS), required=True)
@@ -207,7 +208,8 @@ _ALGEBRAS = ("A", "B", "A0", "B0", "A_full_Q")
               help="Generators as semicolon-separated coefficient vectors, "
                    "e.g. '1,1;2'.")
 @click.option("--truncate", type=int, default=None,
-              help="Also tabulate ranks after the first 0..m generators.")
+              help="Also tabulate ranks after the first 0..m generators "
+                   f"(m <= {ktheory._MAX_TRUNCATE}).")
 @click.option("--grading", type=click.IntRange(0, 1), default=None,
               help="Override the grading offset of classification reports.")
 @pretty_option
@@ -215,46 +217,30 @@ def kgroups(algebra, field_str, gamma, truncate, grading, pretty):
     """K-groups: level-zero closed forms or full classification reports."""
 
     def work():
-        field = None
-        if algebra != "A_full_Q":
-            if not field_str:
-                raise InputError(f"--field is required for algebra {algebra}")
-            field = numfield.parse_field(field_str)
-        if algebra == "B0":
-            g = ktheory.k_of_B0(field.degree)
+        if algebra == "A_full_Q":
+            return ktheory.k_full_adele_Q(
+                truncate=truncate, grading_offset=grading
+            ).to_json_dict()
+        if not field_str:
+            raise InputError(f"--field is required for algebra {algebra}")
+        field = numfield.parse_field(field_str)
+        if algebra in _CLOSED_FORMS:
+            closed_form, citations = _CLOSED_FORMS[algebra]
+            g = closed_form(field.degree)
             return {
-                "algebra": "B0",
+                "algebra": algebra,
                 "field": field.to_json_dict(),
                 "kgroups": g.to_json_dict(),
                 "pretty": str(g),
-                "citations": ["fixed-subalgebra-base-k",
-                              "adele-scaling-diagonal"],
-            }
-        if algebra == "A0":
-            g = ktheory.k_of_A0(field.degree)
-            return {
-                "algebra": "A0",
-                "field": field.to_json_dict(),
-                "kgroups": g.to_json_dict(),
-                "pretty": str(g),
-                "citations": ["crossed-base-k", "kappa-structure-matrices"],
+                "citations": citations,
             }
         if algebra == "B":
-            gens = _parse_gamma(field, gamma)
-            rep = ktheory.classify_B(field, gens, truncate=truncate,
-                                     grading_offset=grading)
-            out = rep.to_json_dict()
-            out["field"] = field.to_json_dict()
-            return out
-        if algebra == "A":
+            rep = ktheory.classify_B(field, _parse_gamma(field, gamma),
+                                     truncate=truncate, grading_offset=grading)
+        else:
             rep = ktheory.classify_A(field, truncate=truncate,
                                      grading_offset=grading)
-            out = rep.to_json_dict()
-            out["field"] = field.to_json_dict()
-            return out
-        return ktheory.k_full_adele_Q(
-            truncate=truncate, grading_offset=grading
-        ).to_json_dict()
+        return {**rep.to_json_dict(), "field": field.to_json_dict()}
 
     _emit(_run(work), pretty)
 

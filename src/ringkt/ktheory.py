@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .abgrp import (
@@ -807,16 +807,8 @@ class ClassificationReport:
             "case": self.case,
             "k0": self.formula(0),
             "k1": self.formula(1),
-            "components": {
-                "k0": [
-                    {"coefficient": c.coefficient, "copies": c.copies, "parity": c.parity}
-                    for c in self.k0
-                ],
-                "k1": [
-                    {"coefficient": c.coefficient, "copies": c.copies, "parity": c.parity}
-                    for c in self.k1
-                ],
-            },
+            "components": {"k0": [asdict(c) for c in self.k0],
+                           "k1": [asdict(c) for c in self.k1]},
             "truncations": list(self.truncations),
             "grading_offset": self.grading_offset,
             "citations": list(self.citations),
@@ -831,55 +823,61 @@ def _grading_offset(grading_offset, default):
     return offset
 
 
+# Summands ``(coefficient, copies)`` of each case kind of the classification
+# theorems; ``_report`` places them in K_0 and K_1.
+_CASE_SUMMANDS = {
+    "free": (("Z", 1),),
+    "two-torsion": (("Z/2", 1),),
+    "both": (("Z", 1), ("Z/2", 1)),
+    "doubled-free": (("Z", 2),),
+}
+
+# Row m of a torsion table lists 2^(m-1) Z/2 entries per degree: at m = 16
+# the largest table is 0.26 MB of compact JSON; each further m doubles it.
+_MAX_TRUNCATE = 16
+
+
 def _truncation_rows(k0_comps, k1_comps, truncate):
-    rows = []
     if truncate is None:
-        return tuple(rows)
+        return ()
     truncate = _as_int(truncate, "truncate")
     if truncate < 0:
         raise InputError("truncate must be an integer >= 0")
-    for m in range(0, truncate + 1):
-        row = {"m": m}
-        tors = {}
+    if truncate > _MAX_TRUNCATE:
+        raise InputError(
+            f"truncate must be at most {_MAX_TRUNCATE}: row m lists 2^(m-1) "
+            f"summands per degree"
+        )
+    rows = []
+    for m in range(truncate + 1):
+        row = {"m": m, "torsion": {}}
         for label, comps in (("k0", k0_comps), ("k1", k1_comps)):
-            free = 0
-            torsion = []
-            for c in comps:
-                count = c.copies * exterior_graded_ranks(m, c.parity)
-                if c.coefficient == "Z":
-                    free += count
-                else:
-                    torsion.extend([int(c.coefficient.split("/")[1])] * count)
-            row[f"{label}_rank"] = free
-            tors[label] = torsion
-        row["torsion"] = tors
+            counts = [(c.coefficient, c.copies * exterior_graded_ranks(m, c.parity))
+                      for c in comps]
+            row[f"{label}_rank"] = sum(n for coef, n in counts if coef == "Z")
+            row["torsion"][label] = sum(([int(coef[2:])] * n for coef, n in counts
+                                         if coef != "Z"), [])
         rows.append(row)
     return tuple(rows)
 
 
-def _component_sets(case_kind, offset):
-    """Components of K_0 and K_1 for a classification case.
-
-    ``case_kind``: "free" (exterior algebra with Z coefficients), "two-torsion"
-    (Z/2 coefficients), "both" (one of each), "doubled-free" (two Z copies).
-    Exterior degree ``k`` lands in ``K_((k + offset) mod 2)``, so ``K_j``
-    collects the degrees of parity ``(j - offset) mod 2``.
-    """
-    out = {0: [], 1: []}
-    for j in (0, 1):
-        parity = (j - offset) % 2
-        if case_kind == "free":
-            out[j].append(KComponent("Z", 1, parity))
-        elif case_kind == "two-torsion":
-            out[j].append(KComponent("Z/2", 1, parity))
-        elif case_kind == "both":
-            out[j].append(KComponent("Z", 1, parity))
-            out[j].append(KComponent("Z/2", 1, parity))
-        elif case_kind == "doubled-free":
-            out[j].append(KComponent("Z", 2, parity))
-        else:
-            raise InputError(f"unknown case kind {case_kind}")
-    return tuple(out[0]), tuple(out[1])
+def _report(algebra, case, kind, offset, truncate, citations, notes=()):
+    """The classification report of one case: exterior degree ``k`` lands in
+    ``K_((k + offset) mod 2)``, so ``K_j`` collects the summands of ``kind``
+    at parity ``(j - offset) mod 2``; ``truncate`` adds the rank table."""
+    k0, k1 = (tuple(KComponent(coefficient, copies, (j - offset) % 2)
+                    for coefficient, copies in _CASE_SUMMANDS[kind])
+              for j in (0, 1))
+    return ClassificationReport(
+        algebra=algebra,
+        case=case,
+        k0=k0,
+        k1=k1,
+        grading_offset=offset,
+        truncations=_truncation_rows(k0, k1, truncate),
+        citations=citations,
+        notes=tuple(notes),
+    )
 
 
 def classify_B(field, gamma=(), truncate=None, grading_offset=None):
@@ -930,17 +928,8 @@ def classify_B(field, gamma=(), truncate=None, grading_offset=None):
         case, kind = "even-reals", "two-torsion"
         if not parities:
             notes.append("generator signs not needed: even real-embedding count")
-    k0, k1 = _component_sets(kind, offset)
-    return ClassificationReport(
-        algebra="B",
-        case=case,
-        k0=k0,
-        k1=k1,
-        grading_offset=offset,
-        truncations=_truncation_rows(k0, k1, truncate),
-        citations=("classification-ring-algebra", "exterior-parity-ranks"),
-        notes=tuple(notes),
-    )
+    return _report("B", case, kind, offset, truncate,
+                   ("classification-ring-algebra", "exterior-parity-ranks"), notes)
 
 
 def classify_A(field, truncate=None, grading_offset=None):
@@ -969,17 +958,8 @@ def classify_A(field, truncate=None, grading_offset=None):
         case, kind = "odd-real-embeddings", "free"
     else:
         case, kind = "even-real-embeddings", "both"
-    k0, k1 = _component_sets(kind, offset)
-    return ClassificationReport(
-        algebra="A",
-        case=case,
-        k0=k0,
-        k1=k1,
-        grading_offset=offset,
-        truncations=_truncation_rows(k0, k1, truncate),
-        citations=("classification-adelic-algebra", "exterior-parity-ranks"),
-        notes=(),
-    )
+    return _report("A", case, kind, offset, truncate,
+                   ("classification-adelic-algebra", "exterior-parity-ranks"))
 
 
 def k_full_adele_Q(truncate=None, grading_offset=None):
@@ -990,15 +970,7 @@ def k_full_adele_Q(truncate=None, grading_offset=None):
     Truncation to the first ``m`` generators has per-degree free rank
     ``2 * 2^(m-1)``.
     """
-    offset = _grading_offset(grading_offset, 0)
-    k0, k1 = _component_sets("doubled-free", offset)
-    return ClassificationReport(
-        algebra="A_full_Q",
-        case="full-rational-adeles",
-        k0=k0,
-        k1=k1,
-        grading_offset=offset,
-        truncations=_truncation_rows(k0, k1, truncate),
-        citations=("full-rational-adele-k",),
-        notes=("Gamma is generated by the positive rational primes",),
-    )
+    return _report("A_full_Q", "full-rational-adeles", "doubled-free",
+                   _grading_offset(grading_offset, 0), truncate,
+                   ("full-rational-adele-k",),
+                   ("Gamma is generated by the positive rational primes",))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import check_smith_form, random_int_matrix, random_unimodular, seeded_rng
 from ringkt.abgrp import (
+    _fit_monomial,
     ColimitReport,
     DirectedSystem,
     GroupDescriptor,
@@ -451,6 +452,52 @@ def test_colimit_rejects_non_commuting_dense_family():
 def test_colimit_rejects_non_monomial_law():
     with pytest.raises(UnsupportedSystemError):
         colimit(DirectedSystem.symbolic(1, [{"kind": "poly", "coeffs": [-2, 1]}]))
+
+
+@pytest.mark.parametrize("coeffs", [[-3, 1], [-2, 1]])
+def test_linear_law_with_a_root_on_the_chain_is_refused(coeffs):
+    """``d - 3`` and ``d - 2`` vanish once on the chain d = 2, 3, 4, ...
+
+    A zero step kills only what was born before it, so the colimit is the
+    colimit of the tail, which multiplies by 1, 2, 3, ...: the true answer is
+    Q, not 0.  Both laws are refused today; a change may turn the refusal
+    into Q, never into 0.
+    """
+    system = DirectedSystem.symbolic(1, [{"kind": "poly", "coeffs": coeffs}])
+    with pytest.raises(UnsupportedSystemError,
+                       match="window rank depends on the starting level"):
+        colimit(system)
+
+
+def _fit_monomial_by_search(samples):
+    """The search that ``_fit_monomial`` replaced: try e = 0..63 in turn."""
+    if all(lam == 0 for _, lam in samples):
+        return ("zero",)
+    if any(lam == 0 for _, lam in samples):
+        return None
+    d1, l1 = samples[0]
+    for e in range(0, 64):
+        c = Fraction(l1, d1 ** e)
+        if all(Fraction(lam, d ** e) == c for d, lam in samples[1:]):
+            return ("monomial", c, e)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=st.lists(st.integers(1, 120), min_size=1, max_size=6, unique=True),
+       num=st.integers(-40, 40), den=st.integers(1, 12), e=st.integers(0, 70),
+       how=st.sampled_from(["fit", "perturbed", "random", "zero"]),
+       noise=st.lists(st.integers(-30, 30), min_size=6, max_size=6))
+def test_fit_monomial_agrees_with_the_exponent_search(ds, num, den, e, how, noise):
+    lams = [Fraction(num * d ** e, den) for d in ds]
+    if how == "perturbed":
+        lams[-1] += noise[0] or 1
+    elif how == "random":
+        lams = [Fraction(x) for x in noise[:len(ds)]]
+    elif how == "zero":
+        lams[0] = Fraction(0)
+    samples = list(zip(ds, lams))
+    assert _fit_monomial(samples) == _fit_monomial_by_search(samples)
 
 
 def test_colimit_refuses_odd_class_growth_that_never_inverts_two():

@@ -121,6 +121,21 @@ def test_negative_truncate_exits_2(runner):
     assert "truncate must be an integer >= 0" in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ("--algebra", "B", "--field", "x^2 - 2"),
+    ("--algebra", "A", "--field", "x^2 - 2"),
+    ("--algebra", "A_full_Q"),
+])
+def test_truncate_above_16_exits_2(runner, args):
+    # A torsion row m lists 2^(m-1) entries per degree, so the table is capped.
+    res = invoke(runner, "kgroups", *args, "--truncate", "17")
+    assert res.exit_code == 2
+    assert "truncate must be at most 16" in res.output
+    res = invoke(runner, "kgroups", *args, "--truncate", "16")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["truncations"][-1]["m"] == 16
+
+
 def test_non_integral_json_values_exit_2(runner, tmp_path):
     # non-integral numbers where integers belong are rejected, not truncated
     act = tmp_path / "act.json"

@@ -244,6 +244,8 @@ def test_negative_truncate_is_refused(name):
     with pytest.raises(InputError, match="truncate must be an integer >= 0"):
         _REPORTS[name](truncate=-3)
     assert _REPORTS[name](truncate=0).truncations[0]["m"] == 0
+    with pytest.raises(InputError, match="truncate must be at most 16"):
+        _REPORTS[name](truncate=17)
 
 
 # ---------------------------------------------------------------------------
