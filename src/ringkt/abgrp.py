@@ -5,8 +5,8 @@ Python ints, rational computations use ``fractions.Fraction``.  Products and
 the one elimination over Q (``_echelon``, behind ``rank``, ``rref_fractions``
 and ``solve_exact``) run on sparse rows (``{column: value}`` maps of the
 nonzero entries), so their cost follows the nonzero entries rather than the
-dimension.  Determinants (fraction-free Bareiss) and Smith normal forms stay
-dense integer computations.  The two main exports are
+dimension.  Determinants (fraction-free Bareiss) and Smith forms are dense;
+``cokernel`` eliminates only the support.  The two main exports are
 
 * ``smith_normal_form`` and friends (``cokernel``, ``kernel_lattice_basis``),
   with the convention ``a == u @ d @ v`` where ``u`` and ``v`` are unimodular
@@ -181,38 +181,27 @@ def _subtract(row, f, piv):
             row.pop(j, None)
 
 
-def _reduce(row, pivots):
-    """Reduce the sparse ``row`` in place against echelon ``pivots``.
-
-    Each step clears the lowest column of ``row`` with the pivot row of that
-    column; a pivot row has no entry left of its pivot, so the lowest column
-    rises and the loop ends.  Returns the lowest column left, which holds no
-    pivot, or None when ``row`` reduces to zero (it lies in the row space).
-    Entries become ``Fraction`` only when a step touches them.
-    """
-    while row:
-        c = min(row)
-        piv = pivots.get(c)
-        if piv is None:
-            return c
-        _subtract(row, Fraction(row[c]) / piv[c], piv)
-    return None
-
-
 def _echelon(rows):
     """Row echelon form over Q of sparse rows, as ``{pivot column: row}``.
 
-    Rows are added one at a time; a row that does not reduce to zero against
-    the pivot rows kept so far becomes the pivot row of its lowest column.
-    This is the only elimination over Q: ``rank`` counts the pivots and
-    ``rref_fractions`` back-substitutes them.
+    Rows are added one at a time.  Each step clears the lowest column of a
+    row with the pivot row of that column; a pivot row has no entry left of
+    its pivot, so the lowest column rises.  A row that keeps a column with no
+    pivot becomes the pivot row of that column; one that reduces to zero lies
+    in the row space.  Entries become ``Fraction`` only when a step touches
+    them.  This is the only elimination over Q: ``rank`` counts the pivots
+    and ``rref_fractions`` back-substitutes them.
     """
     pivots = {}
     for row in rows:
         row = dict(row)
-        c = _reduce(row, pivots)
-        if c is not None:
-            pivots[c] = row
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = row
+                break
+            _subtract(row, Fraction(row[c]) / piv[c], piv)
     return pivots
 
 
@@ -696,7 +685,19 @@ def cokernel(a):
     >>> print(cokernel([[2, 4], [6, 8]]))
     Z/2 + Z/4
     """
-    return _diagonal_cokernel(_snf(as_int_matrix(a))[0])[1]
+    return _cokernel_rows(_sparse_rows(as_int_matrix(a)))
+
+
+def _cokernel_rows(rows):
+    """``cokernel`` of the integer matrix of sparse ``rows``: a zero row is a
+    free summand and a zero column generates nothing, so only the nonzero
+    rows, restricted to the columns they use, go to ``_snf``."""
+    live = [row for row in rows if row]
+    if not live:
+        return GroupDescriptor.free(len(rows))
+    cols = sorted(set().union(*live))
+    d = _snf([[row.get(j, 0) for j in cols] for row in live])[0]
+    return GroupDescriptor.free(len(rows) - len(live)).direct_sum(_diagonal_cokernel(d)[1])
 
 
 def _diagonal_cokernel(d):

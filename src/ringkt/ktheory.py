@@ -43,17 +43,16 @@ from fractions import Fraction
 from .abgrp import (
     DirectedSystem,
     GroupDescriptor,
-    as_int_matrix,
-    cokernel,
     colimit,
-    identity_matrix,
     _as_int,
+    _as_int_rows,
     _check_keys,
+    _cokernel_rows,
     _dense_rows,
     _echelon,
     _is_unimodular,
-    _reduce,
     _sparse_rows,
+    _subtract,
 )
 from .errors import AmbiguityError, CrossCheckError, HypothesisError, InputError
 
@@ -404,10 +403,11 @@ def _as_fraction(x, what):
 
 
 def _as_fraction_matrix(rows, shape_rows, shape_cols, what):
+    """The dense rational matrix ``rows`` as sparse rows of ``Fraction``s."""
     if (not isinstance(rows, (list, tuple)) or len(rows) != shape_rows
             or any(not isinstance(r, (list, tuple)) or len(r) != shape_cols for r in rows)):
         raise InputError(f"{what} must be a {shape_rows}x{shape_cols} matrix")
-    return [[_as_fraction(x, f"{what} entry") for x in row] for row in rows]
+    return _sparse_rows([[_as_fraction(x, f"{what} entry") for x in row] for row in rows])
 
 
 @dataclass(frozen=True)
@@ -416,9 +416,12 @@ class EndoBlocks:
 
     ``z_block`` is a unimodular integer a x a matrix, ``q_block`` an
     invertible rational b x b matrix, ``mix`` a rational b x a matrix for the
-    component from the free part into the divisible part.  Torsion summands
-    are carried along unchanged (only the identity action on torsion is
-    supported).
+    component from the free part into the divisible part.  Blocks are tuples
+    of sparse rows (``{column: value}``, nonzero entries only), the engine's
+    one matrix form: an omitted block is the identity, ``{i: 1}`` in row
+    ``i``, or empty rows for ``mix``, so a trivial action costs its
+    dimension, not its square.  Torsion summands are carried along unchanged
+    (only the identity action on torsion is supported).
     """
 
     z_block: tuple
@@ -428,34 +431,33 @@ class EndoBlocks:
     @classmethod
     def build(cls, a, b, z=None, q=None, mix=None):
         if z is None:
-            z = identity_matrix(a)
-        if q is None:
-            q = identity_matrix(b)
-        if mix is None:
-            mix = [[Fraction(0)] * a for _ in range(b)]
-        z = as_int_matrix(z) if z else []
-        if len(z) != a or any(len(r) != a for r in z):
-            raise InputError(f"free-part block must be {a}x{a}")
-        if not _is_unimodular(_sparse_rows(z)):
+            z = [{i: 1} for i in range(a)]
+        wrong_size = f"free-part block must be {a}x{a}"
+        z = _as_int_rows(z, a, wrong_size) if z else []
+        if len(z) != a:
+            raise InputError(wrong_size)
+        if not _is_unimodular(z):
             raise InputError("the free-part block of an automorphism must be unimodular")
-        qm = _as_fraction_matrix(q, b, b, "divisible-part block")
-        if len(_echelon(_sparse_rows(qm))) != b:
+        q = ([{i: 1} for i in range(b)] if q is None
+             else _as_fraction_matrix(q, b, b, "divisible-part block"))
+        if len(_echelon(q)) != b:
             raise InputError("the divisible-part block must be invertible")
-        mm = _as_fraction_matrix(mix, b, a, "mix block")
-        return cls(tuple(map(tuple, z)), tuple(map(tuple, qm)), tuple(map(tuple, mm)))
+        mix = ([{} for _ in range(b)] if mix is None
+               else _as_fraction_matrix(mix, b, a, "mix block"))
+        return cls(tuple(z), tuple(q), tuple(mix))
 
     @property
     def is_identity(self):
         """True when the action is the identity, so ``id - act^(-1)`` is zero."""
-        return all(row[i] == 1 and row.count(0) == len(row) - 1
-                   for m in (self.z_block, self.q_block)
-                   for i, row in enumerate(m)) and not any(map(any, self.mix))
+        return all(row == {i: 1} for m in (self.z_block, self.q_block)
+                   for i, row in enumerate(m)) and not any(self.mix)
 
     def to_json_dict(self):
+        a, b = len(self.z_block), len(self.q_block)
         return {
-            "z": [list(r) for r in self.z_block],
-            "q": [[str(x) for x in r] for r in self.q_block],
-            "mix": [[str(x) for x in r] for r in self.mix],
+            "z": _dense_rows(self.z_block, a),
+            "q": [[str(x) for x in r] for r in _dense_rows(self.q_block, b)],
+            "mix": [[str(x) for x in r] for r in _dense_rows(self.mix, a)],
         }
 
 
@@ -526,8 +528,7 @@ def involution_action(m):
     if m < 1:
         raise InputError("involution_action needs an integer m >= 1")
     size = 2 ** m
-    diag = [[(1 if i % 2 == 0 else -1) if i == j else 0 for j in range(size)]
-            for i in range(size)]
+    diag = [{i: -1 if i % 2 else 1} for i in range(size)]
     domain = GradedKGroup(GroupDescriptor.free(size), GroupDescriptor.free(size))
     blocks = EndoBlocks.build(size, 0, z=diag)
     return ActionDescriptor(domain, blocks, blocks)
@@ -553,15 +554,6 @@ class AmbiguityReport:
         }
 
 
-def _phi_blocks(blocks):
-    """``act - id`` in block form for one degree: ``z - I``, ``q - I``, ``mix``."""
-    def minus_identity(m):
-        return [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
-
-    return (minus_identity(blocks.z_block), minus_identity(blocks.q_block),
-            [list(row) for row in blocks.mix])
-
-
 def _degree_kernel_cokernel(desc, blocks):
     """(ker, coker) of ``id - act^(-1)`` on ``Z^a + Q^b + torsion``.
 
@@ -576,14 +568,20 @@ def _degree_kernel_cokernel(desc, blocks):
     quotient ``Q^(b - rank phi_q)`` (a divisible subgroup of the cokernel,
     hence a direct summand).
     """
-    a, b = desc.free_rank, desc.q_rank
+    b = desc.q_rank
     torsion = GroupDescriptor(torsion=desc.torsion)
-    phi_z, phi_q, phi_mix = _phi_blocks(blocks)
+    # act - id, block by block: subtract e_i from row i
+    phi_z, phi_q = ([dict(row) for row in block] for block in (blocks.z_block, blocks.q_block))
+    for i, row in itertools.chain(enumerate(phi_z), enumerate(phi_q)):
+        _subtract(row, 1, {i: 1})
 
-    # Echelon of the columns of phi_q: the mix columns must reduce to zero
-    # against it, and its size is rank phi_q.
-    span = _echelon(_sparse_rows(zip(*phi_q)))
-    if any(_reduce(col, span) is not None for col in _sparse_rows(zip(*phi_mix))):
+    # The mix columns lie in the column span of phi_q exactly when rank
+    # [phi_q | mix] == rank phi_q: the echelon of [phi_q | mix] has rank phi_q
+    # pivots left of column b, and a pivot at b or beyond is a mix column
+    # outside that span.
+    pivots = _echelon(q | {b + j: x for j, x in m.items()}
+                      for q, m in zip(phi_q, blocks.mix))
+    if max(pivots, default=-1) >= b:
         raise InputError(
             "unsupported six-term step: the free part mixes into a "
             "direction that survives in the divisible quotient, so "
@@ -591,8 +589,8 @@ def _degree_kernel_cokernel(desc, blocks):
         )
 
     # phi_z is square, so its kernel rank is the free rank of its cokernel
-    coker_z = cokernel(phi_z) if a else GroupDescriptor.zero()
-    q_null = b - len(span)
+    coker_z = _cokernel_rows(phi_z)
+    q_null = b - len(pivots)
 
     ker = GroupDescriptor(free_rank=coker_z.free_rank, q_rank=q_null).direct_sum(torsion)
     coker = coker_z.direct_sum(GroupDescriptor(q_rank=q_null), torsion)
@@ -725,14 +723,10 @@ def k_of_A_truncated_Q(m):
     exactly), every further generator acts trivially and doubles the ranks.
     """
     m = _as_int(m, "k_of_A_truncated_Q m")
-    if m < 1:
-        raise InputError("k_of_A_truncated_Q needs an integer m >= 1")
+    if not 1 <= m <= _MAX_TRUNCATE:
+        raise InputError(f"k_of_A_truncated_Q needs an integer 1 <= m <= {_MAX_TRUNCATE}")
     g = k_of_A0(1, engine_check=False)  # (Z + Q, 0)
-    act = ActionDescriptor.build(
-        g,
-        deg0={"z": [[1]], "q": [[Fraction(1, 2)]]},
-        deg1=None,
-    )
+    act = ActionDescriptor.build(g, deg0={"q": [[Fraction(1, 2)]]})  # z: the identity
     g = pv_step(g, act).graded()
     for _ in range(m - 1):
         g = pv_step(g, identity_action(g)).graded()

@@ -8,12 +8,13 @@ for byte, ``relations`` included.
 import collections
 import json
 import pathlib
+import sys
 
 import pytest
 
 from conftest import seeded_rng
 from ringkt import abgrp, ktheory
-from ringkt.abgrp import DirectedSystem, colimit, compose_window, identified
+from ringkt.abgrp import DirectedSystem, GroupDescriptor, colimit, compose_window, identified
 from ringkt.ktheory import (
     KappaMatrix,
     k_of_A0,
@@ -74,12 +75,43 @@ def test_k_of_A0_engine_check_reads_kappa_rows_only(n, monkeypatch):
 
     monkeypatch.setattr(KappaMatrix, "rows", counted("rows", KappaMatrix.rows))
     monkeypatch.setattr(KappaMatrix, "dense", counted("dense", KappaMatrix.dense))
-    for module in (abgrp, ktheory):
-        monkeypatch.setattr(module, "as_int_matrix",
-                            counted("as_int_matrix", abgrp.as_int_matrix))
+    # ktheory imports no as_int_matrix; abgrp is the one module that calls it
+    monkeypatch.setattr(abgrp, "as_int_matrix", counted("as_int_matrix", abgrp.as_int_matrix))
     assert k_of_A0(n, engine_check=True) == k_of_A0(n, engine_check=False)
     assert calls["rows"] > 0
     assert calls["dense"] == calls["as_int_matrix"] == 0
+
+
+def _count_abgrp_calls(monkeypatch, names):
+    """Count calls of the named ``abgrp`` functions through every ``ringkt``
+    module that binds them."""
+    calls = collections.Counter()
+    for name in names:
+        original = getattr(abgrp, name)
+
+        def wrapper(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("ringkt")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_six_term_steps_build_no_dense_identity(monkeypatch):
+    calls = _count_abgrp_calls(monkeypatch, ("identity_matrix", "as_int_matrix", "_snf"))
+    half = GroupDescriptor.free(2 ** 7)
+    assert ktheory.k_of_A_truncated_Q(8) == ktheory.GradedKGroup(half, half)
+    g = ktheory.GradedKGroup(GroupDescriptor(free_rank=5, torsion=(2,)), GroupDescriptor.free(3))
+    assert ktheory.pv_step(ktheory.identity_action(g)).graded() == ktheory.GradedKGroup(
+        GroupDescriptor(free_rank=8, torsion=(2,)), GroupDescriptor(free_rank=8, torsion=(2,)))
+    # an identity action has act - id = 0: nothing reaches the Smith form
+    assert calls == {}
+    res = ktheory.pv_step(ktheory.involution_action(5))
+    assert res.coker0 == GroupDescriptor(free_rank=16, torsion=(2,) * 16)
+    # one Smith form per degree, on the 16 nonzero rows of diag(0, -2, 0, -2, ...)
+    assert calls == {"_snf": 2}
 
 
 @pytest.mark.parametrize("n", range(1, 5))

@@ -22,6 +22,8 @@ from ringkt.abgrp import (
     mat_mul,
     rank,
     solve_exact,
+    _dense_rows,
+    _sparse_rows,
 )
 from ringkt.errors import AmbiguityError, HypothesisError, InputError
 from ringkt.ktheory import (
@@ -276,7 +278,8 @@ def test_action_validation():
             ActionDescriptor.build(gm, deg0={"mix": [[bad]]})
     for good in (3, Fraction(3), "3", " 6/2 "):
         act = ActionDescriptor.build(gq, deg0={"q": [[good]]})
-        assert act.deg0.q_block == ((Fraction(3),),)
+        assert act.deg0.q_block == ({0: Fraction(3)},)
+        assert type(act.deg0.q_block[0][0]) is Fraction
     with pytest.raises(InputError, match="must be a 1x1 matrix"):  # a bare TypeError once
         ActionDescriptor.build(gq, deg0={"q": [1]})
     for bad in ([], {"zz": [[1]]}, "z"):  # not an object with keys among z, q, mix
@@ -436,7 +439,7 @@ def test_endo_blocks_accept_exactly_the_unimodular_z(z):
         with pytest.raises(InputError, match="must be unimodular"):
             EndoBlocks.build(n, 0, z=z)
         return
-    assert EndoBlocks.build(n, 0, z=z).z_block == tuple(map(tuple, z))
+    assert EndoBlocks.build(n, 0, z=z).z_block == tuple(_sparse_rows(z))
 
 
 def _random_blocks(rng, a, b):
@@ -505,8 +508,10 @@ def test_is_identity_matches_identity_comparison():
         except InputError:
             continue
         for blocks in (act.deg0, act.deg1):
-            want = all(m == tuple(map(tuple, identity_matrix(len(m))))
-                       for m in (blocks.z_block, blocks.q_block)) and not any(map(any, blocks.mix))
+            a = len(blocks.z_block)
+            want = all(_dense_rows(m, len(m)) == identity_matrix(len(m))
+                       for m in (blocks.z_block, blocks.q_block)) and not any(
+                           map(any, _dense_rows(blocks.mix, a)))
             assert blocks.is_identity == want
             seen.add(want)
     assert seen == {True, False}
@@ -607,8 +612,10 @@ def test_k_of_A_truncated_Q():
         assert g == GradedKGroup(
             GroupDescriptor.free(half), GroupDescriptor.free(half)
         )
-    with pytest.raises(InputError):
-        k_of_A_truncated_Q(0)
+    # m = 30 once ran until memory was gone: 2^29 summands per degree
+    for bad in (0, 17, 30):
+        with pytest.raises(InputError, match="1 <= m <= 16"):
+            k_of_A_truncated_Q(bad)
 
 
 # ---------------------------------------------------------------------------

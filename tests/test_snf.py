@@ -198,3 +198,45 @@ def test_rebuilt_u_checks_the_division(monkeypatch):
     monkeypatch.setattr(abgrp, "_snf", lying)
     with pytest.raises(CrossCheckError, match=r"not divisible by d\[0\]\[0\]"):
         smith_normal_form([[2, 4], [6, 8]])
+
+
+def _full_matrix_cokernel(a):
+    """``cokernel`` by the route that eliminated the whole matrix, zero rows
+    and zero columns included."""
+    return abgrp._diagonal_cokernel(abgrp._snf(as_int_matrix(a))[0])[1]
+
+
+@st.composite
+def padded_matrices(draw):
+    """A random integer matrix with zero rows and zero columns inserted at
+    random positions."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = draw(st.lists(st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(0, len(a[0])))
+        for row in a:
+            row.insert(j, 0)
+    for _ in range(draw(st.integers(0, 3))):
+        a.insert(draw(st.integers(0, len(a))), [0] * len(a[0]))
+    return a
+
+
+@settings(max_examples=80, deadline=None)
+@given(padded_matrices())
+def test_cokernel_of_the_support_matches_the_full_matrix(a):
+    assert repr(cokernel(a)) == repr(_full_matrix_cokernel(a))
+
+
+@pytest.mark.parametrize("a, want", [
+    ([[0]], "Z"),
+    ([[0, 0, 0], [0, 0, 0]], "Z^2"),
+    ([[0, 0], [0, 0], [0, 0]], "Z^3"),
+    ([[0, 0, 0, 0], [0, 0, -6, 0]], "Z + Z/6"),
+    ([[0, 0], [0, 0], [0, 1]], "Z^2"),
+    ([[0, 2, 0, 4, 0], [0, 0, 0, 0, 0], [0, 6, 0, 8, 0]], "Z + Z/2 + Z/4"),
+    ([[2, 0, 4, 0, 0, 0], [0, 0, 0, 0, 3, 0]], "Z/6"),
+])
+def test_cokernel_fixed_cases(a, want):
+    # all-zero matrices give Z^m; one nonzero cell; non-square m x n
+    assert str(cokernel(a)) == want == str(_full_matrix_cokernel(a))

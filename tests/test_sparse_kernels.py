@@ -13,9 +13,11 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ringkt.abgrp import as_int_matrix, mat_mul, rank, rref_fractions, solve_exact
+from ringkt import ktheory
+from ringkt.abgrp import (GroupDescriptor, as_int_matrix, mat_mul, rank, rref_fractions,
+                          solve_exact)
 from ringkt.errors import InputError
-from ringkt.ktheory import EndoBlocks, _phi_blocks, kappa
+from ringkt.ktheory import ActionDescriptor, GradedKGroup, kappa, pv_step
 
 KINDS = ("int", "fraction", "mixed")
 DENSITIES = (0.0, 0.1, 0.3, 0.6, 1.0)
@@ -148,11 +150,23 @@ def test_mat_mul_of_dense_kappa_matches_compose(n, a, b):
     assert dense == kappa(n, a).compose(kappa(n, b)).dense()
 
 
-def test_phi_mix_cells_stay_fractions():
-    blocks = EndoBlocks.build(2, 2, q=[[2, 0], [0, 3]], mix=[[0, 0], [0, 0]])
-    _, _, phi_mix = _phi_blocks(blocks)
-    assert phi_mix == [[0, 0], [0, 0]]
-    assert all(type(x) is Fraction for row in phi_mix for x in row)
+def test_phi_mix_cells_stay_fractions(monkeypatch):
+    # The six-term step echelons the rows of [q - I | mix]; the rational
+    # cells reach it as Fractions, integer-valued ones and q - I included.
+    seen = []
+
+    def recording(rows):
+        rows = list(rows)
+        seen.extend(rows)
+        return ktheory_echelon(rows)
+
+    g = GradedKGroup(GroupDescriptor(free_rank=2, q_rank=2), GroupDescriptor.zero())
+    act = ActionDescriptor.build(g, deg0={"q": [[2, 0], [0, 3]], "mix": [[1, 0], [0, "1/2"]]})
+    ktheory_echelon = ktheory._echelon
+    monkeypatch.setattr(ktheory, "_echelon", recording)
+    pv_step(g, act)
+    assert seen == [{0: 1, 2: 1}, {1: 2, 3: Fraction(1, 2)}]
+    assert all(type(x) is Fraction for row in seen for x in row.values())
 
 
 def test_as_int_matrix_entry_rules():
