@@ -24,13 +24,15 @@ dimension.  Determinants (fraction-free Bareiss) and Smith forms are dense;
 
 The colimit classifier certifies exact answers for the class of systems whose
 matrices become upper triangular under a common permutation of coordinates
-(detected from the union zero pattern) or which form a commuting family with
+(the union zero pattern has no cycle) or which form a commuting family with
 an integral joint spectrum, read in integers (characteristic polynomials,
 Sturm isolation and generalized eigenspaces; no sympy) and checked against
-the traces; on each filtration direction the diagonal scaling must follow a
-monomial law ``c * d**e`` (separately on odd and even step parameters, which
-covers parity-dependent laws).  Systems outside this class are rejected with
-a diagnostic instead of guessed at.
+the traces.  Both classes are read off one flag of directions (coordinates,
+or joint eigenvalue tuples) with the same samples, the chain and two
+confirmation maps beyond it; on each direction the diagonal scaling must
+follow a monomial law ``c * d**e`` (separately on odd and even step
+parameters, which covers parity-dependent laws).  Systems outside this class
+are rejected with a diagnostic instead of guessed at.
 """
 
 from __future__ import annotations
@@ -1122,75 +1124,46 @@ def _union_pattern(maps):
     return feeds
 
 
-def _triangular_order(feeds):
-    """Permutation making every matrix with these feed arcs upper triangular.
-
-    Coordinate j feeding coordinate i means i must come first.  Returns the
-    permutation (list of original indices in new order) or None if the feed
-    graph has a cycle.
-    """
-    dim = len(feeds)
-    placed = []
-    placed_set = set()
-    while len(placed) < dim:
-        ready = [j for j in range(dim)
-                 if j not in placed_set and feeds[j] <= placed_set]
-        if not ready:
-            return None
-        nxt = min(ready)
-        placed.append(nxt)
-        placed_set.add(nxt)
-    return placed
-
-
 def _reachable(feeds, start):
-    """All coordinates strictly reachable from ``start`` along feed arcs."""
+    """The coordinates reached from ``start`` along one or more feed arcs;
+    ``start`` is among them exactly when it lies on a cycle."""
     seen = set()
     stack = [start]
     while stack:
-        j = stack.pop()
-        # Ascending visits fix the insertion order of ``seen``, hence its
-        # iteration order and the coordinate a split-safety error names.
-        for i in sorted(feeds[j]):
+        for i in feeds[stack.pop()]:
             if i not in seen:
                 seen.add(i)
                 stack.append(i)
-    seen.discard(start)
     return seen
 
 
-def _classify_triangular(samples_per_coord, feeds, r_expected):
-    order = _triangular_order(feeds)
-    if order is None:
-        return None
-    dim = len(feeds)
-    types = {}
-    for p in range(dim):
-        types[p] = _direction_type(samples_per_coord[p])
-    survivors = [p for p in order if types[p] is not None]
-    if len(survivors) != r_expected:
+def _flag_sum(flag, r):
+    """The colimit read off a flag of directions, each ``(samples, into)``.
+
+    ``samples`` are the direction's ``(d, lambda)`` pairs, typed by
+    ``_direction_type``; ``into`` lists the flag indices it couples into.  The
+    survivors must number the stabilized rank ``r``.  Split safety: a non-free
+    survivor may couple only into divisible or dead directions, since only
+    then is the extension certified to split; the answer is their direct sum.
+    """
+    types = [_direction_type(samples) for samples, _ in flag]
+    survivors = [t for t in types if t is not None]
+    if len(survivors) != r:
         raise UnsupportedSystemError(
-            f"triangular analysis found {len(survivors)} surviving directions "
-            f"but the stabilized composite has rank {r_expected}"
+            f"the flag keeps {len(survivors)} of {len(flag)} directions, but the "
+            f"stabilized composite has rank {r}"
         )
-    # Split safety: a non-free filtration quotient is only certified when
-    # everything it actually couples into (transitively) is divisible.
-    for p in survivors:
-        tp = types[p]
-        if tp.is_free:
+    for p, (_, into) in enumerate(flag):
+        if types[p] is None or types[p].is_free:
             continue
-        for q in _reachable(feeds, p):
-            tq = types.get(q)
-            if tq is not None and not tq.is_divisible:
+        for q in into:
+            if types[q] is not None and not types[q].is_divisible:
                 raise UnsupportedSystemError(
-                    "cannot certify a split filtration: a non-free direction "
-                    f"(coordinate {p}) couples into a non-divisible one "
-                    f"(coordinate {q}); refusing to guess the extension"
+                    f"cannot certify a split filtration: non-free direction {p} "
+                    f"couples into non-divisible direction {q}; refusing to guess "
+                    "the extension"
                 )
-    total = GroupDescriptor.zero()
-    for p in survivors:
-        total = total.direct_sum(types[p])
-    return total
+    return GroupDescriptor.zero().direct_sum(*survivors)
 
 
 def _restricted_maps(mats, basis):
@@ -1259,57 +1232,41 @@ def _common_flag_eigenvalues(ts):
     return flag
 
 
-def _classify_eigen(mats, d_values, w_final, r_expected):
-    # The flag argument needs a commuting family.
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            if mat_mul(mats[a], mats[b]) != mat_mul(mats[b], mats[a]):
+def _eigen_flag(mats, ds, w, r):
+    """The flag of a commuting family on the stabilized subspace (the image of
+    ``w``): one direction per common eigenvalue tuple, sampled at ``ds``, each
+    coupling into every earlier one."""
+    for i, a in enumerate(mats):
+        for b in mats[i + 1:]:
+            if mat_mul(a, b) != mat_mul(b, a):
                 raise UnsupportedSystemError(
                     "structure maps do not commute and no common triangular "
                     "coordinate order exists; the system is outside the "
                     "certified class"
                 )
-    basis = image_lattice_basis(w_final)
+    basis = image_lattice_basis(w)
     if not basis:
-        return GroupDescriptor.zero()
-    # Columns of basis_mat span the stabilized subspace.
-    basis_mat = [[basis[j][i] for j in range(len(basis))] for i in range(len(basis[0]))]
+        return []
+    basis_mat = [list(col) for col in zip(*basis)]
     # Every map must preserve the stabilized subspace with full rank.
     for m in mats:
-        if rank(mat_mul(m, basis_mat)) != r_expected:
+        if rank(mat_mul(m, basis_mat)) != r:
             raise UnsupportedSystemError(
                 "a structure map drops rank on the stabilized subspace; "
                 "the system is outside the certified class"
             )
-    ts = _restricted_maps(mats, basis_mat)
-    flag = _common_flag_eigenvalues(ts)
-    total = GroupDescriptor.zero()
-    seen_non_divisible = False
-    for vals in flag:
-        samples = list(zip(d_values, vals))
-        kind = _direction_type(samples)
-        if kind is None:
-            raise UnsupportedSystemError(
-                "a stabilized flag direction dies; internal inconsistency in "
-                "the eigen classifier"
-            )
-        if not kind.is_free and seen_non_divisible:
-            raise UnsupportedSystemError(
-                "cannot certify a split filtration in the eigen classifier: "
-                "a non-free quotient sits above a non-divisible part"
-            )
-        if not kind.is_divisible:
-            seen_non_divisible = True
-        total = total.direct_sum(kind)
-    return total
+    flag = _common_flag_eigenvalues(_restricted_maps(mats, basis_mat))
+    return [(list(zip(ds, vals)), range(i)) for i, vals in enumerate(flag)]
 
 
 def _colimit_symbolic(system):
     dim = system.dim
     cap = max(14, dim + 6)
-    maps = [system._step(t) for t in range(1, cap + 1)]
-    d_values = [system.d_value(t) for t in range(1, cap + 1)]
-    ranks, w = _composite_ranks(maps)
+    # The sampled maps: the chain, then two confirmation samples beyond the
+    # horizon against families whose behaviour changes past it.
+    ds = [system.d_value(t) for t in range(1, cap + 1)] + [101, 102]
+    maps = [system._step(t) for t in range(1, cap + 1)] + [system._step_at(d) for d in ds[cap:]]
+    ranks, w = _composite_ranks(maps[:cap])
     r = ranks[-1]
     if any(x != r for x in ranks[-4:]):
         raise UnsupportedSystemError(
@@ -1319,31 +1276,26 @@ def _colimit_symbolic(system):
     # The eventual rank must not depend on where the window starts.
     tail_start = cap // 2
     tail_comp = maps[tail_start]
-    for m in maps[tail_start + 1:]:
+    for m in maps[tail_start + 1:cap]:
         tail_comp = _sparse_mul(m, tail_comp)
     if len(_echelon(tail_comp)) != r:
         raise UnsupportedSystemError(
             "window rank depends on the starting level; the system is outside "
             "the certified class"
         )
-    # Confirmation samples beyond the horizon guard against families whose
-    # behaviour changes past the materialized chain.
-    confirm_ds = [101, 102]
-    confirm = [(d, system._step_at(d)) for d in confirm_ds]
-    feeds = _union_pattern(maps + [m for _, m in confirm])
-    samples_per_coord = {
-        p: [(d, m[p].get(p, 0)) for d, m in zip(d_values, maps)]
-        + [(d, m[p].get(p, 0)) for d, m in confirm]
-        for p in range(dim)
-    }
-    invariants = _classify_triangular(samples_per_coord, feeds, r)
+    # A coordinate that reaches itself closes a cycle: no common triangular
+    # order exists, and the commuting family's eigen flag is read instead.
+    feeds = _union_pattern(maps)
+    reach = [_reachable(feeds, p) for p in range(dim)]
     w = _dense_rows(w, dim)
-    if invariants is None:
-        invariants = _classify_eigen([_dense_rows(m, dim) for m in maps], d_values, w, r)
-    rels = _relation_pairs(_kernel_basis(w))
+    if any(p in reach[p] for p in range(dim)):
+        flag = _eigen_flag([_dense_rows(m, dim) for m in maps], ds, w, r)
+    else:
+        flag = [([(d, m[p].get(p, 0)) for d, m in zip(ds, maps)], sorted(reach[p]))
+                for p in range(dim)]
     return ColimitReport(
-        invariants=invariants,
-        relations=rels,
+        invariants=_flag_sum(flag, r),
+        relations=_relation_pairs(_kernel_basis(w)),
         truncated=False,
         rank=r,
         stabilization_level=stab,
@@ -1444,7 +1396,7 @@ def identified(system, a, b):
         level = _as_int(level, "element level")
         if level < 1:
             raise InputError("element levels are 1-based integers")
-        vec = [_as_int(x, "element entry") for x in vec]
+        vec = [_as_int(x, "element entry") for x in _as_list(vec, "an element vector")]
         if len(vec) != system.dim:
             raise InputError(f"element vectors must have length {system.dim}")
         return level, vec

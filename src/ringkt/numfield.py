@@ -455,6 +455,9 @@ def _multiplication_rows(elem):
 # the number field
 # ---------------------------------------------------------------------------
 
+# Most representatives ``residue_system`` lists: it builds all ``d^n`` of them.
+_RESIDUE_LIMIT = 2 ** 16
+
 
 class NumberField:
     """``Q[x]/(f)`` for monic irreducible integer ``f``; power basis order.
@@ -606,7 +609,8 @@ class NumberField:
 
         ``standard`` uses digits ``0 <= l < d``; ``centered`` uses digits
         ``-d' <= l <= d'`` for odd ``d = 2 d' + 1`` (an even modulus has no
-        symmetric digit set and is rejected).
+        symmetric digit set and is rejected).  A system of more than
+        ``_RESIDUE_LIMIT`` elements is refused.
         """
         d = _as_int(d, "the residue modulus")
         if d < 2:
@@ -623,6 +627,10 @@ class NumberField:
             digits = range(-half, half + 1)
         else:
             raise InputError(f"unknown residue style {style!r}")
+        count = d ** self.degree
+        if count > _RESIDUE_LIMIT:
+            raise InputError(f"the residue system modulo {d} has {d}^{self.degree} = {count} "
+                             f"elements, above the limit of {_RESIDUE_LIMIT}")
         return [tuple(v) for v in itertools.product(digits, repeat=self.degree)]
 
     # -- roots of unity --------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import check_smith_form, random_int_matrix, random_unimodular, seeded_rng
+from ringkt import abgrp
 from ringkt.abgrp import (
     _fit_monomial,
     ColimitReport,
@@ -454,6 +455,66 @@ def test_colimit_rejects_non_monomial_law():
         colimit(DirectedSystem.symbolic(1, [{"kind": "poly", "coeffs": [-2, 1]}]))
 
 
+# ---------------------------------------------------------------------------
+# one flag reader for the triangular and the eigen path
+# ---------------------------------------------------------------------------
+
+
+def _conj(a, b):
+    """``P diag(a, b) P^-1`` for ``P = [[1, 1], [1, 2]]``: no entry vanishes
+    on the chain, so the union pattern has a cycle and the eigen path reads it."""
+    return mat_mul(mat_mul([[1, 1], [1, 2]], [[a, 0], [0, b]]), [[2, -1], [-1, 1]])
+
+
+def _late(d):
+    """1 along the materialized chain, 2 at the confirmation samples d = 101, 102."""
+    return 1 if d < 50 else 2
+
+
+_SPLIT = "non-free direction 1 couples into non-divisible direction 0"
+_NO_MONOMIAL = "fits no monomial"
+
+
+@pytest.mark.parametrize("family, eigen, outcome", [
+    (lambda d: [[3, 1], [0, 2]], False, _SPLIT),
+    (lambda d: [[d, 1], [0, 2]], False, "Loc{2} + Q"),
+    (lambda d: _conj(3, 2), True, _SPLIT),
+    (lambda d: _conj(d, 2), True, "Loc{2} + Q"),
+    (lambda d: [[d, 0], [0, _late(d)]], False, _NO_MONOMIAL),
+    # certified as Z + Q while the eigen path skipped the confirmation samples
+    (lambda d: _conj(d, _late(d)), True, _NO_MONOMIAL),
+], ids=["const-split", "grow-split-ok", "conj-const-split", "conj-grow-split-ok",
+        "late-change", "conj-late-change"])
+def test_both_paths_read_one_flag(monkeypatch, family, eigen, outcome):
+    read = abgrp._eigen_flag
+    eigen_calls = []
+    monkeypatch.setattr(abgrp, "_eigen_flag", lambda *a: eigen_calls.append(1) or read(*a))
+    system = DirectedSystem.from_family(2, family)
+    if outcome in (_SPLIT, _NO_MONOMIAL):
+        with pytest.raises(UnsupportedSystemError, match=outcome):
+            colimit(system)
+    else:
+        rep = colimit(system)
+        assert str(rep.invariants) == outcome and not rep.truncated
+    assert bool(eigen_calls) == eigen
+
+
+@pytest.mark.parametrize("family", [lambda d: [[d, 1], [0, 2]], lambda d: _conj(d, 2)],
+                         ids=["triangular", "eigen"])
+def test_a_lost_direction_trips_the_survivor_count(monkeypatch, family):
+    typed = abgrp._direction_type
+    calls = []
+
+    def lose_the_first(samples):
+        calls.append(samples)
+        return None if len(calls) == 1 else typed(samples)
+
+    monkeypatch.setattr(abgrp, "_direction_type", lose_the_first)
+    with pytest.raises(UnsupportedSystemError, match="the flag keeps 1 of 2 directions, "
+                       "but the stabilized composite has rank 2"):
+        colimit(DirectedSystem.from_family(2, family))
+
+
 @pytest.mark.parametrize("coeffs", [[-3, 1], [-2, 1]])
 def test_linear_law_with_a_root_on_the_chain_is_refused(coeffs):
     """``d - 3`` and ``d - 2`` vanish once on the chain d = 2, 3, 4, ...
@@ -736,6 +797,9 @@ def test_identified_validation():
         identified(sys31, (0, (1, 0, 0)), (1, (1, 0, 0)))
     with pytest.raises(InputError):
         identified(sys31, (1, (1, 0)), (1, (1, 0, 0)))
+    for vec in (5, None):
+        with pytest.raises(InputError, match="an element vector must be a list"):
+            identified(sys31, (1, (1, 0, 0)), (1, vec))
 
 def test_identified_integer_rule():
     sys31 = _rank3_system()

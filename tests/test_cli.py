@@ -60,6 +60,9 @@ def test_residues_verb(runner):
     cout = json.loads(centered.output)
     assert cout["count"] == 9
     assert [-1, -1] in cout["residues"]
+    big = invoke(runner, "residues", "--field", "x^3 - 2", "--modulus", "10000")
+    assert big.exit_code == 2
+    assert "above the limit of 65536" in big.output
 
 
 def test_snf_verb(runner):
@@ -85,6 +88,18 @@ def test_colim_verb_builtin_and_file(runner, tmp_path):
     }))
     res = invoke(runner, "colim", "--system", str(path))
     assert json.loads(res.output)["pretty"] == "Z + Q"
+
+    # d * [[3, -1], [2, 0]]: the union pattern has a cycle, so the eigen path
+    # reads the eigenvalues d and 2d
+    path.write_text(json.dumps({
+        "mode": "symbolic", "dim": 2,
+        "law": [{"kind": "poly", "coeffs": [0, 3]}, {"kind": "zero"}],
+        "offdiag": [{"row": 0, "col": 1, "poly": [0, -1]},
+                    {"row": 1, "col": 0, "poly": [0, 2]}],
+    }))
+    res = invoke(runner, "colim", "--system", str(path))
+    assert res.exit_code == 0
+    assert json.loads(res.output)["pretty"] == "Q^2"
 
 
 def test_pv_verb(runner, tmp_path):

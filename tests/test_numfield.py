@@ -168,6 +168,17 @@ def test_residue_system_counts_and_uniqueness():
             assert all(len(r) == n and all(0 <= x < d for x in r) for r in reps)
 
 
+def test_residue_system_is_bounded():
+    # every one of the d^n residues is listed: x^3 - 2 modulo 10^4 would be 10^12
+    with pytest.raises(InputError, match=r"10000\^3 = 1000000000000 elements"):
+        parse_field("x^3 - 2").residue_system(10000)
+    assert len(parse_field("x").residue_system(2 ** 16)) == 2 ** 16
+    with pytest.raises(InputError, match="above the limit of 65536"):
+        parse_field("x").residue_system(2 ** 16 + 1)
+    with pytest.raises(InputError, match="above the limit of 65536"):
+        parse_field("x^2 + 1").residue_system(257, "centered")
+
+
 def test_residue_system_centered():
     k = parse_field("x^2 + 1")
     reps = k.residue_system(3, "centered")
