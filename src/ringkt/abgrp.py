@@ -815,7 +815,7 @@ class DirectedSystem:
 
     @classmethod
     def explicit(cls, matrices):
-        matrices = list(matrices)
+        matrices = _as_list(matrices, "'matrices'")
         if not matrices:
             raise InputError("explicit system needs at least one matrix")
         dim = len(matrices[0]) if isinstance(matrices[0], (list, tuple)) else 0
@@ -871,7 +871,7 @@ class DirectedSystem:
             _check_keys(obj, ("mode", "matrices"), "an explicit system")
             if "matrices" not in obj:
                 raise InputError("explicit system JSON needs 'matrices'")
-            return cls.explicit(_as_list(obj["matrices"], "'matrices'"))
+            return cls.explicit(obj["matrices"])
         if mode == "symbolic":
             _check_keys(obj, ("mode", "dim", "law", "offdiag", "d_chain"), "a symbolic system")
             for key in ("dim", "law"):

@@ -983,23 +983,27 @@ def _polymod_mul(a, b, f, p):
 
 
 def _polymod_divmod(a, b, p):
-    """Quotient and remainder of ``a`` by ``b`` over F_p, both trimmed.
+    """Quotient and remainder of ``a`` by ``b`` over Z/p, both reduced and
+    trimmed.
 
-    ``b`` must be reduced mod ``p`` with a nonzero leading coefficient.
+    ``a`` may be unreduced (any integers); ``b`` is reduced mod ``p`` and has
+    a leading coefficient invertible mod ``p``.  The running value stays
+    unreduced: each quotient coefficient is read mod ``p`` from it, and only
+    the remainder is reduced, once.
     """
-    a = _trim_mod(a, p)
+    a = list(a)
+    while a and not a[-1] % p:
+        a.pop()
     db = len(b) - 1
-    inv = pow(b[-1], -1, p)
+    inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
+    low = b[:-1]  # the top term cancels mod p and is not read again
     quot = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db:
-        c = a[-1] * inv % p
-        shift = len(a) - 1 - db
-        quot[shift] = c
-        for i, y in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * y) % p
-        while a and not a[-1]:
-            a.pop()
-    return quot, a
+    for shift in range(len(quot) - 1, -1, -1):
+        c = quot[shift] = a[shift + db] * inv % p
+        if c:
+            for i, y in enumerate(low, shift):
+                a[i] -= c * y
+    return quot, _trim_mod(a[:db], p)
 
 
 def _polymod_gcd(a, b, p):
@@ -1032,8 +1036,11 @@ def _factor_counts(coeffs, p):
     squarefree mod p: ``sum gcd(d, f_i) = n - rank(Q^d - I)``, as ``a ->
     a^(p^d)`` fixes the subfields ``F_(p^gcd(d, f_i))`` of the ``F_(p^f_i)``.
     The first count is Berlekamp's (Math. Comp. 24, 1970; Cohen, section
-    3.4), which shares no step with ``_factor_degrees_mod_p`` beyond
-    ``x^p mod f``.
+    3.4).  It shares two values with ``_factor_degrees_mod_p``, each computed
+    on its own: ``x^p mod f`` and the products ``x^(ip) mod f``, the rows of
+    ``Q`` here and the Frobenius rows of the distinct-degree ladder there.
+    What stays independent is the gcd chain there and the rank of ``Q^d - I``
+    here, with ``x^(p^d)`` from its own square-and-multiply ladder.
 
     >>> list(_factor_counts([1, 0, 0, 0, 1], 3))  # x^4 + 1: two quadratics mod 3
     [2, 4, 2, 4]
@@ -1054,19 +1061,38 @@ def _factor_counts(coeffs, p):
 
 def _distinct_degree_parts(f, p):
     """``(k, g_k)``, ``g_k`` the product of the degree-k irreducible factors of
-    ``f`` over F_p, for ``f`` reduced and squarefree mod p."""
+    ``f`` over F_p, for ``f`` reduced and squarefree mod p.
+
+    ``x^p mod f`` comes from square and multiply; past it, Frobenius is
+    F_p-linear, so ``x^(p^k) = sum c_i x^(ip) mod f`` for ``x^(p^(k-1)) = sum
+    c_i x^i``: one matrix-vector product with the rows ``x^(ip) mod f``,
+    built once at the first ``k = 2`` (Cohen, section 3.4).
+
+    >>> _distinct_degree_parts([1, 0, 0, 0, 1], 3)  # x^4 + 1: two quadratics mod 3
+    [(2, [1, 0, 0, 0, 1])]
+    """
     parts = []
     work = f[:]
     k = 0
-    xq = [0, 1]
     while len(work) > 1:
         k += 1
-        # xq = x^(p^k) mod f  (against the original f to keep the ladder simple)
-        xq = _polymod_pow(xq, p, f, p)
         if len(work) - 1 < 2 * k:
             # whatever is left is a single irreducible factor
             parts.append((len(work) - 1, work))
             break
+        if k == 1:
+            xq = _polymod_pow([0, 1], p, f, p)
+        else:
+            if k == 2:
+                rows = [[1], xq]  # rows[i] = x^(ip) mod f, i < deg f
+                while len(rows) < len(f) - 1:
+                    rows.append(_polymod_mul(rows[-1], xq, f, p))
+            step = [0] * (len(f) - 1)
+            for c, row in zip(xq, rows):
+                if c:
+                    for j, y in enumerate(row):
+                        step[j] += c * y
+            xq = _trim_mod(step, p)  # x^(p^k) mod f
         g = _polymod_gcd(work, _poly_sub_mod(xq, [0, 1], p), p)
         if len(g) > 1:
             parts.append((k, g))
@@ -1201,8 +1227,9 @@ def _polymod_pow(base, e, f, p):
     while e:
         if e & 1:
             out = _polymod_mul(out, b, f, p)
-        b = _polymod_mul(b, b, f, p)
         e >>= 1
+        if e:
+            b = _polymod_mul(b, b, f, p)
     return out
 
 

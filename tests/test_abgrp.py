@@ -290,6 +290,8 @@ def test_system_validation():
         DirectedSystem.explicit([])
     with pytest.raises(InputError):
         DirectedSystem.explicit([[[1, 2]]])  # not square
+    with pytest.raises(InputError, match="'matrices' must be a list"):
+        DirectedSystem.explicit(5)
     with pytest.raises(InputError):
         DirectedSystem.symbolic(2, [{"kind": "identity"}])  # one law missing
     with pytest.raises(InputError):

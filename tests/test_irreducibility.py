@@ -174,6 +174,19 @@ def test_false_berlekamp_count_raises(monkeypatch):
         parse_field("x^3 - 2")
 
 
+def test_the_two_residue_routes_stay_apart(monkeypatch):
+    # x^4 + 1 mod 3 reaches the Frobenius rows of the distinct-degree ladder;
+    # Berlekamp's count must not read that ladder, nor the ladder the count.
+    def refuse(*args):
+        raise AssertionError("one residue route read the other")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(numfield, "_distinct_degree_parts", refuse)
+        assert list(numfield._factor_counts([1, 0, 0, 0, 1], 3)) == [2, 4, 2, 4]
+    monkeypatch.setattr(numfield, "_factor_counts", refuse)
+    assert numfield._factor_degrees_mod_p([1, 0, 0, 0, 1], 3) == [2, 2]
+
+
 def test_an_unsplit_residue_factor_is_stopped_by_berlekamp(monkeypatch):
     # x^4 + 1 = (x^2 + x + 2)(x^2 + 2x + 2) mod 3, the prime the search splits
     # at; left unsplit, the one "factor" would give only the idempotent 1.
