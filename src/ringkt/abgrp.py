@@ -504,8 +504,44 @@ def _factor_multiplicity(x):
     return out
 
 
-def _is_prime(p):
-    return _factor_multiplicity(p) == {p: 1}
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """True when the integer ``n`` is prime.
+
+    Trial division by the first 13 primes, then the strong-probable-prime
+    (Miller-Rabin) test to each of them as a base, decides every ``n`` below
+    ``_MR_BOUND``, the least strong pseudoprime to all 13 bases (Sorenson and
+    Webster, Math. Comp. 86, 2017).  A number at or above the bound with no
+    factor among the 13 primes raises ``InputError``.
+
+    >>> [p for p in range(30, 2000) if _is_prime(p)][:3], _is_prime(43 * 47)
+    ([31, 37, 41], False)
+    """
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:  # no prime factor up to 41, and none above sqrt(n)
+        return n > 1
+    if n >= _MR_BOUND:
+        raise InputError(
+            f"cannot decide whether {n} is prime: Miller-Rabin with the first "
+            f"13 prime bases is proven only below {_MR_BOUND}"
+        )
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def invariant_factors(orders):

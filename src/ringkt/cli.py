@@ -89,7 +89,7 @@ def field_info(field_str, pretty):
             unit = numfield.fundamental_unit_real_quadratic(field)
             out["fundamental_unit"] = [str(c) for c in unit.coeffs]
             out["fundamental_unit_pretty"] = unit.as_string()
-        except RingKTError:
+        except (InputError, HypothesisError):
             pass
         return out
 

@@ -9,7 +9,8 @@ in the power-basis convention of :mod:`ringkt.numfield`):
 * the structure matrices themselves (``kappa``): block matrices on the basis
   of projection classes indexed by subsets of ``{1..n}``, with a finite part
   (all ``2^n`` subsets), an infinite part (the ``2^(n-1)`` even subsets) and
-  a single coupling row into the degree-zero generator;
+  a single coupling row into the degree-zero generator, read off a closed
+  form in ``d`` and checked against products of blocks (``compose``);
 * crossed products by single automorphisms via the exact six-term sequence
   (``pv_step``), including the order-two involution in its elementary-divisor
   normal form (``involution_action``);
@@ -157,7 +158,8 @@ class KappaMatrix:
     * ``inf_diag``: the diagonal ``d^(n - |T|)`` over even subsets ``T``.
 
     The sparse form is closed under products, so composites stay exact for
-    any size without building dense matrices.
+    any size without building dense matrices.  ``compose`` multiplies blocks
+    and never reads the closed form of :func:`kappa`, so each checks the other.
     """
 
     n: int
@@ -212,43 +214,37 @@ def kappa_inf(n, d):
     return tuple(d ** (n - len(t)) for t in even_subsets_graded_lex(n))
 
 
-def _kappa_two(n):
-    n2 = 2 ** n
-    mixing = tuple([0] + [2 ** (n - 1)] * (n2 - 1))
-    return KappaMatrix(n, 2, False, mixing, kappa_inf(n, 2))
-
-
-def _kappa_odd(n, q):
-    n2 = 2 ** n
-    mixing = tuple([(q ** n - 1) // 2] * n2)
-    return KappaMatrix(n, q, True, mixing, kappa_inf(n, q))
-
-
 def kappa(n, d):
     """The structure matrix for level count ``n`` and multiplier ``d >= 2``.
 
-    Built by composing the two template matrices (multiplier 2, odd
-    multiplier), which commute; ``kappa(n, a).compose(kappa(n, b)) ==
-    kappa(n, a*b)`` holds exactly.
+    Read off the closed form, for ``d = 2^a q`` with ``q`` odd: the finite
+    block is the identity exactly when ``a = 0``, the infinite diagonal is
+    ``kappa_inf(n, d)``, and every mixing entry is ``(d^n - 1)/2`` for odd
+    ``d``; for even ``d`` it is ``d^n/2``, except ``d^n/2 - 2^(n-1)`` at
+    the empty set.
+
+    The form follows by induction on ``a``: ``kappa(n, 2)^a`` has mixing
+    ``(2^(n-1) (2^((a-1)n) - 1), 2^(an-1), ..., 2^(an-1))``, and composing
+    it with ``kappa(n, q)``, whose finite block is the identity, adds
+    ``2^(an) (q^n - 1)/2`` to every entry.  The product of blocks checks
+    the form: ``kappa(n, a).compose(kappa(n, b)) == kappa(n, a*b)``.
+
+    >>> kappa(2, 6).mixing
+    (16, 18, 18, 18)
+    >>> kappa(2, 5).mixing
+    (12, 12, 12, 12)
     """
     n, d = _as_int(n, "the level count n"), _as_int(d, "the multiplier d")
     if n < 1:
         raise InputError("the level count n must be an integer >= 1")
     if d < 2:
         raise InputError("the multiplier d must be an integer >= 2")
-    a = 0
-    q = d
-    while q % 2 == 0:
-        a += 1
-        q //= 2
-    out = None
-    for _ in range(a):
-        t = _kappa_two(n)
-        out = t if out is None else out.compose(t)
-    if q > 1:
-        t = _kappa_odd(n, q)
-        out = t if out is None else out.compose(t)
-    return out
+    half, n2 = d ** n // 2, 2 ** n
+    if d % 2:
+        mixing = (half,) * n2  # d^n is odd, so half = (d^n - 1)/2
+    else:
+        mixing = (half - n2 // 2,) + (half,) * (n2 - 1)
+    return KappaMatrix(n, d, d % 2 == 1, mixing, kappa_inf(n, d))
 
 
 _RANK_ONE_PERMUTATION = (2, 1, 0)
@@ -322,10 +318,9 @@ def k_of_B0(n, engine_check=None):
     n = _as_int(n, "the level count n")
     if n < 1:
         raise InputError("the level count n must be an integer >= 1")
-    q_even = sum(math.comb(n, k) for k in range(0, n) if k % 2 == 0)
-    q_odd = sum(math.comb(n, k) for k in range(0, n) if k % 2 == 1)
-    k0 = GroupDescriptor(free_rank=1 if n % 2 == 0 else 0, q_rank=q_even)
-    k1 = GroupDescriptor(free_rank=1 if n % 2 == 1 else 0, q_rank=q_odd)
+    top = GroupDescriptor(free_rank=1, q_rank=2 ** (n - 1) - 1)  # K_(n mod 2)
+    rest = GroupDescriptor(q_rank=2 ** (n - 1))
+    k0, k1 = (top, rest) if n % 2 == 0 else (rest, top)
     out = GradedKGroup(k0, k1)
     if engine_check is None:
         engine_check = n <= 6

@@ -1259,13 +1259,18 @@ def sign_parity(field, elem):
     return field.sign_parity(elem)
 
 
+# A resource bound, not a check: the period of sqrt(D) can grow like sqrt(D).
+_MAX_CF_TERMS = 10_000
+
+
 def fundamental_unit_real_quadratic(field):
     """Fundamental unit of a field ``x^2 - D`` by continued fractions.
 
     Returns the element ``p + q*theta`` from the first convergent ``p/q`` of
     ``sqrt(D)`` with ``p^2 - D q^2 = +-1``.  Only the radicand presentation
     ``x^2 - D`` (D > 1 squarefree) is supported; other real quadratic
-    presentations raise with a distinct message.
+    presentations raise with a distinct message, and so does a period longer
+    than ``_MAX_CF_TERMS`` terms.
     """
     if field.degree != 2 or field.r1 != 2:
         raise HypothesisError("fundamental units are computed for real quadratic fields only")
@@ -1284,7 +1289,7 @@ def fundamental_unit_real_quadratic(field):
     m, den, a = 0, 1, a0
     p_prev, p_cur = 1, a0
     q_prev, q_cur = 0, 1
-    for _ in range(10_000):
+    for _ in range(_MAX_CF_TERMS):
         val = p_cur * p_cur - d * q_cur * q_cur
         if val in (1, -1):
             unit = field.element([p_cur, q_cur])
@@ -1299,4 +1304,7 @@ def fundamental_unit_real_quadratic(field):
         a = (a0 + m) // den
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
-    raise CrossCheckError(f"continued fraction of sqrt({d}) did not close up")
+    raise InputError(
+        f"the continued fraction of sqrt({d}) has no unit convergent within "
+        f"{_MAX_CF_TERMS} terms"
+    )

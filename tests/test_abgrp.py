@@ -230,6 +230,18 @@ def test_descriptor_validation():
         GroupDescriptor(torsion=(0,))
 
 
+def test_localization_primes_are_decided_or_refused():
+    # 2^61 - 1 is prime, and far beyond trial division
+    assert str(GroupDescriptor(loc=[[2 ** 61 - 1]])) == "Loc{2305843009213693951}"
+    # a strong pseudoprime to the first 12 prime bases; base 41 exposes it
+    with pytest.raises(InputError, match="318665857834031151167461 is not prime"):
+        GroupDescriptor(loc=[[318665857834031151167461]])
+    # the least strong pseudoprime to all 13 bases, and a prime above it
+    for n in (3317044064679887385961981, 2 ** 89 - 1):
+        with pytest.raises(InputError, match=f"cannot decide whether {n} is prime"):
+            GroupDescriptor(loc=[[n]])
+
+
 def test_descriptor_integer_rule():
     assert GroupDescriptor(free_rank=Fraction(2, 1), q_rank=Fraction(1)) == \
         GroupDescriptor(free_rank=2, q_rank=1)

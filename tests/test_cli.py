@@ -1,14 +1,19 @@
 """CLI contract tests: JSON shape, determinism, exit codes."""
 
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
-from ringkt import cli
+import ringkt
+from ringkt import cli, numfield
 from ringkt.cli import main
+from ringkt.errors import InputError
 
 # The exact stdout of `verify --suite all`; each suite prints its own lines.
 VERIFY_GOLDEN = (pathlib.Path(__file__).with_name("verify_golden.txt")
@@ -39,6 +44,23 @@ def test_field_info_no_unit_block_for_imaginary(runner):
     out = json.loads(res.output)
     assert out["roots_of_unity_order"] == 4
     assert "fundamental_unit" not in out
+
+
+def test_field_info_exits_4_when_the_unit_cross_check_fails(runner, monkeypatch):
+    monkeypatch.setattr(numfield.FieldElement, "norm", lambda self: 5)
+    res = invoke(runner, "field-info", "--field", "x^2 - 2")
+    assert res.exit_code == 4
+    assert "gives a unit of norm 5" in res.output
+
+
+def test_field_info_omits_a_unit_beyond_the_term_cap(runner, monkeypatch):
+    # sqrt(94) has period 16, so a cap of 10 terms is a resource limit
+    monkeypatch.setattr(numfield, "_MAX_CF_TERMS", 10)
+    with pytest.raises(InputError, match=r"sqrt\(94\) has no unit convergent within 10"):
+        numfield.fundamental_unit_real_quadratic(numfield.parse_field("x^2 - 94"))
+    res = invoke(runner, "field-info", "--field", "x^2 - 94")
+    assert res.exit_code == 0
+    assert "fundamental_unit" not in json.loads(res.output)
 
 
 def test_output_is_deterministic(runner):
@@ -346,6 +368,20 @@ _MALFORMED = {
                                          "offdiag": [{"row": 0, "col": 1, "poly": 5}]}),
     "colim-matrices-int": ("colim", {"mode": "explicit", "matrices": 5}),
 }
+
+
+def test_a_large_localization_prime_is_refused_in_time(tmp_path):
+    # 2^61 - 1 is prime, and far beyond trial division within the timeout
+    doc = {"group": {"k0": {"free": 1, "loc": [[2 ** 61 - 1]]}, "k1": {}}, "action": {}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    src = str(pathlib.Path(ringkt.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    res = subprocess.run([sys.executable, "-m", "ringkt.cli", "pv", "--system", str(path)],
+                         env=env, capture_output=True, text=True, timeout=10)
+    assert res.returncode == 2
+    assert "localized summands are not supported" in res.stderr
 
 
 @pytest.mark.parametrize("name", sorted(_MALFORMED))

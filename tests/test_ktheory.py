@@ -10,6 +10,7 @@ from conftest import random_unimodular, seeded_rng
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringkt import ktheory
 from ringkt.abgrp import (
     DirectedSystem,
     GroupDescriptor,
@@ -32,6 +33,7 @@ from ringkt.ktheory import (
     AmbiguityReport,
     EndoBlocks,
     GradedKGroup,
+    KappaMatrix,
     classify_A,
     classify_B,
     even_subsets_graded_lex,
@@ -117,6 +119,45 @@ def test_kappa_composition_exact():
         assert lhs == kappa(n, a * b)
         # composition is commutative
         assert kappa(n, b).compose(kappa(n, a)) == lhs
+
+
+def _kappa_by_templates(n, d):
+    """kappa(n, 2^a q) as the multiplier-2 template composed a times, then
+    with the odd template: the construction the closed form replaced."""
+    n2 = 2 ** n
+    two = KappaMatrix(n, 2, False, (0,) + (2 ** (n - 1),) * (n2 - 1), kappa_inf(n, 2))
+    a, q = 0, d
+    while q % 2 == 0:
+        a, q = a + 1, q // 2
+    out = None
+    for _ in range(a):
+        out = two if out is None else out.compose(two)
+    if q > 1:
+        odd = KappaMatrix(n, q, True, ((q ** n - 1) // 2,) * n2, kappa_inf(n, q))
+        out = odd if out is None else out.compose(odd)
+    return out
+
+
+def test_kappa_closed_form_matches_template_composition():
+    for n in range(1, 7):
+        for d in range(2, 257):
+            assert kappa(n, d) == _kappa_by_templates(n, d), (n, d)
+
+
+def test_the_two_kappa_routes_stay_apart(monkeypatch):
+    # The closed form must not multiply blocks, nor the product of blocks
+    # read the closed form; otherwise the composition law checks nothing.
+    def refuse(*args):
+        raise AssertionError("one structure-matrix route read the other")
+
+    pairs = ((1, 2), (2, 6), (3, 5), (4, 12), (5, 64))
+    built = {nd: kappa(*nd) for nd in pairs}
+    six, five, thirty = kappa(2, 6), kappa(2, 5), kappa(2, 30)
+    with monkeypatch.context() as patched:
+        patched.setattr(KappaMatrix, "compose", refuse)
+        assert {nd: kappa(*nd) for nd in pairs} == built
+    monkeypatch.setattr(ktheory, "kappa", refuse)
+    assert six.compose(five) == five.compose(six) == thirty
 
 
 def test_kappa_sparse_matches_dense_product():
