@@ -38,8 +38,9 @@ are rejected with a diagnostic instead of guessed at.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress, islice
 from operator import mul
 
@@ -790,13 +791,12 @@ def _as_int_rows(a, dim, wrong_size):
     if isinstance(a, (list, tuple)) and a and all(isinstance(row, dict) for row in a):
         rows = []
         for row in a:
-            cols, vals = list(row), list(row.values())
-            if not _INT.issuperset(map(type, cols + vals)):
-                cols = [_as_int(j, "sparse row column") for j in cols]
-                vals = [_as_int(x, "matrix entry") for x in vals]
-            if cols and not 0 <= min(cols) <= max(cols) < dim:
-                raise InputError(f"sparse row columns {cols} are not all in 0..{dim - 1}")
-            rows.append(dict(zip(compress(cols, vals), compress(vals, vals))))
+            if not (_INT.issuperset(map(type, row)) and _INT.issuperset(map(type, row.values()))):
+                row = dict(zip([_as_int(j, "sparse row column") for j in row],
+                               [_as_int(x, "matrix entry") for x in row.values()]))
+            if row and not (0 <= min(row) and max(row) < dim):
+                raise InputError(f"sparse row columns {list(row)} are not all in 0..{dim - 1}")
+            rows.append(dict(row) if all(row.values()) else {j: x for j, x in row.items() if x})
     else:
         rows = _sparse_rows(as_int_matrix(a))
         if len(a[0]) != dim:
@@ -882,12 +882,10 @@ class DirectedSystem:
             off.append((r, c, coeffs))
 
         def family(d):
-            m = [[0] * dim for _ in range(dim)]
-            for i, p in enumerate(polys):
-                m[i][i] = _poly_eval(p, d)
+            rows = [{i: _poly_eval(p, d)} for i, p in enumerate(polys)]
             for r, c, coeffs in off:
-                m[r][c] = _poly_eval(coeffs, d)
-            return m
+                rows[r][c] = _poly_eval(coeffs, d)
+            return rows
 
         return cls(dim, "symbolic", family=family, d_chain=d_chain,
                    diag_polys=polys, offdiag=tuple(off))
@@ -999,14 +997,27 @@ class ColimitReport:
     only the materialized finite chain (free rank observed so far).
     ``relations`` identifies pairs of nonnegative level-1 vectors that become
     equal in the colimit (a spanning set of the level-1 identifications).
+    The ranks behind ``rank`` and ``stabilization_level`` are read off the
+    images of the composites, which no classification needs to multiply out;
+    ``relations`` come from the kernel of the last composite and are built
+    on first read, by the zero-argument ``relations_source``.
     """
 
     invariants: GroupDescriptor
-    relations: tuple
+    relations_source: object = field(repr=False, compare=False)
     truncated: bool
     rank: int
     stabilization_level: int
     notes: tuple = ()
+
+    @cached_property
+    def relations(self):
+        return self.relations_source()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.to_json_dict() == other.to_json_dict()
 
     def to_json_dict(self):
         return {
@@ -1039,27 +1050,64 @@ def _apply(rows, v):
     return [sum(x * v[j] for j, x in row.items()) for row in rows]
 
 
-def _composite_ranks(maps):
-    """Ranks of the progressive composites ``M_t ... M_1`` of sparse maps,
-    and the last composite (sparse)."""
+def _composite(maps):
+    """The composite ``M_t ... M_1`` of sparse maps ``[M_1, ..., M_t]``."""
+    w = maps[0]
+    for m in maps[1:]:
+        w = _sparse_mul(m, w)
+    return w
+
+
+def _kernel_relations(maps, dim):
+    """A zero-argument source of the relations: the kernel of the composite
+    of ``maps``, multiplied out only when called."""
+    return lambda: _relation_pairs(_kernel_basis(_dense_rows(_composite(maps), dim)))
+
+
+def _primitive(row):
+    """A nonzero sparse rational row rescaled to a primitive integer row."""
+    vals = row.values()
+    if not _INT.issuperset(map(type, vals)):
+        den = math.lcm(*(x.denominator for x in vals))
+        row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+        vals = row.values()
+    g = math.gcd(*vals)
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+def _image_ranks(maps):
+    """Ranks of the progressive composites ``W_t = M_t ... M_1`` of sparse maps.
+
+    No composite is formed: a basis of the image of ``W_(t-1)``, kept as
+    primitive integer vectors (unit vectors at the start), spans it over Q,
+    so ``rank W_t`` is the rank of its image under ``M_t``, and the echelon
+    rows of that image, rescaled, are the next basis.  Each level costs one
+    product of at most ``rank`` vectors with the map's columns.
+    """
+    dim = len(maps[0])
+    basis = [{i: 1} for i in range(dim)]
     ranks = []
-    w = None
     for m in maps:
-        w = m if w is None else _sparse_mul(m, w)
-        ranks.append(len(_echelon(w)))
-    return ranks, w
+        cols = [{} for _ in range(dim)]
+        for i, row in enumerate(m):
+            for j, x in row.items():
+                cols[j][i] = x
+        pivots = _echelon(_sparse_mul(basis, cols))
+        ranks.append(len(pivots))
+        basis = [_primitive(row) for row in pivots.values()]
+    return ranks
 
 
 def _colimit_finite(system, maps):
     dim = system.dim
-    ranks, w = _composite_ranks(maps)
+    ranks = _image_ranks(maps)
     r = ranks[-1]
     stab = 1 + ranks.index(r)
-    rels = _relation_pairs(_kernel_basis(_dense_rows(w, dim)))
+    rels = _kernel_relations(maps, dim)
     if all(map(_is_unimodular, maps)):
         return ColimitReport(
             invariants=GroupDescriptor.free(dim),
-            relations=rels,
+            relations_source=rels,
             truncated=False,
             rank=dim,
             stabilization_level=1,
@@ -1067,7 +1115,7 @@ def _colimit_finite(system, maps):
         )
     return ColimitReport(
         invariants=GroupDescriptor.free(r),
-        relations=rels,
+        relations_source=rels,
         truncated=True,
         rank=r,
         stabilization_level=stab,
@@ -1302,7 +1350,7 @@ def _colimit_symbolic(system):
     # horizon against families whose behaviour changes past it.
     ds = [system.d_value(t) for t in range(1, cap + 1)] + [101, 102]
     maps = [system._step(t) for t in range(1, cap + 1)] + [system._step_at(d) for d in ds[cap:]]
-    ranks, w = _composite_ranks(maps[:cap])
+    ranks = _image_ranks(maps[:cap])
     r = ranks[-1]
     if any(x != r for x in ranks[-4:]):
         raise UnsupportedSystemError(
@@ -1310,11 +1358,7 @@ def _colimit_symbolic(system):
         )
     stab = 1 + ranks.index(r)
     # The eventual rank must not depend on where the window starts.
-    tail_start = cap // 2
-    tail_comp = maps[tail_start]
-    for m in maps[tail_start + 1:cap]:
-        tail_comp = _sparse_mul(m, tail_comp)
-    if len(_echelon(tail_comp)) != r:
+    if len(_echelon(_composite(maps[cap // 2:cap]))) != r:
         raise UnsupportedSystemError(
             "window rank depends on the starting level; the system is outside "
             "the certified class"
@@ -1323,15 +1367,15 @@ def _colimit_symbolic(system):
     # order exists, and the commuting family's eigen flag is read instead.
     feeds = _union_pattern(maps)
     reach = [_reachable(feeds, p) for p in range(dim)]
-    w = _dense_rows(w, dim)
     if any(p in reach[p] for p in range(dim)):
+        w = _dense_rows(_composite(maps[:cap]), dim)
         flag = _eigen_flag([_dense_rows(m, dim) for m in maps], ds, w, r)
     else:
         flag = [([(d, m[p].get(p, 0)) for d, m in zip(ds, maps)], sorted(reach[p]))
                 for p in range(dim)]
     return ColimitReport(
         invariants=_flag_sum(flag, r),
-        relations=_relation_pairs(_kernel_basis(w)),
+        relations_source=_kernel_relations(maps[:cap], dim),
         truncated=False,
         rank=r,
         stabilization_level=stab,
@@ -1389,10 +1433,7 @@ def compose_window(system, i, j):
     length = system.finite_length
     if length is not None and j > length:
         raise InputError(f"window end {j} exceeds the chain length {length}")
-    out = system._step(i)
-    for t in range(i + 1, j + 1):
-        out = _sparse_mul(system._step(t), out)
-    return _dense_rows(out, system.dim)
+    return _dense_rows(_composite([system._step(t) for t in range(i, j + 1)]), system.dim)
 
 
 # Steps the window walk of ``identified`` may take before reaching the

@@ -138,6 +138,16 @@ def even_subsets_graded_lex(n):
     return [s for s in subsets_graded_lex(n) if len(s) % 2 == 0]
 
 
+def _subset_sizes(n, parity):
+    """The sizes of the subsets of {1..n} whose size has the given parity, in
+    graded-lex order: each such ``k`` repeated ``C(n, k)`` times.
+
+    >>> _subset_sizes(4, 0)
+    [0, 2, 2, 2, 2, 2, 2, 4]
+    """
+    return [k for k in range(parity, n + 1, 2) for _ in range(math.comb(n, k))]
+
+
 # ---------------------------------------------------------------------------
 # structure matrices
 # ---------------------------------------------------------------------------
@@ -201,7 +211,8 @@ class KappaMatrix:
 
 
 def kappa_inf(n, d):
-    """The infinite-part diagonal: ``d^(n - |T|)`` over even subsets ``T``.
+    """The infinite-part diagonal: ``d^(n - |T|)`` over even subsets ``T``,
+    that is ``d^(n - k)`` repeated ``C(n, k)`` times for each even ``k``.
 
     >>> kappa_inf(3, 2)
     (8, 2, 2, 2)
@@ -211,7 +222,10 @@ def kappa_inf(n, d):
         raise InputError("the level count n must be at least 1")
     if d < 2:
         raise InputError("the multiplier d must be at least 2")
-    return tuple(d ** (n - len(t)) for t in even_subsets_graded_lex(n))
+    diag = ()
+    for k in range(0, n + 1, 2):
+        diag += (d ** (n - k),) * math.comb(n, k)
+    return diag
 
 
 def kappa(n, d):
@@ -313,7 +327,7 @@ def k_of_B0(n, engine_check=None):
     * ``K_j = Q^(2^(n-1) - 1) + Z`` for ``j = n (mod 2)``.
 
     The closed form is verified against the colimit engine on the diagonal
-    system (always for ``n <= 6``; pass ``engine_check=True`` to force it).
+    system (always for ``n <= 7``; pass ``engine_check=True`` to force it).
     """
     n = _as_int(n, "the level count n")
     if n < 1:
@@ -323,10 +337,10 @@ def k_of_B0(n, engine_check=None):
     k0, k1 = (top, rest) if n % 2 == 0 else (rest, top)
     out = GradedKGroup(k0, k1)
     if engine_check is None:
-        engine_check = n <= 6
+        engine_check = n <= 7
     if engine_check:
         for parity, expected in ((0, k0), (1, k1)):
-            degrees = [len(s) for s in subsets_graded_lex(n) if len(s) % 2 == parity]
+            degrees = _subset_sizes(n, parity)
             system = DirectedSystem.symbolic(
                 len(degrees),
                 [{"kind": "diag_power", "exp": n - k} for k in degrees],
@@ -352,7 +366,7 @@ def k_of_A0(n, engine_check=None):
     * ``n`` even: ``K_0 = Z^2 + Q^(2^(n-1) - 1)``.
 
     Verified against the colimit engine on the full structure-matrix family
-    (always for ``n <= 5``; pass ``engine_check=True`` to force it).
+    (always for ``n <= 6``; pass ``engine_check=True`` to force it).
     """
     n = _as_int(n, "the level count n")
     if n < 1:
@@ -363,7 +377,7 @@ def k_of_A0(n, engine_check=None):
         k0 = GroupDescriptor(free_rank=2, q_rank=2 ** (n - 1) - 1)
     out = GradedKGroup(k0, GroupDescriptor.zero())
     if engine_check is None:
-        engine_check = n <= 5
+        engine_check = n <= 6
     if engine_check:
         system = DirectedSystem.from_family(
             kappa(n, 2).size, lambda d: kappa(n, d).rows()

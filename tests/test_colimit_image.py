@@ -1,0 +1,190 @@
+"""Colimit ranks read off the image, and relations built on first read.
+
+``abgrp._image_ranks`` maps a basis of the image level by level instead of
+multiplying out the composites; ``_composite_ranks`` below is the route it
+replaced (the product ``M_t ... M_1`` and one echelon per level), kept here as
+the oracle.  The relations of a report come from the kernel of the composite
+up to the horizon, and only when read.
+"""
+
+import dataclasses
+import json
+import pathlib
+
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_unimodular, seeded_rng
+from ringkt import abgrp
+from ringkt.abgrp import DirectedSystem, colimit, identified, mat_mul
+from ringkt.cli import main
+from ringkt.ktheory import k_of_A0, k_of_B0, rank_one_system
+
+GOLDENS = json.loads(
+    (pathlib.Path(__file__).with_name("colimit_goldens.json")).read_text()
+)
+RANK_ONE_RELATIONS = tuple(((a[0], tuple(a[1])), (b[0], tuple(b[1])))
+                           for a, b in GOLDENS["rank_one"]["relations"])
+
+
+def _composite_ranks(maps):
+    """Ranks of the progressive composites of sparse maps, by their products."""
+    ranks = []
+    w = None
+    for m in maps:
+        w = m if w is None else abgrp._sparse_mul(m, w)
+        ranks.append(len(abgrp._echelon(w)))
+    return ranks
+
+
+def _horizon_maps(system):
+    cap = max(14, system.dim + 6)
+    return [system._step(t) for t in range(1, cap + 1)]
+
+
+# ``d - 9`` vanishes at the eighth step, so a composite through it drops late.
+_LAWS = ({"kind": "zero"}, {"kind": "identity"}, {"kind": "mult_d"},
+         {"kind": "poly", "coeffs": [-9, 1]}, {"kind": "poly", "coeffs": [3]},
+         {"kind": "poly", "coeffs": [0, -2]})
+_FEEDS = ([1], [0, 1], [-9, 1], [2, -1], [0, -2])
+
+
+@st.composite
+def chains(draw):
+    """Sparse maps of one of three kinds: a symbolic system of dim 1-8 with
+    any feed pattern, an explicit chain, or a commuting family
+    ``P diag(laws) P^-1`` whose union pattern has a cycle."""
+    kind = draw(st.sampled_from(("symbolic", "explicit", "commuting")))
+    if kind == "explicit":
+        dim = draw(st.integers(1, 5))
+        entry = st.integers(-2, 2)
+        square = st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+        mats = draw(st.lists(square, min_size=1, max_size=6))
+        return [abgrp._sparse_rows(m) for m in mats]
+    dim = draw(st.integers(1, 8 if kind == "symbolic" else 4))
+    laws = draw(st.lists(st.sampled_from(_LAWS), min_size=dim, max_size=dim))
+    if kind == "symbolic":
+        offdiag = [{"row": i, "col": j, "poly": draw(st.sampled_from(_FEEDS))}
+                   for i in range(dim) for j in range(dim)
+                   if i != j and draw(st.integers(0, 3)) == 0]
+        return _horizon_maps(DirectedSystem.symbolic(dim, laws, offdiag))
+    u, u_inv = random_unimodular(seeded_rng(f"commuting-{draw(st.integers(0, 999))}"), dim)
+    polys = [abgrp._law_to_poly(law) for law in laws]
+
+    def family(d):
+        diag = [[abgrp._poly_eval(p, d) if i == j else 0 for j in range(dim)]
+                for i, p in enumerate(polys)]
+        return mat_mul(mat_mul(u, diag), u_inv)
+
+    return _horizon_maps(DirectedSystem.from_family(dim, family))
+
+
+@settings(max_examples=40, deadline=None)
+@given(maps=chains())
+def test_image_ranks_equal_the_composite_ranks(maps):
+    assert abgrp._image_ranks(maps) == _composite_ranks(maps)
+
+
+def test_a_late_root_drops_the_image_rank_at_its_step():
+    system = DirectedSystem.symbolic(
+        2, [{"kind": "poly", "coeffs": [-9, 1]}, {"kind": "mult_d"}],
+        [{"row": 1, "col": 0, "poly": [1]}])
+    maps = _horizon_maps(system)
+    assert abgrp._image_ranks(maps) == _composite_ranks(maps) == [2] * 7 + [1] * 7
+
+
+# ---------------------------------------------------------------------------
+# relations: the kernel of the composite up to the horizon, built when read
+# ---------------------------------------------------------------------------
+
+
+def _triangular_json(rng, dim):
+    """A seeded symbolic system in the engine's triangular class."""
+    types = [rng.choice(("Q", "Q", "Z", "Loc", "dead")) for _ in range(dim)]
+    laws = [rng.choice({"Q": ({"kind": "mult_d"}, {"kind": "diag_power", "exp": 2},
+                              {"kind": "poly", "coeffs": [0, -3]}),
+                        "Z": ({"kind": "identity"}, {"kind": "poly", "coeffs": [-1]}),
+                        "Loc": ({"kind": "poly", "coeffs": [6]}, {"kind": "poly", "coeffs": [-2]}),
+                        "dead": ({"kind": "zero"},)}[t]) for t in types]
+    order = rng.sample(range(dim), dim)
+    offdiag = [{"row": i, "col": j, "poly": [rng.randint(-2, 2), rng.choice((-1, 1))]}
+               for i in range(dim) for j in range(dim)
+               if order.index(i) < order.index(j) and (types[i] == "Q" or types[j] == "Z")
+               and rng.random() < 0.4]
+    return {"mode": "symbolic", "dim": dim, "law": laws, "offdiag": offdiag}
+
+
+def _eager_relations(system, maps):
+    w = maps[0]
+    for m in maps[1:]:
+        w = abgrp._sparse_mul(m, w)
+    return abgrp._relation_pairs(abgrp._kernel_basis(abgrp._dense_rows(w, system.dim)))
+
+
+def test_relations_are_the_kernel_of_the_horizon_composite():
+    rng = seeded_rng("lazy-relations")
+    with_relations = 0
+    for k in range(108):
+        system = DirectedSystem.from_json(_triangular_json(rng, 1 + k % 12))
+        report = colimit(system)
+        eager = dataclasses.replace(
+            report, relations_source=lambda: _eager_relations(system, _horizon_maps(system)))
+        assert report.to_json_dict() == eager.to_json_dict()
+        with_relations += bool(report.relations)
+    assert with_relations > 50
+
+
+# The kernel of the first step (the stabilization level) spans the same
+# lattice, but its basis prints other relations: 2 e0 ~ e3 in place of
+# 2 e2 ~ e3.  The relations stay those of the horizon composite.
+_STAB_DIFFERS = {
+    "mode": "symbolic", "dim": 5,
+    "law": [{"kind": "zero"}, {"kind": "diag_power", "exp": 2}, {"kind": "zero"},
+            {"kind": "mult_d"}, {"kind": "poly", "coeffs": [-1]}],
+    "offdiag": [{"row": 3, "col": 0, "poly": [1, 0]}, {"row": 3, "col": 2, "poly": [1, 0]},
+                {"row": 3, "col": 4, "poly": [-2, 1]}],
+}
+
+
+def test_relations_do_not_come_from_the_stabilization_level():
+    system = DirectedSystem.from_json(_STAB_DIFFERS)
+    report = colimit(system)
+    assert (report.stabilization_level, str(report.invariants)) == (1, "Z + Q^2")
+    assert report.relations == (((1, (0, 0, 2, 0, 0)), (1, (0, 0, 0, 1, 0))),
+                                ((1, (1, 0, 0, 0, 0)), (1, (0, 0, 1, 0, 0))))
+    at_stab = _eager_relations(system, [system._step(1)])
+    assert at_stab != report.relations
+    assert at_stab[0] == ((1, (2, 0, 0, 0, 0)), (1, (0, 0, 0, 1, 0)))
+
+
+def test_engine_checks_never_build_the_relations(monkeypatch):
+    def refuse(a):
+        raise AssertionError("_kernel_basis reached")
+
+    monkeypatch.setattr(abgrp, "_kernel_basis", refuse)
+    assert k_of_A0(5, engine_check=True) == k_of_A0(5, engine_check=False)
+    assert k_of_B0(6, engine_check=True) == k_of_B0(6, engine_check=False)
+    system = rank_one_system()
+    assert identified(system, (1, (1, 0, 0)), (1, (0, 2, 0))) is True
+    assert identified(system, (1, (1, 0, 0)), (1, (0, 1, 0))) is False
+    report = colimit(system)
+    monkeypatch.undo()
+    # the report made while the kernel was refused builds its relations now
+    assert report.to_json_dict() == GOLDENS["rank_one"]
+    res = CliRunner().invoke(main, ["colim", "--system", "rank-one"], catch_exceptions=False)
+    assert res.exit_code == 0
+    assert json.loads(res.output) == GOLDENS["rank_one"]
+
+
+def test_relations_are_built_once_and_compared():
+    system = rank_one_system()
+    report = colimit(system)
+    calls = []
+    source = report.relations_source
+    report = dataclasses.replace(report, relations_source=lambda: calls.append(1) or source())
+    assert report.relations == report.relations == RANK_ONE_RELATIONS
+    assert calls == [1]
+    assert report == colimit(rank_one_system())
+    other = dataclasses.replace(report, relations_source=lambda: ())
+    assert other != report

@@ -51,6 +51,20 @@ def test_k_of_A0_engine_check_up_to_5(n):
     assert k_of_A0(n, engine_check=True) == k_of_A0(n, engine_check=False)
 
 
+@pytest.mark.parametrize("closed_form, last_checked", [(k_of_B0, 7), (k_of_A0, 6)],
+                         ids=["B0-7", "A0-6"])
+def test_engine_check_is_on_by_default_up_to(closed_form, last_checked, monkeypatch):
+    """The default check reaches ``k_of_B0(7)`` and ``k_of_A0(6)``, where the
+    engine agrees with the closed form, and stops one degree later."""
+    runs = []
+    monkeypatch.setattr(ktheory, "colimit", lambda system: runs.append(1) or colimit(system))
+    assert closed_form(last_checked) == closed_form(last_checked, engine_check=False)
+    assert runs
+    runs.clear()
+    closed_form(last_checked + 1)
+    assert not runs
+
+
 @pytest.mark.parametrize("name, make", [
     ("rank_one", rank_one_system),
     ("rank3", _rank3_system),

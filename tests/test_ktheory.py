@@ -93,6 +93,17 @@ def test_kappa_inf_values():
     assert kappa_inf(n, 5) == tuple(5 ** (n - len(t)) for t in subs)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_binomial_counts_match_the_subset_enumeration(n):
+    """``kappa_inf`` and ``k_of_B0``'s degree lists count subsets by size;
+    the enumeration in graded-lex order is the reference."""
+    subs = subsets_graded_lex(n)
+    for parity in (0, 1):
+        assert ktheory._subset_sizes(n, parity) == [len(t) for t in subs if len(t) % 2 == parity]
+    for d in (2, 3, 10):
+        assert kappa_inf(n, d) == tuple(d ** (n - len(t)) for t in even_subsets_graded_lex(n))
+
+
 def test_kappa_dense_shapes():
     k = kappa(2, 2)
     assert k.size == 6
