@@ -133,11 +133,6 @@ def subsets_graded_lex(n):
     return out
 
 
-def even_subsets_graded_lex(n):
-    """The even-size subsets of {1..n} in graded-lex order."""
-    return [s for s in subsets_graded_lex(n) if len(s) % 2 == 0]
-
-
 def _subset_sizes(n, parity):
     """The sizes of the subsets of {1..n} whose size has the given parity, in
     graded-lex order: each such ``k`` repeated ``C(n, k)`` times.

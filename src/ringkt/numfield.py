@@ -107,16 +107,6 @@ def poly_deriv(p):
     return poly_trim([Fraction(i) * Fraction(c) for i, c in enumerate(p)][1:])
 
 
-def poly_gcd(p, q):
-    a, b = poly_trim(p), poly_trim(q)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        a = poly_scale(a, Fraction(1) / a[-1])
-    return a
-
-
 # ---------------------------------------------------------------------------
 # Sturm chains and real root isolation
 # ---------------------------------------------------------------------------
@@ -712,7 +702,7 @@ class NumberField:
         form, tbound, big = _lift_precision(fz, p)
         units = [j for j in range(1, m) if math.gcd(j, m) == 1]
         shifts = []  # per field: z^j - 1 for its lifted root z, zero in the other fields
-        parts = _distinct_degree_parts(f, p)
+        parts = _distinct_degree_parts(f, p, self._sieve.frobenius_at(p))
         if any((p ** k - 1) % m for k, _ in parts):
             return None  # a residue field without m-th roots: a witness, not a lift
         for k, g, e in _local_idempotents(f, p, parts):
@@ -768,6 +758,18 @@ class _ResidueSieve:
     per field: the irreducibility certificate reads its first rows, and the
     sieve for every candidate order reads the same rows.
 
+    *One walk serves every row.*  The sieve keeps ``x^k mod f`` over Z
+    (``_powers_of_x``) and advances it as the table grows, so the first
+    Frobenius step of the row at ``p`` is that walk at ``k = p``, reduced
+    mod p: one O(n) shift per integer ``k`` up to the largest prime read,
+    instead of about ``log2 p`` products and divisions mod ``(f, p)`` per
+    row.  The walk's coefficients grow like ``k log2 R`` bits, ``R`` the root
+    bound of ``f``, and stay bounded for a cyclotomic ``f``.  ``frobenius``
+    keeps ``x^p mod (f, p)`` for every tabulated ``p``; the lifts in
+    ``split_idempotent`` and ``NumberField._lift_primitive_root`` read it
+    through ``frobenius_at``.  Berlekamp's count (``_factor_counts``) keeps
+    its own square-and-multiply ladder.
+
     *Irreducibility* (Musser, J. ACM 25, 1978): a factor of degree ``d`` over
     Q reduces mod p to a product of some of the factors mod p, so ``d`` is a
     sum of residue degrees at every unramified ``p``.  When no ``d`` in
@@ -794,8 +796,10 @@ class _ResidueSieve:
         self.coeffs = coeffs
         self.disc = disc
         self.table = {}      # p -> residue degrees, p unramified, ascending
+        self.frobenius = {}  # p -> x^p mod (f, p), for the same p
         self._primes = []    # the keys of the table, in ascending order
         self._candidates = _primes()
+        self._walk = enumerate(_powers_of_x(coeffs))  # (k, x^k mod f over Z)
         self._confirmed = set()
 
     def _unramified(self):
@@ -804,9 +808,17 @@ class _ResidueSieve:
             while i == len(self._primes):
                 p = next(self._candidates)
                 if self.disc % p:
+                    power = next(power for k, power in self._walk if k == p)
+                    xp = self.frobenius[p] = _trim_mod(power, p)
                     self._primes.append(p)
-                    self.table[p] = _factor_degrees_mod_p(self.coeffs, p)
+                    self.table[p] = _factor_degrees_mod_p(self.coeffs, p, xp)
             yield self._primes[i]
+
+    def frobenius_at(self, p):
+        """``x^p mod (f, p)`` at an unramified ``p``, off the walk; the table
+        is extended up to ``p`` first when it does not reach it yet."""
+        next(q for q in self._unramified() if q >= p)
+        return self.frobenius[p]
 
     @functools.cached_property
     def _open_degrees(self):
@@ -882,8 +894,9 @@ class _ResidueSieve:
         fz = list(self.coeffs)
         f = _trim_mod(fz, p)
         form, tbound, big = _lift_precision(fz, p)
+        parts = _distinct_degree_parts(f, p, self.frobenius_at(p))
         lifts = [(k, _lift_idempotent(e, fz, p, big))
-                 for k, _, e in _local_idempotents(f, p, _distinct_degree_parts(f, p))]
+                 for k, _, e in _local_idempotents(f, p, parts)]
         self._check_count(p, [k for k, _ in lifts])  # so each g_i is irreducible
         (k0, e0), rest = lifts[0], lifts[1:]
         for size in range(len(rest)):
@@ -1036,11 +1049,13 @@ def _factor_counts(coeffs, p):
     squarefree mod p: ``sum gcd(d, f_i) = n - rank(Q^d - I)``, as ``a ->
     a^(p^d)`` fixes the subfields ``F_(p^gcd(d, f_i))`` of the ``F_(p^f_i)``.
     The first count is Berlekamp's (Math. Comp. 24, 1970; Cohen, section
-    3.4).  It shares two values with ``_factor_degrees_mod_p``, each computed
-    on its own: ``x^p mod f`` and the products ``x^(ip) mod f``, the rows of
-    ``Q`` here and the Frobenius rows of the distinct-degree ladder there.
-    What stays independent is the gcd chain there and the rank of ``Q^d - I``
-    here, with ``x^(p^d)`` from its own square-and-multiply ladder.
+    3.4).  It shares two values with ``_factor_degrees_mod_p``, each reached
+    by another method: ``x^p mod f``, which the distinct-degree side reads off
+    the sieve's walk of ``x^k mod f`` over Z and this side takes from its own
+    square-and-multiply ladder, and the products ``x^(ip) mod f``, the rows of
+    ``Q`` here and the Frobenius rows there.  What stays independent is the
+    gcd chain there and the rank of ``Q^d - I`` here, with ``x^(p^d)`` from
+    the ladder.
 
     >>> list(_factor_counts([1, 0, 0, 0, 1], 3))  # x^4 + 1: two quadratics mod 3
     [2, 4, 2, 4]
@@ -1059,16 +1074,17 @@ def _factor_counts(coeffs, p):
         yield n - _rank_mod_p(q_minus_i, p)
 
 
-def _distinct_degree_parts(f, p):
+def _distinct_degree_parts(f, p, xp):
     """``(k, g_k)``, ``g_k`` the product of the degree-k irreducible factors of
     ``f`` over F_p, for ``f`` reduced and squarefree mod p.
 
-    ``x^p mod f`` comes from square and multiply; past it, Frobenius is
+    ``xp`` is ``x^p mod (f, p)``, reduced and trimmed, from the caller (the
+    sieve reads it off its walk of ``x^k mod f``); past it, Frobenius is
     F_p-linear, so ``x^(p^k) = sum c_i x^(ip) mod f`` for ``x^(p^(k-1)) = sum
     c_i x^i``: one matrix-vector product with the rows ``x^(ip) mod f``,
     built once at the first ``k = 2`` (Cohen, section 3.4).
 
-    >>> _distinct_degree_parts([1, 0, 0, 0, 1], 3)  # x^4 + 1: two quadratics mod 3
+    >>> _distinct_degree_parts([1, 0, 0, 0, 1], 3, [0, 0, 0, 1])  # x^4 + 1 mod 3: x^3
     [(2, [1, 0, 0, 0, 1])]
     """
     parts = []
@@ -1081,7 +1097,7 @@ def _distinct_degree_parts(f, p):
             parts.append((len(work) - 1, work))
             break
         if k == 1:
-            xq = _polymod_pow([0, 1], p, f, p)
+            xq = xp
         else:
             if k == 2:
                 rows = [[1], xq]  # rows[i] = x^(ip) mod f, i < deg f
@@ -1100,14 +1116,35 @@ def _distinct_degree_parts(f, p):
     return parts
 
 
-def _factor_degrees_mod_p(coeffs, p):
-    """Degrees (with multiplicity) of the irreducible factors of f mod p.
+def _factor_degrees_mod_p(coeffs, p, xp):
+    """Degrees (with multiplicity) of the irreducible factors of f mod p,
+    given ``xp = x^p mod (f, p)``.
 
     Only called for p not dividing the discriminant, so f mod p is squarefree
     and distinct-degree factorization determines the degrees exactly.
     """
-    parts = _distinct_degree_parts(_trim_mod(coeffs, p), p)
+    parts = _distinct_degree_parts(_trim_mod(coeffs, p), p, xp)
     return [k for k, g in parts for _ in range((len(g) - 1) // k)]
+
+
+def _powers_of_x(f):
+    """``x^k mod f`` over Z for k = 0, 1, 2, ..., ``f`` monic of degree n, as
+    lists of n coefficients.  Each step multiplies by x: a shift, then one
+    subtraction of the top coefficient times ``f``, exact because ``f`` is
+    monic; so ``x^k mod (f, p)`` is the k-th power reduced mod p, for any p.
+
+    >>> list(itertools.islice(_powers_of_x([1, 0, 1]), 6))[5]  # x^5 mod (x^2 + 1)
+    [0, 1]
+    """
+    power = [1] + [0] * (len(f) - 2)
+    low, middle = -f[0], [-c for c in f[1:-1]]  # x^n = -(f_0 + ... + f_(n-1) x^(n-1))
+    while True:
+        yield power
+        top = power[-1]
+        if top:  # a zero coefficient of f leaves its entry as it is
+            power = [top * low] + [a + top * c if c else a for a, c in zip(power, middle)]
+        else:
+            power = [0] + power[:-1]
 
 
 def _trial_elements(p):

@@ -1,8 +1,26 @@
 """Shared exact-arithmetic test helpers."""
 
+import itertools
 import random
+from fractions import Fraction
 
 from ringkt.abgrp import determinant, mat_mul, mat_shape
+from ringkt.numfield import _powers_of_x, _trim_mod, poly_divmod, poly_scale, poly_trim
+
+
+def poly_gcd(p, q):
+    a, b = poly_trim(p), poly_trim(q)
+    while b:
+        _, r = poly_divmod(a, b)
+        a, b = b, r
+    if a:
+        a = poly_scale(a, Fraction(1) / a[-1])
+    return a
+
+
+def walked_xp(coeffs, p):
+    """x^p mod (f, p) as the residue sieve reads it, off the walk of x^k mod f."""
+    return _trim_mod(next(itertools.islice(_powers_of_x(coeffs), p, None)), p)
 
 
 def random_int_matrix(rng, max_side=8, lo=-50, hi=50):

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
+from conftest import poly_gcd
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,6 @@ from ringkt.numfield import (
     poly_deriv,
     poly_discriminant,
     poly_divmod,
-    poly_gcd,
     poly_mul,
     poly_scale,
     poly_trim,

@@ -5,6 +5,8 @@ powers mod f and the distinct-degree parts are unique, so the two kernels must
 agree object for object, on unreduced dividends and on composite moduli p^k
 (monic f) as the p-adic lifts use them."""
 
+import itertools
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -97,4 +99,40 @@ def test_kernel_matches_the_reference(f, p, k, scale, a, b, e):
     # the distinct-degree parts of f mod p, squarefree
     g = _trim_mod(f, p)
     assume(len(ref_gcd(g, [i * c for i, c in enumerate(g)][1:], p)) == 1)
-    assert numfield._distinct_degree_parts(g, p) == ref_distinct_degree_parts(g, p)
+    assert numfield._distinct_degree_parts(g, p, ref_pow([0, 1], p, g, p)) == \
+        ref_distinct_degree_parts(g, p)
+
+
+def _sieve_rows(f, count):
+    """The first ``count`` rows of f's residue-degree table, as the sieve builds them."""
+    sieve = numfield._ResidueSieve(f, numfield.poly_discriminant(f))
+    return sieve, list(itertools.islice(sieve._unramified(), count))
+
+
+@settings(max_examples=4, deadline=None)
+@given(f=monic())
+def test_walked_frobenius_matches_the_ladder(f):
+    # x^p mod (f, p) off the walk of x^k mod f over Z, at each of the first 60
+    # primes, against square and multiply; each row built from the walk's x^p
+    # against the row built from the ladder's.
+    powers = numfield._powers_of_x(f)
+    ladder = {p: ref_pow([0, 1], p, f, p) for p in PRIMES[:60]}
+    for k, power in zip(range(PRIMES[59] + 1), powers):
+        if k in ladder:
+            assert _trim_mod(power, k) == ladder[k]
+    assume(numfield.poly_discriminant(f))
+    sieve, read = _sieve_rows(f, 60)
+    for p in (p for p in read if p in ladder):
+        assert sieve.frobenius[p] == ladder[p]
+        assert sieve.table[p] == numfield._factor_degrees_mod_p(f, p, ladder[p])
+
+
+def test_walk_of_a_large_coefficient_field():
+    # x^12 + 10^20 x + 7 to 250 rows (p up to 1621): the walk's coefficients
+    # reach thousands of bits, yet every 25th row's x^p is the ladder's.
+    f = [7, 10 ** 20] + [0] * 10 + [1]
+    sieve, read = _sieve_rows(f, 250)
+    assert len(read) == 250 and read[-1] > 1600
+    for p in read[::25] + read[-1:]:
+        assert sieve.frobenius[p] == ref_pow([0, 1], p, f, p)
+        assert sum(sieve.table[p]) == 12

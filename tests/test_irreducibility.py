@@ -3,6 +3,7 @@ Berlekamp cross-check, the idempotent search that decides when the
 certificate proves nothing, and the CLI paths that never import sympy.
 sympy's factorization over Q is the test oracle only."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 import sympy
+from conftest import walked_xp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -143,7 +145,7 @@ def test_sieve_reads_the_rows_the_certificate_built():
 def test_berlekamp_count_matches_distinct_degree_split(coeffs, p):
     if poly_discriminant(coeffs) % p:
         assert next(numfield._factor_counts(coeffs, p)) == len(
-            numfield._factor_degrees_mod_p(coeffs, p))
+            numfield._factor_degrees_mod_p(coeffs, p, walked_xp(coeffs, p)))
 
 
 def test_plain_prime_generator_matches_nextprime():
@@ -163,7 +165,7 @@ def test_plain_prime_generator_matches_nextprime():
 def test_false_residue_degrees_are_stopped_by_berlekamp(monkeypatch):
     # x^3 - 2 = (x - 3)(x^2 + 3x + 9) mod 5, the first unramified prime; the
     # false pattern [3] would prove irreducibility on its own.
-    monkeypatch.setattr(numfield, "_factor_degrees_mod_p", lambda coeffs, p: [3])
+    monkeypatch.setattr(numfield, "_factor_degrees_mod_p", lambda coeffs, p, xp: [3])
     with pytest.raises(CrossCheckError, match=r"mod 5 disagree: .* \[3\], .* counts 2"):
         parse_field("x^3 - 2")
 
@@ -176,15 +178,26 @@ def test_false_berlekamp_count_raises(monkeypatch):
 
 def test_the_two_residue_routes_stay_apart(monkeypatch):
     # x^4 + 1 mod 3 reaches the Frobenius rows of the distinct-degree ladder;
-    # Berlekamp's count must not read that ladder, nor the ladder the count.
+    # Berlekamp's count must not read that ladder or the walk of x^k mod f,
+    # nor the ladder the count.  The sieve's rows take x^p off the walk, never
+    # from a square-and-multiply ladder, and its count checks them without it.
     def refuse(*args):
         raise AssertionError("one residue route read the other")
 
     with monkeypatch.context() as patched:
         patched.setattr(numfield, "_distinct_degree_parts", refuse)
+        patched.setattr(numfield, "_powers_of_x", refuse)
         assert list(numfield._factor_counts([1, 0, 0, 0, 1], 3)) == [2, 4, 2, 4]
-    monkeypatch.setattr(numfield, "_factor_counts", refuse)
-    assert numfield._factor_degrees_mod_p([1, 0, 0, 0, 1], 3) == [2, 2]
+    with monkeypatch.context() as patched:
+        patched.setattr(numfield, "_factor_counts", refuse)
+        assert numfield._factor_degrees_mod_p([1, 0, 0, 0, 1], 3, [0, 0, 0, 1]) == [2, 2]
+        patched.setattr(numfield, "_polymod_pow", refuse)
+        sieve = _ResidueSieve([1, 0, 0, 0, 1], 256)
+        read = list(itertools.islice(sieve._unramified(), 8))  # 3, 5, ..., 23
+        assert [len(sieve.table[p]) for p in read] == [2, 2, 2, 2, 2, 4, 2, 2]
+    sieve.frobenius = sieve._walk = None
+    for p in read:
+        sieve._confirm_degrees(p)
 
 
 def test_an_unsplit_residue_factor_is_stopped_by_berlekamp(monkeypatch):

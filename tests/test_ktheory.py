@@ -36,7 +36,6 @@ from ringkt.ktheory import (
     KappaMatrix,
     classify_A,
     classify_B,
-    even_subsets_graded_lex,
     exterior_graded_ranks,
     identity_action,
     involution_action,
@@ -52,6 +51,11 @@ from ringkt.ktheory import (
     subsets_graded_lex,
 )
 from ringkt.numfield import NumberField, parse_field
+
+
+def even_subsets_graded_lex(n):
+    """The even-size subsets of {1..n} in graded-lex order."""
+    return [s for s in subsets_graded_lex(n) if len(s) % 2 == 0]
 
 
 # ---------------------------------------------------------------------------

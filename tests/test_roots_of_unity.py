@@ -11,6 +11,7 @@ import itertools
 
 import pytest
 import sympy
+from conftest import walked_xp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -65,7 +66,7 @@ def test_residue_degrees_match_gf_p_factorization(coeffs, p):
     assume(numfield.poly_discriminant(coeffs) % p)
     poly = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"), modulus=p)
     expect = sorted(f.degree() for f, mult in poly.factor_list()[1] for _ in range(mult))
-    assert sorted(numfield._factor_degrees_mod_p(coeffs, p)) == expect
+    assert sorted(numfield._factor_degrees_mod_p(coeffs, p, walked_xp(coeffs, p))) == expect
 
 
 def _expr_route_norm(k, m):
@@ -223,8 +224,8 @@ def test_false_witness_degrees_raise(monkeypatch):
     # refutes the true order 8 (3 - 1 = 2) and, unchecked, gives w = 2.
     honest = numfield._factor_degrees_mod_p
 
-    def lying(coeffs, p):
-        return [1, 1, 1, 1] if p == 3 else honest(coeffs, p)
+    def lying(coeffs, p, xp):
+        return [1, 1, 1, 1] if p == 3 else honest(coeffs, p, xp)
 
     monkeypatch.setattr(numfield, "_factor_degrees_mod_p", lying)
     with pytest.raises(CrossCheckError, match="mod 3 disagree"):
@@ -254,7 +255,7 @@ def test_false_exact_hit_on_a_surviving_candidate_raises(monkeypatch):
     # The irreducibility proof would read the false [4] at p = 3 first, and
     # Berlekamp's count would stop it there (see test_irreducibility.py), so
     # the proof is skipped to let the lie reach the survivor check.
-    monkeypatch.setattr(numfield, "_factor_degrees_mod_p", lambda coeffs, p: [4])
+    monkeypatch.setattr(numfield, "_factor_degrees_mod_p", lambda coeffs, p, xp: [4])
     monkeypatch.setattr(_ResidueSieve, "proves_irreducible", lambda self: True)
     monkeypatch.setattr(numfield.NumberField, "_contains_primitive_root",
                         lambda self, m: True)
