@@ -1275,10 +1275,12 @@ def _rational_eigenspaces(t):
                          for i, row in enumerate(tm)])
     poly.reverse()
     out = []
+    chain = numfield.sturm_chain(poly)  # one chain for every bisection step
     for lo, hi in numfield.isolate_real_roots(poly):
         while hi - lo >= 1:
             mid = (lo + hi) / 2
-            lo, hi = (lo, mid) if numfield.count_real_roots(poly, lo, mid) else (mid, hi)
+            below = numfield._chain_changes_at(chain, lo) - numfield._chain_changes_at(chain, mid)
+            lo, hi = (lo, mid) if below else (mid, hi)
         k = math.floor(hi)
         if k <= lo:
             continue

@@ -16,7 +16,8 @@ Highlights:
   and each candidate is a sum of idempotents lifted from one residue
   factorization (at most ``2^(r-1)`` sums, ``r`` the fewest residue factors
   at any prime read);
-* ``signature`` via exact Sturm chains (no floating point anywhere);
+* ``signature`` via exact Sturm chains, each term a positive integer multiple
+  of the signed remainder (no floating point anywhere);
 * the discriminant as the determinant of the trace form, and the norm as
   that of multiplication by the element (whose inverse solves ``M x = e_0``);
 * ``roots_of_unity_order`` searched sieve first, in plain integers: each
@@ -32,8 +33,12 @@ Highlights:
 * ``fundamental_unit_real_quadratic`` by continued fractions for fields
   ``x^2 - D``.
 
-Rational polynomials are lists/tuples of ``Fraction`` coefficients in
-ascending order of degree.
+Polynomials are lists/tuples of coefficients in ascending order of degree.
+The public Sturm routines take rational coefficients and scale them to
+integers first; every chain, every product in the field and every residue
+computation then runs on plain integers.  A field element keeps its
+coordinates as ``Fraction``s, and a product reads them as integer numerators
+over one positive denominator.
 """
 
 from __future__ import annotations
@@ -44,13 +49,11 @@ import math
 import re
 from fractions import Fraction
 
-from .abgrp import (_as_int, _factor_multiplicity, _is_prime, _poly_eval, determinant,
-                    solve_exact)
+from .abgrp import _as_int, _factor_multiplicity, _is_prime, determinant, solve_exact
 from .errors import CrossCheckError, HypothesisError, InputError
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials (ascending coefficients) over Q; the arithmetic
-# helpers also take ``FieldElement`` coefficients, for polynomials over a field
+# dense univariate polynomials (ascending coefficients) over Z
 # ---------------------------------------------------------------------------
 
 
@@ -61,82 +64,143 @@ def poly_trim(p):
     return p
 
 
-def poly_degree(p):
-    p = poly_trim(p)
-    return len(p) - 1 if p else -1
+def _numerators(coeffs):
+    """The integer numerators of rational ``coeffs`` over their least
+    positive common denominator, and that denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def poly_neg(p):
-    return [-c for c in p]
+def _integer_multiple(p):
+    """``p`` times the positive lcm of its denominators: trimmed integers."""
+    return poly_trim(_numerators([c if isinstance(c, int) else Fraction(c) for c in p])[0])
 
 
-def poly_scale(p, c):
-    return poly_trim([x * c for x in p])
+def _primitive(p):
+    """An integer polynomial divided by its positive content."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
-def poly_mul(p, q):
+def _derivative(p):
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _int_mul(p, q):
     if not p or not q:
         return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return poly_trim(out)
+            for j, b in enumerate(q, i):
+                out[j] += a * b
+    return out
 
 
-def poly_divmod(p, q):
-    q = poly_trim(q)
-    if not q:
-        raise InputError("polynomial division by zero")
-    p = poly_trim(p)
-    dq = len(q) - 1
-    inv = Fraction(1) / q[-1]
-    quot = [Fraction(0)] * max(0, len(p) - dq)
-    while len(p) - 1 >= dq and p:
-        shift = len(p) - 1 - dq
-        c = p[-1] * inv
-        quot[shift] = c
-        for i, y in enumerate(q):
-            p[shift + i] -= c * y
-        p = poly_trim(p)
-    return poly_trim(quot), p
+def _reduce_monic(a, f):
+    """``a mod f`` over Z for a monic integer ``f`` of degree n, as n
+    coefficients; exact, as each step subtracts an integer multiple of f."""
+    n = len(f) - 1
+    low = [(i, c) for i, c in enumerate(f[:-1]) if c]
+    a = list(a) + [0] * (n - len(a))
+    for top in range(len(a) - 1, n - 1, -1):
+        c = a[top]
+        if c:
+            for i, y in low:
+                a[top - n + i] -= c * y
+    return a[:n]
 
 
-def poly_deriv(p):
-    return poly_trim([Fraction(i) * Fraction(c) for i, c in enumerate(p)][1:])
+def _homogeneous_value(p, a, b):
+    """``b^d p(a/b)`` for an integer ``p`` of degree d: the integer ``sum c_i
+    a^i b^(d - i)``, which has the sign of ``p(a/b)`` when ``b > 0``."""
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc = acc * a + c * scale
+        scale *= b
+    return acc
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains and real root isolation
+# Sturm chains and real root isolation, in integers
 # ---------------------------------------------------------------------------
+
+
+def _pseudo_remainder(a, b):
+    """``|lc b|^(deg a - deg b + 1) a mod b`` for integer polynomials, trimmed
+    (``a`` itself when ``deg a < deg b``): each step scales the running value
+    by ``|lc b|`` and cancels its top term with an integer multiple of ``b``."""
+    lc, db = b[-1], len(b) - 1
+    scale, low = abs(lc), (b[:-1] if lc > 0 else [-c for c in b[:-1]])
+    a = list(a)
+    while len(a) > db:
+        top = a.pop()
+        shift = len(a) - db
+        if scale != 1:
+            a = [scale * c for c in a]
+        if top:
+            for i, y in enumerate(low, shift):
+                a[i] -= top * y
+    return poly_trim(a)
 
 
 def _signed_remainders(p, q):
-    """The signed remainder sequence ``p, q, -rem(p, q), ...`` to its last nonzero
-    term (Basu--Pollack--Roy, *Algorithms in Real Algebraic Geometry*, ch. 2)."""
+    """The signed remainder sequence ``p, q, -rem(p, q), ...`` of integer
+    polynomials to its last nonzero term (Basu--Pollack--Roy, *Algorithms in
+    Real Algebraic Geometry*, ch. 2), each term after ``q`` replaced by a
+    positive multiple: ``-prem(a, b)`` (``_pseudo_remainder``) divided by its
+    positive content, Collins' primitive remainder sequence (J. ACM 14,
+    1967).  Positive factors leave the sign of every term at every point, so
+    the sign changes, and the Sturm and Tarski counts read off them, are those
+    of the rational sequence; no ``Fraction`` is formed.
+
+    >>> _signed_remainders([1, -3, 0, 1], [-1, 0, 1])  # x^3 - 3x + 1, x^2 - 1
+    [[1, -3, 0, 1], [-1, 0, 1], [-1, 2], [1]]
+    """
     chain = [poly_trim(p), poly_trim(q)]
     while chain[-1]:
-        chain.append(poly_neg(poly_divmod(chain[-2], chain[-1])[1]))
+        chain.append(_primitive([-c for c in _pseudo_remainder(chain[-2], chain[-1])]))
     return [c for c in chain if c]
 
 
+def _sturm_sequence(p):
+    """The signed remainder sequence of ``(p, p')`` for a primitive integer
+    ``p``, every term primitive; its last term is a gcd of ``p`` and ``p'``."""
+    return _signed_remainders(p, _primitive(_derivative(p)))
+
+
+def _exact_quotient(a, g):
+    """``a / g`` for integer polynomials, ``g`` primitive: by Gauss's lemma
+    the quotient is integral whenever ``g`` divides ``a`` over Q.  Raise
+    ``CrossCheckError`` when it does not divide."""
+    a, dg = list(a), len(g) - 1
+    quot = [0] * max(0, len(a) - dg)
+    for shift in range(len(quot) - 1, -1, -1):
+        c, r = divmod(a[shift + dg], g[-1])
+        if r:
+            break  # a quotient coefficient that is not an integer
+        quot[shift] = c
+        if c:
+            for i, y in enumerate(g, shift):
+                a[i] -= c * y
+    else:
+        if not any(a[:dg]):
+            return quot
+    raise CrossCheckError(f"gcd(p, p') {g} does not divide the Sturm chain term {poly_trim(a)}")
+
+
 def sturm_chain(p):
-    """The Sturm chain of a rational polynomial: the signed remainder sequence
-    of ``(p, p')``.  Its last term is ``gcd(p, p')``; when that is
-    nonconstant every term is divided by it, so the chain counts the distinct
+    """The Sturm chain of a rational polynomial, up to positive factors:
+    ``p`` scaled to a primitive integer polynomial, then the signed remainder
+    sequence of ``(p, p')`` (``_signed_remainders``).  Its last term is a gcd
+    of ``p`` and ``p'``, primitive; when that is nonconstant every term is
+    divided by it exactly, in integers, so the chain counts the distinct
     roots of ``p`` even at an endpoint on a multiple root."""
-    chain = _signed_remainders(p, poly_deriv(p))
+    chain = _sturm_sequence(_primitive(_integer_multiple(p)))
     g = chain[-1]
     if len(g) == 1:
         return chain
-    out = []
-    for c in chain:
-        q, r = poly_divmod(c, g)
-        if r:
-            raise CrossCheckError(f"gcd(p, p') does not divide the Sturm chain: remainder {r}")
-        out.append(q)
-    return out
+    return [_exact_quotient(c, g) for c in chain]
 
 
 def _sign_changes(vals):
@@ -145,7 +209,10 @@ def _sign_changes(vals):
 
 
 def _chain_changes_at(chain, x):
-    return _sign_changes([_poly_eval(c, x) for c in chain])
+    """Sign changes of an integer chain at a rational ``x``, each term's sign
+    read off ``_homogeneous_value`` (a ``Fraction``'s denominator is positive)."""
+    a, b = x.numerator, x.denominator
+    return _sign_changes([_homogeneous_value(c, a, b) for c in chain])
 
 
 def _chain_changes_at_infinity(chain, positive):
@@ -159,15 +226,19 @@ def _chain_changes_at_infinity(chain, positive):
     return _sign_changes(vals)
 
 
-def count_real_roots(p, lo=None, hi=None):
-    """Number of distinct real roots of ``p`` in ``(lo, hi]`` (None = +-inf)."""
-    p = poly_trim([Fraction(c) for c in p])
-    if poly_degree(p) <= 0:
-        return 0
-    chain = sturm_chain(p)
+def _count_in(chain, lo, hi):
+    """Sign changes at ``lo`` less those at ``hi`` (None = -inf / +inf)."""
     va = _chain_changes_at(chain, lo) if lo is not None else _chain_changes_at_infinity(chain, False)
     vb = _chain_changes_at(chain, hi) if hi is not None else _chain_changes_at_infinity(chain, True)
     return va - vb
+
+
+def count_real_roots(p, lo=None, hi=None):
+    """Number of distinct real roots of ``p`` in ``(lo, hi]`` (None = +-inf)."""
+    p = _primitive(_integer_multiple(p))
+    if len(p) <= 1:
+        return 0
+    return _count_in(sturm_chain(p), *(None if x is None else Fraction(x) for x in (lo, hi)))
 
 
 def root_bound(p):
@@ -183,7 +254,7 @@ def isolate_real_roots(p):
 
     A multiple root is one root; endpoints are perturbed away from roots.
     """
-    chain = sturm_chain([Fraction(c) for c in p])
+    chain = sturm_chain(p)
     p = chain[0]  # squarefree
     b = root_bound(p)
 
@@ -200,7 +271,7 @@ def isolate_real_roots(p):
             out.append((lo, hi))
             return
         mid = (lo + hi) / 2
-        while _poly_eval(p, mid) == 0:
+        while _homogeneous_value(p, mid.numerator, mid.denominator) == 0:
             mid = (lo + mid) / 2
         left = count(lo, mid)
         split(lo, mid, left)
@@ -213,16 +284,20 @@ def isolate_real_roots(p):
 def signature(coeffs):
     """(r1, r2): numbers of real embeddings and conjugate complex pairs.
 
+    A polynomial with a repeated root (a nonconstant gcd with its
+    derivative) is refused: the Sturm count sees each distinct root once.
+
     >>> signature([-1, -1, 0, 0, 0, 1])  # x^5 - x - 1
     (1, 2)
     """
-    p = [Fraction(c) for c in coeffs]
-    n = poly_degree(p)
+    p = _primitive(_integer_multiple(coeffs))
+    n = len(p) - 1
     if n < 1:
         raise InputError("signature needs a polynomial of degree >= 1")
-    r1 = count_real_roots(p)
-    if (n - r1) % 2:
+    chain = _sturm_sequence(p)
+    if len(chain[-1]) > 1:
         raise InputError("non-squarefree polynomial has no well-defined signature")
+    r1 = _count_in(chain, None, None)
     return r1, (n - r1) // 2
 
 
@@ -297,17 +372,31 @@ def poly_discriminant(coeffs):
 
 
 class FieldElement:
-    """An element of ``Q[x]/(f)`` on the power basis, with exact arithmetic."""
+    """An element of ``Q[x]/(f)`` on the power basis, with exact arithmetic.
+
+    Products and powers run in ``Z[x]/(f)`` on the integer numerators over
+    one positive denominator (``_numerators``), reduced by the monic integer
+    ``f``; the ``Fraction`` coordinates are built once per result.
+    """
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) > field.degree:
-            coeffs = _reduce_mod(coeffs, field._f)
+            nums, den = _numerators(coeffs)
+            coeffs = [Fraction(c, den) for c in _reduce_monic(nums, field.coeffs)]
         coeffs += [Fraction(0)] * (field.degree - len(coeffs))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(coeffs[: field.degree]))
+
+    @classmethod
+    def _from_numerators(cls, field, nums, den):
+        """The element with coordinates ``nums[i] / den``, ``nums`` reduced."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", tuple(Fraction(c, den) for c in nums))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
@@ -360,10 +449,13 @@ class FieldElement:
 
     def __mul__(self, other):
         c = self._rational(other)
+        a, da = _numerators(self.coeffs)
         if c is not None:
-            return FieldElement(self.field, [a * c for a in self.coeffs])
-        prod = poly_mul(list(self.coeffs), list(other.coeffs))
-        return FieldElement(self.field, _reduce_mod(prod, self.field._f))
+            return FieldElement._from_numerators(self.field, [x * c.numerator for x in a],
+                                                 da * c.denominator)
+        b, db = _numerators(other.coeffs)
+        prod = _reduce_monic(_int_mul(a, b), self.field.coeffs)
+        return FieldElement._from_numerators(self.field, prod, da * db)
 
     __rmul__ = __mul__
 
@@ -373,14 +465,16 @@ class FieldElement:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        out = FieldElement(self.field, [1])
-        base = self
-        while e:
+        f = self.field.coeffs
+        base, den = _numerators(self.coeffs)
+        out, den = [1] + [0] * (self.field.degree - 1), den ** e
+        while e:  # square and multiply in Z[x]/(f), on the numerators
             if e & 1:
-                out = out * base
-            base = base * base
+                out = _reduce_monic(_int_mul(out, base), f)
             e >>= 1
-        return out
+            if e:
+                base = _reduce_monic(_int_mul(base, base), f)
+        return FieldElement._from_numerators(self.field, out, den)
 
     def inverse(self):
         """The ``x`` with ``M x = e_0`` for the multiplication matrix ``M``."""
@@ -422,17 +516,11 @@ class FieldElement:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-def _reduce_mod(p, f):
-    _, r = poly_divmod([Fraction(c) for c in p], [Fraction(c) for c in f])
-    return r
-
-
 def _multiplication_rows(elem):
     """The integer rows ``theta^j * den * elem``, j = 0..n-1, on the power
     basis, and ``den``, the common denominator of the coordinates: shift and
     reduce with the monic f.  Their determinant is ``den^n`` times the norm."""
-    den = math.lcm(*(c.denominator for c in elem.coeffs))
-    row = [c.numerator * (den // c.denominator) for c in elem.coeffs]
+    row, den = _numerators(elem.coeffs)
     rows = [row]
     for _ in range(elem.field.degree - 1):
         top, row = row[-1], [0] + row[:-1]
@@ -476,7 +564,6 @@ class NumberField:
         if not (sieve and (sieve.proves_irreducible() or sieve.split_idempotent() is None)):
             raise InputError("the defining polynomial must be irreducible over Q")
         self.coeffs = tuple(coeffs)
-        self._f = tuple(Fraction(c) for c in coeffs)
         self.degree = n
         self.r1, self.r2 = signature(coeffs)
         self._w = None
@@ -558,8 +645,10 @@ class NumberField:
         defining polynomial.  The sign at the one root of f in an isolating
         interval ``(lo, hi]`` is a Tarski query (Basu--Pollack--Roy, ch. 2):
         the sign changes at ``lo`` less those at ``hi`` of the signed
-        remainder sequence of ``(f, f' g mod f)``, g the element's polynomial.
-        A query other than +-1 raises ``CrossCheckError``.
+        remainder sequence of ``(f, f' g mod f)``, g the element's polynomial
+        times its positive common denominator, computed in integers
+        (``_signed_remainders``).  A query other than +-1 raises
+        ``CrossCheckError``.
 
         >>> k = parse_field("x^2 - 2")
         >>> k.real_sign_vector(k.element([1, 1]))  # 1 - sqrt(2), 1 + sqrt(2)
@@ -569,8 +658,9 @@ class NumberField:
             raise InputError("real_sign_vector needs an element of this field")
         if elem.is_zero:
             raise InputError("the zero element has no sign vector")
-        f = list(self._f)
-        chain = _signed_remainders(f, _reduce_mod(poly_mul(poly_deriv(f), list(elem.coeffs)), f))
+        f = self.coeffs
+        g, _ = _numerators(elem.coeffs)
+        chain = _signed_remainders(f, _reduce_monic(_int_mul(_derivative(f), g), f))
         out = []
         for lo, hi in self._intervals:
             query = _chain_changes_at(chain, lo) - _chain_changes_at(chain, hi)
@@ -912,7 +1002,8 @@ class _ResidueSieve:
                 if found is None:
                     continue
                 eps, traces = found
-                if _reduce_mod(poly_mul(eps, eps), fz) != poly_trim(eps):
+                nums, den = _numerators(eps)  # eps^2 = eps: nums^2 = den * nums mod f
+                if _reduce_monic(_int_mul(nums, nums), fz) != [den * c for c in nums]:
                     continue
                 if traces[0] != degree:
                     raise CrossCheckError(

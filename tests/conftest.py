@@ -4,8 +4,97 @@ import itertools
 import random
 from fractions import Fraction
 
-from ringkt.abgrp import determinant, mat_mul, mat_shape
-from ringkt.numfield import _powers_of_x, _trim_mod, poly_divmod, poly_scale, poly_trim
+from ringkt.abgrp import _poly_eval, determinant, mat_mul, mat_shape
+from ringkt.errors import CrossCheckError, InputError
+from ringkt.numfield import _powers_of_x, _trim_mod, poly_trim
+
+# ---------------------------------------------------------------------------
+# Polynomials over Q (or over a field, with ``FieldElement`` coefficients):
+# the Fraction routes the library's integer Sturm chains and products in K
+# replaced, kept as test-local references.
+# ---------------------------------------------------------------------------
+
+
+def poly_degree(p):
+    p = poly_trim(p)
+    return len(p) - 1 if p else -1
+
+
+def poly_neg(p):
+    return [-c for c in p]
+
+
+def poly_scale(p, c):
+    return poly_trim([x * c for x in p])
+
+
+def poly_mul(p, q):
+    if not p or not q:
+        return []
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return poly_trim(out)
+
+
+def poly_divmod(p, q):
+    q = poly_trim(q)
+    if not q:
+        raise InputError("polynomial division by zero")
+    p = poly_trim(p)
+    dq = len(q) - 1
+    inv = Fraction(1) / q[-1]
+    quot = [Fraction(0)] * max(0, len(p) - dq)
+    while len(p) - 1 >= dq and p:
+        shift = len(p) - 1 - dq
+        c = p[-1] * inv
+        quot[shift] = c
+        for i, y in enumerate(q):
+            p[shift + i] -= c * y
+        p = poly_trim(p)
+    return poly_trim(quot), p
+
+
+def poly_deriv(p):
+    return poly_trim([Fraction(i) * Fraction(c) for i, c in enumerate(p)][1:])
+
+
+def reduce_mod(p, f):
+    """``p mod f`` over Q, trimmed."""
+    _, r = poly_divmod([Fraction(c) for c in p], [Fraction(c) for c in f])
+    return r
+
+
+def ref_signed_remainders(p, q):
+    """The signed remainder sequence ``p, q, -rem(p, q), ...`` over Q."""
+    chain = [poly_trim(p), poly_trim(q)]
+    while chain[-1]:
+        chain.append(poly_neg(poly_divmod(chain[-2], chain[-1])[1]))
+    return [c for c in chain if c]
+
+
+def ref_sturm_chain(p):
+    """The Sturm chain over Q: the signed remainder sequence of ``(p, p')``,
+    every term divided by its last when that is nonconstant."""
+    chain = ref_signed_remainders(p, poly_deriv(p))
+    g = chain[-1]
+    if len(g) == 1:
+        return chain
+    out = []
+    for c in chain:
+        q, r = poly_divmod(c, g)
+        if r:
+            raise CrossCheckError(f"gcd(p, p') does not divide the Sturm chain: remainder {r}")
+        out.append(q)
+    return out
+
+
+def ref_changes_at(chain, x):
+    """Sign changes of a rational chain at ``x``, by Horner in ``Fraction``s."""
+    signs = [v > 0 for v in (_poly_eval(c, x) for c in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def poly_gcd(p, q):

@@ -12,6 +12,8 @@ import pytest
 from conftest import (
     check_smith_form,
     numpy_real_root_count,
+    poly_degree,
+    poly_deriv,
     poly_gcd,
     random_int_matrix,
     seeded_rng,
@@ -38,12 +40,7 @@ from ringkt.ktheory import (
     rank_one_inclusion_matrix,
     subsets_graded_lex,
 )
-from ringkt.numfield import (
-    count_real_roots,
-    parse_field,
-    poly_degree,
-    poly_deriv,
-)
+from ringkt.numfield import count_real_roots, parse_field
 
 _MODULE_T0 = time.perf_counter()
 

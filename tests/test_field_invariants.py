@@ -13,7 +13,8 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
-from conftest import poly_gcd
+from conftest import (poly_deriv, poly_divmod, poly_gcd, poly_mul, poly_scale, ref_changes_at,
+                      ref_sturm_chain)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -25,13 +26,8 @@ from ringkt.numfield import (
     NumberField,
     isolate_real_roots,
     parse_field,
-    poly_deriv,
     poly_discriminant,
-    poly_divmod,
-    poly_mul,
-    poly_scale,
     poly_trim,
-    sturm_chain,
 )
 
 # ---------------------------------------------------------------------------
@@ -73,7 +69,8 @@ def _reference_norm(elem):
 
 def _reference_inverse(elem):
     """Extended Euclid in Q[x]: s * elem + t * f = 1."""
-    a, b = list(elem.coeffs), list(elem.field._f)
+    f = [Fraction(c) for c in elem.field.coeffs]
+    a, b = list(elem.coeffs), f
     s0, s1 = [Fraction(1)], []
     while poly_trim(b):
         q, r = poly_divmod(a, b)
@@ -81,12 +78,7 @@ def _reference_inverse(elem):
         qs1 = poly_mul(q, s1)
         s0, s1 = s1, poly_trim([x - y for x, y in zip_longest(s0, qs1, fillvalue=0)])
     inv = poly_scale(s0, Fraction(1) / poly_trim(a)[-1])
-    return FieldElement(elem.field, poly_divmod(inv, list(elem.field._f))[1])
-
-
-def _changes(chain, x):
-    signs = [v > 0 for v in (_poly_eval(c, x) for c in chain) if v]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+    return FieldElement(elem.field, poly_divmod(inv, f)[1])
 
 
 def _squarefree_part(p):
@@ -102,16 +94,16 @@ def _reference_sign_vector(field, elem):
     f = [Fraction(c) for c in field.coeffs]
     if field.degree == 1:
         return (1 if _poly_eval(g, -f[0]) > 0 else -1,)
-    fchain = sturm_chain(f)
+    fchain = ref_sturm_chain(f)
     gsf = _squarefree_part(g)
-    gchain = sturm_chain(gsf) if len(gsf) > 1 else None
+    gchain = ref_sturm_chain(gsf) if len(gsf) > 1 else None
     out = []
     for lo, hi in isolate_real_roots(field.coeffs):
-        while gchain and _changes(gchain, lo) - _changes(gchain, hi) > 0:
+        while gchain and ref_changes_at(gchain, lo) - ref_changes_at(gchain, hi) > 0:
             mid = (lo + hi) / 2
             while _poly_eval(f, mid) == 0:
                 mid = (lo + mid) / 2
-            if _changes(fchain, lo) - _changes(fchain, mid) == 1:
+            if ref_changes_at(fchain, lo) - ref_changes_at(fchain, mid) == 1:
                 hi = mid
             else:
                 lo = mid

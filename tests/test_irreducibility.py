@@ -12,15 +12,15 @@ from pathlib import Path
 
 import pytest
 import sympy
-from conftest import walked_xp
+from conftest import poly_divmod, poly_mul, reduce_mod, walked_xp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ringkt
 from ringkt import numfield
 from ringkt.errors import CrossCheckError, InputError
-from ringkt.numfield import (NumberField, _ResidueSieve, _reduce_mod, parse_field,
-                             poly_discriminant, poly_mul, poly_trim)
+from ringkt.numfield import (NumberField, _ResidueSieve, parse_field, poly_discriminant,
+                             poly_trim)
 
 
 def _sympy_says(coeffs):
@@ -99,7 +99,7 @@ def _cyclotomic(m):
     out = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            out = numfield.poly_divmod(out, _cyclotomic(d))[0]
+            out = poly_divmod(out, _cyclotomic(d))[0]
     return [int(c) for c in out]
 
 
@@ -127,7 +127,7 @@ def test_unrefuted_products_are_refused_by_an_idempotent(coeffs):
     assert not sieve.proves_irreducible()
     eps = sieve.split_idempotent()
     assert eps is not None and poly_trim(eps) not in ([], [1])
-    assert _reduce_mod(poly_mul(eps, eps), coeffs) == poly_trim(eps)
+    assert reduce_mod(poly_mul(eps, eps), coeffs) == poly_trim(eps)
     trace = sum(a * b for a, b in zip(numfield._trace_form(coeffs)[0][0], eps))
     assert trace in sieve._open_degrees[0]
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import numpy_real_root_count, poly_gcd, seeded_rng
+from conftest import (numpy_real_root_count, poly_degree, poly_deriv, poly_divmod, poly_gcd,
+                      poly_mul, seeded_rng)
 from ringkt import numfield
 from ringkt.errors import CrossCheckError, HypothesisError, InputError
 from ringkt.numfield import (
@@ -19,8 +20,6 @@ from ringkt.numfield import (
     parse_field,
     parse_polynomial,
     poly_discriminant,
-    poly_divmod,
-    poly_mul,
     poly_trim,
     signature,
 )
@@ -110,8 +109,6 @@ def test_sturm_against_float_oracle():
     while done < 12:
         deg = rng.randint(2, 6)
         coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]
-        from ringkt.numfield import poly_deriv, poly_degree
-
         f = [Fraction(c) for c in coeffs]
         if poly_degree(poly_gcd(f, poly_deriv(f))) > 0:
             continue  # repeated roots: oracle comparison needs squarefree input

@@ -11,7 +11,7 @@ import itertools
 
 import pytest
 import sympy
-from conftest import walked_xp
+from conftest import poly_divmod, poly_mul, walked_xp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -86,11 +86,11 @@ def _gcd_degree_in_k(k, phi_coeffs, h_coeffs, s):
     s_theta = k.element([0, s])
     hk = [h_coeffs[-1]]
     for a in reversed(h_coeffs[:-1]):  # Horner in K[y]: hk * (y + s*theta) + a
-        hk = numfield.poly_mul(hk, [s_theta, 1])
+        hk = poly_mul(hk, [s_theta, 1])
         hk[0] += a
     a, b = phi_coeffs, hk  # Euclid in K[y]; only the degree matters
     while b:
-        a, b = b, numfield.poly_divmod(a, b)[1]
+        a, b = b, poly_divmod(a, b)[1]
     return len(a) - 1
 
 
