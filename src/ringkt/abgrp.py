@@ -1,12 +1,15 @@
 """Exact arithmetic for finitely generated abelian groups and their colimits.
 
 Everything in this module is exact: integer matrices are lists of lists of
-Python ints, rational computations use ``fractions.Fraction``.  Products and
-the one elimination over Q (``_echelon``, behind ``rank``, ``rref_fractions``
-and ``solve_exact``) run on sparse rows (``{column: value}`` maps of the
-nonzero entries), so their cost follows the nonzero entries rather than the
-dimension.  Determinants (fraction-free Bareiss) and Smith forms are dense;
-``cokernel`` eliminates only the support.  The two main exports are
+Python ints, rational values are ``fractions.Fraction``.  Products and the one
+elimination over Q (``_echelon``, behind ``rank``, ``rref_fractions``,
+``solve_exact``, ``_is_unimodular`` and the colimit ranks) run on sparse rows
+(``{column: value}`` maps of the nonzero entries), so their cost follows the
+nonzero entries rather than the dimension.  The elimination is fraction-free:
+it scales a rational row to integers once and then works in Python ints, and
+``rref_fractions`` builds its ``Fraction``s only on output.  Determinants
+(fraction-free Bareiss) and Smith forms are dense; ``cokernel`` eliminates
+only the support.  The two main exports are
 
 * ``smith_normal_form`` and friends (``cokernel``, ``kernel_lattice_basis``),
   with the convention ``a == u @ d @ v`` where ``u`` and ``v`` are unimodular
@@ -169,7 +172,7 @@ def mat_mul(a, b):
 
 
 def rank(a):
-    """Rank over Q (exact elimination on sparse ``Fraction`` rows)."""
+    """Rank over Q (fraction-free elimination on sparse integer rows)."""
     mat_shape(a)
     return len(_echelon(_sparse_rows(a)))
 
@@ -184,44 +187,89 @@ def _subtract(row, f, piv):
             row.pop(j, None)
 
 
+def _clear(row, c, piv):
+    """Clear column ``c`` of the integer sparse ``row`` in place with ``piv``:
+    ``row = a * row - b * piv`` with ``a / b = piv[c] / row[c]`` in lowest
+    terms and ``a > 0``.  Returns ``a``."""
+    p, r = piv[c], row[c]
+    g = math.gcd(p, r) if p > 0 else -math.gcd(p, r)
+    a = p // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    _subtract(row, r // g, piv)
+    return a
+
+
+def _add_row(pivots, row):
+    """One row of ``_echelon``: reduce ``row`` against ``pivots`` and store
+    what is left, divided by its content, as the pivot row of its lowest column.
+
+    Returns ``(applied, content)``: the stored row is ``applied * row``, less
+    integer multiples of pivot rows, divided by ``content`` (0 when the row
+    reduces to zero and nothing is stored); ``applied > 0``.
+    """
+    vals = row.values()
+    if _INT.issuperset(map(type, vals)):
+        row, applied = dict(row), 1
+    else:
+        applied = math.lcm(*(x.denominator for x in vals))
+        row = {j: x.numerator * (applied // x.denominator) for j, x in row.items()}
+    while row:
+        c = min(row)
+        piv = pivots.get(c)
+        if piv is None:
+            g = math.gcd(*row.values())
+            pivots[c] = row if g == 1 else {j: x // g for j, x in row.items()}
+            return applied, g
+        applied *= _clear(row, c, piv)
+    return applied, 0
+
+
 def _echelon(rows):
     """Row echelon form over Q of sparse rows, as ``{pivot column: row}``.
 
-    Rows are added one at a time.  Each step clears the lowest column of a
-    row with the pivot row of that column; a pivot row has no entry left of
-    its pivot, so the lowest column rises.  A row that keeps a column with no
-    pivot becomes the pivot row of that column; one that reduces to zero lies
-    in the row space.  Entries become ``Fraction`` only when a step touches
-    them.  This is the only elimination over Q: ``rank`` counts the pivots
-    and ``rref_fractions`` back-substitutes them.
+    The elimination is fraction-free.  Rows are added one at a time, a row
+    holding ``Fraction``s first scaled by its positive common denominator.
+    Each step clears the lowest column ``c`` of a row as
+    ``a * row - b * piv`` with the pivot row of that column
+    (``a / b = piv[c] / row[c]`` in lowest terms); a pivot row has no entry
+    left of its pivot, so the lowest column rises.  A row that keeps a column
+    with no pivot becomes, divided by its content, the pivot row of that
+    column; one that reduces to zero lies in the row space.  So the pivot
+    columns are those of the echelon over Q, each pivot row is a primitive
+    integer row and a nonzero rational multiple of the row kept there, and
+    no ``Fraction`` is built.  This is the only elimination over Q: ``rank``
+    counts the pivots, ``rref_fractions`` back-substitutes and normalizes
+    them, and ``_is_unimodular`` reads the factors its steps applied.
     """
     pivots = {}
     for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                pivots[c] = row
-                break
-            _subtract(row, Fraction(row[c]) / piv[c], piv)
+        _add_row(pivots, row)
     return pivots
 
 
 def _is_unimodular(rows):
-    """True iff the square matrix of sparse ``rows`` has determinant +-1.
+    """True iff the square matrix of integer sparse ``rows`` has determinant +-1.
 
-    The echelon only subtracts multiples of earlier rows, which keeps
-    ``|det|``; so the matrix is unimodular exactly when every row keeps a
-    pivot and the pivots multiply to +-1.
+    Read off the echelon's own steps: they scale each row by ``applied``,
+    divide its pivot row by ``content`` and otherwise subtract multiples of
+    pivot rows, so once every row keeps a pivot,
+    ``|det| * prod(applied) == prod(content) * prod(|pivot|)``.
 
     >>> _is_unimodular([{0: 2, 1: 1}, {0: 1, 1: 1}]), _is_unimodular([{0: 2}, {1: 1}])
     (True, False)
     >>> _is_unimodular([{0: 1, 1: 2}, {0: 2, 1: 4}]), _is_unimodular([])
     (False, True)
     """
-    pivots = _echelon(rows)
-    return len(pivots) == len(rows) and abs(math.prod(r[c] for c, r in pivots.items())) == 1
+    pivots, applied, content = {}, 1, 1
+    for row in rows:
+        a, g = _add_row(pivots, row)
+        if not g:
+            return False
+        applied *= a
+        content *= g
+    return applied == content * abs(math.prod(r[c] for c, r in pivots.items()))
 
 
 def determinant(a):
@@ -250,23 +298,25 @@ def determinant(a):
 def rref_fractions(a):
     """Reduced row echelon form over Q; returns (rows, pivot_columns).
 
-    Back-substitutes the pivot rows of the sparse echelon, highest pivot
-    first, so each row is cleared with rows that are already reduced.  The
-    ``m`` output rows are ``Fraction`` lists, zero rows last.
+    Back-substitutes the integer pivot rows of the echelon, highest pivot
+    first, by the echelon's fraction-free step, so each row is cleared with
+    rows that are already reduced; each reduced row is kept primitive and
+    normalized to a leading 1 only on output.  The ``m`` output rows are
+    ``Fraction`` lists, zero rows last.
     """
     m, n = mat_shape(a)
     reduced = {}
     for c, row in sorted(_echelon(_sparse_rows(a)).items(), reverse=True):
-        inv = Fraction(1) / row[c]
-        row = {j: x * inv for j, x in row.items()}
         for k in [k for k in row if k != c and k in reduced]:
-            _subtract(row, row[k], reduced[k])
-        reduced[c] = row
+            _clear(row, k, reduced[k])
+        g = math.gcd(*row.values())
+        reduced[c] = row if g == 1 else {j: x // g for j, x in row.items()}
     pivots = sorted(reduced)
     rows = [[Fraction(0)] * n for _ in range(m)]
     for out, c in zip(rows, pivots):
+        p = reduced[c][c]
         for j, x in reduced[c].items():
-            out[j] = x
+            out[j] = Fraction(x, p)
     return rows, pivots
 
 
@@ -789,14 +839,18 @@ def _as_int_rows(a, dim, wrong_size):
     rows without zeros, by the rule of ``_as_int``; a size other than
     ``dim x dim`` raises ``InputError(wrong_size)``."""
     if isinstance(a, (list, tuple)) and a and all(isinstance(row, dict) for row in a):
-        rows = []
-        for row in a:
-            if not (_INT.issuperset(map(type, row)) and _INT.issuperset(map(type, row.values()))):
-                row = dict(zip([_as_int(j, "sparse row column") for j in row],
-                               [_as_int(x, "matrix entry") for x in row.values()]))
-            if row and not (0 <= min(row) and max(row) < dim):
-                raise InputError(f"sparse row columns {list(row)} are not all in 0..{dim - 1}")
-            rows.append(dict(row) if all(row.values()) else {j: x for j, x in row.items() if x})
+        # the cells of the whole step are checked at once, not row by row
+        cols = [j for row in a for j in row]
+        vals = [x for row in a for x in row.values()]
+        if not (_INT.issuperset(map(type, cols)) and _INT.issuperset(map(type, vals))):
+            a = [dict(zip([_as_int(j, "sparse row column") for j in row],
+                          [_as_int(x, "matrix entry") for x in row.values()])) for row in a]
+            cols = [j for row in a for j in row]
+        if cols and not (0 <= min(cols) and max(cols) < dim):
+            bad = sorted({j for j in cols if not 0 <= j < dim})
+            raise InputError(f"sparse row columns {bad} are not in 0..{dim - 1}")
+        rows = ([dict(row) for row in a] if all(vals)
+                else [{j: x for j, x in row.items() if x} for row in a])
     else:
         rows = _sparse_rows(as_int_matrix(a))
         if len(a[0]) != dim:
@@ -822,8 +876,11 @@ class DirectedSystem:
       ``d -> matrix`` on the canonical chain (or an explicit ``d_chain``).
 
     Steps, given or returned by a family, are dense square matrices or
-    sparse rows (``{column: value}`` dicts); either is checked once and kept
-    as sparse rows.  ``matrix``, ``matrix_at`` and ``to_json`` copy them dense.
+    sparse rows (``{column: value}`` dicts); either is checked where it
+    enters, once, and kept as sparse int rows without zeros: ``explicit``
+    checks its matrices, ``from_family`` every step its callable returns,
+    and ``symbolic`` checks its laws, so its own family needs no check.
+    ``matrix``, ``matrix_at`` and ``to_json`` copy them dense.
     """
 
     def __init__(self, dim, mode, steps=None, family=None, d_chain=None,
@@ -881,18 +938,23 @@ class DirectedSystem:
                                for x in _as_list(entry.get("poly"), "offdiag 'poly'"))
             off.append((r, c, coeffs))
 
+        # The laws were checked above, so the family's rows are int rows in
+        # range; only the zeros a law takes at ``d`` are dropped.
         def family(d):
             rows = [{i: _poly_eval(p, d)} for i, p in enumerate(polys)]
             for r, c, coeffs in off:
                 rows[r][c] = _poly_eval(coeffs, d)
-            return rows
+            return [row if all(row.values()) else {j: x for j, x in row.items() if x}
+                    for row in rows]
 
         return cls(dim, "symbolic", family=family, d_chain=d_chain,
                    diag_polys=polys, offdiag=tuple(off))
 
     @classmethod
     def from_family(cls, dim, fn, d_chain=None):
-        return cls(dim, "symbolic", family=fn, d_chain=d_chain)
+        dim = _as_int(dim, "system dimension")
+        return cls(dim, "symbolic", d_chain=d_chain, family=lambda d: _as_int_rows(
+            fn(d), dim, "family returned a matrix of the wrong size"))
 
     # -- serialization ------------------------------------------------------
 
@@ -977,11 +1039,11 @@ class DirectedSystem:
         return self._step_cache[t]
 
     def _step_at(self, d):
-        """The family at parameter ``d`` as checked sparse rows."""
+        """The family at parameter ``d``: sparse int rows without zeros, checked
+        where they entered (``from_family`` checks each one it returns)."""
         if self.mode != "symbolic":
             raise InputError("explicit systems cannot be evaluated at a parameter")
-        return _as_int_rows(self._family(d), self.dim,
-                            "family returned a matrix of the wrong size")
+        return self._family(d)
 
 
 # ---------------------------------------------------------------------------
@@ -1064,25 +1126,15 @@ def _kernel_relations(maps, dim):
     return lambda: _relation_pairs(_kernel_basis(_dense_rows(_composite(maps), dim)))
 
 
-def _primitive(row):
-    """A nonzero sparse rational row rescaled to a primitive integer row."""
-    vals = row.values()
-    if not _INT.issuperset(map(type, vals)):
-        den = math.lcm(*(x.denominator for x in vals))
-        row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-        vals = row.values()
-    g = math.gcd(*vals)
-    return row if g == 1 else {j: x // g for j, x in row.items()}
-
-
 def _image_ranks(maps):
     """Ranks of the progressive composites ``W_t = M_t ... M_1`` of sparse maps.
 
     No composite is formed: a basis of the image of ``W_(t-1)``, kept as
     primitive integer vectors (unit vectors at the start), spans it over Q,
-    so ``rank W_t`` is the rank of its image under ``M_t``, and the echelon
-    rows of that image, rescaled, are the next basis.  Each level costs one
-    product of at most ``rank`` vectors with the map's columns.
+    so ``rank W_t`` is the rank of its image under ``M_t``, and the pivot
+    rows of that image's echelon, primitive integer rows, are the next basis.
+    Each level costs one product of at most ``rank`` vectors with the map's
+    columns.
     """
     dim = len(maps[0])
     basis = [{i: 1} for i in range(dim)]
@@ -1094,7 +1146,7 @@ def _image_ranks(maps):
                 cols[j][i] = x
         pivots = _echelon(_sparse_mul(basis, cols))
         ranks.append(len(pivots))
-        basis = [_primitive(row) for row in pivots.values()]
+        basis = list(pivots.values())
     return ranks
 
 

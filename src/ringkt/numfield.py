@@ -234,11 +234,17 @@ def _count_in(chain, lo, hi):
 
 
 def count_real_roots(p, lo=None, hi=None):
-    """Number of distinct real roots of ``p`` in ``(lo, hi]`` (None = +-inf)."""
+    """Number of distinct real roots of ``p`` in ``(lo, hi]`` (None = +-inf).
+
+    An interval with ``lo > hi`` raises ``InputError``; ``lo == hi`` gives 0.
+    """
+    lo, hi = (None if x is None else Fraction(x) for x in (lo, hi))
+    if lo is not None and hi is not None and lo > hi:
+        raise InputError(f"count_real_roots needs lo <= hi, got the interval ({lo}, {hi}]")
     p = _primitive(_integer_multiple(p))
     if len(p) <= 1:
         return 0
-    return _count_in(sturm_chain(p), *(None if x is None else Fraction(x) for x in (lo, hi)))
+    return _count_in(sturm_chain(p), lo, hi)
 
 
 def root_bound(p):

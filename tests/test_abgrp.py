@@ -630,18 +630,50 @@ def test_parity_family_inverts_the_primes_dividing_infinitely_many_steps(
     assert colimit(system).invariants == expected
 
 
-@pytest.mark.parametrize("rows", [
-    [{0: 1}, {2: 1}],                  # column out of range
-    [{0: 1}, {-1: 1}],                 # negative column
-    [{0: True}, {1: 1}],               # bool entry
-    [{0: Fraction(1, 2)}, {1: 1}],     # non-integral entry
-    [{0: 1}],                          # wrong row count
-])
-def test_malformed_sparse_rows_are_refused(rows):
-    with pytest.raises(InputError):
-        DirectedSystem.from_family(2, lambda d: rows).matrix(1)
-    with pytest.raises(InputError):
-        DirectedSystem.explicit([[{0: 1}, {1: 1}], rows])
+_ID = {"kind": "identity"}
+
+
+# Each malformed step next to the symbolic laws and offdiag entries that
+# would make the same step, which ``symbolic`` refuses when it is built.
+@pytest.mark.parametrize("rows, laws, offdiag", [
+    ([{0: 1}, {2: 1}], [_ID, _ID], [{"row": 1, "col": 2, "poly": [1]}]),     # column out of range
+    ([{0: 1}, {-1: 1}], [_ID, _ID], [{"row": 1, "col": -1, "poly": [1]}]),   # negative column
+    ([{0: True}, {1: 1}], [{"kind": "poly", "coeffs": [True]}, _ID], []),     # bool entry
+    ([{0: Fraction(1, 2)}, {1: 1}],                                           # non-integral entry
+     [{"kind": "poly", "coeffs": [Fraction(1, 2)]}, _ID], []),
+    ([{0: 1}], [_ID], []),                                                    # wrong row count
+    ([{0: 1}, {1: Fraction(1, 2)}],                                           # ... in a later row
+     [_ID, {"kind": "poly", "coeffs": [Fraction(1, 2)]}], []),
+    ([{1: 1}, {True: 1}], [_ID, _ID], [{"row": 1, "col": True, "poly": [1]}]),  # bool column
+], ids=[f"rows{i}" for i in range(7)])
+def test_malformed_sparse_rows_are_refused(rows, laws, offdiag):
+    # every public constructor checks a step where it enters
+    refusals = (
+        lambda: DirectedSystem.from_family(2, lambda d: rows).matrix(1),
+        lambda: DirectedSystem.explicit([[{0: 1}, {1: 1}], rows]),
+        lambda: DirectedSystem.from_json({"mode": "explicit", "matrices": [[{0: 1}, {1: 1}], rows]}),
+        lambda: DirectedSystem.symbolic(2, laws, offdiag),
+        lambda: DirectedSystem.from_json(
+            {"mode": "symbolic", "dim": 2, "law": laws, "offdiag": offdiag}),
+    )
+    for refused in refusals:
+        with pytest.raises(InputError):
+            refused()
+
+
+def test_steps_drop_their_zeros():
+    # d - 3 vanishes at d = 3, the second step; the symbolic family drops
+    # that zero itself, with no check of its rows after it was built
+    system = DirectedSystem.symbolic(1, [{"kind": "poly", "coeffs": [-3, 1]}])
+    assert system._step(2) == [{}]
+    assert system._step(1) == [{0: -1}]
+    feed = DirectedSystem.symbolic(2, [_ID, _ID], [{"row": 0, "col": 1, "poly": [-4, 1]}])
+    assert feed._step(3) == [{0: 1}, {1: 1}]
+    assert feed._step(4) == [{0: 1, 1: 1}, {1: 1}]
+    # a caller's family is checked, and its zeros dropped, in every row
+    family = DirectedSystem.from_family(2, lambda d: [{0: 1}, {0: 0, 1: Fraction(2, 1)}])
+    assert family._step(1) == [{0: 1}, {1: 2}]
+    assert type(family._step(1)[1][1]) is int
 
 
 def test_sparse_and_dense_steps_are_one_system():

@@ -93,6 +93,16 @@ def test_count_real_roots_with_an_endpoint_on_a_double_root():
     assert [count_real_roots(poly, lo, hi) for lo, hi in isolate_real_roots(poly)] == [1] * 4
 
 
+def test_count_real_roots_refuses_a_reversed_interval():
+    with pytest.raises(InputError, match="lo <= hi"):
+        count_real_roots([-2, 0, 1], 2, -2)
+    with pytest.raises(InputError, match="lo <= hi"):
+        count_real_roots([5], Fraction(1, 2), Fraction(1, 3))
+    assert count_real_roots([-2, 0, 1], 2, 2) == 0
+    assert count_real_roots([-2, 0, 1], -2, -2) == 0
+    assert count_real_roots([-2, 0, 1], -2, 2) == 2
+
+
 def test_isolated_intervals_are_ordered_and_exclusive():
     poly = parse_polynomial("x^3 - 4x")  # roots -2, 0, 2 (not irreducible: fine here)
     ivs = isolate_real_roots(poly)
