@@ -1059,10 +1059,11 @@ class ColimitReport:
     only the materialized finite chain (free rank observed so far).
     ``relations`` identifies pairs of nonnegative level-1 vectors that become
     equal in the colimit (a spanning set of the level-1 identifications).
-    The ranks behind ``rank`` and ``stabilization_level`` are read off the
-    images of the composites, which no classification needs to multiply out;
-    ``relations`` come from the kernel of the last composite and are built
-    on first read, by the zero-argument ``relations_source``.
+    ``rank``, ``stabilization_level`` and the window check behind them are
+    read in one pass of spanning sets of the composites' images
+    (``_image_pass``), which multiplies out no composite; ``relations`` come
+    from the kernel of the last composite and are built on first read, by
+    the zero-argument ``relations_source``.
     """
 
     invariants: GroupDescriptor
@@ -1126,35 +1127,69 @@ def _kernel_relations(maps, dim):
     return lambda: _relation_pairs(_kernel_basis(_dense_rows(_composite(maps), dim)))
 
 
-def _image_ranks(maps):
-    """Ranks of the progressive composites ``W_t = M_t ... M_1`` of sparse maps.
+def _columns(m, dim):
+    """The columns of a square map of sparse rows, as sparse rows."""
+    cols = [{} for _ in range(dim)]
+    for i, row in enumerate(m):
+        for j, x in row.items():
+            cols[j][i] = x
+    return cols
 
-    No composite is formed: a basis of the image of ``W_(t-1)``, kept as
-    primitive integer vectors (unit vectors at the start), spans it over Q,
-    so ``rank W_t`` is the rank of its image under ``M_t``, and the pivot
-    rows of that image's echelon, primitive integer rows, are the next basis.
-    Each level costs one product of at most ``rank`` vectors with the map's
-    columns.
+
+def _image_pass(maps, h=None):
+    """Ranks of the progressive composites ``W_t = M_t ... M_1`` of sparse
+    maps, read in one pass with no composite formed.
+
+    The columns of ``M_1`` are echelonized once; the pivot rows, primitive
+    integer vectors, are a basis of im W_1.  Each later step maps the
+    previous level's vectors and divides each image by its content, dropping
+    zeros, so the set at level ``t`` spans im W_t over Q.  ``r`` is the rank
+    of the last set.  Ranks never increase along the chain, so the first
+    level of rank ``r`` is 1 when level 1 has ``r`` vectors, and is otherwise
+    found by bisecting over the stored sets.
+
+    With a level ``h``, the rank of the window ``M_t ... M_(h+1)`` comes too.
+    The unit vectors ``C`` at the non-pivot columns of level ``h``'s echelon
+    complete its basis to one of Q^dim, so the window's image is im W_t plus
+    the span of ``C`` mapped along the same steps; ``C`` is echelonized at
+    each step, as it collapses fast, and is empty when W_h has full rank.
+
+    Returns ``(sets, r, stab, window)``; ``window`` is None without ``h``.
     """
     dim = len(maps[0])
-    basis = [{i: 1} for i in range(dim)]
-    ranks = []
-    for m in maps:
-        cols = [{} for _ in range(dim)]
-        for i, row in enumerate(m):
-            for j, x in row.items():
-                cols[j][i] = x
-        pivots = _echelon(_sparse_mul(basis, cols))
-        ranks.append(len(pivots))
-        basis = list(pivots.values())
-    return ranks
+    vecs = list(_echelon(_columns(maps[0], dim)).values())
+    sets, comp = [vecs], []
+    for t, m in enumerate(maps[1:], 1):
+        if t == h:
+            pivots = _echelon(vecs)
+            comp = [{j: 1} for j in range(dim) if j not in pivots]
+        k = len(vecs)
+        images = _sparse_mul(vecs + comp, _columns(m, dim))
+        vecs = []
+        for v in images[:k]:
+            if v:
+                g = math.gcd(*v.values())
+                vecs.append(v if g == 1 else {j: x // g for j, x in v.items()})
+        if comp:
+            comp = list(_echelon(images[k:]).values())
+        sets.append(vecs)
+    pivots = _echelon(vecs)
+    r = len(pivots)
+    stab = 1
+    if len(sets[0]) != r:
+        lo, hi = 0, len(sets) - 1  # sets[lo] has rank above r, sets[hi] rank r
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if len(_echelon(sets[mid])) == r else (mid, hi)
+        stab = hi + 1
+    for v in comp:
+        _add_row(pivots, v)
+    return sets, r, stab, None if h is None else len(pivots)
 
 
 def _colimit_finite(system, maps):
     dim = system.dim
-    ranks = _image_ranks(maps)
-    r = ranks[-1]
-    stab = 1 + ranks.index(r)
+    _, r, stab, _ = _image_pass(maps)
     rels = _kernel_relations(maps, dim)
     if all(map(_is_unimodular, maps)):
         return ColimitReport(
@@ -1328,10 +1363,11 @@ def _rational_eigenspaces(t):
     poly.reverse()
     out = []
     chain = numfield.sturm_chain(poly)  # one chain for every bisection step
-    for lo, hi in numfield.isolate_real_roots(poly):
+    for lo, hi, v_lo in numfield._isolating_intervals(chain):
         while hi - lo >= 1:
             mid = (lo + hi) / 2
-            below = numfield._chain_changes_at(chain, lo) - numfield._chain_changes_at(chain, mid)
+            # one root in (lo, hi]: the count at lo holds while lo moves
+            below = numfield._chain_changes_at(chain, mid) != v_lo
             lo, hi = (lo, mid) if below else (mid, hi)
         k = math.floor(hi)
         if k <= lo:
@@ -1404,15 +1440,14 @@ def _colimit_symbolic(system):
     # horizon against families whose behaviour changes past it.
     ds = [system.d_value(t) for t in range(1, cap + 1)] + [101, 102]
     maps = [system._step(t) for t in range(1, cap + 1)] + [system._step_at(d) for d in ds[cap:]]
-    ranks = _image_ranks(maps[:cap])
-    r = ranks[-1]
-    if any(x != r for x in ranks[-4:]):
+    sets, r, stab, window = _image_pass(maps[:cap], cap // 2)
+    if stab > cap - 3:
+        ranks = [len(_echelon(vecs)) for vecs in sets]
         raise UnsupportedSystemError(
             f"composite rank did not stabilize within horizon {cap}: {ranks}"
         )
-    stab = 1 + ranks.index(r)
     # The eventual rank must not depend on where the window starts.
-    if len(_echelon(_composite(maps[cap // 2:cap]))) != r:
+    if window != r:
         raise UnsupportedSystemError(
             "window rank depends on the starting level; the system is outside "
             "the certified class"

@@ -260,30 +260,30 @@ def isolate_real_roots(p):
 
     A multiple root is one root; endpoints are perturbed away from roots.
     """
-    chain = sturm_chain(p)
-    p = chain[0]  # squarefree
+    return [(lo, hi) for lo, hi, _ in _isolating_intervals(sturm_chain(p))]
+
+
+def _isolating_intervals(chain):
+    """``(lo, hi, changes at lo)`` per root of the squarefree ``chain[0]``,
+    ascending.  A split passes the sign changes at its endpoints down, so
+    each point is read once."""
+    p = chain[0]
     b = root_bound(p)
-
-    def count(lo, hi):
-        return _chain_changes_at(chain, lo) - _chain_changes_at(chain, hi)
-
-    total = count(-b, b)
     out = []
 
-    def split(lo, hi, k):
-        if k == 0:
-            return
-        if k == 1:
-            out.append((lo, hi))
+    def split(lo, hi, v_lo, v_hi):
+        if v_lo - v_hi == 1:
+            out.append((lo, hi, v_lo))
+        if v_lo - v_hi < 2:
             return
         mid = (lo + hi) / 2
         while _homogeneous_value(p, mid.numerator, mid.denominator) == 0:
             mid = (lo + mid) / 2
-        left = count(lo, mid)
-        split(lo, mid, left)
-        split(mid, hi, k - left)
+        v_mid = _chain_changes_at(chain, mid)
+        split(lo, mid, v_lo, v_mid)
+        split(mid, hi, v_mid, v_hi)
 
-    split(-b, b, total)
+    split(-b, b, _chain_changes_at(chain, -b), _chain_changes_at(chain, b))
     return out
 
 

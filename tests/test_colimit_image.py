@@ -1,24 +1,29 @@
-"""Colimit ranks read off the image, and relations built on first read.
+"""Colimit ranks read off the image in one pass, and relations built on first read.
 
-``abgrp._image_ranks`` maps a basis of the image level by level instead of
-multiplying out the composites; ``_composite_ranks`` below is the route it
-replaced (the product ``M_t ... M_1`` and one echelon per level), kept here as
-the oracle.  The relations of a report come from the kernel of the composite
-up to the horizon, and only when read.
+``abgrp._image_pass`` maps a spanning set of the image level by level and
+echelonizes only where it reads a rank; the window's rank comes from a
+complement of the image at level ``h``.  Two routes it replaced are kept here
+as oracles: ``_composite_ranks`` (the product ``M_t ... M_1`` and one echelon
+per level) and ``_image_ranks`` (a basis of the image, echelonized at every
+level); the window's oracle is the echelon of its composite.  The relations
+of a report come from the kernel of the composite up to the horizon, and only
+when read.
 """
 
 import dataclasses
 import json
 import pathlib
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_unimodular, seeded_rng
-from ringkt import abgrp
+from ringkt import abgrp, ktheory
 from ringkt.abgrp import DirectedSystem, colimit, identified, mat_mul
 from ringkt.cli import main
+from ringkt.errors import UnsupportedSystemError
 from ringkt.ktheory import k_of_A0, k_of_B0, rank_one_system
 
 GOLDENS = json.loads(
@@ -36,6 +41,24 @@ def _composite_ranks(maps):
         w = m if w is None else abgrp._sparse_mul(m, w)
         ranks.append(len(abgrp._echelon(w)))
     return ranks
+
+
+def _image_ranks(maps):
+    """Ranks of the progressive composites of sparse maps: a basis of each
+    image, mapped by the next step and echelonized at every level."""
+    dim = len(maps[0])
+    basis = [{i: 1} for i in range(dim)]
+    ranks = []
+    for m in maps:
+        pivots = abgrp._echelon(abgrp._sparse_mul(basis, abgrp._columns(m, dim)))
+        ranks.append(len(pivots))
+        basis = list(pivots.values())
+    return ranks
+
+
+def _window_rank(maps, h):
+    """The rank of ``M_t ... M_(h+1)``, multiplied out."""
+    return len(abgrp._echelon(abgrp._composite(maps[h:])))
 
 
 def _horizon_maps(system):
@@ -80,18 +103,75 @@ def chains(draw):
     return _horizon_maps(DirectedSystem.from_family(dim, family))
 
 
+def _check_pass(maps, h):
+    """``_image_pass`` against both oracles; returns its output."""
+    sets, r, stab, window = out = abgrp._image_pass(maps, h)
+    ranks = _composite_ranks(maps)
+    assert [len(abgrp._echelon(vecs)) for vecs in sets] == ranks == _image_ranks(maps)
+    assert (r, stab) == (ranks[-1], 1 + ranks.index(ranks[-1]))
+    assert window == _window_rank(maps, h) >= r
+    assert abgrp._image_pass(maps)[1:] == (r, stab, None)
+    return out
+
+
 @settings(max_examples=40, deadline=None)
 @given(maps=chains())
 def test_image_ranks_equal_the_composite_ranks(maps):
-    assert abgrp._image_ranks(maps) == _composite_ranks(maps)
+    _check_pass(maps, len(maps) // 2)
+
+
+def _late_drop(coeffs):
+    return DirectedSystem.symbolic(
+        2, [{"kind": "poly", "coeffs": coeffs}, {"kind": "mult_d"}],
+        [{"row": 1, "col": 0, "poly": [1]}])
 
 
 def test_a_late_root_drops_the_image_rank_at_its_step():
-    system = DirectedSystem.symbolic(
-        2, [{"kind": "poly", "coeffs": [-9, 1]}, {"kind": "mult_d"}],
-        [{"row": 1, "col": 0, "poly": [1]}])
+    maps = _horizon_maps(_late_drop([-9, 1]))
+    sets, r, stab, window = _check_pass(maps, len(maps) // 2)
+    # level 1 has two vectors and the last set rank one: the bisection path
+    assert (len(sets[0]), r, stab, window) == (2, 1, 8, 1)
+    assert _composite_ranks(maps) == [2] * 7 + [1] * 7
+
+
+@pytest.mark.parametrize("coeffs", [[-3, 1], [-2, 1]])
+def test_a_root_before_the_window_is_refused_by_the_window_rank(coeffs):
+    system = DirectedSystem.symbolic(1, [{"kind": "poly", "coeffs": coeffs}])
     maps = _horizon_maps(system)
-    assert abgrp._image_ranks(maps) == _composite_ranks(maps) == [2] * 7 + [1] * 7
+    sets, r, stab, window = _check_pass(maps, len(maps) // 2)
+    assert (r, window) == (0, 1) and not sets[-1]
+    with pytest.raises(UnsupportedSystemError,
+                       match="^window rank depends on the starting level; the system "
+                             "is outside the certified class$"):
+        colimit(system)
+
+
+def test_a_full_rank_window_start_has_an_empty_complement(monkeypatch):
+    systems = []
+    monkeypatch.setattr(ktheory, "colimit", lambda system: systems.append(system)
+                        or colimit(system))
+    k_of_B0(6, engine_check=True)
+    assert len(systems) == 2
+    for system in systems:
+        maps = _horizon_maps(system)
+        h = len(maps) // 2
+        sets, r, stab, window = _check_pass(maps, h)
+        assert r == window == len(sets[h - 1]) == system.dim and stab == 1
+    pushed = []
+    mul = abgrp._sparse_mul
+    monkeypatch.setattr(abgrp, "_sparse_mul", lambda a, b: pushed.append(len(a)) or mul(a, b))
+    abgrp._image_pass(maps, h)
+    assert pushed == [system.dim] * (len(maps) - 1)
+
+
+def test_a_rank_that_drops_past_the_horizon_keeps_the_refusal_text():
+    system = _late_drop([-13, 1])
+    maps = _horizon_maps(system)
+    assert _check_pass(maps, len(maps) // 2)[2] == 12
+    with pytest.raises(UnsupportedSystemError) as exc:
+        colimit(system)
+    assert str(exc.value) == ("composite rank did not stabilize within horizon 14: "
+                              "[2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1]")
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,26 @@ def test_six_term_steps_build_no_dense_identity(monkeypatch):
     assert calls == {"_snf": 2}
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kappa_rows_are_zero_free_int_rows_in_range(n):
+    """``k_of_A0`` hands ``KappaMatrix.rows`` to its system unchecked."""
+    for d in range(2, 61):
+        k = kappa(n, d)
+        rows = k.rows()
+        assert len(rows) == k.size
+        for row in rows:
+            assert all(type(j) is int and 0 <= j < k.size for j in row)
+            assert all(type(x) is int and x != 0 for x in row.values())
+
+
+def test_k_of_A0_builds_its_system_without_the_row_check(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_as_int_rows reached")
+
+    monkeypatch.setattr(abgrp, "_as_int_rows", refuse)
+    assert k_of_A0(4, engine_check=True) == k_of_A0(4, engine_check=False)
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_kappa_rows_and_dense_families_give_one_system(n):
     size = kappa(n, 2).size

@@ -22,7 +22,7 @@ from ringkt import abgrp, ktheory
 from ringkt.abgrp import (DirectedSystem, determinant, mat_shape, rref_fractions,
                           solve_exact)
 from ringkt.errors import InputError
-from test_colimit_image import _horizon_maps, _triangular_json
+from test_colimit_image import _horizon_maps, _image_ranks, _late_drop, _triangular_json
 from test_sparse_kernels import linear_systems, matrices
 
 # ---------------------------------------------------------------------------
@@ -190,15 +190,20 @@ def test_the_echelon_builds_no_fraction_on_integer_rows(monkeypatch):
     monkeypatch.undo()
     rng = random.Random(24)
     systems.append(DirectedSystem.from_json(_triangular_json(rng, 9)))
+    systems.append(_late_drop([-3, 1]))  # the bisection and a nonempty complement
     chains = [_horizon_maps(system) for system in systems]
-    assert len(chains) == 3
-    ranks = [abgrp._image_ranks(maps) for maps in chains]
+    assert len(chains) == 4
+    ranks = [_image_ranks(maps) for maps in chains]
+    passes = [abgrp._image_pass(maps, len(maps) // 2) for maps in chains]
 
     monkeypatch.setattr(abgrp, "Fraction", NoFraction)
     with pytest.raises(AssertionError, match="Fraction was built"):
         abgrp.Fraction(1, 2)
-    for maps, want in zip(chains, ranks):
-        assert abgrp._image_ranks(maps) == want
+    for maps, want, done in zip(chains, ranks, passes):
+        assert _image_ranks(maps) == want
+        sets, r, stab, window = out = abgrp._image_pass(maps, len(maps) // 2)
+        assert out == done and (r, stab) == (want[-1], 1 + want.index(want[-1]))
+        assert all(type(x) is int for vecs in sets for v in vecs for x in v.values())
         for m in (*maps, abgrp._composite(maps)):
             pivots = abgrp._echelon(m)
             assert all(type(x) is int for row in pivots.values() for x in row.values())

@@ -16,8 +16,8 @@ from conftest import (poly_mul, reduce_mod, ref_changes_at, ref_signed_remainder
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringkt import numfield
-from ringkt.abgrp import _poly_eval
+from ringkt import abgrp, numfield
+from ringkt.abgrp import DirectedSystem, GroupDescriptor, _poly_eval, colimit
 from ringkt.errors import InputError
 from ringkt.numfield import (_chain_changes_at, _signed_remainders, isolate_real_roots,
                              parse_field, poly_trim, root_bound, signature, sturm_chain)
@@ -159,3 +159,38 @@ def test_signature_refuses_a_repeated_root(coeffs):
 def test_signature_of_a_rational_polynomial():
     assert signature([Fraction(-1, 2), 0, Fraction(1, 3)]) == (2, 0)  # x^2/3 - 1/2
     assert signature([Fraction(1, 3), 0, 0, Fraction(-1, 2)]) == (1, 1)  # 1/3 - x^3/2
+
+
+def test_the_bisections_read_each_point_of_a_chain_once(monkeypatch):
+    """Both Sturm bisections pass the sign changes at their endpoints down:
+    within one isolation, and one eigenvalue split, no (chain, point) pair
+    is read twice."""
+    seen = []
+    read = numfield._chain_changes_at
+    monkeypatch.setattr(numfield, "_chain_changes_at", lambda chain, x: seen.append(
+        (tuple(map(tuple, chain)), x)) or read(chain, x))
+    phi60 = [1, 0, 1, 0, 0, 0, -1, 0, -1, 0, -1, 0, 0, 0, 1, 0, 1]
+    polys = {"x^16 + x^14 - x^10 - x^8 - x^6 + x^2 + 1": phi60, "x^8 + 1": [1] + [0] * 7 + [1],
+             "x^4 - 10x^2 + 1": [1, 0, -10, 0, 1],
+             "(x - 1)(x - 2)...(x - 6)": [720, -1764, 1624, -735, 175, -21, 1]}
+    for name, poly in polys.items():
+        seen.clear()
+        intervals = isolate_real_roots(poly)
+        assert intervals == _ref_isolate_real_roots(poly), name
+        assert len(seen) == len(set(seen)), name
+    assert len(intervals) == 6
+
+    split = abgrp._rational_eigenspaces
+    per_call = []
+
+    def recording(t):
+        seen.clear()
+        out = split(t)
+        per_call.append(list(seen))
+        return out
+
+    monkeypatch.setattr(abgrp, "_rational_eigenspaces", recording)
+    system = DirectedSystem.from_family(2, lambda d: [[2 * d - 1, 1 - d], [2 * d - 2, 2 - d]])
+    assert colimit(system).invariants == GroupDescriptor(free_rank=1, q_rank=1)
+    assert per_call and max(map(len, per_call)) > 2
+    assert all(len(points) == len(set(points)) for points in per_call)
