@@ -68,10 +68,6 @@ from .numfield import (
     fundamental_unit_real_quadratic,
     parse_field,
     parse_polynomial,
-    residue_system,
-    real_sign_vector,
-    roots_of_unity_order,
-    sign_parity,
     signature,
 )
 
@@ -121,10 +117,6 @@ __all__ = [
     "pv_step",
     "rank_one_inclusion_matrix",
     "rank_one_system",
-    "residue_system",
-    "real_sign_vector",
-    "roots_of_unity_order",
-    "sign_parity",
     "signature",
     "smith_normal_form",
     "__version__",

@@ -23,7 +23,9 @@ only the support.  The two main exports are
   together with ``compose_window`` and the element-identification decision
   procedure ``identified``.  The engine keeps every structure map as sparse
   rows, checked once in whichever form it came; only the kernel lattice, the
-  eigen classifier and public return values get dense copies.
+  eigen classifier and public return values get dense copies.  Steps are
+  multiplied together only in ``compose_window``, the relations below full
+  rank and the eigen classifier.
 
 The colimit classifier certifies exact answers for the class of systems whose
 matrices become upper triangular under a common permutation of coordinates
@@ -1061,9 +1063,9 @@ class ColimitReport:
     equal in the colimit (a spanning set of the level-1 identifications).
     ``rank``, ``stabilization_level`` and the window check behind them are
     read in one pass of spanning sets of the composites' images
-    (``_image_pass``), which multiplies out no composite; ``relations`` come
-    from the kernel of the last composite and are built on first read, by
-    the zero-argument ``relations_source``.
+    (``_image_pass``), which multiplies out no composite.  ``relations`` are
+    built on first read by the zero-argument ``relations_source``: ``()`` at
+    full rank, else the kernel of the last composite (``_report``).
     """
 
     invariants: GroupDescriptor
@@ -1122,8 +1124,8 @@ def _composite(maps):
 
 
 def _kernel_relations(maps, dim):
-    """A zero-argument source of the relations: the kernel of the composite
-    of ``maps``, multiplied out only when called."""
+    """A zero-argument source of the relations below full rank: the kernel
+    of the composite of ``maps``, multiplied out only when called."""
     return lambda: _relation_pairs(_kernel_basis(_dense_rows(_composite(maps), dim)))
 
 
@@ -1187,28 +1189,30 @@ def _image_pass(maps, h=None):
     return sets, r, stab, None if h is None else len(pivots)
 
 
-def _colimit_finite(system, maps):
-    dim = system.dim
-    _, r, stab, _ = _image_pass(maps)
-    rels = _kernel_relations(maps, dim)
-    if all(map(_is_unimodular, maps)):
-        return ColimitReport(
-            invariants=GroupDescriptor.free(dim),
-            relations_source=rels,
-            truncated=False,
-            rank=dim,
-            stabilization_level=1,
-            notes=("all steps unimodular; the chain is a chain of isomorphisms",),
-        )
+def _report(invariants, maps, r, stab, truncated, note):
+    """The ``ColimitReport`` of sparse ``maps`` with composite rank ``r``.
+    At full rank the composite's kernel is zero, so the relations are ``()``
+    and no product is formed."""
+    dim = len(maps[0])
     return ColimitReport(
-        invariants=GroupDescriptor.free(r),
-        relations_source=rels,
-        truncated=True,
+        invariants=invariants,
+        relations_source=(lambda: ()) if r == dim else _kernel_relations(maps, dim),
+        truncated=truncated,
         rank=r,
         stabilization_level=stab,
-        notes=("finite horizon: free rank observed along the materialized chain; "
-               "divisibility beyond the horizon is not certified",),
+        notes=(note,),
     )
+
+
+def _colimit_finite(maps):
+    dim = len(maps[0])
+    if all(map(_is_unimodular, maps)):
+        return _report(GroupDescriptor.free(dim), maps, dim, 1, False,
+                       "all steps unimodular; the chain is a chain of isomorphisms")
+    _, r, stab, _ = _image_pass(maps)
+    return _report(GroupDescriptor.free(r), maps, r, stab, True,
+                   "finite horizon: free rank observed along the materialized chain; "
+                   "divisibility beyond the horizon is not certified")
 
 
 def _fit_monomial(samples):
@@ -1462,14 +1466,8 @@ def _colimit_symbolic(system):
     else:
         flag = [([(d, m[p].get(p, 0)) for d, m in zip(ds, maps)], sorted(reach[p]))
                 for p in range(dim)]
-    return ColimitReport(
-        invariants=_flag_sum(flag, r),
-        relations_source=_kernel_relations(maps[:cap], dim),
-        truncated=False,
-        rank=r,
-        stabilization_level=stab,
-        notes=("classified along the canonical divisibility-cofinal chain d = 2, 3, 4, ...",),
-    )
+    return _report(_flag_sum(flag, r), maps[:cap], r, stab, False,
+                   "classified along the canonical divisibility-cofinal chain d = 2, 3, 4, ...")
 
 
 def colimit(system):
@@ -1491,7 +1489,7 @@ def colimit(system):
         return system._analysis_cache
     length = system.finite_length
     if length is not None:
-        report = _colimit_finite(system, [system._step(t) for t in range(1, length + 1)])
+        report = _colimit_finite([system._step(t) for t in range(1, length + 1)])
     else:
         report = _colimit_symbolic(system)
     system._analysis_cache = report
@@ -1550,7 +1548,9 @@ def identified(system, a, b):
     difference, and it never vanishes.  The same bound shows that ``W``
     reaches rank ``r`` after finitely many steps; a walk that does not reach
     it within a fixed number of steps raises ``CrossCheckError``, since the
-    certified rank must then be wrong.
+    certified rank must then be wrong.  ``rank W`` is read off a basis of
+    Q^dim pushed along the same steps and echelonized at each one: its span
+    is im W, so no window composite is formed.
     """
     if not isinstance(system, DirectedSystem):
         raise InputError("identified expects a DirectedSystem")
@@ -1583,14 +1583,14 @@ def identified(system, a, b):
     diff = [x - y for x, y in zip(va, vb)]
     if length is not None or not any(diff):
         return not any(diff)
-    window = None
+    basis = [{j: 1} for j in range(system.dim)]
     for level in range(base, base + _WINDOW_STEPS):
         step = system._step(level)
         diff = _apply(step, diff)
         if not any(diff):
             return True
-        window = step if window is None else _sparse_mul(step, window)
-        if len(_echelon(window)) == r:
+        basis = list(_echelon(_sparse_mul(basis, _columns(step, system.dim))).values())
+        if len(basis) == r:
             return False
     raise CrossCheckError(
         f"identified: the window from level {base} did not reach the certified "

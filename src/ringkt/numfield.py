@@ -576,10 +576,6 @@ class NumberField:
         self._disc = disc
         self._sieve = sieve
 
-    @classmethod
-    def from_string(cls, text):
-        return cls(parse_polynomial(text))
-
     # -- simple invariants ---------------------------------------------------
 
     @property
@@ -667,9 +663,12 @@ class NumberField:
         f = self.coeffs
         g, _ = _numerators(elem.coeffs)
         chain = _signed_remainders(f, _reduce_monic(_int_mul(_derivative(f), g), f))
+        # adjacent intervals share an endpoint: read each point once
+        points = {x for interval in self._intervals for x in interval}
+        changes = {x: _chain_changes_at(chain, x) for x in points}
         out = []
         for lo, hi in self._intervals:
-            query = _chain_changes_at(chain, lo) - _chain_changes_at(chain, hi)
+            query = changes[lo] - changes[hi]
             if query not in (1, -1):
                 raise CrossCheckError(f"the Tarski query of {elem.as_string()} on the "
                                       f"isolating interval ({lo}, {hi}] is {query}, not +-1")
@@ -1374,23 +1373,7 @@ def _polymod_pow(base, e, f, p):
 
 def parse_field(text):
     """Build a NumberField from a polynomial string (monic, irreducible)."""
-    return NumberField.from_string(text)
-
-
-def roots_of_unity_order(field):
-    return field.roots_of_unity_order
-
-
-def residue_system(field, d, style="standard"):
-    return field.residue_system(d, style)
-
-
-def real_sign_vector(field, elem):
-    return field.real_sign_vector(elem)
-
-
-def sign_parity(field, elem):
-    return field.sign_parity(elem)
+    return NumberField(parse_polynomial(text))
 
 
 # A resource bound, not a check: the period of sqrt(D) can grow like sqrt(D).

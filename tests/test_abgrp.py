@@ -732,10 +732,11 @@ def test_identified_wrong_certified_rank_raises():
     sys31 = _rank3_system()
     report = colimit(sys31)
     sys31._analysis_cache = dataclasses.replace(report, rank=report.rank - 1)
-    with pytest.raises(CrossCheckError):
-        identified(sys31, (1, (1, 0, 0)), (1, (0, 1, 0)))
-    # a difference that vanishes is still found before the bound
-    assert identified(sys31, (1, (1, 0, 0)), (1, (0, 2, 0))) is True
+    for decide in (identified, _window_identified):
+        with pytest.raises(CrossCheckError):
+            decide(sys31, (1, (1, 0, 0)), (1, (0, 1, 0)))
+        # a difference that vanishes is still found before the bound
+        assert decide(sys31, (1, (1, 0, 0)), (1, (0, 2, 0))) is True
 
 
 def test_identified_outlasts_a_window_rank_plateau():
@@ -787,6 +788,27 @@ def _push(system, level, vec, target):
     return vec
 
 
+def _window_identified(system, a, b):
+    """The route ``identified`` replaced on the canonical chain: the window
+    ``M_(base+k) ... M_base`` multiplied out and echelonized at each step."""
+    (la, va), (lb, vb) = a, b
+    r = colimit(system).rank
+    base = max(la, lb)
+    diff = [x - y for x, y in zip(_push(system, la, va, base), _push(system, lb, vb, base))]
+    if not any(diff):
+        return True
+    window = None
+    for level in range(base, base + abgrp._WINDOW_STEPS):
+        step = system._step(level)
+        diff = abgrp._apply(step, diff)
+        if not any(diff):
+            return True
+        window = step if window is None else abgrp._sparse_mul(step, window)
+        if len(abgrp._echelon(window)) == r:
+            return False
+    raise CrossCheckError(f"the window from level {base} did not reach rank {r}")
+
+
 @settings(max_examples=60, deadline=None)
 @given(system=triangular_systems(), data=st.data())
 def test_identified_matches_far_pushforward(system, data):
@@ -808,6 +830,7 @@ def test_identified_matches_far_pushforward(system, data):
     top = max(la, lb) + 64
     expect = _push(system, la, va, top) == _push(system, lb, vb, top)
     assert identified(system, (la, va), (lb, vb)) is expect
+    assert _window_identified(system, (la, va), (lb, vb)) is expect
 
 
 def _conjugated(system, p, p_inv):

@@ -370,18 +370,34 @@ _MALFORMED = {
 }
 
 
-def test_a_large_localization_prime_is_refused_in_time(tmp_path):
-    # 2^61 - 1 is prime, and far beyond trial division within the timeout
-    doc = {"group": {"k0": {"free": 1, "loc": [[2 ** 61 - 1]]}, "k1": {}}, "action": {}}
+def _fresh_process(tmp_path, verb, doc):
+    """``ringkt <verb> --system <doc>`` in a fresh process, killed after 10 s."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     src = str(pathlib.Path(ringkt.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    res = subprocess.run([sys.executable, "-m", "ringkt.cli", "pv", "--system", str(path)],
-                         env=env, capture_output=True, text=True, timeout=10)
+    return subprocess.run([sys.executable, "-m", "ringkt.cli", verb, "--system", str(path)],
+                          env=env, capture_output=True, text=True, timeout=10)
+
+
+def test_a_large_localization_prime_is_refused_in_time(tmp_path):
+    # 2^61 - 1 is prime, and far beyond trial division within the timeout
+    doc = {"group": {"k0": {"free": 1, "loc": [[2 ** 61 - 1]]}, "k1": {}}, "action": {}}
+    res = _fresh_process(tmp_path, "pv", doc)
     assert res.returncode == 2
     assert "localized summands are not supported" in res.stderr
+
+
+def test_a_full_rank_colimit_prints_its_empty_relations_in_time(tmp_path):
+    # mult_d on 60 coordinates plus a unit subdiagonal: every composite has
+    # full rank, so the relations are empty and no composite is multiplied out
+    dim = 60
+    doc = {"mode": "symbolic", "dim": dim, "law": [{"kind": "mult_d"}] * dim,
+           "offdiag": [{"row": i + 1, "col": i, "poly": [1]} for i in range(dim - 1)]}
+    res = _fresh_process(tmp_path, "colim", doc)
+    assert res.returncode == 0
+    assert '"pretty":"Q^60"' in res.stdout and '"relations":[]' in res.stdout
 
 
 @pytest.mark.parametrize("name", sorted(_MALFORMED))

@@ -7,7 +7,8 @@ as oracles: ``_composite_ranks`` (the product ``M_t ... M_1`` and one echelon
 per level) and ``_image_ranks`` (a basis of the image, echelonized at every
 level); the window's oracle is the echelon of its composite.  The relations
 of a report come from the kernel of the composite up to the horizon, and only
-when read.
+when read; at full rank they are empty and no composite is formed, and
+``identified`` reads its window's rank off a pushed spanning set.
 """
 
 import dataclasses
@@ -204,7 +205,7 @@ def _eager_relations(system, maps):
 
 def test_relations_are_the_kernel_of_the_horizon_composite():
     rng = seeded_rng("lazy-relations")
-    with_relations = 0
+    with_relations = full_rank = 0
     for k in range(108):
         system = DirectedSystem.from_json(_triangular_json(rng, 1 + k % 12))
         report = colimit(system)
@@ -212,7 +213,55 @@ def test_relations_are_the_kernel_of_the_horizon_composite():
             report, relations_source=lambda: _eager_relations(system, _horizon_maps(system)))
         assert report.to_json_dict() == eager.to_json_dict()
         with_relations += bool(report.relations)
-    assert with_relations > 50
+        full_rank += report.rank == system.dim
+    assert with_relations > 50 and full_rank > 5
+
+
+def test_finite_chain_relations_are_the_kernel_of_the_whole_chain():
+    rng = seeded_rng("finite-relations")
+    kinds = set()
+    for k in range(60):
+        dim = 1 + k % 5
+        if k % 3:
+            mats = [[[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
+                    for _ in range(rng.randint(1, 4))]
+        else:
+            mats = [random_unimodular(rng, dim)[0] for _ in range(rng.randint(1, 4))]
+        system = DirectedSystem.explicit(mats)
+        report = colimit(system)
+        maps = [system._step(t) for t in range(1, len(mats) + 1)]
+        assert report.relations == _eager_relations(system, maps)
+        kinds.add((report.truncated, report.rank == dim))
+    assert kinds == {(False, True), (True, True), (True, False)}
+
+
+def test_identified_and_full_rank_relations_form_no_composite(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a composite or its kernel was formed")
+
+    monkeypatch.setattr(abgrp, "_composite", refuse)
+    monkeypatch.setattr(abgrp, "_kernel_basis", refuse)
+    products = []
+    mul = abgrp._sparse_mul
+    monkeypatch.setattr(abgrp, "_sparse_mul", lambda a, b: products.append(a) or mul(a, b))
+    dim = 30
+    subdiagonal = DirectedSystem.symbolic(
+        dim, [{"kind": "mult_d"}] * dim,
+        [{"row": i + 1, "col": i, "poly": [1]} for i in range(dim - 1)])
+    squares = DirectedSystem.symbolic(3, [{"kind": "diag_power", "exp": 2}] * 3,
+                                      [{"row": 0, "col": 2, "poly": [0, 1]}])
+    for system in (subdiagonal, squares):
+        report = colimit(system)
+        assert report.rank == system.dim and report.relations == ()
+        e0 = (1,) + (0,) * (system.dim - 1)
+        assert identified(system, (1, e0), (1, (0,) * system.dim)) is False
+        assert identified(system, (2, e0), (1, e0)) is False
+        pushed = tuple(abgrp._apply(system._step(1), e0))
+        assert identified(system, (2, pushed), (1, e0)) is True
+        steps = [id(m) for m in system._step_cache.values()]
+        # every product maps a spanning set; none has a step on its left
+        assert products and not any(id(a) in steps for a in products)
+        products.clear()
 
 
 # The kernel of the first step (the stabilization level) spans the same

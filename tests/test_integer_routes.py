@@ -163,8 +163,8 @@ def test_signature_of_a_rational_polynomial():
 
 def test_the_bisections_read_each_point_of_a_chain_once(monkeypatch):
     """Both Sturm bisections pass the sign changes at their endpoints down:
-    within one isolation, and one eigenvalue split, no (chain, point) pair
-    is read twice."""
+    within one isolation, one eigenvalue split, and one sign vector, no
+    (chain, point) pair is read twice."""
     seen = []
     read = numfield._chain_changes_at
     monkeypatch.setattr(numfield, "_chain_changes_at", lambda chain, x: seen.append(
@@ -179,6 +179,14 @@ def test_the_bisections_read_each_point_of_a_chain_once(monkeypatch):
         assert intervals == _ref_isolate_real_roots(poly), name
         assert len(seen) == len(set(seen)), name
     assert len(intervals) == 6
+
+    # a sign vector reads its Tarski chain once at an endpoint two intervals share
+    k = parse_field("x^4 - 10x^2 + 1")
+    ends = [x for interval in k._intervals for x in interval]
+    seen.clear()
+    assert k.real_sign_vector(k.element([0, 1])) == (-1, -1, 1, 1)
+    assert (len(ends), len(set(ends))) == (8, 5)
+    assert len(seen) == len(set(seen)) == 5
 
     split = abgrp._rational_eigenspaces
     per_call = []
