@@ -11,12 +11,16 @@ it scales a rational row to integers once and then works in Python ints, and
 (fraction-free Bareiss) and Smith forms are dense; ``cokernel`` eliminates
 only the support.  The two main exports are
 
-* ``smith_normal_form`` and friends (``cokernel``, ``kernel_lattice_basis``),
-  with the convention ``a == u @ d @ v`` where ``u`` and ``v`` are unimodular
-  and ``d`` is diagonal, nonnegative, with each entry dividing the next.  One
-  elimination (``_snf``) serves all three and tracks only the transforms its
-  caller reads; it never carries ``u``, which ``smith_normal_form`` rebuilds
-  once from ``a @ v^-1`` and the log of row operations; and
+* ``smith_normal_form`` and friends (``cokernel``, ``kernel_lattice_basis``,
+  ``image_lattice_basis``), with the convention ``a == u @ d @ v`` where
+  ``u`` and ``v`` are unimodular and ``d`` is diagonal, nonnegative, with
+  each entry dividing the next.  One elimination (``_snf``) serves all four.
+  It caches each row's least entry and gcd, so a pass rescans only the rows
+  that changed, and it carries only what its caller reads: the columns of
+  ``v^-1`` for the kernel, those of ``a @ v^-1`` for the image and for
+  ``u``.  It never carries ``u``, which ``smith_normal_form`` rebuilds once
+  by dividing the columns of ``a @ v^-1`` by the diagonal and, at the zero
+  diagonal entries, from the log of row operations; and
 
 * a classifier for sequential colimits ``Z^k -M1-> Z^k -M2-> ...`` of free
   abelian groups along integer matrices (``DirectedSystem`` / ``colimit``),
@@ -47,7 +51,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, islice
-from operator import mul
 
 from .errors import CrossCheckError, InputError, UnsupportedSystemError
 
@@ -350,14 +353,20 @@ def solve_exact(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _snf(a, inverse=False, transforms=False):
+def _least(row):
+    """The least nonzero ``|entry|`` of ``row``; ``math.inf`` for a zero row."""
+    return min(map(abs, filter(None, row)), default=math.inf)
+
+
+def _snf(a, carry=None, transforms=False):
     """Core SNF reduction of ``a``: the diagonal, and only the transforms asked for.
 
-    Returns ``(d, v, vi_cols, log)``.  ``d`` is the Smith form of ``a``.
-    ``vi_cols`` (the columns of ``v^-1``, the product of the column
-    operations) is tracked when ``inverse`` or ``transforms``; ``v`` and the
-    ``log`` of row operations only when ``transforms``.  Untracked ones are
-    None.  ``u`` is never tracked: ``_rebuild_u`` makes it from ``vi_cols``
+    Returns ``(d, v, carry, log)``.  ``d`` is the Smith form of ``a``.
+    ``carry``, when given, is a list of ``n`` columns that every column
+    operation also acts on: the identity's columns come back as those of
+    ``v^-1`` and the columns of ``a`` as those of ``a @ v^-1``.  ``v`` and
+    the ``log`` of row operations are tracked only when ``transforms``.
+    Untracked ones are None.  ``u`` is never tracked: ``_rebuild_u`` makes it from ``a @ v^-1``
     and the log.
 
     A log entry ``(r, s, q)`` adds ``q`` times row ``s`` to row ``r``; ``q == 0``
@@ -366,114 +375,144 @@ def _snf(a, inverse=False, transforms=False):
 
     Step ``t`` takes the first entry (row by row) of least absolute value in
     the trailing block as its pivot; a unit ends the search.  The cells left
-    of and above the trailing block are zero, so row operations touch only
-    the columns ``>= t`` and column operations only the rows ``>= t``.
+    of and above the trailing block are zero, so the rows ``>= t`` are kept
+    compacted to the columns ``>= t`` (column ``t`` is dropped when ``t``
+    advances, and it is zero below the pivot by then), row operations touch
+    only those, and column operations only the rows ``>= t``.
+
+    Each row caches its least nonzero ``|entry|`` and, once a stray check
+    has read it, its gcd, so a pass rescans only the rows that changed.  A
+    row swap swaps both; a row reduction, the stray pull into row ``t``
+    among them, refreshes its target's minimum and drops its gcd; the column
+    phase on the pivot row refreshes the minimum of every row it changes.
+    Column operations leave a row's gcd as it is (adding a multiple of one
+    entry to another keeps the gcd), and the clearing ones change row ``t``
+    alone, which is refreshed if a stray is pulled into it and leaves the
+    trailing block otherwise.  Dropping the zero column ``t`` changes
+    neither value.  So the pivot search reads the cached minima and takes
+    the first row that holds the least one, the row a full rescan would
+    take, and a row holds an entry ``p`` does not divide exactly when ``p``
+    does not divide its gcd: the passes, the pivots and every output are
+    those of the rescanning elimination.
     """
     m, n = len(a), len(a[0])
     d = [list(row) for row in a]
-    track = inverse or transforms
-    vi_cols = identity_matrix(n) if track else None
     v = identity_matrix(n) if transforms else None
     log = [] if transforms else None
+    low = [_least(row) for row in d]
+    gcds = [None] * m
 
     def row_add(r, s, q):
-        d[r][t:] = [x + q * y for x, y in zip(islice(d[r], t, None), islice(d[s], t, None))]
+        d[r] = [x + q * y for x, y in zip(d[r], d[s])]
+        low[r], gcds[r] = _least(d[r]), None
         if log is not None:
             log.append((r, s, q))
 
-    def col_add(c, s, q, rows):
-        # d: col c += q * col s on ``rows``; v gets the inverse row op.
+    def col_add(k, q, rows):
+        # column t + k += q * column t on ``rows``; v gets the inverse row op.
         for i in rows:
             row = d[i]
-            row[c] += q * row[s]
-        if track:
-            vi_cols[c] = [x + q * y for x, y in zip(vi_cols[c], vi_cols[s])]
+            row[k] += q * row[0]
+        c = t + k
+        if carry is not None:
+            carry[c] = [x + q * y for x, y in zip(carry[c], carry[t])]
         if v is not None:
-            v[s] = [x - q * y for x, y in zip(v[s], v[c])]
+            v[t] = [x - q * y for x, y in zip(v[t], v[c])]
 
+    diag = []
     t = 0
     while t < min(m, n):
-        best = bi = bj = 0
-        for i in range(t, m):
-            low = min(map(abs, filter(None, islice(d[i], t, None))), default=0)
-            if low and (not best or low < best):
-                best, bi = low, i
-                bj = next(j for j in range(t, n) if abs(d[i][j]) == low)
-                if low == 1:
-                    break
-        if not best:
+        best = min(islice(low, t, None))
+        if best == math.inf:
             break
+        bi = low.index(best, t)
+        bk = next(k for k, x in enumerate(d[bi]) if abs(x) == best)
         if bi != t:
             d[t], d[bi] = d[bi], d[t]
+            low[t], low[bi] = low[bi], low[t]
+            gcds[t], gcds[bi] = gcds[bi], gcds[t]
             if log is not None:
                 log.append((t, bi, 0))
-        if bj != t:
+        if bk:
             for i in range(t, m):
                 row = d[i]
-                row[t], row[bj] = row[bj], row[t]
-            if track:
-                vi_cols[t], vi_cols[bj] = vi_cols[bj], vi_cols[t]
+                row[0], row[bk] = row[bk], row[0]
+            if carry is not None:
+                carry[t], carry[t + bk] = carry[t + bk], carry[t]
             if v is not None:
-                v[t], v[bj] = v[bj], v[t]
-        p = d[t][t]
+                v[t], v[t + bk] = v[t + bk], v[t]
+        piv = d[t]
+        p = piv[0]
         if best != 1:
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t] % p:
-                    row_add(i, t, -(d[i][t] // p))
-                    dirty = True
-            if dirty:
+            # Each operation below changes only its own row or column, so
+            # the non-multiples can be listed before any is reduced.
+            rows = [i for i in range(t + 1, m) if d[i][0] % p]
+            if rows:
+                for i in rows:
+                    row_add(i, t, -(d[i][0] // p))
                 continue
-            for j in range(t + 1, n):
-                if d[t][j] % p:
-                    col_add(j, t, -(d[t][j] // p), range(t, m))
-                    dirty = True
-            if dirty:
+            ks = [k for k in range(1, n - t) if piv[k] % p]
+            if ks:
+                live = [i for i in range(t, m) if d[i][0]]
+                for k in ks:
+                    col_add(k, -(piv[k] // p), live)
+                for i in live:
+                    low[i] = _least(d[i])
                 continue
         for i in range(t + 1, m):
-            if d[i][t]:
-                row_add(i, t, -(d[i][t] // p))
+            if d[i][0]:
+                row_add(i, t, -(d[i][0] // p))
         # Column t is now zero below the pivot, so clearing row t changes row t alone.
-        for j in range(t + 1, n):
-            if d[t][j]:
-                col_add(j, t, -(d[t][j] // p), (t,))
+        for k in range(1, n - t):
+            if piv[k]:
+                col_add(k, -(piv[k] // p), (t,))
         if best != 1:
-            stray = next((i for i in range(t + 1, m)
-                          if any(map(p.__rmod__, filter(None, islice(d[i], t + 1, None))))), None)
+            stray = None
+            for i in range(t + 1, m):
+                g = gcds[i]
+                if g is None:
+                    g = gcds[i] = math.gcd(*d[i])
+                if g % p:
+                    stray = i
+                    break
             if stray is not None:
                 # Pull the offending row into the pivot row; the next pass reduces it.
                 row_add(t, stray, 1)
                 continue
         if p < 0:
-            d[t][t] = -p
+            p = -p
             if log is not None:
                 log.append((t, t, -1))
+        diag.append(p)
         t += 1
-    return d, v, vi_cols, log
+        for row in islice(d, t, None):
+            del row[0]
+    out = [[0] * n for _ in range(m)]
+    for i, x in enumerate(diag):
+        out[i][i] = x
+    return out, v, carry, log
 
 
-def _rebuild_u(a, d, vi_cols, log):
+def _rebuild_u(d, av_cols, log):
     """The unimodular ``u`` with ``a == u @ d @ v``, rebuilt once after ``_snf``.
 
-    ``a @ v^-1 == u @ d``, so for ``d[j][j] != 0`` column ``j`` of ``u`` is
-    column ``j`` of ``a @ v^-1`` divided by ``d[j][j]``; the division is
-    exact, and a remainder raises ``CrossCheckError``.  The other columns
-    (``d[j][j] == 0``, and ``j >= n`` when ``m > n``) are ``e_j`` with the
-    logged row operations undone, the last one first.
+    ``av_cols`` are the columns of ``a @ v^-1 == u @ d``, so for
+    ``d[j][j] != 0`` column ``j`` of ``u`` is ``av_cols[j]`` divided by
+    ``d[j][j]``; the division is exact, and a remainder raises
+    ``CrossCheckError``.  The other columns (``d[j][j] == 0``, and ``j >= n``
+    when ``m > n``) are ``e_j`` with the logged row operations undone, the
+    last one first.
     """
     m = len(d)
-    rank = sum(1 for j in range(min(m, len(vi_cols))) if d[j][j])
+    rank = sum(1 for j in range(min(m, len(av_cols))) if d[j][j])
     cols = []
     for j in range(rank):
-        col = []
-        for row in a:
-            q, r = divmod(sum(map(mul, row, vi_cols[j])), d[j][j])
-            if r:
-                raise CrossCheckError(
-                    f"smith_normal_form: column {j} of a @ v^-1 is not divisible by d[{j}][{j}]"
-                )
-            col.append(q)
-        cols.append(col)
+        qr = [divmod(x, d[j][j]) for x in av_cols[j]]
+        if any(r for _, r in qr):
+            raise CrossCheckError(
+                f"smith_normal_form: column {j} of a @ v^-1 is not divisible by d[{j}][{j}]"
+            )
+        cols.append([q for q, _ in qr])
     rest = [[1 if i == j else 0 for j in range(rank, m)] for i in range(m)]
     if rank < m:
         for r, s, q in reversed(log):
@@ -492,17 +531,18 @@ def smith_normal_form(a):
 
     ``u`` (rows x rows) and ``v`` (cols x cols) are unimodular, ``d`` is
     diagonal with nonnegative entries ``d[0][0] | d[1][1] | ...``.  The
-    elimination tracks ``v``, ``v^-1`` and a log of its row operations, not
-    ``u``; ``u`` is rebuilt once at the end from ``a @ v^-1`` (exact division
-    by the diagonal) and, for the zero diagonal entries, the log.
+    elimination carries ``v``, the columns of ``a @ v^-1`` and a log of its
+    row operations, not ``u``; ``u`` is rebuilt once at the end from
+    ``a @ v^-1`` (exact division by the diagonal) and, for the zero diagonal
+    entries, the log.
 
     >>> u, d, v = smith_normal_form([[2, 4], [6, 8]])
     >>> [d[i][i] for i in range(2)]
     [2, 4]
     """
     a = as_int_matrix(a)
-    d, v, vi_cols, log = _snf(a, transforms=True)
-    return _rebuild_u(a, d, vi_cols, log), d, v
+    d, v, av_cols, log = _snf(a, carry=[list(col) for col in zip(*a)], transforms=True)
+    return _rebuild_u(d, av_cols, log), d, v
 
 
 def kernel_lattice_basis(a):
@@ -517,7 +557,7 @@ def kernel_lattice_basis(a):
 
 def _kernel_basis(a):
     """``kernel_lattice_basis`` of a checked int matrix: columns of ``v^-1``."""
-    d, _, vi_cols, _ = _snf(a, inverse=True)
+    d, _, vi_cols, _ = _snf(a, carry=identity_matrix(len(a[0])))
     k = min(len(a), len(a[0]))
     return [col for j, col in enumerate(vi_cols) if j >= k or d[j][j] == 0]
 
@@ -530,9 +570,8 @@ def image_lattice_basis(a):
     independent, and the others vanish, so they are a basis.
     """
     a = as_int_matrix(a)
-    d, _, vi_cols, _ = _snf(a, inverse=True)
-    return [[sum(map(mul, row, vi_cols[j])) for row in a]
-            for j in range(min(len(a), len(vi_cols))) if d[j][j]]
+    d, _, av_cols, _ = _snf(a, carry=[list(col) for col in zip(*a)])
+    return [av_cols[j] for j in range(min(len(a), len(av_cols))) if d[j][j]]
 
 
 # ---------------------------------------------------------------------------
@@ -597,32 +636,69 @@ def _is_prime(n):
     return True
 
 
+def _coprime_base(xs):
+    """Pairwise coprime integers ``> 1`` such that every ``x > 1`` in ``xs``
+    is a product of their powers, by factor refinement (Bach, Driscoll and
+    Shallit, J. Algorithms 15, 1993): a value sharing ``g = gcd(y, b) > 1``
+    with a base element ``b`` replaces ``b`` by ``b / g``, ``g`` and ``y / g``,
+    which are refined in turn.  Nothing is factored.  Each split divides the
+    product of the base and the pending values by ``g``, so it ends.
+    """
+    base = []
+    for x in xs:
+        todo = [x]
+        while todo:
+            y = todo.pop()
+            if y == 1:
+                continue
+            for k, b in enumerate(base):
+                g = math.gcd(y, b)
+                if g > 1:
+                    del base[k]
+                    todo += (b // g, g, y // g)
+                    break
+            else:
+                base.append(y)
+    return base
+
+
 def invariant_factors(orders):
     """Normalize a list of cyclic orders to an ascending divisibility chain.
 
-    ``Z/x + Z/y`` is ``Z/gcd(x, y) + Z/lcm(x, y)``, so gcd/lcm exchanges
-    between pairs put the orders in Smith form without factoring them (Cohen,
-    *A Course in Computational Algebraic Number Theory*, 2.4): after its
-    exchanges with every later order, ``chain[i]`` divides all of them, and
-    later exchanges keep that.  Trivial factors are dropped.
+    Over a coprime base of the distinct orders (``_coprime_base``; no
+    factoring), every prime ``p`` divides exactly one base element ``b``, and
+    ``v_p(x) = v_p(b) * e`` where ``b^e`` exactly divides ``x``.  So the k-th
+    largest invariant factor is the product over the base of ``b`` to its
+    k-th largest exponent among the orders, counted with multiplicity.
+    Trivial factors are dropped.
 
     >>> invariant_factors([4, 2, 3])
     (2, 12)
     >>> invariant_factors([2, 2])
     (2, 2)
     """
-    chain = []
+    counts = {}
     for x in orders:
         x = _as_int(x, "cyclic order")
         if x < 1:
             raise InputError(f"cyclic order {x} is not positive")
         if x > 1:
-            chain.append(x)
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            g = math.gcd(chain[i], chain[j])
-            chain[i], chain[j] = g, chain[i] // g * chain[j]
-    return tuple(x for x in chain if x > 1)
+            counts[x] = counts.get(x, 0) + 1
+    chain = []  # descending
+    for b in _coprime_base(counts):
+        exps = []
+        for x, c in counts.items():
+            e = 0
+            while x % b == 0:
+                x //= b
+                e += 1
+            if e:
+                exps += [e] * c
+        exps.sort(reverse=True)
+        chain += [1] * (len(exps) - len(chain))
+        for k, e in enumerate(exps):
+            chain[k] *= b ** e
+    return tuple(reversed(chain))
 
 
 class GroupDescriptor:

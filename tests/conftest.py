@@ -1,7 +1,10 @@
 """Shared exact-arithmetic test helpers."""
 
+import contextlib
+import faulthandler
 import itertools
 import random
+import signal
 from fractions import Fraction
 
 from ringkt.abgrp import _poly_eval, determinant, mat_mul, mat_shape
@@ -166,6 +169,35 @@ def random_unimodular(rng, n, steps=8):
             for row in u_inv:
                 row[j] -= q * row[i]
     return u, u_inv
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail a block that runs past ``seconds`` of wall time instead of
+    letting it hang.
+
+    ``signal.setitimer`` raises ``TimeoutError`` in the block (main thread
+    only).  Python handles a signal only between bytecodes, so a block stuck
+    in one long integer operation (entries that grow without bound) is not
+    interrupted that way; ``faulthandler`` then dumps every thread's stack
+    and ends the process ``seconds + 10`` seconds after the deadline.
+    """
+    def expire(signum, frame):
+        raise TimeoutError
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    faulthandler.dump_traceback_later(2 * seconds + 10, exit=True)
+    try:
+        yield
+    except TimeoutError:
+        # A fresh exception: the interrupted frame may have no line number,
+        # which pytest cannot render.
+        raise TimeoutError(f"still running after {seconds} s") from None
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def seeded_rng(name):

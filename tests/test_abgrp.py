@@ -1,6 +1,7 @@
 """Tests for exact linear algebra, group descriptors and the colimit engine."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -190,6 +191,37 @@ def _factoring_invariant_factors(orders):
 @given(st.lists(st.integers(1, 5000), max_size=8))
 def test_invariant_factors_match_factoring_reference(orders):
     assert invariant_factors(orders) == _factoring_invariant_factors(orders)
+
+
+def _pairwise_exchange_invariant_factors(orders):
+    """Reference: ``Z/x + Z/y`` is ``Z/gcd(x, y) + Z/lcm(x, y)``, exchanged
+    between every pair in turn, so ``chain[i]`` ends dividing every later
+    order (Cohen, *A Course in Computational Algebraic Number Theory*, 2.4)."""
+    chain = [x for x in orders if x > 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = math.gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] // g * chain[j]
+    return tuple(x for x in chain if x > 1)
+
+
+@st.composite
+def repeated_orders(draw):
+    """Orders in runs: a few values, some of them large and sharing factors,
+    each repeated up to 40 times, the runs shuffled together at times."""
+    base = draw(st.lists(st.integers(1, 2**40), min_size=1, max_size=4))
+    values = draw(st.lists(st.sampled_from(base + [a * b for a in base for b in base]),
+                           min_size=1, max_size=6))
+    orders = [x for x in values for _ in range(draw(st.integers(1, 40)))]
+    if draw(st.booleans()):
+        draw(st.randoms(use_true_random=False)).shuffle(orders)
+    return orders
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_orders())
+def test_invariant_factors_match_the_pairwise_exchange(orders):
+    assert invariant_factors(orders) == _pairwise_exchange_invariant_factors(orders)
 
 
 def test_descriptor_canonical_equality():

@@ -6,7 +6,7 @@ import pathlib
 from fractions import Fraction
 
 import pytest
-from conftest import random_unimodular, seeded_rng
+from conftest import deadline, random_unimodular, seeded_rng
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -375,6 +375,16 @@ def test_involution_normal_form():
         # the split is certified (free quotient), so require_split agrees
         strict = pv_step(act.domain, act)
         assert strict.k0 == expected_k and not strict.ambiguous
+
+
+def test_involution_step_at_m_10_within_its_deadline():
+    # The first timed row of the extreme-input census: two 512-square
+    # diagonal Smith forms and the invariant factors of 512 orders.
+    act = involution_action(10)
+    with deadline(2):
+        res = pv_step(act.domain, act)
+    expected_k = GroupDescriptor(free_rank=1024, torsion=(2,) * 512)
+    assert res.k0 == expected_k and res.k1 == expected_k
 
 
 def test_pv_identity_action_doubles():

@@ -1,17 +1,22 @@
 """Property tests for the Smith normal form behind ``smith_normal_form``,
-``kernel_lattice_basis`` and ``cokernel``.
+``kernel_lattice_basis``, ``image_lattice_basis`` and ``cokernel``.
 
 Reference: ``_tracked_u_snf`` below, the elimination that carried ``u``
-through every row operation.  The library now rebuilds ``u`` once from
-``a @ v^-1`` and a log of the row operations, with the same pivots, so every
-output must be the same object for object.
+through every row operation and rescanned the whole trailing block on every
+pass.  The library caches each row's least entry and gcd, carries
+``a @ v^-1`` and rebuilds ``u`` once from it and a log of the row
+operations, with the same pivots, so every output must be the same object
+for object.  Each comparison runs under a deadline: a stale cache can send
+the elimination round in a loop, and that must fail, not hang.
 """
 
+import sys
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import seeded_rng
+from conftest import deadline, seeded_rng
 from ringkt import abgrp
 from ringkt.abgrp import (
     GroupDescriptor,
@@ -20,6 +25,7 @@ from ringkt.abgrp import (
     as_int_matrix,
     cokernel,
     identity_matrix,
+    image_lattice_basis,
     kernel_lattice_basis,
     mat_mul,
     mat_shape,
@@ -113,18 +119,40 @@ def _tracked_u_snf(a):
     return u, d, v, vi
 
 
-def assert_matches_reference(a):
-    """``smith_normal_form``, ``kernel_lattice_basis`` and ``cokernel`` of
-    ``a`` equal what the tracked-u reference gives, repr for repr."""
+def _repr(x):
+    """``repr`` with no cap on the digits of an int: the u and v of a
+    64 x 64 block diagonal pass Python's default of 4300."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return repr(x)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+def assert_matches_reference(a, seconds=2):
+    """``smith_normal_form``, ``kernel_lattice_basis``, ``image_lattice_basis``
+    and ``cokernel`` of ``a`` equal what the tracked-u reference gives, repr
+    for repr; the library calls get ``seconds`` in all."""
     m, n = mat_shape(a)
     u, d, v, vi = _tracked_u_snf(a)
-    assert repr(smith_normal_form(a)) == repr((u, d, v))
     free = [j for j in range(n) if j >= min(m, n) or d[j][j] == 0]
-    assert repr(kernel_lattice_basis(a)) == repr([[vi[i][j] for i in range(n)] for j in free])
+    image = [[sum(a[i][k] * vi[k][j] for k in range(n)) for i in range(m)]
+             for j in range(min(m, n)) if d[j][j]]
     diag = [d[i][i] for i in range(min(m, n))]
     want = GroupDescriptor(free_rank=m - sum(1 for x in diag if x),
                            torsion=[x for x in diag if x > 1])
-    assert repr(cokernel(a)) == repr(want)
+    with deadline(seconds):
+        got = (smith_normal_form(a), kernel_lattice_basis(a), image_lattice_basis(a), cokernel(a))
+    assert _repr(got[0]) == _repr((u, d, v))
+    assert _repr(got[1]) == _repr([[vi[i][j] for i in range(n)] for j in free])
+    assert _repr(got[2]) == _repr(image)
+    assert repr(got[3]) == repr(want)
+
+
+# A looping elimination costs a whole deadline on every replay, so the
+# reference properties report their first failing example unshrunk.
+_UNSHRUNK = settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 
 @st.composite
@@ -152,7 +180,7 @@ def snf_matrices(draw):
     return a
 
 
-@settings(max_examples=100, deadline=None)
+@settings(_UNSHRUNK, max_examples=100)
 @given(snf_matrices())
 def test_snf_matches_tracked_u_reference(a):
     assert_matches_reference(a)
@@ -167,6 +195,93 @@ def test_snf_matches_tracked_u_reference_at_side_40(rank):
         c = rng.randint(-2, 2)
         a.append([p + c * q for p, q in zip(a[x], a[y])])
     rng.shuffle(a)
+    assert_matches_reference(a, seconds=20)
+
+
+@pytest.mark.parametrize("a", [
+    # a stray pull: the pivot divides its row and column, not the block
+    [[2, 0], [0, 3]],
+    [[3, 0], [0, 2]],
+    [[-2, 0], [0, 3]],
+    [[4, 0], [0, 6]],
+    [[2, 0, 0], [0, 3, 0], [0, 0, 5]],
+    [[6, 0, 0], [0, 10, 0], [0, 0, 15]],
+    [[2, 0, 0], [0, 3, 0]],
+    [[2, 0], [0, 3], [0, 0]],
+    [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 9]],
+    [[0, 0, 3], [0, 2, 0], [5, 0, 0]],
+    # a row swap after a stray check has read both rows' gcds
+    [[2, 0, 0], [0, 6, 0], [0, 0, 4]],
+    [[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 15, 0], [0, 0, 0, 6]],
+    # the pulled row holds an entry below the pivot, left there by a
+    # clearing row operation, so the pivot row's minimum drops
+    [[2, 4, 0], [2, 5, 3]],
+    [[3, 6, 0], [3, 7, 4], [0, 0, 9]],
+    [[4, 8, 4], [4, 9, 6], [8, 16, 10]],
+    # the column phase: the pivot row holds non-multiples, and so does a
+    # row the column operations change
+    [[2, 3], [0, 5]],
+    [[3, 5], [3, 4]],
+    [[3, 5], [6, 5]],
+    [[2, 3, 3], [4, 4, -3]],
+    [[2, 3, 5], [4, 7, 9]],
+    [[2, 3, 5], [4, 7, 9], [6, 1, 8]],
+    [[2, 5, 7], [4, 4, 6], [0, 9, 9]],
+    [[3, 4, 5, 7], [6, 8, 10, 14], [9, 13, 15, 22], [3, 3, 3, 3]],
+])
+def test_snf_matches_the_reference_at_each_refresh(a):
+    assert_matches_reference(a)
+
+
+_NON_UNITS = (0, 2, -2, 3, -3, 4, 5, 6, -6, 8, 9, 10, 12, 15, -30)
+
+
+@st.composite
+def block_diagonal_matrices(draw):
+    """Diagonal and block-diagonal matrices up to 64 x 64 with non-unit
+    diagonal entries and blocks up to 3 x 3.  Up to 24 x 24, rows and
+    columns are at times shuffled, which puts the pivots off the diagonal;
+    a shuffled one of side 62 grows u and v to 55000 bits, and the
+    reference then takes seconds."""
+    size = draw(st.integers(1, 64))
+    a = [[0] * size for _ in range(size)]
+    i = 0
+    while i < size:
+        k = min(size - i, draw(st.sampled_from((1, 1, 1, 2, 3))))
+        for r in range(i, i + k):
+            for c in range(i, i + k):
+                a[r][c] = draw(st.sampled_from(_NON_UNITS)) if r == c else draw(st.integers(-9, 9))
+        i += k
+    rng = draw(st.randoms(use_true_random=False))
+    if size <= 24 and draw(st.booleans()):
+        rng.shuffle(a)
+    if size <= 24 and draw(st.booleans()):
+        perm = rng.sample(range(size), size)
+        a = [[row[j] for j in perm] for row in a]
+    return a
+
+
+@settings(_UNSHRUNK, max_examples=12)
+@given(block_diagonal_matrices())
+def test_snf_matches_the_reference_on_block_diagonals(a):
+    assert_matches_reference(a)
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """m x n matrices up to 16 x 16 of rank at most r: products of an m x r
+    and an r x n matrix with small entries, with r < m for square ones."""
+    m, n = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    r = draw(st.integers(0, min(m, n) - (m == n)))
+    left = draw(st.lists(st.lists(st.integers(-4, 4), min_size=r, max_size=r), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=r, max_size=r))
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] if r else [0] * n
+            for row in left]
+
+
+@settings(_UNSHRUNK, max_examples=40)
+@given(low_rank_matrices())
+def test_snf_matches_the_reference_on_rectangular_and_rank_deficient(a):
     assert_matches_reference(a)
 
 
@@ -191,9 +306,9 @@ def test_rebuilt_u_checks_the_division(monkeypatch):
     real = abgrp._snf
 
     def lying(a, **track):
-        d, v, vi_cols, log = real(a, **track)
+        d, v, av_cols, log = real(a, **track)
         d[0][0] *= 3
-        return d, v, vi_cols, log
+        return d, v, av_cols, log
 
     monkeypatch.setattr(abgrp, "_snf", lying)
     with pytest.raises(CrossCheckError, match=r"not divisible by d\[0\]\[0\]"):
