@@ -3,31 +3,33 @@
 Everything in this module is exact: integer matrices are lists of lists of
 Python ints, rational values are ``fractions.Fraction``.  Products and the one
 elimination over Q (``_echelon``, behind ``rank``, ``rref_fractions``,
-``solve_exact``, ``_is_unimodular`` and the colimit ranks) run on sparse rows
+``solve_exact``, ``determinant`` and the colimit ranks) run on sparse rows
 (``{column: value}`` maps of the nonzero entries), so their cost follows the
 nonzero entries rather than the dimension.  The elimination is fraction-free:
 it scales a rational row to integers once and then works in Python ints, and
-``rref_fractions`` builds its ``Fraction``s only on output.  Determinants
-(fraction-free Bareiss) and Smith forms are dense; ``cokernel`` eliminates
-only the support.  The two main exports are
+``rref_fractions`` builds its ``Fraction``s only on output.  Smith forms
+are dense; ``cokernel`` eliminates only the support.  The two main exports are
 
 * ``smith_normal_form`` and friends (``cokernel``, ``kernel_lattice_basis``,
   ``image_lattice_basis``), with the convention ``a == u @ d @ v`` where
   ``u`` and ``v`` are unimodular and ``d`` is diagonal, nonnegative, with
-  each entry dividing the next.  One elimination (``_snf``) serves all four.
-  It caches each row's least entry and gcd, so a pass rescans only the rows
-  that changed, and it carries only what its caller reads: the columns of
-  ``v^-1`` for the kernel, those of ``a @ v^-1`` for the image and for
-  ``u``.  It never carries ``u``, which ``smith_normal_form`` rebuilds once
-  by dividing the columns of ``a @ v^-1`` by the diagonal and, at the zero
-  diagonal entries, from the log of row operations; and
+  each entry dividing the next.  One elimination (``_snf``) serves all four;
+  it returns the nonzero diagonal entries as a list, and only
+  ``smith_normal_form`` builds the dense ``d``.  It caches each row's least
+  entry and gcd, so a pass rescans only the rows that changed, and it
+  carries only what its caller reads: the columns of ``v^-1`` for the
+  kernel, those of ``a @ v^-1`` for the image and for ``u``.  It never
+  carries ``u``, which ``smith_normal_form`` rebuilds once by dividing the
+  columns of ``a @ v^-1`` by the diagonal and, at the zero diagonal
+  entries, from the log of row operations; and
 
 * a classifier for sequential colimits ``Z^k -M1-> Z^k -M2-> ...`` of free
   abelian groups along integer matrices (``DirectedSystem`` / ``colimit``),
   together with ``compose_window`` and the element-identification decision
   procedure ``identified``.  The engine keeps every structure map as sparse
   rows, checked once in whichever form it came; only the kernel lattice, the
-  eigen classifier and public return values get dense copies.  Steps are
+  composite the eigen classifier restricts to and public return values get
+  dense copies.  Steps are
   multiplied together only in ``compose_window``, the relations below full
   rank and the eigen classifier.
 
@@ -35,7 +37,7 @@ The colimit classifier certifies exact answers for the class of systems whose
 matrices become upper triangular under a common permutation of coordinates
 (the union zero pattern has no cycle) or which form a commuting family with
 an integral joint spectrum, read in integers (characteristic polynomials,
-Sturm isolation and generalized eigenspaces; no sympy) and checked against
+their integer roots and generalized eigenspaces; no sympy) and checked against
 the traces.  Both classes are read off one flag of directions (coordinates,
 or joint eigenvalue tuples) with the same samples, the chain and two
 confirmation maps beyond it; on each direction the diagonal scaling must
@@ -50,7 +52,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, islice
+from itertools import combinations, compress, islice
 
 from .errors import CrossCheckError, InputError, UnsupportedSystemError
 
@@ -72,6 +74,7 @@ def mat_shape(a):
 
 
 _INT = frozenset((int,))
+_RATIONAL = frozenset((int, Fraction))
 
 
 def _as_int(x, what):
@@ -87,6 +90,18 @@ def _as_int(x, what):
     if isinstance(x, bool) or not isinstance(x, int):
         raise InputError(f"{what} {x!r} is not an integer")
     return int(x)
+
+
+def _as_rational(a):
+    """The shape-checked matrix ``a`` if its entries are ints or ``Fraction``s,
+    the one rational rule for matrices from outside; ``bool`` and every other
+    value raise ``InputError``."""
+    if not all(_RATIONAL.issuperset(map(type, row)) for row in a):
+        for row in a:
+            for x in row:
+                if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                    raise InputError(f"matrix entry {x!r} is not an integer or a Fraction")
+    return a
 
 
 def _as_list(x, what):
@@ -166,6 +181,8 @@ def mat_mul(a, b):
     n2, p = mat_shape(b)
     if n != n2:
         raise InputError(f"cannot multiply {m}x{n} by {n2}x{p}")
+    _as_rational(a)
+    _as_rational(b)
     frac_cols = {j for row in b for j, x in enumerate(row) if type(x) is Fraction}
     out = _dense_rows(_sparse_mul(_sparse_rows(a), _sparse_rows(b)), p)
     for row, new in zip(a, out):
@@ -179,7 +196,7 @@ def mat_mul(a, b):
 def rank(a):
     """Rank over Q (fraction-free elimination on sparse integer rows)."""
     mat_shape(a)
-    return len(_echelon(_sparse_rows(a)))
+    return len(_echelon(_sparse_rows(_as_rational(a))))
 
 
 def _subtract(row, f, piv):
@@ -246,7 +263,7 @@ def _echelon(rows):
     integer row and a nonzero rational multiple of the row kept there, and
     no ``Fraction`` is built.  This is the only elimination over Q: ``rank``
     counts the pivots, ``rref_fractions`` back-substitutes and normalizes
-    them, and ``_is_unimodular`` reads the factors its steps applied.
+    them, and ``_determinant`` reads the factors its steps applied.
     """
     pivots = {}
     for row in rows:
@@ -254,50 +271,45 @@ def _echelon(rows):
     return pivots
 
 
-def _is_unimodular(rows):
-    """True iff the square matrix of integer sparse ``rows`` has determinant +-1.
+def _determinant(rows):
+    """Determinant of the square matrix of integer sparse ``rows``, read off
+    the echelon's own steps: they scale each row by ``applied``, divide its
+    pivot row by ``content`` and otherwise subtract multiples of pivot rows,
+    so ``det * prod(applied) == prod(content) * prod(pivot) * sign(sigma)``,
+    ``sigma`` sending each row, in insertion order, to its pivot column.
 
-    Read off the echelon's own steps: they scale each row by ``applied``,
-    divide its pivot row by ``content`` and otherwise subtract multiples of
-    pivot rows, so once every row keeps a pivot,
-    ``|det| * prod(applied) == prod(content) * prod(|pivot|)``.
-
-    >>> _is_unimodular([{0: 2, 1: 1}, {0: 1, 1: 1}]), _is_unimodular([{0: 2}, {1: 1}])
-    (True, False)
-    >>> _is_unimodular([{0: 1, 1: 2}, {0: 2, 1: 4}]), _is_unimodular([])
-    (False, True)
+    >>> _determinant([{0: 2, 1: 1}, {0: 1, 1: 1}]), _determinant([{1: 3}, {0: 2, 1: 5}])
+    (1, -6)
+    >>> _determinant([{0: 2}, {1: 1}]), _determinant([{0: 1, 1: 2}, {0: 2, 1: 4}]), _determinant([])
+    (2, 0, 1)
     """
     pivots, applied, content = {}, 1, 1
     for row in rows:
         a, g = _add_row(pivots, row)
         if not g:
-            return False
+            return 0
         applied *= a
         content *= g
-    return applied == content * abs(math.prod(r[c] for c, r in pivots.items()))
+    sigma, sign = list(pivots), 1  # dicts keep insertion order; a cycle sort
+    for i in range(len(sigma)):
+        while sigma[i] != i:
+            j = sigma[i]
+            sigma[i], sigma[j] = sigma[j], j
+            sign = -sign
+    return sign * content * math.prod(r[c] for c, r in pivots.items()) // applied
+
+
+def _is_unimodular(rows):
+    """True iff the square matrix of integer sparse ``rows`` has determinant +-1."""
+    return abs(_determinant(rows)) == 1
 
 
 def determinant(a):
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    """Determinant of a square integer matrix (``_determinant``)."""
     m, n = mat_shape(a)
     if m != n:
         raise InputError("determinant needs a square matrix")
-    mat = as_int_matrix(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if mat[i][k]), None)
-            if piv is None:
-                return 0
-            mat[k], mat[piv] = mat[piv], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[n - 1][n - 1]
+    return _determinant(_sparse_rows(as_int_matrix(a)))
 
 
 def rref_fractions(a):
@@ -311,7 +323,7 @@ def rref_fractions(a):
     """
     m, n = mat_shape(a)
     reduced = {}
-    for c, row in sorted(_echelon(_sparse_rows(a)).items(), reverse=True):
+    for c, row in sorted(_echelon(_sparse_rows(_as_rational(a))).items(), reverse=True):
         for k in [k for k in row if k != c and k in reduced]:
             _clear(row, k, reduced[k])
         g = math.gcd(*row.values())
@@ -336,6 +348,8 @@ def solve_exact(a, b):
     mb, p = mat_shape(b)
     if mb != m:
         raise InputError("incompatible shapes in solve_exact")
+    _as_rational(a)
+    _as_rational(b)
     rows, pivots = rref_fractions([list(ra) + list(rb) for ra, rb in zip(a, b)])
     if len([c for c in pivots if c < n]) != n:
         raise InputError("solve_exact: coefficient matrix is not of full column rank")
@@ -361,7 +375,7 @@ def _least(row):
 def _snf(a, carry=None, transforms=False):
     """Core SNF reduction of ``a``: the diagonal, and only the transforms asked for.
 
-    Returns ``(d, v, carry, log)``.  ``d`` is the Smith form of ``a``.
+    Returns ``(diag, v, carry, log)``, ``diag`` the nonzero diagonal of the Smith form.
     ``carry``, when given, is a list of ``n`` columns that every column
     operation also acts on: the identity's columns come back as those of
     ``v^-1`` and the columns of ``a`` as those of ``a @ v^-1``.  ``v`` and
@@ -371,7 +385,7 @@ def _snf(a, carry=None, transforms=False):
 
     A log entry ``(r, s, q)`` adds ``q`` times row ``s`` to row ``r``; ``q == 0``
     swaps rows ``r`` and ``s`` instead, and ``r == s`` negates row ``r``.
-    ``a`` is an int matrix its caller has checked; it is copied, not changed.
+    ``a`` is an int matrix its caller has checked and made for it; it is reduced in place.
 
     Step ``t`` takes the first entry (row by row) of least absolute value in
     the trailing block as its pivot; a unit ends the search.  The cells left
@@ -396,22 +410,21 @@ def _snf(a, carry=None, transforms=False):
     those of the rescanning elimination.
     """
     m, n = len(a), len(a[0])
-    d = [list(row) for row in a]
     v = identity_matrix(n) if transforms else None
     log = [] if transforms else None
-    low = [_least(row) for row in d]
+    low = [_least(row) for row in a]
     gcds = [None] * m
 
     def row_add(r, s, q):
-        d[r] = [x + q * y for x, y in zip(d[r], d[s])]
-        low[r], gcds[r] = _least(d[r]), None
+        a[r] = [x + q * y for x, y in zip(a[r], a[s])]
+        low[r], gcds[r] = _least(a[r]), None
         if log is not None:
             log.append((r, s, q))
 
     def col_add(k, q, rows):
         # column t + k += q * column t on ``rows``; v gets the inverse row op.
         for i in rows:
-            row = d[i]
+            row = a[i]
             row[k] += q * row[0]
         c = t + k
         if carry is not None:
@@ -426,42 +439,42 @@ def _snf(a, carry=None, transforms=False):
         if best == math.inf:
             break
         bi = low.index(best, t)
-        bk = next(k for k, x in enumerate(d[bi]) if abs(x) == best)
+        bk = next(k for k, x in enumerate(a[bi]) if abs(x) == best)
         if bi != t:
-            d[t], d[bi] = d[bi], d[t]
+            a[t], a[bi] = a[bi], a[t]
             low[t], low[bi] = low[bi], low[t]
             gcds[t], gcds[bi] = gcds[bi], gcds[t]
             if log is not None:
                 log.append((t, bi, 0))
         if bk:
             for i in range(t, m):
-                row = d[i]
+                row = a[i]
                 row[0], row[bk] = row[bk], row[0]
             if carry is not None:
                 carry[t], carry[t + bk] = carry[t + bk], carry[t]
             if v is not None:
                 v[t], v[t + bk] = v[t + bk], v[t]
-        piv = d[t]
+        piv = a[t]
         p = piv[0]
         if best != 1:
             # Each operation below changes only its own row or column, so
             # the non-multiples can be listed before any is reduced.
-            rows = [i for i in range(t + 1, m) if d[i][0] % p]
+            rows = [i for i in range(t + 1, m) if a[i][0] % p]
             if rows:
                 for i in rows:
-                    row_add(i, t, -(d[i][0] // p))
+                    row_add(i, t, -(a[i][0] // p))
                 continue
             ks = [k for k in range(1, n - t) if piv[k] % p]
             if ks:
-                live = [i for i in range(t, m) if d[i][0]]
+                live = [i for i in range(t, m) if a[i][0]]
                 for k in ks:
                     col_add(k, -(piv[k] // p), live)
                 for i in live:
-                    low[i] = _least(d[i])
+                    low[i] = _least(a[i])
                 continue
         for i in range(t + 1, m):
-            if d[i][0]:
-                row_add(i, t, -(d[i][0] // p))
+            if a[i][0]:
+                row_add(i, t, -(a[i][0] // p))
         # Column t is now zero below the pivot, so clearing row t changes row t alone.
         for k in range(1, n - t):
             if piv[k]:
@@ -471,7 +484,7 @@ def _snf(a, carry=None, transforms=False):
             for i in range(t + 1, m):
                 g = gcds[i]
                 if g is None:
-                    g = gcds[i] = math.gcd(*d[i])
+                    g = gcds[i] = math.gcd(*a[i])
                 if g % p:
                     stray = i
                     break
@@ -485,29 +498,24 @@ def _snf(a, carry=None, transforms=False):
                 log.append((t, t, -1))
         diag.append(p)
         t += 1
-        for row in islice(d, t, None):
+        for row in islice(a, t, None):
             del row[0]
-    out = [[0] * n for _ in range(m)]
-    for i, x in enumerate(diag):
-        out[i][i] = x
-    return out, v, carry, log
+    return diag, v, carry, log
 
 
-def _rebuild_u(d, av_cols, log):
-    """The unimodular ``u`` with ``a == u @ d @ v``, rebuilt once after ``_snf``.
+def _rebuild_u(diag, m, av_cols, log):
+    """The unimodular ``u`` (``m x m``) with ``a == u @ d @ v``, rebuilt after ``_snf``.
 
     ``av_cols`` are the columns of ``a @ v^-1 == u @ d``, so for
-    ``d[j][j] != 0`` column ``j`` of ``u`` is ``av_cols[j]`` divided by
-    ``d[j][j]``; the division is exact, and a remainder raises
-    ``CrossCheckError``.  The other columns (``d[j][j] == 0``, and ``j >= n``
-    when ``m > n``) are ``e_j`` with the logged row operations undone, the
-    last one first.
+    ``j < len(diag)`` column ``j`` of ``u`` is ``av_cols[j]`` divided by
+    ``diag[j]``; the division is exact, and a remainder raises
+    ``CrossCheckError``.  The other columns are ``e_j`` with the logged row
+    operations undone, the last one first.
     """
-    m = len(d)
-    rank = sum(1 for j in range(min(m, len(av_cols))) if d[j][j])
+    rank = len(diag)
     cols = []
     for j in range(rank):
-        qr = [divmod(x, d[j][j]) for x in av_cols[j]]
+        qr = [divmod(x, diag[j]) for x in av_cols[j]]
         if any(r for _, r in qr):
             raise CrossCheckError(
                 f"smith_normal_form: column {j} of a @ v^-1 is not divisible by d[{j}][{j}]"
@@ -541,8 +549,10 @@ def smith_normal_form(a):
     [2, 4]
     """
     a = as_int_matrix(a)
-    d, v, av_cols, log = _snf(a, carry=[list(col) for col in zip(*a)], transforms=True)
-    return _rebuild_u(d, av_cols, log), d, v
+    m, n = len(a), len(a[0])
+    diag, v, av_cols, log = _snf(a, carry=[list(col) for col in zip(*a)], transforms=True)
+    d = _dense_rows([{i: x} for i, x in enumerate(diag)] + [{}] * (m - len(diag)), n)
+    return _rebuild_u(diag, m, av_cols, log), d, v
 
 
 def kernel_lattice_basis(a):
@@ -557,9 +567,8 @@ def kernel_lattice_basis(a):
 
 def _kernel_basis(a):
     """``kernel_lattice_basis`` of a checked int matrix: columns of ``v^-1``."""
-    d, _, vi_cols, _ = _snf(a, carry=identity_matrix(len(a[0])))
-    k = min(len(a), len(a[0]))
-    return [col for j, col in enumerate(vi_cols) if j >= k or d[j][j] == 0]
+    diag, _, vi_cols, _ = _snf(a, carry=identity_matrix(len(a[0])))
+    return vi_cols[len(diag):]
 
 
 def image_lattice_basis(a):
@@ -570,8 +579,8 @@ def image_lattice_basis(a):
     independent, and the others vanish, so they are a basis.
     """
     a = as_int_matrix(a)
-    d, _, av_cols, _ = _snf(a, carry=[list(col) for col in zip(*a)])
-    return [av_cols[j] for j in range(min(len(a), len(av_cols))) if d[j][j]]
+    diag, _, av_cols, _ = _snf(a, carry=[list(col) for col in zip(*a)])
+    return av_cols[:len(diag)]
 
 
 # ---------------------------------------------------------------------------
@@ -863,15 +872,12 @@ def _cokernel_rows(rows):
     if not live:
         return GroupDescriptor.free(len(rows))
     cols = sorted(set().union(*live))
-    d = _snf([[row.get(j, 0) for j in cols] for row in live])[0]
-    return GroupDescriptor.free(len(rows) - len(live)).direct_sum(_diagonal_cokernel(d)[1])
+    return _diagonal_cokernel(len(rows), _snf([[row.get(j, 0) for j in cols] for row in live])[0])
 
 
-def _diagonal_cokernel(d):
-    """The diagonal of an m x n Smith form ``d`` and ``Z^m / (d . Z^n)``."""
-    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-    return diag, GroupDescriptor(free_rank=len(d) - sum(1 for x in diag if x),
-                                 torsion=[x for x in diag if x > 1])
+def _diagonal_cokernel(m, diag):
+    """``Z^m`` modulo the image of a Smith form with nonzero diagonal ``diag``."""
+    return GroupDescriptor(free_rank=m - len(diag), torsion=[x for x in diag if x > 1])
 
 
 # ---------------------------------------------------------------------------
@@ -1417,21 +1423,19 @@ def _flag_sum(flag, r):
     return GroupDescriptor.zero().direct_sum(*survivors)
 
 
-def _restricted_maps(mats, basis):
-    """Express each map's action on the column span of ``basis`` (exactly)."""
-    out = []
-    for m in mats:
-        image = mat_mul(m, basis)
-        out.append(solve_exact(basis, image))
-    return out
+def _restricted_maps(maps, basis):
+    """Each map of sparse rows on the column span of ``basis``, which it
+    preserves: ``t`` with ``m @ basis == basis @ t``, solved exactly."""
+    rows, r = _sparse_rows(basis), len(basis[0])
+    return [solve_exact(basis, _dense_rows(_sparse_mul(m, rows), r)) for m in maps]
 
 
 def _rational_eigenspaces(t):
     """``(k, columns of its generalized eigenspace)`` per rational eigenvalue
     ``k`` of ``t``, an integer map restricted to an invariant subspace: its
     characteristic polynomial (Faddeev--LeVerrier; Cohen, section 2.2) is
-    monic and integral, so ``k`` is the integer left in a real root's
-    isolating interval halved below width 1, if ``(t - k)^n`` has a kernel."""
+    monic and integral, so ``k`` is one of its integer roots, and the kernel
+    of ``(t - k)^n`` is not zero."""
     from . import numfield
 
     n = len(t)
@@ -1440,26 +1444,18 @@ def _rational_eigenspaces(t):
         poly.append(-sum(tm[i][i] for i in range(n)) / k)
         tm = mat_mul(t, [[x + poly[-1] * (i == j) for j, x in enumerate(row)]
                          for i, row in enumerate(tm)])
-    poly.reverse()
     out = []
-    chain = numfield.sturm_chain(poly)  # one chain for every bisection step
-    for lo, hi, v_lo in numfield._isolating_intervals(chain):
-        while hi - lo >= 1:
-            mid = (lo + hi) / 2
-            # one root in (lo, hi]: the count at lo holds while lo moves
-            below = numfield._chain_changes_at(chain, mid) != v_lo
-            lo, hi = (lo, mid) if below else (mid, hi)
-        k = math.floor(hi)
-        if k <= lo:
-            continue
+    for k in numfield.integer_roots(poly[::-1]):
         shifted = [[x - k * (i == j) for j, x in enumerate(row)] for i, row in enumerate(t)]
         den = math.lcm(*(x.denominator for row in shifted for x in row))
         power = step = [[int(x * den) for x in row] for row in shifted]
         for _ in range(n - 1):
             power = mat_mul(power, step)
         vecs = _kernel_basis(power)
-        if vecs:
-            out.append((k, [list(col) for col in zip(*vecs)]))
+        if not vecs:
+            raise CrossCheckError(f"(t - {k})^{n} has no kernel, though {k} is a root "
+                                  "of the characteristic polynomial")
+        out.append((k, [list(col) for col in zip(*vecs)]))
     return out
 
 
@@ -1474,7 +1470,7 @@ def _common_flag_eigenvalues(ts):
     for t in ts:
         spaces = [(vals + (k,), mat_mul(b, sub))
                   for vals, b in spaces
-                  for k, sub in _rational_eigenspaces(_restricted_maps([t], b)[0])]
+                  for k, sub in _rational_eigenspaces(_restricted_maps([_sparse_rows(t)], b)[0])]
     flag = sorted((vals for vals, b in spaces for _ in b[0]),
                   key=lambda vals: (tuple(-abs(v) for v in vals), vals))
     if len(flag) < r:
@@ -1486,30 +1482,27 @@ def _common_flag_eigenvalues(ts):
     return flag
 
 
-def _eigen_flag(mats, ds, w, r):
-    """The flag of a commuting family on the stabilized subspace (the image of
-    ``w``): one direction per common eigenvalue tuple, sampled at ``ds``, each
-    coupling into every earlier one."""
-    for i, a in enumerate(mats):
-        for b in mats[i + 1:]:
-            if mat_mul(a, b) != mat_mul(b, a):
-                raise UnsupportedSystemError(
-                    "structure maps do not commute and no common triangular "
-                    "coordinate order exists; the system is outside the "
-                    "certified class"
-                )
+def _eigen_flag(maps, ds, w, r):
+    """The flag of a commuting family of sparse ``maps`` on the stabilized
+    subspace (the image of ``w``, which they preserve): one direction per
+    common eigenvalue tuple, sampled at ``ds``, each coupling into every
+    earlier one.  A restriction has the rank of its map on that subspace."""
+    if any(_sparse_mul(a, b) != _sparse_mul(b, a) for a, b in combinations(maps, 2)):
+        raise UnsupportedSystemError(
+            "structure maps do not commute and no common triangular "
+            "coordinate order exists; the system is outside the "
+            "certified class"
+        )
     basis = image_lattice_basis(w)
     if not basis:
         return []
-    basis_mat = [list(col) for col in zip(*basis)]
-    # Every map must preserve the stabilized subspace with full rank.
-    for m in mats:
-        if rank(mat_mul(m, basis_mat)) != r:
-            raise UnsupportedSystemError(
-                "a structure map drops rank on the stabilized subspace; "
-                "the system is outside the certified class"
-            )
-    flag = _common_flag_eigenvalues(_restricted_maps(mats, basis_mat))
+    ts = _restricted_maps(maps, [list(col) for col in zip(*basis)])
+    if any(rank(t) != r for t in ts):
+        raise UnsupportedSystemError(
+            "a structure map drops rank on the stabilized subspace; "
+            "the system is outside the certified class"
+        )
+    flag = _common_flag_eigenvalues(ts)
     return [(list(zip(ds, vals)), range(i)) for i, vals in enumerate(flag)]
 
 
@@ -1538,7 +1531,7 @@ def _colimit_symbolic(system):
     reach = [_reachable(feeds, p) for p in range(dim)]
     if any(p in reach[p] for p in range(dim)):
         w = _dense_rows(_composite(maps[:cap]), dim)
-        flag = _eigen_flag([_dense_rows(m, dim) for m in maps], ds, w, r)
+        flag = _eigen_flag(maps, ds, w, r)
     else:
         flag = [([(d, m[p].get(p, 0)) for d, m in zip(ds, maps)], sorted(reach[p]))
                 for p in range(dim)]

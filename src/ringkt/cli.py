@@ -23,12 +23,23 @@ from .errors import (CrossCheckError, HypothesisError, InputError, RingKTError,
                      UnsupportedSystemError)
 
 
+def _uncapped(render, *args, **kwargs):
+    """``render(*args, **kwargs)`` with Python's cap on int-to-str digits
+    lifted, since every integer rendered is an exact result; the cap still
+    guards the input."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return render(*args, **kwargs)
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return render(*args, **kwargs)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def _emit(obj, pretty):
-    if pretty:
-        text = json.dumps(obj, indent=2, sort_keys=True)
-    else:
-        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    click.echo(text)
+    style = {"indent": 2} if pretty else {"separators": (",", ":")}
+    click.echo(_uncapped(json.dumps, obj, sort_keys=True, **style))
 
 
 def _run(fn, *args, **kwargs):
@@ -45,7 +56,7 @@ def _run(fn, *args, **kwargs):
 def _load_json_arg(text, what):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit cap
         raise InputError(f"{what} is not valid JSON: {exc}") from exc
 
 
@@ -55,7 +66,7 @@ def _load_json_file(path, what):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {what} from {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit cap
         raise InputError(f"{what} in {path} is not valid JSON: {exc}") from exc
 
 
@@ -134,7 +145,8 @@ def snf(matrix_str, pretty):
             rows = _load_json_arg(matrix_str, "--matrix")
         u, d, v = abgrp.smith_normal_form(rows)
         # The cokernel and the kernel rank follow from the one diagonal.
-        diag, coker = abgrp._diagonal_cokernel(d)
+        diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
+        coker = abgrp._diagonal_cokernel(len(d), [x for x in diag if x])
         return {
             "matrix": rows,
             "u": u,
@@ -142,7 +154,7 @@ def snf(matrix_str, pretty):
             "v": v,
             "diagonal": diag,
             "cokernel": coker.to_json_dict(),
-            "cokernel_pretty": str(coker),
+            "cokernel_pretty": _uncapped(str, coker),
             "kernel_rank": len(d[0]) - sum(1 for x in diag if x),
         }
 

@@ -195,8 +195,12 @@ def sturm_chain(p):
     sequence of ``(p, p')`` (``_signed_remainders``).  Its last term is a gcd
     of ``p`` and ``p'``, primitive; when that is nonconstant every term is
     divided by it exactly, in integers, so the chain counts the distinct
-    roots of ``p`` even at an endpoint on a multiple root."""
-    chain = _sturm_sequence(_primitive(_integer_multiple(p)))
+    roots of ``p`` even at an endpoint on a multiple root.  The zero
+    polynomial, which vanishes everywhere, raises ``InputError``."""
+    p = _primitive(_integer_multiple(p))
+    if not p:
+        raise InputError("the zero polynomial vanishes everywhere; it has no Sturm chain")
+    chain = _sturm_sequence(p)
     g = chain[-1]
     if len(g) == 1:
         return chain
@@ -236,14 +240,12 @@ def _count_in(chain, lo, hi):
 def count_real_roots(p, lo=None, hi=None):
     """Number of distinct real roots of ``p`` in ``(lo, hi]`` (None = +-inf).
 
-    An interval with ``lo > hi`` raises ``InputError``; ``lo == hi`` gives 0.
+    An interval with ``lo > hi`` and the zero polynomial raise ``InputError``;
+    ``lo == hi`` gives 0.
     """
     lo, hi = (None if x is None else Fraction(x) for x in (lo, hi))
     if lo is not None and hi is not None and lo > hi:
         raise InputError(f"count_real_roots needs lo <= hi, got the interval ({lo}, {hi}]")
-    p = _primitive(_integer_multiple(p))
-    if len(p) <= 1:
-        return 0
     return _count_in(sturm_chain(p), lo, hi)
 
 
@@ -261,6 +263,27 @@ def isolate_real_roots(p):
     A multiple root is one root; endpoints are perturbed away from roots.
     """
     return [(lo, hi) for lo, hi, _ in _isolating_intervals(sturm_chain(p))]
+
+
+def integer_roots(p):
+    """The distinct integer roots of the rational ``p``, ascending, with nothing
+    factored: each isolating interval, halved below width 1, holds one
+    integer, tested exactly.
+
+    >>> integer_roots([6, -5, 1]), integer_roots([-2, 0, 1]), integer_roots([4, -4, 1])
+    ([2, 3], [], [2])
+    """
+    chain = sturm_chain(p)
+    out = []
+    for lo, hi, v_lo in _isolating_intervals(chain):
+        while hi - lo >= 1:
+            mid = (lo + hi) / 2
+            # one root in (lo, hi]: the count at lo holds while lo moves
+            lo, hi = (lo, mid) if _chain_changes_at(chain, mid) != v_lo else (mid, hi)
+        k = math.floor(hi)
+        if k > lo and not _homogeneous_value(chain[0], k, 1):
+            out.append(k)
+    return out
 
 
 def _isolating_intervals(chain):
@@ -338,13 +361,13 @@ def parse_polynomial(text):
         m = _TERM_RE.match(term)
         if not m or (m.group("num") is None and m.group("var") is None):
             raise InputError(f"malformed term {term!r} in polynomial {text!r}")
-        coeff = int(m.group("num")) if m.group("num") is not None else 1
+        try:
+            coeff = int(m.group("num")) if m.group("num") is not None else 1
+            exp = int(m.group("exp") or 1) if m.group("var") else 0
+        except ValueError as exc:  # an integer past Python's digit cap
+            raise InputError(f"a term of the polynomial cannot be read: {exc}") from exc
         if m.group("sign") == "-":
             coeff = -coeff
-        if m.group("var"):
-            exp = int(m.group("exp")) if m.group("exp") else 1
-        else:
-            exp = 0
         coeffs[exp] = coeffs.get(exp, 0) + coeff
     deg = max(coeffs)
     out = [coeffs.get(i, 0) for i in range(deg + 1)]

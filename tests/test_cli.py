@@ -370,15 +370,47 @@ _MALFORMED = {
 }
 
 
+def _ringkt(*args):
+    """``ringkt <args>`` in a fresh process, killed after 10 s."""
+    src = str(pathlib.Path(ringkt.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "ringkt.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=10)
+
+
 def _fresh_process(tmp_path, verb, doc):
     """``ringkt <verb> --system <doc>`` in a fresh process, killed after 10 s."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    src = str(pathlib.Path(ringkt.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-m", "ringkt.cli", verb, "--system", str(path)],
-                          env=env, capture_output=True, text=True, timeout=10)
+    return _ringkt(verb, "--system", str(path))
+
+
+def test_an_integer_past_the_digit_cap_exits_2_without_a_traceback(tmp_path):
+    # Python refuses to read an int of more than 4300 digits; the input is refused
+    big = "9" * 5000
+    path = tmp_path / "law.json"
+    path.write_text('{"mode": "symbolic", "dim": 1, "law": [{"kind": "poly", "coeffs": [%s]}]}'
+                    % big)
+    for res in (_ringkt("snf", "--matrix", f"[[{big}]]"), _ringkt("colim", "--system", str(path)),
+                _ringkt("field-info", "--field", f"x^2 - {big}")):
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
+def test_snf_prints_integers_past_the_digit_cap():
+    # 3914 and 3818 digits in; d[1][1] = 2^13000 * 3^8000 has 7731 digits
+    a, b = 2 ** 13000, 3 ** 8000
+    res = _ringkt("snf", "--matrix", f"[[{a}, 0], [0, {b}]]")
+    assert res.returncode == 0 and res.stderr == ""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        out = json.loads(res.stdout)
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert out["d"] == [[1, 0], [0, a * b]] and out["diagonal"] == [1, a * b]
+    assert out["cokernel"]["torsion"] == [a * b]
 
 
 def test_a_large_localization_prime_is_refused_in_time(tmp_path):

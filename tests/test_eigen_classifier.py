@@ -16,12 +16,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringkt import abgrp
+from ringkt import abgrp, numfield
 from ringkt.abgrp import (DirectedSystem, GroupDescriptor, colimit, identity_matrix, mat_mul,
                           solve_exact)
 from ringkt.errors import CrossCheckError, UnsupportedSystemError
 
 IRRATIONAL = ("a restricted structure map has an irrational eigenvalue; "
+              "the system is outside the certified class")
+NOT_COMMUTING = ("structure maps do not commute and no common triangular coordinate "
+                 "order exists; the system is outside the certified class")
+DROPS_RANK = ("a structure map drops rank on the stabilized subspace; "
               "the system is outside the certified class")
 
 # ---------------------------------------------------------------------------
@@ -50,7 +54,7 @@ def _recursive_flag(ts):
     for t in ts:
         new = []
         for vals, b in spaces:
-            (restricted,) = abgrp._restricted_maps([t], b)
+            (restricted,) = abgrp._restricted_maps([abgrp._sparse_rows(t)], b)
             for val, sub in _sympy_rational_eigenspaces(restricted):
                 new.append((vals + (val,), mat_mul(b, sub)))
         spaces = new
@@ -143,9 +147,32 @@ def test_irrational_eigenvalues_keep_the_refusal_text(offdiag, dim):
         _recursive_flag([m])
 
 
+def _conjugated_diag(x, y):
+    """``diag(x, y)`` conjugated by ``[[1, 1], [1, 2]]``: a cycle in the zero pattern."""
+    p, p_inv = [[1, 1], [1, 2]], [[2, -1], [-1, 1]]
+    return mat_mul(mat_mul(p, [[x, 0], [0, y]]), p_inv)
+
+
+@pytest.mark.parametrize("family, text", [
+    (lambda d: [[1, 1], [1, 2 + d]], NOT_COMMUTING),
+    # singular only at the confirmation sample d = 101
+    (lambda d: _conjugated_diag(d - 101, 2), DROPS_RANK),
+], ids=["not-commuting", "drops-rank"])
+def test_eigen_path_refusals_keep_their_texts(family, text):
+    with pytest.raises(UnsupportedSystemError) as exc:
+        colimit(DirectedSystem.from_family(2, family))
+    assert str(exc.value) == text
+
+
 # ---------------------------------------------------------------------------
 # fault injection
 # ---------------------------------------------------------------------------
+
+
+def test_a_root_without_an_eigenspace_is_a_cross_check_failure(monkeypatch):
+    monkeypatch.setattr(numfield, "integer_roots", lambda poly: [5])
+    with pytest.raises(CrossCheckError, match=r"\(t - 5\)\^2 has no kernel, though 5 is a root"):
+        abgrp._rational_eigenspaces([[Fraction(2), Fraction(1)], [Fraction(0), Fraction(2)]])
 
 
 def test_wrong_eigenvalues_are_stopped_by_the_trace(monkeypatch):

@@ -13,13 +13,13 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
-from conftest import (poly_deriv, poly_divmod, poly_gcd, poly_mul, poly_scale, ref_changes_at,
-                      ref_sturm_chain)
+from conftest import (bareiss_determinant, poly_deriv, poly_divmod, poly_gcd, poly_mul,
+                      poly_scale, ref_changes_at, ref_sturm_chain)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ringkt import numfield
-from ringkt.abgrp import _poly_eval, determinant
+from ringkt.abgrp import _poly_eval
 from ringkt.errors import CrossCheckError
 from ringkt.numfield import (
     FieldElement,
@@ -49,7 +49,7 @@ def _sylvester_resultant(f, g):
     fd, gd = list(reversed(f)), list(reversed(g))
     rows = [[0] * i + fd + [0] * (size - n - 1 - i) for i in range(m)]
     rows += [[0] * i + gd + [0] * (size - m - 1 - i) for i in range(n)]
-    return determinant(rows)
+    return bareiss_determinant(rows)
 
 
 def _reference_discriminant(coeffs):

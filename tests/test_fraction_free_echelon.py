@@ -5,8 +5,9 @@ as ``a * row - b * piv`` in Python ints and keeps every pivot row primitive.
 ``ref_echelon`` below is the route it replaced (each step subtracts
 ``row[c] / piv[c]`` times the pivot row, in ``Fraction``s), kept as the
 oracle, with the ``rref_fractions`` and ``solve_exact`` that were built on it.
-``_is_unimodular`` reads ``|det| = 1`` off the same echelon; the dense
-Bareiss ``determinant`` is its reference.
+``determinant`` and ``_is_unimodular`` read the determinant off the same
+echelon; the dense Bareiss loop (``conftest.bareiss_determinant``) is their
+reference.
 """
 
 import math
@@ -17,10 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unimodular
+from conftest import bareiss_determinant, random_unimodular
 from ringkt import abgrp, ktheory
-from ringkt.abgrp import (DirectedSystem, determinant, mat_shape, rref_fractions,
-                          solve_exact)
+from ringkt.abgrp import (DirectedSystem, determinant, mat_mul, mat_shape, rank,
+                          rref_fractions, solve_exact)
 from ringkt.errors import InputError
 from test_colimit_image import _horizon_maps, _image_ranks, _late_drop, _triangular_json
 from test_sparse_kernels import linear_systems, matrices
@@ -133,7 +134,7 @@ def test_solve_exact_matches_the_fraction_solver(system):
 
 
 # ---------------------------------------------------------------------------
-# |det| = 1 off the same echelon
+# the determinant off the same echelon
 # ---------------------------------------------------------------------------
 
 
@@ -163,9 +164,56 @@ def square_int_matrices(draw):
 def test_is_unimodular_matches_the_determinant(case):
     kind, a = case
     got = abgrp._is_unimodular(abgrp._sparse_rows(a))
-    assert got == (abs(determinant(a)) == 1)
+    assert got == (abs(bareiss_determinant(a)) == 1)
     if kind != "random":
         assert got is (kind == "elementary")
+
+
+@st.composite
+def determinant_cases(draw):
+    """A square int matrix up to 12 x 12 of any density with entries up to
+    10^6, as drawn, with one row repeated, or with its rows permuted."""
+    n = draw(st.integers(1, 12))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    bound = draw(st.sampled_from((1, 9, 10 ** 6)))
+    density = draw(st.sampled_from((0.1, 0.4, 0.8, 1.0)))
+    a = [[rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n)]
+         for _ in range(n)]
+    kind = draw(st.sampled_from(("drawn", "repeated", "permuted")))
+    if kind == "repeated" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        a[i] = list(a[j])
+    elif kind == "permuted":
+        rng.shuffle(a)
+    return a
+
+
+@settings(max_examples=120, deadline=None)
+@given(determinant_cases())
+@example([[0, 3], [2, 5]])                    # pivot columns out of row order
+@example([[0, 0, 1], [1, 0, 0], [0, 1, 0]])   # a 3-cycle: sign +1
+@example([[4, 6], [6, 9]])                    # singular with no zero entry
+def test_determinant_matches_bareiss(a):
+    assert determinant(a) == bareiss_determinant(a)
+
+
+# The one rational rule of the elimination's public entry points.
+_RATIONAL_ENTRY_POINTS = {
+    "rank": rank,
+    "rref_fractions": rref_fractions,
+    "solve_exact(a, .)": lambda a: solve_exact(a, [[1], [2]]),
+    "solve_exact(., b)": lambda b: solve_exact([[1, 0], [0, 1]], b),
+    "mat_mul(a, .)": lambda a: mat_mul(a, [[2], [3]]),
+    "mat_mul(., b)": lambda b: mat_mul([[2, 3]], b),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1", None])
+@pytest.mark.parametrize("name", list(_RATIONAL_ENTRY_POINTS))
+def test_the_elimination_entry_points_refuse_non_rational_entries(name, bad):
+    with pytest.raises(InputError, match="is not an integer or a Fraction"):
+        _RATIONAL_ENTRY_POINTS[name]([[1, Fraction(1, 2)], [3, bad]])
+    assert _RATIONAL_ENTRY_POINTS[name]([[1, Fraction(1, 2)], [3, 4]]) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Tests for number field invariants (signatures, roots of unity, residues,
 sign vectors, fundamental units)."""
 
+import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,12 +18,14 @@ from ringkt.numfield import (
     NumberField,
     count_real_roots,
     fundamental_unit_real_quadratic,
+    integer_roots,
     isolate_real_roots,
     parse_field,
     parse_polynomial,
     poly_discriminant,
     poly_trim,
     signature,
+    sturm_chain,
 )
 
 
@@ -101,6 +105,48 @@ def test_count_real_roots_refuses_a_reversed_interval():
     assert count_real_roots([-2, 0, 1], 2, 2) == 0
     assert count_real_roots([-2, 0, 1], -2, -2) == 0
     assert count_real_roots([-2, 0, 1], -2, 2) == 2
+
+
+@pytest.mark.parametrize("zero", [[0], [], [Fraction(0), 0]])
+def test_the_zero_polynomial_is_refused(zero):
+    for routine in (sturm_chain, isolate_real_roots, count_real_roots, integer_roots):
+        with pytest.raises(InputError, match="zero polynomial vanishes everywhere"):
+            routine(zero)
+
+
+def test_a_nonzero_constant_has_no_roots():
+    assert count_real_roots([5]) == count_real_roots([Fraction(-1, 3)], -1, 1) == 0
+    assert isolate_real_roots([5]) == integer_roots([7]) == []
+
+
+@st.composite
+def split_products(draw):
+    """Ascending rational coefficients of c * prod(a x - b) * prod(x^2 + p x + q):
+    linear factors with integer and non-integer rational roots, some repeated,
+    times irreducible quadratics (p^2 - 4q is not a square)."""
+    factors = []
+    for _ in range(draw(st.integers(0, 5))):
+        a, b = draw(st.integers(1, 3)), draw(st.integers(-12, 12))
+        factors += [[-b, a]] * draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(0, 2))):
+        p, q = draw(st.integers(-6, 6)), draw(st.integers(-9, 9))
+        disc = p * p - 4 * q
+        if disc < 0 or math.isqrt(disc) ** 2 != disc:
+            factors.append([q, p, 1])
+    c = draw(st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))
+    poly = [c]
+    for f in factors:
+        poly = poly_mul(poly, [Fraction(x) for x in f])
+    return poly
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_products())
+def test_integer_roots_match_sympy(poly):
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i for i, c in enumerate(poly))
+    roots = sympy.Poly(expr, x, domain="QQ").ground_roots()
+    assert integer_roots(poly) == sorted(int(r) for r in roots if r.is_integer)
 
 
 def test_isolated_intervals_are_ordered_and_exclusive():

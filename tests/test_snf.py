@@ -306,9 +306,9 @@ def test_rebuilt_u_checks_the_division(monkeypatch):
     real = abgrp._snf
 
     def lying(a, **track):
-        d, v, av_cols, log = real(a, **track)
-        d[0][0] *= 3
-        return d, v, av_cols, log
+        diag, v, av_cols, log = real(a, **track)
+        diag[0] *= 3
+        return diag, v, av_cols, log
 
     monkeypatch.setattr(abgrp, "_snf", lying)
     with pytest.raises(CrossCheckError, match=r"not divisible by d\[0\]\[0\]"):
@@ -318,7 +318,7 @@ def test_rebuilt_u_checks_the_division(monkeypatch):
 def _full_matrix_cokernel(a):
     """``cokernel`` by the route that eliminated the whole matrix, zero rows
     and zero columns included."""
-    return abgrp._diagonal_cokernel(abgrp._snf(as_int_matrix(a))[0])[1]
+    return abgrp._diagonal_cokernel(len(a), abgrp._snf(as_int_matrix(a))[0])
 
 
 @st.composite

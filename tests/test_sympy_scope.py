@@ -1,4 +1,5 @@
-"""The library imports no sympy; sympy is a test oracle only.
+"""The library imports no sympy; sympy is a test oracle only.  abgrp names no
+private numfield routine.
 
 Scans the sources of ``ringkt`` with ``ast`` so that an ``import sympy``
 cannot come back unnoticed.
@@ -42,3 +43,17 @@ def test_scan_catches_sympy_imports():
             "class C:\n    def g(self):\n        import sympy as sp, math\n"
             "def h():\n    import math\n")
     assert list(_sympy_imports(ast.parse(code))) == [None, "f", "g"]
+
+
+def test_abgrp_names_no_private_numfield_routine():
+    # abgrp imports numfield inside a function (numfield imports abgrp), and
+    # reaches it only through its public names
+    path = Path(ringkt.__file__).parent / "abgrp.py"
+    private = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "numfield" and node.attr.startswith("_"):
+                private.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("numfield"):
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+    assert private == []
