@@ -31,7 +31,13 @@ are dense; ``cokernel`` eliminates only the support.  The two main exports are
   composite the eigen classifier restricts to and public return values get
   dense copies.  Steps are
   multiplied together only in ``compose_window``, the relations below full
-  rank and the eigen classifier.
+  rank and the eigen classifier.  A coordinate on which every sampled map is
+  diagonal (an isolated one) is a direct summand of rank at most one: its
+  ranks are read off its diagonal samples, and only the other, coupled
+  coordinates go through the pass over the composites' images
+  (``_split_pass``).  One walk over the sampled maps gives the diagonal
+  samples and the feed arcs that decide both isolation and the triangular
+  order.
 
 The colimit classifier certifies exact answers for the class of systems whose
 matrices become upper triangular under a common permutation of coordinates
@@ -52,7 +58,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress, islice
+from itertools import combinations, compress, islice, repeat
 
 from .errors import CrossCheckError, InputError, UnsupportedSystemError
 
@@ -1023,13 +1029,22 @@ class DirectedSystem:
             off.append((r, c, coeffs))
 
         # The laws were checked above, so the family's rows are int rows in
-        # range; only the zeros a law takes at ``d`` are dropped.
+        # range; only the zeros a law takes at ``d`` are dropped.  Each
+        # distinct law is evaluated once per ``d``.
+        at = {}  # each distinct law and its index in ``laws``
+        diag = [at.setdefault(p, len(at)) for p in polys]
+        cells = [(r, c, at.setdefault(coeffs, len(at))) for r, c, coeffs in off]
+        laws = list(at)
+
         def family(d):
-            rows = [{i: _poly_eval(p, d)} for i, p in enumerate(polys)]
-            for r, c, coeffs in off:
-                rows[r][c] = _poly_eval(coeffs, d)
-            return [row if all(row.values()) else {j: x for j, x in row.items() if x}
-                    for row in rows]
+            vals = [_poly_eval(p, d) for p in laws]
+            rows = [{i: vals[k]} for i, k in enumerate(diag)]
+            for r, c, k in cells:
+                rows[r][c] = vals[k]
+            if 0 in vals:
+                rows = [row if all(row.values()) else {j: x for j, x in row.items() if x}
+                        for row in rows]
+            return rows
 
         return cls(dim, "symbolic", family=family, d_chain=d_chain,
                    diag_polys=polys, offdiag=tuple(off))
@@ -1211,16 +1226,21 @@ def _kernel_relations(maps, dim):
     return lambda: _relation_pairs(_kernel_basis(_dense_rows(_composite(maps), dim)))
 
 
-def _columns(m, dim):
-    """The columns of a square map of sparse rows, as sparse rows."""
-    cols = [{} for _ in range(dim)]
-    for i, row in enumerate(m):
+def _columns(m, dim, coords=None):
+    """The columns of a square map of sparse rows, as sparse rows.  With
+    ``coords``, the coordinates of a direct summand, only the summand's
+    columns are built, from its rows, keyed by coordinate."""
+    if coords is None:
+        cols, rows = [{} for _ in range(dim)], enumerate(m)
+    else:
+        cols, rows = {k: {} for k in coords}, zip(coords, map(m.__getitem__, coords))
+    for i, row in rows:
         for j, x in row.items():
             cols[j][i] = x
     return cols
 
 
-def _image_pass(maps, h=None):
+def _image_pass(maps, h=None, coords=None):
     """Ranks of the progressive composites ``W_t = M_t ... M_1`` of sparse
     maps, read in one pass with no composite formed.
 
@@ -1238,17 +1258,24 @@ def _image_pass(maps, h=None):
     the span of ``C`` mapped along the same steps; ``C`` is echelonized at
     each step, as it collapses fast, and is empty when W_h has full rank.
 
+    With ``coords``, the sorted coordinates of a direct summand (no map has
+    an entry that joins them to another coordinate), the pass runs on the
+    summand alone: its vectors stay supported on ``coords``, and only the
+    summand's columns are read.
+
     Returns ``(sets, r, stab, window)``; ``window`` is None without ``h``.
     """
     dim = len(maps[0])
-    vecs = list(_echelon(_columns(maps[0], dim)).values())
+    span = range(dim) if coords is None else coords
+    cols = _columns(maps[0], dim, coords)
+    vecs = list(_echelon([cols[k] for k in span]).values())
     sets, comp = [vecs], []
     for t, m in enumerate(maps[1:], 1):
         if t == h:
             pivots = _echelon(vecs)
-            comp = [{j: 1} for j in range(dim) if j not in pivots]
+            comp = [{j: 1} for j in span if j not in pivots]
         k = len(vecs)
-        images = _sparse_mul(vecs + comp, _columns(m, dim))
+        images = _sparse_mul(vecs + comp, _columns(m, dim, coords))
         vecs = []
         for v in images[:k]:
             if v:
@@ -1366,19 +1393,68 @@ def _direction_type(samples):
     return GroupDescriptor.localized(sorted(primes))
 
 
-def _union_pattern(maps):
-    """Feed arcs of the union zero pattern of sparse maps.
+def _walk(maps):
+    """One walk over sparse maps: the feed arcs of their union zero pattern
+    and every diagonal sample.
 
-    Entry ``j`` is the set of coordinates ``i != j`` that coordinate ``j``
-    feeds: some map has a nonzero entry at ``(i, j)``.
+    Returns ``(feeds, samples)``.  ``feeds[j]`` is the set of coordinates
+    ``i != j`` that coordinate ``j`` feeds: some map has a nonzero entry at
+    ``(i, j)``.  ``samples[p]`` is the tuple of the maps' ``(p, p)``
+    entries.  A coordinate that feeds none and that none feeds is isolated:
+    every map is diagonal on it.  The walk goes by coordinate, over row
+    ``p`` of every map; those rows hold an off-diagonal entry only when
+    their entries outnumber the nonzero samples, and only then are they read
+    for arcs.
     """
     feeds = [set() for _ in maps[0]]
-    for m in maps:
-        for i, row in enumerate(m):
-            for j in row:
-                if j != i:
-                    feeds[j].add(i)
-    return feeds
+    samples = []
+    for p, rows in enumerate(zip(*maps)):
+        lams = tuple(map(dict.get, rows, repeat(p), repeat(0)))
+        if sum(map(len, rows)) != len(rows) - lams.count(0):
+            for row in rows:
+                for j in row:
+                    if j != p:
+                        feeds[j].add(p)
+        samples.append(lams)
+    return feeds, samples
+
+
+def _split_pass(maps, feeds, samples, h):
+    """``_image_pass(maps, h)`` split along the isolated coordinates (see
+    ``_walk``), each a direct summand of rank at most one.  ``feeds`` and
+    ``samples`` come from a walk over ``maps`` and any maps sampled after
+    them; the later maps can only couple more coordinates, and their samples
+    are not read here.
+
+    An isolated coordinate has level rank 1 until its first zero diagonal
+    sample and 0 from then on, and window rank 1 when its samples on
+    ``maps[h:]`` are all nonzero; the coupled coordinates go through
+    ``_image_pass`` as one summand.  Ranks and window ranks add over the
+    summands, and the first level of the final rank is the latest of theirs.
+
+    Returns ``(levels, r, stab, window)``; ``levels()`` lists the summed rank
+    of every level, echelonizing the coupled sets only when called.
+    """
+    cap = len(maps)
+    coupled = {j for j, into in enumerate(feeds) if into}.union(*feeds)
+    sets, r, stab, window = [[]] * cap, 0, 1, 0
+    if coupled:
+        coords = sorted(coupled) if len(coupled) < len(feeds) else None
+        sets, r, stab, window = _image_pass(maps, h, coords)
+    drops = []  # the first zero step of each isolated coordinate that has one
+    for p, lams in enumerate(samples):
+        if p in coupled:
+            continue
+        if 0 not in lams[:cap]:
+            r += 1
+            window += 1
+            continue
+        drops.append(lams.index(0))
+        stab = max(stab, drops[-1] + 1)
+        window += 0 not in lams[h:cap]
+    kept = len(samples) - len(coupled) - len(drops)
+    return (lambda: [len(_echelon(vecs)) + kept + sum(z >= t for z in drops)
+                     for t, vecs in enumerate(sets, 1)]), r, stab, window
 
 
 def _reachable(feeds, start):
@@ -1397,13 +1473,17 @@ def _reachable(feeds, start):
 def _flag_sum(flag, r):
     """The colimit read off a flag of directions, each ``(samples, into)``.
 
-    ``samples`` are the direction's ``(d, lambda)`` pairs, typed by
+    ``samples`` is the tuple of the direction's ``(d, lambda)`` pairs, typed by
     ``_direction_type``; ``into`` lists the flag indices it couples into.  The
     survivors must number the stabilized rank ``r``.  Split safety: a non-free
     survivor may couple only into divisible or dead directions, since only
     then is the extension certified to split; the answer is their direct sum.
     """
-    types = [_direction_type(samples) for samples, _ in flag]
+    typed = {}  # ``_direction_type`` is pure: each distinct sample tuple once
+    for samples, _ in flag:
+        if samples not in typed:
+            typed[samples] = _direction_type(samples)
+    types = [typed[samples] for samples, _ in flag]
     survivors = [t for t in types if t is not None]
     if len(survivors) != r:
         raise UnsupportedSystemError(
@@ -1503,7 +1583,7 @@ def _eigen_flag(maps, ds, w, r):
             "the system is outside the certified class"
         )
     flag = _common_flag_eigenvalues(ts)
-    return [(list(zip(ds, vals)), range(i)) for i, vals in enumerate(flag)]
+    return [(tuple(zip(ds, vals)), range(i)) for i, vals in enumerate(flag)]
 
 
 def _colimit_symbolic(system):
@@ -1513,11 +1593,11 @@ def _colimit_symbolic(system):
     # horizon against families whose behaviour changes past it.
     ds = [system.d_value(t) for t in range(1, cap + 1)] + [101, 102]
     maps = [system._step(t) for t in range(1, cap + 1)] + [system._step_at(d) for d in ds[cap:]]
-    sets, r, stab, window = _image_pass(maps[:cap], cap // 2)
+    feeds, samples = _walk(maps)
+    levels, r, stab, window = _split_pass(maps[:cap], feeds, samples, cap // 2)
     if stab > cap - 3:
-        ranks = [len(_echelon(vecs)) for vecs in sets]
         raise UnsupportedSystemError(
-            f"composite rank did not stabilize within horizon {cap}: {ranks}"
+            f"composite rank did not stabilize within horizon {cap}: {levels()}"
         )
     # The eventual rank must not depend on where the window starts.
     if window != r:
@@ -1527,14 +1607,12 @@ def _colimit_symbolic(system):
         )
     # A coordinate that reaches itself closes a cycle: no common triangular
     # order exists, and the commuting family's eigen flag is read instead.
-    feeds = _union_pattern(maps)
     reach = [_reachable(feeds, p) for p in range(dim)]
     if any(p in reach[p] for p in range(dim)):
         w = _dense_rows(_composite(maps[:cap]), dim)
         flag = _eigen_flag(maps, ds, w, r)
     else:
-        flag = [([(d, m[p].get(p, 0)) for d, m in zip(ds, maps)], sorted(reach[p]))
-                for p in range(dim)]
+        flag = [(tuple(zip(ds, lams)), sorted(reach[p])) for p, lams in enumerate(samples)]
     return _report(_flag_sum(flag, r), maps[:cap], r, stab, False,
                    "classified along the canonical divisibility-cofinal chain d = 2, 3, 4, ...")
 
@@ -1617,9 +1695,10 @@ def identified(system, a, b):
     difference, and it never vanishes.  The same bound shows that ``W``
     reaches rank ``r`` after finitely many steps; a walk that does not reach
     it within a fixed number of steps raises ``CrossCheckError``, since the
-    certified rank must then be wrong.  ``rank W`` is read off a basis of
-    Q^dim pushed along the same steps and echelonized at each one: its span
-    is im W, so no window composite is formed.
+    certified rank must then be wrong.  ``rank W`` is read off the echelon
+    of the first step's columns, pushed along the later steps and
+    echelonized at each one: its span is im W, so no window composite is
+    formed.
     """
     if not isinstance(system, DirectedSystem):
         raise InputError("identified expects a DirectedSystem")
@@ -1652,13 +1731,14 @@ def identified(system, a, b):
     diff = [x - y for x, y in zip(va, vb)]
     if length is not None or not any(diff):
         return not any(diff)
-    basis = [{j: 1} for j in range(system.dim)]
+    basis = None  # the first step's columns span its image
     for level in range(base, base + _WINDOW_STEPS):
         step = system._step(level)
         diff = _apply(step, diff)
         if not any(diff):
             return True
-        basis = list(_echelon(_sparse_mul(basis, _columns(step, system.dim))).values())
+        cols = _columns(step, system.dim)
+        basis = list(_echelon(cols if basis is None else _sparse_mul(basis, cols)).values())
         if len(basis) == r:
             return False
     raise CrossCheckError(

@@ -8,7 +8,9 @@ per level) and ``_image_ranks`` (a basis of the image, echelonized at every
 level); the window's oracle is the echelon of its composite.  The relations
 of a report come from the kernel of the composite up to the horizon, and only
 when read; at full rank they are empty and no composite is formed, and
-``identified`` reads its window's rank off a pushed spanning set.
+``identified`` reads its window's rank off a pushed spanning set.  An
+isolated coordinate (every sampled map diagonal on it) skips the pass
+(``_split_pass``), whose result is checked against the whole-system pass.
 """
 
 import dataclasses
@@ -317,3 +319,142 @@ def test_relations_are_built_once_and_compared():
     assert report == colimit(rank_one_system())
     other = dataclasses.replace(report, relations_source=lambda: ())
     assert other != report
+
+
+# ---------------------------------------------------------------------------
+# isolated coordinates: read off their diagonal samples, not the image pass
+# ---------------------------------------------------------------------------
+
+
+def _union_pattern(maps):
+    """Feed arcs of the union zero pattern, one map entry at a time."""
+    feeds = [set() for _ in maps[0]]
+    for m in maps:
+        for i, row in enumerate(m):
+            for j in row:
+                if j != i:
+                    feeds[j].add(i)
+    return feeds
+
+
+def _check_split(maps, h):
+    """``_split_pass`` against the whole-system ``_image_pass``, the oracle;
+    returns the number of isolated coordinates."""
+    feeds, samples = abgrp._walk(maps)
+    assert feeds == _union_pattern(maps)
+    assert samples == [tuple(m[p].get(p, 0) for m in maps) for p in range(len(maps[0]))]
+    levels, r, stab, window = abgrp._split_pass(maps, feeds, samples, h)
+    sets, *whole = abgrp._image_pass(maps, h)
+    assert [r, stab, window] == whole
+    assert levels() == [len(abgrp._echelon(vecs)) for vecs in sets]
+    coupled = {j for j, into in enumerate(feeds) if into}.union(*feeds)
+    return len(maps[0]) - len(coupled)
+
+
+@settings(max_examples=40, deadline=None)
+@given(maps=chains())
+def test_the_split_pass_matches_the_whole_image_pass(maps):
+    _check_split(maps, len(maps) // 2)
+
+
+def test_the_split_pass_matches_on_the_engine_check_systems(monkeypatch):
+    systems = []
+    monkeypatch.setattr(ktheory, "colimit", lambda system: systems.append(system)
+                        or colimit(system))
+    k_of_B0(5, engine_check=True)
+    k_of_A0(4, engine_check=True)
+    monkeypatch.undo()
+    isolated = []
+    for system in systems:
+        maps = _horizon_maps(system)
+        isolated.append(_check_split(maps, len(maps) // 2))
+    # B0 is diagonal; kappa(4, d) has 2^3 - 1 isolated coordinates of 24
+    assert [s.dim for s in systems] == isolated[:2] + [24] and isolated[2] == 7
+
+
+def _beside(coeffs, at):
+    """A law on the isolated coordinate ``at``, beside a coupled pair."""
+    laws = [{"kind": "mult_d"}, {"kind": "identity"}]
+    laws.insert(at, {"kind": "poly", "coeffs": coeffs})
+    a, b = (i for i in range(3) if i != at)
+    return DirectedSystem.symbolic(3, laws, [{"row": a, "col": b, "poly": [1]}])
+
+
+@pytest.mark.parametrize("k", range(2, 16))
+def test_a_late_root_on_an_isolated_coordinate_matches_the_whole_pass(k):
+    for at in (0, 1):
+        maps = _horizon_maps(_beside([-k, 1], at))
+        assert _check_split(maps, len(maps) // 2) == 1
+
+
+def test_a_coordinate_that_is_fed_but_feeds_none_is_coupled():
+    # the unit at (1, 0) makes M nilpotent on the first two coordinates
+    system = DirectedSystem.symbolic(3, [{"kind": "zero"}, {"kind": "zero"}, {"kind": "mult_d"}],
+                                     [{"row": 1, "col": 0, "poly": [1]}])
+    maps = _horizon_maps(system)
+    assert _check_split(maps, len(maps) // 2) == 1
+
+
+_WINDOW = ("window rank depends on the starting level; the system is outside "
+           "the certified class")
+_NO_FIT = ("diagonal scaling law fits no monomial c*d^e on a parity class; the system "
+           "is outside the certified class")
+
+
+@pytest.mark.parametrize("k, text", [
+    *((k, _WINDOW) for k in range(2, 9)),
+    *((k, _NO_FIT) for k in range(9, 13)),
+    (13, "composite rank did not stabilize within horizon 14: [3, 3, 3, 3, 3, 3, 3, 3, 3, "
+         "3, 3, 2, 2, 2]"),
+    (14, "composite rank did not stabilize within horizon 14: [3, 3, 3, 3, 3, 3, 3, 3, 3, "
+         "3, 3, 3, 2, 2]"),
+    (15, "composite rank did not stabilize within horizon 14: [3, 3, 3, 3, 3, 3, 3, 3, 3, "
+         "3, 3, 3, 3, 2]"),
+])
+def test_refusals_beside_a_coupled_pair_keep_their_text(k, text):
+    for at in (0, 1):
+        with pytest.raises(UnsupportedSystemError) as exc:
+            colimit(_beside([-k, 1], at))
+        assert str(exc.value) == text
+
+
+def test_the_level_ranks_sum_an_isolated_drop_and_a_coupled_one():
+    system = DirectedSystem.symbolic(
+        3, [{"kind": "poly", "coeffs": [-14, 1]}, {"kind": "mult_d"},
+            {"kind": "poly", "coeffs": [-9, 1]}], [{"row": 1, "col": 0, "poly": [1]}])
+    with pytest.raises(UnsupportedSystemError) as exc:
+        colimit(system)
+    assert str(exc.value) == ("composite rank did not stabilize within horizon 14: "
+                              "[3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 1, 1]")
+
+
+def test_engine_checks_read_isolated_coordinates_off_their_samples(monkeypatch):
+    pushed, typed, evaluated = [], [], []
+    mul, direction_type, poly_eval = abgrp._sparse_mul, abgrp._direction_type, abgrp._poly_eval
+    monkeypatch.setattr(abgrp, "_sparse_mul", lambda a, b: pushed.append(a) or mul(a, b))
+    monkeypatch.setattr(abgrp, "_direction_type",
+                        lambda samples: typed.append(samples) or direction_type(samples))
+    monkeypatch.setattr(abgrp, "_poly_eval",
+                        lambda p, x: evaluated.append((tuple(p), x)) or poly_eval(p, x))
+    assert k_of_B0(6, engine_check=True) == k_of_B0(6, engine_check=False)
+    # both systems are diagonal: no vector is pushed and each law is typed once
+    assert pushed == []
+    assert len(typed) == len(set(typed)) == 7
+    ds = [*range(2, 40), 101, 102]  # the chain up to the horizon 38, and two more
+    laws = {(0,) * e + (1,) for e in range(7)}
+    assert len(evaluated) == len(set(evaluated)) and set(evaluated) == {
+        (p, d) for p in laws for d in ds}
+    typed.clear()
+    assert k_of_A0(5, engine_check=True) == k_of_A0(5, engine_check=False)
+    assert len(typed) == len(set(typed)) < 48
+
+
+def test_identified_starts_its_window_from_the_step_columns(monkeypatch):
+    system = rank_one_system()
+    colimit(system)
+    products = []
+    mul = abgrp._sparse_mul
+    monkeypatch.setattr(abgrp, "_sparse_mul", lambda a, b: products.append(a) or mul(a, b))
+    # the window reaches the rank at its first step: nothing is multiplied
+    assert identified(system, (1, (1, 0, 0)), (1, (0, 1, 0))) is False
+    assert products == []
