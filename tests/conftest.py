@@ -115,6 +115,24 @@ def walked_xp(coeffs, p):
     return _trim_mod(next(itertools.islice(_powers_of_x(coeffs), p, None)), p)
 
 
+def int_poly_mul(a, b):
+    """The product of two integer polynomials, untrimmed."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def cyclotomic(m):
+    """Phi_m in ascending coefficients: x^m - 1 divided by Phi_d for d | m, d < m."""
+    out = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            out = poly_divmod(out, cyclotomic(d))[0]
+    return [int(c) for c in out]
+
+
 def bareiss_determinant(a):
     """Determinant of a square integer matrix by fraction-free Bareiss
     elimination: the dense route ``abgrp.determinant`` replaced, kept as the

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from conftest import poly_divmod, poly_mul, reduce_mod, walked_xp
+from conftest import cyclotomic, int_poly_mul, poly_mul, reduce_mod, walked_xp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,14 +48,6 @@ def _monic(min_degree, max_degree, bound=12):
         lambda c: c + [1])
 
 
-def _times(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 # Fields whose Galois group has no element with the cycle types a proof
 # needs: every prime splits them, so the idempotent search decides.
 FALLBACK = ["x^4 + 1", "x^4 - x^2 + 1", "x^4 - 10x^2 + 1", "x^8 + 1", "x^8 - x^4 + 1",
@@ -74,7 +66,7 @@ def test_route_agrees_with_sympy_on_random_monic_polynomials(coeffs):
 @settings(max_examples=25, deadline=None)
 @given(a=_monic(1, 4, 6), b=_monic(1, 5, 6))
 def test_built_products_are_refused(a, b):
-    product = _times(a, b)
+    product = int_poly_mul(a, b)
     assert not _certified(product)
     assert not _accepted(product)
 
@@ -94,24 +86,15 @@ def test_common_fields_are_certified_without_sympy(poly, monkeypatch):
     assert parse_field(poly).degree == len(numfield.parse_polynomial(poly)) - 1
 
 
-def _cyclotomic(m):
-    """Phi_m in ascending coefficients: x^m - 1 divided by Phi_d for d | m, d < m."""
-    out = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            out = poly_divmod(out, _cyclotomic(d))[0]
-    return [int(c) for c in out]
-
-
 # Products whose residue degrees leave a factor degree possible at every
 # prime, like those of the named fallback fields: (x^2 - a)(x^2 - b) for
 # distinct nonsquares, Phi_m Phi_k, and x^4 + 4c^4 = (x^2 + 2cx + 2c^2)(x^2 - 2cx + 2c^2).
 _NONSQUARES = [a for a in range(-12, 13) if a < 0 or int(a ** 0.5) ** 2 != a]
 _UNREFUTED_PRODUCTS = st.one_of(
     st.lists(st.sampled_from(_NONSQUARES), min_size=2, max_size=2, unique=True).map(
-        lambda ab: _times([-ab[0], 0, 1], [-ab[1], 0, 1])),
+        lambda ab: int_poly_mul([-ab[0], 0, 1], [-ab[1], 0, 1])),
     st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12]), min_size=2, max_size=2,
-             unique=True).map(lambda mk: _times(_cyclotomic(mk[0]), _cyclotomic(mk[1]))),
+             unique=True).map(lambda mk: int_poly_mul(cyclotomic(mk[0]), cyclotomic(mk[1]))),
     st.integers(1, 4).map(lambda c: [4 * c ** 4, 0, 0, 0, 1]),
 )
 
@@ -133,9 +116,11 @@ def test_unrefuted_products_are_refused_by_an_idempotent(coeffs):
 
 
 def test_sieve_reads_the_rows_the_certificate_built():
-    k = parse_field("x^4 + 1")  # no proof: the certificate reads all its primes
+    # No proof: 3 narrows the possible degrees to {2}, and it splits x^4 + 1
+    # into two factors, so the certificate stops after the stall that follows.
+    k = parse_field("x^4 + 1")
     built = dict(k._sieve.table)
-    assert len(built) == _ResidueSieve.IRREDUCIBILITY_PRIMES
+    assert len(built) == 1 + _ResidueSieve.STALL_PRIMES
     assert k.roots_of_unity_order == 8
     assert all(k._sieve.table[p] is row for p, row in built.items())
 
