@@ -98,15 +98,15 @@ def _as_int(x, what):
     return int(x)
 
 
-def _as_rational(a):
+def _as_rational(a, what="matrix entry"):
     """The shape-checked matrix ``a`` if its entries are ints or ``Fraction``s,
-    the one rational rule for matrices from outside; ``bool`` and every other
-    value raise ``InputError``."""
+    the one rational rule for values from outside; ``bool`` and every other
+    value raise ``InputError`` naming ``what``."""
     if not all(_RATIONAL.issuperset(map(type, row)) for row in a):
         for row in a:
             for x in row:
                 if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-                    raise InputError(f"matrix entry {x!r} is not an integer or a Fraction")
+                    raise InputError(f"{what} {x!r} is not an integer or a Fraction")
     return a
 
 

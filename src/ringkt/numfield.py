@@ -20,11 +20,9 @@ Highlights:
   of the signed remainder (no floating point anywhere);
 * the discriminant as the determinant of the trace form, and the norm as
   that of multiplication by the element (whose inverse solves ``M x = e_0``);
-* ``roots_of_unity_order`` searched sieve first, in plain integers: each
-  candidate order is refuted by a residue-field witness whose degrees the
-  factor counts over GF(p^d) re-derive, and only the survivors run the exact
-  test, a p-adic lift whose root is checked in the field and whose "no" needs
-  a witness -- any disagreement between the routes is a ``CrossCheckError``;
+* ``roots_of_unity_order``, certified by the residue sieve in plain integers:
+  residue-field witnesses first, an exact p-adic lift for the survivors
+  (``_ResidueSieve`` describes the route);
 * ``residue_system`` for the quotients ``Z[theta]/(d)`` in the standard or
   centered digit styles;
 * ``real_sign_vector`` / ``sign_parity`` of an element under all real
@@ -49,7 +47,7 @@ import math
 import re
 from fractions import Fraction
 
-from .abgrp import _as_int, _factor_multiplicity, _is_prime, determinant, solve_exact
+from .abgrp import _as_int, _as_rational, _factor_multiplicity, _is_prime, determinant, solve_exact
 from .errors import CrossCheckError, HypothesisError, InputError
 
 # ---------------------------------------------------------------------------
@@ -71,9 +69,16 @@ def _numerators(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def _rationals(values, what):
+    """``values`` as a list of ints and ``Fraction``s, by abgrp's rational
+    rule (``_as_rational``): a bool, a float, a string or any other value
+    raises ``InputError`` naming ``what``."""
+    return _as_rational([list(values)], what)[0]
+
+
 def _integer_multiple(p):
     """``p`` times the positive lcm of its denominators: trimmed integers."""
-    return poly_trim(_numerators([c if isinstance(c, int) else Fraction(c) for c in p])[0])
+    return poly_trim(_numerators(_rationals(p, "polynomial coefficient"))[0])
 
 
 def _primitive(p):
@@ -109,6 +114,19 @@ def _reduce_monic(a, f):
             for i, y in low:
                 a[top - n + i] -= c * y
     return a[:n]
+
+
+def _power_mod(base, e, f):
+    """``base^e mod f`` in ``Z[x]/(f)`` for a monic integer ``f`` of degree n,
+    as n coefficients: square and multiply on integers."""
+    out = [1] + [0] * (len(f) - 2)
+    while e:
+        if e & 1:
+            out = _reduce_monic(_int_mul(out, base), f)
+        e >>= 1
+        if e:
+            base = _reduce_monic(_int_mul(base, base), f)
+    return out
 
 
 def _homogeneous_value(p, a, b):
@@ -243,7 +261,7 @@ def count_real_roots(p, lo=None, hi=None):
     An interval with ``lo > hi`` and the zero polynomial raise ``InputError``;
     ``lo == hi`` gives 0.
     """
-    lo, hi = (None if x is None else Fraction(x) for x in (lo, hi))
+    lo, hi = (None if x is None else Fraction(*_rationals([x], "interval end")) for x in (lo, hi))
     if lo is not None and hi is not None and lo > hi:
         raise InputError(f"count_real_roots needs lo <= hi, got the interval ({lo}, {hi}]")
     return _count_in(sturm_chain(p), lo, hi)
@@ -251,7 +269,7 @@ def count_real_roots(p, lo=None, hi=None):
 
 def root_bound(p):
     """A rational bound B with all real roots of ``p`` inside (-B, B)."""
-    p = poly_trim([Fraction(c) for c in p])
+    p = poly_trim([Fraction(c) for c in _rationals(p, "polynomial coefficient")])
     lead = abs(p[-1])
     b = Fraction(1) + max((abs(c) / lead for c in p[:-1]), default=Fraction(0))
     return b + 1
@@ -391,7 +409,7 @@ def poly_discriminant(coeffs):
     >>> poly_discriminant([-2, 0, 1]), poly_discriminant([1, 1, 0, 1])  # x^2 - 2, x^3 + x + 1
     (8, -31)
     """
-    coeffs = poly_trim(list(coeffs))
+    coeffs = poly_trim(_rationals(coeffs, "polynomial coefficient"))
     return determinant(_trace_form(coeffs)[0]) if len(coeffs) > 1 else 0
 
 
@@ -411,7 +429,7 @@ class FieldElement:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [Fraction(c) for c in _rationals(coeffs, "element coordinate")]
         if len(coeffs) > field.degree:
             nums, den = _numerators(coeffs)
             coeffs = [Fraction(c, den) for c in _reduce_monic(nums, field.coeffs)]
@@ -450,7 +468,7 @@ class FieldElement:
     def _rational(self, other):
         """``other`` as a ``Fraction``, or None for an element of this field."""
         if not isinstance(other, FieldElement):
-            return Fraction(other)
+            return Fraction(*_rationals([other], "field operand"))
         if other.field is not self.field:
             raise InputError("elements live in different fields")
         return None
@@ -494,16 +512,9 @@ class FieldElement:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        f = self.field.coeffs
         base, den = _numerators(self.coeffs)
-        out, den = [1] + [0] * (self.field.degree - 1), den ** e
-        while e:  # square and multiply in Z[x]/(f), on the numerators
-            if e & 1:
-                out = _reduce_monic(_int_mul(out, base), f)
-            e >>= 1
-            if e:
-                base = _reduce_monic(_int_mul(base, base), f)
-        return FieldElement._from_numerators(self.field, out, den)
+        return FieldElement._from_numerators(self.field, _power_mod(base, e, self.field.coeffs),
+                                             den ** e)
 
     def inverse(self):
         """The ``x`` with ``M x = e_0`` for the multiplication matrix ``M``."""
@@ -579,9 +590,9 @@ class NumberField:
     (``_ResidueSieve.split_idempotent``) is exact and finite.  The proof stops
     reading primes once the possible degrees stall while an odd prime read
     splits ``f`` into at most two factors, where the search reads back one
-    sum.  The discriminant and the residue-degree table stay with the field;
-    the roots-of-unity search reads the same table and extends it on demand.
-    No step calls sympy.
+    sum.  The discriminant and the residue sieve stay with the field; the
+    sieve also certifies the roots of unity, on the same table extended on
+    demand.  No step calls sympy.
     """
 
     def __init__(self, coeffs):
@@ -748,106 +759,17 @@ class NumberField:
 
     @property
     def roots_of_unity_order(self):
-        """Order of the group of roots of unity in the field.
-
-        Any real embedding forces exactly ``{+1, -1}``.  Totally imaginary
-        fields walk the even candidate orders ``m`` with ``phi(m) | degree``
-        in descending order, sieve first: a residue-field witness ``(p, f)``
-        refutes ``m``, and its residue degrees are re-derived from the factor
-        counts ``n - rank(Q^d - I)`` over GF(p^d) (a mismatch, or re-derived
-        degrees that do not refute ``m``, raises ``CrossCheckError``).  The
-        sieve reads the residue-degree table the irreducibility proof started,
-        and after ``2n`` primes without a witness it stops at the first prime
-        where ``f`` stays irreducible and ``m | p^n - 1``: the lift there has
-        one combination.  A candidate without a witness runs the exact test:
-        a p-adic lift at a sieve prime, to a precision a trace-form bound
-        proves enough, whose root is checked in K and whose "no" a witness
-        further on must confirm.  The first exact hit is the answer, and its
-        sieve table is spot-checked the same way.  With every candidate
-        refuted the answer is 2.  No step calls sympy.
+        """Order of the group of roots of unity in the field, computed once: 2
+        when the field has a real embedding, and otherwise the order the
+        residue sieve certifies (``_ResidueSieve.roots_of_unity_order``, whose
+        class describes the route).  No step calls sympy.
 
         >>> parse_field("x^2 + 1").roots_of_unity_order
         4
         """
         if self._w is None:
-            self._w = self._compute_roots_of_unity_order()
+            self._w = 2 if self.r1 else self._sieve.roots_of_unity_order()
         return self._w
-
-    def _compute_roots_of_unity_order(self):
-        if self.r1 > 0:
-            return 2
-        sieve = self._sieve
-        for m in _root_of_unity_candidates(self.degree):
-            witness = sieve.witness(m)
-            if witness is not None:
-                sieve.check_witness(m, *witness)
-            elif self._contains_primitive_root(m):
-                sieve.check_survivor(m)
-                return m
-        return 2
-
-    def _contains_primitive_root(self, m):
-        """Exact: does the field contain a primitive m-th root of unity?
-
-        The lift runs at the prime the sieve read for ``m`` with the fewest
-        residue factors (the smallest on ties) among those with ``m | p^f - 1``
-        for every residue degree ``f``; its "yes" is checked in K.  A "no" must
-        also be refuted by a residue witness (``confirm_refuted``).
-        """
-        table = self._sieve.table
-        admissible = [p for p in self._sieve._primes_for(m)
-                      if all(pow(p, f, m) == 1 for f in table[p])]
-        if admissible:
-            p = min(admissible, key=lambda q: (len(table[q]), q))
-            if self._lift_primitive_root(m, p) is not None:
-                return True
-        self._sieve.confirm_refuted(m)
-        return False
-
-    def _lift_primitive_root(self, m, p):
-        """A primitive m-th root of unity in K lifted from ``p``, or None.
-
-        ``p`` is unramified, prime to ``m``, with ``m | p^f - 1`` for every
-        residue degree ``f``: each field ``F_p[x]/(g_i)`` of ``Z[theta]/p``
-        (``g_i`` from Cantor--Zassenhaus) holds ``phi(m)`` primitive m-th
-        roots.  A root ``zeta`` of K gives one in each, and ``zeta^j`` (``j`` a
-        unit mod m) is in K too, so the first field's root is fixed.  Each
-        field's root is Newton-lifted once to ``(Z/p^k)[x]/(f)`` as ``z_i``,
-        1 in the other fields; ``1 + sum (z_i^j_i - 1)`` is then the unique
-        lift of each of the ``phi(m)^(r-1)`` combinations, read back exactly
-        by ``_read_back`` (a root of unity has absolute value 1 at every
-        embedding).  ``alpha`` is accepted only if ``alpha^m = 1`` and
-        ``alpha^(m/q) != 1`` for the primes ``q | m``, computed in K.
-        """
-        n, disc, fz = self.degree, self._disc, list(self.coeffs)
-        f = _trim_mod(fz, p)
-        primes_m = list(_factor_multiplicity(m))
-        form, tbound, big = _lift_precision(fz, p)
-        units = [j for j in range(1, m) if math.gcd(j, m) == 1]
-        shifts = []  # per field: z^j - 1 for its lifted root z, zero in the other fields
-        parts = _distinct_degree_parts(f, p, self._sieve.frobenius_at(p))
-        if any((p ** k - 1) % m for k, _ in parts):
-            return None  # a residue field without m-th roots: a witness, not a lift
-        for k, g, e in _local_idempotents(f, p, parts):
-            cofactor = (p ** k - 1) // m
-            y = next(y for y in (_polymod_pow(t, cofactor, g, p) for t in _trial_elements(p))
-                     if _polymod_pow(y, m, g, p) == [1]
-                     and all(_polymod_pow(y, m // q, g, p) != [1] for q in primes_m))
-            start = _poly_sub_mod([1], _polymod_mul(e, _poly_sub_mod([1], y, p), f, p), p)
-            z = _lift_unit_root(start, m, fz, p, big)
-            shifts.append([_poly_sub_mod(_polymod_pow(z, j, fz, big), [1], big) for j in units])
-        for combo in itertools.product(shifts[0][:1], *shifts[1:]):
-            coords = [1] + [0] * (n - 1)
-            for w in combo:
-                for i, c in enumerate(w):
-                    coords[i] += c
-            found = _read_back(coords, disc, form, tbound, big)
-            if found is None:
-                continue  # not integral traces within the bounds: no root of unity
-            alpha = self.element(found[0])
-            if (alpha ** m - 1).is_zero and all(alpha ** (m // q) - 1 for q in primes_m):
-                return alpha
-        return None
 
 
 def _root_of_unity_candidates(n):
@@ -870,9 +792,9 @@ def _subset_sums(degrees, n):
 
 
 class _ResidueSieve:
-    """Residue degrees of one field at its unramified primes, and what they
-    prove: that the defining polynomial is irreducible, and which orders of
-    roots of unity the field cannot contain.
+    """Residue degrees of one field at its unramified primes, and the two
+    exact certificates read off them: that the defining polynomial is
+    irreducible, and the order of the roots of unity in the field.
 
     For a prime ``p`` not dividing the discriminant, the residue degrees of
     the primes above ``p`` are the degrees of the irreducible factors of the
@@ -888,10 +810,9 @@ class _ResidueSieve:
     instead of about ``log2 p`` products and divisions mod ``(f, p)`` per
     row.  The walk's coefficients grow like ``k log2 R`` bits, ``R`` the root
     bound of ``f``, and stay bounded for a cyclotomic ``f``.  ``frobenius``
-    keeps ``x^p mod (f, p)`` for every tabulated ``p``; the lifts in
-    ``split_idempotent`` and ``NumberField._lift_primitive_root`` read it
-    through ``frobenius_at``.  Berlekamp's count (``_factor_counts``) keeps
-    its own square-and-multiply ladder.
+    keeps ``x^p mod (f, p)`` for every tabulated ``p``; the exact searches
+    read it through ``frobenius_at``.  Berlekamp's count (``_factor_counts``)
+    keeps its own square-and-multiply ladder.
 
     *Irreducibility* (Musser, J. ACM 25, 1978): a factor of degree ``d`` over
     Q reduces mod p to a product of some of the factors mod p, so ``d`` is a
@@ -906,15 +827,39 @@ class _ResidueSieve:
     for a Galois group without the needed cycle types (``x^4 + 1``), and the
     search at such a prime reads back one sum.
 
-    *Roots of unity*: for ``p`` not dividing ``m`` either, a root of unity of
-    order ``m`` in the field forces ``m | p^f - 1`` for every residue degree
-    ``f`` at ``p``.  Each candidate reads the first ``PRIME_COUNT`` primes of
-    the table that do not divide ``m`` (``m`` is even, so 2 never counts),
-    and fewer for a likely true order: after ``WITNESS_WAIT * n`` primes
-    without a witness it stops at the first admissible prime with a single
-    residue factor, where the exact lift has one combination.  A "no" of the
-    lift still needs a witness (``confirm_refuted``), so a false candidate
-    that stops early costs one such lift.
+    *Roots of unity* (``roots_of_unity_order``, for a field with no real
+    embedding).  The candidates are the even ``m > 2`` with ``phi(m) | n``,
+    in descending order.  For ``p`` not dividing ``m`` either, a root of
+    unity of order ``m`` forces ``m | p^f - 1`` for every residue degree
+    ``f`` at ``p``, so a residue-field witness ``(p, f)`` refutes ``m``; its
+    degrees are re-derived from the factor counts ``n - rank(Q^d - I)`` over
+    GF(p^d), d = 1..n (``_confirm_degrees``), and a mismatch, or degrees
+    that do not refute ``m``, raises ``CrossCheckError``.  Each candidate
+    reads the first ``PRIME_COUNT`` primes of the table not dividing ``m``
+    (2 never counts), and fewer for a likely true order: after
+    ``WITNESS_WAIT * n`` primes without a witness it stops at the first
+    prime where f stays irreducible and ``m | p^n - 1``.  A candidate without
+    a witness runs the exact lift (``_lift_primitive_root``) at the
+    admissible prime read (``m | p^f - 1`` for every ``f``) that the prime
+    rule picks, with one combination at the stop prime.  A "yes" is checked
+    in K; a "no" needs a witness among the first ``PRIME_COUNT +
+    CROSS_CHECK_PRIMES`` primes not dividing ``m`` (``confirm_refuted``).
+    The first exact hit is the answer, its first row read re-derived the
+    same way; with every candidate refuted the answer is 2.
+
+    *One setup for both exact searches.*  The prime rule
+    (``_fewest_factors``) takes the prime read with the fewest residue
+    factors, the smallest on ties.  There ``_local_factors`` splits f into
+    its residue factors ``g_i`` (Cantor--Zassenhaus, from ``frobenius_at``)
+    with local idempotents ``e_i = (f/g_i)^(p^deg g_i - 1)`` mod ``(f, p)``
+    and takes the least power ``p^k`` above ``2B``; each search Newton-lifts
+    its residues to ``p^k``, and ``_read_back`` reads a sum of lifts back in
+    integers.  ``B`` bounds ``disc * alpha`` for an integral ``alpha`` of
+    absolute value at most 1 at every embedding: its traces ``t_j =
+    Tr(alpha theta^j)`` have ``|t_j| <= n R^j``, and ``T c = t`` for its
+    coordinates ``c`` and the trace matrix ``T``, so Cramer and Hadamard
+    bound ``disc * c = adj(T) t`` by ``B`` (``det T = disc``).  The trace
+    form and ``B`` are built once per field (``_trace_bound``).
     """
 
     PRIME_COUNT = 50
@@ -1015,27 +960,63 @@ class _ResidueSieve:
         primes leave a possible factor degree (which proves nothing)."""
         return not self._open_degrees[0]
 
+    # -- the two exact searches: one prime rule, one setup, one read-back ----
+
+    def _fewest_factors(self, primes):
+        """The prime rule: the fewest residue factors, then the smallest prime."""
+        return min(primes, key=lambda q: (len(self.table[q]), q))
+
+    @functools.cached_property
+    def _trace_bound(self):
+        """The trace matrix ``T``, the trace bounds ``n R^j`` and ``B^2``
+        rounded down (class docstring), built once."""
+        form, tbound = _trace_form(self.coeffs)
+        cols = [sum(x * x for x in row) for row in form]  # T is symmetric
+        return form, tbound, sum(b * b for b in tbound) * math.prod(cols) // min(cols)
+
+    def _local_factors(self, p):
+        """The setup at an odd unramified ``p``: the lift modulus, the least
+        power of ``p`` above ``2B``, and ``(k, g, e)`` per residue factor ``g``
+        of degree ``k`` with its local idempotent ``e``."""
+        big, bound_sq = p, self._trace_bound[2]
+        while big * big <= 4 * bound_sq:
+            big *= p
+        f = _trim_mod(self.coeffs, p)
+        parts = _distinct_degree_parts(f, p, self.frobenius_at(p))
+        return big, list(_local_idempotents(f, p, parts))
+
+    def _read_back(self, lifts, big):
+        """``disc * alpha`` and the traces ``Tr(alpha theta^j)``, in integers,
+        for the ``alpha`` whose coordinates mod ``big`` are the sum of the
+        coordinate lists ``lifts`` and whose ``disc * alpha`` reads exactly as
+        symmetric residues; None when a trace is not an integer within its
+        bound, which no integral ``alpha`` of absolute value at most 1 at every
+        embedding can have."""
+        form, tbound, _ = self._trace_bound
+        disc, coords = self.disc, [0] * len(form)
+        for lift in lifts:
+            for i, c in enumerate(lift):
+                coords[i] += c
+        read = [(disc * c + big // 2) % big - big // 2 for c in coords]
+        traces = [sum(a * b for a, b in zip(row, read)) for row in form]  # disc * t
+        if any(t % disc or abs(t) > b * abs(disc) for t, b in zip(traces, tbound)):
+            return None
+        return read, [t // disc for t in traces]
+
     def split_idempotent(self):
         """The coordinates of an idempotent of ``Q[x]/(f)`` other than 0 and
         1, or None when there is none: then ``f`` is irreducible.
 
         If ``f = G H`` over Z, the idempotent ``eps`` that is 1 mod G and 0
-        mod H is integral, so ``disc * eps`` is in ``Z[theta]`` (Cramer, with
-        ``det T = disc`` for the trace matrix ``T``).  At an odd prime ``p``
-        read by ``_open_degrees``, with the residue factors ``g_0, ..., g_(r-1)``
-        (Cantor--Zassenhaus) and the local idempotents ``e_i = (f/g_i)^(p^deg
-        g_i - 1)`` mod ``(f, p)``, ``eps`` or ``1 - eps`` reduces to ``e_S =
-        sum of e_i over i in S`` for an ``S`` that holds ``g_0`` and whose
-        degree sum is a possible factor degree; ``p`` does not divide ``disc``.
-        So each ``e_i`` is Newton-lifted (``e <- e^2 (3 - 2e)``) to ``p^k >
-        2B`` and every such ``S`` but the full set is tried, at most
-        ``2^(r-1)`` sums, ``r`` the fewest residue factors at an odd prime
-        read (the smallest such prime on ties).  An idempotent is 0 or 1 at
-        every embedding, so ``|Tr(eps theta^j)| <= n R^j``, the bound
-        ``_read_back`` reads ``disc * e_S`` with.  ``e_S`` is accepted only
-        if ``eps^2 = eps`` in ``Q[x]/(f)``; ``Tr(eps)``, the degree of its
-        factor, must then equal the degree sum of ``S``, or the search
-        raises ``CrossCheckError``.
+        mod H is integral, and 0 or 1 at every embedding.  At the prime the
+        rule picks among those ``_open_degrees`` read (an odd one), ``eps`` or
+        ``1 - eps`` reduces to ``e_S``, the sum of the local idempotents over a
+        set ``S`` of residue factors that holds ``g_0`` and whose degree sum
+        is a possible factor degree.  So each ``e_i`` is Newton-lifted (``e <-
+        e^2 (3 - 2e)``) and every such ``S`` but the full set is read back, at
+        most ``2^(r-1)`` sums.  ``e_S`` is accepted only if ``eps^2 = eps`` in
+        ``Q[x]/(f)``; ``Tr(eps)``, the degree of its factor, must then equal
+        the degree sum of ``S``, or the search raises ``CrossCheckError``.
 
         >>> f = [4, 0, 0, 0, 1]  # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2)
         >>> _ResidueSieve(f, poly_discriminant(f)).split_idempotent()
@@ -1047,13 +1028,10 @@ class _ResidueSieve:
         possible, read = self._open_degrees
         if not possible:
             return None
-        p = min((q for q in read if q > 2), key=lambda q: (len(self.table[q]), q))
-        fz = list(self.coeffs)
-        f = _trim_mod(fz, p)
-        form, tbound, big = _lift_precision(fz, p)
-        parts = _distinct_degree_parts(f, p, self.frobenius_at(p))
-        lifts = [(k, _lift_idempotent(e, fz, p, big))
-                 for k, _, e in _local_idempotents(f, p, parts)]
+        p = self._fewest_factors(q for q in read if q > 2)
+        fz, disc = list(self.coeffs), self.disc
+        big, local = self._local_factors(p)
+        lifts = [(k, _lift_idempotent(e, fz, p, big)) for k, _, e in local]
         self._check_count(p, [k for k, _ in lifts])  # so each g_i is irreducible
         (k0, e0), rest = lifts[0], lifts[1:]
         for size in range(len(rest)):
@@ -1061,30 +1039,85 @@ class _ResidueSieve:
                 degree = k0 + sum(k for k, _ in chosen)
                 if degree not in possible:
                     continue
-                coords = e0 + [0] * (len(fz) - 1 - len(e0))
-                for _, e in chosen:
-                    for i, c in enumerate(e):
-                        coords[i] += c
-                found = _read_back(coords, self.disc, form, tbound, big)
+                found = self._read_back([e0, *(e for _, e in chosen)], big)
                 if found is None:
                     continue
-                eps, traces = found
-                nums, den = _numerators(eps)  # eps^2 = eps: nums^2 = den * nums mod f
-                if _reduce_monic(_int_mul(nums, nums), fz) != [den * c for c in nums]:
+                eps, traces = found  # disc times the candidate: eps^2 = disc * eps if idempotent
+                if _reduce_monic(_int_mul(eps, eps), fz) != [disc * c for c in eps]:
                     continue
                 if traces[0] != degree:
                     raise CrossCheckError(
                         f"an idempotent lifted from mod {p} has trace {traces[0]}, but its "
                         f"residue factors have degree sum {degree}"
                     )
-                return eps
+                return [Fraction(c, disc) for c in eps]
+        return None
+
+    def roots_of_unity_order(self):
+        """The order of the roots of unity of a field without a real
+        embedding, certified as the class docstring describes."""
+        for m in _root_of_unity_candidates(len(self.coeffs) - 1):
+            witness = self.witness(m)
+            if witness is not None:
+                self.check_witness(m, *witness)
+            elif self._contains_primitive_root(m):
+                self._confirm_degrees(next(self._primes_for(m)))  # spot-check the first row read
+                return m
+        return 2
+
+    def _contains_primitive_root(self, m):
+        """The exact test: does the field contain a primitive m-th root of
+        unity?  A "no" is backed by a witness (``confirm_refuted``)."""
+        admissible = [p for p in self._primes_for(m)
+                      if all(pow(p, f, m) == 1 for f in self.table[p])]
+        if admissible and self._lift_primitive_root(
+                m, self._fewest_factors(admissible)) is not None:
+            return True
+        self.confirm_refuted(m)
+        return False
+
+    def _lift_primitive_root(self, m, p):
+        """The coordinates of a primitive m-th root of unity of K lifted from
+        an admissible ``p``, or None.  Each residue field holds ``phi(m)``
+        primitive m-th roots.  A root ``zeta`` of K gives one in each, and so
+        does ``zeta^j`` for ``j`` a unit mod m, so the first field's root is
+        fixed.  Each field's root is Newton-lifted once as ``z_i``, 1 in the
+        other fields, and ``1 + sum (z_i^j_i - 1)`` is read back for each of
+        the ``phi(m)^(r-1)`` combinations.  ``alpha`` is accepted only if
+        ``alpha^m = 1`` and ``alpha^(m/q) != 1`` for the primes ``q | m``, on
+        its reduced integer numerators."""
+        fz, n = list(self.coeffs), len(self.coeffs) - 1
+        primes_m = list(_factor_multiplicity(m))
+        units = [j for j in range(1, m) if math.gcd(j, m) == 1]
+        big, local = self._local_factors(p)
+        if any((p ** k - 1) % m for k, _, _ in local):
+            return None  # a residue field without m-th roots: a witness, not a lift
+        shifts = []  # per field: z^j - 1 for its lifted root z, zero in the other fields
+        for k, g, e in local:
+            cofactor = (p ** k - 1) // m
+            y = next(y for y in (_polymod_pow(t, cofactor, g, p) for t in _trial_elements(p))
+                     if _polymod_pow(y, m, g, p) == [1]
+                     and all(_polymod_pow(y, m // q, g, p) != [1] for q in primes_m))
+            start = _poly_sub_mod([1], _polymod_mul(e, _poly_sub_mod([1], y, p), fz, p), p)
+            z = _lift_unit_root(start, m, fz, p, big)
+            shifts.append([_poly_sub_mod(_polymod_pow(z, j, fz, big), [1], big) for j in units])
+        for combo in itertools.product(shifts[0][:1], *shifts[1:]):
+            found = self._read_back([[1], *combo], big)
+            if found is None:
+                continue  # not integral traces within the bounds: no root of unity
+            common = math.gcd(self.disc, *found[0])
+            nums, den = [c // common for c in found[0]], self.disc // common
+
+            def is_one(e):  # alpha^e = 1
+                return _power_mod(nums, e, fz) == [den ** e] + [0] * (n - 1)
+
+            if is_one(m) and not any(is_one(m // q) for q in primes_m):
+                return [Fraction(c, den) for c in nums]
         return None
 
     def _primes_for(self, m):
-        """The primes the sieve tests for order ``m``, in ascending order: the
-        first ``PRIME_COUNT`` unramified primes not dividing ``m``, or fewer
-        by the true order's stop (``WITNESS_WAIT``), which ends them at an
-        admissible prime with one residue factor (``m | p^n - 1``)."""
+        """The primes the sieve tests for order ``m``, in ascending order, to
+        the true order's stop (class docstring)."""
         n = len(self.coeffs) - 1
         primes = itertools.islice((p for p in self._unramified() if m % p), self.PRIME_COUNT)
         for i, p in enumerate(primes):
@@ -1138,10 +1171,6 @@ class _ResidueSieve:
                 f"the residue-field witness (p={p}, f={f}) does not refute "
                 f"roots of unity of order {m}"
             )
-
-    def check_survivor(self, m):
-        """An exact hit: spot-check the first table entry the sieve read for ``m``."""
-        self._confirm_degrees(next(self._primes_for(m)))
 
 
 def _trim_mod(a, p):
@@ -1384,34 +1413,6 @@ def _trace_form(coeffs):
                  - sum(coeffs[n - i] * s[k - i] for i in range(1, min(k, n + 1))))
     r = 1 + max(abs(c) for c in coeffs[:-1])
     return [s[j:j + n] for j in range(n)], [n * r ** j for j in range(n)]
-
-
-def _lift_precision(coeffs, p):
-    """The trace matrix ``T``, the trace bounds ``n R^j`` and the least power
-    ``big`` of ``p`` above ``2B``: for an element ``alpha`` of absolute value at
-    most 1 at every embedding, ``T c = t`` for its coordinates ``c`` and
-    ``t_j = Tr(alpha theta^j)``, ``|t_j| <= n R^j``, so Cramer and Hadamard
-    bound ``disc * c = adj(T) t`` by ``B`` (``det T = disc``)."""
-    form, tbound = _trace_form(coeffs)
-    cols = [sum(x * x for x in row) for row in form]  # T is symmetric
-    bound_sq = sum(b * b for b in tbound) * math.prod(cols) // min(cols)
-    big = p
-    while big * big <= 4 * bound_sq:
-        big *= p
-    return form, tbound, big
-
-
-def _read_back(coords, disc, form, tbound, big):
-    """``alpha`` from the coordinates of ``alpha`` mod ``big`` (from
-    ``_lift_precision``), whose ``disc * alpha`` symmetric residues read
-    exactly, and its traces ``Tr(alpha theta^j)``; None when a trace is not an
-    integer within its bound, which no integral ``alpha`` of absolute value at
-    most 1 at every embedding can have."""
-    read = [(disc * c + big // 2) % big - big // 2 for c in coords]
-    traces = [sum(a * b for a, b in zip(row, read)) for row in form]  # disc * t
-    if any(t % disc or abs(t) > b * abs(disc) for t, b in zip(traces, tbound)):
-        return None
-    return [Fraction(c, disc) for c in read], [t // disc for t in traces]
 
 
 def _poly_sub_mod(a, b, p):

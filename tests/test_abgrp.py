@@ -292,6 +292,15 @@ def test_descriptor_integer_rule():
         GroupDescriptor.from_json_dict({"free": 1.5, "torsion": [2.9]})
 
 
+def test_descriptors_are_immutable():
+    g = GroupDescriptor(free_rank=1, torsion=(2,))
+    with pytest.raises(AttributeError, match="immutable"):
+        g.free_rank = 2
+    with pytest.raises(AttributeError, match="immutable"):
+        g.tag = "new"
+    assert g == GroupDescriptor(free_rank=1, torsion=(2,))
+
+
 def test_invariant_factors_integer_rule():
     assert invariant_factors([Fraction(4, 1), 2]) == (2, 4)
     for bad in ([2.9], [True], [Fraction(5, 2)], [2, 4.0]):

@@ -63,6 +63,56 @@ def test_field_validation():
         k.parse_element("1,2,3")  # too many coordinates
     with pytest.raises(InputError):
         k.parse_element("a,b")
+    assert k.parse_element("0.5, 1") == k.element([Fraction(1, 2), 1])  # decimal text is read
+
+
+# Every public numfield entry point that takes rational values, fed one value
+# ``v`` of a type outside abgrp's rational rule (ints but not bools, and
+# ``Fraction``s); each took floats, bools or strings before it had that rule.
+_RATIONAL_ENTRY_POINTS = {
+    "element coordinate": lambda k, v: k.element([v, 1]),
+    "a + v": lambda k, v: k.element([1, 1]) + v,
+    "v + a": lambda k, v: v + k.element([1, 1]),
+    "a - v": lambda k, v: k.element([1, 1]) - v,
+    "v - a": lambda k, v: v - k.element([1, 1]),
+    "a * v": lambda k, v: k.element([1, 1]) * v,
+    "v / a": lambda k, v: v / k.element([1, 1]),
+    "signature": lambda k, v: signature([-2, 0, v]),
+    "sturm_chain": lambda k, v: sturm_chain([-2, 0, v]),
+    "count_real_roots": lambda k, v: count_real_roots([-2, v, 1]),
+    "count_real_roots lo": lambda k, v: count_real_roots([-2, 0, 1], v, 3),
+    "count_real_roots hi": lambda k, v: count_real_roots([-2, 0, 1], -3, v),
+    "isolate_real_roots": lambda k, v: isolate_real_roots([-2, 0, v]),
+    "integer_roots": lambda k, v: integer_roots([-2, 0, v]),
+    "root_bound": lambda k, v: numfield.root_bound([-2, 0, v]),
+    "poly_discriminant": lambda k, v: poly_discriminant([-2, 0, v]),
+}
+
+
+@pytest.mark.parametrize("value", [1.0, 0.5, True, "1"], ids=repr)
+@pytest.mark.parametrize("entry", list(_RATIONAL_ENTRY_POINTS))
+def test_entry_points_take_ints_and_fractions_only(entry, value):
+    k = parse_field("x^2 - 2")
+    with pytest.raises(InputError, match=f"{value!r} is not an integer or a Fraction"):
+        _RATIONAL_ENTRY_POINTS[entry](k, value)
+
+
+def test_equal_elements_hash_alike_and_print_their_coordinates():
+    k = parse_field("x^2 - 2")
+    theta = k.element([0, 1])
+    direct, product = k.element([2, 0]), theta * theta  # theta^2 reduces to 2
+    assert direct == product and hash(direct) == hash(product)
+    assert len({direct, product, k.element([2])}) == 1
+    assert repr(k.element([Fraction(1, 2), 1])) == "FieldElement('1/2 + theta')"
+
+
+def test_field_elements_are_immutable():
+    a = parse_field("x^2 - 2").element([1, 1])
+    with pytest.raises(AttributeError, match="immutable"):
+        a.coeffs = (0, 0)
+    with pytest.raises(AttributeError, match="immutable"):
+        a.tag = "new"
+    assert a.coeffs == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +428,7 @@ def test_rational_operands_keep_the_errors():
         k.element([1, 1]) + other.element([1])
     with pytest.raises(InputError, match="different fields"):
         k.element([1, 1]) * other.element([1])
-    with pytest.raises(TypeError):
+    with pytest.raises(InputError, match=r"field operand 1\.5j is not an integer or a Fraction"):
         k.element([1, 1]) + 1.5j
 
 

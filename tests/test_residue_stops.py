@@ -15,6 +15,7 @@ from conftest import cyclotomic, deadline, int_poly_mul
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ringkt import numfield
 from ringkt.errors import InputError
 from ringkt.numfield import NumberField, _ResidueSieve, parse_field, parse_polynomial
 
@@ -85,10 +86,10 @@ def test_phi7_true_order_from_one_exact_test_after_2n_primes(monkeypatch):
     # next inert prime (order 6 mod 7), where 14 | p^6 - 1.  The one exact
     # test is on the answer, and it lifts at 3, the smallest inert prime.
     calls, lifts = [], []
-    contains, lift = NumberField._contains_primitive_root, NumberField._lift_primitive_root
-    monkeypatch.setattr(NumberField, "_contains_primitive_root",
+    contains, lift = _ResidueSieve._contains_primitive_root, _ResidueSieve._lift_primitive_root
+    monkeypatch.setattr(_ResidueSieve, "_contains_primitive_root",
                         lambda self, m: calls.append(m) or contains(self, m))
-    monkeypatch.setattr(NumberField, "_lift_primitive_root",
+    monkeypatch.setattr(_ResidueSieve, "_lift_primitive_root",
                         lambda self, m, p: lifts.append(p) or lift(self, m, p))
     k = parse_field("x^6 + x^5 + x^4 + x^3 + x^2 + x + 1")
     assert k.roots_of_unity_order == 14
@@ -98,6 +99,22 @@ def test_phi7_true_order_from_one_exact_test_after_2n_primes(monkeypatch):
     stop = next(i for i, p in enumerate(unramified) if i >= 2 * n and p % 7 in (3, 5))
     assert list(k._sieve._primes_for(14)) == unramified[:stop + 1]
     assert max(k._sieve.table) == unramified[stop]  # no row past the stop was built
+
+
+@pytest.mark.parametrize("poly,w", [("x^4 + 1", 8), ("x^8 + 1", 16), ("x^12 - x^6 + 1", 36)])
+def test_both_exact_searches_share_one_trace_form(poly, w, monkeypatch):
+    # No row proves these irreducible, so parse runs the idempotent search and
+    # w runs the lift: two setups, and the trace form is built once for them,
+    # besides the one build for the discriminant.
+    built, setups = [], []
+    trace_form, local = numfield._trace_form, _ResidueSieve._local_factors
+    monkeypatch.setattr(numfield, "_trace_form",
+                        lambda coeffs: built.append(1) or trace_form(coeffs))
+    monkeypatch.setattr(_ResidueSieve, "_local_factors",
+                        lambda self, p: setups.append(p) or local(self, p))
+    k = parse_field(poly)
+    assert k.roots_of_unity_order == w
+    assert len(setups) == 2 and len(built) <= 2
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ def test_routes_agree_on_every_candidate(poly, w):
     k = parse_field(poly)
     sieve = _ResidueSieve(k.coeffs, k.disc)
     for m in _root_of_unity_candidates(k.degree):
-        exact = k._contains_primitive_root(m)
+        exact = k._sieve._contains_primitive_root(m)
         assert exact == (w % m == 0), m
         witness = sieve.witness(m)
         if witness is not None:
@@ -162,9 +162,10 @@ def test_lift_forced_at_the_first_admissible_primes(poly, w):
         expect = w % m == 0
         assert _trager_contains(k, m) == expect, m
         for p in itertools.islice(_admissible_primes(k, m), 3):
-            root = k._lift_primitive_root(m, p)
+            root = k._sieve._lift_primitive_root(m, p)
             assert (root is not None) == expect, (m, p)
             if root is not None:
+                root = k.element(root)
                 assert (root ** m - 1).is_zero
                 assert all(root ** (m // q) - 1 for q in numfield._factor_multiplicity(m))
 
@@ -184,13 +185,13 @@ def test_sieve_tests_the_first_fifty_unramified_primes_not_dividing_m():
 
 def _record_exact_tests(monkeypatch):
     calls = []
-    original = numfield.NumberField._contains_primitive_root
+    original = numfield._ResidueSieve._contains_primitive_root
 
     def counted(self, m):
         calls.append(m)
         return original(self, m)
 
-    monkeypatch.setattr(numfield.NumberField, "_contains_primitive_root", counted)
+    monkeypatch.setattr(numfield._ResidueSieve, "_contains_primitive_root", counted)
     return calls
 
 
@@ -257,7 +258,7 @@ def test_false_exact_hit_on_a_surviving_candidate_raises(monkeypatch):
     # the proof is skipped to let the lie reach the survivor check.
     monkeypatch.setattr(numfield, "_factor_degrees_mod_p", lambda coeffs, p, xp: [4])
     monkeypatch.setattr(_ResidueSieve, "proves_irreducible", lambda self: True)
-    monkeypatch.setattr(numfield.NumberField, "_contains_primitive_root",
+    monkeypatch.setattr(numfield._ResidueSieve, "_contains_primitive_root",
                         lambda self, m: True)
     with pytest.raises(CrossCheckError, match="mod 5 disagree"):
         parse_field("x^4 + 1").roots_of_unity_order
@@ -280,7 +281,7 @@ def test_lift_that_finds_nothing_raises(monkeypatch):
     # Q(i) contains i, so no residue witness refutes the order 4: a lift that
     # finds nothing is a fault, not an answer.  Believing it would give w = 2
     # and let classify_A accept Q(i).
-    monkeypatch.setattr(numfield.NumberField, "_lift_primitive_root",
+    monkeypatch.setattr(numfield._ResidueSieve, "_lift_primitive_root",
                         lambda self, m, p: None)
     with pytest.raises(CrossCheckError, match="no root of unity of order 4, but no residue witness"):
         parse_field("x^2 + 1").roots_of_unity_order
