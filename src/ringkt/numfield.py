@@ -510,6 +510,7 @@ class FieldElement:
         return self._rational(other) * self.inverse()
 
     def __pow__(self, e):
+        e = _as_int(e, "exponent")
         if e < 0:
             return self.inverse() ** (-e)
         base, den = _numerators(self.coeffs)
@@ -976,14 +977,15 @@ class _ResidueSieve:
 
     def _local_factors(self, p):
         """The setup at an odd unramified ``p``: the lift modulus, the least
-        power of ``p`` above ``2B``, and ``(k, g, e)`` per residue factor ``g``
-        of degree ``k`` with its local idempotent ``e``."""
+        power of ``p`` above ``2B``, ``f`` reduced mod ``p``, and ``(k, g, e)``
+        per residue factor ``g`` of degree ``k`` with its local idempotent
+        ``e``."""
         big, bound_sq = p, self._trace_bound[2]
         while big * big <= 4 * bound_sq:
             big *= p
         f = _trim_mod(self.coeffs, p)
         parts = _distinct_degree_parts(f, p, self.frobenius_at(p))
-        return big, list(_local_idempotents(f, p, parts))
+        return big, f, list(_local_idempotents(f, p, parts))
 
     def _read_back(self, lifts, big):
         """``disc * alpha`` and the traces ``Tr(alpha theta^j)``, in integers,
@@ -1030,7 +1032,7 @@ class _ResidueSieve:
             return None
         p = self._fewest_factors(q for q in read if q > 2)
         fz, disc = list(self.coeffs), self.disc
-        big, local = self._local_factors(p)
+        big, _, local = self._local_factors(p)
         lifts = [(k, _lift_idempotent(e, fz, p, big)) for k, _, e in local]
         self._check_count(p, [k for k, _ in lifts])  # so each g_i is irreducible
         (k0, e0), rest = lifts[0], lifts[1:]
@@ -1089,7 +1091,7 @@ class _ResidueSieve:
         fz, n = list(self.coeffs), len(self.coeffs) - 1
         primes_m = list(_factor_multiplicity(m))
         units = [j for j in range(1, m) if math.gcd(j, m) == 1]
-        big, local = self._local_factors(p)
+        big, f, local = self._local_factors(p)
         if any((p ** k - 1) % m for k, _, _ in local):
             return None  # a residue field without m-th roots: a witness, not a lift
         shifts = []  # per field: z^j - 1 for its lifted root z, zero in the other fields
@@ -1098,7 +1100,7 @@ class _ResidueSieve:
             y = next(y for y in (_polymod_pow(t, cofactor, g, p) for t in _trial_elements(p))
                      if _polymod_pow(y, m, g, p) == [1]
                      and all(_polymod_pow(y, m // q, g, p) != [1] for q in primes_m))
-            start = _poly_sub_mod([1], _polymod_mul(e, _poly_sub_mod([1], y, p), fz, p), p)
+            start = _poly_sub_mod([1], _polymod_mul(e, _poly_sub_mod([1], y, p), f, p), p)
             z = _lift_unit_root(start, m, fz, p, big)
             shifts.append([_poly_sub_mod(_polymod_pow(z, j, fz, big), [1], big) for j in units])
         for combo in itertools.product(shifts[0][:1], *shifts[1:]):

@@ -2,6 +2,7 @@
 sign vectors, fundamental units)."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,7 @@ _RATIONAL_ENTRY_POINTS = {
     "a - v": lambda k, v: k.element([1, 1]) - v,
     "v - a": lambda k, v: v - k.element([1, 1]),
     "a * v": lambda k, v: k.element([1, 1]) * v,
+    "a ** v": lambda k, v: k.element([1, 1]) ** v,
     "v / a": lambda k, v: v / k.element([1, 1]),
     "signature": lambda k, v: signature([-2, 0, v]),
     "sturm_chain": lambda k, v: sturm_chain([-2, 0, v]),
@@ -93,7 +95,8 @@ _RATIONAL_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", list(_RATIONAL_ENTRY_POINTS))
 def test_entry_points_take_ints_and_fractions_only(entry, value):
     k = parse_field("x^2 - 2")
-    with pytest.raises(InputError, match=f"{value!r} is not an integer or a Fraction"):
+    rule = "an integer" if entry == "a ** v" else "an integer or a Fraction"
+    with pytest.raises(InputError, match=re.escape(f"{value!r} is not {rule}") + "$"):
         _RATIONAL_ENTRY_POINTS[entry](k, value)
 
 
