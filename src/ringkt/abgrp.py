@@ -716,6 +716,7 @@ def invariant_factors(orders):
     return tuple(reversed(chain))
 
 
+@dataclass(frozen=True, init=False)
 class GroupDescriptor:
     """Isomorphism class ``Z^free + sum Loc(S_i) + Q^q + sum Z/t_j``.
 
@@ -731,6 +732,10 @@ class GroupDescriptor:
     """
 
     __slots__ = ("free_rank", "q_rank", "loc", "torsion")
+    free_rank: int
+    q_rank: int
+    loc: tuple
+    torsion: tuple
 
     def __init__(self, free_rank=0, q_rank=0, loc=(), torsion=()):
         free_rank = _as_int(free_rank, "free rank")
@@ -751,9 +756,6 @@ class GroupDescriptor:
         object.__setattr__(self, "q_rank", q_rank)
         object.__setattr__(self, "loc", tuple(sorted(supports)))
         object.__setattr__(self, "torsion", invariant_factors(torsion))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupDescriptor is immutable")
 
     # -- constructors -------------------------------------------------------
 
@@ -803,21 +805,6 @@ class GroupDescriptor:
     def is_divisible(self):
         """True iff the group is divisible (a rational vector space here)."""
         return not (self.free_rank or self.loc or self.torsion)
-
-    def _key(self):
-        return (self.free_rank, self.q_rank, self.loc, self.torsion)
-
-    def __eq__(self, other):
-        return isinstance(other, GroupDescriptor) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"GroupDescriptor(free_rank={self.free_rank}, q_rank={self.q_rank}, "
-            f"loc={self.loc}, torsion={self.torsion})"
-        )
 
     def __str__(self):
         parts = []
@@ -990,9 +977,10 @@ class DirectedSystem:
         self._step_cache = {}
         self._analysis_cache = None
         if self._d_chain is not None:
-            for d in self._d_chain:
-                if d < 2:
-                    raise InputError("d_chain entries must be integers >= 2")
+            if not self._d_chain:
+                raise InputError("d_chain needs at least one entry")
+            if min(self._d_chain) < 2:
+                raise InputError("d_chain entries must be integers >= 2")
 
     # -- constructors -------------------------------------------------------
 
@@ -1012,7 +1000,7 @@ class DirectedSystem:
         polys = [_law_to_poly(law) for law in _as_list(diag_laws, "'law'")]
         if len(polys) != dim:
             raise InputError("need exactly one diagonal law per coordinate")
-        off = []
+        off = {}  # each cell's law
         for entry in _as_list(offdiag, "'offdiag'"):
             if not isinstance(entry, dict):
                 raise InputError("offdiag entries must be objects")
@@ -1020,20 +1008,22 @@ class DirectedSystem:
             c = _as_int(entry.get("col", -1), "offdiag col")
             if not (0 <= r < dim and 0 <= c < dim) or r == c:
                 raise InputError("offdiag entry needs distinct in-range row/col")
+            if (r, c) in off:
+                raise InputError(f"offdiag cell ({r}, {c}) is given twice")
             if "kind" in entry:
                 coeffs = _law_to_poly({k: v for k, v in entry.items() if k not in ("row", "col")})
             else:
                 _check_keys(entry, ("row", "col", "poly"), "an offdiag entry")
                 coeffs = tuple(_as_int(x, "poly coefficient")
                                for x in _as_list(entry.get("poly"), "offdiag 'poly'"))
-            off.append((r, c, coeffs))
+            off[r, c] = coeffs
 
         # The laws were checked above, so the family's rows are int rows in
         # range; only the zeros a law takes at ``d`` are dropped.  Each
         # distinct law is evaluated once per ``d``.
         at = {}  # each distinct law and its index in ``laws``
         diag = [at.setdefault(p, len(at)) for p in polys]
-        cells = [(r, c, at.setdefault(coeffs, len(at))) for r, c, coeffs in off]
+        cells = [(r, c, at.setdefault(coeffs, len(at))) for (r, c), coeffs in off.items()]
         laws = list(at)
 
         def family(d):
@@ -1047,7 +1037,7 @@ class DirectedSystem:
             return rows
 
         return cls(dim, "symbolic", family=family, d_chain=d_chain,
-                   diag_polys=polys, offdiag=tuple(off))
+                   diag_polys=polys, offdiag=tuple((r, c, p) for (r, c), p in off.items()))
 
     @classmethod
     def from_family(cls, dim, fn, d_chain=None):

@@ -761,6 +761,7 @@ def exterior_graded_ranks(r, parity):
     r = _as_int(r, "exterior_graded_ranks r")
     if r < 0:
         raise InputError("exterior_graded_ranks needs an integer r >= 0")
+    parity = _as_int(parity, "exterior_graded_ranks parity")
     if parity not in (0, 1):
         raise InputError("parity must be 0 or 1")
     return sum(math.comb(r, k) for k in range(parity, r + 1, 2))

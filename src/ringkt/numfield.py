@@ -45,6 +45,7 @@ import functools
 import itertools
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .abgrp import _as_int, _as_rational, _factor_multiplicity, _is_prime, determinant, solve_exact
@@ -104,16 +105,9 @@ def _int_mul(p, q):
 
 def _reduce_monic(a, f):
     """``a mod f`` over Z for a monic integer ``f`` of degree n, as n
-    coefficients; exact, as each step subtracts an integer multiple of f."""
-    n = len(f) - 1
-    low = [(i, c) for i, c in enumerate(f[:-1]) if c]
-    a = list(a) + [0] * (n - len(a))
-    for top in range(len(a) - 1, n - 1, -1):
-        c = a[top]
-        if c:
-            for i, y in low:
-                a[top - n + i] -= c * y
-    return a[:n]
+    coefficients: the pseudo-remainder, whose scale is 1 here, padded."""
+    r = _pseudo_remainder(a, f)
+    return r + [0] * (len(f) - 1 - len(r))
 
 
 def _power_mod(base, e, f):
@@ -147,9 +141,10 @@ def _homogeneous_value(p, a, b):
 def _pseudo_remainder(a, b):
     """``|lc b|^(deg a - deg b + 1) a mod b`` for integer polynomials, trimmed
     (``a`` itself when ``deg a < deg b``): each step scales the running value
-    by ``|lc b|`` and cancels its top term with an integer multiple of ``b``."""
+    by ``|lc b|`` and cancels its top term with an integer multiple of ``b``,
+    read on its nonzero coefficients only (a cyclotomic ``b`` has few)."""
     lc, db = b[-1], len(b) - 1
-    scale, low = abs(lc), (b[:-1] if lc > 0 else [-c for c in b[:-1]])
+    scale, low = abs(lc), [(i, c if lc > 0 else -c) for i, c in enumerate(b[:-1]) if c]
     a = list(a)
     while len(a) > db:
         top = a.pop()
@@ -157,8 +152,8 @@ def _pseudo_remainder(a, b):
         if scale != 1:
             a = [scale * c for c in a]
         if top:
-            for i, y in enumerate(low, shift):
-                a[i] -= top * y
+            for i, y in low:
+                a[shift + i] -= top * y
     return poly_trim(a)
 
 
@@ -418,15 +413,19 @@ def poly_discriminant(coeffs):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class FieldElement:
     """An element of ``Q[x]/(f)`` on the power basis, with exact arithmetic.
 
     Products and powers run in ``Z[x]/(f)`` on the integer numerators over
     one positive denominator (``_numerators``), reduced by the monic integer
-    ``f``; the ``Fraction`` coordinates are built once per result.
+    ``f``.  Two elements are equal when they lie in the same field object
+    and have the same coordinates.
     """
 
     __slots__ = ("field", "coeffs")
+    field: NumberField
+    coeffs: tuple
 
     def __init__(self, field, coeffs):
         coeffs = [Fraction(c) for c in _rationals(coeffs, "element coordinate")]
@@ -437,33 +436,12 @@ class FieldElement:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(coeffs[: field.degree]))
 
-    @classmethod
-    def _from_numerators(cls, field, nums, den):
-        """The element with coordinates ``nums[i] / den``, ``nums`` reduced."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(Fraction(c, den) for c in nums))
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
-
     @property
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
 
     def __bool__(self):
         return not self.is_zero
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.field is other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.coeffs))
 
     def _rational(self, other):
         """``other`` as a ``Fraction``, or None for an element of this field."""
@@ -498,11 +476,10 @@ class FieldElement:
         c = self._rational(other)
         a, da = _numerators(self.coeffs)
         if c is not None:
-            return FieldElement._from_numerators(self.field, [x * c.numerator for x in a],
-                                                 da * c.denominator)
+            return FieldElement(self.field, [Fraction(x * c.numerator, da * c.denominator)
+                                             for x in a])
         b, db = _numerators(other.coeffs)
-        prod = _reduce_monic(_int_mul(a, b), self.field.coeffs)
-        return FieldElement._from_numerators(self.field, prod, da * db)
+        return FieldElement(self.field, [Fraction(x, da * db) for x in _int_mul(a, b)])
 
     __rmul__ = __mul__
 
@@ -514,8 +491,8 @@ class FieldElement:
         if e < 0:
             return self.inverse() ** (-e)
         base, den = _numerators(self.coeffs)
-        return FieldElement._from_numerators(self.field, _power_mod(base, e, self.field.coeffs),
-                                             den ** e)
+        den **= e
+        return FieldElement(self.field, [Fraction(c, den) for c in _power_mod(base, e, self.field.coeffs)])
 
     def inverse(self):
         """The ``x`` with ``M x = e_0`` for the multiplication matrix ``M``."""
@@ -564,9 +541,7 @@ def _multiplication_rows(elem):
     row, den = _numerators(elem.coeffs)
     rows = [row]
     for _ in range(elem.field.degree - 1):
-        top, row = row[-1], [0] + row[:-1]
-        row = [a - top * c for a, c in zip(row, elem.field.coeffs)]
-        rows.append(row)
+        rows.append(_reduce_monic([0] + rows[-1], elem.field.coeffs))
     return rows, den
 
 

@@ -294,11 +294,19 @@ def test_descriptor_integer_rule():
 
 def test_descriptors_are_immutable():
     g = GroupDescriptor(free_rank=1, torsion=(2,))
-    with pytest.raises(AttributeError, match="immutable"):
+    with pytest.raises(AttributeError, match="cannot assign to field"):
         g.free_rank = 2
-    with pytest.raises(AttributeError, match="immutable"):
+    with pytest.raises(AttributeError, match="cannot assign to field"):
         g.tag = "new"
     assert g == GroupDescriptor(free_rank=1, torsion=(2,))
+
+
+def test_descriptor_fields_cannot_be_deleted():
+    # del once emptied the slot, and every later read of it raised
+    g = GroupDescriptor(free_rank=1)
+    with pytest.raises(AttributeError, match="cannot delete field"):
+        del g.free_rank
+    assert g.free_rank == 1
 
 
 def test_invariant_factors_integer_rule():
@@ -357,6 +365,31 @@ def test_system_validation():
         DirectedSystem.from_json({"mode": "weird"})
     with pytest.raises(InputError):
         DirectedSystem.symbolic(1, [{"kind": "identity"}], d_chain=[1])
+
+
+def test_an_empty_d_chain_is_refused():
+    # [] once passed the entry checks and ended in an IndexError in colimit
+    with pytest.raises(InputError, match="d_chain needs at least one entry"):
+        DirectedSystem.symbolic(1, [{"kind": "identity"}], d_chain=[])
+    with pytest.raises(InputError, match="d_chain needs at least one entry"):
+        DirectedSystem.from_family(1, lambda d: [[1]], d_chain=[])
+    one = DirectedSystem.symbolic(1, [{"kind": "identity"}], d_chain=[2])
+    assert colimit(one).invariants == GroupDescriptor.free(1)
+
+
+@pytest.mark.parametrize("first, second", [([1], [0]), ([0], [1])])
+def test_an_offdiag_cell_given_twice_is_refused(first, second):
+    # The last entry for a cell once won, so the order decided the answer:
+    # Z + Loc{2} one way, the split-safety refusal the other.
+    laws = [{"kind": "poly", "coeffs": [2]}, {"kind": "identity"}]
+    twice = [{"row": 1, "col": 0, "poly": first}, {"row": 1, "col": 0, "poly": second}]
+    with pytest.raises(InputError, match=r"offdiag cell \(1, 0\) is given twice"):
+        DirectedSystem.symbolic(2, laws, twice)
+    with pytest.raises(InputError, match=r"offdiag cell \(1, 0\) is given twice"):
+        DirectedSystem.symbolic(2, laws, [twice[0], {"row": 1, "col": 0, "kind": "mult_d"}])
+    once = DirectedSystem.symbolic(2, laws, twice[:1] + [{"row": 0, "col": 1, "poly": [0]}])
+    assert once.to_json()["offdiag"] == [{"row": 1, "col": 0, "poly": first},
+                                         {"row": 0, "col": 1, "poly": [0]}]
 
 
 def test_scaling_law_integer_rule():

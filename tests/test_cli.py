@@ -204,6 +204,25 @@ def test_non_integral_json_values_exit_2(runner, tmp_path):
         assert "not a rational number" in res.output
 
 
+def test_colim_refuses_an_empty_d_chain_and_a_repeated_cell(runner, tmp_path):
+    # The empty d_chain once exited 1 with an IndexError traceback; a cell
+    # given twice once took its last entry.
+    system = tmp_path / "system.json"
+    law = [{"kind": "poly", "coeffs": [2]}, {"kind": "identity"}]
+    cases = {
+        "d_chain needs at least one entry":
+            {"mode": "symbolic", "dim": 1, "law": [{"kind": "identity"}], "d_chain": []},
+        "offdiag cell (1, 0) is given twice":
+            {"mode": "symbolic", "dim": 2, "law": law,
+             "offdiag": [{"row": 1, "col": 0, "poly": [1]}, {"row": 1, "col": 0, "poly": [0]}]},
+    }
+    for message, doc in cases.items():
+        system.write_text(json.dumps(doc))
+        res = invoke(runner, "colim", "--system", str(system))
+        assert res.exit_code == 2
+        assert res.output == f"error: {message}\n"
+
+
 def test_kgroups_classification_verbs(runner):
     res = invoke(runner, "kgroups", "--algebra", "B", "--field", "x - 1",
                  "--gamma", "2;3;5", "--truncate", "2")

@@ -265,6 +265,8 @@ _INTEGER_GUARDS = {
     "involution_action": (lambda k: involution_action(k), 2),
     "k_of_A_truncated_Q": (lambda k: k_of_A_truncated_Q(k), 2),
     "exterior_graded_ranks": (lambda k: exterior_graded_ranks(k, 0), 4),
+    # True once read as 1 and 1.0 raised a bare TypeError
+    "exterior_graded_ranks-parity": (lambda k: exterior_graded_ranks(3, k), 1),
     "residue_system": (lambda k: parse_field("x^2 + 1").residue_system(k), 3),
     "kappa_inf-n": (lambda k: kappa_inf(k, 2), 2),
     "kappa_inf-d": (lambda k: kappa_inf(2, k), 3),

@@ -111,10 +111,18 @@ def test_equal_elements_hash_alike_and_print_their_coordinates():
 
 def test_field_elements_are_immutable():
     a = parse_field("x^2 - 2").element([1, 1])
-    with pytest.raises(AttributeError, match="immutable"):
+    with pytest.raises(AttributeError, match="cannot assign to field"):
         a.coeffs = (0, 0)
-    with pytest.raises(AttributeError, match="immutable"):
+    with pytest.raises(AttributeError, match="cannot assign to field"):
         a.tag = "new"
+    assert a.coeffs == (1, 1)
+
+
+def test_field_element_coordinates_cannot_be_deleted():
+    # del once emptied the slot, and every later read of it raised
+    a = parse_field("x^2 - 2").element([1, 1])
+    with pytest.raises(AttributeError, match="cannot delete field"):
+        del a.coeffs
     assert a.coeffs == (1, 1)
 
 
