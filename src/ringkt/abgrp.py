@@ -757,6 +757,9 @@ class GroupDescriptor:
         object.__setattr__(self, "loc", tuple(sorted(supports)))
         object.__setattr__(self, "torsion", invariant_factors(torsion))
 
+    def __reduce__(self):  # copies and pickles rebuild through __init__, not setattr
+        return type(self), (self.free_rank, self.q_rank, self.loc, self.torsion)
+
     # -- constructors -------------------------------------------------------
 
     @classmethod

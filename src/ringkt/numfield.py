@@ -436,6 +436,12 @@ class FieldElement:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(coeffs[: field.degree]))
 
+    def __copy__(self):  # immutable; a deep copy would reach the field's sieve
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     @property
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
@@ -814,12 +820,13 @@ class _ResidueSieve:
     reads the first ``PRIME_COUNT`` primes of the table not dividing ``m``
     (2 never counts), and fewer for a likely true order: after
     ``WITNESS_WAIT * n`` primes without a witness it stops at the first
-    prime where f stays irreducible and ``m | p^n - 1``.  A candidate without
-    a witness runs the exact lift (``_lift_primitive_root``) at the
-    admissible prime read (``m | p^f - 1`` for every ``f``) that the prime
-    rule picks, with one combination at the stop prime.  A "yes" is checked
-    in K; a "no" needs a witness among the first ``PRIME_COUNT +
-    CROSS_CHECK_PRIMES`` primes not dividing ``m`` (``confirm_refuted``).
+    admissible prime (``m | p^f - 1`` for every ``f``) with at most two
+    residue factors.  A candidate without a witness runs the exact lift
+    (``_lift_primitive_root``) at the admissible prime read that the prime
+    rule picks, with at most ``phi(m)`` combinations at the stop prime.  A
+    "yes" is checked in K; a "no" needs a witness among the first
+    ``PRIME_COUNT + CROSS_CHECK_PRIMES`` primes not dividing ``m``
+    (``confirm_refuted``).
     The first exact hit is the answer, its first row read re-derived the
     same way; with every candidate refuted the answer is 2.
 
@@ -859,8 +866,9 @@ class _ResidueSieve:
     STALL_PRIMES = 8
     # The true order's stop: after WITNESS_WAIT * n primes without a witness,
     # the expected wait at the witness density 1/(2n) that ``confirm_refuted``
-    # rests on, the first admissible prime with one residue factor ends the
-    # sieve for that order.
+    # rests on, the first admissible prime with at most two residue factors
+    # ends the sieve for that order.  The lift there reads back at most phi(m)
+    # sums; two factors is the bound the stall stop uses too.
     WITNESS_WAIT = 2
 
     def __init__(self, coeffs, disc):
@@ -1045,8 +1053,7 @@ class _ResidueSieve:
     def _contains_primitive_root(self, m):
         """The exact test: does the field contain a primitive m-th root of
         unity?  A "no" is backed by a witness (``confirm_refuted``)."""
-        admissible = [p for p in self._primes_for(m)
-                      if all(pow(p, f, m) == 1 for f in self.table[p])]
+        admissible = [p for p in self._primes_for(m) if self._admissible(m, p)]
         if admissible and self._lift_primitive_root(
                 m, self._fewest_factors(admissible)) is not None:
             return True
@@ -1059,13 +1066,14 @@ class _ResidueSieve:
         primitive m-th roots.  A root ``zeta`` of K gives one in each, and so
         does ``zeta^j`` for ``j`` a unit mod m, so the first field's root is
         fixed.  Each field's root is Newton-lifted once as ``z_i``, 1 in the
-        other fields, and ``1 + sum (z_i^j_i - 1)`` is read back for each of
-        the ``phi(m)^(r-1)`` combinations.  ``alpha`` is accepted only if
-        ``alpha^m = 1`` and ``alpha^(m/q) != 1`` for the primes ``q | m``, on
-        its reduced integer numerators."""
+        other fields: the first field's is read as ``z_0`` alone, and each
+        other field's powers ``z_i^j`` come from one walk of ``m - 2``
+        successive products mod ``(f, p^k)``.  ``1 + sum (z_i^j_i - 1)`` is
+        read back for each of the ``phi(m)^(r-1)`` combinations.  ``alpha`` is
+        accepted only if ``alpha^m = 1`` and ``alpha^(m/q) != 1`` for the
+        primes ``q | m``, on its reduced integer numerators."""
         fz, n = list(self.coeffs), len(self.coeffs) - 1
         primes_m = list(_factor_multiplicity(m))
-        units = [j for j in range(1, m) if math.gcd(j, m) == 1]
         big, f, local = self._local_factors(p)
         if any((p ** k - 1) % m for k, _, _ in local):
             return None  # a residue field without m-th roots: a witness, not a lift
@@ -1077,8 +1085,12 @@ class _ResidueSieve:
                      and all(_polymod_pow(y, m // q, g, p) != [1] for q in primes_m))
             start = _poly_sub_mod([1], _polymod_mul(e, _poly_sub_mod([1], y, p), f, p), p)
             z = _lift_unit_root(start, m, fz, p, big)
-            shifts.append([_poly_sub_mod(_polymod_pow(z, j, fz, big), [1], big) for j in units])
-        for combo in itertools.product(shifts[0][:1], *shifts[1:]):
+            # z, z^2, ..., z^(m-1) by successive products; z alone in the first field
+            powers = itertools.accumulate(itertools.repeat(z, m - 1 if shifts else 1),
+                                          lambda a, b: _polymod_mul(a, b, fz, big))
+            shifts.append([_poly_sub_mod(zj, [1], big)
+                           for j, zj in enumerate(powers, 1) if math.gcd(j, m) == 1])
+        for combo in itertools.product(*shifts):
             found = self._read_back([[1], *combo], big)
             if found is None:
                 continue  # not integral traces within the bounds: no root of unity
@@ -1093,14 +1105,20 @@ class _ResidueSieve:
         return None
 
     def _primes_for(self, m):
-        """The primes the sieve tests for order ``m``, in ascending order, to
-        the true order's stop (class docstring)."""
+        """The primes the sieve tests for order ``m``, in ascending order: the
+        first ``PRIME_COUNT`` not dividing ``m``, or fewer at the true order's
+        stop, the first admissible prime with at most two residue factors
+        past ``WITNESS_WAIT * n`` of them (class docstring)."""
         n = len(self.coeffs) - 1
         primes = itertools.islice((p for p in self._unramified() if m % p), self.PRIME_COUNT)
         for i, p in enumerate(primes):
             yield p
-            if i >= self.WITNESS_WAIT * n and len(self.table[p]) == 1 and pow(p, n, m) == 1:
+            if i >= self.WITNESS_WAIT * n and len(self.table[p]) <= 2 and self._admissible(m, p):
                 return
+
+    def _admissible(self, m, p):
+        """``m | p^f - 1`` for every residue degree ``f`` at ``p``."""
+        return all(pow(p, f, m) == 1 for f in self.table[p])
 
     def _witness_among(self, m, primes):
         return next(((p, f) for p in primes for f in self.table[p] if pow(p, f, m) != 1), None)

@@ -1,7 +1,9 @@
 """Tests for exact linear algebra, group descriptors and the colimit engine."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -299,6 +301,14 @@ def test_descriptors_are_immutable():
     with pytest.raises(AttributeError, match="cannot assign to field"):
         g.tag = "new"
     assert g == GroupDescriptor(free_rank=1, torsion=(2,))
+
+
+def test_descriptors_survive_copies_and_pickles():
+    # each of these raised FrozenInstanceError when it reached the frozen setattr
+    g = GroupDescriptor(free_rank=1, q_rank=2, loc=[(3, 2), (5,)], torsion=(4, 2, 3))
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and hash(twin) == hash(g) and str(twin) == str(g)
+    assert copy.deepcopy([g, g]) == [g, g]
 
 
 def test_descriptor_fields_cannot_be_deleted():

@@ -1,6 +1,7 @@
 """Tests for number field invariants (signatures, roots of unity, residues,
 sign vectors, fundamental units)."""
 
+import copy
 import math
 import re
 from fractions import Fraction
@@ -116,6 +117,16 @@ def test_field_elements_are_immutable():
     with pytest.raises(AttributeError, match="cannot assign to field"):
         a.tag = "new"
     assert a.coeffs == (1, 1)
+
+
+def test_field_elements_copy_as_themselves():
+    # copy.copy reached the frozen setattr, and deepcopy the field's sieve,
+    # whose generators cannot be copied
+    k = parse_field("x^2 - 2")
+    a = k.element([Fraction(1, 2), 1])
+    assert copy.copy(a) is a and copy.deepcopy(a) is a
+    twin = copy.deepcopy([a, k.element([3])])
+    assert twin == [a, k.element([3])] and twin[0].field is k
 
 
 def test_field_element_coordinates_cannot_be_deleted():

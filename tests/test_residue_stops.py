@@ -3,7 +3,8 @@
 Musser's certificate stops once the possible factor degrees stall while an
 odd prime read has at most two residue factors (``STALL_PRIMES``), and the
 sieve for a likely true order stops, after ``WITNESS_WAIT * n`` primes, at the
-first admissible prime with one residue factor.  The same sieve with both
+first admissible prime with at most two residue factors, where the exact lift
+reads back at most phi(m) sums.  The same sieve with both
 stops switched off reads every row it read before them, and is the oracle:
 every answer must be the same.  The census rows keep the fields whose
 certificate path the stops change inside a deadline.
@@ -99,6 +100,79 @@ def test_phi7_true_order_from_one_exact_test_after_2n_primes(monkeypatch):
     stop = next(i for i, p in enumerate(unramified) if i >= 2 * n and p % 7 in (3, 5))
     assert list(k._sieve._primes_for(14)) == unramified[:stop + 1]
     assert max(k._sieve.table) == unramified[stop]  # no row past the stop was built
+
+
+@pytest.mark.parametrize("poly,w,lift_prime", [("x^4 + 1", 8, 3), ("x^4 - x^2 + 1", 12, 5),
+                                                ("x^8 + 1", 16, 3)])
+def test_true_order_without_an_inert_prime_stops_after_2n_primes(poly, w, lift_prime, monkeypatch):
+    # No unramified prime is inert in these fields, but every one not dividing
+    # w has at most two residue factors and is admissible (w | p^f - 1 for
+    # every residue degree f).  So the sieve for w reads the first 2n primes
+    # and the next one, not 50, and builds no row past them.  The one exact
+    # test is on the answer, at the smallest prime with the fewest factors.
+    calls, lifts = [], []
+    contains, lift = _ResidueSieve._contains_primitive_root, _ResidueSieve._lift_primitive_root
+    monkeypatch.setattr(_ResidueSieve, "_contains_primitive_root",
+                        lambda self, m: calls.append(m) or contains(self, m))
+    monkeypatch.setattr(_ResidueSieve, "_lift_primitive_root",
+                        lambda self, m, p: lifts.append(p) or lift(self, m, p))
+    k = parse_field(poly)
+    assert k.roots_of_unity_order == w
+    assert calls == [w] and lifts == [lift_prime]
+    n = k.degree
+    unramified = [p for p in sympy.primerange(3, 1000) if k.disc % p]
+    assert list(k._sieve._primes_for(w)) == unramified[:2 * n + 1]
+    assert sorted(k._sieve.table) == unramified[:2 * n + 1]
+
+
+def test_the_true_order_stop_waits_for_at_most_two_residue_factors(monkeypatch):
+    # x^6 + 3 (w = 6) has no inert prime either.  Past the first 2n = 12
+    # primes, 47 splits it into three residue factors and 79 is the first with
+    # two, so the sieve for 6 stops at 79, not 47, and not at the 50th prime.
+    lifts = []
+    lift = _ResidueSieve._lift_primitive_root
+    monkeypatch.setattr(_ResidueSieve, "_lift_primitive_root",
+                        lambda self, m, p: lifts.append(p) or lift(self, m, p))
+    k = parse_field("x^6 + 3")
+    assert k.roots_of_unity_order == 6 and lifts == [7]
+    read = list(k._sieve._primes_for(6))
+    assert read[12] == 47 and k._sieve.table[47] == [2, 2, 2]
+    assert read[-1] == 79 and k._sieve.table[79] == [3, 3]
+    assert all(len(k._sieve.table[p]) > 2 for p in read[12:-1])
+    assert max(k._sieve.table) == 79
+
+
+@pytest.mark.parametrize("poly,w,factors", [("x^6 + x^5 + x^4 + x^3 + x^2 + x + 1", 14, 1),
+                                            ("x^4 + 1", 8, 2)])
+def test_the_lift_forms_only_the_powers_it_reads(poly, w, factors, monkeypatch):
+    # The first residue field's root is fixed, so its lifted z is read as z
+    # alone; each other field walks z^2, ..., z^(w-1) by successive products
+    # mod (f, p^k), w - 2 of them, after its own lift.  Phi_7 lifts at 3, one
+    # residue factor: no product mod p^k but Newton's.  x^4 + 1 lifts at 3,
+    # two factors: six products follow the second lift, and none the first.
+    events, newton = [], []
+    lift_root, mul = numfield._lift_unit_root, numfield._polymod_mul
+
+    def lifted(*args):
+        newton.append(1)
+        z = lift_root(*args)
+        newton.pop()
+        events.append("lift")
+        return z
+
+    def product(a, b, f, p):
+        if not newton:
+            events.append(p)
+        return mul(a, b, f, p)
+
+    monkeypatch.setattr(numfield, "_lift_unit_root", lifted)
+    monkeypatch.setattr(numfield, "_polymod_mul", product)
+    k = parse_field(poly)
+    big = k._sieve._local_factors(3)[0]
+    events.clear()
+    assert k.roots_of_unity_order == w
+    walk = [big] * (w - 2) if factors > 1 else []
+    assert [e for e in events if e in ("lift", big)] == ["lift"] * factors + walk
 
 
 @pytest.mark.parametrize("poly,w", [("x^4 + 1", 8), ("x^8 + 1", 16), ("x^12 - x^6 + 1", 36)])

@@ -175,7 +175,10 @@ def test_roots_of_unity_golden_x8_plus_1():
     assert parse_field("x^8 + 1").roots_of_unity_order == 16
 
 
-def test_sieve_tests_the_first_fifty_unramified_primes_not_dividing_m():
+def test_sieve_tests_the_first_fifty_unramified_primes_not_dividing_m(monkeypatch):
+    # With the true order's stop switched off; with it, the sieve for 8 stops
+    # after 2n primes (test_residue_stops.py).
+    monkeypatch.setattr(_ResidueSieve, "WITNESS_WAIT", _ResidueSieve.PRIME_COUNT)
     k = parse_field("x^4 + 1")
     sieve = _ResidueSieve(k.coeffs, k.disc)
     for m in (12, 10, 8):
