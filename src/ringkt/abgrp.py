@@ -952,32 +952,36 @@ class DirectedSystem:
       along the canonical chain ``d = 2, 3, 4, ...`` (divisibility-cofinal,
       so classifications are exact).  An explicit finite ``d_chain`` may be
       supplied instead; the system is then treated like an explicit chain.
+      Its ``laws`` are ``(diagonal polys, offdiag cells)``, each cell
+      ``(row, col, poly)``; ``to_json`` writes them back.
     * ``DirectedSystem.from_family(dim, fn)``: an arbitrary callable
-      ``d -> matrix`` on the canonical chain (or an explicit ``d_chain``).
+      ``d -> matrix`` on the canonical chain (or an explicit ``d_chain``);
+      it has no ``laws`` and so no JSON form.
 
-    Steps, given or returned by a family, are dense square matrices or
-    sparse rows (``{column: value}`` dicts); either is checked where it
-    enters, once, and kept as sparse int rows without zeros: ``explicit``
-    checks its matrices, ``from_family`` every step its callable returns,
-    and ``symbolic`` checks its laws, so its own family needs no check.
+    Steps live in one store, ``_step_cache``, keyed by their 1-based index:
+    an explicit chain fills it when built and has no family; a family fills
+    it on first read of each step.  ``mode`` (``"explicit"`` or
+    ``"symbolic"``) says which, and no method reads it.  Steps, given or
+    returned by a family, are dense square matrices or sparse rows
+    (``{column: value}`` dicts); either is checked where it enters, once,
+    and kept as sparse int rows without zeros: ``explicit`` checks its
+    matrices, ``from_family`` every step its callable returns, and
+    ``symbolic`` checks its laws, so its own family needs no check.
     ``matrix``, ``matrix_at`` and ``to_json`` copy them dense.
     """
 
-    def __init__(self, dim, mode, steps=None, family=None, d_chain=None,
-                 diag_polys=None, offdiag=None):
+    def __init__(self, dim, *, family=None, d_chain=None, steps=None, laws=None):
         dim = _as_int(dim, "system dimension")
         if dim < 1:
             raise InputError("system dimension must be at least 1")
         self.dim = dim
-        self.mode = mode
-        self._steps = steps
+        self.mode = "symbolic" if steps is None else "explicit"
+        self.laws = laws
         self._family = family
         self._d_chain = (tuple(_as_int(d, "d_chain entry")
                                for d in _as_list(d_chain, "d_chain"))
                          if d_chain is not None else None)
-        self._diag_polys = diag_polys
-        self._offdiag = offdiag
-        self._step_cache = {}
+        self._step_cache = {} if steps is None else dict(enumerate(steps, 1))
         self._analysis_cache = None
         if self._d_chain is not None:
             if not self._d_chain:
@@ -995,7 +999,7 @@ class DirectedSystem:
         dim = len(matrices[0]) if isinstance(matrices[0], (list, tuple)) else 0
         steps = [_as_int_rows(m, dim, "all matrices must be square of equal size")
                  for m in matrices]
-        return cls(dim, "explicit", steps=steps)
+        return cls(dim, steps=steps)
 
     @classmethod
     def symbolic(cls, dim, diag_laws, offdiag=(), d_chain=None):
@@ -1039,13 +1043,13 @@ class DirectedSystem:
                         for row in rows]
             return rows
 
-        return cls(dim, "symbolic", family=family, d_chain=d_chain,
-                   diag_polys=polys, offdiag=tuple((r, c, p) for (r, c), p in off.items()))
+        return cls(dim, family=family, d_chain=d_chain,
+                   laws=(tuple(polys), tuple((r, c, p) for (r, c), p in off.items())))
 
     @classmethod
     def from_family(cls, dim, fn, d_chain=None):
         dim = _as_int(dim, "system dimension")
-        return cls(dim, "symbolic", d_chain=d_chain, family=lambda d: _as_int_rows(
+        return cls(dim, d_chain=d_chain, family=lambda d: _as_int_rows(
             fn(d), dim, "family returned a matrix of the wrong size"))
 
     # -- serialization ------------------------------------------------------
@@ -1072,19 +1076,15 @@ class DirectedSystem:
         raise InputError(f"unknown system mode {mode!r}")
 
     def to_json(self):
-        if self.mode == "explicit":
+        if self._family is None:
             return {"mode": "explicit",
-                    "matrices": [_dense_rows(rows, self.dim) for rows in self._steps]}
-        if self._diag_polys is None:
+                    "matrices": [_dense_rows(m, self.dim) for m in self._step_cache.values()]}
+        if self.laws is None:
             raise InputError("a family-backed system has no JSON form")
-        out = {
-            "mode": "symbolic",
-            "dim": self.dim,
-            "law": [{"kind": "poly", "coeffs": list(p)} for p in self._diag_polys],
-            "offdiag": [
-                {"row": r, "col": c, "poly": list(p)} for r, c, p in self._offdiag
-            ],
-        }
+        polys, cells = self.laws
+        out = {"mode": "symbolic", "dim": self.dim,
+               "law": [{"kind": "poly", "coeffs": list(p)} for p in polys],
+               "offdiag": [{"row": r, "col": c, "poly": list(p)} for r, c, p in cells]}
         if self._d_chain is not None:
             out["d_chain"] = list(self._d_chain)
         return out
@@ -1094,15 +1094,15 @@ class DirectedSystem:
     @property
     def finite_length(self):
         """Number of maps if the chain is finite, else None."""
-        if self.mode == "explicit":
-            return len(self._steps)
+        if self._family is None:
+            return len(self._step_cache)
         if self._d_chain is not None:
             return len(self._d_chain)
         return None
 
     def d_value(self, t):
         """Step parameter of the t-th map (1-based); canonical chain is t+1."""
-        if self.mode != "symbolic":
+        if self._family is None:
             raise InputError("explicit systems have no step parameter")
         if self._d_chain is not None:
             if not 1 <= t <= len(self._d_chain):
@@ -1122,18 +1122,16 @@ class DirectedSystem:
         """The t-th structure map as checked sparse rows, kept after the first call."""
         if t < 1:
             raise InputError("step indices are 1-based")
-        if self.mode == "explicit":
-            if t > len(self._steps):
-                raise InputError(f"step {t} outside the explicit chain")
-            return self._steps[t - 1]
         if t not in self._step_cache:
-            self._step_cache[t] = self._step_at(self.d_value(t))
+            if self._family is None:
+                raise InputError(f"step {t} outside the explicit chain")
+            self._step_cache[t] = self._family(self.d_value(t))
         return self._step_cache[t]
 
     def _step_at(self, d):
         """The family at parameter ``d``: sparse int rows without zeros, checked
         where they entered (``from_family`` checks each one it returns)."""
-        if self.mode != "symbolic":
+        if self._family is None:
             raise InputError("explicit systems cannot be evaluated at a parameter")
         return self._family(d)
 
@@ -1153,13 +1151,13 @@ class ColimitReport:
     equal in the colimit (a spanning set of the level-1 identifications).
     ``rank``, ``stabilization_level`` and the window check behind them are
     read in one pass of spanning sets of the composites' images
-    (``_image_pass``), which multiplies out no composite.  ``relations`` are
-    built on first read by the zero-argument ``relations_source``: ``()`` at
-    full rank, else the kernel of the last composite (``_report``).
+    (``_image_pass``), which multiplies out no composite.  ``maps`` are the
+    sparse maps that pass read; ``relations`` are built from them on first
+    read: ``()`` at full rank, else the kernel of their composite.
     """
 
     invariants: GroupDescriptor
-    relations_source: object = field(repr=False, compare=False)
+    maps: list = field(repr=False, compare=False)
     truncated: bool
     rank: int
     stabilization_level: int
@@ -1167,7 +1165,10 @@ class ColimitReport:
 
     @cached_property
     def relations(self):
-        return self.relations_source()
+        dim = len(self.maps[0])
+        if self.rank == dim:
+            return ()
+        return _relation_pairs(_kernel_basis(_dense_rows(_composite(self.maps), dim)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -1211,12 +1212,6 @@ def _composite(maps):
     for m in maps[1:]:
         w = _sparse_mul(m, w)
     return w
-
-
-def _kernel_relations(maps, dim):
-    """A zero-argument source of the relations below full rank: the kernel
-    of the composite of ``maps``, multiplied out only when called."""
-    return lambda: _relation_pairs(_kernel_basis(_dense_rows(_composite(maps), dim)))
 
 
 def _columns(m, dim, coords=None):
@@ -1291,30 +1286,15 @@ def _image_pass(maps, h=None, coords=None):
     return sets, r, stab, None if h is None else len(pivots)
 
 
-def _report(invariants, maps, r, stab, truncated, note):
-    """The ``ColimitReport`` of sparse ``maps`` with composite rank ``r``.
-    At full rank the composite's kernel is zero, so the relations are ``()``
-    and no product is formed."""
-    dim = len(maps[0])
-    return ColimitReport(
-        invariants=invariants,
-        relations_source=(lambda: ()) if r == dim else _kernel_relations(maps, dim),
-        truncated=truncated,
-        rank=r,
-        stabilization_level=stab,
-        notes=(note,),
-    )
-
-
 def _colimit_finite(maps):
-    dim = len(maps[0])
     if all(map(_is_unimodular, maps)):
-        return _report(GroupDescriptor.free(dim), maps, dim, 1, False,
-                       "all steps unimodular; the chain is a chain of isomorphisms")
+        dim = len(maps[0])
+        return ColimitReport(GroupDescriptor.free(dim), maps, False, dim, 1, (
+            "all steps unimodular; the chain is a chain of isomorphisms",))
     _, r, stab, _ = _image_pass(maps)
-    return _report(GroupDescriptor.free(r), maps, r, stab, True,
-                   "finite horizon: free rank observed along the materialized chain; "
-                   "divisibility beyond the horizon is not certified")
+    return ColimitReport(GroupDescriptor.free(r), maps, True, r, stab, (
+        "finite horizon: free rank observed along the materialized chain; "
+        "divisibility beyond the horizon is not certified",))
 
 
 def _fit_monomial(samples):
@@ -1606,8 +1586,8 @@ def _colimit_symbolic(system):
         flag = _eigen_flag(maps, ds, w, r)
     else:
         flag = [(tuple(zip(ds, lams)), sorted(reach[p])) for p, lams in enumerate(samples)]
-    return _report(_flag_sum(flag, r), maps[:cap], r, stab, False,
-                   "classified along the canonical divisibility-cofinal chain d = 2, 3, 4, ...")
+    return ColimitReport(_flag_sum(flag, r), maps[:cap], False, r, stab, (
+        "classified along the canonical divisibility-cofinal chain d = 2, 3, 4, ...",))
 
 
 def colimit(system):

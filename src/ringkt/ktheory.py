@@ -375,8 +375,7 @@ def k_of_A0(n, engine_check=None):
         engine_check = n <= 6
     if engine_check:
         # ``KappaMatrix.rows`` are zero-free int rows in range: no check needed.
-        system = DirectedSystem(kappa(n, 2).size, "symbolic",
-                                family=lambda d: kappa(n, d).rows())
+        system = DirectedSystem(kappa(n, 2).size, family=lambda d: kappa(n, d).rows())
         got = colimit(system).invariants
         if got != k0:
             raise CrossCheckError(

@@ -347,41 +347,39 @@ def signature(coeffs):
 # parsing
 # ---------------------------------------------------------------------------
 
-_TERM_RE = re.compile(
-    r"^(?P<sign>[+-])?(?P<num>\d+)?(?P<var>x(?:\^(?P<exp>\d+))?)?$"
-)
+# One term of ``parse_polynomial``'s grammar, read from position ``pos``.
+_TERM_RE = re.compile(r" *(?P<sign>[+-])? *(?P<num>\d+)?"
+                      r"(?P<var>(?(num) *(?:\* *)?)x(?: *(?:\^|\*\*) *(?P<exp>\d+))?)? *")
 
 
 def parse_polynomial(text):
     """Parse ``"x^3 - 2x + 5"`` style input into ascending integer coefficients.
 
-    Accepted terms: integer constants, ``x``, ``k x^e`` with integer ``k``;
-    ``**`` may be used instead of ``^``.
+    A term is an optional sign, then an integer, ``x``, or an integer and
+    ``x`` with spaces and at most one ``*`` between them; ``x`` may carry an
+    exponent, ``^e`` or ``**e``.  Every term after the first needs its sign,
+    and spaces may surround signs and ``^``.  Nothing else is read: ``x^2 2``
+    and ``2*3x`` are refused, not joined into ``x^22`` and ``23x``.
 
     >>> parse_polynomial("x^2 - 2")
     [-2, 0, 1]
     """
     if not isinstance(text, str) or not text.strip():
         raise InputError("empty polynomial")
-    s = text.replace("**", "^").replace(" ", "").replace("*", "")
-    s = s.replace("-", "+-")
-    if s.startswith("+"):
-        s = s[1:]
     coeffs = {}
-    for term in s.split("+"):
-        if not term:
-            raise InputError(f"malformed polynomial {text!r}")
-        m = _TERM_RE.match(term)
-        if not m or (m.group("num") is None and m.group("var") is None):
-            raise InputError(f"malformed term {term!r} in polynomial {text!r}")
+    pos = 0
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
+        num, sign = m.group("num"), m.group("sign")
+        if (num is None and m.group("var") is None) or (pos and sign is None):
+            raise InputError(f"malformed term {text[pos:].strip()!r} in polynomial {text!r}")
         try:
-            coeff = int(m.group("num")) if m.group("num") is not None else 1
+            coeff = int(num) if num is not None else 1
             exp = int(m.group("exp") or 1) if m.group("var") else 0
         except ValueError as exc:  # an integer past Python's digit cap
             raise InputError(f"a term of the polynomial cannot be read: {exc}") from exc
-        if m.group("sign") == "-":
-            coeff = -coeff
-        coeffs[exp] = coeffs.get(exp, 0) + coeff
+        coeffs[exp] = coeffs.get(exp, 0) + (-coeff if sign == "-" else coeff)
+        pos = m.end()
     deg = max(coeffs)
     out = [coeffs.get(i, 0) for i in range(deg + 1)]
     if not any(out):
@@ -610,14 +608,17 @@ class NumberField:
         return FieldElement(self, coeffs)
 
     def parse_element(self, text):
-        """Comma-separated rational coordinates on the power basis."""
+        """Comma-separated rational coordinates on the power basis; every
+        coordinate must be given, so ``"1,,1"`` is refused, not read as 1 + theta."""
         parts = [p.strip() for p in str(text).split(",")]
+        if not any(parts):
+            raise InputError("empty element coordinates")
+        if "" in parts:
+            raise InputError(f"element coordinates {text!r} leave a coordinate empty")
         try:
-            coords = [Fraction(p) for p in parts if p != ""]
+            coords = [Fraction(p) for p in parts]
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad element coordinates {text!r}") from exc
-        if not coords:
-            raise InputError("empty element coordinates")
         if len(coords) > self.degree:
             raise InputError(
                 f"element has {len(coords)} coordinates but the field has degree {self.degree}"

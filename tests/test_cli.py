@@ -244,6 +244,10 @@ def test_kgroups_classification_verbs(runner):
 def test_exit_codes(runner):
     # 2: malformed input
     assert invoke(runner, "field-info", "--field", "x^2 - 4").exit_code == 2
+    # 2: a field or an element the parsers once misread
+    assert invoke(runner, "field-info", "--field", "x^2 - 1 0").exit_code == 2
+    assert invoke(runner, "kgroups", "--algebra", "B", "--field", "x^3-2",
+                  "--gamma", "-3/2,,1").exit_code == 2
     # 2: missing required field
     assert invoke(runner, "kgroups", "--algebra", "B0").exit_code == 2
     # 2: missing system file

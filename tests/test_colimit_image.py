@@ -211,9 +211,7 @@ def test_relations_are_the_kernel_of_the_horizon_composite():
     for k in range(108):
         system = DirectedSystem.from_json(_triangular_json(rng, 1 + k % 12))
         report = colimit(system)
-        eager = dataclasses.replace(
-            report, relations_source=lambda: _eager_relations(system, _horizon_maps(system)))
-        assert report.to_json_dict() == eager.to_json_dict()
+        assert report.relations == _eager_relations(system, _horizon_maps(system))
         with_relations += bool(report.relations)
         full_rank += report.rank == system.dim
     assert with_relations > 50 and full_rank > 5
@@ -308,17 +306,37 @@ def test_engine_checks_never_build_the_relations(monkeypatch):
     assert json.loads(res.output) == GOLDENS["rank_one"]
 
 
-def test_relations_are_built_once_and_compared():
-    system = rank_one_system()
-    report = colimit(system)
+def test_relations_are_built_once_and_compared(monkeypatch):
+    # a fresh copy, so relations an earlier read cached are not reused
+    report = dataclasses.replace(colimit(rank_one_system()))
     calls = []
-    source = report.relations_source
-    report = dataclasses.replace(report, relations_source=lambda: calls.append(1) or source())
+    kernel = abgrp._kernel_basis
+    monkeypatch.setattr(abgrp, "_kernel_basis", lambda a: calls.append(1) or kernel(a))
     assert report.relations == report.relations == RANK_ONE_RELATIONS
     assert calls == [1]
     assert report == colimit(rank_one_system())
-    other = dataclasses.replace(report, relations_source=lambda: ())
-    assert other != report
+    # identity maps below full rank: no relations, so the reports differ
+    other = dataclasses.replace(report, maps=[[{0: 1}, {1: 1}, {2: 1}]])
+    assert other.relations == () and other != report
+
+
+def test_to_json_round_trips_and_keeps_the_colimit():
+    rng = seeded_rng("json-round-trip")
+    for k in range(72):
+        if k % 3:
+            obj = _triangular_json(rng, 1 + k % 12)
+            if k % 3 == 2:
+                obj["d_chain"] = sorted(rng.sample(range(2, 40), rng.randint(1, 6)))
+            system = DirectedSystem.from_json(obj)
+        else:
+            dim = 1 + k % 5
+            system = DirectedSystem.explicit(
+                [[[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
+                 for _ in range(rng.randint(1, 4))])
+        obj = system.to_json()
+        again = DirectedSystem.from_json(json.loads(json.dumps(obj)))
+        assert again.to_json() == obj
+        assert colimit(again).to_json_dict() == colimit(system).to_json_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,35 @@ def test_parse_polynomial_forms():
     assert parse_polynomial("-1 + x") == [-1, 1]
     assert parse_polynomial("x") == [0, 1]
     assert parse_polynomial("x^2 + x + 1 - x") == [1, 0, 1]
+    for text in ("2 x^2 - 1", "2*x^2-1", "2 * x ^ 2 - 1", "+2x**2 - 1", "2 x ** 02 -1"):
+        assert parse_polynomial(text) == [-1, 0, 2]
+
+
+# Once read by deleting every space and star first: as x^23, 23x, x^2 - 10,
+# x^22, x^10, x^2 - 2, x, x, x + 2 and 2x.
+_MISREADS = ("x^2*3", "2*3x", "x^2 - 1 0", "x^2 2", "x^1 0", "x^2 - 2*", "* x", "x *",
+             "x*+2", "2 * * x")
 
 
 def test_parse_polynomial_errors():
-    for bad in ("", "x^2 - 1/2", "y^2", "x^-2", "2^x", "x^2 ++ 1"):
+    for bad in ("", "x^2 - 1/2", "y^2", "x^-2", "2^x", "x^2 ++ 1", "2^3", "2 ** x",
+                "x^", "x^2 -", "x x", *_MISREADS):
         with pytest.raises(InputError):
             parse_polynomial(bad)
+    with pytest.raises(InputError, match="cannot be read"):
+        parse_polynomial("x^2 - " + "9" * 5000)
+
+
+def test_element_coordinates_are_all_given():
+    k = parse_field("x^3 - 2")
+    for text in ("1,,1", ",1", "1,", "1, ,1"):
+        with pytest.raises(InputError, match=re.escape(repr(text))):
+            k.parse_element(text)
+    for blank in ("", " ", " , "):
+        with pytest.raises(InputError, match="^empty element coordinates$"):
+            k.parse_element(blank)
+    assert k.parse_element("-3/2, 0, 1") == k.element([Fraction(-3, 2), 0, 1])
+    assert k.parse_element("1") == k.element([1])
 
 
 def test_field_validation():
