@@ -7,21 +7,21 @@ elimination over Q (``_echelon``, behind ``rank``, ``rref_fractions``,
 (``{column: value}`` maps of the nonzero entries), so their cost follows the
 nonzero entries rather than the dimension.  The elimination is fraction-free:
 it scales a rational row to integers once and then works in Python ints, and
-``rref_fractions`` builds its ``Fraction``s only on output.  Smith forms
-are dense; ``cokernel`` eliminates only the support.  The two main exports are
+``rref_fractions`` builds its ``Fraction``s only on output.  The two main
+exports are
 
 * ``smith_normal_form`` and friends (``cokernel``, ``kernel_lattice_basis``,
   ``image_lattice_basis``), with the convention ``a == u @ d @ v`` where
   ``u`` and ``v`` are unimodular and ``d`` is diagonal, nonnegative, with
-  each entry dividing the next.  One elimination (``_snf``) serves all four;
-  it returns the nonzero diagonal entries as a list, and only
-  ``smith_normal_form`` builds the dense ``d``.  It caches each row's least
-  entry and gcd, so a pass rescans only the rows that changed, and it
-  carries only what its caller reads: the columns of ``v^-1`` for the
-  kernel, those of ``a @ v^-1`` for the image and for ``u``.  It never
-  carries ``u``, which ``smith_normal_form`` rebuilds once by dividing the
-  columns of ``a @ v^-1`` by the diagonal and, at the zero diagonal
-  entries, from the log of row operations; and
+  each entry dividing the next.  One all-integer Hermite normal form
+  routine, ``_hnf``, serves all four, on sparse rows.  It inserts rows one
+  at a time and clears them by extended-gcd 2 x 2 steps, reducing the
+  entries above each changed pivot as it goes, so entries stay bounded by
+  the lattice.  The kernel and image bases are the Hermite forms of their
+  lattices.  ``_snf`` alternates row and column Hermite steps until the
+  matrix is diagonal and mends the divisibility chain by gcd/lcm steps;
+  each step carries the inverse of its transform, so ``u`` and ``v`` come
+  out with nothing inverted, and ``cokernel`` carries nothing; and
 
 * a classifier for sequential colimits ``Z^k -M1-> Z^k -M2-> ...`` of free
   abelian groups along integer matrices (``DirectedSystem`` / ``colimit``),
@@ -55,10 +55,11 @@ are rejected with a diagnostic instead of guessed at.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress, islice, repeat
+from itertools import combinations, compress, repeat
 
 from .errors import CrossCheckError, InputError, UnsupportedSystemError
 
@@ -369,186 +370,191 @@ def solve_exact(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Hermite and Smith normal forms
 # ---------------------------------------------------------------------------
 
 
-def _least(row):
-    """The least nonzero ``|entry|`` of ``row``; ``math.inf`` for a zero row."""
-    return min(map(abs, filter(None, row)), default=math.inf)
+def _xgcd(a, b):
+    """``(g, s, t)`` with ``g == gcd(a, b) == s * a + t * b``, for ``a > 0 != b``;
+    ``|s| <= |b| / g`` and ``|t| <= a / g``."""
+    s, s1, g, r = 1, 0, a, abs(b)
+    while r:
+        q = g // r
+        g, r = r, g - q * r
+        s, s1 = s1, s - q * s1
+    t = (g - s * a) // b
+    return g, s, t
 
 
-def _snf(a, carry=None, transforms=False):
-    """Core SNF reduction of ``a``: the diagonal, and only the transforms asked for.
+def _gcd_step(a, b, s, t, x, y):
+    """The sparse rows ``s * a + t * b`` and ``x * b - y * a``, zeros dropped."""
+    out, rest = {}, {}
+    for j in a.keys() | b.keys():
+        p, q = a.get(j, 0), b.get(j, 0)
+        w, z = s * p + t * q, x * q - y * p
+        if w:
+            out[j] = w
+        if z:
+            rest[j] = z
+    return out, rest
 
-    Returns ``(diag, v, carry, log)``, ``diag`` the nonzero diagonal of the Smith form.
-    ``carry``, when given, is a list of ``n`` columns that every column
-    operation also acts on: the identity's columns come back as those of
-    ``v^-1`` and the columns of ``a`` as those of ``a @ v^-1``.  ``v`` and
-    the ``log`` of row operations are tracked only when ``transforms``.
-    Untracked ones are None.  ``u`` is never tracked: ``_rebuild_u`` makes it from ``a @ v^-1``
-    and the log.
 
-    A log entry ``(r, s, q)`` adds ``q`` times row ``s`` to row ``r``; ``q == 0``
-    swaps rows ``r`` and ``s`` instead, and ``r == s`` negates row ``r``.
-    ``a`` is an int matrix its caller has checked and made for it; it is reduced in place.
+def _hnf(rows, carry=None):
+    """Hermite normal form of the lattice spanned by the integer sparse ``rows``.
 
-    Step ``t`` takes the first entry (row by row) of least absolute value in
-    the trailing block as its pivot; a unit ends the search.  The cells left
-    of and above the trailing block are zero, so the rows ``>= t`` are kept
-    compacted to the columns ``>= t`` (column ``t`` is dropped when ``t``
-    advances, and it is zero below the pivot by then), row operations touch
-    only those, and column operations only the rows ``>= t``.
+    Returns the nonzero rows of the form, in the order of their pivots.  The
+    pivot of a row is its last nonzero entry, and it is positive; each row's
+    entries in the pivot columns left of its own lie in ``[0, pivot)``.  Read
+    as vectors, this is the Hermite normal form of Cohen's *Course*, section
+    2.4.2, which is unique for the lattice: sympy's ``hermite_normal_form``
+    gives the same vectors as columns.
 
-    Each row caches its least nonzero ``|entry|`` and, once a stray check
-    has read it, its gcd, so a pass rescans only the rows that changed.  A
-    row swap swaps both; a row reduction, the stray pull into row ``t``
-    among them, refreshes its target's minimum and drops its gcd; the column
-    phase on the pivot row refreshes the minimum of every row it changes.
-    Column operations leave a row's gcd as it is (adding a multiple of one
-    entry to another keeps the gcd), and the clearing ones change row ``t``
-    alone, which is refreshed if a stray is pulled into it and leaves the
-    trailing block otherwise.  Dropping the zero column ``t`` changes
-    neither value.  So the pivot search reads the cached minima and takes
-    the first row that holds the least one, the row a full rescan would
-    take, and a row holds an entry ``p`` does not divide exactly when ``p``
-    does not divide its gcd: the passes, the pivots and every output are
-    those of the rescanning elimination.
+    Rows are inserted one at a time, in the order of Kannan and Bachem
+    (SIAM J. Comput. 8, 1979).  A row is cleared from its last column down,
+    each column against the pivot row there: by a subtraction when the pivot
+    divides the row's entry, else by the unimodular 2 x 2 step that leaves
+    the extended gcd of the two entries in the pivot row.  After each
+    insertion the entries in the pivot columns whose row changed are reduced
+    modulo their pivot, so no entry outgrows the lattice it describes.
+
+    ``carry``, when given, holds one dense list per row and follows the
+    inverses of the row operations: taking ``q`` times row ``i`` from row
+    ``j`` adds ``q`` times ``carry[j]`` to ``carry[i]``.  So if ``carry``
+    holds the columns of a ``u`` with ``a == u @ rows``, it ends holding
+    those of a ``u`` with ``a == u @ h``, ``h`` the result with its zero
+    rows last.  Read on the transpose: if ``rows`` are the columns of a
+    ``w`` and ``carry`` holds the rows of a ``v`` with ``a == w @ v``, it
+    ends holding those of a ``v`` for the ``w`` whose columns are ``h``.
     """
-    m, n = len(a), len(a[0])
-    v = identity_matrix(n) if transforms else None
-    log = [] if transforms else None
-    low = [_least(row) for row in a]
-    gcds = [None] * m
-
-    def row_add(r, s, q):
-        a[r] = [x + q * y for x, y in zip(a[r], a[s])]
-        low[r], gcds[r] = _least(a[r]), None
-        if log is not None:
-            log.append((r, s, q))
-
-    def col_add(k, q, rows):
-        # column t + k += q * column t on ``rows``; v gets the inverse row op.
-        for i in rows:
-            row = a[i]
-            row[k] += q * row[0]
-        c = t + k
-        if carry is not None:
-            carry[c] = [x + q * y for x, y in zip(carry[c], carry[t])]
-        if v is not None:
-            v[t] = [x - q * y for x, y in zip(v[t], v[c])]
-
-    diag = []
-    t = 0
-    while t < min(m, n):
-        best = min(islice(low, t, None))
-        if best == math.inf:
-            break
-        bi = low.index(best, t)
-        bk = next(k for k, x in enumerate(a[bi]) if abs(x) == best)
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-            low[t], low[bi] = low[bi], low[t]
-            gcds[t], gcds[bi] = gcds[bi], gcds[t]
-            if log is not None:
-                log.append((t, bi, 0))
-        if bk:
-            for i in range(t, m):
-                row = a[i]
-                row[0], row[bk] = row[bk], row[0]
+    pivots, slots, cols = {}, {}, []  # pivot column -> row, -> its index in carry; sorted columns
+    for j, row in enumerate(rows):
+        row, dirty = dict(row), []
+        while row:
+            c = max(row)
+            piv = pivots.get(c)
+            if piv is None:
+                if row[c] < 0:
+                    row = {k: -x for k, x in row.items()}
+                    if carry is not None:
+                        carry[j] = [-x for x in carry[j]]
+                pivots[c], slots[c] = row, j
+                insort(cols, c)
+                dirty.append(c)
+                break
+            i = slots[c]
+            p, r = piv[c], row[c]
+            q, rem = divmod(r, p)
+            if not rem:
+                _subtract(row, q, piv)
+                if carry is not None:
+                    carry[i] = [x + q * y for x, y in zip(carry[i], carry[j])]
+                continue
+            # [piv, row] <- [[s, t], [-y, x]] @ [piv, row], of determinant 1
+            g, s, t = _xgcd(p, r)
+            x, y = p // g, r // g
+            pivots[c], row = _gcd_step(piv, row, s, t, x, y)
             if carry is not None:
-                carry[t], carry[t + bk] = carry[t + bk], carry[t]
-            if v is not None:
-                v[t], v[t + bk] = v[t + bk], v[t]
-        piv = a[t]
-        p = piv[0]
-        if best != 1:
-            # Each operation below changes only its own row or column, so
-            # the non-multiples can be listed before any is reduced.
-            rows = [i for i in range(t + 1, m) if a[i][0] % p]
-            if rows:
-                for i in rows:
-                    row_add(i, t, -(a[i][0] // p))
-                continue
-            ks = [k for k in range(1, n - t) if piv[k] % p]
-            if ks:
-                live = [i for i in range(t, m) if a[i][0]]
-                for k in ks:
-                    col_add(k, -(piv[k] // p), live)
-                for i in live:
-                    low[i] = _least(a[i])
-                continue
-        for i in range(t + 1, m):
-            if a[i][0]:
-                row_add(i, t, -(a[i][0] // p))
-        # Column t is now zero below the pivot, so clearing row t changes row t alone.
-        for k in range(1, n - t):
-            if piv[k]:
-                col_add(k, -(piv[k] // p), (t,))
-        if best != 1:
-            stray = None
-            for i in range(t + 1, m):
-                g = gcds[i]
-                if g is None:
-                    g = gcds[i] = math.gcd(*a[i])
-                if g % p:
-                    stray = i
-                    break
-            if stray is not None:
-                # Pull the offending row into the pivot row; the next pass reduces it.
-                row_add(t, stray, 1)
-                continue
-        if p < 0:
-            p = -p
-            if log is not None:
-                log.append((t, t, -1))
-        diag.append(p)
-        t += 1
-        for row in islice(a, t, None):
-            del row[0]
-    return diag, v, carry, log
+                ci, cj = carry[i], carry[j]
+                carry[i] = [x * a + y * b for a, b in zip(ci, cj)]
+                carry[j] = [s * b - t * a for a, b in zip(ci, cj)]
+            dirty.append(c)
+        if dirty and len(cols) > 1:
+            _hnf_reduce(pivots, slots, cols, dirty, carry)
+    if carry is not None:
+        used = set(slots.values())
+        carry[:] = ([carry[slots[c]] for c in cols]
+                    + [col for k, col in enumerate(carry) if k not in used])
+    return [pivots[c] for c in cols]
 
 
-def _rebuild_u(diag, m, av_cols, log):
-    """The unimodular ``u`` (``m x m``) with ``a == u @ d @ v``, rebuilt after ``_snf``.
+def _hnf_reduce(pivots, slots, cols, dirty, carry):
+    """Restore ``_hnf``'s reduction after the pivot rows of the columns in
+    ``dirty`` changed (``cols`` lists every pivot column, in order).  Such a
+    row is reduced at every pivot column left of its own; another row only
+    from the highest dirty column where its entry left the range.  A
+    reduction at column ``k`` changes the row left of ``k`` alone, so each
+    row is walked from that column down."""
+    for at in range(bisect_left(cols, min(dirty)), len(cols)):
+        c = cols[at]
+        row, stop = pivots[c], at
+        if c not in dirty:
+            top = max((k for k in dirty if k < c and not 0 <= row.get(k, 0) < pivots[k][k]),
+                      default=None)
+            if top is None:
+                continue
+            stop = bisect_left(cols, top) + 1
+        for k in reversed(cols[:stop]):
+            x = row.get(k)
+            if x is not None:
+                piv = pivots[k]
+                q = x // piv[k]
+                if q:
+                    _subtract(row, q, piv)
+                    if carry is not None:
+                        i, j = slots[k], slots[c]
+                        carry[i] = [a + q * b for a, b in zip(carry[i], carry[j])]
 
-    ``av_cols`` are the columns of ``a @ v^-1 == u @ d``, so for
-    ``j < len(diag)`` column ``j`` of ``u`` is ``av_cols[j]`` divided by
-    ``diag[j]``; the division is exact, and a remainder raises
-    ``CrossCheckError``.  The other columns are ``e_j`` with the logged row
-    operations undone, the last one first.
+
+def _snf(rows, n, transforms=False):
+    """Smith form of the ``m x n`` integer matrix of sparse ``rows``.
+
+    Returns ``(diag, u, v)``: ``diag`` the nonzero diagonal, ``d[0][0] |
+    d[1][1] | ...``, and with ``transforms`` the unimodular ``u`` and ``v``
+    with ``a == u @ d @ v`` (else None).  Row and column Hermite steps
+    (``_hnf`` of the rows, then of the columns) alternate until the matrix
+    is diagonal (Kannan and Bachem); each step carries the inverse of its
+    transform, the columns of ``u`` for a row step and the rows of ``v`` for
+    a column step, so neither is ever inverted.  A column step comes at
+    least once: it moves the pivots of the first row step onto the diagonal.
+    The diagonal is sorted, and a pair that is not yet a divisibility chain
+    becomes ``(gcd, lcm)`` by one 2 x 2 step on each side (Cohen's *Course*,
+    Algorithm 2.4.14).  ``rows`` are not changed.
     """
-    rank = len(diag)
-    cols = []
-    for j in range(rank):
-        qr = [divmod(x, diag[j]) for x in av_cols[j]]
-        if any(r for _, r in qr):
-            raise CrossCheckError(
-                f"smith_normal_form: column {j} of a @ v^-1 is not divisible by d[{j}][{j}]"
-            )
-        cols.append([q for q, _ in qr])
-    rest = [[1 if i == j else 0 for j in range(rank, m)] for i in range(m)]
-    if rank < m:
-        for r, s, q in reversed(log):
-            if r == s:
-                rest[r] = [-x for x in rest[r]]
-            elif q:
-                rest[r] = [x - q * y for x, y in zip(rest[r], rest[s])]
-            else:
-                rest[r], rest[s] = rest[s], rest[r]
-    lead = zip(*cols) if cols else [()] * m
-    return [list(head) + tail for head, tail in zip(lead, rest)]
+    m = len(rows)
+    u = identity_matrix(m) if transforms else None  # columns of u
+    v = identity_matrix(n) if transforms else None  # rows of v
+    mat, carry, other, width = _hnf(rows, u), v, u, n
+    while mat:
+        mat = _hnf(_columns(mat, width), carry)
+        carry, other, width = other, carry, m + n - width
+        if all(len(row) == 1 for row in mat):
+            break
+    diag = [row[k] for k, row in enumerate(mat)]
+    r = len(diag)
+    order = sorted(range(r), key=diag.__getitem__)
+    diag = [diag[k] for k in order]
+    if transforms:
+        u[:r] = [u[k] for k in order]
+        v[:r] = [v[k] for k in order]
+    if any(b % a for a, b in zip(diag, diag[1:])):
+        for i in range(r):
+            for j in range(i + 1, r):
+                a, b = diag[i], diag[j]
+                if b % a:
+                    # [[s, t], [-b/g, a/g]] @ diag(a, b) @ [[1, -tb/g], [1, sa/g]] == diag(g, ab/g)
+                    g, s, t = _xgcd(a, b)
+                    x, y = a // g, b // g
+                    diag[i], diag[j] = g, x * b
+                    if transforms:
+                        ui, uj, vi, vj = u[i], u[j], v[i], v[j]
+                        u[i] = [x * p + y * q for p, q in zip(ui, uj)]
+                        u[j] = [s * q - t * p for p, q in zip(ui, uj)]
+                        v[i] = [s * x * p + t * y * q for p, q in zip(vi, vj)]
+                        v[j] = [q - p for p, q in zip(vi, vj)]
+    if transforms:
+        u = [list(row) for row in zip(*u)]
+    return diag, u, v
 
 
 def smith_normal_form(a):
     """Smith normal form with transforms: ``a == u @ d @ v``.
 
     ``u`` (rows x rows) and ``v`` (cols x cols) are unimodular, ``d`` is
-    diagonal with nonnegative entries ``d[0][0] | d[1][1] | ...``.  The
-    elimination carries ``v``, the columns of ``a @ v^-1`` and a log of its
-    row operations, not ``u``; ``u`` is rebuilt once at the end from
-    ``a @ v^-1`` (exact division by the diagonal) and, for the zero diagonal
-    entries, the log.
+    diagonal with nonnegative entries ``d[0][0] | d[1][1] | ...``.  They
+    come from ``_snf``'s alternating Hermite steps, which carry ``u`` and
+    ``v`` themselves (the inverses of the row and column transforms), so
+    nothing is inverted or divided at the end, and their entries stay near
+    the size of the Hermite forms.
 
     >>> u, d, v = smith_normal_form([[2, 4], [6, 8]])
     >>> [d[i][i] for i in range(2)]
@@ -556,37 +562,46 @@ def smith_normal_form(a):
     """
     a = as_int_matrix(a)
     m, n = len(a), len(a[0])
-    diag, v, av_cols, log = _snf(a, carry=[list(col) for col in zip(*a)], transforms=True)
+    diag, u, v = _snf(_sparse_rows(a), n, transforms=True)
     d = _dense_rows([{i: x} for i, x in enumerate(diag)] + [{}] * (m - len(diag)), n)
-    return _rebuild_u(diag, m, av_cols, log), d, v
+    return u, d, v
 
 
 def kernel_lattice_basis(a):
-    """Basis of the full kernel lattice ``{x in Z^n : a @ x = 0}``.
+    """Basis of the full kernel lattice ``{x in Z^n : a @ x = 0}``, as its
+    Hermite normal form (``_hnf``), so the basis depends on the lattice only.
 
     Kernels of integer matrices are saturated subgroups, and the basis
     returned here generates the whole kernel (not a finite-index sublattice).
     Vectors are returned as lists of ints.
+
+    >>> kernel_lattice_basis([[1, 1, 2]])
+    [[-1, 1, 0], [-2, 0, 1]]
     """
-    return _kernel_basis(as_int_matrix(a))
+    a = as_int_matrix(a)
+    return _kernel_basis(_sparse_rows(a), len(a[0]))
 
 
-def _kernel_basis(a):
-    """``kernel_lattice_basis`` of a checked int matrix: columns of ``v^-1``."""
-    diag, _, vi_cols, _ = _snf(a, carry=identity_matrix(len(a[0])))
-    return vi_cols[len(diag):]
+def _kernel_basis(rows, n):
+    """``kernel_lattice_basis`` of the ``m x n`` matrix of sparse ``rows``.
+
+    The Hermite form of the rows ``(e_j, column j of a)`` puts the columns
+    of ``a`` last, so its rows with a pivot among the first ``n`` coordinates
+    are those with a zero image, and they are the Hermite form of the kernel.
+    """
+    aug = [{j: 1, **{n + i: x for i, x in col.items()}} for j, col in enumerate(_columns(rows, n))]
+    return _dense_rows([row for row in _hnf(aug) if max(row) < n], n)
 
 
 def image_lattice_basis(a):
-    """Basis of the subgroup of Z^m generated by the columns of ``a``.
+    """Basis of the subgroup of Z^m generated by the columns of ``a``, as its
+    Hermite normal form: ``_hnf`` of the columns.
 
-    ``a @ v^-1 == u @ d`` generates the same subgroup, since ``v`` is
-    unimodular; its columns at the nonzero diagonal entries of ``d`` are
-    independent, and the others vanish, so they are a basis.
+    >>> image_lattice_basis([[2, 4], [6, 8]])
+    [[4, 0], [2, 2]]
     """
     a = as_int_matrix(a)
-    diag, _, av_cols, _ = _snf(a, carry=[list(col) for col in zip(*a)])
-    return av_cols[:len(diag)]
+    return _dense_rows(_hnf(_columns(_sparse_rows(a), len(a[0]))), len(a))
 
 
 # ---------------------------------------------------------------------------
@@ -861,14 +876,14 @@ def cokernel(a):
 
 
 def _cokernel_rows(rows):
-    """``cokernel`` of the integer matrix of sparse ``rows``: a zero row is a
-    free summand and a zero column generates nothing, so only the nonzero
-    rows, restricted to the columns they use, go to ``_snf``."""
-    live = [row for row in rows if row]
-    if not live:
+    """``cokernel`` of the integer matrix of sparse ``rows``, which go to
+    ``_snf`` as they are: only the diagonal is read, so the column count is
+    that of the columns in use, and zero rows cost nothing.  A zero matrix
+    does not reach ``_snf``."""
+    width = 1 + max((max(row) for row in rows if row), default=-1)
+    if not width:
         return GroupDescriptor.free(len(rows))
-    cols = sorted(set().union(*live))
-    return _diagonal_cokernel(len(rows), _snf([[row.get(j, 0) for j in cols] for row in live])[0])
+    return _diagonal_cokernel(len(rows), _snf(rows, width)[0])
 
 
 def _diagonal_cokernel(m, diag):
@@ -974,6 +989,8 @@ class DirectedSystem:
         dim = _as_int(dim, "system dimension")
         if dim < 1:
             raise InputError("system dimension must be at least 1")
+        if family is None and steps is None:
+            raise InputError("a directed system needs a family or explicit steps")
         self.dim = dim
         self.mode = "symbolic" if steps is None else "explicit"
         self.laws = laws
@@ -1153,7 +1170,10 @@ class ColimitReport:
     read in one pass of spanning sets of the composites' images
     (``_image_pass``), which multiplies out no composite.  ``maps`` are the
     sparse maps that pass read; ``relations`` are built from them on first
-    read: ``()`` at full rank, else the kernel of their composite.
+    read: ``()`` at full rank, else the Hermite normal form of the kernel
+    of their composite up to ``stabilization_level``.  That is the kernel
+    of the whole composite: each kernel is saturated, they are nested, and
+    from that level on they have one rank.
     """
 
     invariants: GroupDescriptor
@@ -1168,7 +1188,7 @@ class ColimitReport:
         dim = len(self.maps[0])
         if self.rank == dim:
             return ()
-        return _relation_pairs(_kernel_basis(_dense_rows(_composite(self.maps), dim)))
+        return _relation_pairs(_kernel_basis(_composite(self.maps[:self.stabilization_level]), dim))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -1215,9 +1235,9 @@ def _composite(maps):
 
 
 def _columns(m, dim, coords=None):
-    """The columns of a square map of sparse rows, as sparse rows.  With
-    ``coords``, the coordinates of a direct summand, only the summand's
-    columns are built, from its rows, keyed by coordinate."""
+    """The ``dim`` columns of a matrix of sparse rows, as sparse rows.  With
+    ``coords``, the coordinates of a direct summand of a square map, only
+    the summand's columns are built, from its rows, keyed by coordinate."""
     if coords is None:
         cols, rows = [{} for _ in range(dim)], enumerate(m)
     else:
@@ -1504,7 +1524,7 @@ def _rational_eigenspaces(t):
         power = step = [[int(x * den) for x in row] for row in shifted]
         for _ in range(n - 1):
             power = mat_mul(power, step)
-        vecs = _kernel_basis(power)
+        vecs = _kernel_basis(_sparse_rows(power), n)
         if not vecs:
             raise CrossCheckError(f"(t - {k})^{n} has no kernel, though {k} is a root "
                                   "of the characteristic polynomial")

@@ -192,6 +192,42 @@ def check_smith_form(a, u, d, v):
     assert mat_mul(mat_mul(u, d), v) == [list(map(int, row)) for row in a]
 
 
+def hnf_basis(vectors):
+    """The Hermite normal form of the lattice spanned by the integer
+    ``vectors``, by sympy's ``hermite_normal_form``, as a list of vectors
+    (its columns); ``[]`` for the zero lattice.  At full rank a nonzero
+    maximal minor is a multiple of the lattice's determinant, and sympy then
+    works modulo it (Cohen's *Course*, Algorithm 2.4.8), so large entries
+    cost no growth."""
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+    from sympy.polys.matrices import DomainMatrix
+
+    if not any(map(any, vectors)):
+        return []
+    m = Matrix(vectors).T
+    dm = DomainMatrix.from_Matrix(m).convert_to(ZZ)
+    _, cols = dm.to_field().rref()
+    det = abs(int(dm.extract(list(range(m.rows)), list(cols)).det())) if len(cols) == m.rows else None
+    h = hermite_normal_form(m, D=det)
+    return [[int(x) for x in h.col(j)] for j in range(h.cols)]
+
+
+def in_lattice(hnf, vec):
+    """True iff the integer vector ``vec`` is an integer combination of the
+    vectors ``hnf``, a Hermite normal form as ``hnf_basis`` gives it (each
+    vector zero past its pivot, pivots rising).  Back-substitution from the
+    last pivot, so ``vec``'s entries may be of any size."""
+    vec = list(vec)
+    for row in reversed(hnf):
+        c = max(j for j, x in enumerate(row) if x)
+        q, r = divmod(vec[c], row[c])
+        if r:
+            return False
+        vec = [x - q * y for x, y in zip(vec, row)]
+    return not any(vec)
+
+
 def random_unimodular(rng, n, steps=8):
     """A random unimodular n x n integer matrix and its inverse.
 

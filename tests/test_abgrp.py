@@ -387,6 +387,14 @@ def test_an_empty_d_chain_is_refused():
     assert colimit(one).invariants == GroupDescriptor.free(1)
 
 
+def test_a_system_with_no_steps_is_refused():
+    # DirectedSystem(3) once built, and colimit then raised a bare IndexError
+    with pytest.raises(InputError, match="needs a family or explicit steps"):
+        DirectedSystem(3)
+    with pytest.raises(InputError, match="needs a family or explicit steps"):
+        DirectedSystem(2, d_chain=[2, 3])
+
+
 @pytest.mark.parametrize("first, second", [([1], [0]), ([0], [1])])
 def test_an_offdiag_cell_given_twice_is_refused(first, second):
     # The last entry for a cell once won, so the order decided the answer:

@@ -6,8 +6,10 @@ complement of the image at level ``h``.  Two routes it replaced are kept here
 as oracles: ``_composite_ranks`` (the product ``M_t ... M_1`` and one echelon
 per level) and ``_image_ranks`` (a basis of the image, echelonized at every
 level); the window's oracle is the echelon of its composite.  The relations
-of a report come from the kernel of the composite up to the horizon, and only
-when read; at full rank they are empty and no composite is formed, and
+of a report come from the kernel of the composite up to the stabilization
+level, printed as its Hermite normal form, and only when read; the kernel of
+the composite up to the horizon, the lattice they replaced, is their oracle.
+At full rank they are empty and no composite is formed, and
 ``identified`` reads its window's rank off a pushed spanning set.  An
 isolated coordinate (every sampled map diagonal on it) skips the pass
 (``_split_pass``), whose result is checked against the whole-system pass.
@@ -22,7 +24,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unimodular, seeded_rng
+from conftest import deadline, random_unimodular, seeded_rng
 from ringkt import abgrp, ktheory
 from ringkt.abgrp import DirectedSystem, colimit, identified, mat_mul
 from ringkt.cli import main
@@ -123,6 +125,19 @@ def test_image_ranks_equal_the_composite_ranks(maps):
     _check_pass(maps, len(maps) // 2)
 
 
+@settings(max_examples=40, deadline=None)
+@given(maps=chains())
+def test_the_kernel_at_the_stabilization_level_is_the_horizon_kernel(maps):
+    # Nested saturated lattices of one rank are equal: ker W_stab = ker W_t
+    # for every later t, late drops (d - 9) included.
+    _, r, stab, _ = abgrp._image_pass(maps)
+    dim = len(maps[0])
+    at_stab = abgrp._kernel_basis(abgrp._composite(maps[:stab]), dim)
+    horizon = abgrp._kernel_basis(abgrp._composite(maps), dim)
+    assert len(at_stab) == dim - r
+    assert at_stab == horizon
+
+
 def _late_drop(coeffs):
     return DirectedSystem.symbolic(
         2, [{"kind": "poly", "coeffs": coeffs}, {"kind": "mult_d"}],
@@ -202,19 +217,32 @@ def _eager_relations(system, maps):
     w = maps[0]
     for m in maps[1:]:
         w = abgrp._sparse_mul(m, w)
-    return abgrp._relation_pairs(abgrp._kernel_basis(abgrp._dense_rows(w, system.dim)))
+    return abgrp._relation_pairs(abgrp._kernel_basis(w, system.dim))
 
 
 def test_relations_are_the_kernel_of_the_horizon_composite():
+    # The kernel is read at the stabilization level; the horizon composite's
+    # kernel is the same lattice, so its Hermite form prints the same pairs.
     rng = seeded_rng("lazy-relations")
     with_relations = full_rank = 0
     for k in range(108):
         system = DirectedSystem.from_json(_triangular_json(rng, 1 + k % 12))
         report = colimit(system)
-        assert report.relations == _eager_relations(system, _horizon_maps(system))
+        horizon = _eager_relations(system, _horizon_maps(system))
+        assert report.relations == horizon
         with_relations += bool(report.relations)
         full_rank += report.rank == system.dim
     assert with_relations > 50 and full_rank > 5
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_a0_relations_are_the_kernel_of_the_horizon_composite(n):
+    system = DirectedSystem.from_family(ktheory.kappa(n, 2).size,
+                                        lambda d: ktheory.kappa(n, d).dense())
+    report = colimit(system)
+    horizon = _eager_relations(system, report.maps)
+    assert len(report.relations) == 2 ** n - 1
+    assert report.relations == horizon
 
 
 def test_finite_chain_relations_are_the_kernel_of_the_whole_chain():
@@ -265,8 +293,9 @@ def test_identified_and_full_rank_relations_form_no_composite(monkeypatch):
 
 
 # The kernel of the first step (the stabilization level) spans the same
-# lattice, but its basis prints other relations: 2 e0 ~ e3 in place of
-# 2 e2 ~ e3.  The relations stay those of the horizon composite.
+# lattice as that of the horizon composite; their old bases printed other
+# relations (2 e0 ~ e3 at the first step, 2 e2 ~ e3 at the horizon).  Both
+# now print the Hermite normal form of the lattice.
 _STAB_DIFFERS = {
     "mode": "symbolic", "dim": 5,
     "law": [{"kind": "zero"}, {"kind": "diag_power", "exp": 2}, {"kind": "zero"},
@@ -276,19 +305,33 @@ _STAB_DIFFERS = {
 }
 
 
-def test_relations_do_not_come_from_the_stabilization_level():
+def test_relations_come_from_the_stabilization_level():
     system = DirectedSystem.from_json(_STAB_DIFFERS)
     report = colimit(system)
     assert (report.stabilization_level, str(report.invariants)) == (1, "Z + Q^2")
-    assert report.relations == (((1, (0, 0, 2, 0, 0)), (1, (0, 0, 0, 1, 0))),
-                                ((1, (1, 0, 0, 0, 0)), (1, (0, 0, 1, 0, 0))))
-    at_stab = _eager_relations(system, [system._step(1)])
-    assert at_stab != report.relations
-    assert at_stab[0] == ((1, (2, 0, 0, 0, 0)), (1, (0, 0, 0, 1, 0)))
+    assert report.relations == (((1, (1, 0, 0, 0, 0)), (1, (0, 0, 1, 0, 0))),
+                                ((1, (2, 0, 0, 0, 0)), (1, (0, 0, 0, 1, 0))))
+    assert report.relations == _eager_relations(system, [system._step(1)])
+    assert report.relations == _eager_relations(system, _horizon_maps(system))
+
+
+def test_the_rank_deficient_probe_reads_its_relations_in_time():
+    # mult_d laws, a unit subdiagonal and a last law zero: rank dim - 1, and
+    # stab = 1, so the relations are the kernel of one sparse step.  Read at
+    # the horizon they took 4.5 s at dim 40 and never ended at dim 60.
+    dim = 60
+    system = DirectedSystem.symbolic(
+        dim, [{"kind": "mult_d"}] * (dim - 1) + [{"kind": "zero"}],
+        [{"row": i + 1, "col": i, "poly": [1]} for i in range(dim - 1)])
+    with deadline(1):
+        report = colimit(system)
+        relations = report.relations
+    assert (report.rank, report.stabilization_level) == (dim - 1, 1)
+    assert relations == (((1, (0,) * (dim - 1) + (1,)), (1, (0,) * dim)),)
 
 
 def test_engine_checks_never_build_the_relations(monkeypatch):
-    def refuse(a):
+    def refuse(*args):
         raise AssertionError("_kernel_basis reached")
 
     monkeypatch.setattr(abgrp, "_kernel_basis", refuse)
@@ -311,7 +354,7 @@ def test_relations_are_built_once_and_compared(monkeypatch):
     report = dataclasses.replace(colimit(rank_one_system()))
     calls = []
     kernel = abgrp._kernel_basis
-    monkeypatch.setattr(abgrp, "_kernel_basis", lambda a: calls.append(1) or kernel(a))
+    monkeypatch.setattr(abgrp, "_kernel_basis", lambda *args: calls.append(1) or kernel(*args))
     assert report.relations == report.relations == RANK_ONE_RELATIONS
     assert calls == [1]
     assert report == colimit(rank_one_system())

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from conftest import seeded_rng
+from conftest import hnf_basis, seeded_rng
 from ringkt import abgrp, ktheory
 from ringkt.abgrp import DirectedSystem, GroupDescriptor, colimit, compose_window, identified
 from ringkt.ktheory import (
@@ -75,6 +75,23 @@ def test_engine_check_is_on_by_default_up_to(closed_form, last_checked, monkeypa
 def test_colimit_json_matches_golden(name, make):
     got = json.dumps(colimit(make()).to_json_dict(), sort_keys=True)
     assert got == json.dumps(GOLDENS[name], sort_keys=True)
+
+
+def test_a0_4_golden_relations_are_the_hermite_form_of_the_kernel():
+    # sympy alone: the golden vectors (up to the sign _relation_pairs gives
+    # them) are their own Hermite normal form, lie in the kernel of the first
+    # step, are as many as its nullity, and span a saturated lattice.
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    vecs = [[x - y for x, y in zip(plus, minus)]
+            for (_, plus), (_, minus) in GOLDENS["A0_4"]["relations"]]
+    vecs = [v if [x for x in v if x][-1] > 0 else [-x for x in v] for v in vecs]
+    assert hnf_basis(vecs) == vecs
+    step = Matrix(kappa(4, 2).dense())
+    assert step * Matrix(vecs).T == Matrix.zeros(step.rows, len(vecs))
+    assert len(vecs) == step.cols - step.rank()
+    assert set(invariant_factors(Matrix(vecs), domain=ZZ)) == {1}
 
 
 @pytest.mark.parametrize("n", range(1, 6))

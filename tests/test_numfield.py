@@ -11,8 +11,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (numpy_real_root_count, poly_degree, poly_deriv, poly_divmod, poly_gcd,
-                      poly_mul, seeded_rng)
+from conftest import (deadline, numpy_real_root_count, poly_degree, poly_deriv, poly_divmod,
+                      poly_gcd, poly_mul, seeded_rng)
 from ringkt import numfield
 from ringkt.errors import CrossCheckError, HypothesisError, InputError
 from ringkt.numfield import (
@@ -59,6 +59,16 @@ def test_parse_polynomial_errors():
             parse_polynomial(bad)
     with pytest.raises(InputError, match="cannot be read"):
         parse_polynomial("x^2 - " + "9" * 5000)
+
+
+def test_parse_polynomial_bounds_the_exponent():
+    # x^10000000 - 2 once took 0.7 s and 109 MB to read, for a field that
+    # never finishes; the bound refuses it before the coefficient list.
+    with deadline(2):
+        assert len(parse_polynomial(f"x^{numfield._MAX_EXPONENT} - 2")) == numfield._MAX_EXPONENT + 1
+        for text in (f"x^{numfield._MAX_EXPONENT + 1} - 2", "x^10000000 - 2", "2 - x**" + "9" * 4000):
+            with pytest.raises(InputError, match="is above the limit of 100000"):
+                parse_polynomial(text)
 
 
 def test_element_coordinates_are_all_given():
