@@ -19,9 +19,12 @@ exports are
   entries above each changed pivot as it goes, so entries stay bounded by
   the lattice.  The kernel and image bases are the Hermite forms of their
   lattices.  ``_snf`` alternates row and column Hermite steps until the
-  matrix is diagonal and mends the divisibility chain by gcd/lcm steps;
-  each step carries the inverse of its transform, so ``u`` and ``v`` come
-  out with nothing inverted, and ``cokernel`` carries nothing; and
+  matrix is diagonal and mends the divisibility chain by gcd/lcm steps.
+  The first row and column steps solve for their transforms by exact
+  back-substitution (``_hnf_transform``) until a row reduces to zero, and
+  carry them from there; the later steps carry the inverse of theirs, so
+  ``u`` and ``v`` come out with nothing inverted, and ``cokernel`` carries
+  nothing; and
 
 * a classifier for sequential colimits ``Z^k -M1-> Z^k -M2-> ...`` of free
   abelian groups along integer matrices (``DirectedSystem`` / ``colimit``),
@@ -425,10 +428,59 @@ def _hnf(rows, carry=None):
     rows last.  Read on the transpose: if ``rows`` are the columns of a
     ``w`` and ``carry`` holds the rows of a ``v`` with ``a == w @ v``, it
     ends holding those of a ``v`` for the ``w`` whose columns are ``h``.
+    A carry that starts at the identity need not be followed step by step:
+    ``_hnf_transform`` solves for it.
     """
     pivots, slots, cols = {}, {}, []  # pivot column -> row, -> its index in carry; sorted columns
-    for j, row in enumerate(rows):
-        row, dirty = dict(row), []
+    _hnf_insert(pivots, slots, cols, rows, 0, carry)
+    if carry is not None:
+        _hnf_order(carry, slots, cols)
+    return [pivots[c] for c in cols]
+
+
+def _hnf_transform(rows):
+    """``(h, carry)``: ``h = _hnf(rows, carry)`` with ``carry`` started at
+    the identity of side ``len(rows)``, but with the carry solved for, not
+    followed through every row operation.
+
+    While every inserted row keeps a pivot, the pivot rows are independent,
+    so the carry is the one matrix with ``rows[k] == sum over i of
+    carry[i][k] * h_i`` (``carry[k] == e_k`` for the rows not yet inserted),
+    and ``_hnf_solve`` reads it off.  The carry of a row that reduces to zero
+    depends on the steps that cleared it.  So at the first such row the
+    pivot rows its gcd steps replaced are restored, the carry of the rows
+    before it is solved for, and the row is inserted again with the carry,
+    which is followed from there on as in ``_hnf``.  Both routes give the
+    same carry, entry for entry.
+    """
+    m = len(rows)
+    pivots, slots, cols = {}, {}, []
+    stopped = _hnf_insert(pivots, slots, cols, rows, 0, None, stop=True)
+    carry = [[0] * m for _ in range(m)]
+    if stopped is None:  # every row kept a pivot: solve in the order of the columns
+        _hnf_solve(rows, pivots, cols, carry)
+        return [pivots[c] for c in cols], carry
+    j, replaced = stopped
+    pivots.update(replaced)
+    for k in range(j, m):
+        carry[k][k] = 1
+    _hnf_solve(rows[:j], pivots, cols, [carry[slots[c]] for c in cols])
+    _hnf_insert(pivots, slots, cols, rows, j, carry)
+    _hnf_order(carry, slots, cols)
+    return [pivots[c] for c in cols], carry
+
+
+def _hnf_insert(pivots, slots, cols, rows, start, carry, stop=False):
+    """Insert ``rows[start:]`` into the pivot rows: clear each against them
+    and store what is left, if anything, as the pivot row of its last
+    column; then restore the reduction (``_hnf_reduce``).  A step replaces
+    a pivot row, never changes it in place.  With ``stop``, a row that
+    reduces to zero ends the insertion before its reduction, and
+    ``(index, replaced)`` is returned: ``replaced`` maps each column whose
+    pivot row that row's steps replaced to the row it replaced.  Else
+    returns None."""
+    for j in range(start, len(rows)):
+        row, dirty = dict(rows[j]), {}  # column -> the pivot row it replaced, None if new
         while row:
             c = max(row)
             piv = pivots.get(c)
@@ -439,7 +491,7 @@ def _hnf(rows, carry=None):
                         carry[j] = [-x for x in carry[j]]
                 pivots[c], slots[c] = row, j
                 insort(cols, c)
-                dirty.append(c)
+                dirty[c] = None
                 break
             i = slots[c]
             p, r = piv[c], row[c]
@@ -457,14 +509,46 @@ def _hnf(rows, carry=None):
                 ci, cj = carry[i], carry[j]
                 carry[i] = [x * a + y * b for a, b in zip(ci, cj)]
                 carry[j] = [s * b - t * a for a, b in zip(ci, cj)]
-            dirty.append(c)
+            dirty[c] = piv
+        else:
+            if stop:
+                return j, dirty
         if dirty and len(cols) > 1:
             _hnf_reduce(pivots, slots, cols, dirty, carry)
-    if carry is not None:
-        used = set(slots.values())
-        carry[:] = ([carry[slots[c]] for c in cols]
-                    + [col for k, col in enumerate(carry) if k not in used])
-    return [pivots[c] for c in cols]
+    return None
+
+
+def _hnf_solve(rows, pivots, cols, out):
+    """Write into ``out[t]`` the coefficients of the pivot row at
+    ``cols[t]`` in the integer sparse ``rows``, which the pivot rows span:
+    ``out[t][k]`` for ``rows[k]``, entries left at zero.  The pivot rows
+    restricted to the pivot columns form a triangular system, solved from
+    the last pivot column down with every row at once; the division by
+    each pivot is exact, and a remainder raises ``CrossCheckError``."""
+    left = _columns(rows, cols[-1] + 1) if cols else []
+    for c, col in zip(reversed(cols), reversed(out)):
+        piv = pivots[c]
+        p = piv[c]
+        below = [(left[j], y) for j, y in piv.items() if j != c and j in pivots]
+        for k, x in left[c].items():
+            q, rem = divmod(x, p)
+            if rem:
+                raise CrossCheckError(f"row {k} is not an integer combination of its Hermite basis")
+            col[k] = q
+            for cell, y in below:
+                z = cell.get(k, 0) - q * y
+                if z:
+                    cell[k] = z
+                else:
+                    del cell[k]
+
+
+def _hnf_order(carry, slots, cols):
+    """Put ``carry`` in the order of ``_hnf``'s result: the entries of the
+    pivot rows by column, then the unused ones."""
+    used = set(slots.values())
+    carry[:] = ([carry[slots[c]] for c in cols]
+                + [col for k, col in enumerate(carry) if k not in used])
 
 
 def _hnf_reduce(pivots, slots, cols, dirty, carry):
@@ -502,23 +586,27 @@ def _snf(rows, n, transforms=False):
     d[1][1] | ...``, and with ``transforms`` the unimodular ``u`` and ``v``
     with ``a == u @ d @ v`` (else None).  Row and column Hermite steps
     (``_hnf`` of the rows, then of the columns) alternate until the matrix
-    is diagonal (Kannan and Bachem); each step carries the inverse of its
+    is diagonal (Kannan and Bachem); each step yields the inverse of its
     transform, the columns of ``u`` for a row step and the rows of ``v`` for
     a column step, so neither is ever inverted.  A column step comes at
     least once: it moves the pivots of the first row step onto the diagonal.
+    The first two steps start their transforms at the identity and solve
+    for them (``_hnf_transform``); the later ones carry them through every
+    row operation.
     The diagonal is sorted, and a pair that is not yet a divisibility chain
     becomes ``(gcd, lcm)`` by one 2 x 2 step on each side (Cohen's *Course*,
     Algorithm 2.4.14).  ``rows`` are not changed.
     """
     m = len(rows)
-    u = identity_matrix(m) if transforms else None  # columns of u
-    v = identity_matrix(n) if transforms else None  # rows of v
-    mat, carry, other, width = _hnf(rows, u), v, u, n
-    while mat:
+    if transforms:
+        mat, u = _hnf_transform(rows)  # the columns of u
+        mat, v = _hnf_transform(_columns(mat, n))  # the rows of v
+    else:
+        mat, u, v = _hnf(_columns(_hnf(rows), n)), None, None
+    carry, other, width = u, v, m
+    while mat and not all(len(row) == 1 for row in mat):
         mat = _hnf(_columns(mat, width), carry)
         carry, other, width = other, carry, m + n - width
-        if all(len(row) == 1 for row in mat):
-            break
     diag = [row[k] for k, row in enumerate(mat)]
     r = len(diag)
     order = sorted(range(r), key=diag.__getitem__)
@@ -551,10 +639,12 @@ def smith_normal_form(a):
 
     ``u`` (rows x rows) and ``v`` (cols x cols) are unimodular, ``d`` is
     diagonal with nonnegative entries ``d[0][0] | d[1][1] | ...``.  They
-    come from ``_snf``'s alternating Hermite steps, which carry ``u`` and
+    come from ``_snf``'s alternating Hermite steps, which yield ``u`` and
     ``v`` themselves (the inverses of the row and column transforms), so
-    nothing is inverted or divided at the end, and their entries stay near
-    the size of the Hermite forms.
+    nothing is inverted at the end, and their entries stay near the size of
+    the Hermite forms.  The first row and column steps read theirs off the
+    Hermite basis by exact back-substitution until a row reduces to zero,
+    and carry them from there.
 
     >>> u, d, v = smith_normal_form([[2, 4], [6, 8]])
     >>> [d[i][i] for i in range(2)]

@@ -11,11 +11,21 @@ lattices, which the library returns as their Hermite normal forms (sympy's
 ``u``, ``d`` and ``v`` must meet the contract ``a == u @ d @ v``.  Each
 comparison runs under a deadline: transforms that grow without bound, or an
 alternation that never ends, must fail, not hang.
+
+The first row and column steps solve for their transforms
+(``abgrp._hnf_transform``); the step that carried them through every row
+operation is kept here as their oracle (``_carried_first_step``), and
+``tests/snf_goldens.json`` pins ``u``, ``d`` and ``v`` byte for byte.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from sympy import factorint, multiplicity
 
 from conftest import check_smith_form, deadline, hnf_basis, in_lattice, seeded_rng
 from ringkt import abgrp
@@ -32,6 +42,7 @@ from ringkt.abgrp import (
     mat_shape,
     smith_normal_form,
 )
+from ringkt.errors import CrossCheckError
 
 
 def _tracked_u_snf(a):
@@ -119,16 +130,58 @@ def _tracked_u_snf(a):
     return u, d, v, vi
 
 
-def assert_matches_reference(a, seconds=2):
+def _reference(a):
+    """The tracked-u reference's ``d`` and kernel vectors: the columns of
+    ``v^-1`` at the places where ``d`` has a zero or no diagonal entry."""
+    m, n = mat_shape(a)
+    _, d, _, vi = _tracked_u_snf(a)
+    free = [j for j in range(n) if j >= min(m, n) or d[j][j] == 0]
+    return d, [[vi[i][j] for i in range(n)] for j in free]
+
+
+def _invariant_factors(values):
+    """The invariant factors of ``diag(values)``, nonzero ``values`` in
+    any order: prime by prime, the largest power goes to the last factor,
+    the next largest to the one before it, and so on."""
+    factors = [1] * len(values)
+    for p in {p for x in values for p in factorint(x)}:
+        powers = sorted((multiplicity(p, x) for x in values), reverse=True)
+        for k, e in enumerate(powers):
+            factors[-1 - k] *= p ** e
+    return factors
+
+
+def _block_reference(a):
+    """``_reference`` of a square block diagonal ``a``, read off its blocks
+    (the finest split of the coordinates into intervals that no nonzero
+    entry crosses): each block goes through the reference, the kernel
+    vectors are the blocks' own at the blocks' coordinates, and the
+    diagonal is the invariant factors of every block's nonzero diagonal."""
+    size = len(a)
+    bounds, reach = [0], 0
+    for i in range(size):
+        reach = max(reach, i, *(j for j in range(size) if a[i][j] or a[j][i]))
+        if reach == i:
+            bounds.append(i + 1)
+    values, kernel = [], []
+    for lo, hi in zip(bounds, bounds[1:]):
+        d, vectors = _reference([row[lo:hi] for row in a[lo:hi]])
+        values += [d[i][i] for i in range(hi - lo) if d[i][i]]
+        kernel += [[0] * lo + vec + [0] * (size - hi) for vec in vectors]
+    diag = _invariant_factors(values) + [0] * (size - len(values))
+    return [[diag[i] if i == j else 0 for j in range(size)] for i in range(size)], kernel
+
+
+def assert_matches_reference(a, seconds=2, reference=None):
     """``smith_normal_form``, ``kernel_lattice_basis``, ``image_lattice_basis``
     and ``cokernel`` of ``a`` against the tracked-u reference: the same
     diagonal and cokernel, kernel and image bases that are the Hermite normal
     forms of the reference's lattices, and ``u``, ``d``, ``v`` that meet the
-    contract.  The library calls get ``seconds`` in all."""
+    contract.  ``reference``, when given, is ``(d, kernel)`` as
+    ``_reference`` would give it.  The library calls get ``seconds`` in
+    all."""
     m, n = mat_shape(a)
-    _, d, _, vi = _tracked_u_snf(a)
-    free = [j for j in range(n) if j >= min(m, n) or d[j][j] == 0]
-    kernel = [[vi[i][j] for i in range(n)] for j in free]
+    d, kernel = reference or _reference(a)
     image = [list(col) for col in zip(*a)]  # spans what the reference's a @ v^-1 spans
     diag = [d[i][i] for i in range(min(m, n))]
     want = GroupDescriptor(free_rank=m - sum(1 for x in diag if x),
@@ -261,10 +314,39 @@ def block_diagonal_matrices(draw):
     return a
 
 
+def _seeded_block_diagonal(rng, size):
+    """A ``size x size`` block diagonal as ``block_diagonal_matrices`` draws
+    them, unshuffled, from the seeded ``rng``."""
+    a = [[0] * size for _ in range(size)]
+    i = 0
+    while i < size:
+        k = min(size - i, rng.choice((1, 1, 1, 2, 3)))
+        for r in range(i, i + k):
+            for c in range(i, i + k):
+                a[r][c] = rng.choice(_NON_UNITS) if r == c else rng.randint(-9, 9)
+        i += k
+    return a
+
+
 @settings(_UNSHRUNK, max_examples=12)
 @given(block_diagonal_matrices())
 def test_snf_matches_the_reference_on_block_diagonals(a):
-    assert_matches_reference(a)
+    # Past side 24 the strategy never shuffles, and the reference runs on
+    # the blocks: on a whole 57 x 57 one its v^-1 grew to 313911 bits and
+    # took 95 s.
+    assert_matches_reference(a, reference=_block_reference(a) if len(a) > 24 else None)
+
+
+def test_the_block_reference_is_the_reference():
+    # On block diagonals small enough for the whole-matrix reference, the
+    # blockwise one gives the same d and kernel lattice.
+    rng = seeded_rng("snf-block-reference")
+    for size in (1, 2, 5, 9, 16, 24):
+        for _ in range(4):
+            a = _seeded_block_diagonal(rng, size)
+            (d, kernel), (bd, bkernel) = _reference(a), _block_reference(a)
+            assert repr(bd) == repr(d)
+            assert hnf_basis(bkernel) == hnf_basis(kernel)
 
 
 def _replayed_block_diagonal():
@@ -288,7 +370,8 @@ def _replayed_block_diagonal():
 
 
 def test_snf_matches_the_reference_on_a_replayed_block_diagonal():
-    assert_matches_reference(_replayed_block_diagonal())
+    a = _replayed_block_diagonal()
+    assert_matches_reference(a, reference=_block_reference(a))
 
 
 @st.composite
@@ -341,6 +424,66 @@ def test_hnf_matches_sympy_and_carries_the_inverse_transform(a):
     assert _is_unimodular(_sparse_rows(u)) and mat_mul(u, h) == a
 
 
+def _carried_first_step(rows):
+    """``_hnf`` of ``rows`` with the carry started at the identity and
+    followed through every row operation: the route ``_hnf_transform``
+    replaces in ``_snf``'s first steps."""
+    carry = identity_matrix(len(rows))
+    return abgrp._hnf(rows, carry), carry
+
+
+@st.composite
+def first_dependent_rows(draw):
+    """m x n integer matrices up to 8 x 8 whose row at a drawn place is
+    zero, a copy of a row before it or a combination of two of them, so the
+    first row that reduces to zero can fall at any place; or products of
+    m x r and r x n matrices (low rank); or none of these."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("free", "zero", "copy", "combination", "low rank")))
+    if kind == "low rank":
+        r = draw(st.integers(0, min(m, n)))
+        left = draw(st.lists(st.lists(st.integers(-4, 4), min_size=r, max_size=r), min_size=m, max_size=m))
+        right = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=r, max_size=r))
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] if r else [0] * n
+                for row in left]
+    entries = st.sampled_from((0, 0, 1, -1, 2, -3, 6, 50, -10**6)) | st.integers(-50, 50)
+    a = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    at = draw(st.integers(0, m - 1))
+    if kind == "zero" or (kind != "free" and at == 0):
+        a[at] = [0] * n
+    elif kind == "copy":
+        a[at] = list(a[draw(st.integers(0, at - 1))])
+    elif kind == "combination":
+        k, l = draw(st.integers(0, at - 1)), draw(st.integers(0, at - 1))
+        c, e = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        a[at] = [c * x + e * y for x, y in zip(a[k], a[l])]
+    return a
+
+
+@settings(max_examples=100, deadline=None)
+@given(first_dependent_rows())
+def test_hnf_transform_matches_the_carried_step(a):
+    # The solved-for carry is the carried one entry for entry, and the rows
+    # are the same, on the rows and on the columns (the first column step).
+    for rows in (_sparse_rows(a), abgrp._columns(_sparse_rows(a), len(a[0]))):
+        before = repr(rows)
+        assert repr(abgrp._hnf_transform(rows)) == repr(_carried_first_step(rows))
+        assert repr(rows) == before
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_snf_of_a_matrix_with_no_columns(m):
+    # the first column step gets no columns, hence no rows to solve for
+    assert smith_normal_form([[]] * m) == (identity_matrix(m), [[]] * m, [])
+
+
+def test_hnf_solve_refuses_rows_its_pivots_do_not_span():
+    # rows[0] == 2 * pivot row + 1 * e_0: the division at column 1 leaves a
+    # remainder once column 0 is read
+    with pytest.raises(CrossCheckError, match="row 0"):
+        abgrp._hnf_solve([{0: 3, 1: 4}], {0: {0: 2}, 1: {0: 1, 1: 2}}, [0, 1], [[0], [0]])
+
+
 def _full_matrix_cokernel(a):
     """``cokernel`` by the route that eliminated the whole matrix, zero rows
     and zero columns included."""
@@ -381,3 +524,74 @@ def test_cokernel_of_the_support_matches_the_full_matrix(a):
 def test_cokernel_fixed_cases(a, want):
     # all-zero matrices give Z^m; one nonzero cell; non-square m x n
     assert str(cokernel(a)) == want == str(_full_matrix_cokernel(a))
+
+
+# ---------------------------------------------------------------------------
+# byte-identity goldens for smith_normal_form's u, d and v
+# ---------------------------------------------------------------------------
+
+_GOLDENS = Path(__file__).with_name("snf_goldens.json")
+
+
+def _golden_matrix(kind, m, n, rank):
+    """The seeded input of one golden: ``kind`` names the family, ``rank``
+    (or None) the rank of the low-rank ones."""
+    rng = seeded_rng(f"snf-golden-{kind}-{m}x{n}-{rank}")
+    if kind == "udv":
+        # U.D.V as the cli workload's snf requests build it: a divisibility
+        # chain with its last entry zero, between two products of elementary
+        # matrices
+        chain = [1]
+        for _ in range(m - 2):
+            chain.append(chain[-1] * rng.choice((1, 1, 2, 3, 5)))
+        d = [[(chain + [0])[i] if i == j else 0 for j in range(m)] for i in range(m)]
+        u, v = identity_matrix(m), identity_matrix(m)
+        for w in (u, v):
+            for _ in range(2 * m):
+                i, j = rng.sample(range(m), 2)
+                c = rng.choice((-2, -1, 1, 2))
+                for row in w:
+                    row[j] += c * row[i]
+        return mat_mul(mat_mul(u, d), v)
+    if kind in ("block", "shuffled-block"):
+        a = _seeded_block_diagonal(rng, m)
+        if kind == "shuffled-block":
+            rng.shuffle(a)
+            perm = rng.sample(range(n), n)
+            a = [[row[j] for j in perm] for row in a]
+        return a
+    if kind == "diagonal":
+        return [[rng.choice(_NON_UNITS) if i == j else 0 for j in range(n)] for i in range(m)]
+    bound = 10**6 if kind == "dense-big" else 50
+    if rank is None:
+        a = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+    else:
+        left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(m)]
+        right = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rank)]
+        a = mat_mul(left, right)
+    if kind == "singular":  # the last row a combination of two others
+        x, y = rng.sample(range(m - 1), 2)
+        a[-1] = [p - 2 * q for p, q in zip(a[x], a[y])]
+    elif kind == "zero-first-row":
+        a[0] = [0] * n
+    elif kind == "duplicated":  # every third row repeats the one before it
+        for i in range(2, m, 3):
+            a[i] = list(a[i - 1])
+    return a
+
+
+def _sha256(obj):
+    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_snf_transforms_match_their_goldens():
+    # u, d and v of every golden input are byte for byte those recorded in
+    # tests/snf_goldens.json, which the Smith form that carried u and v
+    # through every row operation wrote; the input is rebuilt from its
+    # recipe and checked against its own hash first.
+    goldens = json.loads(_GOLDENS.read_text())
+    assert len(goldens) >= 30
+    for g in goldens:
+        a = _golden_matrix(g["kind"], *g["shape"], g["rank"])
+        assert _sha256(a) == g["input_sha256"], g
+        assert _sha256(list(smith_normal_form(a))) == g["udv_sha256"], g
