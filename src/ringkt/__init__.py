@@ -23,7 +23,6 @@ from .abgrp import (
     GroupDescriptor,
     cokernel,
     colimit,
-    compose_window,
     identified,
     image_lattice_basis,
     invariant_factors,
@@ -97,7 +96,6 @@ __all__ = [
     "classify_B",
     "cokernel",
     "colimit",
-    "compose_window",
     "exterior_graded_ranks",
     "fundamental_unit_real_quadratic",
     "identified",

@@ -28,19 +28,18 @@ exports are
 
 * a classifier for sequential colimits ``Z^k -M1-> Z^k -M2-> ...`` of free
   abelian groups along integer matrices (``DirectedSystem`` / ``colimit``),
-  together with ``compose_window`` and the element-identification decision
-  procedure ``identified``.  The engine keeps every structure map as sparse
-  rows, checked once in whichever form it came; only the kernel lattice, the
-  composite the eigen classifier restricts to and public return values get
-  dense copies.  Steps are
-  multiplied together only in ``compose_window``, the relations below full
-  rank and the eigen classifier.  A coordinate on which every sampled map is
-  diagonal (an isolated one) is a direct summand of rank at most one: its
-  ranks are read off its diagonal samples, and only the other, coupled
-  coordinates go through the pass over the composites' images
-  (``_split_pass``).  One walk over the sampled maps gives the diagonal
-  samples and the feed arcs that decide both isolation and the triangular
-  order.
+  together with the element-identification decision procedure
+  ``identified``.  The engine keeps every structure map as sparse rows,
+  checked once in whichever form it came; only the kernel lattice, the
+  basis the eigen classifier restricts to and public return values get
+  dense copies.  Steps are multiplied together only in the relations below
+  full rank and, once the maps are known to commute, in the eigen
+  classifier.  A coordinate on which every sampled map is diagonal (an
+  isolated one) is a direct summand of rank at most one: its ranks are read
+  off its diagonal samples, and only the other, coupled coordinates go
+  through the pass over the composites' images (``_split_pass``).  One walk
+  over the sampled maps gives the diagonal samples and the feed arcs that
+  decide both isolation and the triangular order.
 
 The colimit classifier certifies exact answers for the class of systems whose
 matrices become upper triangular under a common permutation of coordinates
@@ -880,12 +879,8 @@ class GroupDescriptor:
         return cls(q_rank=n)
 
     @classmethod
-    def cyclic(cls, *orders):
-        return cls(torsion=orders)
-
-    @classmethod
-    def localized(cls, primes, copies=1):
-        return cls(loc=[tuple(primes)] * copies)
+    def localized(cls, primes):
+        return cls(loc=[tuple(primes)])
 
     # -- structure ----------------------------------------------------------
 
@@ -1065,14 +1060,14 @@ class DirectedSystem:
 
     Steps live in one store, ``_step_cache``, keyed by their 1-based index:
     an explicit chain fills it when built and has no family; a family fills
-    it on first read of each step.  ``mode`` (``"explicit"`` or
-    ``"symbolic"``) says which, and no method reads it.  Steps, given or
-    returned by a family, are dense square matrices or sparse rows
-    (``{column: value}`` dicts); either is checked where it enters, once,
-    and kept as sparse int rows without zeros: ``explicit`` checks its
-    matrices, ``from_family`` every step its callable returns, and
-    ``symbolic`` checks its laws, so its own family needs no check.
-    ``matrix``, ``matrix_at`` and ``to_json`` copy them dense.
+    it on first read of each step.  Steps, given or returned by a family,
+    are dense square matrices or sparse rows (``{column: value}`` dicts);
+    either is checked where it enters, once, and kept as sparse int rows
+    without zeros: ``explicit`` checks its matrices, ``from_family`` every
+    step its callable returns, and ``symbolic`` checks its laws, so its own
+    family needs no check.  ``matrix`` and ``to_json`` copy them dense; the
+    step at any parameter ``d`` is ``matrix(1)`` of the same system built
+    on ``d_chain=[d]``.
     """
 
     def __init__(self, dim, *, family=None, d_chain=None, steps=None, laws=None):
@@ -1082,7 +1077,6 @@ class DirectedSystem:
         if family is None and steps is None:
             raise InputError("a directed system needs a family or explicit steps")
         self.dim = dim
-        self.mode = "symbolic" if steps is None else "explicit"
         self.laws = laws
         self._family = family
         self._d_chain = (tuple(_as_int(d, "d_chain entry")
@@ -1221,10 +1215,6 @@ class DirectedSystem:
         """The t-th structure map (1-based) as an integer matrix."""
         return _dense_rows(self._step(t), self.dim)
 
-    def matrix_at(self, d):
-        """Evaluate a symbolic family at an arbitrary parameter ``d >= 2``."""
-        return _dense_rows(self._step_at(d), self.dim)
-
     def _step(self, t):
         """The t-th structure map as checked sparse rows, kept after the first call."""
         if t < 1:
@@ -1234,13 +1224,6 @@ class DirectedSystem:
                 raise InputError(f"step {t} outside the explicit chain")
             self._step_cache[t] = self._family(self.d_value(t))
         return self._step_cache[t]
-
-    def _step_at(self, d):
-        """The family at parameter ``d``: sparse int rows without zeros, checked
-        where they entered (``from_family`` checks each one it returns)."""
-        if self._family is None:
-            raise InputError("explicit systems cannot be evaluated at a parameter")
-        return self._family(d)
 
 
 # ---------------------------------------------------------------------------
@@ -1645,18 +1628,20 @@ def _common_flag_eigenvalues(ts):
     return flag
 
 
-def _eigen_flag(maps, ds, w, r):
+def _eigen_flag(maps, ds, cap, r):
     """The flag of a commuting family of sparse ``maps`` on the stabilized
-    subspace (the image of ``w``, which they preserve): one direction per
-    common eigenvalue tuple, sampled at ``ds``, each coupling into every
-    earlier one.  A restriction has the rank of its map on that subspace."""
+    subspace (the image of the composite of the first ``cap``, which they
+    preserve): one direction per common eigenvalue tuple, sampled at ``ds``,
+    each coupling into every earlier one.  A restriction has the rank of its
+    map on that subspace."""
     if any(_sparse_mul(a, b) != _sparse_mul(b, a) for a, b in combinations(maps, 2)):
         raise UnsupportedSystemError(
             "structure maps do not commute and no common triangular "
             "coordinate order exists; the system is outside the "
             "certified class"
         )
-    basis = image_lattice_basis(w)
+    dim = len(maps[0])
+    basis = _dense_rows(_hnf(_columns(_composite(maps[:cap]), dim)), dim)
     if not basis:
         return []
     ts = _restricted_maps(maps, [list(col) for col in zip(*basis)])
@@ -1675,7 +1660,7 @@ def _colimit_symbolic(system):
     # The sampled maps: the chain, then two confirmation samples beyond the
     # horizon against families whose behaviour changes past it.
     ds = [system.d_value(t) for t in range(1, cap + 1)] + [101, 102]
-    maps = [system._step(t) for t in range(1, cap + 1)] + [system._step_at(d) for d in ds[cap:]]
+    maps = [system._step(t) for t in range(1, cap + 1)] + [system._family(d) for d in ds[cap:]]
     feeds, samples = _walk(maps)
     levels, r, stab, window = _split_pass(maps[:cap], feeds, samples, cap // 2)
     if stab > cap - 3:
@@ -1692,8 +1677,7 @@ def _colimit_symbolic(system):
     # order exists, and the commuting family's eigen flag is read instead.
     reach = [_reachable(feeds, p) for p in range(dim)]
     if any(p in reach[p] for p in range(dim)):
-        w = _dense_rows(_composite(maps[:cap]), dim)
-        flag = _eigen_flag(maps, ds, w, r)
+        flag = _eigen_flag(maps, ds, cap, r)
     else:
         flag = [(tuple(zip(ds, lams)), sorted(reach[p])) for p, lams in enumerate(samples)]
     return ColimitReport(_flag_sum(flag, r), maps[:cap], False, r, stab, (
@@ -1724,33 +1708,6 @@ def colimit(system):
         report = _colimit_symbolic(system)
     system._analysis_cache = report
     return report
-
-
-def compose_window(system, i, j):
-    """The composite map from level ``i`` to level ``j + 1``: ``M_j ... M_i``.
-
-    Indices are 1-based and inclusive.
-
-    >>> sys31 = DirectedSystem.symbolic(
-    ...     3,
-    ...     [{"kind": "poly", "coeffs": [0, 2]}, {"kind": "zero"}, {"kind": "identity"}],
-    ...     [{"row": 0, "col": 1, "kind": "mult_d"},
-    ...      {"row": 0, "col": 2, "poly": [-1, 1]},
-    ...      {"row": 1, "col": 2, "poly": [1]}],
-    ...     d_chain=[3, 5],
-    ... )
-    >>> compose_window(sys31, 1, 1)
-    [[6, 3, 2], [0, 0, 1], [0, 0, 1]]
-    """
-    if not isinstance(system, DirectedSystem):
-        raise InputError("compose_window expects a DirectedSystem")
-    i, j = _as_int(i, "window start"), _as_int(j, "window end")
-    if i < 1 or j < i:
-        raise InputError("compose_window needs integer steps 1 <= i <= j")
-    length = system.finite_length
-    if length is not None and j > length:
-        raise InputError(f"window end {j} exceeds the chain length {length}")
-    return _dense_rows(_composite([system._step(t) for t in range(i, j + 1)]), system.dim)
 
 
 # Steps the window walk of ``identified`` may take before reaching the

@@ -205,6 +205,22 @@ class KappaMatrix:
         return 2 ** self.n + 2 ** (self.n - 1)
 
 
+def _level_count(n):
+    """``n`` by the integer rule, refused below 1."""
+    n = _as_int(n, "the level count n")
+    if n < 1:
+        raise InputError("the level count n must be an integer >= 1")
+    return n
+
+
+def _multiplier(d):
+    """``d`` by the integer rule, refused below 2."""
+    d = _as_int(d, "the multiplier d")
+    if d < 2:
+        raise InputError("the multiplier d must be an integer >= 2")
+    return d
+
+
 def kappa_inf(n, d):
     """The infinite-part diagonal: ``d^(n - |T|)`` over even subsets ``T``,
     that is ``d^(n - k)`` repeated ``C(n, k)`` times for each even ``k``.
@@ -212,11 +228,7 @@ def kappa_inf(n, d):
     >>> kappa_inf(3, 2)
     (8, 2, 2, 2)
     """
-    n, d = _as_int(n, "the level count n"), _as_int(d, "the multiplier d")
-    if n < 1:
-        raise InputError("the level count n must be at least 1")
-    if d < 2:
-        raise InputError("the multiplier d must be at least 2")
+    n, d = _level_count(n), _multiplier(d)
     diag = ()
     for k in range(0, n + 1, 2):
         diag += (d ** (n - k),) * math.comb(n, k)
@@ -243,11 +255,7 @@ def kappa(n, d):
     >>> kappa(2, 5).mixing
     (12, 12, 12, 12)
     """
-    n, d = _as_int(n, "the level count n"), _as_int(d, "the multiplier d")
-    if n < 1:
-        raise InputError("the level count n must be an integer >= 1")
-    if d < 2:
-        raise InputError("the multiplier d must be an integer >= 2")
+    n, d = _level_count(n), _multiplier(d)
     half, n2 = d ** n // 2, 2 ** n
     if d % 2:
         mixing = (half,) * n2  # d^n is odd, so half = (d^n - 1)/2
@@ -324,9 +332,7 @@ def k_of_B0(n, engine_check=None):
     The closed form is verified against the colimit engine on the diagonal
     system (always for ``n <= 7``; pass ``engine_check=True`` to force it).
     """
-    n = _as_int(n, "the level count n")
-    if n < 1:
-        raise InputError("the level count n must be an integer >= 1")
+    n = _level_count(n)
     top = GroupDescriptor(free_rank=1, q_rank=2 ** (n - 1) - 1)  # K_(n mod 2)
     rest = GroupDescriptor(q_rank=2 ** (n - 1))
     k0, k1 = (top, rest) if n % 2 == 0 else (rest, top)
@@ -363,9 +369,7 @@ def k_of_A0(n, engine_check=None):
     Verified against the colimit engine on the full structure-matrix family
     (always for ``n <= 6``; pass ``engine_check=True`` to force it).
     """
-    n = _as_int(n, "the level count n")
-    if n < 1:
-        raise InputError("the level count n must be an integer >= 1")
+    n = _level_count(n)
     if n % 2 == 1:
         k0 = GroupDescriptor(free_rank=1, q_rank=2 ** (n - 1))
     else:
@@ -478,10 +482,6 @@ class ActionDescriptor:
             a, b = desc.free_rank, desc.q_rank
             if given is None:
                 return EndoBlocks.build(a, b)
-            if isinstance(given, EndoBlocks):
-                if (len(given.z_block), len(given.q_block)) != (a, b):
-                    raise InputError("action blocks do not match the group")
-                return given
             if not isinstance(given, dict):
                 raise InputError("an action block must be an object with keys among z, q, mix")
             _check_keys(given, ("z", "q", "mix"), "an action block")
@@ -668,11 +668,11 @@ def _resolve_extension(sub, quot, split):
     )
 
 
-def pv_step(g, act=None, resolution="require_split"):
+def pv_step(g, act, resolution="require_split"):
     """One crossed-product-by-a-single-automorphism step on K-groups.
 
-    ``g`` is the graded K-group (or None to take the action's domain), ``act``
-    the automorphism action.  Per degree ``j`` the new group is an extension
+    ``g`` is the graded K-group, which must be the domain of ``act``, the
+    automorphism action.  Per degree ``j`` the new group is an extension
 
         0 -> coker(id - act^(-1) on K_j) -> K_j' -> ker(id - act^(-1) on K_(1-j)) -> 0
 
@@ -693,15 +693,8 @@ def pv_step(g, act=None, resolution="require_split"):
     """
     if resolution not in _RESOLUTIONS:
         raise InputError(f"unknown resolution {resolution!r} (expected one of {_RESOLUTIONS})")
-    if act is None:
-        if not isinstance(g, ActionDescriptor):
-            raise InputError("pv_step needs an action")
-        act = g
-        g = act.domain
     if not isinstance(act, ActionDescriptor):
         raise InputError("pv_step needs an ActionDescriptor")
-    if g is None:
-        g = act.domain
     if g != act.domain:
         raise InputError("the graded group does not match the action's domain")
     ker0, coker0 = _degree_kernel_cokernel(g.k0, act.deg0)

@@ -21,7 +21,6 @@ from ringkt.abgrp import (
     GroupDescriptor,
     cokernel,
     colimit,
-    compose_window,
     determinant,
     identified,
     image_lattice_basis,
@@ -80,7 +79,7 @@ def test_cokernel_examples():
     assert cokernel([[2, 4], [6, 8]]) == GroupDescriptor(torsion=(2, 4))
     assert cokernel([[1, 0], [0, 1]]).is_trivial
     assert cokernel([[0, 0], [0, 0]]) == GroupDescriptor.free(2)
-    assert cokernel([[2, 0], [0, 3]]) == GroupDescriptor.cyclic(6)
+    assert cokernel([[2, 0], [0, 3]]) == GroupDescriptor(torsion=(6,))
     # 3 generators, one relation of content 1: free of rank 2
     assert cokernel([[1], [2], [3]]) == GroupDescriptor.free(2)
 
@@ -241,7 +240,7 @@ def test_descriptor_predicates_and_str():
     assert GroupDescriptor.free(3).is_free
     assert GroupDescriptor.rationals(2).is_divisible
     assert not GroupDescriptor.localized([2]).is_divisible
-    assert not GroupDescriptor.cyclic(2).is_divisible
+    assert not GroupDescriptor(torsion=(2,)).is_divisible
     d = GroupDescriptor(free_rank=1, q_rank=2, loc=[(2, 3)], torsion=(2, 4))
     assert str(d) == "Z + Loc{2,3} + Q^2 + Z/2 + Z/4"
     assert str(GroupDescriptor.zero()) == "0"
@@ -249,7 +248,7 @@ def test_descriptor_predicates_and_str():
 
 def test_descriptor_sum_and_json_round_trip():
     d = GroupDescriptor.free(1).direct_sum(
-        GroupDescriptor.rationals(1), GroupDescriptor.cyclic(2, 6)
+        GroupDescriptor.rationals(1), GroupDescriptor(torsion=(2, 6))
     )
     assert d == GroupDescriptor(free_rank=1, q_rank=1, torsion=(2, 6))
     assert GroupDescriptor.from_json_dict(d.to_json_dict()) == d
@@ -445,25 +444,14 @@ def test_symbolic_system_integer_rule():
         DirectedSystem.from_family(2.5, lambda d: [[1]])
 
 
-def test_compose_window_example():
+def test_d_chain_steps_are_read_at_their_parameters():
     sysw = _rank3_system(d_chain=[3, 5])
-    assert compose_window(sysw, 1, 1) == [[6, 3, 2], [0, 0, 1], [0, 0, 1]]
-    expected = mat_mul([[10, 5, 4], [0, 0, 1], [0, 0, 1]],
-                       [[6, 3, 2], [0, 0, 1], [0, 0, 1]])
-    assert compose_window(sysw, 1, 2) == expected
-    assert compose_window(sysw, 2, 2) == [[10, 5, 4], [0, 0, 1], [0, 0, 1]]
-    with pytest.raises(InputError):
-        compose_window(sysw, 2, 3)
-    with pytest.raises(InputError):
-        compose_window(sysw, 0, 1)
-
-
-def test_compose_window_rebracketing():
-    sys31 = _rank3_system()
-    w13 = compose_window(sys31, 1, 3)
-    w12 = compose_window(sys31, 1, 2)
-    w33 = compose_window(sys31, 3, 3)
-    assert w13 == mat_mul(w33, w12)
+    assert sysw.matrix(1) == [[6, 3, 2], [0, 0, 1], [0, 0, 1]]
+    assert sysw.matrix(2) == [[10, 5, 4], [0, 0, 1], [0, 0, 1]]
+    with pytest.raises(InputError, match="outside the supplied d_chain"):
+        sysw.matrix(3)
+    with pytest.raises(InputError, match="1-based"):
+        sysw.matrix(0)
 
 
 # ---------------------------------------------------------------------------
@@ -927,8 +915,8 @@ def test_identified_matches_far_pushforward(system, data):
 
 def _conjugated(system, p, p_inv):
     """The system ``P M_t P^-1``: the same colimit, seen in another basis."""
-    return DirectedSystem.from_family(
-        system.dim, lambda d: mat_mul(mat_mul(p, system.matrix_at(d)), p_inv))
+    return DirectedSystem.from_family(system.dim, lambda d: mat_mul(
+        mat_mul(p, abgrp._dense_rows(system._family(d), system.dim)), p_inv))
 
 
 @settings(max_examples=30, deadline=None)

@@ -16,7 +16,6 @@ from ringkt.abgrp import (
     GroupDescriptor,
     cokernel,
     colimit,
-    compose_window,
     determinant,
     identified,
     identity_matrix,
@@ -256,8 +255,6 @@ def test_base_k_validation():
 _INTEGER_GUARDS = {
     "d_chain": (lambda k: DirectedSystem.symbolic(
         1, [{"kind": "mult_d"}], d_chain=[k]).matrix(1), 3),
-    "compose_window-i": (lambda k: compose_window(rank_one_system(), k, 2), 1),
-    "compose_window-j": (lambda k: compose_window(rank_one_system(), 1, k), 2),
     "kappa-n": (lambda k: kappa(k, 2), 2),
     "kappa-d": (lambda k: kappa(2, k), 3),
     "k_of_B0": (lambda k: k_of_B0(k), 2),
@@ -471,13 +468,6 @@ def test_pv_resolution_validation():
         pv_step(other, identity_action(g))
 
 
-def test_pv_none_group_takes_the_action_domain():
-    act = involution_action(3)
-    assert pv_step(None, act) == pv_step(act)
-    assert pv_step(None, act, resolution="elementary_divisors") == pv_step(
-        act.domain, act, resolution="elementary_divisors")
-
-
 def test_pv_square_map_rank_balance():
     # for a square endomorphism the kernel and cokernel free ranks agree,
     # and the divisible nullities match on both sides
@@ -522,7 +512,8 @@ def _random_blocks(rng, a, b):
 @given(st.randoms(use_true_random=False))
 def test_pv_step_invariant_under_unimodular_change_of_basis(rng):
     # z -> P z P^-1 and mix -> mix P^-1 is the same action in another basis of
-    # the free part, so every kernel and cokernel must come out the same
+    # the free part, so every kernel, cokernel and resolved group, or the
+    # refusal, must come out the same under either resolution
     descs = [GroupDescriptor(free_rank=rng.randint(0, 3), q_rank=rng.randint(0, 2),
                              torsion=[rng.choice((2, 3, 4))] * rng.randint(0, 1))
              for _ in range(2)]
@@ -543,11 +534,12 @@ def test_pv_step_invariant_under_unimodular_change_of_basis(rng):
     results = []
     for blocks in (given_blocks, conjugated):
         act = ActionDescriptor.build(g, *blocks)
-        try:
-            results.append(pv_step(g, act, resolution="elementary_divisors"))
-        except InputError as exc:
-            results.append(str(exc))
-    assert results[0] == results[1]
+        for resolution in ("require_split", "elementary_divisors"):
+            try:
+                results.append(pv_step(g, act, resolution=resolution))
+            except InputError as exc:
+                results.append(str(exc))
+    assert results[:2] == results[2:]
 
 
 PV_GOLDENS = json.loads(pathlib.Path(__file__).with_name("pv_goldens.json").read_text())

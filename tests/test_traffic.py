@@ -1,6 +1,7 @@
 """Smoke test of ``tools/traffic.py``, the call counter behind the traffic
 tables in ``CHANGES.md``: it names every function of the package, the
-methods ``dataclass`` generates included, and counts each call once."""
+methods ``dataclass`` generates included, tells those apart, and counts
+each call once."""
 
 import importlib.util
 from pathlib import Path
@@ -34,3 +35,11 @@ def test_the_counter_on_a_small_callable():
     matrix, calls = traffic.count_calls(lambda: system.matrix(3), names)
     assert matrix == [[4]]
     assert calls["abgrp.DirectedSystem.symbolic.<locals>.family"] == 1
+
+
+def test_generated_methods_are_told_apart():
+    names = traffic.inventory(ringkt)
+    made = traffic.generated(names, ringkt)
+    assert "abgrp.GroupDescriptor.__eq__" in made
+    assert "abgrp.GroupDescriptor.__init__" not in made  # written in abgrp
+    assert "abgrp.DirectedSystem.symbolic" not in made

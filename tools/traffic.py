@@ -13,7 +13,10 @@ methods ``dataclass`` generates, click callbacks) and the named functions
 nested in them.  A generator counts once per resume.
 
 The table gives the calls per workload of every function some workload
-reaches, then the functions none reaches.  Run from the repository root::
+reaches, then the functions none reaches: first those written in the
+package, then the methods ``dataclass`` generates, whose code comes from no
+file of the package, so no edit to it can delete them.  Run from the
+repository root::
 
     python tools/traffic.py [--seed N]
 """
@@ -71,6 +74,14 @@ def inventory(package):
     for mod in modules:
         members(mod.__name__.removeprefix(package.__name__ + "."), mod, mod.__name__)
     return names
+
+
+def generated(names, package):
+    """The names in ``names`` whose code objects come from no file of
+    ``package``: the methods ``dataclass`` generates."""
+    root = Path(package.__file__).resolve().parent
+    return {name for code, name in names.items()
+            if Path(code.co_filename).resolve().parent != root}
 
 
 def count_calls(fn, names):
@@ -134,8 +145,13 @@ def main(argv=None):
     print(f"{'function':<{width}}" + "".join(f"{name:>9}" for name in traffic))
     for fn in reached:
         print(f"{fn:<{width}}" + "".join(f"{calls[fn]:>9}" for calls in traffic.values()))
+    unreached = set(names.values()) - set(reached)
+    made = generated(names, ringkt)
     print(f"\nreached by no workload (seed {args.seed}):")
-    for fn in sorted(set(names.values()) - set(reached)):
+    for fn in sorted(unreached - made):
+        print(f"  {fn}")
+    print(f"\nreached by no workload, generated by dataclass (seed {args.seed}):")
+    for fn in sorted(unreached & made):
         print(f"  {fn}")
     return 0
 
