@@ -142,7 +142,10 @@ def as_int_matrix(a):
 
 
 def identity_matrix(k):
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    out = [[0] * k for _ in range(k)]
+    for i, row in enumerate(out):
+        row[i] = 1
+    return out
 
 
 def _sparse_rows(a):

@@ -1188,43 +1188,69 @@ def _trim_mod(a, p):
     return a
 
 
+def _polymod_reduce(a, f, p):
+    """The remainder of ``a`` by ``f`` over Z/p, reduced and trimmed.
+
+    One division in place, the one reduction loop of the GF(p)[x] kernel:
+    ``a`` may be unreduced (any integers) and is overwritten, and ``f`` has a
+    leading coefficient invertible mod ``p``.  The running value stays
+    unreduced: each quotient coefficient is read mod ``p`` from it and stored
+    over the term it cancels, so ``a[deg f:]`` ends as the quotient, reduced;
+    only the remainder is reduced, once.
+    """
+    db = len(f) - 1
+    inv = 1 if f[-1] == 1 else pow(f[-1], -1, p)
+    low = f[:-1]  # the top term cancels mod p and is not read again
+    for top in range(len(a) - 1, db - 1, -1):
+        c = a[top] = a[top] * inv % p
+        if c:
+            for i, y in enumerate(low, top - db):
+                a[i] -= c * y
+    return _trim_mod(a[:db], p)
+
+
 def _polymod_mul(a, b, f, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _polymod_divmod(out, f, p)[1]  # reduces the sums mod p
+    """``a b mod (f, p)``, reduced and trimmed: the schoolbook product,
+    unreduced, with each cross term formed once for a square (``a is b``),
+    then reduced in the same list."""
+    if not (a and b):
+        return []
+    n = len(a)
+    out = [0] * (n + len(b) - 1)
+    if a is b:
+        for i, x in enumerate(a):
+            if x:
+                out[2 * i] += x * x
+                x += x
+                for j in range(i + 1, n):
+                    out[i + j] += x * a[j]
+    else:
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+    return _polymod_reduce(out, f, p)
 
 
 def _polymod_divmod(a, b, p):
     """Quotient and remainder of ``a`` by ``b`` over Z/p, both reduced and
-    trimmed.
+    trimmed, for the exact divisions that split off a factor (the remainder
+    alone is ``_polymod_reduce``'s).
 
     ``a`` may be unreduced (any integers); ``b`` is reduced mod ``p`` and has
-    a leading coefficient invertible mod ``p``.  The running value stays
-    unreduced: each quotient coefficient is read mod ``p`` from it, and only
-    the remainder is reduced, once.
+    a leading coefficient invertible mod ``p``.
     """
     a = list(a)
     while a and not a[-1] % p:
         a.pop()
-    db = len(b) - 1
-    inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
-    low = b[:-1]  # the top term cancels mod p and is not read again
-    quot = [0] * max(0, len(a) - db)
-    for shift in range(len(quot) - 1, -1, -1):
-        c = quot[shift] = a[shift + db] * inv % p
-        if c:
-            for i, y in enumerate(low, shift):
-                a[i] -= c * y
-    return quot, _trim_mod(a[:db], p)
+    rem = _polymod_reduce(a, b, p)
+    return a[len(b) - 1:], rem
 
 
 def _polymod_gcd(a, b, p):
     a, b = _trim_mod(a, p), _trim_mod(b, p)
     while b:
-        a, b = b, _polymod_divmod(a, b, p)[1]
+        a, b = b, _polymod_reduce(a, b, p)  # a is this loop's own list
     return a
 
 
@@ -1432,15 +1458,15 @@ def _poly_sub_mod(a, b, p):
 
 
 def _polymod_pow(base, e, f, p):
-    """base(x)^e mod f over Z/p (square and multiply): p prime, or f monic."""
-    out = [1]
-    b = _polymod_divmod(base, f, p)[1]
-    while e:
-        if e & 1:
+    """base(x)^e mod f over Z/p (square and multiply from the top bit, each
+    multiply by the reduced base): p prime, or f monic."""
+    if not e:
+        return [1]
+    b = out = _polymod_reduce(list(base), f, p)
+    for bit in bin(e)[3:]:
+        out = _polymod_mul(out, out, f, p)
+        if bit == "1":
             out = _polymod_mul(out, b, f, p)
-        e >>= 1
-        if e:
-            b = _polymod_mul(b, b, f, p)
     return out
 
 

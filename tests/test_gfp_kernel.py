@@ -92,9 +92,13 @@ def test_kernel_matches_the_reference(f, p, k, scale, a, b, e):
     for divisor in (_trim_mod(f, p), _trim_mod([scale * c for c in f], p)):
         if divisor:
             assert numfield._polymod_divmod(a, divisor, p) == ref_divmod(a, divisor, p)
-    # mul and pow mod (f, p^k), f monic and unreduced
+    # gcd of the unreduced draws
+    assert numfield._polymod_gcd(a, b, p) == ref_gcd(a, b, p)
+    # mul (a square too: one list as both operands) and pow mod (f, p^k), f
+    # monic and unreduced
     q = p ** k
     assert numfield._polymod_mul(a, b, f, q) == ref_mul(a, b, f, q)
+    assert numfield._polymod_mul(a, a, f, q) == ref_mul(a, a, f, q)
     assert numfield._polymod_pow(a, e, f, q) == ref_pow(a, e, f, q)
     # the distinct-degree parts of f mod p, squarefree
     g = _trim_mod(f, p)
