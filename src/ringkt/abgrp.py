@@ -29,10 +29,11 @@ exports are
 * a classifier for sequential colimits ``Z^k -M1-> Z^k -M2-> ...`` of free
   abelian groups along integer matrices (``DirectedSystem`` / ``colimit``),
   together with the element-identification decision procedure
-  ``identified``.  The engine keeps every structure map as sparse rows,
-  checked once in whichever form it came; only the kernel lattice, the
-  basis the eigen classifier restricts to and public return values get
-  dense copies.  Steps are multiplied together only in the relations below
+  ``identified``, which classifies the colimit only when a "no" needs its
+  rank: a difference that vanishes proves a "yes" by itself.  The engine
+  keeps every structure map as sparse rows, checked once in whichever form
+  it came; only the kernel lattice, the basis the eigen classifier restricts
+  to and public return values get dense copies.  Steps are multiplied together only in the relations below
   full rank and, once the maps are known to commute, in the eigen
   classifier.  A coordinate on which every sampled map is diagonal (an
   isolated one) is a direct summand of rank at most one: its ranks are read
@@ -50,8 +51,10 @@ the traces.  Both classes are read off one flag of directions (coordinates,
 or joint eigenvalue tuples) with the same samples, the chain and two
 confirmation maps beyond it; on each direction the diagonal scaling must
 follow a monomial law ``c * d**e`` (separately on odd and even step
-parameters, which covers parity-dependent laws).  Systems outside this class
-are rejected with a diagnostic instead of guessed at.
+parameters, which covers parity-dependent laws).  A direction carries the
+sequence of its scaling values, and each distinct sequence is typed once.
+Systems outside this class are rejected with a diagnostic instead of guessed
+at.
 """
 
 from __future__ import annotations
@@ -1539,20 +1542,22 @@ def _reachable(feeds, start):
     return seen
 
 
-def _flag_sum(flag, r):
-    """The colimit read off a flag of directions, each ``(samples, into)``.
+def _flag_sum(flag, r, ds):
+    """The colimit read off a flag of directions, each ``(values, into)``.
 
-    ``samples`` is the tuple of the direction's ``(d, lambda)`` pairs, typed by
-    ``_direction_type``; ``into`` lists the flag indices it couples into.  The
-    survivors must number the stabilized rank ``r``.  Split safety: a non-free
-    survivor may couple only into divisible or dead directions, since only
-    then is the extension certified to split; the answer is their direct sum.
+    ``values`` is the tuple of the direction's scaling values at the step
+    parameters ``ds``; ``into`` lists the flag indices it couples into.
+    ``_direction_type`` is pure, so it types each distinct value sequence
+    once, on its ``(d, lambda)`` pairs.  The survivors must number the
+    stabilized rank ``r``.  Split safety: a non-free survivor may couple only
+    into divisible or dead directions, since only then is the extension
+    certified to split; the answer is their direct sum.
     """
-    typed = {}  # ``_direction_type`` is pure: each distinct sample tuple once
-    for samples, _ in flag:
-        if samples not in typed:
-            typed[samples] = _direction_type(samples)
-    types = [typed[samples] for samples, _ in flag]
+    typed = {}
+    for values, _ in flag:
+        if values not in typed:
+            typed[values] = _direction_type(tuple(zip(ds, values)))
+    types = [typed[values] for values, _ in flag]
     survivors = [t for t in types if t is not None]
     if len(survivors) != r:
         raise UnsupportedSystemError(
@@ -1631,12 +1636,12 @@ def _common_flag_eigenvalues(ts):
     return flag
 
 
-def _eigen_flag(maps, ds, cap, r):
+def _eigen_flag(maps, cap, r):
     """The flag of a commuting family of sparse ``maps`` on the stabilized
     subspace (the image of the composite of the first ``cap``, which they
-    preserve): one direction per common eigenvalue tuple, sampled at ``ds``,
-    each coupling into every earlier one.  A restriction has the rank of its
-    map on that subspace."""
+    preserve): one direction ``(values, into)`` per common eigenvalue tuple,
+    whose values are its eigenvalues, one per map, each coupling into every
+    earlier one.  A restriction has the rank of its map on that subspace."""
     if any(_sparse_mul(a, b) != _sparse_mul(b, a) for a, b in combinations(maps, 2)):
         raise UnsupportedSystemError(
             "structure maps do not commute and no common triangular "
@@ -1654,7 +1659,7 @@ def _eigen_flag(maps, ds, cap, r):
             "the system is outside the certified class"
         )
     flag = _common_flag_eigenvalues(ts)
-    return [(tuple(zip(ds, vals)), range(i)) for i, vals in enumerate(flag)]
+    return [(vals, range(i)) for i, vals in enumerate(flag)]
 
 
 def _colimit_symbolic(system):
@@ -1680,10 +1685,10 @@ def _colimit_symbolic(system):
     # order exists, and the commuting family's eigen flag is read instead.
     reach = [_reachable(feeds, p) for p in range(dim)]
     if any(p in reach[p] for p in range(dim)):
-        flag = _eigen_flag(maps, ds, cap, r)
+        flag = _eigen_flag(maps, cap, r)
     else:
-        flag = [(tuple(zip(ds, lams)), sorted(reach[p])) for p, lams in enumerate(samples)]
-    return ColimitReport(_flag_sum(flag, r), maps[:cap], False, r, stab, (
+        flag = [(lams, sorted(reach[p])) for p, lams in enumerate(samples)]
+    return ColimitReport(_flag_sum(flag, r, ds), maps[:cap], False, r, stab, (
         "classified along the canonical divisibility-cofinal chain d = 2, 3, 4, ...",))
 
 
@@ -1728,8 +1733,11 @@ def identified(system, a, b):
 
     For symbolic systems on the canonical chain both elements are pushed to
     ``base = max(level_a, level_b)`` and their difference is pushed on; a
-    difference that vanishes means True.  A "no" rests on the certified
-    colimit rank ``r = colimit(system).rank`` alone.  The window
+    difference that vanishes means True.  That "yes" rests on the vanishing
+    difference alone, so no colimit is classified for it, and it is given
+    even on a system that ``colimit`` refuses.  A "no" rests on the certified
+    colimit rank ``r = colimit(system).rank`` alone, classified when the walk
+    first compares against it; a refusal there propagates.  The window
     ``W = M_(base+k) ... M_base`` has ``rank W >= r`` at every step, and the
     answer is False once ``rank W == r`` with the difference still nonzero:
     every later composite satisfies
@@ -1742,6 +1750,17 @@ def identified(system, a, b):
     of the first step's columns, pushed along the later steps and
     echelonized at each one: its span is im W, so no window composite is
     formed.
+
+    On ``Q + 0`` (the first coordinate scales by d, the second dies), the
+    step at level 1 has d = 2:
+
+    >>> s = DirectedSystem.symbolic(2, [{"kind": "mult_d"}, {"kind": "zero"}])
+    >>> identified(s, (1, (1, 0)), (2, (2, 0)))
+    True
+    >>> identified(s, (1, (0, 1)), (1, (0, 0)))
+    True
+    >>> identified(s, (1, (1, 0)), (2, (1, 0)))
+    False
     """
     if not isinstance(system, DirectedSystem):
         raise InputError("identified expects a DirectedSystem")
@@ -1761,7 +1780,6 @@ def identified(system, a, b):
     (la, va), (lb, vb) = check_element(a), check_element(b)
     length = system.finite_length
     if length is None:
-        r = colimit(system).rank
         base = max(la, lb)
     elif max(la, lb) > length + 1:
         raise InputError("element level beyond the end of the finite chain")
@@ -1775,6 +1793,7 @@ def identified(system, a, b):
     if length is not None or not any(diff):
         return not any(diff)
     basis = None  # the first step's columns span its image
+    r = None  # the certified rank, classified only when a "no" is first tested
     for level in range(base, base + _WINDOW_STEPS):
         step = system._step(level)
         diff = _apply(step, diff)
@@ -1782,6 +1801,8 @@ def identified(system, a, b):
             return True
         cols = _columns(step, system.dim)
         basis = list(_echelon(cols if basis is None else _sparse_mul(basis, cols)).values())
+        if r is None:
+            r = colimit(system).rank
         if len(basis) == r:
             return False
     raise CrossCheckError(

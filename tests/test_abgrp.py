@@ -32,6 +32,7 @@ from ringkt.abgrp import (
     solve_exact,
 )
 from ringkt.errors import CrossCheckError, InputError, UnsupportedSystemError
+from ringkt.ktheory import k_of_A0, k_of_B0, rank_one_system
 
 
 def _dense_mat_vec(a, v):
@@ -834,6 +835,31 @@ def test_identified_outlasts_a_window_rank_plateau():
     assert identified(chain, (4, e0), (4, (0,) * dim)) is True
 
 
+def test_a_vanishing_difference_answers_yes_without_a_colimit(monkeypatch):
+    def refuse(system):
+        raise RuntimeError("the colimit was classified")
+
+    monkeypatch.setattr(abgrp, "colimit", refuse)
+    system = rank_one_system()
+    # equal at the comparison level, and equal one step on
+    assert identified(system, (1, (1, 0, 0)), (2, (4, 0, 0))) is True
+    assert identified(system, (1, (1, 0, 0)), (1, (0, 2, 0))) is True
+    # a difference that survives the step needs the certified rank
+    with pytest.raises(RuntimeError, match="classified"):
+        identified(system, (1, (1, 0, 0)), (1, (0, 1, 0)))
+
+
+def test_a_yes_is_given_on_a_system_colimit_refuses():
+    # d - 1 fits no monomial, so the colimit is refused; the second
+    # coordinate dies at the first step all the same
+    system = DirectedSystem.symbolic(2, [{"kind": "poly", "coeffs": [-1, 1]}, {"kind": "zero"}])
+    with pytest.raises(UnsupportedSystemError, match=_NO_MONOMIAL):
+        colimit(system)
+    assert identified(system, (1, (0, 1)), (1, (0, 0))) is True
+    with pytest.raises(UnsupportedSystemError, match=_NO_MONOMIAL):
+        identified(system, (1, (1, 0)), (1, (0, 0)))
+
+
 _SCALING_LAWS = {
     "Q": ({"kind": "mult_d"}, {"kind": "diag_power", "exp": 2},
           {"kind": "poly", "coeffs": [0, -3]}, {"kind": "poly", "coeffs": [0, 2]}),
@@ -960,3 +986,96 @@ def test_identified_integer_rule():
     for level in (True, 2.0, Fraction(3, 2)):
         with pytest.raises(InputError, match="not an integer"):
             identified(sys31, (level, (1, 0, 0)), (1, (1, 0, 0)))
+
+
+# ---------------------------------------------------------------------------
+# the flag, typed once per value sequence
+# ---------------------------------------------------------------------------
+
+
+def _flag_sum_by_pairs(flag, r, ds):
+    """The route ``_flag_sum`` replaced: every direction typed on its own
+    tuple of ``(d, lambda)`` pairs, with no sequence shared."""
+    types = [abgrp._direction_type(tuple(zip(ds, values))) for values, _ in flag]
+    survivors = [t for t in types if t is not None]
+    if len(survivors) != r:
+        raise UnsupportedSystemError(
+            f"the flag keeps {len(survivors)} of {len(flag)} directions, but the "
+            f"stabilized composite has rank {r}")
+    for p, (_, into) in enumerate(flag):
+        if types[p] is not None and not types[p].is_free:
+            for q in into:
+                if types[q] is not None and not types[q].is_divisible:
+                    raise UnsupportedSystemError(
+                        f"cannot certify a split filtration: non-free direction {p} "
+                        f"couples into non-divisible direction {q}; refusing to guess "
+                        "the extension")
+    return GroupDescriptor.zero().direct_sum(*survivors)
+
+
+def _outcome(flag_sum, args):
+    try:
+        return flag_sum(*args)
+    except UnsupportedSystemError as exc:
+        return str(exc)
+
+
+def _assert_flags_match_the_pair_route(run):
+    """Every ``(flag, r, ds)`` that ``run()``, which may be refused, hands to
+    ``_flag_sum`` gives the same descriptor or refusal on both routes."""
+    calls, flag_sum = [], abgrp._flag_sum
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(abgrp, "_flag_sum", lambda *args: calls.append(args) or flag_sum(*args))
+        try:
+            run()
+        except UnsupportedSystemError:
+            pass
+    assert calls
+    for args in calls:
+        assert _outcome(abgrp._flag_sum, args) == _outcome(_flag_sum_by_pairs, args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=triangular_systems())
+def test_flag_sum_matches_the_pair_route_on_triangular_systems(system):
+    _assert_flags_match_the_pair_route(lambda: colimit(system))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_flag_sum_matches_the_pair_route_on_the_b0_parity_systems(n):
+    _assert_flags_match_the_pair_route(lambda: k_of_B0(n, engine_check=True))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_flag_sum_matches_the_pair_route_on_the_kappa_family(n):
+    _assert_flags_match_the_pair_route(lambda: k_of_A0(n, engine_check=True))
+
+
+@pytest.mark.parametrize("family", [
+    lambda d: [[d - 1, 0], [0, 0]],  # fits no monomial
+    lambda d: [[3, 1], [0, 2]],  # a split the flag cannot certify
+    lambda d: _conj(3, 2),  # the same on the eigen path
+], ids=["no-monomial", "split", "eigen-split"])
+def test_flag_sum_matches_the_pair_route_on_refusals(family):
+    _assert_flags_match_the_pair_route(lambda: colimit(DirectedSystem.from_family(2, family)))
+
+
+def test_each_value_sequence_is_typed_once(monkeypatch):
+    typed, counts, flag_sum, direction_type = [], [], abgrp._flag_sum, abgrp._direction_type
+
+    def count(flag, r, ds):
+        before = len(typed)
+        out = flag_sum(flag, r, ds)
+        distinct = dict.fromkeys(values for values, _ in flag)
+        assert typed[before:] == [tuple(zip(ds, values)) for values in distinct]
+        counts.append(len(typed) - before)
+        return out
+
+    monkeypatch.setattr(abgrp, "_flag_sum", count)
+    monkeypatch.setattr(abgrp, "_direction_type",
+                        lambda samples: typed.append(samples) or direction_type(samples))
+    n = 6
+    k_of_B0(n, engine_check=True)
+    # the parity systems hold 2^(n-1) coordinates each, one law d^(n-k) per degree k
+    assert counts == [4, 3]
+    assert sum(counts) == len({n - k for k in range(n + 1)})
