@@ -1047,33 +1047,34 @@ def _as_int_rows(a, dim, wrong_size):
 
 
 class DirectedSystem:
-    """A sequential diagram ``Z^dim -M1-> Z^dim -M2-> ...``.
+    """A sequential diagram ``Z^dim -M1-> Z^dim -M2-> ...``, of one of two kinds.
 
-    Three construction styles:
+    * A finite chain: its list of steps, ``M1 ... Mn``, with no family
+      (``finite_length = n``).  ``DirectedSystem.explicit([...matrices...])``
+      builds one from square integer matrices.
+    * A family ``d -> matrix`` on the canonical chain ``d = t + 1``, that is
+      ``d = 2, 3, 4, ...`` (divisibility-cofinal, so classifications are
+      exact), with ``finite_length = None``.
+      ``DirectedSystem.from_family(dim, fn)`` takes an arbitrary callable and
+      has no ``laws``, so no JSON form.
 
-    * ``DirectedSystem.explicit([...matrices...])``: a finite chain given by
-      square integer matrices.
-    * ``DirectedSystem.symbolic(dim, diag_laws, offdiag)``: one matrix shape
-      whose entries are integer polynomials in a parameter ``d``, evaluated
-      along the canonical chain ``d = 2, 3, 4, ...`` (divisibility-cofinal,
-      so classifications are exact).  An explicit finite ``d_chain`` may be
-      supplied instead; the system is then treated like an explicit chain.
-      Its ``laws`` are ``(diagonal polys, offdiag cells)``, each cell
-      ``(row, col, poly)``; ``to_json`` writes them back.
-    * ``DirectedSystem.from_family(dim, fn)``: an arbitrary callable
-      ``d -> matrix`` on the canonical chain (or an explicit ``d_chain``);
-      it has no ``laws`` and so no JSON form.
+    ``DirectedSystem.symbolic(dim, diag_laws, offdiag)`` builds the family
+    whose entries are integer polynomials in ``d``.  Its ``laws`` are
+    ``(diagonal polys, offdiag cells)``, each cell ``(row, col, poly)``;
+    ``to_json`` writes them back.  Given a finite ``d_chain``, it evaluates
+    the family at each of its ``d`` and builds the finite chain of those
+    steps, keeping the laws and the chain only for ``to_json``.
 
     Steps live in one store, ``_step_cache``, keyed by their 1-based index:
-    an explicit chain fills it when built and has no family; a family fills
-    it on first read of each step.  Steps, given or returned by a family,
-    are dense square matrices or sparse rows (``{column: value}`` dicts);
-    either is checked where it enters, once, and kept as sparse int rows
-    without zeros: ``explicit`` checks its matrices, ``from_family`` every
-    step its callable returns, and ``symbolic`` checks its laws, so its own
-    family needs no check.  ``matrix`` and ``to_json`` copy them dense; the
-    step at any parameter ``d`` is ``matrix(1)`` of the same system built
-    on ``d_chain=[d]``.
+    a finite chain fills it when built; a family fills it on first read of
+    each step.  Steps, given or returned by a family, are dense square
+    matrices or sparse rows (``{column: value}`` dicts); either is checked
+    where it enters, once, and kept as sparse int rows without zeros:
+    ``explicit`` checks its matrices, ``from_family`` every step its callable
+    returns, and ``symbolic`` checks its laws, so its own family needs no
+    check.  ``matrix`` and ``to_json`` copy them dense; the step at any
+    parameter ``d`` is ``matrix(1)`` of the same system built on
+    ``d_chain=[d]``.
     """
 
     def __init__(self, dim, *, family=None, d_chain=None, steps=None, laws=None):
@@ -1085,16 +1086,10 @@ class DirectedSystem:
         self.dim = dim
         self.laws = laws
         self._family = family
-        self._d_chain = (tuple(_as_int(d, "d_chain entry")
-                               for d in _as_list(d_chain, "d_chain"))
-                         if d_chain is not None else None)
+        self._d_chain = d_chain  # a symbolic chain's parameters, for to_json
         self._step_cache = {} if steps is None else dict(enumerate(steps, 1))
-        self._analysis_cache = None
-        if self._d_chain is not None:
-            if not self._d_chain:
-                raise InputError("d_chain needs at least one entry")
-            if min(self._d_chain) < 2:
-                raise InputError("d_chain entries must be integers >= 2")
+        self.finite_length = None if family is not None else len(self._step_cache)
+        self._analysis_cache = None  # the report, or the refusal, of colimit
 
     # -- constructors -------------------------------------------------------
 
@@ -1150,13 +1145,22 @@ class DirectedSystem:
                         for row in rows]
             return rows
 
-        return cls(dim, family=family, d_chain=d_chain,
-                   laws=(tuple(polys), tuple((r, c, p) for (r, c), p in off.items())))
+        # built first, so that ``dim`` is checked before the chain
+        system = cls(dim, family=family,
+                     laws=(tuple(polys), tuple((r, c, p) for (r, c), p in off.items())))
+        if d_chain is None:
+            return system
+        ds = tuple(_as_int(d, "d_chain entry") for d in _as_list(d_chain, "d_chain"))
+        if not ds:
+            raise InputError("d_chain needs at least one entry")
+        if min(ds) < 2:
+            raise InputError("d_chain entries must be integers >= 2")
+        return cls(dim, steps=[family(d) for d in ds], laws=system.laws, d_chain=ds)
 
     @classmethod
-    def from_family(cls, dim, fn, d_chain=None):
+    def from_family(cls, dim, fn):
         dim = _as_int(dim, "system dimension")
-        return cls(dim, d_chain=d_chain, family=lambda d: _as_int_rows(
+        return cls(dim, family=lambda d: _as_int_rows(
             fn(d), dim, "family returned a matrix of the wrong size"))
 
     # -- serialization ------------------------------------------------------
@@ -1183,10 +1187,10 @@ class DirectedSystem:
         raise InputError(f"unknown system mode {mode!r}")
 
     def to_json(self):
-        if self._family is None:
-            return {"mode": "explicit",
-                    "matrices": [_dense_rows(m, self.dim) for m in self._step_cache.values()]}
         if self.laws is None:
+            if self._family is None:
+                return {"mode": "explicit",
+                        "matrices": [_dense_rows(m, self.dim) for m in self._step_cache.values()]}
             raise InputError("a family-backed system has no JSON form")
         polys, cells = self.laws
         out = {"mode": "symbolic", "dim": self.dim,
@@ -1197,25 +1201,6 @@ class DirectedSystem:
         return out
 
     # -- chain access -------------------------------------------------------
-
-    @property
-    def finite_length(self):
-        """Number of maps if the chain is finite, else None."""
-        if self._family is None:
-            return len(self._step_cache)
-        if self._d_chain is not None:
-            return len(self._d_chain)
-        return None
-
-    def d_value(self, t):
-        """Step parameter of the t-th map (1-based); canonical chain is t+1."""
-        if self._family is None:
-            raise InputError("explicit systems have no step parameter")
-        if self._d_chain is not None:
-            if not 1 <= t <= len(self._d_chain):
-                raise InputError(f"step {t} outside the supplied d_chain")
-            return self._d_chain[t - 1]
-        return t + 1
 
     def matrix(self, t):
         """The t-th structure map (1-based) as an integer matrix."""
@@ -1228,7 +1213,7 @@ class DirectedSystem:
         if t not in self._step_cache:
             if self._family is None:
                 raise InputError(f"step {t} outside the explicit chain")
-            self._step_cache[t] = self._family(self.d_value(t))
+            self._step_cache[t] = self._family(t + 1)
         return self._step_cache[t]
 
 
@@ -1667,7 +1652,7 @@ def _colimit_symbolic(system):
     cap = max(14, dim + 6)
     # The sampled maps: the chain, then two confirmation samples beyond the
     # horizon against families whose behaviour changes past it.
-    ds = [system.d_value(t) for t in range(1, cap + 1)] + [101, 102]
+    ds = list(range(2, cap + 2)) + [101, 102]
     maps = [system._step(t) for t in range(1, cap + 1)] + [system._family(d) for d in ds[cap:]]
     feeds, samples = _walk(maps)
     levels, r, stab, window = _split_pass(maps[:cap], feeds, samples, cap // 2)
@@ -1695,11 +1680,12 @@ def _colimit_symbolic(system):
 def colimit(system):
     """Classify the colimit of a directed system of free abelian groups.
 
-    Symbolic systems on the canonical chain get an exact answer
-    (``truncated = False``) or a rejection with a diagnostic.  Explicit
-    chains (and symbolic systems with a user-supplied finite ``d_chain``)
-    report the exact colimit only when every step is unimodular; otherwise
-    the result is marked ``truncated``.
+    Families on the canonical chain get an exact answer
+    (``truncated = False``) or a refusal (``UnsupportedSystemError``) with a
+    diagnostic.  Finite chains (a symbolic system with a finite ``d_chain``
+    is one) report the exact colimit only when every step is unimodular;
+    otherwise the result is marked ``truncated``.  A system is classified
+    once: later calls return the same report or raise the same refusal.
 
     >>> qs = DirectedSystem.symbolic(1, [{"kind": "mult_d"}])
     >>> print(colimit(qs).invariants)
@@ -1707,15 +1693,17 @@ def colimit(system):
     """
     if not isinstance(system, DirectedSystem):
         raise InputError("colimit expects a DirectedSystem")
-    if system._analysis_cache is not None:
-        return system._analysis_cache
-    length = system.finite_length
-    if length is not None:
-        report = _colimit_finite([system._step(t) for t in range(1, length + 1)])
-    else:
-        report = _colimit_symbolic(system)
-    system._analysis_cache = report
-    return report
+    if system._analysis_cache is None:
+        length = system.finite_length
+        try:
+            system._analysis_cache = (
+                _colimit_symbolic(system) if length is None
+                else _colimit_finite([system._step(t) for t in range(1, length + 1)]))
+        except UnsupportedSystemError as refusal:
+            system._analysis_cache = refusal
+    if isinstance(system._analysis_cache, UnsupportedSystemError):
+        raise UnsupportedSystemError(str(system._analysis_cache))
+    return system._analysis_cache
 
 
 # Steps the window walk of ``identified`` may take before reaching the
@@ -1727,11 +1715,11 @@ def identified(system, a, b):
     """Decide whether two formal elements agree in the colimit.
 
     Elements are pairs ``(level, vector)`` with 1-based levels; the element
-    lives in the copy of Z^dim at that level.  For explicit chains the colimit
+    lives in the copy of Z^dim at that level.  For finite chains the colimit
     of the finite diagram is its last object, so both elements are compared
     there.
 
-    For symbolic systems on the canonical chain both elements are pushed to
+    For families on the canonical chain both elements are pushed to
     ``base = max(level_a, level_b)`` and their difference is pushed on; a
     difference that vanishes means True.  That "yes" rests on the vanishing
     difference alone, so no colimit is classified for it, and it is given

@@ -381,8 +381,6 @@ def test_an_empty_d_chain_is_refused():
     # [] once passed the entry checks and ended in an IndexError in colimit
     with pytest.raises(InputError, match="d_chain needs at least one entry"):
         DirectedSystem.symbolic(1, [{"kind": "identity"}], d_chain=[])
-    with pytest.raises(InputError, match="d_chain needs at least one entry"):
-        DirectedSystem.from_family(1, lambda d: [[1]], d_chain=[])
     one = DirectedSystem.symbolic(1, [{"kind": "identity"}], d_chain=[2])
     assert colimit(one).invariants == GroupDescriptor.free(1)
 
@@ -447,9 +445,11 @@ def test_symbolic_system_integer_rule():
 
 def test_d_chain_steps_are_read_at_their_parameters():
     sysw = _rank3_system(d_chain=[3, 5])
+    # evaluated when built: a finite chain of two steps, with no family
+    assert sysw._family is None and sysw.finite_length == 2
     assert sysw.matrix(1) == [[6, 3, 2], [0, 0, 1], [0, 0, 1]]
     assert sysw.matrix(2) == [[10, 5, 4], [0, 0, 1], [0, 0, 1]]
-    with pytest.raises(InputError, match="outside the supplied d_chain"):
+    with pytest.raises(InputError, match="outside the explicit chain"):
         sysw.matrix(3)
     with pytest.raises(InputError, match="1-based"):
         sysw.matrix(0)
@@ -858,6 +858,38 @@ def test_a_yes_is_given_on_a_system_colimit_refuses():
     assert identified(system, (1, (0, 1)), (1, (0, 0))) is True
     with pytest.raises(UnsupportedSystemError, match=_NO_MONOMIAL):
         identified(system, (1, (1, 0)), (1, (0, 0)))
+
+
+def test_a_refusal_is_classified_once(monkeypatch):
+    calls = []
+    symbolic = abgrp._colimit_symbolic
+    monkeypatch.setattr(abgrp, "_colimit_symbolic",
+                        lambda system: calls.append(1) or symbolic(system))
+    system = DirectedSystem.symbolic(2, [{"kind": "poly", "coeffs": [-1, 1]}, {"kind": "zero"}])
+    texts = []
+    for _ in range(3):
+        with pytest.raises(UnsupportedSystemError, match=_NO_MONOMIAL) as exc:
+            identified(system, (1, (1, 0)), (1, (0, 0)))
+        texts.append(str(exc.value))
+    assert calls == [1] and texts == texts[:1] * 3
+
+
+@pytest.mark.parametrize("error", [CrossCheckError, InputError])
+def test_only_a_refusal_is_kept(monkeypatch, error):
+    calls = []
+
+    def fail(system):
+        calls.append(1)
+        raise error("not a refusal")
+
+    monkeypatch.setattr(abgrp, "_colimit_symbolic", fail)
+    system = DirectedSystem.symbolic(1, [{"kind": "mult_d"}])
+    for _ in range(2):
+        with pytest.raises(error, match="not a refusal"):
+            colimit(system)
+    assert calls == [1, 1]
+    monkeypatch.undo()
+    assert str(colimit(system).invariants) == "Q"
 
 
 _SCALING_LAWS = {

@@ -204,6 +204,17 @@ def test_non_integral_json_values_exit_2(runner, tmp_path):
         assert "not a rational number" in res.output
 
 
+def test_an_unexpected_error_exits_1_with_a_traceback(runner, monkeypatch):
+    def boom(system):
+        raise ZeroDivisionError("an internal fault")
+
+    monkeypatch.setattr(cli.abgrp, "colimit", boom)
+    res = runner.invoke(main, ["colim", "--system", "rank-one"])
+    assert res.exit_code == 1 and res.stdout == ""
+    assert res.stderr.startswith("Traceback (most recent call last):")
+    assert res.stderr.endswith("ZeroDivisionError: an internal fault\n")
+
+
 def test_colim_refuses_an_empty_d_chain_and_a_repeated_cell(runner, tmp_path):
     # The empty d_chain once exited 1 with an IndexError traceback; a cell
     # given twice once took its last entry.

@@ -164,6 +164,17 @@ def test_eigen_path_refusals_keep_their_texts(family, text):
     assert str(exc.value) == text
 
 
+def test_a_nilpotent_cycle_has_an_empty_flag():
+    # [[d, d], [-d, -d]] squares to zero: a cycle in the zero pattern whose
+    # stabilized subspace is 0, so the eigen flag has no direction
+    system = DirectedSystem.symbolic(
+        2, [{"kind": "mult_d"}, {"kind": "poly", "coeffs": [0, -1]}],
+        [{"row": 0, "col": 1, "kind": "mult_d"}, {"row": 1, "col": 0, "poly": [0, -1]}])
+    assert system.matrix(2) == [[3, 3], [-3, -3]]
+    report = colimit(system)
+    assert report.invariants == GroupDescriptor.zero() and report.rank == 0
+
+
 # ---------------------------------------------------------------------------
 # fault injection
 # ---------------------------------------------------------------------------

@@ -495,6 +495,16 @@ def test_sturm_chain_rejects_a_gcd_that_does_not_divide(monkeypatch):
         numfield.sturm_chain([Fraction(1), Fraction(0), Fraction(1)])
 
 
+@pytest.mark.parametrize("a, g", [
+    ([1, 0, 1], [1, 1]),  # x^2 + 1 over x + 1 leaves 2
+    ([0, 1], [1, 2]),  # x over 2x + 1: the floored quotient 0 leaves no low remainder
+], ids=["remainder", "fractional-quotient"])
+def test_exact_quotient_refuses_a_divisor_that_does_not_divide(a, g):
+    assert numfield._exact_quotient(numfield._int_mul(a, g), g) == a
+    with pytest.raises(CrossCheckError, match=re.escape(f"gcd(p, p') {g} does not divide")):
+        numfield._exact_quotient(a, g)
+
+
 def test_fundamental_unit_with_a_wrong_norm_raises(monkeypatch):
     monkeypatch.setattr(FieldElement, "norm", lambda self: Fraction(2))
     with pytest.raises(CrossCheckError, match=r"convergent 1/1 of sqrt\(2\) .* norm 2"):

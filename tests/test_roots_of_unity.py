@@ -170,6 +170,14 @@ def test_lift_forced_at_the_first_admissible_primes(poly, w):
                 assert all(root ** (m // q) - 1 for q in numfield._factor_multiplicity(m))
 
 
+def test_a_residue_field_without_mth_roots_gives_no_lift():
+    # 5 splits x^2 + 1 into two residue fields GF(5), whose units have order
+    # 4, so no primitive 8th root lives there and no lift is tried
+    k = parse_field("x^2 + 1")
+    assert k._sieve._lift_primitive_root(8, 5) is None
+    assert k._sieve._lift_primitive_root(4, 5) in ([0, 1], [0, -1])
+
+
 def test_roots_of_unity_golden_x8_plus_1():
     # Candidates 30, 24 and 20 are refuted by the sieve; only 16 runs exact.
     assert parse_field("x^8 + 1").roots_of_unity_order == 16
