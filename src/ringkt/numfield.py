@@ -8,10 +8,13 @@ power-basis convention; every report that depends on it says so).
 
 Highlights:
 
-* irreducibility of the defining polynomial proved from its residue degrees
+* irreducibility of the defining polynomial proved in plain integers, by
+  the first of three routes that succeeds: Eisenstein's criterion after a
+  shift ``x -> x + a`` at a small prime dividing the discriminant (a
+  certificate ``(p, a)`` checked by O(n) congruences); the residue degrees
   at a few unramified primes (Musser's degree-set test, each prime
-  cross-checked by Berlekamp's factor count), in plain integers; when those
-  primes prove nothing, an exact search for idempotents decides: ``f`` is
+  cross-checked by Berlekamp's factor count); and, when those primes prove
+  nothing, an exact search for idempotents: ``f`` is
   reducible exactly when ``Q[x]/(f)`` has an idempotent other than 0 and 1,
   and each candidate is a sum of idempotents lifted from one residue
   factorization (at most ``2^(r-1)`` sums, ``r`` the fewest residue factors
@@ -566,23 +569,35 @@ def _multiplication_rows(elem):
 
 # Most representatives ``residue_system`` lists: it builds all ``d^n`` of them.
 _RESIDUE_LIMIT = 2 ** 16
+# Highest field degree.  Fresh ``field-info`` on ``x^n - c``, the cheapest
+# fields of high degree (their trace form is sparse), on a 2-vCPU machine with
+# Python 3.11.7: with Musser's rows alone the largest answered within 20 s was
+# x^4500 - 7 (16 s), and x^4600 - 7, x^4800 - 6, x^5000 - 6 and x^5000 - 7
+# were killed after 24 s; with the Eisenstein step x^5000 - 2 and x^5000 - 7
+# take about 2.2 s, most of it the dense n x n trace form (400 MB).
+_MAX_DEGREE = 5000
 
 
 class NumberField:
     """``Q[x]/(f)`` for monic irreducible integer ``f``; power basis order.
 
-    Irreducibility is proved in plain integers: ``f`` needs a nonzero
-    discriminant, and the residue degrees of ``f`` at a few unramified primes
-    must leave no degree a proper factor over Q could have (Musser's
-    degree-set test); Berlekamp's factor count cross-checks every prime the
-    proof reads.  When those primes prove nothing (a Galois group without
-    the needed cycle types, as for ``x^4 + 1``), ``f`` is irreducible exactly
-    when ``Q[x]/(f)`` has no idempotent but 0 and 1, and the search for one
-    (``_ResidueSieve.split_idempotent``) is exact and finite.  The proof stops
-    reading primes once the possible degrees stall while an odd prime read
-    splits ``f`` into at most two factors, where the search reads back one
-    sum.  The discriminant and the residue sieve stay with the field; the
-    sieve also certifies the roots of unity, on the same table extended on
+    A degree above ``_MAX_DEGREE`` is refused before the discriminant is built.
+    Irreducibility is proved in plain integers, and ``f`` needs a nonzero
+    discriminant.  Three routes are tried in turn.  First Eisenstein's
+    criterion after a shift (``_eisenstein_shift``): ``f(x + a)`` Eisenstein
+    at a small prime ``p`` dividing the discriminant, as for ``x^n - 2`` and
+    the prime-power cyclotomic fields; no residue row is read.  Then the
+    residue degrees of ``f`` at a few unramified primes must leave no degree
+    a proper factor over Q could have (Musser's degree-set test);
+    Berlekamp's factor count cross-checks every prime that proof reads.
+    When those primes prove nothing (a Galois group without the needed cycle
+    types, as for ``x^4 - x^2 + 1``), ``f`` is irreducible exactly when
+    ``Q[x]/(f)`` has no idempotent but 0 and 1, and the search for one
+    (``_ResidueSieve.split_idempotent``) is exact and finite.  Musser's proof
+    stops reading primes once the possible degrees stall while an odd prime
+    read splits ``f`` into at most two factors, where the search reads back
+    one sum.  The discriminant and the residue sieve stay with the field;
+    the sieve also certifies the roots of unity, on the same table, built on
     demand.  No step calls sympy.
     """
 
@@ -593,9 +608,13 @@ class NumberField:
             raise InputError("a field needs a polynomial of degree >= 1")
         if coeffs[-1] != 1:
             raise InputError("the defining polynomial must be monic")
+        if n > _MAX_DEGREE:
+            raise InputError(f"degree {n} is above the limit of {_MAX_DEGREE} for a field")
         disc = poly_discriminant(coeffs)
         sieve = _ResidueSieve(coeffs, disc) if disc else None
-        if not (sieve and (sieve.proves_irreducible() or sieve.split_idempotent() is None)):
+        proved = sieve and (_eisenstein_shift(coeffs, disc) or sieve.proves_irreducible()
+                            or sieve.split_idempotent() is None)
+        if not proved:
             raise InputError("the defining polynomial must be irreducible over Q")
         self.coeffs = tuple(coeffs)
         self.degree = n
@@ -785,6 +804,60 @@ def _subset_sums(degrees, n):
     return sums & set(range(1, n))
 
 
+@functools.cache
+def _first_primes(count):
+    """The first ``count`` primes, found once per process."""
+    return tuple(itertools.islice(_primes(), count))
+
+
+def _eisenstein_shift(coeffs, disc):
+    """A certificate ``(p, a)`` that the monic integer ``f`` of discriminant
+    ``disc`` is irreducible, or None: ``f(x + a)`` is Eisenstein at ``p``,
+    that is ``f = (x - a)^n`` mod p and ``p^2`` does not divide ``f(a)``.
+
+    An Eisenstein prime is totally ramified, so it divides ``disc``; only
+    those among the first ``IRREDUCIBILITY_PRIMES`` primes are tried, each
+    by O(n) congruences and no shift over Z.  There is one candidate ``a``
+    mod p: for ``n = p^v m``, p not dividing m, ``(x - a)^n = (x^(p^v) -
+    a)^m`` mod p, whose coefficient at ``x^(n - p^v)`` is ``-m a``.  As
+    ``f'(a) = 0`` mod p, ``f(a)`` mod ``p^2`` is the same for every lift of
+    ``a``.  The binomials ``C(n, i)`` mod p are Lucas': ``(1 + x)^n = prod_j
+    (1 + x^(p^j))^(n_j)`` mod p over the base-p digits ``n_j`` of n.
+
+    >>> _eisenstein_shift([1, 0, 0, 0, 1], 256)  # x^4 + 1 = Phi_8: (x + 1)^4 + 1
+    (2, 1)
+    >>> _eisenstein_shift([1, 0, -1, 0, 1], 144) is None  # Phi_12: no certificate
+    True
+    """
+    n = len(coeffs) - 1
+    for p in _first_primes(_ResidueSieve.IRREDUCIBILITY_PRIMES):
+        if disc % p:
+            continue
+        low = 1  # p^v, the largest power of p dividing n
+        while n % (low * p) == 0:
+            low *= p
+        a = -coeffs[n - low] * pow(n // low, -1, p) % p
+        value = 0
+        for c in reversed(coeffs):  # f(a) mod p^2, by Horner
+            value = (value * a + c) % (p * p)
+        if value % p or not value:
+            continue
+        binomials, step, rest = {0: 1}, 1, n  # the nonzero C(n, i) mod p, by Lucas
+        while rest:
+            rest, digit = divmod(rest, p)
+            binomials = {i + t * step: c * math.comb(digit, t) % p
+                         for i, c in binomials.items() for t in range(digit + 1)}
+            step *= p
+        power = 1  # (-a)^(n - i) mod p
+        for i in range(n, -1, -1):
+            if (coeffs[i] - binomials.get(i, 0) * power) % p:
+                break
+            power = power * -a % p
+        else:
+            return p, a
+    return None
+
+
 class _ResidueSieve:
     """Residue degrees of one field at its unramified primes, and the two
     exact certificates read off them: that the defining polynomial is
@@ -795,7 +868,11 @@ class _ResidueSieve:
     defining polynomial mod p (Dedekind--Kummer).  The table of these
     patterns over the unramified primes 2, 3, 5, ... is built lazily, once
     per field: the irreducibility certificate reads its first rows, and the
-    sieve for every candidate order reads the same rows.
+    sieve for every candidate order reads the same rows.  ``NumberField``
+    asks the sieve only when Eisenstein's criterion after a shift
+    (``_eisenstein_shift``, no residue row) gave no certificate; for a field
+    that criterion proves, the sieve for the roots of unity builds the rows
+    it reads, on the same primes.
 
     *One walk serves every row.*  The sieve keeps ``x^k mod f`` over Z
     (``_powers_of_x``) and advances it as the table grows, so the first
@@ -808,9 +885,10 @@ class _ResidueSieve:
     read it through ``frobenius_at``.  Berlekamp's count (``_factor_counts``)
     keeps its own square-and-multiply ladder.
 
-    *Irreducibility* (Musser, J. ACM 25, 1978): a factor of degree ``d`` over
-    Q reduces mod p to a product of some of the factors mod p, so ``d`` is a
-    sum of residue degrees at every unramified ``p``.  When no ``d`` in
+    *Irreducibility*, the second and third routes after Eisenstein's (Musser,
+    J. ACM 25, 1978): a factor of degree ``d`` over Q reduces mod p to a
+    product of some of the factors mod p, so ``d`` is a sum of residue
+    degrees at every unramified ``p``.  When no ``d`` in
     ``1..n-1`` is such a sum at all of the first ``IRREDUCIBILITY_PRIMES``
     primes, the polynomial is irreducible.  Each prime that proof read is
     cross-checked by Berlekamp's count of the factors mod p.  When a degree
@@ -1438,12 +1516,17 @@ def _lift_unit_root(y, m, f, p, big):
 def _trace_form(coeffs):
     """The trace matrix ``T_ij = Tr(theta^(i+j))`` by Newton's identities, and
     the bounds ``n R^j`` on ``|Tr(alpha theta^j)|`` for a root of unity
-    ``alpha``, ``R`` the Cauchy root bound of the monic ``f``."""
+    ``alpha``, ``R`` the Cauchy root bound of the monic ``f``.  Each power
+    sum reads only the nonzero coefficients of ``f``, so a binomial costs
+    O(n) steps, not O(n^2)."""
     n = len(coeffs) - 1
-    s = [n]
+    terms = [(i, coeffs[n - i]) for i in range(1, n + 1) if coeffs[n - i]]  # ascending i
+    s, live = [n], 0  # live: the terms with i < k
     for k in range(1, 2 * n - 1):
+        while live < len(terms) and terms[live][0] < k:
+            live += 1
         s.append(-(k * coeffs[n - k] if k <= n else 0)
-                 - sum(coeffs[n - i] * s[k - i] for i in range(1, min(k, n + 1))))
+                 - sum(c * s[k - i] for i, c in terms[:live]))
     r = 1 + max(abs(c) for c in coeffs[:-1])
     return [s[j:j + n] for j in range(n)], [n * r ** j for j in range(n)]
 

@@ -116,12 +116,13 @@ def test_unrefuted_products_are_refused_by_an_idempotent(coeffs):
 
 
 def test_sieve_reads_the_rows_the_certificate_built():
-    # No proof: 3 narrows the possible degrees to {2}, and it splits x^4 + 1
-    # into two factors, so the certificate stops after the stall that follows.
-    k = parse_field("x^4 + 1")
+    # No proof, and no Eisenstein certificate: 5 narrows the possible degrees
+    # to {2}, and it splits x^4 - x^2 + 1 (Phi_12) into two factors, so the
+    # certificate stops after the stall that follows.
+    k = parse_field("x^4 - x^2 + 1")
     built = dict(k._sieve.table)
     assert len(built) == 1 + _ResidueSieve.STALL_PRIMES
-    assert k.roots_of_unity_order == 8
+    assert k.roots_of_unity_order == 12
     assert all(k._sieve.table[p] is row for p, row in built.items())
 
 
@@ -147,18 +148,24 @@ def test_plain_prime_generator_matches_nextprime():
 # ---------------------------------------------------------------------------
 
 
+# x^3 + x^2 - 6 (discriminant -948 = -4 * 3 * 79) has no Eisenstein
+# certificate, so the residue degrees prove it irreducible; mod 5, the first
+# unramified prime, it has two factors.
+NO_CERTIFICATE_CUBIC = "x^3 + x^2 - 6"
+
+
 def test_false_residue_degrees_are_stopped_by_berlekamp(monkeypatch):
-    # x^3 - 2 = (x - 3)(x^2 + 3x + 9) mod 5, the first unramified prime; the
-    # false pattern [3] would prove irreducibility on its own.
+    # x^3 + x^2 - 6 = (x + 2)(x^2 - x + 2) mod 5, the first unramified prime;
+    # the false pattern [3] would prove irreducibility on its own.
     monkeypatch.setattr(numfield, "_factor_degrees_mod_p", lambda coeffs, p, xp: [3])
     with pytest.raises(CrossCheckError, match=r"mod 5 disagree: .* \[3\], .* counts 2"):
-        parse_field("x^3 - 2")
+        parse_field(NO_CERTIFICATE_CUBIC)
 
 
 def test_false_berlekamp_count_raises(monkeypatch):
     monkeypatch.setattr(numfield, "_factor_counts", lambda coeffs, p: iter([1]))
     with pytest.raises(CrossCheckError, match="mod 5 disagree"):
-        parse_field("x^3 - 2")
+        parse_field(NO_CERTIFICATE_CUBIC)
 
 
 def test_the_two_residue_routes_stay_apart(monkeypatch):
@@ -186,11 +193,11 @@ def test_the_two_residue_routes_stay_apart(monkeypatch):
 
 
 def test_an_unsplit_residue_factor_is_stopped_by_berlekamp(monkeypatch):
-    # x^4 + 1 = (x^2 + x + 2)(x^2 + 2x + 2) mod 3, the prime the search splits
-    # at; left unsplit, the one "factor" would give only the idempotent 1.
+    # x^4 - x^2 + 1 = (x^2 + 2x - 1)(x^2 - 2x - 1) mod 5, the prime the search
+    # splits at; left unsplit, the one "factor" would give only the idempotent 1.
     monkeypatch.setattr(numfield, "_equal_degree_split", lambda g, k, p: [g])
-    with pytest.raises(CrossCheckError, match=r"mod 3 disagree: .* \[2\], .* counts 2"):
-        parse_field("x^4 + 1")
+    with pytest.raises(CrossCheckError, match=r"mod 5 disagree: .* \[2\], .* counts 2"):
+        parse_field("x^4 - x^2 + 1")
 
 
 def test_a_lifted_idempotent_whose_trace_disagrees_raises(monkeypatch):

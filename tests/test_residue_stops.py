@@ -7,7 +7,8 @@ first admissible prime with at most two residue factors, where the exact lift
 reads back at most phi(m) sums.  The same sieve with both
 stops switched off reads every row it read before them, and is the oracle:
 every answer must be the same.  The census rows keep the fields whose
-certificate path the stops change inside a deadline.
+certificate path the stops change, a field of degree 1200 and the refusal of
+a degree above ``numfield._MAX_DEGREE`` inside a deadline.
 """
 
 import pytest
@@ -175,11 +176,13 @@ def test_the_lift_forms_only_the_powers_it_reads(poly, w, factors, monkeypatch):
     assert [e for e in events if e in ("lift", big)] == ["lift"] * factors + walk
 
 
-@pytest.mark.parametrize("poly,w", [("x^4 + 1", 8), ("x^8 + 1", 16), ("x^12 - x^6 + 1", 36)])
+@pytest.mark.parametrize("poly,w", [("x^4 - x^2 + 1", 12), ("x^8 - x^4 + 1", 24),
+                                    ("x^12 - x^6 + 1", 36)])
 def test_both_exact_searches_share_one_trace_form(poly, w, monkeypatch):
-    # No row proves these irreducible, so parse runs the idempotent search and
-    # w runs the lift: two setups, and the trace form is built once for them,
-    # besides the one build for the discriminant.
+    # No Eisenstein certificate and no row prove these irreducible, so parse
+    # runs the idempotent search and w runs the lift: two setups, and the
+    # trace form is built once for them, besides the one build for the
+    # discriminant.
     built, setups = [], []
     trace_form, local = numfield._trace_form, _ResidueSieve._local_factors
     monkeypatch.setattr(numfield, "_trace_form",
@@ -192,7 +195,8 @@ def test_both_exact_searches_share_one_trace_form(poly, w, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# census: parse plus w of the fields whose certificate path the stops change
+# census: parse plus w of the fields whose certificate path the stops change,
+# a field of high degree, and the refusal of a degree above the bound
 # ---------------------------------------------------------------------------
 
 
@@ -202,6 +206,8 @@ CENSUS = [
     ("x^12 - x^6 + 1", parse_polynomial("x^12 - x^6 + 1"), (0, 6), 36),
     ("x^32 + 1", parse_polynomial("x^32 + 1"), (0, 16), 64),
     ("x^4 - 10x^2 + 1", parse_polynomial("x^4 - 10x^2 + 1"), (4, 0), 2),
+    # Eisenstein at 2: no residue row at parse, and w = 2 for a real field
+    ("x^1200 - 2", parse_polynomial("x^1200 - 2"), (2, 599), 2),
 ]
 
 
@@ -211,6 +217,12 @@ def test_census_parse_and_w_within_the_deadline(name, coeffs, signature, w):
         k = NumberField(coeffs)
         assert (k.r1, k.r2) == signature
         assert k.roots_of_unity_order == w
+
+
+def test_census_a_degree_above_the_bound_is_refused_within_the_deadline():
+    coeffs = parse_polynomial("x^20000 - 2")
+    with deadline(2), pytest.raises(InputError, match="degree 20000 is above the limit of 5000"):
+        NumberField(coeffs)
 
 
 def test_census_cyclotomic_polynomials_match_sympy():

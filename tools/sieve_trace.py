@@ -5,6 +5,8 @@ For each polynomial the trace gives what a caller sees, the refusal text or
 ``(r1, r2)``, the discriminant and the order ``w`` of the roots of unity (or
 its error text), and then, in the order they happen:
 
+- ``eisenstein p a``: the field was proved irreducible by Eisenstein's
+  criterion for ``f(x + a)`` at ``p``, before any residue row was read;
 - ``row p``: a residue row built at the unramified prime ``p``;
 - ``setup p``: the setup of an exact search (``_local_factors``) at ``p``;
 - ``lift m p``: a lift of a primitive m-th root of unity from ``p``;
@@ -68,12 +70,20 @@ def corpus(seed):
 
 @contextlib.contextmanager
 def _recording(events):
-    """Wrap the sieve's row builder, setup, lift and read-back so that each
-    call appends its line to ``events``; the originals come back on exit."""
+    """Wrap the Eisenstein check and the sieve's row builder, setup, lift and
+    read-back so that each call appends its line to ``events`` (the check
+    only when it proves f); the originals come back on exit."""
+    eisenstein = numfield._eisenstein_shift
     rows = numfield._factor_degrees_mod_p
     setup = _ResidueSieve._local_factors
     lift = _ResidueSieve._lift_primitive_root
     read = _ResidueSieve._read_back
+
+    def traced_eisenstein(coeffs, disc):
+        certificate = eisenstein(coeffs, disc)
+        if certificate:
+            events.append("eisenstein {} {}".format(*certificate))
+        return certificate
 
     def traced_rows(coeffs, p, xp):
         events.append(f"row {p}")
@@ -96,6 +106,7 @@ def _recording(events):
         events.append(f"read {big} {total} {value}")
         return value
 
+    numfield._eisenstein_shift = traced_eisenstein
     numfield._factor_degrees_mod_p = traced_rows
     _ResidueSieve._local_factors = traced_setup
     _ResidueSieve._lift_primitive_root = traced_lift
@@ -103,6 +114,7 @@ def _recording(events):
     try:
         yield
     finally:
+        numfield._eisenstein_shift = eisenstein
         numfield._factor_degrees_mod_p = rows
         _ResidueSieve._local_factors = setup
         _ResidueSieve._lift_primitive_root = lift
