@@ -15,107 +15,91 @@ enters any result.  The package exposes four layers:
   classification reports;
 * :mod:`ringkt.cli` — the ``ringkt`` command-line interface emitting
   deterministic JSON.
+
+Each submodule loads on first use: ``ringkt.colimit`` imports
+:mod:`ringkt.abgrp` when it is first read (PEP 562), and a CLI verb loads
+only the modules it reads.  Only the small :mod:`ringkt.errors` loads with
+the package.
 """
 
-from .abgrp import (
-    ColimitReport,
-    DirectedSystem,
-    GroupDescriptor,
-    cokernel,
-    colimit,
-    identified,
-    image_lattice_basis,
-    invariant_factors,
-    kernel_lattice_basis,
-    smith_normal_form,
-)
-from .errors import (
-    AmbiguityError,
-    CrossCheckError,
-    HypothesisError,
-    InputError,
-    RingKTError,
-    UnsupportedSystemError,
-)
-from .ktheory import (
-    ActionDescriptor,
-    AmbiguityReport,
-    ClassificationReport,
-    EndoBlocks,
-    GradedKGroup,
-    KappaMatrix,
-    PVStepResult,
-    RESULT_TAGS,
-    classify_A,
-    classify_B,
-    exterior_graded_ranks,
-    identity_action,
-    involution_action,
-    k_full_adele_Q,
-    k_of_A0,
-    k_of_A_truncated_Q,
-    k_of_B0,
-    kappa,
-    kappa_inf,
-    pv_step,
-    rank_one_inclusion_matrix,
-    rank_one_system,
-)
-from .numfield import (
-    FieldElement,
-    NumberField,
-    fundamental_unit_real_quadratic,
-    parse_field,
-    parse_polynomial,
-    signature,
-)
+import importlib
+
+from . import errors  # noqa: F401  (small: it loads with the package)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionDescriptor",
-    "AmbiguityError",
-    "AmbiguityReport",
-    "ClassificationReport",
-    "ColimitReport",
-    "CrossCheckError",
-    "DirectedSystem",
-    "EndoBlocks",
-    "FieldElement",
-    "GradedKGroup",
-    "GroupDescriptor",
-    "HypothesisError",
-    "InputError",
-    "KappaMatrix",
-    "NumberField",
-    "PVStepResult",
-    "RESULT_TAGS",
-    "RingKTError",
-    "UnsupportedSystemError",
-    "classify_A",
-    "classify_B",
-    "cokernel",
-    "colimit",
-    "exterior_graded_ranks",
-    "fundamental_unit_real_quadratic",
-    "identified",
-    "identity_action",
-    "image_lattice_basis",
-    "invariant_factors",
-    "involution_action",
-    "k_full_adele_Q",
-    "k_of_A0",
-    "k_of_A_truncated_Q",
-    "k_of_B0",
-    "kappa",
-    "kappa_inf",
-    "kernel_lattice_basis",
-    "parse_field",
-    "parse_polynomial",
-    "pv_step",
-    "rank_one_inclusion_matrix",
-    "rank_one_system",
-    "signature",
-    "smith_normal_form",
-    "__version__",
-]
+# Each exported name of a submodule, with the submodule that defines it.
+_EXPORTS = {
+    "abgrp": (
+        "ColimitReport",
+        "DirectedSystem",
+        "GroupDescriptor",
+        "cokernel",
+        "colimit",
+        "identified",
+        "image_lattice_basis",
+        "invariant_factors",
+        "kernel_lattice_basis",
+        "smith_normal_form",
+    ),
+    "errors": (
+        "AmbiguityError",
+        "CrossCheckError",
+        "HypothesisError",
+        "InputError",
+        "RingKTError",
+        "UnsupportedSystemError",
+    ),
+    "ktheory": (
+        "ActionDescriptor",
+        "AmbiguityReport",
+        "ClassificationReport",
+        "EndoBlocks",
+        "GradedKGroup",
+        "KappaMatrix",
+        "PVStepResult",
+        "RESULT_TAGS",
+        "classify_A",
+        "classify_B",
+        "exterior_graded_ranks",
+        "identity_action",
+        "involution_action",
+        "k_full_adele_Q",
+        "k_of_A0",
+        "k_of_A_truncated_Q",
+        "k_of_B0",
+        "kappa",
+        "kappa_inf",
+        "pv_step",
+        "rank_one_inclusion_matrix",
+        "rank_one_system",
+    ),
+    "numfield": (
+        "FieldElement",
+        "NumberField",
+        "fundamental_unit_real_quadratic",
+        "parse_field",
+        "parse_polynomial",
+        "signature",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER) + ["__version__"]
+
+
+def __getattr__(name):
+    """Import the submodule ``name`` names, or the one that owns it, on first
+    read, and keep the value here so that the next read is a plain lookup."""
+    if name in _EXPORTS:
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _OWNER:
+        value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -8,6 +8,9 @@ Exit codes (mirrors :mod:`ringkt.errors`):
 * 3 — a classification hypothesis fails for the supplied field;
 * 4 — an internal cross-check or a ``verify`` assertion failed;
 * 1 — any other error.
+
+Each verb imports the modules it reads when it runs, so that a process
+compiles and loads only those: ``snf`` needs :mod:`ringkt.abgrp` alone.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import traceback
 
 import click
 
-from . import abgrp, ktheory, numfield
 from .errors import (CrossCheckError, HypothesisError, InputError, RingKTError,
                      UnsupportedSystemError)
 
@@ -92,6 +94,7 @@ def main():
 @pretty_option
 def field_info(field_str, pretty):
     """Signature, roots of unity, and unit data of a number field."""
+    from . import numfield
 
     def work():
         field = numfield.parse_field(field_str)
@@ -116,6 +119,7 @@ def field_info(field_str, pretty):
 @pretty_option
 def residues(field_str, modulus, style, pretty):
     """A complete residue system for the ring of integers modulo d."""
+    from . import numfield
 
     def work():
         field = numfield.parse_field(field_str)
@@ -137,6 +141,7 @@ def residues(field_str, modulus, style, pretty):
 @pretty_option
 def snf(matrix_str, pretty):
     """Smith normal form A = U D V with unimodular U, V."""
+    from . import abgrp
 
     def work():
         if matrix_str.startswith("@"):
@@ -161,13 +166,12 @@ def snf(matrix_str, pretty):
     _emit(_run(work), pretty)
 
 
-_BUILTIN_SYSTEMS = {"rank-one": ktheory.rank_one_system}
-
-
 def _load_system(path):
-    if path in _BUILTIN_SYSTEMS:
-        return _BUILTIN_SYSTEMS[path]()
-    return abgrp.DirectedSystem.from_json(_load_json_file(path, "directed system"))
+    if path == "rank-one":
+        from .ktheory import rank_one_system
+        return rank_one_system()
+    from .abgrp import DirectedSystem
+    return DirectedSystem.from_json(_load_json_file(path, "directed system"))
 
 
 @main.command("colim")
@@ -176,6 +180,7 @@ def _load_system(path):
 @pretty_option
 def colim(system_path, pretty):
     """Colimit of a directed system of free abelian groups."""
+    from . import abgrp
 
     def work():
         system = _load_system(system_path)
@@ -193,6 +198,7 @@ def colim(system_path, pretty):
 @pretty_option
 def pv(system_path, resolution, pretty):
     """One six-term crossed-product step on a graded K-group."""
+    from . import ktheory
 
     def work():
         act = ktheory.ActionDescriptor.from_json(
@@ -205,10 +211,11 @@ def pv(system_path, resolution, pretty):
 
 _ALGEBRAS = ("A", "B", "A0", "B0", "A_full_Q")
 
-# The level-zero algebras: closed form of degree n and its citations.
+# The level-zero algebras: the ``ktheory`` closed form of degree n and its
+# citations.
 _CLOSED_FORMS = {
-    "B0": (ktheory.k_of_B0, ["fixed-subalgebra-base-k", "adele-scaling-diagonal"]),
-    "A0": (ktheory.k_of_A0, ["crossed-base-k", "kappa-structure-matrices"]),
+    "B0": ("k_of_B0", ["fixed-subalgebra-base-k", "adele-scaling-diagonal"]),
+    "A0": ("k_of_A0", ["crossed-base-k", "kappa-structure-matrices"]),
 }
 
 
@@ -221,12 +228,13 @@ _CLOSED_FORMS = {
                    "e.g. '1,1;2'.")
 @click.option("--truncate", type=int, default=None,
               help="Also tabulate ranks after the first 0..m generators "
-                   f"(m <= {ktheory._MAX_TRUNCATE}).")
+                   "(m <= 16).")  # ktheory._MAX_TRUNCATE; a test ties the two
 @click.option("--grading", type=click.IntRange(0, 1), default=None,
               help="Override the grading offset of classification reports.")
 @pretty_option
 def kgroups(algebra, field_str, gamma, truncate, grading, pretty):
     """K-groups: level-zero closed forms or full classification reports."""
+    from . import ktheory
 
     def work():
         if algebra == "A_full_Q":
@@ -235,10 +243,12 @@ def kgroups(algebra, field_str, gamma, truncate, grading, pretty):
             ).to_json_dict()
         if not field_str:
             raise InputError(f"--field is required for algebra {algebra}")
+        from . import numfield
+
         field = numfield.parse_field(field_str)
         if algebra in _CLOSED_FORMS:
             closed_form, citations = _CLOSED_FORMS[algebra]
-            g = closed_form(field.degree)
+            g = getattr(ktheory, closed_form)(field.degree)
             return {
                 "algebra": algebra,
                 "field": field.to_json_dict(),
@@ -375,6 +385,9 @@ _CHECKS = (
               default="all", show_default=True)
 def verify(suite):
     """Re-run the bundled assertion suites; one PASS/FAIL line each."""
+    global abgrp, ktheory, numfield  # the rows of ``_CHECKS`` read all three
+    from . import abgrp, ktheory, numfield
+
     failures = 0
     for name, label, check in sorted(_CHECKS, key=lambda row: row[0]):
         if suite not in ("all", name):

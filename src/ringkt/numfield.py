@@ -401,13 +401,6 @@ def parse_polynomial(text):
     return out
 
 
-def _euler_phi(m):
-    out = 1
-    for p, e in _factor_multiplicity(m).items():
-        out *= p ** (e - 1) * (p - 1)
-    return out
-
-
 def poly_discriminant(coeffs):
     """Discriminant of a monic integer polynomial, 0 for a constant: the
     determinant of the trace form ``Tr(theta^(i+j))`` (Cohen, *A Course in
@@ -787,8 +780,28 @@ class NumberField:
 
 def _root_of_unity_candidates(n):
     """Even orders ``m > 2`` with ``phi(m) | n``, in descending order: the
-    orders a primitive root of unity in a degree-n field can have."""
-    return [m for m in range(2 * n * n + 2, 3, -2) if n % _euler_phi(m) == 0]
+    orders a primitive root of unity in a degree-n field can have.
+
+    Each prime power ``p^e`` exactly dividing such an m has ``phi(p^e) =
+    p^(e-1) (p - 1)`` dividing ``phi(m)``, hence n, so m is built from the
+    primes ``p = d + 1`` for the divisors d of n.
+
+    >>> _root_of_unity_candidates(4)
+    [12, 10, 8, 6, 4]
+    """
+    orders = [(1, 1)]  # (m, phi(m)) over the primes taken so far
+    for d in range(1, n + 1):
+        p = d + 1
+        if n % d or not _is_prime(p):
+            continue
+        grown = []
+        for m, phi in orders:
+            q, phi_q = p, d  # p^e and phi(p^e)
+            while n % (phi * phi_q) == 0:
+                grown.append((m * q, phi * phi_q))
+                q, phi_q = q * p, phi_q * p
+        orders += grown
+    return sorted((m for m, _ in orders if m % 2 == 0 and m > 2), reverse=True)
 
 
 def _primes():

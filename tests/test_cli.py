@@ -152,6 +152,14 @@ def test_pv_verb(runner, tmp_path):
     assert out["k0"]["resolved"]["torsion"] == [2, 2]
 
 
+def test_truncate_help_names_the_library_bound(runner):
+    # the help text is written out, so that --help loads no ktheory
+    from ringkt import ktheory
+
+    res = invoke(runner, "kgroups", "--help")
+    assert f"(m <= {ktheory._MAX_TRUNCATE})." in " ".join(res.output.split())
+
+
 def test_negative_truncate_exits_2(runner):
     res = invoke(runner, "kgroups", "--algebra", "A_full_Q", "--truncate", "-3")
     assert res.exit_code == 2
@@ -208,7 +216,7 @@ def test_an_unexpected_error_exits_1_with_a_traceback(runner, monkeypatch):
     def boom(system):
         raise ZeroDivisionError("an internal fault")
 
-    monkeypatch.setattr(cli.abgrp, "colimit", boom)
+    monkeypatch.setattr(ringkt.abgrp, "colimit", boom)
     res = runner.invoke(main, ["colim", "--system", "rank-one"])
     assert res.exit_code == 1 and res.stdout == ""
     assert res.stderr.startswith("Traceback (most recent call last):")

@@ -41,6 +41,22 @@ AGREEMENT_TABLE = SMALL_TABLE + [
 ]
 
 
+def _euler_phi(m):
+    out = 1
+    for p, e in numfield._factor_multiplicity(m).items():
+        out *= p ** (e - 1) * (p - 1)
+    return out
+
+
+def test_candidates_match_the_brute_force_list():
+    # Every even m with phi(m) | n is at most 2 n^2 (phi(m) >= sqrt(m / 2)),
+    # so the scan of all even m <= 2 n^2 + 2 is the whole list.
+    phi = {m: _euler_phi(m) for m in range(4, 2 * 120 * 120 + 3, 2)}
+    for n in range(1, 121):
+        want = [m for m in range(2 * n * n + 2, 3, -2) if n % phi[m] == 0]
+        assert _root_of_unity_candidates(n) == want, n
+
+
 @pytest.mark.parametrize("poly,w", AGREEMENT_TABLE, ids=[p for p, _ in AGREEMENT_TABLE])
 def test_routes_agree_on_every_candidate(poly, w):
     k = parse_field(poly)
