@@ -70,6 +70,7 @@ _EXPORTS = {
         "k_of_B0",
         "kappa",
         "kappa_inf",
+        "kappa_laws",
         "pv_step",
         "rank_one_inclusion_matrix",
         "rank_one_system",

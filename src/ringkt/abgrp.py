@@ -33,28 +33,32 @@ exports are
   rank: a difference that vanishes proves a "yes" by itself.  The engine
   keeps every structure map as sparse rows, checked once in whichever form
   it came; only the kernel lattice, the basis the eigen classifier restricts
-  to and public return values get dense copies.  Steps are multiplied together only in the relations below
-  full rank and, once the maps are known to commute, in the eigen
-  classifier.  A coordinate on which every sampled map is diagonal (an
-  isolated one) is a direct summand of rank at most one: its ranks are read
-  off its diagonal samples, and only the other, coupled coordinates go
-  through the pass over the composites' images (``_split_pass``).  One walk
-  over the sampled maps gives the diagonal samples and the feed arcs that
-  decide both isolation and the triangular order.
+  to and public return values get dense copies.  Steps are multiplied
+  together only in the relations below full rank and, once the maps are
+  known to commute, in the eigen classifier.  A coordinate on which every
+  map is diagonal (an isolated one) is a direct summand of rank at most
+  one, read off its diagonal; only the other, coupled coordinates go
+  through the pass over the composites' images.
 
-The colimit classifier certifies exact answers for the class of systems whose
-matrices become upper triangular under a common permutation of coordinates
-(the union zero pattern has no cycle) or which form a commuting family with
-an integral joint spectrum, read in integers (characteristic polynomials,
-their integer roots and generalized eigenspaces; no sympy) and checked against
-the traces.  Both classes are read off one flag of directions (coordinates,
-or joint eigenvalue tuples) with the same samples, the chain and two
-confirmation maps beyond it; on each direction the diagonal scaling must
-follow a monomial law ``c * d**e`` (separately on odd and even step
-parameters, which covers parity-dependent laws).  A direction carries the
-sequence of its scaling values, and each distinct sequence is typed once.
-Systems outside this class are rejected with a diagnostic instead of guessed
-at.
+A family whose entries are laws, polynomials in ``d`` on each parity class
+of ``d``, is decided from them when every diagonal law is a monomial
+``c * d**e`` or zero on each class and the nonzero off-diagonal laws feed
+along no cycle (``_colimit_laws``): each direction is typed off its
+coefficients, the colimit rank is proved, and the steps are read only up to
+the first level of that rank.  Every other family is decided from samples
+(``_colimit_symbolic``): the chain up to a horizon and two confirmation maps
+beyond it, one walk over which gives the diagonal samples and the feed arcs
+that decide both isolation and the triangular order.  The samples certify
+exact answers for the systems whose matrices become upper triangular under a
+common permutation of coordinates (the union zero pattern has no cycle) or
+which form a commuting family with an integral joint spectrum, read in
+integers (characteristic polynomials, their integer roots and generalized
+eigenspaces; no sympy) and checked against the traces.  Both routes read one
+flag of directions (coordinates, or joint eigenvalue tuples); on each
+direction the diagonal scaling must follow a monomial law ``c * d**e``
+(separately on odd and even step parameters, which covers parity-dependent
+laws), and each distinct scaling is typed once by one rule.  Systems outside
+this class are rejected with a diagnostic instead of guessed at.
 """
 
 from __future__ import annotations
@@ -1013,11 +1017,27 @@ def _law_to_poly(obj):
 
 
 def _poly_eval(coeffs, x):
-    """The polynomial with ascending ``coeffs`` at ``x`` (Horner's rule)."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    """The polynomial with ascending ``coeffs`` at ``x``, summed over its
+    nonzero terms, so that a sparse law such as ``d^100000`` costs one power."""
+    return sum(c * x ** i for i, c in enumerate(coeffs) if c)
+
+
+def _class_poly(coeffs, parity):
+    """A law's polynomial on the class of ``d`` with ``d % 2 == parity``, as
+    ``(integer coefficients, denominator)``: its value at ``d`` there is
+    ``_poly_eval(nums, d) // den``.  The polynomial must take integer values
+    on the class.  With ``d = 2m + parity`` it is a polynomial in ``m`` of
+    the same degree ``k``, and one that is an integer at ``k + 1``
+    consecutive ``m`` is an integer at every ``m`` (its finite differences
+    are integers), so ``k + 1`` values decide it."""
+    _as_rational([coeffs], "law coefficient")
+    den = math.lcm(*(c.denominator for c in coeffs if type(c) is Fraction))
+    nums = tuple(int(c * den) for c in coeffs)
+    ds = range(2 + parity, 2 + parity + 2 * len(coeffs), 2)
+    if den > 1 and any(_poly_eval(nums, d) % den for d in ds):
+        kind = "odd" if parity else "even"
+        raise InputError(f"law {[str(c) for c in coeffs]} is not integer-valued on {kind} d")
+    return nums, den
 
 
 def _as_int_rows(a, dim, wrong_size):
@@ -1058,12 +1078,18 @@ class DirectedSystem:
       ``DirectedSystem.from_family(dim, fn)`` takes an arbitrary callable and
       has no ``laws``, so no JSON form.
 
-    ``DirectedSystem.symbolic(dim, diag_laws, offdiag)`` builds the family
-    whose entries are integer polynomials in ``d``.  Its ``laws`` are
-    ``(diagonal polys, offdiag cells)``, each cell ``(row, col, poly)``;
-    ``to_json`` writes them back.  Given a finite ``d_chain``, it evaluates
-    the family at each of its ``d`` and builds the finite chain of those
-    steps, keeping the laws and the chain only for ``to_json``.
+    ``DirectedSystem.from_laws(dim, diag, cells)`` builds the family whose
+    entries are polynomials in ``d`` on each parity class of ``d``, with
+    integer or ``Fraction`` coefficients and integer values on their class.
+    A law is a pair ``(odd, even)`` of ascending coefficient tuples; the
+    system keeps its ``laws`` as ``(diag, cells)``, one law per coordinate
+    and one ``(row, col, law)`` per off-diagonal cell, and ``colimit``
+    decides a system from them when they are in its rule.
+    ``DirectedSystem.symbolic(dim, diag_laws, offdiag)`` reads JSON laws,
+    integer polynomials in ``d``, each one law on both classes; ``to_json``
+    writes them back.  Given a finite ``d_chain``, it evaluates the family
+    at each of its ``d`` and builds the finite chain of those steps, keeping
+    the laws and the chain only for ``to_json``.
 
     Steps live in one store, ``_step_cache``, keyed by their 1-based index:
     a finite chain fills it when built; a family fills it on first read of
@@ -1071,7 +1097,7 @@ class DirectedSystem:
     matrices or sparse rows (``{column: value}`` dicts); either is checked
     where it enters, once, and kept as sparse int rows without zeros:
     ``explicit`` checks its matrices, ``from_family`` every step its callable
-    returns, and ``symbolic`` checks its laws, so its own family needs no
+    returns, and ``from_laws`` checks its laws, so its own family needs no
     check.  ``matrix`` and ``to_json`` copy them dense; the step at any
     parameter ``d`` is ``matrix(1)`` of the same system built on
     ``d_chain=[d]``.
@@ -1104,50 +1130,57 @@ class DirectedSystem:
         return cls(dim, steps=steps)
 
     @classmethod
-    def symbolic(cls, dim, diag_laws, offdiag=(), d_chain=None):
+    def from_laws(cls, dim, diag, cells=()):
         dim = _as_int(dim, "system dimension")
-        polys = [_law_to_poly(law) for law in _as_list(diag_laws, "'law'")]
-        if len(polys) != dim:
+        diag, cells = tuple(diag), tuple(cells)
+        if len(diag) != dim:
             raise InputError("need exactly one diagonal law per coordinate")
-        off = {}  # each cell's law
-        for entry in _as_list(offdiag, "'offdiag'"):
-            if not isinstance(entry, dict):
-                raise InputError("offdiag entries must be objects")
-            r = _as_int(entry.get("row", -1), "offdiag row")
-            c = _as_int(entry.get("col", -1), "offdiag col")
+        seen = set()
+        for r, c, _ in cells:
             if not (0 <= r < dim and 0 <= c < dim) or r == c:
                 raise InputError("offdiag entry needs distinct in-range row/col")
-            if (r, c) in off:
+            if (r, c) in seen:
                 raise InputError(f"offdiag cell ({r}, {c}) is given twice")
-            if "kind" in entry:
-                coeffs = _law_to_poly({k: v for k, v in entry.items() if k not in ("row", "col")})
-            else:
-                _check_keys(entry, ("row", "col", "poly"), "an offdiag entry")
-                coeffs = tuple(_as_int(x, "poly coefficient")
-                               for x in _as_list(entry.get("poly"), "offdiag 'poly'"))
-            off[r, c] = coeffs
+            seen.add((r, c))
 
-        # The laws were checked above, so the family's rows are int rows in
-        # range; only the zeros a law takes at ``d`` are dropped.  Each
-        # distinct law is evaluated once per ``d``.
-        at = {}  # each distinct law and its index in ``laws``
-        diag = [at.setdefault(p, len(at)) for p in polys]
-        cells = [(r, c, at.setdefault(coeffs, len(at))) for (r, c), coeffs in off.items()]
-        laws = list(at)
+        # Each distinct law is evaluated once per ``d``, on the class of ``d``,
+        # and only the zeros a law takes there are dropped.
+        at = {}  # each distinct law and its index
+        on_diag = [at.setdefault(law, len(at)) for law in diag]
+        in_cells = [(r, c, at.setdefault(law, len(at))) for r, c, law in cells]
+        classes = tuple([_class_poly(law[1 - parity], parity) for law in at] for parity in (0, 1))
 
         def family(d):
-            vals = [_poly_eval(p, d) for p in laws]
-            rows = [{i: vals[k]} for i, k in enumerate(diag)]
-            for r, c, k in cells:
+            vals = [_poly_eval(p, d) // den for p, den in classes[d % 2]]
+            rows = [{i: vals[k]} for i, k in enumerate(on_diag)]
+            for r, c, k in in_cells:
                 rows[r][c] = vals[k]
             if 0 in vals:
                 rows = [row if all(row.values()) else {j: x for j, x in row.items() if x}
                         for row in rows]
             return rows
 
-        # built first, so that ``dim`` is checked before the chain
-        system = cls(dim, family=family,
-                     laws=(tuple(polys), tuple((r, c, p) for (r, c), p in off.items())))
+        return cls(dim, family=family, laws=(diag, cells))
+
+    @classmethod
+    def symbolic(cls, dim, diag_laws, offdiag=(), d_chain=None):
+        dim = _as_int(dim, "system dimension")
+        polys = [_law_to_poly(law) for law in _as_list(diag_laws, "'law'")]
+        cells = []
+        for entry in _as_list(offdiag, "'offdiag'"):
+            if not isinstance(entry, dict):
+                raise InputError("offdiag entries must be objects")
+            r = _as_int(entry.get("row", -1), "offdiag row")
+            c = _as_int(entry.get("col", -1), "offdiag col")
+            if "kind" in entry:
+                coeffs = _law_to_poly({k: v for k, v in entry.items() if k not in ("row", "col")})
+            else:
+                _check_keys(entry, ("row", "col", "poly"), "an offdiag entry")
+                coeffs = tuple(_as_int(x, "poly coefficient")
+                               for x in _as_list(entry.get("poly"), "offdiag 'poly'"))
+            cells.append((r, c, (coeffs, coeffs)))
+        # built first, so that ``dim`` and the laws are checked before the chain
+        system = cls.from_laws(dim, [(p, p) for p in polys], cells)
         if d_chain is None:
             return system
         ds = tuple(_as_int(d, "d_chain entry") for d in _as_list(d_chain, "d_chain"))
@@ -1155,7 +1188,7 @@ class DirectedSystem:
             raise InputError("d_chain needs at least one entry")
         if min(ds) < 2:
             raise InputError("d_chain entries must be integers >= 2")
-        return cls(dim, steps=[family(d) for d in ds], laws=system.laws, d_chain=ds)
+        return cls(dim, steps=[system._family(d) for d in ds], laws=system.laws, d_chain=ds)
 
     @classmethod
     def from_family(cls, dim, fn):
@@ -1192,10 +1225,14 @@ class DirectedSystem:
                 return {"mode": "explicit",
                         "matrices": [_dense_rows(m, self.dim) for m in self._step_cache.values()]}
             raise InputError("a family-backed system has no JSON form")
-        polys, cells = self.laws
+        diag, cells = self.laws
+        if any(odd != even or not _INT.issuperset(map(type, odd))
+               for odd, even in (*diag, *(law for _, _, law in cells))):
+            raise InputError("only laws that are one integer polynomial on both "
+                             "parity classes have a JSON form")
         out = {"mode": "symbolic", "dim": self.dim,
-               "law": [{"kind": "poly", "coeffs": list(p)} for p in polys],
-               "offdiag": [{"row": r, "col": c, "poly": list(p)} for r, c, p in cells]}
+               "law": [{"kind": "poly", "coeffs": list(p)} for p, _ in diag],
+               "offdiag": [{"row": r, "col": c, "poly": list(p)} for r, c, (p, _) in cells]}
         if self._d_chain is not None:
             out["d_chain"] = list(self._d_chain)
         return out
@@ -1230,14 +1267,16 @@ class ColimitReport:
     only the materialized finite chain (free rank observed so far).
     ``relations`` identifies pairs of nonnegative level-1 vectors that become
     equal in the colimit (a spanning set of the level-1 identifications).
-    ``rank``, ``stabilization_level`` and the window check behind them are
-    read in one pass of spanning sets of the composites' images
-    (``_image_pass``), which multiplies out no composite.  ``maps`` are the
-    sparse maps that pass read; ``relations`` are built from them on first
-    read: ``()`` at full rank, else the Hermite normal form of the kernel
-    of their composite up to ``stabilization_level``.  That is the kernel
-    of the whole composite: each kernel is saturated, they are nested, and
-    from that level on they have one rank.
+    ``rank`` and ``stabilization_level`` are read off spanning sets of the
+    composites' images, pushed along the steps, so no composite is
+    multiplied out: sampled, in one pass with the window check
+    (``_image_pass``), or, from laws, level by level up to the first level
+    of the proved rank (``_image_bases``).  ``maps`` are the sparse maps the
+    pass read, up to the horizon or to that level; ``relations`` are built
+    from them on first read: ``()`` at full rank, else the Hermite normal
+    form of the kernel of their composite up to ``stabilization_level``.
+    That is the kernel of the whole composite: each kernel is saturated,
+    they are nested, and from that level on they have one rank.
     """
 
     invariants: GroupDescriptor
@@ -1370,6 +1409,21 @@ def _image_pass(maps, h=None, coords=None):
     return sets, r, stab, None if h is None else len(pivots)
 
 
+def _image_bases(steps, dim, coords=None):
+    """An echelon basis of the image of each composite ``M_t ... M_1`` of
+    the sparse ``steps`` in turn.  The first step's columns are echelonized;
+    each later step maps the previous basis, whose images span the next
+    image, and echelonizes them.  With ``coords``, the sorted coordinates of
+    a direct summand, only the summand is read, as in ``_image_pass``."""
+    span = range(dim) if coords is None else coords
+    basis = None
+    for step in steps:
+        cols = _columns(step, dim, coords)
+        basis = list(_echelon([cols[k] for k in span] if basis is None
+                              else _sparse_mul(basis, cols)).values())
+        yield basis
+
+
 def _colimit_finite(maps):
     if all(map(_is_unimodular, maps)):
         dim = len(maps[0])
@@ -1409,21 +1463,40 @@ def _fit_monomial(samples):
     return None
 
 
-def _direction_type(samples):
-    """Classify one filtration direction from (d, lambda) samples.
+def _sample_fits(ds, values):
+    """The fits ``(odd, even)`` of one direction's scaling ``values`` at the
+    step parameters ``ds``, one ``_fit_monomial`` per parity class of d."""
+    return tuple(_fit_monomial([(d, lam) for d, lam in zip(ds, values) if d % 2 == parity])
+                 for parity in (1, 0))
 
-    The scaling law must fit a monomial separately on odd and even values of
-    ``d`` (this covers parity-dependent laws).  Returns ``None`` for a dead
-    direction, a GroupDescriptor for a surviving one, and raises for laws
-    outside the certified class.
+
+def _law_fit(coeffs):
+    """A class polynomial's fit read off its ascending ``coeffs``, in the
+    form of ``_fit_monomial``: ``("zero",)``, ``("monomial", c, e)`` when it
+    has one nonzero term ``c d^e``, and otherwise None."""
+    terms = [(e, c) for e, c in enumerate(coeffs) if c]
+    if not terms:
+        return ("zero",)
+    if len(terms) == 1:
+        (e, c), = terms
+        return ("monomial", Fraction(c), e)
+    return None
+
+
+def _direction_type(fits):
+    """Classify one filtration direction from its fits ``(odd, even)``, one
+    per parity class of d (this covers parity-dependent laws), each read off
+    samples (``_sample_fits``) or off a law (``_law_fit``).
+
+    The scaling law must fit a monomial on both classes.  Returns ``None``
+    for a dead direction, a GroupDescriptor for a surviving one, and raises
+    for laws outside the certified class.
 
     The answer inverts the primes that divide infinitely many steps: all of
     them for an even-class ``e >= 1``; for an odd-class ``e >= 1`` the odd
     ones, and 2 when it divides either constant (else ``Z[1/p : p odd]``,
     which is refused); the primes of the constants otherwise.
     """
-    fits = [_fit_monomial([(d, lam) for d, lam in samples if d % 2 == parity])
-            for parity in (1, 0)]
     if None in fits:
         raise UnsupportedSystemError(
             "diagonal scaling law fits no monomial c*d^e on a parity class; "
@@ -1527,22 +1600,34 @@ def _reachable(feeds, start):
     return seen
 
 
-def _flag_sum(flag, r, ds):
-    """The colimit read off a flag of directions, each ``(values, into)``.
+def _triangular_flag(feeds, scalings):
+    """The flag of a system whose feed arcs (see ``_walk``) have no cycle:
+    one direction ``(scalings[p], the coordinates p reaches)`` per
+    coordinate ``p``.  None when a coordinate reaches itself: it closes a
+    cycle, so no common triangular order exists."""
+    reach = [_reachable(feeds, p) if into else () for p, into in enumerate(feeds)]
+    if any(p in into for p, into in enumerate(reach)):
+        return None
+    return [(scaling, sorted(into)) for scaling, into in zip(scalings, reach)]
 
-    ``values`` is the tuple of the direction's scaling values at the step
-    parameters ``ds``; ``into`` lists the flag indices it couples into.
-    ``_direction_type`` is pure, so it types each distinct value sequence
-    once, on its ``(d, lambda)`` pairs.  The survivors must number the
-    stabilized rank ``r``.  Split safety: a non-free survivor may couple only
-    into divisible or dead directions, since only then is the extension
-    certified to split; the answer is their direct sum.
+
+def _flag_sum(flag, r, fits):
+    """The colimit read off a flag of directions, each ``(scaling, into)``.
+
+    ``scaling`` is what the direction scales by: the tuple of its values at
+    the sampled step parameters, or its law; ``fits(scaling)`` gives its
+    fits ``(odd, even)``.  ``into`` lists the flag indices it couples into.
+    ``_direction_type`` is pure, so it types each distinct scaling once.
+    The survivors must number the stabilized rank ``r``.  Split safety: a
+    non-free survivor may couple only into divisible or dead directions,
+    since only then is the extension certified to split; the answer is their
+    direct sum.
     """
     typed = {}
-    for values, _ in flag:
-        if values not in typed:
-            typed[values] = _direction_type(tuple(zip(ds, values)))
-    types = [typed[values] for values, _ in flag]
+    for scaling, _ in flag:
+        if scaling not in typed:
+            typed[scaling] = _direction_type(fits(scaling))
+    types = [typed[scaling] for scaling, _ in flag]
     survivors = [t for t in types if t is not None]
     if len(survivors) != r:
         raise UnsupportedSystemError(
@@ -1647,6 +1732,9 @@ def _eigen_flag(maps, cap, r):
     return [(vals, range(i)) for i, vals in enumerate(flag)]
 
 
+_CANONICAL = "classified along the canonical divisibility-cofinal chain d = 2, 3, 4, ..."
+
+
 def _colimit_symbolic(system):
     dim = system.dim
     cap = max(14, dim + 6)
@@ -1666,15 +1754,93 @@ def _colimit_symbolic(system):
             "window rank depends on the starting level; the system is outside "
             "the certified class"
         )
-    # A coordinate that reaches itself closes a cycle: no common triangular
-    # order exists, and the commuting family's eigen flag is read instead.
-    reach = [_reachable(feeds, p) for p in range(dim)]
-    if any(p in reach[p] for p in range(dim)):
+    # With no common triangular order the commuting family's eigen flag is read.
+    flag = _triangular_flag(feeds, samples)
+    if flag is None:
         flag = _eigen_flag(maps, cap, r)
-    else:
-        flag = [(lams, sorted(reach[p])) for p, lams in enumerate(samples)]
-    return ColimitReport(_flag_sum(flag, r, ds), maps[:cap], False, r, stab, (
-        "classified along the canonical divisibility-cofinal chain d = 2, 3, 4, ...",))
+    invariants = _flag_sum(flag, r, lambda values: _sample_fits(ds, values))
+    return ColimitReport(invariants, maps[:cap], False, r, stab, (_CANONICAL,))
+
+
+def _colimit_laws(system):
+    """The colimit of a family decided from its laws, or None when they are
+    outside this rule and ``_colimit_symbolic`` decides it from samples.
+
+    The rule takes laws whose diagonal is, on each parity class of d, a
+    monomial ``c d^e`` with ``c != 0`` or zero, and whose nonzero
+    off-diagonal laws feed along no cycle.  Each direction is typed off its
+    coefficients (``_law_fit``) by the rule the samples use, and the flag is
+    read as on the sampled path.  A coordinate is dead when its law is zero
+    on a class; the other ``s0`` never vanish on the chain.
+
+    The rank.  Order the coordinates so that every arc runs from a later one
+    to an earlier one: every step is upper triangular, and so is every
+    product of consecutive steps, with the products of the diagonal entries
+    on its diagonal.  A triangular matrix has rank at least the number of
+    its nonzero diagonal entries, so every composite and every window has
+    rank >= s0.  Conversely, let ``V_k`` be the span of the first ``k``
+    coordinates, which every step preserves, and ``q_1 > ... > q_m`` the
+    dead coordinates.  Claim: a window ``W`` that holds steps
+    ``t_1 < ... < t_m``, step ``t_i`` zero at ``q_i``, has rank
+    ``<= dim - m``.  By induction on the flag, ``k`` from ``dim`` down to 0:
+    the map ``W`` induces on ``V/V_k`` has rank at most ``dim - k`` less the
+    number of dead ``q > k``.  From ``k`` to ``k - 1`` the quotient gains
+    the line of ``e_k`` at the bottom, so the rank grows by at most one.
+    If ``k = q_i`` is dead, write ``W = B M A`` with ``M`` the step ``t_i``.
+    The image ``U`` of ``A`` in ``V/V_(k-1)`` maps onto its image in
+    ``V/V_k``, whose rank is within the bound for ``k`` (``A`` holds
+    ``t_1 ... t_(i-1)``), with a kernel inside the line of ``e_k``.  ``M``
+    kills that line, as its diagonal entry at ``k`` is 0, so ``M(U)`` and
+    ``B M(U)`` stay within that rank, the bound for ``k - 1``.  A coordinate
+    zero on both classes is zero at every step, one zero on one class at
+    every other step, so any ``bound`` consecutive steps hold such ``t_i``,
+    ``bound`` counting 1 per coordinate dead on both classes and 2 per other
+    dead one.  So the composite up to level ``bound`` and every window of
+    ``bound`` steps have rank exactly s0: the colimit has rank s0, whatever
+    level the window starts at.
+
+    So the image pass runs level by level (``_image_bases``) and stops at
+    the first level of rank s0, the stabilization level, with no horizon,
+    no window and no confirmation sample; a rank below s0, or above it at
+    level ``bound``, contradicts the proof and raises ``CrossCheckError``.
+    An isolated coordinate (no nonzero law joins it to another) is a direct
+    summand whose rank drops at its first zero step: level 1 (d = 2) when
+    it is dead on even d, else level 2.  Only the coupled coordinates are
+    pushed, and only when one of them is dead: otherwise they keep full
+    rank from level 1 on, by the lower bound.
+    """
+    diag, cells = system.laws
+    fits = {law: tuple(map(_law_fit, law)) for law in dict.fromkeys(diag)}
+    if any(None in fit for fit in fits.values()):
+        return None
+    dim = system.dim
+    feeds = [set() for _ in range(dim)]
+    for r, c, law in cells:
+        if any(map(any, law)):
+            feeds[c].add(r)
+    flag = _triangular_flag(feeds, diag)
+    if flag is None:
+        return None
+    dead = {p for p, law in enumerate(diag) if ("zero",) in fits[law]}
+    s0 = dim - len(dead)
+    invariants = _flag_sum(flag, s0, fits.__getitem__)
+    coupled = {j for j, into in enumerate(feeds) if into}.union(*feeds)
+    stab = max((1 if fits[diag[p]][1] == ("zero",) else 2 for p in dead - coupled), default=1)
+    if dead & coupled:
+        bound = sum(1 if fits[diag[p]] == (("zero",),) * 2 else 2 for p in dead & coupled)
+        target = len(coupled) - len(dead & coupled)
+        coords = sorted(coupled) if len(coupled) < dim else None
+        steps = map(system._step, range(1, bound + 1))
+        for level, basis in enumerate(_image_bases(steps, dim, coords), 1):
+            if len(basis) <= target:
+                break
+        if len(basis) != target:
+            raise CrossCheckError(
+                f"the laws prove that the coupled coordinates reach rank {target} by "
+                f"level {bound}, but level {level} has rank {len(basis)}")
+        stab = max(stab, level)
+    maps = [system._step(t) for t in range(1, stab + 1)]
+    return ColimitReport(invariants, maps, False, s0, stab, (_CANONICAL,))
 
 
 def colimit(system):
@@ -1682,10 +1848,16 @@ def colimit(system):
 
     Families on the canonical chain get an exact answer
     (``truncated = False``) or a refusal (``UnsupportedSystemError``) with a
-    diagnostic.  Finite chains (a symbolic system with a finite ``d_chain``
-    is one) report the exact colimit only when every step is unimodular;
-    otherwise the result is marked ``truncated``.  A system is classified
-    once: later calls return the same report or raise the same refusal.
+    diagnostic.  A family with laws in the rule of ``_colimit_laws`` is
+    decided from them, with a proved rank and no sample; every other
+    family, and every family built by ``from_family``, from samples
+    (``_colimit_symbolic``).  The rule is generic: the engine checks of
+    ``ktheory.k_of_A0`` and ``k_of_B0`` hand it the laws of ``kappa``, the
+    one thing they share with the closed forms.  Finite chains (a symbolic
+    system with a finite ``d_chain`` is one) report the exact colimit only
+    when every step is unimodular; otherwise the result is marked
+    ``truncated``.  A system is classified once: later calls return the same
+    report or raise the same refusal.
 
     >>> qs = DirectedSystem.symbolic(1, [{"kind": "mult_d"}])
     >>> print(colimit(qs).invariants)
@@ -1696,9 +1868,12 @@ def colimit(system):
     if system._analysis_cache is None:
         length = system.finite_length
         try:
-            system._analysis_cache = (
-                _colimit_symbolic(system) if length is None
-                else _colimit_finite([system._step(t) for t in range(1, length + 1)]))
+            if length is not None:
+                report = _colimit_finite([system._step(t) for t in range(1, length + 1)])
+            else:
+                report = ((system.laws is not None and _colimit_laws(system))
+                          or _colimit_symbolic(system))
+            system._analysis_cache = report
         except UnsupportedSystemError as refusal:
             system._analysis_cache = refusal
     if isinstance(system._analysis_cache, UnsupportedSystemError):
@@ -1780,15 +1955,14 @@ def identified(system, a, b):
     diff = [x - y for x, y in zip(va, vb)]
     if length is not None or not any(diff):
         return not any(diff)
-    basis = None  # the first step's columns span its image
+    steps = range(base, base + _WINDOW_STEPS)
+    window = _image_bases(map(system._step, steps), system.dim)
     r = None  # the certified rank, classified only when a "no" is first tested
-    for level in range(base, base + _WINDOW_STEPS):
-        step = system._step(level)
-        diff = _apply(step, diff)
+    for level in steps:
+        diff = _apply(system._step(level), diff)
         if not any(diff):
             return True
-        cols = _columns(step, system.dim)
-        basis = list(_echelon(cols if basis is None else _sparse_mul(basis, cols)).values())
+        basis = next(window)
         if r is None:
             r = colimit(system).rank
         if len(basis) == r:

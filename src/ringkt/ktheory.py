@@ -264,6 +264,37 @@ def kappa(n, d):
     return KappaMatrix(n, d, d % 2 == 1, mixing, kappa_inf(n, d))
 
 
+def kappa_laws(n):
+    """The entries of ``kappa(n, d)`` as laws in ``d``, for
+    ``DirectedSystem.from_laws``: one pair ``(odd, even)`` of ascending
+    coefficient tuples per entry, a polynomial on each parity class of
+    ``d``, read off the closed form of :func:`kappa`.  On the finite part
+    the diagonal is 1, except 0 on even ``d`` off the empty set, where the
+    entry at the empty set's column is 1 instead; the infinite diagonal is
+    ``d^(n - |T|)``; the mixing entries are ``(d^n - 1)/2`` on odd ``d``,
+    and ``d^n/2``, less ``2^(n-1)`` at the empty set, on even ``d``.  The
+    mixing laws have ``Fraction`` coefficients and integer values on their
+    class.
+
+    >>> diag, cells = kappa_laws(1)
+    >>> diag
+    (((1,), (1,)), ((1,), (0,)), ((0, 1), (0, 1)))
+    >>> cells[0], [[str(c) for c in p] for p in cells[1][2]]  # cells[1] is (2, 0, law)
+    ((1, 0, ((0,), (1,))), [['-1/2', '1/2'], ['-1', '1/2']])
+    """
+    n = _level_count(n)
+    n2, one, zero = 2 ** n, (1,), (0,)
+    top = (0,) * n + (Fraction(1, 2),)  # d^n / 2
+    diag = ((one, one),) + ((one, zero),) * (n2 - 1)
+    for k in range(0, n + 1, 2):
+        power = (0,) * (n - k) + (1,)
+        diag += ((power, power),) * math.comb(n, k)
+    odd = (Fraction(-1, 2),) + top[1:]
+    cells = [(i, 0, (zero, one)) for i in range(1, n2)]
+    cells += [(n2, j, (odd, top if j else (-(n2 // 2),) + top[1:])) for j in range(n2)]
+    return diag, tuple(cells)
+
+
 _RANK_ONE_PERMUTATION = (2, 1, 0)
 
 
@@ -330,7 +361,10 @@ def k_of_B0(n, engine_check=None):
     * ``K_j = Q^(2^(n-1) - 1) + Z`` for ``j = n (mod 2)``.
 
     The closed form is verified against the colimit engine on the diagonal
-    system (always for ``n <= 7``; pass ``engine_check=True`` to force it).
+    system of the laws ``d^(n-k)``, the infinite diagonal of ``kappa``
+    (always for ``n <= 7``; pass ``engine_check=True`` to force it).  The
+    two share only those laws: the closed form counts binomials by parity,
+    and the engine types each coordinate off its law and proves the rank.
     """
     n = _level_count(n)
     top = GroupDescriptor(free_rank=1, q_rank=2 ** (n - 1) - 1)  # K_(n mod 2)
@@ -340,12 +374,10 @@ def k_of_B0(n, engine_check=None):
     if engine_check is None:
         engine_check = n <= 7
     if engine_check:
+        powers = [((0,) * (n - k) + (1,),) * 2 for k in range(n + 1)]  # d^(n-k), both classes
         for parity, expected in ((0, k0), (1, k1)):
             degrees = _subset_sizes(n, parity)
-            system = DirectedSystem.symbolic(
-                len(degrees),
-                [{"kind": "diag_power", "exp": n - k} for k in degrees],
-            )
+            system = DirectedSystem.from_laws(len(degrees), [powers[k] for k in degrees])
             got = colimit(system).invariants
             if got != expected:
                 raise CrossCheckError(
@@ -367,7 +399,11 @@ def k_of_A0(n, engine_check=None):
     * ``n`` even: ``K_0 = Z^2 + Q^(2^(n-1) - 1)``.
 
     Verified against the colimit engine on the full structure-matrix family
-    (always for ``n <= 6``; pass ``engine_check=True`` to force it).
+    (always for ``n <= 6``; pass ``engine_check=True`` to force it).  The two
+    share only ``kappa``'s laws (``kappa_laws``, read off the closed form that
+    ``compose`` checks against the blocks): the closed form counts the even
+    subsets, and the engine decides the generic laws, with no rule of its
+    own for ``kappa``.
     """
     n = _level_count(n)
     if n % 2 == 1:
@@ -378,8 +414,7 @@ def k_of_A0(n, engine_check=None):
     if engine_check is None:
         engine_check = n <= 6
     if engine_check:
-        # ``KappaMatrix.rows`` are zero-free int rows in range: no check needed.
-        system = DirectedSystem(kappa(n, 2).size, family=lambda d: kappa(n, d).rows())
+        system = DirectedSystem.from_laws(kappa(n, 2).size, *kappa_laws(n))
         got = colimit(system).invariants
         if got != k0:
             raise CrossCheckError(

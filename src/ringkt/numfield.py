@@ -48,10 +48,12 @@ import functools
 import itertools
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abgrp import _as_int, _as_rational, _factor_multiplicity, _is_prime, determinant, solve_exact
+from .abgrp import (_as_int, _as_rational, _determinant, _factor_multiplicity, _is_prime,
+                    determinant, solve_exact)
 from .errors import CrossCheckError, HypothesisError, InputError
 
 # ---------------------------------------------------------------------------
@@ -406,11 +408,24 @@ def poly_discriminant(coeffs):
     determinant of the trace form ``Tr(theta^(i+j))`` (Cohen, *A Course in
     Computational Algebraic Number Theory*, ch. 4).
 
+    Row ``i`` of the form holds the power sum ``s_(i+j)`` at column ``j``,
+    so only the cells of the nonzero power sums are built (a binomial's form
+    has ``n`` of them) and eliminated; ``_trace_bound`` keeps the dense form.
+
     >>> poly_discriminant([-2, 0, 1]), poly_discriminant([1, 1, 0, 1])  # x^2 - 2, x^3 + x + 1
     (8, -31)
     """
     coeffs = poly_trim(_rationals(coeffs, "polynomial coefficient"))
-    return determinant(_trace_form(coeffs)[0]) if len(coeffs) > 1 else 0
+    n = len(coeffs) - 1
+    if n < 1:
+        return 0
+    s = [_as_int(x, "matrix entry") for x in _power_sums(coeffs)]
+    nonzero = [k for k, x in enumerate(s) if x]
+    rows = []
+    for i in range(n):  # the nonzero s_k with i <= k < i + n
+        row = nonzero[bisect_left(nonzero, i):bisect_left(nonzero, i + n)]
+        rows.append({k - i: s[k] for k in row})
+    return _determinant(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1526,12 +1541,11 @@ def _lift_unit_root(y, m, f, p, big):
     return y
 
 
-def _trace_form(coeffs):
-    """The trace matrix ``T_ij = Tr(theta^(i+j))`` by Newton's identities, and
-    the bounds ``n R^j`` on ``|Tr(alpha theta^j)|`` for a root of unity
-    ``alpha``, ``R`` the Cauchy root bound of the monic ``f``.  Each power
-    sum reads only the nonzero coefficients of ``f``, so a binomial costs
-    O(n) steps, not O(n^2)."""
+def _power_sums(coeffs):
+    """The power sums ``s_k = Tr(theta^k)``, ``k < 2n - 1``, of the roots of
+    the monic ``f`` of degree ``n``, by Newton's identities.  Each reads only
+    the nonzero coefficients of ``f``, so a binomial costs O(n) steps, not
+    O(n^2)."""
     n = len(coeffs) - 1
     terms = [(i, coeffs[n - i]) for i in range(1, n + 1) if coeffs[n - i]]  # ascending i
     s, live = [n], 0  # live: the terms with i < k
@@ -1540,6 +1554,15 @@ def _trace_form(coeffs):
             live += 1
         s.append(-(k * coeffs[n - k] if k <= n else 0)
                  - sum(c * s[k - i] for i, c in terms[:live]))
+    return s
+
+
+def _trace_form(coeffs):
+    """The dense trace matrix ``T_ij = Tr(theta^(i+j))`` (``_power_sums``),
+    and the bounds ``n R^j`` on ``|Tr(alpha theta^j)|`` for a root of unity
+    ``alpha``, ``R`` the Cauchy root bound of the monic ``f``."""
+    n = len(coeffs) - 1
+    s = _power_sums(coeffs)
     r = 1 + max(abs(c) for c in coeffs[:-1])
     return [s[j:j + n] for j in range(n)], [n * r ** j for j in range(n)]
 

@@ -883,7 +883,8 @@ def test_only_a_refusal_is_kept(monkeypatch, error):
         raise error("not a refusal")
 
     monkeypatch.setattr(abgrp, "_colimit_symbolic", fail)
-    system = DirectedSystem.symbolic(1, [{"kind": "mult_d"}])
+    # a family without laws, so that the sampled path classifies it
+    system = DirectedSystem.from_family(1, lambda d: [[d]])
     for _ in range(2):
         with pytest.raises(error, match="not a refusal"):
             colimit(system)
@@ -1025,10 +1026,10 @@ def test_identified_integer_rule():
 # ---------------------------------------------------------------------------
 
 
-def _flag_sum_by_pairs(flag, r, ds):
-    """The route ``_flag_sum`` replaced: every direction typed on its own
-    tuple of ``(d, lambda)`` pairs, with no sequence shared."""
-    types = [abgrp._direction_type(tuple(zip(ds, values))) for values, _ in flag]
+def _flag_sum_by_pairs(flag, r, fits):
+    """The route ``_flag_sum`` replaced: every direction typed on its own,
+    with no scaling shared."""
+    types = [abgrp._direction_type(fits(scaling)) for scaling, _ in flag]
     survivors = [t for t in types if t is not None]
     if len(survivors) != r:
         raise UnsupportedSystemError(
@@ -1053,7 +1054,7 @@ def _outcome(flag_sum, args):
 
 
 def _assert_flags_match_the_pair_route(run):
-    """Every ``(flag, r, ds)`` that ``run()``, which may be refused, hands to
+    """Every ``(flag, r, fits)`` that ``run()``, which may be refused, hands to
     ``_flag_sum`` gives the same descriptor or refusal on both routes."""
     calls, flag_sum = [], abgrp._flag_sum
     with pytest.MonkeyPatch.context() as mp:
@@ -1095,19 +1096,24 @@ def test_flag_sum_matches_the_pair_route_on_refusals(family):
 def test_each_value_sequence_is_typed_once(monkeypatch):
     typed, counts, flag_sum, direction_type = [], [], abgrp._flag_sum, abgrp._direction_type
 
-    def count(flag, r, ds):
+    def count(flag, r, fits):
         before = len(typed)
-        out = flag_sum(flag, r, ds)
-        distinct = dict.fromkeys(values for values, _ in flag)
-        assert typed[before:] == [tuple(zip(ds, values)) for values in distinct]
+        out = flag_sum(flag, r, fits)
+        distinct = dict.fromkeys(scaling for scaling, _ in flag)
+        assert typed[before:] == [fits(scaling) for scaling in distinct]
         counts.append(len(typed) - before)
         return out
 
     monkeypatch.setattr(abgrp, "_flag_sum", count)
     monkeypatch.setattr(abgrp, "_direction_type",
-                        lambda samples: typed.append(samples) or direction_type(samples))
+                        lambda fits: typed.append(fits) or direction_type(fits))
     n = 6
+    # the parity systems hold 2^(n-1) coordinates each, one law d^(n-k) per
+    # degree k: typed once per law, and once per value sequence when sampled
     k_of_B0(n, engine_check=True)
-    # the parity systems hold 2^(n-1) coordinates each, one law d^(n-k) per degree k
-    assert counts == [4, 3]
-    assert sum(counts) == len({n - k for k in range(n + 1)})
+    for parity in (0, 1):
+        degrees = [k for k in range(parity, n + 1, 2) for _ in range(math.comb(n, k))]
+        colimit(DirectedSystem.from_family(len(degrees), lambda d, degrees=degrees: [
+            {i: d ** (n - k)} for i, k in enumerate(degrees)]))
+    assert counts == [4, 3, 4, 3]
+    assert sum(counts[:2]) == len({n - k for k in range(n + 1)})

@@ -278,7 +278,9 @@ def test_identified_and_full_rank_relations_form_no_composite(monkeypatch):
         [{"row": i + 1, "col": i, "poly": [1]} for i in range(dim - 1)])
     squares = DirectedSystem.symbolic(3, [{"kind": "diag_power", "exp": 2}] * 3,
                                       [{"row": 0, "col": 2, "poly": [0, 1]}])
-    for system in (subdiagonal, squares):
+    sampled = DirectedSystem.from_family(dim, subdiagonal._family)
+    pushes = []
+    for system in (subdiagonal, squares, sampled):
         report = colimit(system)
         assert report.rank == system.dim and report.relations == ()
         e0 = (1,) + (0,) * (system.dim - 1)
@@ -288,8 +290,11 @@ def test_identified_and_full_rank_relations_form_no_composite(monkeypatch):
         assert identified(system, (2, pushed), (1, e0)) is True
         steps = [id(m) for m in system._step_cache.values()]
         # every product maps a spanning set; none has a step on its left
-        assert products and not any(id(a) in steps for a in products)
+        assert not any(id(a) in steps for a in products)
+        pushes.append(len(products))
         products.clear()
+    # the laws prove full rank, so only the sampled pass pushes a vector
+    assert pushes[:2] == [0, 0] and pushes[2] > 0
 
 
 # The kernel of the first step (the stabilization level) spans the same
@@ -489,25 +494,29 @@ def test_the_level_ranks_sum_an_isolated_drop_and_a_coupled_one():
                               "[3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 1, 1]")
 
 
-def test_engine_checks_read_isolated_coordinates_off_their_samples(monkeypatch):
+def test_engine_checks_read_isolated_coordinates_off_their_laws(monkeypatch):
     pushed, typed, evaluated = [], [], []
     mul, direction_type, poly_eval = abgrp._sparse_mul, abgrp._direction_type, abgrp._poly_eval
     monkeypatch.setattr(abgrp, "_sparse_mul", lambda a, b: pushed.append(a) or mul(a, b))
     monkeypatch.setattr(abgrp, "_direction_type",
-                        lambda samples: typed.append(samples) or direction_type(samples))
+                        lambda fits: typed.append(fits) or direction_type(fits))
     monkeypatch.setattr(abgrp, "_poly_eval",
                         lambda p, x: evaluated.append((tuple(p), x)) or poly_eval(p, x))
     assert k_of_B0(6, engine_check=True) == k_of_B0(6, engine_check=False)
-    # both systems are diagonal: no vector is pushed and each law is typed once
+    # both systems are diagonal: no vector is pushed, each law is typed once,
+    # and the one step read is the first, d = 2 (no horizon, no confirmation)
     assert pushed == []
     assert len(typed) == len(set(typed)) == 7
-    ds = [*range(2, 40), 101, 102]  # the chain up to the horizon 38, and two more
     laws = {(0,) * e + (1,) for e in range(7)}
-    assert len(evaluated) == len(set(evaluated)) and set(evaluated) == {
-        (p, d) for p in laws for d in ds}
+    assert len(evaluated) == len(set(evaluated)) and set(evaluated) == {(p, 2) for p in laws}
     typed.clear()
+    systems = []
+    monkeypatch.setattr(ktheory, "colimit", lambda system: systems.append(system)
+                        or colimit(system))
     assert k_of_A0(5, engine_check=True) == k_of_A0(5, engine_check=False)
-    assert len(typed) == len(set(typed)) < 48
+    # A0 stabilizes at level 1: the coupled summand is pushed along no step
+    assert len(typed) == len(set(typed)) < 10 and pushed == []
+    assert [list(system._step_cache) for system in systems] == [[1]]
 
 
 def test_identified_starts_its_window_from_the_step_columns(monkeypatch):

@@ -95,7 +95,7 @@ def test_a0_4_golden_relations_are_the_hermite_form_of_the_kernel():
 
 
 @pytest.mark.parametrize("n", range(1, 6))
-def test_k_of_A0_engine_check_reads_kappa_rows_only(n, monkeypatch):
+def test_k_of_A0_engine_check_reads_kappa_laws_only(n, monkeypatch):
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -104,13 +104,14 @@ def test_k_of_A0_engine_check_reads_kappa_rows_only(n, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(ktheory, "kappa_laws", counted("laws", ktheory.kappa_laws))
     monkeypatch.setattr(KappaMatrix, "rows", counted("rows", KappaMatrix.rows))
     monkeypatch.setattr(KappaMatrix, "dense", counted("dense", KappaMatrix.dense))
     # ktheory imports no as_int_matrix; abgrp is the one module that calls it
     monkeypatch.setattr(abgrp, "as_int_matrix", counted("as_int_matrix", abgrp.as_int_matrix))
     assert k_of_A0(n, engine_check=True) == k_of_A0(n, engine_check=False)
-    assert calls["rows"] > 0
-    assert calls["dense"] == calls["as_int_matrix"] == 0
+    assert calls["laws"] == 1
+    assert calls["rows"] == calls["dense"] == calls["as_int_matrix"] == 0
 
 
 def _count_abgrp_calls(monkeypatch, names):

@@ -1,0 +1,221 @@
+"""Colimits decided from their laws, against the sampled route.
+
+A family whose laws are in the rule of ``abgrp._colimit_laws`` (on each
+parity class of d every diagonal law is a monomial ``c d^e`` with ``c != 0``
+or zero, and the nonzero off-diagonal laws feed along no cycle) is decided
+from its laws: its rank is proved, and the image pass stops at the first
+level that reaches it.  The same steps handed over by
+``DirectedSystem.from_family``, which carries no laws, take the sampled
+route, the oracle here: both give the same report or the same refusal text.
+The law route turns three kinds of refusal into answers, each pinned below:
+an exponent above the sampled fit's cap of 63, an exponent too large to
+sample in time, and a rank that the laws prove stable after the sampled
+window has started.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import deadline
+from ringkt import abgrp
+from ringkt.abgrp import DirectedSystem, GroupDescriptor, colimit
+from ringkt.errors import CrossCheckError, InputError, UnsupportedSystemError
+from ringkt.ktheory import kappa, kappa_laws, rank_one_system, subsets_graded_lex
+
+_WINDOW = ("window rank depends on the starting level; the system is outside "
+           "the certified class")
+
+
+def _outcome(system):
+    """The report as JSON, or the refusal text."""
+    try:
+        return colimit(system).to_json_dict()
+    except UnsupportedSystemError as exc:
+        return str(exc)
+
+
+def _sampled(system):
+    """The same steps, with no laws: the sampled route decides them."""
+    return DirectedSystem.from_family(system.dim, system._family)
+
+
+def _decided_from_laws(system):
+    """The report of the law route, which must cover ``system``."""
+    report = abgrp._colimit_laws(system)
+    assert report is not None
+    return report
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kappa_laws_reproduce_the_rows(n):
+    system = DirectedSystem.from_laws(kappa(n, 2).size, *kappa_laws(n))
+    for d in range(2, 41):
+        assert system._step(d - 1) == kappa(n, d).rows()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_a0_law_route_matches_the_sampled_route(n):
+    system = DirectedSystem.from_laws(kappa(n, 2).size, *kappa_laws(n))
+    report = _decided_from_laws(system)
+    assert report.stabilization_level == 1
+    assert report.to_json_dict() == _outcome(_sampled(system))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_b0_law_route_matches_the_sampled_route(n):
+    for parity in (0, 1):
+        degrees = [len(s) for s in subsets_graded_lex(n) if len(s) % 2 == parity]
+        system = DirectedSystem.symbolic(
+            len(degrees), [{"kind": "diag_power", "exp": n - k} for k in degrees])
+        assert _decided_from_laws(system).to_json_dict() == _outcome(_sampled(system))
+
+
+def test_rank_one_law_route_matches_the_sampled_route():
+    system = rank_one_system()
+    assert _decided_from_laws(system).to_json_dict() == _outcome(_sampled(system))
+
+
+_DIAGONAL = (
+    {"kind": "mult_d"}, {"kind": "diag_power", "exp": 2}, {"kind": "poly", "coeffs": [0, -3]},
+    {"kind": "poly", "coeffs": [0, 0, 2]}, {"kind": "identity"}, {"kind": "poly", "coeffs": [-1]},
+    {"kind": "poly", "coeffs": [2]}, {"kind": "poly", "coeffs": [6]},
+    {"kind": "poly", "coeffs": [-3, 0]}, {"kind": "zero"},
+)
+# off-diagonal laws, the zero law and laws with a root on the chain among them
+_FEEDS = ([1], [0, 1], [-2, 1], [2, -1], [0, -2], [-5, 1], [0], [1, 0, -1])
+
+
+@st.composite
+def law_systems(draw):
+    """A symbolic system in the rule of the law route: acyclic feeds in a
+    drawn order, with a chain of zero laws, each fed by the next, at the
+    head of the order."""
+    dim = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(dim)))
+    chain = draw(st.integers(0, dim))
+    laws = [None] * dim
+    for k, i in enumerate(order):
+        laws[i] = {"kind": "zero"} if k < chain else draw(st.sampled_from(_DIAGONAL))
+    cells = {(order[k], order[k + 1]): [1] for k in range(chain - 1)}
+    for i in range(dim):
+        for j in range(dim):
+            if order.index(i) < order.index(j) and (i, j) not in cells and draw(st.booleans()):
+                cells[i, j] = draw(st.sampled_from(_FEEDS))
+    offdiag = [{"row": i, "col": j, "poly": p} for (i, j), p in cells.items()]
+    return DirectedSystem.symbolic(dim, laws, offdiag)
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=law_systems())
+def test_law_route_matches_the_sampled_route_on_acyclic_law_systems(system):
+    sampled = _outcome(_sampled(system))
+    try:
+        report = _decided_from_laws(system)
+    except UnsupportedSystemError as exc:
+        assert str(exc) == sampled
+        return
+    if sampled != _WINDOW:
+        assert report.to_json_dict() == sampled
+        return
+    # The sampled window holds the 7 steps from level 8, on which a chain of
+    # 8 zero laws keeps rank 1.  The laws prove rank 0 by level 8 instead:
+    # it holds on every window of 8 steps, and the composite reaches it.
+    assert system.dim == 8 and report.rank == 0
+    for start in (1, 7, 9):
+        steps = [system._step(t) for t in range(start, start + 8)]
+        assert not any(abgrp._composite(steps))
+    assert report.stabilization_level <= 8
+
+
+def test_an_exponent_above_the_sampled_cap_gives_q():
+    system = DirectedSystem.symbolic(1, [{"kind": "diag_power", "exp": 64}])
+    assert str(colimit(system).invariants) == "Q"
+    with pytest.raises(UnsupportedSystemError, match="fits no monomial"):
+        colimit(_sampled(system))
+
+
+def test_a_huge_exponent_gives_q_in_time():
+    with deadline(1):
+        system = DirectedSystem.symbolic(1, [{"kind": "diag_power", "exp": 100000}])
+        report = colimit(system)
+    assert (str(report.invariants), report.rank, report.stabilization_level) == ("Q", 1, 1)
+
+
+def test_a_chain_of_eight_zero_laws_dies():
+    # The sampled window, the 7 steps from level 8, is the shift to the 7th
+    # power, of rank 1, so the sampled route refuses; the laws prove rank 0
+    # by level 8.
+    dim = 8
+    shift = [{"row": i + 1, "col": i, "poly": [1]} for i in range(dim - 1)]
+    system = DirectedSystem.symbolic(dim, [{"kind": "zero"}] * dim, shift)
+    report = colimit(system)
+    assert (report.invariants, report.rank, report.stabilization_level) == (
+        GroupDescriptor.zero(), 0, dim)
+    assert _outcome(_sampled(system)) == _WINDOW
+
+
+def test_parity_laws_keep_the_odd_class_refusal_text():
+    # d on odd d, 1 on even d: Z[1/p : p odd], refused on both routes
+    system = DirectedSystem.from_laws(1, [((0, 1), (1,))])
+    text = _outcome(system)
+    assert "Z[1/p : p odd]" in text and text == _outcome(_sampled(system))
+    # d/2 on even d inverts 2 as well
+    halves = DirectedSystem.from_laws(1, [((0, 1), (0, Fraction(1, 2)))])
+    assert str(colimit(halves).invariants) == "Q"
+
+
+def test_laws_outside_the_rule_take_the_sampled_route(monkeypatch):
+    sampled = []
+    symbolic = abgrp._colimit_symbolic
+    monkeypatch.setattr(abgrp, "_colimit_symbolic",
+                        lambda system: sampled.append(system) or symbolic(system))
+    for laws, offdiag in (
+        ([{"kind": "poly", "coeffs": [-3, 1]}], []),  # d - 3 is no monomial
+        ([{"kind": "identity"}] * 2, [{"row": 0, "col": 1, "poly": [1]},  # a cycle
+                                      {"row": 1, "col": 0, "poly": [1]}]),
+    ):
+        system = DirectedSystem.symbolic(len(laws), laws, offdiag)
+        assert abgrp._colimit_laws(system) is None
+        _outcome(system)
+        assert sampled.pop() is system
+    # a zero off-diagonal law closes no cycle
+    system = DirectedSystem.symbolic(2, [{"kind": "identity"}] * 2, [
+        {"row": 0, "col": 1, "poly": [1]}, {"row": 1, "col": 0, "poly": [0, 0]}])
+    assert str(colimit(system).invariants) == "Z^2" and not sampled
+
+
+def _lying(dim, diag, cells, rows):
+    """A system whose laws say one thing and whose steps, ``rows``, another."""
+    return DirectedSystem(dim, family=lambda d: [dict(row) for row in rows],
+                          laws=(tuple(diag), tuple(cells)))
+
+
+def test_a_rank_the_laws_do_not_prove_raises():
+    zero, one = ((0,), (0,)), ((1,), (1,))
+    # two dead coordinates fed along an arc: rank 0 by level 2, but the
+    # steps are the identity
+    above = _lying(2, [zero, zero], [(0, 1, one)], [{0: 1}, {1: 1}])
+    with pytest.raises(CrossCheckError, match="reach rank 0 by level 2, but level 2 has rank 2"):
+        colimit(above)
+    # one surviving coordinate beside a dead one: rank 1, but the steps vanish
+    below = _lying(2, [one, zero], [(0, 1, one)], [{}, {}])
+    with pytest.raises(CrossCheckError, match="reach rank 1 by level 1, but level 1 has rank 0"):
+        colimit(below)
+
+
+def test_laws_must_be_integer_valued_on_their_class():
+    half = (0, Fraction(1, 2))  # d/2: an integer on even d only
+    DirectedSystem.from_laws(1, [((1,), half)])
+    with pytest.raises(InputError, match="not integer-valued on odd d"):
+        DirectedSystem.from_laws(1, [(half, (1,))])
+    with pytest.raises(InputError, match="not an integer or a Fraction"):
+        DirectedSystem.from_laws(1, [((1.5,), (1,))])
+
+
+def test_parity_laws_have_no_json_form():
+    system = DirectedSystem.from_laws(kappa(1, 2).size, *kappa_laws(1))
+    with pytest.raises(InputError, match="JSON form"):
+        system.to_json()

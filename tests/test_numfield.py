@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import (deadline, numpy_real_root_count, poly_degree, poly_deriv, poly_divmod,
                       poly_gcd, poly_mul, seeded_rng)
 from ringkt import numfield
+from ringkt.abgrp import determinant
 from ringkt.errors import CrossCheckError, HypothesisError, InputError
 from ringkt.numfield import (
     FieldElement,
@@ -423,6 +424,22 @@ def test_discriminants():
     assert poly_discriminant(parse_polynomial("x^2 + 1")) == -4
     assert poly_discriminant(parse_polynomial("x^3 - 2")) == -108
     assert parse_field("x^2 - 5").disc == 20
+
+
+@settings(max_examples=80, deadline=None)
+@given(coeffs=st.lists(st.integers(-6, 6), min_size=1, max_size=9),
+       gaps=st.integers(0, 3))
+def test_the_sparse_discriminant_is_the_dense_determinant(coeffs, gaps):
+    # sparse monic polynomials too: zeros between the given coefficients
+    f = [c for x in coeffs for c in (x,) + (0,) * gaps] + [1]
+    dense = determinant(numfield._trace_form(f)[0])
+    assert poly_discriminant(f) == dense == sympy.discriminant(sympy.Poly(f[::-1], sympy.Symbol("x")))
+
+
+def test_a_binomial_of_high_degree_has_its_discriminant_in_time():
+    # 1.9 s and a 401 MB peak when the dense 5000 x 5000 trace form was eliminated
+    with deadline(1):
+        assert poly_discriminant([-2] + [0] * 4999 + [1]) == -(5000 ** 5000) * 2 ** 4999
 
 
 def test_norms_and_inverse():

@@ -181,8 +181,8 @@ def test_the_lift_forms_only_the_powers_it_reads(poly, w, factors, monkeypatch):
 def test_both_exact_searches_share_one_trace_form(poly, w, monkeypatch):
     # No Eisenstein certificate and no row prove these irreducible, so parse
     # runs the idempotent search and w runs the lift: two setups, and the
-    # trace form is built once for them, besides the one build for the
-    # discriminant.
+    # trace form is built once for them; the discriminant reads only the
+    # power sums.
     built, setups = [], []
     trace_form, local = numfield._trace_form, _ResidueSieve._local_factors
     monkeypatch.setattr(numfield, "_trace_form",
@@ -191,7 +191,7 @@ def test_both_exact_searches_share_one_trace_form(poly, w, monkeypatch):
                         lambda self, p: setups.append(p) or local(self, p))
     k = parse_field(poly)
     assert k.roots_of_unity_order == w
-    assert len(setups) == 2 and len(built) <= 2
+    assert len(setups) == 2 and len(built) == 1
 
 
 # ---------------------------------------------------------------------------
