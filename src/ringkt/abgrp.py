@@ -1267,14 +1267,15 @@ class ColimitReport:
     only the materialized finite chain (free rank observed so far).
     ``relations`` identifies pairs of nonnegative level-1 vectors that become
     equal in the colimit (a spanning set of the level-1 identifications).
-    ``rank`` and ``stabilization_level`` are read off spanning sets of the
-    composites' images, pushed along the steps, so no composite is
-    multiplied out: sampled, in one pass with the window check
-    (``_image_pass``), or, from laws, level by level up to the first level
-    of the proved rank (``_image_bases``).  ``maps`` are the sparse maps the
-    pass read, up to the horizon or to that level; ``relations`` are built
-    from them on first read: ``()`` at full rank, else the Hermite normal
-    form of the kernel of their composite up to ``stabilization_level``.
+    ``rank`` and ``stabilization_level`` are read off echelon bases of the
+    composites' images, pushed along the steps (``_image_bases``), so no
+    composite is multiplied out: over the horizon on the sampled route, up
+    to the first level of the proved rank on the law route, and along a
+    finite chain that is not unimodular.  ``maps`` are the sparse maps the
+    route read, up to the horizon, to that level or to the chain's end;
+    ``relations`` are built from them on first read: ``()`` at full rank,
+    else the Hermite normal form of the kernel of their composite up to
+    ``stabilization_level``.
     That is the kernel of the whole composite: each kernel is saturated,
     they are nested, and from that level on they have one rank.
     """
@@ -1351,70 +1352,19 @@ def _columns(m, dim, coords=None):
     return cols
 
 
-def _image_pass(maps, h=None, coords=None):
-    """Ranks of the progressive composites ``W_t = M_t ... M_1`` of sparse
-    maps, read in one pass with no composite formed.
-
-    The columns of ``M_1`` are echelonized once; the pivot rows, primitive
-    integer vectors, are a basis of im W_1.  Each later step maps the
-    previous level's vectors and divides each image by its content, dropping
-    zeros, so the set at level ``t`` spans im W_t over Q.  ``r`` is the rank
-    of the last set.  Ranks never increase along the chain, so the first
-    level of rank ``r`` is 1 when level 1 has ``r`` vectors, and is otherwise
-    found by bisecting over the stored sets.
-
-    With a level ``h``, the rank of the window ``M_t ... M_(h+1)`` comes too.
-    The unit vectors ``C`` at the non-pivot columns of level ``h``'s echelon
-    complete its basis to one of Q^dim, so the window's image is im W_t plus
-    the span of ``C`` mapped along the same steps; ``C`` is echelonized at
-    each step, as it collapses fast, and is empty when W_h has full rank.
-
-    With ``coords``, the sorted coordinates of a direct summand (no map has
-    an entry that joins them to another coordinate), the pass runs on the
-    summand alone: its vectors stay supported on ``coords``, and only the
-    summand's columns are read.
-
-    Returns ``(sets, r, stab, window)``; ``window`` is None without ``h``.
-    """
-    dim = len(maps[0])
-    span = range(dim) if coords is None else coords
-    cols = _columns(maps[0], dim, coords)
-    vecs = list(_echelon([cols[k] for k in span]).values())
-    sets, comp = [vecs], []
-    for t, m in enumerate(maps[1:], 1):
-        if t == h:
-            pivots = _echelon(vecs)
-            comp = [{j: 1} for j in span if j not in pivots]
-        k = len(vecs)
-        images = _sparse_mul(vecs + comp, _columns(m, dim, coords))
-        vecs = []
-        for v in images[:k]:
-            if v:
-                g = math.gcd(*v.values())
-                vecs.append(v if g == 1 else {j: x // g for j, x in v.items()})
-        if comp:
-            comp = list(_echelon(images[k:]).values())
-        sets.append(vecs)
-    pivots = _echelon(vecs)
-    r = len(pivots)
-    stab = 1
-    if len(sets[0]) != r:
-        lo, hi = 0, len(sets) - 1  # sets[lo] has rank above r, sets[hi] rank r
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if len(_echelon(sets[mid])) == r else (mid, hi)
-        stab = hi + 1
-    for v in comp:
-        _add_row(pivots, v)
-    return sets, r, stab, None if h is None else len(pivots)
-
-
 def _image_bases(steps, dim, coords=None):
     """An echelon basis of the image of each composite ``M_t ... M_1`` of
-    the sparse ``steps`` in turn.  The first step's columns are echelonized;
-    each later step maps the previous basis, whose images span the next
-    image, and echelonizes them.  With ``coords``, the sorted coordinates of
-    a direct summand, only the summand is read, as in ``_image_pass``."""
+    the sparse ``steps`` in turn, so no composite is multiplied out.  The
+    first step's columns are echelonized; each later step maps the previous
+    basis, whose images span the next image, and echelonizes them, so a
+    basis's length is its level's rank.  With ``coords``, the sorted
+    coordinates of a direct summand (no step has an entry that joins them
+    to another coordinate), only the summand's columns are read and every
+    basis stays supported on them.
+
+    This is the one image walk: the law route, the sampled route (over the
+    horizon, and again from the window's first step), finite chains and
+    ``identified``'s window all read their ranks from it."""
     span = range(dim) if coords is None else coords
     basis = None
     for step in steps:
@@ -1429,8 +1379,9 @@ def _colimit_finite(maps):
         dim = len(maps[0])
         return ColimitReport(GroupDescriptor.free(dim), maps, False, dim, 1, (
             "all steps unimodular; the chain is a chain of isomorphisms",))
-    _, r, stab, _ = _image_pass(maps)
-    return ColimitReport(GroupDescriptor.free(r), maps, True, r, stab, (
+    ranks = [len(basis) for basis in _image_bases(maps, len(maps[0]))]
+    r = ranks[-1]
+    return ColimitReport(GroupDescriptor.free(r), maps, True, r, ranks.index(r) + 1, (
         "finite horizon: free rank observed along the materialized chain; "
         "divisibility beyond the horizon is not certified",))
 
@@ -1549,42 +1500,11 @@ def _walk(maps):
     return feeds, samples
 
 
-def _split_pass(maps, feeds, samples, h):
-    """``_image_pass(maps, h)`` split along the isolated coordinates (see
-    ``_walk``), each a direct summand of rank at most one.  ``feeds`` and
-    ``samples`` come from a walk over ``maps`` and any maps sampled after
-    them; the later maps can only couple more coordinates, and their samples
-    are not read here.
-
-    An isolated coordinate has level rank 1 until its first zero diagonal
-    sample and 0 from then on, and window rank 1 when its samples on
-    ``maps[h:]`` are all nonzero; the coupled coordinates go through
-    ``_image_pass`` as one summand.  Ranks and window ranks add over the
-    summands, and the first level of the final rank is the latest of theirs.
-
-    Returns ``(levels, r, stab, window)``; ``levels()`` lists the summed rank
-    of every level, echelonizing the coupled sets only when called.
-    """
-    cap = len(maps)
-    coupled = {j for j, into in enumerate(feeds) if into}.union(*feeds)
-    sets, r, stab, window = [[]] * cap, 0, 1, 0
-    if coupled:
-        coords = sorted(coupled) if len(coupled) < len(feeds) else None
-        sets, r, stab, window = _image_pass(maps, h, coords)
-    drops = []  # the first zero step of each isolated coordinate that has one
-    for p, lams in enumerate(samples):
-        if p in coupled:
-            continue
-        if 0 not in lams[:cap]:
-            r += 1
-            window += 1
-            continue
-        drops.append(lams.index(0))
-        stab = max(stab, drops[-1] + 1)
-        window += 0 not in lams[h:cap]
-    kept = len(samples) - len(coupled) - len(drops)
-    return (lambda: [len(_echelon(vecs)) + kept + sum(z >= t for z in drops)
-                     for t, vecs in enumerate(sets, 1)]), r, stab, window
+def _coupled(feeds):
+    """The coordinates on some feed arc (see ``_walk``): together a direct
+    summand of every map.  Each other coordinate is isolated, a direct
+    summand of rank at most one on which every map is diagonal."""
+    return {j for j, into in enumerate(feeds) if into}.union(*feeds)
 
 
 def _reachable(feeds, start):
@@ -1736,17 +1656,43 @@ _CANONICAL = "classified along the canonical divisibility-cofinal chain d = 2, 3
 
 
 def _colimit_symbolic(system):
+    """The colimit of a family decided from samples of its steps.
+
+    The horizon is ``cap = max(14, dim + 6)`` steps, d = 2 .. cap + 1; the
+    walk (``_walk``) also reads d = 101 and 102, against families whose
+    behaviour changes past it.  The coupled coordinates (``_coupled``) are
+    one direct summand, and the rank of each level on it is the length of
+    its basis from ``_image_bases``.  An isolated coordinate adds 1 to every
+    level before its first zero sample.  ``r`` is the last level's rank and
+    the stabilization level the first of rank ``r``; a system that reaches
+    it only in the horizon's last 3 levels is refused with the list of level
+    ranks.  The window ``M_cap ... M_(h+1)``, ``h = cap // 2``, is read the
+    same way, from its first step; its rank must be ``r``, whatever level it
+    starts at.  The flag is then typed off the samples: triangular when the
+    feed arcs have no cycle, else the commuting family's eigen flag.
+    """
     dim = system.dim
     cap = max(14, dim + 6)
-    # The sampled maps: the chain, then two confirmation samples beyond the
-    # horizon against families whose behaviour changes past it.
+    h = cap // 2
     ds = list(range(2, cap + 2)) + [101, 102]
     maps = [system._step(t) for t in range(1, cap + 1)] + [system._family(d) for d in ds[cap:]]
     feeds, samples = _walk(maps)
-    levels, r, stab, window = _split_pass(maps[:cap], feeds, samples, cap // 2)
+    coupled = _coupled(feeds)
+    levels, window = [0] * cap, 0
+    if coupled:
+        coords = sorted(coupled) if len(coupled) < dim else None
+        levels = [len(basis) for basis in _image_bases(maps[:cap], dim, coords)]
+        *_, last = _image_bases(maps[h:cap], dim, coords)
+        window = len(last)
+    isolated = [lams[:cap] for p, lams in enumerate(samples) if p not in coupled]
+    drops = sorted(lams.index(0) if 0 in lams else cap for lams in isolated)
+    levels = [n + len(drops) - bisect_left(drops, t) for t, n in enumerate(levels, 1)]
+    window += sum(0 not in lams[h:] for lams in isolated)
+    r = levels[-1]
+    stab = levels.index(r) + 1
     if stab > cap - 3:
         raise UnsupportedSystemError(
-            f"composite rank did not stabilize within horizon {cap}: {levels()}"
+            f"composite rank did not stabilize within horizon {cap}: {levels}"
         )
     # The eventual rank must not depend on where the window starts.
     if window != r:
@@ -1799,7 +1745,7 @@ def _colimit_laws(system):
     ``bound`` steps have rank exactly s0: the colimit has rank s0, whatever
     level the window starts at.
 
-    So the image pass runs level by level (``_image_bases``) and stops at
+    So the image walk runs level by level (``_image_bases``) and stops at
     the first level of rank s0, the stabilization level, with no horizon,
     no window and no confirmation sample; a rank below s0, or above it at
     level ``bound``, contradicts the proof and raises ``CrossCheckError``.
@@ -1824,7 +1770,7 @@ def _colimit_laws(system):
     dead = {p for p, law in enumerate(diag) if ("zero",) in fits[law]}
     s0 = dim - len(dead)
     invariants = _flag_sum(flag, s0, fits.__getitem__)
-    coupled = {j for j, into in enumerate(feeds) if into}.union(*feeds)
+    coupled = _coupled(feeds)
     stab = max((1 if fits[diag[p]][1] == ("zero",) else 2 for p in dead - coupled), default=1)
     if dead & coupled:
         bound = sum(1 if fits[diag[p]] == (("zero",),) * 2 else 2 for p in dead & coupled)
@@ -1856,8 +1802,9 @@ def colimit(system):
     one thing they share with the closed forms.  Finite chains (a symbolic
     system with a finite ``d_chain`` is one) report the exact colimit only
     when every step is unimodular; otherwise the result is marked
-    ``truncated``.  A system is classified once: later calls return the same
-    report or raise the same refusal.
+    ``truncated``.  All three routes read their level ranks through one image
+    walk, ``_image_bases``.  A system is classified once: later calls return
+    the same report or raise the same refusal.
 
     >>> qs = DirectedSystem.symbolic(1, [{"kind": "mult_d"}])
     >>> print(colimit(qs).invariants)

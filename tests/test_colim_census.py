@@ -1,12 +1,18 @@
 """Smoke test of ``tools/colim_census.py``, the census of the colimit
 engine's certified class that two checkouts are compared by: the systems are
 fixed by their seed, and the summary counts the answers and the refusals by
-reason."""
+reason.  The census systems also keep their answers, or their refusals'
+reasons, under a signed permutation of the coordinates."""
 
 import importlib.util
 import io
+import random
 import re
 from pathlib import Path
+
+from ringkt import abgrp
+from ringkt.abgrp import DirectedSystem, colimit
+from ringkt.errors import UnsupportedSystemError
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "colim_census.py"
 _spec = importlib.util.spec_from_file_location("colim_census", TOOL)
@@ -47,3 +53,43 @@ def test_the_summary_of_a_small_census():
         "refused 9 window rank depends on the starting level",
         "refused 1 irrational eigenvalue",
     ]
+
+
+def _conjugated(obj, rng):
+    """The system JSON ``obj`` conjugated by a seeded signed permutation:
+    coordinate ``i`` moves to ``perm[i]`` with the sign ``signs[i]``, so a
+    diagonal law moves with its coordinate, and an offdiag law moves with
+    its cell and is negated when the signs of its row and column differ."""
+    dim = obj["dim"]
+    perm = rng.sample(range(dim), dim)
+    signs = [rng.choice((1, -1)) for _ in range(dim)]
+    law = [None] * dim
+    for i, entry in enumerate(obj["law"]):
+        law[perm[i]] = entry
+    offdiag = []
+    for entry in obj["offdiag"]:
+        r, c = entry["row"], entry["col"]
+        coeffs = abgrp._law_to_poly({k: v for k, v in entry.items() if k not in ("row", "col")})
+        offdiag.append({"row": perm[r], "col": perm[c],
+                        "poly": [signs[r] * signs[c] * x for x in coeffs]})
+    return {"mode": "symbolic", "dim": dim, "law": law, "offdiag": offdiag}
+
+
+def _outcome(obj):
+    """The invariants and rank of the colimit, or the refusal's reason (a
+    split-safety text names indices, which a relabelling changes)."""
+    try:
+        report = colimit(DirectedSystem.from_json(obj))
+    except UnsupportedSystemError as exc:
+        return next((phrase for phrase in colim_census.REASONS if phrase in str(exc)), str(exc))
+    return report.invariants, report.rank
+
+
+def test_a_signed_permutation_keeps_each_answer_and_reason():
+    rng = random.Random(19)
+    answered = 0
+    for obj in colim_census.systems(1, 400):
+        outcome = _outcome(obj)
+        assert _outcome(_conjugated(obj, rng)) == outcome, obj
+        answered += not isinstance(outcome, str)
+    assert answered == 244

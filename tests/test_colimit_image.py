@@ -1,18 +1,18 @@
-"""Colimit ranks read off the image in one pass, and relations built on first read.
+"""Colimit ranks read off the image level by level, and relations built on first read.
 
-``abgrp._image_pass`` maps a spanning set of the image level by level and
-echelonizes only where it reads a rank; the window's rank comes from a
-complement of the image at level ``h``.  Two routes it replaced are kept here
-as oracles: ``_composite_ranks`` (the product ``M_t ... M_1`` and one echelon
-per level) and ``_image_ranks`` (a basis of the image, echelonized at every
-level); the window's oracle is the echelon of its composite.  The relations
-of a report come from the kernel of the composite up to the stabilization
+``abgrp._image_bases`` pushes an echelon basis of the image along the steps,
+so a basis's length is its level's rank; every route reads its ranks from
+it.  Its oracles multiply the steps out: ``_composite_ranks`` (the product
+``M_t ... M_1`` and one echelon per level) and ``_window_rank`` (the echelon
+of the window's composite).  The sampled route reads an isolated coordinate
+(every sampled map diagonal on it) off its diagonal samples and walks only
+the coupled ones; its ``rank``, ``stabilization_level`` and window refusal
+are checked against the same oracles on the whole system.  The relations of
+a report come from the kernel of the composite up to the stabilization
 level, printed as its Hermite normal form, and only when read; the kernel of
 the composite up to the horizon, the lattice they replaced, is their oracle.
-At full rank they are empty and no composite is formed, and
-``identified`` reads its window's rank off a pushed spanning set.  An
-isolated coordinate (every sampled map diagonal on it) skips the pass
-(``_split_pass``), whose result is checked against the whole-system pass.
+At full rank they are empty and no composite is formed, and ``identified``
+reads its window's rank off a pushed basis.
 """
 
 import dataclasses
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from conftest import deadline, random_unimodular, seeded_rng
 from ringkt import abgrp, ktheory
-from ringkt.abgrp import DirectedSystem, colimit, identified, mat_mul
+from ringkt.abgrp import DirectedSystem, GroupDescriptor, colimit, identified, mat_mul
 from ringkt.cli import main
 from ringkt.errors import UnsupportedSystemError
 from ringkt.ktheory import k_of_A0, k_of_B0, rank_one_system
@@ -48,19 +48,6 @@ def _composite_ranks(maps):
     return ranks
 
 
-def _image_ranks(maps):
-    """Ranks of the progressive composites of sparse maps: a basis of each
-    image, mapped by the next step and echelonized at every level."""
-    dim = len(maps[0])
-    basis = [{i: 1} for i in range(dim)]
-    ranks = []
-    for m in maps:
-        pivots = abgrp._echelon(abgrp._sparse_mul(basis, abgrp._columns(m, dim)))
-        ranks.append(len(pivots))
-        basis = list(pivots.values())
-    return ranks
-
-
 def _window_rank(maps, h):
     """The rank of ``M_t ... M_(h+1)``, multiplied out."""
     return len(abgrp._echelon(abgrp._composite(maps[h:])))
@@ -71,6 +58,13 @@ def _horizon_maps(system):
     return [system._step(t) for t in range(1, cap + 1)]
 
 
+def _steps(system):
+    """The steps a colimit reads: a finite chain's, or a family's horizon."""
+    if system.finite_length is None:
+        return _horizon_maps(system)
+    return [system._step(t) for t in range(1, system.finite_length + 1)]
+
+
 # ``d - 9`` vanishes at the eighth step, so a composite through it drops late.
 _LAWS = ({"kind": "zero"}, {"kind": "identity"}, {"kind": "mult_d"},
          {"kind": "poly", "coeffs": [-9, 1]}, {"kind": "poly", "coeffs": [3]},
@@ -79,24 +73,23 @@ _FEEDS = ([1], [0, 1], [-9, 1], [2, -1], [0, -2])
 
 
 @st.composite
-def chains(draw):
-    """Sparse maps of one of three kinds: a symbolic system of dim 1-8 with
-    any feed pattern, an explicit chain, or a commuting family
+def drawn_systems(draw):
+    """A system of one of three kinds: a symbolic system of dim 1-8 with any
+    feed pattern, an explicit chain, or a commuting family
     ``P diag(laws) P^-1`` whose union pattern has a cycle."""
     kind = draw(st.sampled_from(("symbolic", "explicit", "commuting")))
     if kind == "explicit":
         dim = draw(st.integers(1, 5))
         entry = st.integers(-2, 2)
         square = st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
-        mats = draw(st.lists(square, min_size=1, max_size=6))
-        return [abgrp._sparse_rows(m) for m in mats]
+        return DirectedSystem.explicit(draw(st.lists(square, min_size=1, max_size=6)))
     dim = draw(st.integers(1, 8 if kind == "symbolic" else 4))
     laws = draw(st.lists(st.sampled_from(_LAWS), min_size=dim, max_size=dim))
     if kind == "symbolic":
         offdiag = [{"row": i, "col": j, "poly": draw(st.sampled_from(_FEEDS))}
                    for i in range(dim) for j in range(dim)
                    if i != j and draw(st.integers(0, 3)) == 0]
-        return _horizon_maps(DirectedSystem.symbolic(dim, laws, offdiag))
+        return DirectedSystem.symbolic(dim, laws, offdiag)
     u, u_inv = random_unimodular(seeded_rng(f"commuting-{draw(st.integers(0, 999))}"), dim)
     polys = [abgrp._law_to_poly(law) for law in laws]
 
@@ -105,33 +98,68 @@ def chains(draw):
                 for i, p in enumerate(polys)]
         return mat_mul(mat_mul(u, diag), u_inv)
 
-    return _horizon_maps(DirectedSystem.from_family(dim, family))
+    return DirectedSystem.from_family(dim, family)
 
 
-def _check_pass(maps, h):
-    """``_image_pass`` against both oracles; returns its output."""
-    sets, r, stab, window = out = abgrp._image_pass(maps, h)
-    ranks = _composite_ranks(maps)
-    assert [len(abgrp._echelon(vecs)) for vecs in sets] == ranks == _image_ranks(maps)
-    assert (r, stab) == (ranks[-1], 1 + ranks.index(ranks[-1]))
-    assert window == _window_rank(maps, h) >= r
-    assert abgrp._image_pass(maps)[1:] == (r, stab, None)
-    return out
+def _check_bases(maps, h):
+    """``_image_bases`` against the products: its basis lengths along
+    ``maps`` are the composite ranks, and along ``maps[h:]`` it ends at the
+    window's rank.  Returns the composite ranks and the window's rank."""
+    dim = len(maps[0])
+    ranks, window = _composite_ranks(maps), _window_rank(maps, h)
+    assert [len(basis) for basis in abgrp._image_bases(maps, dim)] == ranks
+    *_, last = abgrp._image_bases(maps[h:], dim)
+    assert len(last) == window >= ranks[-1]
+    return ranks, window
+
+
+def _check_report(system):
+    """A report's ``rank`` and ``stabilization_level``, or the refusal they
+    give, against the products of the whole system's steps: the last
+    composite rank, the first level of it, and the window from the middle of
+    the horizon.  A family goes through the sampled route with its flag
+    stage stubbed out, so that every family that passes the rank checks
+    gets a report.  Returns the composite ranks and the window's rank."""
+    maps = _steps(system)
+    cap, h = len(maps), len(maps) // 2
+    ranks, window = _check_bases(maps, h)
+    r, stab = ranks[-1], ranks.index(ranks[-1]) + 1
+    if system.finite_length is not None:
+        report = colimit(system)
+        assert (report.rank, report.stabilization_level) == (r, stab)
+        return ranks, window
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(abgrp, "_triangular_flag", lambda feeds, scalings: [])
+        patch.setattr(abgrp, "_flag_sum", lambda flag, r, fits: GroupDescriptor.free(r))
+        if stab > cap - 3:
+            with pytest.raises(UnsupportedSystemError) as exc:
+                abgrp._colimit_symbolic(system)
+            assert str(exc.value) == (f"composite rank did not stabilize within "
+                                      f"horizon {cap}: {ranks}")
+        elif window != r:
+            with pytest.raises(UnsupportedSystemError, match="^window rank depends"):
+                abgrp._colimit_symbolic(system)
+        else:
+            report = abgrp._colimit_symbolic(system)
+            assert (report.rank, report.stabilization_level) == (r, stab)
+    return ranks, window
 
 
 @settings(max_examples=40, deadline=None)
-@given(maps=chains())
-def test_image_ranks_equal_the_composite_ranks(maps):
-    _check_pass(maps, len(maps) // 2)
+@given(system=drawn_systems())
+def test_image_ranks_equal_the_composite_ranks(system):
+    _check_report(system)
 
 
 @settings(max_examples=40, deadline=None)
-@given(maps=chains())
-def test_the_kernel_at_the_stabilization_level_is_the_horizon_kernel(maps):
+@given(system=drawn_systems())
+def test_the_kernel_at_the_stabilization_level_is_the_horizon_kernel(system):
     # Nested saturated lattices of one rank are equal: ker W_stab = ker W_t
     # for every later t, late drops (d - 9) included.
-    _, r, stab, _ = abgrp._image_pass(maps)
+    maps = _steps(system)
     dim = len(maps[0])
+    ranks = [len(basis) for basis in abgrp._image_bases(maps, dim)]
+    r, stab = ranks[-1], ranks.index(ranks[-1]) + 1
     at_stab = abgrp._kernel_basis(abgrp._composite(maps[:stab]), dim)
     horizon = abgrp._kernel_basis(abgrp._composite(maps), dim)
     assert len(at_stab) == dim - r
@@ -145,19 +173,15 @@ def _late_drop(coeffs):
 
 
 def test_a_late_root_drops_the_image_rank_at_its_step():
-    maps = _horizon_maps(_late_drop([-9, 1]))
-    sets, r, stab, window = _check_pass(maps, len(maps) // 2)
-    # level 1 has two vectors and the last set rank one: the bisection path
-    assert (len(sets[0]), r, stab, window) == (2, 1, 8, 1)
-    assert _composite_ranks(maps) == [2] * 7 + [1] * 7
+    ranks, window = _check_report(_late_drop([-9, 1]))
+    assert ranks == [2] * 7 + [1] * 7 and window == 1
 
 
 @pytest.mark.parametrize("coeffs", [[-3, 1], [-2, 1]])
 def test_a_root_before_the_window_is_refused_by_the_window_rank(coeffs):
     system = DirectedSystem.symbolic(1, [{"kind": "poly", "coeffs": coeffs}])
-    maps = _horizon_maps(system)
-    sets, r, stab, window = _check_pass(maps, len(maps) // 2)
-    assert (r, window) == (0, 1) and not sets[-1]
+    ranks, window = _check_report(system)
+    assert (ranks[-1], window) == (0, 1)
     with pytest.raises(UnsupportedSystemError,
                        match="^window rank depends on the starting level; the system "
                              "is outside the certified class$"):
@@ -171,21 +195,14 @@ def test_a_full_rank_window_start_has_an_empty_complement(monkeypatch):
     k_of_B0(6, engine_check=True)
     assert len(systems) == 2
     for system in systems:
-        maps = _horizon_maps(system)
-        h = len(maps) // 2
-        sets, r, stab, window = _check_pass(maps, h)
-        assert r == window == len(sets[h - 1]) == system.dim and stab == 1
-    pushed = []
-    mul = abgrp._sparse_mul
-    monkeypatch.setattr(abgrp, "_sparse_mul", lambda a, b: pushed.append(len(a)) or mul(a, b))
-    abgrp._image_pass(maps, h)
-    assert pushed == [system.dim] * (len(maps) - 1)
+        ranks, window = _check_report(DirectedSystem.from_family(system.dim, system._family))
+        assert ranks == [system.dim] * len(ranks) and window == system.dim
 
 
 def test_a_rank_that_drops_past_the_horizon_keeps_the_refusal_text():
     system = _late_drop([-13, 1])
-    maps = _horizon_maps(system)
-    assert _check_pass(maps, len(maps) // 2)[2] == 12
+    ranks, _ = _check_report(system)
+    assert ranks.index(ranks[-1]) + 1 == 12
     with pytest.raises(UnsupportedSystemError) as exc:
         colimit(system)
     assert str(exc.value) == ("composite rank did not stabilize within horizon 14: "
@@ -388,7 +405,7 @@ def test_to_json_round_trips_and_keeps_the_colimit():
 
 
 # ---------------------------------------------------------------------------
-# isolated coordinates: read off their diagonal samples, not the image pass
+# isolated coordinates: read off their diagonal samples, not the image walk
 # ---------------------------------------------------------------------------
 
 
@@ -403,27 +420,18 @@ def _union_pattern(maps):
     return feeds
 
 
-def _check_split(maps, h):
-    """``_split_pass`` against the whole-system ``_image_pass``, the oracle;
-    returns the number of isolated coordinates."""
+def _isolated(system):
+    """The number of isolated coordinates of the horizon, by the union
+    pattern; checks the arcs and samples of ``_walk`` on the way."""
+    maps = _horizon_maps(system)
     feeds, samples = abgrp._walk(maps)
     assert feeds == _union_pattern(maps)
     assert samples == [tuple(m[p].get(p, 0) for m in maps) for p in range(len(maps[0]))]
-    levels, r, stab, window = abgrp._split_pass(maps, feeds, samples, h)
-    sets, *whole = abgrp._image_pass(maps, h)
-    assert [r, stab, window] == whole
-    assert levels() == [len(abgrp._echelon(vecs)) for vecs in sets]
-    coupled = {j for j, into in enumerate(feeds) if into}.union(*feeds)
-    return len(maps[0]) - len(coupled)
+    return sum(not into and not any(p in other for other in feeds)
+               for p, into in enumerate(feeds))
 
 
-@settings(max_examples=40, deadline=None)
-@given(maps=chains())
-def test_the_split_pass_matches_the_whole_image_pass(maps):
-    _check_split(maps, len(maps) // 2)
-
-
-def test_the_split_pass_matches_on_the_engine_check_systems(monkeypatch):
+def test_the_sampled_report_matches_on_the_engine_check_systems(monkeypatch):
     systems = []
     monkeypatch.setattr(ktheory, "colimit", lambda system: systems.append(system)
                         or colimit(system))
@@ -432,8 +440,9 @@ def test_the_split_pass_matches_on_the_engine_check_systems(monkeypatch):
     monkeypatch.undo()
     isolated = []
     for system in systems:
-        maps = _horizon_maps(system)
-        isolated.append(_check_split(maps, len(maps) // 2))
+        sampled = DirectedSystem.from_family(system.dim, system._family)
+        _check_report(sampled)
+        isolated.append(_isolated(sampled))
     # B0 is diagonal; kappa(4, d) has 2^3 - 1 isolated coordinates of 24
     assert [s.dim for s in systems] == isolated[:2] + [24] and isolated[2] == 7
 
@@ -449,16 +458,17 @@ def _beside(coeffs, at):
 @pytest.mark.parametrize("k", range(2, 16))
 def test_a_late_root_on_an_isolated_coordinate_matches_the_whole_pass(k):
     for at in (0, 1):
-        maps = _horizon_maps(_beside([-k, 1], at))
-        assert _check_split(maps, len(maps) // 2) == 1
+        system = _beside([-k, 1], at)
+        _check_report(system)
+        assert _isolated(system) == 1
 
 
 def test_a_coordinate_that_is_fed_but_feeds_none_is_coupled():
     # the unit at (1, 0) makes M nilpotent on the first two coordinates
     system = DirectedSystem.symbolic(3, [{"kind": "zero"}, {"kind": "zero"}, {"kind": "mult_d"}],
                                      [{"row": 1, "col": 0, "poly": [1]}])
-    maps = _horizon_maps(system)
-    assert _check_split(maps, len(maps) // 2) == 1
+    _check_report(system)
+    assert _isolated(system) == 1
 
 
 _WINDOW = ("window rank depends on the starting level; the system is outside "

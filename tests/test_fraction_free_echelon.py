@@ -23,7 +23,7 @@ from ringkt import abgrp, ktheory
 from ringkt.abgrp import (DirectedSystem, determinant, mat_mul, mat_shape, rank,
                           rref_fractions, solve_exact)
 from ringkt.errors import InputError
-from test_colimit_image import _horizon_maps, _image_ranks, _late_drop, _triangular_json
+from test_colimit_image import _composite_ranks, _horizon_maps, _late_drop, _triangular_json
 from test_sparse_kernels import linear_systems, matrices
 
 # ---------------------------------------------------------------------------
@@ -238,20 +238,26 @@ def test_the_echelon_builds_no_fraction_on_integer_rows(monkeypatch):
     monkeypatch.undo()
     rng = random.Random(24)
     systems.append(DirectedSystem.from_json(_triangular_json(rng, 9)))
-    systems.append(_late_drop([-3, 1]))  # the bisection and a nonempty complement
+    systems.append(_late_drop([-3, 1]))  # a late drop and a window of higher rank
     chains = [_horizon_maps(system) for system in systems]
     assert len(chains) == 4
-    ranks = [_image_ranks(maps) for maps in chains]
-    passes = [abgrp._image_pass(maps, len(maps) // 2) for maps in chains]
+
+    def walks(maps):
+        dim = len(maps[0])
+        return [list(abgrp._image_bases(maps, dim)),
+                list(abgrp._image_bases(maps[len(maps) // 2:], dim))]
+
+    ranks = [_composite_ranks(maps) for maps in chains]
+    done = [walks(maps) for maps in chains]
 
     monkeypatch.setattr(abgrp, "Fraction", NoFraction)
     with pytest.raises(AssertionError, match="Fraction was built"):
         abgrp.Fraction(1, 2)
-    for maps, want, done in zip(chains, ranks, passes):
-        assert _image_ranks(maps) == want
-        sets, r, stab, window = out = abgrp._image_pass(maps, len(maps) // 2)
-        assert out == done and (r, stab) == (want[-1], 1 + want.index(want[-1]))
-        assert all(type(x) is int for vecs in sets for v in vecs for x in v.values())
+    for maps, want, bases in zip(chains, ranks, done):
+        assert _composite_ranks(maps) == want == [len(basis) for basis in bases[0]]
+        assert walks(maps) == bases
+        assert all(type(x) is int for walk in bases for basis in walk
+                   for v in basis for x in v.values())
         for m in (*maps, abgrp._composite(maps)):
             pivots = abgrp._echelon(m)
             assert all(type(x) is int for row in pivots.values() for x in row.values())

@@ -3,7 +3,7 @@
 A family whose laws are in the rule of ``abgrp._colimit_laws`` (on each
 parity class of d every diagonal law is a monomial ``c d^e`` with ``c != 0``
 or zero, and the nonzero off-diagonal laws feed along no cycle) is decided
-from its laws: its rank is proved, and the image pass stops at the first
+from its laws: its rank is proved, and the image walk stops at the first
 level that reaches it.  The same steps handed over by
 ``DirectedSystem.from_family``, which carries no laws, take the sampled
 route, the oracle here: both give the same report or the same refusal text.
