@@ -34,31 +34,21 @@ exports are
   keeps every structure map as sparse rows, checked once in whichever form
   it came; only the kernel lattice, the basis the eigen classifier restricts
   to and public return values get dense copies.  Steps are multiplied
-  together only in the relations below full rank and, once the maps are
-  known to commute, in the eigen classifier.  A coordinate on which every
+  together only in the relations below full rank.  A coordinate on which every
   map is diagonal (an isolated one) is a direct summand of rank at most
   one, read off its diagonal; only the other, coupled coordinates go
   through the pass over the composites' images.
 
-A family whose entries are laws, polynomials in ``d`` on each parity class
-of ``d``, is decided from them when every diagonal law is a monomial
-``c * d**e`` or zero on each class and the nonzero off-diagonal laws feed
-along no cycle (``_colimit_laws``): each direction is typed off its
-coefficients, the colimit rank is proved, and the steps are read only up to
-the first level of that rank.  Every other family is decided from samples
-(``_colimit_symbolic``): the chain up to a horizon and two confirmation maps
-beyond it, one walk over which gives the diagonal samples and the feed arcs
-that decide both isolation and the triangular order.  The samples certify
-exact answers for the systems whose matrices become upper triangular under a
-common permutation of coordinates (the union zero pattern has no cycle) or
-which form a commuting family with an integral joint spectrum, read in
-integers (characteristic polynomials, their integer roots and generalized
-eigenspaces; no sympy) and checked against the traces.  Both routes read one
-flag of directions (coordinates, or joint eigenvalue tuples); on each
-direction the diagonal scaling must follow a monomial law ``c * d**e``
-(separately on odd and even step parameters, which covers parity-dependent
-laws), and each distinct scaling is typed once by one rule.  Systems outside
-this class are rejected with a diagnostic instead of guessed at.
+A family is decided from its laws, polynomials in ``d`` on each parity class
+of ``d``: given, or read off samples of its steps by finite differences
+(``_colimit_laws``).  Its directions are the coordinates when the feed arcs
+of its off-diagonal laws have no cycle, and otherwise the joint eigenspaces
+of its coefficient matrices, read in integers (characteristic polynomials,
+their integer roots and generalized eigenspaces; no sympy).  Each direction
+law must be a monomial ``c * d**e`` or zero on each class, and each distinct
+law is typed once by one rule; the colimit rank is proved, and the steps are
+read only up to the first level of that rank.  Systems outside this class
+are rejected with a diagnostic instead of guessed at.
 """
 
 from __future__ import annotations
@@ -68,7 +58,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress, repeat
+from itertools import combinations, compress
 
 from .errors import CrossCheckError, InputError, UnsupportedSystemError
 
@@ -1076,7 +1066,8 @@ class DirectedSystem:
       ``d = 2, 3, 4, ...`` (divisibility-cofinal, so classifications are
       exact), with ``finite_length = None``.
       ``DirectedSystem.from_family(dim, fn)`` takes an arbitrary callable and
-      has no ``laws``, so no JSON form.
+      has no ``laws``, so no JSON form; ``colimit`` reads its laws off
+      samples of its steps.
 
     ``DirectedSystem.from_laws(dim, diag, cells)`` builds the family whose
     entries are polynomials in ``d`` on each parity class of ``d``, with
@@ -1084,7 +1075,7 @@ class DirectedSystem:
     A law is a pair ``(odd, even)`` of ascending coefficient tuples; the
     system keeps its ``laws`` as ``(diag, cells)``, one law per coordinate
     and one ``(row, col, law)`` per off-diagonal cell, and ``colimit``
-    decides a system from them when they are in its rule.
+    decides the system from them.
     ``DirectedSystem.symbolic(dim, diag_laws, offdiag)`` reads JSON laws,
     integer polynomials in ``d``, each one law on both classes; ``to_json``
     writes them back.  Given a finite ``d_chain``, it evaluates the family
@@ -1269,10 +1260,9 @@ class ColimitReport:
     equal in the colimit (a spanning set of the level-1 identifications).
     ``rank`` and ``stabilization_level`` are read off echelon bases of the
     composites' images, pushed along the steps (``_image_bases``), so no
-    composite is multiplied out: over the horizon on the sampled route, up
-    to the first level of the proved rank on the law route, and along a
-    finite chain that is not unimodular.  ``maps`` are the sparse maps the
-    route read, up to the horizon, to that level or to the chain's end;
+    composite is multiplied out: for a family up to the first level of its
+    proved rank, and along a finite chain that is not unimodular.  ``maps``
+    are the sparse maps read up to that level or to the chain's end;
     ``relations`` are built from them on first read: ``()`` at full rank,
     else the Hermite normal form of the kernel of their composite up to
     ``stabilization_level``.
@@ -1362,8 +1352,7 @@ def _image_bases(steps, dim, coords=None):
     to another coordinate), only the summand's columns are read and every
     basis stays supported on them.
 
-    This is the one image walk: the law route, the sampled route (over the
-    horizon, and again from the window's first step), finite chains and
+    This is the one image walk: families, finite chains and
     ``identified``'s window all read their ranks from it."""
     span = range(dim) if coords is None else coords
     basis = None
@@ -1386,45 +1375,10 @@ def _colimit_finite(maps):
         "divisibility beyond the horizon is not certified",))
 
 
-def _fit_monomial(samples):
-    """Fit ``lambda = c * d**e`` exactly to (d, lambda) samples, d >= 1 distinct.
-
-    Returns ``("zero",)`` if all values vanish, ``("monomial", c, e)`` on an
-    exact fit with c a nonzero Fraction and integer 0 <= e <= 63, or None.
-    The first two samples fix e: with ``d2/d1 = a/b`` and ``l2/l1 = u/v`` in
-    lowest terms a fit needs ``u/v = (a/b)^e``, so e is the multiplicity of
-    whichever of a, b exceeds 1 in u or v; every sample then checks in integers.
-    """
-    if all(lam == 0 for _, lam in samples):
-        return ("zero",)
-    if any(lam == 0 for _, lam in samples):
-        return None
-    d1, l1 = samples[0]
-    e = 0
-    if len(samples) > 1:
-        d2, l2 = samples[1]
-        ratio_d, ratio_l = Fraction(d2, d1), Fraction(l2, l1)
-        base, power = ((ratio_d.numerator, ratio_l.numerator) if ratio_d.numerator > 1
-                       else (ratio_d.denominator, ratio_l.denominator))
-        while base > 1 and e < 64 and power % base == 0:
-            power //= base
-            e += 1
-    if e < 64 and all(lam * d1 ** e == l1 * d ** e for d, lam in samples[1:]):
-        return ("monomial", Fraction(l1, d1 ** e), e)
-    return None
-
-
-def _sample_fits(ds, values):
-    """The fits ``(odd, even)`` of one direction's scaling ``values`` at the
-    step parameters ``ds``, one ``_fit_monomial`` per parity class of d."""
-    return tuple(_fit_monomial([(d, lam) for d, lam in zip(ds, values) if d % 2 == parity])
-                 for parity in (1, 0))
-
-
 def _law_fit(coeffs):
-    """A class polynomial's fit read off its ascending ``coeffs``, in the
-    form of ``_fit_monomial``: ``("zero",)``, ``("monomial", c, e)`` when it
-    has one nonzero term ``c d^e``, and otherwise None."""
+    """A class polynomial's fit read off its ascending ``coeffs``:
+    ``("zero",)``, ``("monomial", c, e)`` when it has one nonzero term
+    ``c d^e``, and otherwise None."""
     terms = [(e, c) for e, c in enumerate(coeffs) if c]
     if not terms:
         return ("zero",)
@@ -1434,25 +1388,27 @@ def _law_fit(coeffs):
     return None
 
 
-def _direction_type(fits):
-    """Classify one filtration direction from its fits ``(odd, even)``, one
-    per parity class of d (this covers parity-dependent laws), each read off
-    samples (``_sample_fits``) or off a law (``_law_fit``).
+_NO_MONOMIAL = ("diagonal scaling law fits no monomial c*d^e on a parity class; "
+                "the system is outside the certified class")
 
-    The scaling law must fit a monomial on both classes.  Returns ``None``
-    for a dead direction, a GroupDescriptor for a surviving one, and raises
-    for laws outside the certified class.
+
+def _direction_type(law):
+    """Classify one flag direction from its law ``(odd, even)``, one
+    polynomial per parity class of d (this covers parity-dependent laws), or
+    None when no law could be read for it.
+
+    The law must be a monomial ``c d^e`` or zero on both classes.  Returns
+    ``None`` for a dead direction, a GroupDescriptor for a surviving one, and
+    raises for laws outside the certified class.
 
     The answer inverts the primes that divide infinitely many steps: all of
     them for an even-class ``e >= 1``; for an odd-class ``e >= 1`` the odd
     ones, and 2 when it divides either constant (else ``Z[1/p : p odd]``,
     which is refused); the primes of the constants otherwise.
     """
+    fits = (None,) if law is None else tuple(map(_law_fit, law))
     if None in fits:
-        raise UnsupportedSystemError(
-            "diagonal scaling law fits no monomial c*d^e on a parity class; "
-            "the system is outside the certified class"
-        )
+        raise UnsupportedSystemError(_NO_MONOMIAL)
     if any(f[0] == "zero" for f in fits):
         # Zeros recur on a full parity class of the canonical chain: the
         # direction is annihilated infinitely often, so it dies in the colimit.
@@ -1466,7 +1422,7 @@ def _direction_type(fits):
         )
     if e_odd >= 1 or e_even >= 1:
         return GroupDescriptor.rationals(1)
-    # Both laws are constant, hence integers (e = 0 fits lambda itself).
+    # Both laws are constant, hence integers.
     primes = set(_factor_multiplicity(abs(c_odd.numerator)))
     primes.update(_factor_multiplicity(abs(c_even.numerator)))
     if not primes:
@@ -1474,36 +1430,32 @@ def _direction_type(fits):
     return GroupDescriptor.localized(sorted(primes))
 
 
-def _walk(maps):
-    """One walk over sparse maps: the feed arcs of their union zero pattern
-    and every diagonal sample.
+def _zero_classes(law):
+    """Whether ``law`` is zero on each class, ``(odd, even)``; ``()`` for no law."""
+    return () if law is None else (not any(law[0]), not any(law[1]))
 
-    Returns ``(feeds, samples)``.  ``feeds[j]`` is the set of coordinates
-    ``i != j`` that coordinate ``j`` feeds: some map has a nonzero entry at
-    ``(i, j)``.  ``samples[p]`` is the tuple of the maps' ``(p, p)``
-    entries.  A coordinate that feeds none and that none feeds is isolated:
-    every map is diagonal on it.  The walk goes by coordinate, over row
-    ``p`` of every map; those rows hold an off-diagonal entry only when
-    their entries outnumber the nonzero samples, and only then are they read
-    for arcs.
-    """
-    feeds = [set() for _ in maps[0]]
-    samples = []
-    for p, rows in enumerate(zip(*maps)):
-        lams = tuple(map(dict.get, rows, repeat(p), repeat(0)))
-        if sum(map(len, rows)) != len(rows) - lams.count(0):
-            for row in rows:
-                for j in row:
-                    if j != p:
-                        feeds[j].add(p)
-        samples.append(lams)
-    return feeds, samples
+
+def _refuse_a_root(law):
+    """Refuse a living direction whose law, on a class where it is no
+    monomial, has an integer root d >= 2 of that class: that step is zero on
+    it, so the rank of a window depends on where the window starts."""
+    if law is None or True in _zero_classes(law):
+        return
+    for coeffs in dict.fromkeys(law):  # each distinct class polynomial once
+        if sum(map(bool, coeffs)) > 1:
+            from . import numfield
+
+            if any(d >= 2 and law[1 - d % 2] == coeffs for d in numfield.integer_roots(coeffs)):
+                raise UnsupportedSystemError(
+                    "window rank depends on the starting level; the system is outside "
+                    "the certified class")
 
 
 def _coupled(feeds):
-    """The coordinates on some feed arc (see ``_walk``): together a direct
-    summand of every map.  Each other coordinate is isolated, a direct
-    summand of rank at most one on which every map is diagonal."""
+    """The coordinates on some feed arc (``feeds[j]`` holds each ``i != j``
+    with a nonzero law, or sample, at ``(i, j)``): together a direct summand
+    of every step.  Each other coordinate is isolated, a direct summand of
+    rank at most one on which every step is diagonal."""
     return {j for j, into in enumerate(feeds) if into}.union(*feeds)
 
 
@@ -1520,34 +1472,32 @@ def _reachable(feeds, start):
     return seen
 
 
-def _triangular_flag(feeds, scalings):
-    """The flag of a system whose feed arcs (see ``_walk``) have no cycle:
-    one direction ``(scalings[p], the coordinates p reaches)`` per
+def _triangular_flag(feeds, laws):
+    """The flag of a system whose feed arcs (see ``_coupled``) have no
+    cycle: one direction ``(laws[p], the coordinates p reaches)`` per
     coordinate ``p``.  None when a coordinate reaches itself: it closes a
     cycle, so no common triangular order exists."""
     reach = [_reachable(feeds, p) if into else () for p, into in enumerate(feeds)]
     if any(p in into for p, into in enumerate(reach)):
         return None
-    return [(scaling, sorted(into)) for scaling, into in zip(scalings, reach)]
+    return [(law, sorted(into)) for law, into in zip(laws, reach)]
 
 
-def _flag_sum(flag, r, fits):
-    """The colimit read off a flag of directions, each ``(scaling, into)``.
+def _flag_sum(flag, r, typed):
+    """The colimit read off a flag of directions, each ``(law, into)``.
 
-    ``scaling`` is what the direction scales by: the tuple of its values at
-    the sampled step parameters, or its law; ``fits(scaling)`` gives its
-    fits ``(odd, even)``.  ``into`` lists the flag indices it couples into.
-    ``_direction_type`` is pure, so it types each distinct scaling once.
-    The survivors must number the stabilized rank ``r``.  Split safety: a
-    non-free survivor may couple only into divisible or dead directions,
-    since only then is the extension certified to split; the answer is their
-    direct sum.
+    ``into`` lists the flag indices the direction couples into.  ``typed``
+    maps the laws typed already to their types; ``_direction_type`` is
+    pure, so it types each other distinct law once, here.  The survivors
+    must number the proved rank ``r``.  Split safety: a non-free
+    survivor may couple only into divisible or dead directions, since only
+    then is the extension certified to split; the answer is their direct
+    sum.
     """
-    typed = {}
-    for scaling, _ in flag:
-        if scaling not in typed:
-            typed[scaling] = _direction_type(fits(scaling))
-    types = [typed[scaling] for scaling, _ in flag]
+    for law, _ in flag:
+        if law not in typed:
+            typed[law] = _direction_type(law)
+    types = [typed[law] for law, _ in flag]
     survivors = [t for t in types if t is not None]
     if len(survivors) != r:
         raise UnsupportedSystemError(
@@ -1604,11 +1554,10 @@ def _rational_eigenspaces(t):
 
 
 def _common_flag_eigenvalues(ts):
-    """Eigenvalue tuples of a common flag for the commuting family ``ts``:
-    each map in turn splits every space by its generalized eigenspaces, and
-    each joint tuple comes as often as its space has dimensions.  Divisible
-    (fast growing) directions go deepest, first, so the split-safety scan can
-    certify the filtration."""
+    """Eigenvalue tuples of a common flag for the commuting integer family
+    ``ts``: each map in turn splits every space by its generalized
+    eigenspaces, and each joint tuple comes as often as its space has
+    dimensions, largest absolute values first."""
     r = len(ts[0])
     spaces = [((), identity_matrix(r))]
     for t in ts:
@@ -1618,163 +1567,216 @@ def _common_flag_eigenvalues(ts):
     flag = sorted((vals for vals, b in spaces for _ in b[0]),
                   key=lambda vals: (tuple(-abs(v) for v in vals), vals))
     if len(flag) < r:
-        raise UnsupportedSystemError("a restricted structure map has an irrational "
-                                     "eigenvalue; the system is outside the certified class")
+        raise UnsupportedSystemError(
+            "a restricted structure map has an irrational eigenvalue; "
+            "the system is outside the certified class")
     for i, t in enumerate(ts):
         if sum(vals[i] for vals in flag) != sum(t[j][j] for j in range(r)):
             raise CrossCheckError(f"the eigenvalues of structure map {i} do not sum to its trace")
     return flag
 
 
-def _eigen_flag(maps, cap, r):
-    """The flag of a commuting family of sparse ``maps`` on the stabilized
-    subspace (the image of the composite of the first ``cap``, which they
-    preserve): one direction ``(values, into)`` per common eigenvalue tuple,
-    whose values are its eigenvalues, one per map, each coupling into every
-    earlier one.  A restriction has the rank of its map on that subspace."""
-    if any(_sparse_mul(a, b) != _sparse_mul(b, a) for a, b in combinations(maps, 2)):
+def _eigen_laws(coords, entry):
+    """One law per direction of a common flag of the coordinates ``coords``,
+    whose entries' laws ``entry(i, j)`` feed along a cycle.
+
+    On each parity class a step is ``M(d) = sum_k A_k d^k``, ``A_k`` the
+    matrix of the entries' coefficients of ``d^k``.  With ``B_k`` those of a
+    class (the same or the other), ``M(d) M(d') - M(d') M(d)`` is
+    ``sum_(j,k) [A_j, B_k] d^j d'^k``: the steps commute exactly when all
+    coefficient matrices commute pairwise.  These are split jointly by
+    ``_common_flag_eigenvalues``, each scaled to integers first, and a joint
+    tuple's eigenvalues, scaled back, are its direction's coefficients."""
+    laws = [[entry(i, j) for j in coords] for i in coords]
+    if any(None in row for row in laws):
+        raise UnsupportedSystemError(_NO_MONOMIAL)
+    keys = sorted({(c, k) for row in laws for law in row
+                   for c, coeffs in enumerate(law) for k, x in enumerate(coeffs) if x})
+    ts = [[[dict(enumerate(law[c])).get(k, 0) for law in row] for row in laws] for c, k in keys]
+    if any(mat_mul(a, b) != mat_mul(b, a) for a, b in combinations(ts, 2)):
         raise UnsupportedSystemError(
             "structure maps do not commute and no common triangular "
             "coordinate order exists; the system is outside the "
             "certified class"
         )
-    dim = len(maps[0])
-    basis = _dense_rows(_hnf(_columns(_composite(maps[:cap]), dim)), dim)
-    if not basis:
-        return []
-    ts = _restricted_maps(maps, [list(col) for col in zip(*basis)])
-    if any(rank(t) != r for t in ts):
-        raise UnsupportedSystemError(
-            "a structure map drops rank on the stabilized subspace; "
-            "the system is outside the certified class"
-        )
-    flag = _common_flag_eigenvalues(ts)
-    return [(vals, range(i)) for i, vals in enumerate(flag)]
+    dens = [math.lcm(*(x.denominator for row in t for x in row)) for t in ts]
+    flag = _common_flag_eigenvalues([[[int(x * den) for x in row] for row in t]
+                                     for t, den in zip(ts, dens)])
+    at = {key: m for m, key in enumerate(keys)}
+    top = [max((k for c, k in keys if c == cls), default=0) for cls in (0, 1)]
+    return [tuple(tuple(Fraction(vals[at[c, k]], dens[at[c, k]]) if (c, k) in at else 0
+                        for k in range(top[c] + 1)) for c in (0, 1)) for vals in flag]
+
+
+_LONG_READ = 65  # steps per class that fix a law of degree up to 63 and confirm it
+
+
+def _difference_law(values, first):
+    """The polynomial of least degree through ``values`` at the equally
+    spaced d = first, first + 2, ..., as ascending coefficients in d, or None
+    when no finite difference vanishes, so that no sample confirms it.  In
+    Newton's forward form, with ``d = first + 2m``, it is
+    ``sum_k D_k C(m, k)``, ``D_k`` the k-th difference at the first sample.
+
+    >>> _difference_law([4, 16, 36, 64], 2), _difference_law([1, 3, 2], 3)
+    ((0, 0, 1), None)
+    """
+    leading, row = [], list(values)
+    while any(row):
+        if len(row) == 1:
+            return None
+        leading.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    top = max(len(leading), 1) - 1  # the degree K; scale = 2^K K!
+    scale = math.factorial(top) << top  # 2^k k! C(m, k) = prod_(i<k) (d - first - 2i)
+    coeffs, basis, weight = [0] * (top + 1), [1], scale
+    for k, delta in enumerate(leading):
+        for i, b in enumerate(basis):
+            coeffs[i] += delta * weight * b
+        basis = [y - (first + 2 * k) * x for x, y in zip(basis + [0], [0] + basis)]
+        weight //= 2 * k + 2
+    return tuple(c // scale if c % scale == 0 else Fraction(c, scale) for c in coeffs)
+
+
+def _family_laws(system):
+    """``(diag, feeds, entry)`` of a family without laws (``from_family``),
+    read off its steps: ``feeds`` are the arcs of the union zero pattern of
+    the steps at d = 2 .. cap + 1, ``cap = max(14, dim + 6)``, and at d = 101
+    and 102.  ``entry(i, j)`` reads an entry's law on each parity class by
+    ``_difference_law`` off the steps up to the cap, confirmed at 101 (odd)
+    or 102 (even), or else off the first ``_LONG_READ`` steps of its class,
+    and is None when no polynomial of degree <= 63 fits them.  The degree
+    rule is a heuristic: a family that changes past every step read is read
+    as the law of those steps.  Only a cycle reads entries off the diagonal.
+    """
+    cap = max(14, system.dim + 6)
+    confirm = {d: system._family(d) for d in (101, 102)}
+    feeds = [set() for _ in range(system.dim)]
+    for m in (*map(system._step, range(1, cap + 1)), *confirm.values()):
+        for i, row in enumerate(m):
+            for j in row.keys() - {i}:
+                feeds[j].add(i)
+
+    def read(i, j, first, end):
+        return _difference_law([system._step(d - 1)[i].get(j, 0)
+                                for d in range(first, end, 2)], first)
+
+    def entry(i, j):
+        law = []
+        for first, d in ((3, 101), (2, 102)):
+            coeffs = read(i, j, first, cap + 2)
+            if coeffs is None or _poly_eval(coeffs, d) != confirm[d][i].get(j, 0):
+                coeffs = read(i, j, first, first + 2 * _LONG_READ)
+            law.append(coeffs)
+        return None if None in law else tuple(law)
+
+    return [entry(p, p) for p in range(system.dim)], feeds, entry
 
 
 _CANONICAL = "classified along the canonical divisibility-cofinal chain d = 2, 3, 4, ..."
 
 
-def _colimit_symbolic(system):
-    """The colimit of a family decided from samples of its steps.
-
-    The horizon is ``cap = max(14, dim + 6)`` steps, d = 2 .. cap + 1; the
-    walk (``_walk``) also reads d = 101 and 102, against families whose
-    behaviour changes past it.  The coupled coordinates (``_coupled``) are
-    one direct summand, and the rank of each level on it is the length of
-    its basis from ``_image_bases``.  An isolated coordinate adds 1 to every
-    level before its first zero sample.  ``r`` is the last level's rank and
-    the stabilization level the first of rank ``r``; a system that reaches
-    it only in the horizon's last 3 levels is refused with the list of level
-    ranks.  The window ``M_cap ... M_(h+1)``, ``h = cap // 2``, is read the
-    same way, from its first step; its rank must be ``r``, whatever level it
-    starts at.  The flag is then typed off the samples: triangular when the
-    feed arcs have no cycle, else the commuting family's eigen flag.
-    """
-    dim = system.dim
-    cap = max(14, dim + 6)
-    h = cap // 2
-    ds = list(range(2, cap + 2)) + [101, 102]
-    maps = [system._step(t) for t in range(1, cap + 1)] + [system._family(d) for d in ds[cap:]]
-    feeds, samples = _walk(maps)
-    coupled = _coupled(feeds)
-    levels, window = [0] * cap, 0
-    if coupled:
-        coords = sorted(coupled) if len(coupled) < dim else None
-        levels = [len(basis) for basis in _image_bases(maps[:cap], dim, coords)]
-        *_, last = _image_bases(maps[h:cap], dim, coords)
-        window = len(last)
-    isolated = [lams[:cap] for p, lams in enumerate(samples) if p not in coupled]
-    drops = sorted(lams.index(0) if 0 in lams else cap for lams in isolated)
-    levels = [n + len(drops) - bisect_left(drops, t) for t, n in enumerate(levels, 1)]
-    window += sum(0 not in lams[h:] for lams in isolated)
-    r = levels[-1]
-    stab = levels.index(r) + 1
-    if stab > cap - 3:
-        raise UnsupportedSystemError(
-            f"composite rank did not stabilize within horizon {cap}: {levels}"
-        )
-    # The eventual rank must not depend on where the window starts.
-    if window != r:
-        raise UnsupportedSystemError(
-            "window rank depends on the starting level; the system is outside "
-            "the certified class"
-        )
-    # With no common triangular order the commuting family's eigen flag is read.
-    flag = _triangular_flag(feeds, samples)
-    if flag is None:
-        flag = _eigen_flag(maps, cap, r)
-    invariants = _flag_sum(flag, r, lambda values: _sample_fits(ds, values))
-    return ColimitReport(invariants, maps[:cap], False, r, stab, (_CANONICAL,))
-
-
 def _colimit_laws(system):
-    """The colimit of a family decided from its laws, or None when they are
-    outside this rule and ``_colimit_symbolic`` decides it from samples.
+    """The colimit of a family on the canonical chain, decided from its laws:
+    those it was built from (``from_laws``, ``symbolic``), or those read off
+    samples of its steps (``_family_laws``).  A nonzero off-diagonal law at
+    ``(i, j)`` is a feed arc from ``j`` to ``i``.
 
-    The rule takes laws whose diagonal is, on each parity class of d, a
-    monomial ``c d^e`` with ``c != 0`` or zero, and whose nonzero
-    off-diagonal laws feed along no cycle.  Each direction is typed off its
-    coefficients (``_law_fit``) by the rule the samples use, and the flag is
-    read as on the sampled path.  A coordinate is dead when its law is zero
-    on a class; the other ``s0`` never vanish on the chain.
+    The flag.  With no cycle of feed arcs its directions are the
+    coordinates, each with its diagonal law (``_triangular_flag``).  With a
+    cycle the isolated coordinates keep theirs, and the coupled ones are
+    split by the joint eigenspaces of their coefficient matrices
+    (``_eigen_laws``); a family whose steps do not commute, or that has an
+    irrational joint eigenvalue, is refused.  A living direction whose law
+    has a root on the chain is refused (``_refuse_a_root``), and each other
+    law is typed (``_direction_type``): it must be a monomial ``c d^e`` with
+    ``c != 0`` or zero on each class.  A direction is dead when its law is
+    zero on a class; the other ``s0`` never vanish on the chain.
 
-    The rank.  Order the coordinates so that every arc runs from a later one
+    The rank.  Order the directions so that every arc runs from a later one
     to an earlier one: every step is upper triangular, and so is every
     product of consecutive steps, with the products of the diagonal entries
     on its diagonal.  A triangular matrix has rank at least the number of
     its nonzero diagonal entries, so every composite and every window has
     rank >= s0.  Conversely, let ``V_k`` be the span of the first ``k``
-    coordinates, which every step preserves, and ``q_1 > ... > q_m`` the
-    dead coordinates.  Claim: a window ``W`` that holds steps
-    ``t_1 < ... < t_m``, step ``t_i`` zero at ``q_i``, has rank
-    ``<= dim - m``.  By induction on the flag, ``k`` from ``dim`` down to 0:
-    the map ``W`` induces on ``V/V_k`` has rank at most ``dim - k`` less the
-    number of dead ``q > k``.  From ``k`` to ``k - 1`` the quotient gains
-    the line of ``e_k`` at the bottom, so the rank grows by at most one.
-    If ``k = q_i`` is dead, write ``W = B M A`` with ``M`` the step ``t_i``.
-    The image ``U`` of ``A`` in ``V/V_(k-1)`` maps onto its image in
-    ``V/V_k``, whose rank is within the bound for ``k`` (``A`` holds
-    ``t_1 ... t_(i-1)``), with a kernel inside the line of ``e_k``.  ``M``
-    kills that line, as its diagonal entry at ``k`` is 0, so ``M(U)`` and
-    ``B M(U)`` stay within that rank, the bound for ``k - 1``.  A coordinate
-    zero on both classes is zero at every step, one zero on one class at
-    every other step, so any ``bound`` consecutive steps hold such ``t_i``,
-    ``bound`` counting 1 per coordinate dead on both classes and 2 per other
-    dead one.  So the composite up to level ``bound`` and every window of
-    ``bound`` steps have rank exactly s0: the colimit has rank s0, whatever
-    level the window starts at.
+    directions, which every step preserves, and ``q_1 > ... > q_m`` the
+    dead ones.  Claim: a window ``W`` that holds steps ``t_1 < ... < t_m``,
+    step ``t_i`` zero at ``q_i``, has rank ``<= dim - m``.  By induction on
+    the flag, ``k`` from ``dim`` down to 0: the map ``W`` induces on
+    ``V/V_k`` has rank at most ``dim - k`` less the number of dead
+    ``q > k``.  From ``k`` to ``k - 1`` the quotient gains the line of
+    ``e_k`` at the bottom, so the rank grows by at most one.  If ``k = q_i``
+    is dead, write ``W = B M A`` with ``M`` the step ``t_i``.  The image
+    ``U`` of ``A`` in ``V/V_(k-1)`` maps onto its image in ``V/V_k``, whose
+    rank is within the bound for ``k`` (``A`` holds ``t_1 ... t_(i-1)``),
+    with a kernel inside the line of ``e_k``.  ``M`` kills that line, as its
+    diagonal entry at ``k`` is 0, so ``M(U)`` and ``B M(U)`` stay within
+    that rank, the bound for ``k - 1``.  A direction zero on both classes is
+    zero at every step, one zero on one class at every other step, so any
+    ``bound`` consecutive steps hold such ``t_i``, ``bound`` counting 1 per
+    direction dead on both classes and 2 per other dead one.  So the
+    composite up to level ``bound`` and every window of ``bound`` steps have
+    rank exactly s0, whatever level the window starts at.  On a cycle this
+    holds in a joint eigenbasis over Q: the coefficient matrices commute
+    and have rational eigenvalues, so they keep a common flag, every step is
+    upper triangular along it with the direction laws on its diagonal, and
+    a rank over Q does not depend on the basis.
 
-    So the image walk runs level by level (``_image_bases``) and stops at
-    the first level of rank s0, the stabilization level, with no horizon,
-    no window and no confirmation sample; a rank below s0, or above it at
-    level ``bound``, contradicts the proof and raises ``CrossCheckError``.
-    An isolated coordinate (no nonzero law joins it to another) is a direct
-    summand whose rank drops at its first zero step: level 1 (d = 2) when
-    it is dead on even d, else level 2.  Only the coupled coordinates are
-    pushed, and only when one of them is dead: otherwise they keep full
-    rank from level 1 on, by the lower bound.
+    So the image walk (``_image_bases``) stops at the first level of rank
+    s0, the stabilization level; a rank below s0, or above it at level
+    ``bound``, contradicts the proof and raises ``CrossCheckError``.  An
+    isolated coordinate is a direct summand whose rank drops at its first
+    zero step: level 1 (d = 2) when it is dead on even d, else level 2.  The
+    coupled ones are pushed only when one of their directions is dead.
+
+    The types.  The flag meets Z^dim in saturated sublattices that every
+    step preserves; colimits are exact, so the colimit is an iterated
+    extension of the rank-one colimits of the quotients, the direction
+    types.  An extension splits when its quotient is free or its subgroup
+    divisible (injective): a non-free direction may couple only into
+    divisible or dead ones (``_flag_sum``).  A triangular direction couples
+    into the coordinates it reaches.  A joint eigenbasis orders nothing, so
+    each eigen direction couples into every earlier one, the divisible and
+    dead ones first, then the other non-free ones, then the free ones.
     """
-    diag, cells = system.laws
-    fits = {law: tuple(map(_law_fit, law)) for law in dict.fromkeys(diag)}
-    if any(None in fit for fit in fits.values()):
-        return None
     dim = system.dim
-    feeds = [set() for _ in range(dim)]
-    for r, c, law in cells:
-        if any(map(any, law)):
-            feeds[c].add(r)
-    flag = _triangular_flag(feeds, diag)
+    if system.laws is None:
+        diag, feeds, entry = _family_laws(system)
+    else:
+        diag, cells = system.laws
+        feeds, at = [set() for _ in range(dim)], {}
+        for r, c, law in cells:
+            if any(map(any, law)):
+                feeds[c].add(r)
+                at[r, c] = law
+
+        def entry(i, j):  # a cell with no law, or a zero one, is zero on both classes
+            return diag[i] if i == j else at.get((i, j), ((0,), (0,)))
+
+    coupled, flag, typed = _coupled(feeds), _triangular_flag(feeds, diag), {}
+    laws, block = diag, coupled  # the directions' laws; the coupled ones among them
     if flag is None:
-        return None
-    dead = {p for p, law in enumerate(diag) if ("zero",) in fits[law]}
+        isolated = [diag[p] for p in range(dim) if p not in coupled]
+        eigen = _eigen_laws(sorted(coupled), entry)
+        laws, block = isolated + eigen, range(len(isolated), dim)
+    zeros = {law: _zero_classes(law) for law in dict.fromkeys(laws)}
+    for law in zeros:
+        _refuse_a_root(law)
+    if flag is None:
+        typed = {law: _direction_type(law) for law in dict.fromkeys(eigen)}
+        eigen.sort(key=lambda law: 0 if typed[law] is None or typed[law].is_divisible
+                   else 2 if typed[law].is_free else 1)
+        laws = isolated + eigen
+        flag = [(law, ()) if p < block.start else (law, range(block.start, p))
+                for p, law in enumerate(laws)]
+    dead = [p for p, law in enumerate(laws) if True in zeros[law]]
     s0 = dim - len(dead)
-    invariants = _flag_sum(flag, s0, fits.__getitem__)
-    coupled = _coupled(feeds)
-    stab = max((1 if fits[diag[p]][1] == ("zero",) else 2 for p in dead - coupled), default=1)
-    if dead & coupled:
-        bound = sum(1 if fits[diag[p]] == (("zero",),) * 2 else 2 for p in dead & coupled)
-        target = len(coupled) - len(dead & coupled)
+    invariants = _flag_sum(flag, s0, typed)
+    stab = max((1 if zeros[laws[p]][1] else 2 for p in dead if p not in block), default=1)
+    dead = [zeros[laws[p]] for p in dead if p in block]
+    if dead:
+        bound = sum(1 if all(classes) else 2 for classes in dead)
+        target = len(coupled) - len(dead)
         coords = sorted(coupled) if len(coupled) < dim else None
         steps = map(system._step, range(1, bound + 1))
         for level, basis in enumerate(_image_bases(steps, dim, coords), 1):
@@ -1785,24 +1787,22 @@ def _colimit_laws(system):
                 f"the laws prove that the coupled coordinates reach rank {target} by "
                 f"level {bound}, but level {level} has rank {len(basis)}")
         stab = max(stab, level)
-    maps = [system._step(t) for t in range(1, stab + 1)]
+    maps = list(map(system._step, range(1, stab + 1)))
     return ColimitReport(invariants, maps, False, s0, stab, (_CANONICAL,))
 
 
 def colimit(system):
     """Classify the colimit of a directed system of free abelian groups.
 
-    Families on the canonical chain get an exact answer
+    A family on the canonical chain gets an exact answer
     (``truncated = False``) or a refusal (``UnsupportedSystemError``) with a
-    diagnostic.  A family with laws in the rule of ``_colimit_laws`` is
-    decided from them, with a proved rank and no sample; every other
-    family, and every family built by ``from_family``, from samples
-    (``_colimit_symbolic``).  The rule is generic: the engine checks of
-    ``ktheory.k_of_A0`` and ``k_of_B0`` hand it the laws of ``kappa``, the
-    one thing they share with the closed forms.  Finite chains (a symbolic
-    system with a finite ``d_chain`` is one) report the exact colimit only
-    when every step is unimodular; otherwise the result is marked
-    ``truncated``.  All three routes read their level ranks through one image
+    diagnostic from its laws (``_colimit_laws``), read off samples for a
+    family built by ``from_family``.  The rule is generic: the engine checks
+    of ``ktheory.k_of_A0`` and ``k_of_B0`` hand it the laws of ``kappa``,
+    the one thing they share with the closed forms.  Finite chains (a
+    symbolic system with a finite ``d_chain`` is one) report the exact
+    colimit only when every step is unimodular; otherwise the result is
+    marked ``truncated``.  Both read their level ranks through one image
     walk, ``_image_bases``.  A system is classified once: later calls return
     the same report or raise the same refusal.
 
@@ -1818,8 +1818,7 @@ def colimit(system):
             if length is not None:
                 report = _colimit_finite([system._step(t) for t in range(1, length + 1)])
             else:
-                report = ((system.laws is not None and _colimit_laws(system))
-                          or _colimit_symbolic(system))
+                report = _colimit_laws(system)
             system._analysis_cache = report
         except UnsupportedSystemError as refusal:
             system._analysis_cache = refusal

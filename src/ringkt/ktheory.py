@@ -362,7 +362,7 @@ def k_of_B0(n, engine_check=None):
 
     The closed form is verified against the colimit engine on the diagonal
     system of the laws ``d^(n-k)``, the infinite diagonal of ``kappa``
-    (always for ``n <= 7``; pass ``engine_check=True`` to force it).  The
+    (always for ``n <= 16``; pass ``engine_check=True`` to force it).  The
     two share only those laws: the closed form counts binomials by parity,
     and the engine types each coordinate off its law and proves the rank.
     """
@@ -372,7 +372,7 @@ def k_of_B0(n, engine_check=None):
     k0, k1 = (top, rest) if n % 2 == 0 else (rest, top)
     out = GradedKGroup(k0, k1)
     if engine_check is None:
-        engine_check = n <= 7
+        engine_check = n <= 16
     if engine_check:
         powers = [((0,) * (n - k) + (1,),) * 2 for k in range(n + 1)]  # d^(n-k), both classes
         for parity, expected in ((0, k0), (1, k1)):
@@ -399,7 +399,7 @@ def k_of_A0(n, engine_check=None):
     * ``n`` even: ``K_0 = Z^2 + Q^(2^(n-1) - 1)``.
 
     Verified against the colimit engine on the full structure-matrix family
-    (always for ``n <= 6``; pass ``engine_check=True`` to force it).  The two
+    (always for ``n <= 12``; pass ``engine_check=True`` to force it).  The two
     share only ``kappa``'s laws (``kappa_laws``, read off the closed form that
     ``compose`` checks against the blocks): the closed form counts the even
     subsets, and the engine decides the generic laws, with no rule of its
@@ -412,7 +412,7 @@ def k_of_A0(n, engine_check=None):
         k0 = GroupDescriptor(free_rank=2, q_rank=2 ** (n - 1) - 1)
     out = GradedKGroup(k0, GroupDescriptor.zero())
     if engine_check is None:
-        engine_check = n <= 6
+        engine_check = n <= 12
     if engine_check:
         system = DirectedSystem.from_laws(kappa(n, 2).size, *kappa_laws(n))
         got = colimit(system).invariants

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from conftest import check_smith_form, random_int_matrix, random_unimodular, seeded_rng
 from ringkt import abgrp
 from ringkt.abgrp import (
-    _fit_monomial,
     ColimitReport,
     DirectedSystem,
     GroupDescriptor,
@@ -562,7 +561,8 @@ def _conj(a, b):
 
 
 def _late(d):
-    """1 along the materialized chain, 2 at the confirmation samples d = 101, 102."""
+    """1 below d = 50 and 2 from there on: the samples up to the cap read 1,
+    those at the confirmation samples d = 101, 102 read 2."""
     return 1 if d < 50 else 2
 
 
@@ -576,14 +576,14 @@ _NO_MONOMIAL = "fits no monomial"
     (lambda d: _conj(3, 2), True, _SPLIT),
     (lambda d: _conj(d, 2), True, "Loc{2} + Q"),
     (lambda d: [[d, 0], [0, _late(d)]], False, _NO_MONOMIAL),
-    # certified as Z + Q while the eigen path skipped the confirmation samples
+    # an entry of the cycle fits no polynomial, so no eigen law is read
     (lambda d: _conj(d, _late(d)), True, _NO_MONOMIAL),
 ], ids=["const-split", "grow-split-ok", "conj-const-split", "conj-grow-split-ok",
         "late-change", "conj-late-change"])
 def test_both_paths_read_one_flag(monkeypatch, family, eigen, outcome):
-    read = abgrp._eigen_flag
+    read = abgrp._eigen_laws
     eigen_calls = []
-    monkeypatch.setattr(abgrp, "_eigen_flag", lambda *a: eigen_calls.append(1) or read(*a))
+    monkeypatch.setattr(abgrp, "_eigen_laws", lambda *a: eigen_calls.append(1) or read(*a))
     system = DirectedSystem.from_family(2, family)
     if outcome in (_SPLIT, _NO_MONOMIAL):
         with pytest.raises(UnsupportedSystemError, match=outcome):
@@ -600,9 +600,9 @@ def test_a_lost_direction_trips_the_survivor_count(monkeypatch, family):
     typed = abgrp._direction_type
     calls = []
 
-    def lose_the_first(samples):
-        calls.append(samples)
-        return None if len(calls) == 1 else typed(samples)
+    def lose_the_first(law):
+        calls.append(law)
+        return None if len(calls) == 1 else typed(law)
 
     monkeypatch.setattr(abgrp, "_direction_type", lose_the_first)
     with pytest.raises(UnsupportedSystemError, match="the flag keeps 1 of 2 directions, "
@@ -623,37 +623,6 @@ def test_linear_law_with_a_root_on_the_chain_is_refused(coeffs):
     with pytest.raises(UnsupportedSystemError,
                        match="window rank depends on the starting level"):
         colimit(system)
-
-
-def _fit_monomial_by_search(samples):
-    """The search that ``_fit_monomial`` replaced: try e = 0..63 in turn."""
-    if all(lam == 0 for _, lam in samples):
-        return ("zero",)
-    if any(lam == 0 for _, lam in samples):
-        return None
-    d1, l1 = samples[0]
-    for e in range(0, 64):
-        c = Fraction(l1, d1 ** e)
-        if all(Fraction(lam, d ** e) == c for d, lam in samples[1:]):
-            return ("monomial", c, e)
-    return None
-
-
-@settings(max_examples=200, deadline=None)
-@given(ds=st.lists(st.integers(1, 120), min_size=1, max_size=6, unique=True),
-       num=st.integers(-40, 40), den=st.integers(1, 12), e=st.integers(0, 70),
-       how=st.sampled_from(["fit", "perturbed", "random", "zero"]),
-       noise=st.lists(st.integers(-30, 30), min_size=6, max_size=6))
-def test_fit_monomial_agrees_with_the_exponent_search(ds, num, den, e, how, noise):
-    lams = [Fraction(num * d ** e, den) for d in ds]
-    if how == "perturbed":
-        lams[-1] += noise[0] or 1
-    elif how == "random":
-        lams = [Fraction(x) for x in noise[:len(ds)]]
-    elif how == "zero":
-        lams[0] = Fraction(0)
-    samples = list(zip(ds, lams))
-    assert _fit_monomial(samples) == _fit_monomial_by_search(samples)
 
 
 def test_colimit_refuses_odd_class_growth_that_never_inverts_two():
@@ -862,9 +831,8 @@ def test_a_yes_is_given_on_a_system_colimit_refuses():
 
 def test_a_refusal_is_classified_once(monkeypatch):
     calls = []
-    symbolic = abgrp._colimit_symbolic
-    monkeypatch.setattr(abgrp, "_colimit_symbolic",
-                        lambda system: calls.append(1) or symbolic(system))
+    laws = abgrp._colimit_laws
+    monkeypatch.setattr(abgrp, "_colimit_laws", lambda system: calls.append(1) or laws(system))
     system = DirectedSystem.symbolic(2, [{"kind": "poly", "coeffs": [-1, 1]}, {"kind": "zero"}])
     texts = []
     for _ in range(3):
@@ -882,8 +850,8 @@ def test_only_a_refusal_is_kept(monkeypatch, error):
         calls.append(1)
         raise error("not a refusal")
 
-    monkeypatch.setattr(abgrp, "_colimit_symbolic", fail)
-    # a family without laws, so that the sampled path classifies it
+    monkeypatch.setattr(abgrp, "_colimit_laws", fail)
+    # a family without laws, read off its samples
     system = DirectedSystem.from_family(1, lambda d: [[d]])
     for _ in range(2):
         with pytest.raises(error, match="not a refusal"):
@@ -1022,14 +990,14 @@ def test_identified_integer_rule():
 
 
 # ---------------------------------------------------------------------------
-# the flag, typed once per value sequence
+# the flag, typed once per law
 # ---------------------------------------------------------------------------
 
 
-def _flag_sum_by_pairs(flag, r, fits):
+def _flag_sum_by_pairs(flag, r, typed):
     """The route ``_flag_sum`` replaced: every direction typed on its own,
-    with no scaling shared."""
-    types = [abgrp._direction_type(fits(scaling)) for scaling, _ in flag]
+    with no law shared."""
+    types = [abgrp._direction_type(law) for law, _ in flag]
     survivors = [t for t in types if t is not None]
     if len(survivors) != r:
         raise UnsupportedSystemError(
@@ -1054,7 +1022,7 @@ def _outcome(flag_sum, args):
 
 
 def _assert_flags_match_the_pair_route(run):
-    """Every ``(flag, r, fits)`` that ``run()``, which may be refused, hands to
+    """Every ``(flag, r, typed)`` that ``run()``, which may be refused, hands to
     ``_flag_sum`` gives the same descriptor or refusal on both routes."""
     calls, flag_sum = [], abgrp._flag_sum
     with pytest.MonkeyPatch.context() as mp:
@@ -1096,20 +1064,19 @@ def test_flag_sum_matches_the_pair_route_on_refusals(family):
 def test_each_value_sequence_is_typed_once(monkeypatch):
     typed, counts, flag_sum, direction_type = [], [], abgrp._flag_sum, abgrp._direction_type
 
-    def count(flag, r, fits):
+    def count(flag, r, given):
         before = len(typed)
-        out = flag_sum(flag, r, fits)
-        distinct = dict.fromkeys(scaling for scaling, _ in flag)
-        assert typed[before:] == [fits(scaling) for scaling in distinct]
+        out = flag_sum(flag, r, given)
+        assert typed[before:] == list(dict.fromkeys(law for law, _ in flag))
         counts.append(len(typed) - before)
         return out
 
     monkeypatch.setattr(abgrp, "_flag_sum", count)
     monkeypatch.setattr(abgrp, "_direction_type",
-                        lambda fits: typed.append(fits) or direction_type(fits))
+                        lambda law: typed.append(law) or direction_type(law))
     n = 6
     # the parity systems hold 2^(n-1) coordinates each, one law d^(n-k) per
-    # degree k: typed once per law, and once per value sequence when sampled
+    # degree k: typed once per law, given or read off the samples
     k_of_B0(n, engine_check=True)
     for parity in (0, 1):
         degrees = [k for k in range(parity, n + 1, 2) for _ in range(math.comb(n, k))]

@@ -25,8 +25,8 @@ IRRATIONAL = ("a restricted structure map has an irrational eigenvalue; "
               "the system is outside the certified class")
 NOT_COMMUTING = ("structure maps do not commute and no common triangular coordinate "
                  "order exists; the system is outside the certified class")
-DROPS_RANK = ("a structure map drops rank on the stabilized subspace; "
-              "the system is outside the certified class")
+WINDOW = ("window rank depends on the starting level; "
+          "the system is outside the certified class")
 
 # ---------------------------------------------------------------------------
 # reference: the quotient recursion with sympy's eigenvectors
@@ -155,8 +155,8 @@ def _conjugated_diag(x, y):
 
 @pytest.mark.parametrize("family, text", [
     (lambda d: [[1, 1], [1, 2 + d]], NOT_COMMUTING),
-    # singular only at the confirmation sample d = 101
-    (lambda d: _conjugated_diag(d - 101, 2), DROPS_RANK),
+    # singular only at d = 101: its eigen law d - 101 has a root on the chain
+    (lambda d: _conjugated_diag(d - 101, 2), WINDOW),
 ], ids=["not-commuting", "drops-rank"])
 def test_eigen_path_refusals_keep_their_texts(family, text):
     with pytest.raises(UnsupportedSystemError) as exc:
@@ -165,8 +165,8 @@ def test_eigen_path_refusals_keep_their_texts(family, text):
 
 
 def test_a_nilpotent_cycle_has_an_empty_flag():
-    # [[d, d], [-d, -d]] squares to zero: a cycle in the zero pattern whose
-    # stabilized subspace is 0, so the eigen flag has no direction
+    # [[d, d], [-d, -d]] squares to zero: a cycle whose one coefficient
+    # matrix is nilpotent, so the eigen flag has no living direction
     system = DirectedSystem.symbolic(
         2, [{"kind": "mult_d"}, {"kind": "poly", "coeffs": [0, -1]}],
         [{"row": 0, "col": 1, "kind": "mult_d"}, {"row": 1, "col": 0, "poly": [0, -1]}])

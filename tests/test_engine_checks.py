@@ -51,10 +51,10 @@ def test_k_of_A0_engine_check_up_to_5(n):
     assert k_of_A0(n, engine_check=True) == k_of_A0(n, engine_check=False)
 
 
-@pytest.mark.parametrize("closed_form, last_checked", [(k_of_B0, 7), (k_of_A0, 6)],
-                         ids=["B0-7", "A0-6"])
+@pytest.mark.parametrize("closed_form, last_checked", [(k_of_B0, 16), (k_of_A0, 12)],
+                         ids=["B0-16", "A0-12"])
 def test_engine_check_is_on_by_default_up_to(closed_form, last_checked, monkeypatch):
-    """The default check reaches ``k_of_B0(7)`` and ``k_of_A0(6)``, where the
+    """The default check reaches ``k_of_B0(16)`` and ``k_of_A0(12)``, where the
     engine agrees with the closed form, and stops one degree later."""
     runs = []
     monkeypatch.setattr(ktheory, "colimit", lambda system: runs.append(1) or colimit(system))

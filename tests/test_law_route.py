@@ -1,16 +1,16 @@
-"""Colimits decided from their laws, against the sampled route.
+"""Colimits decided from their laws, given or read off samples.
 
-A family whose laws are in the rule of ``abgrp._colimit_laws`` (on each
-parity class of d every diagonal law is a monomial ``c d^e`` with ``c != 0``
-or zero, and the nonzero off-diagonal laws feed along no cycle) is decided
-from its laws: its rank is proved, and the image walk stops at the first
-level that reaches it.  The same steps handed over by
-``DirectedSystem.from_family``, which carries no laws, take the sampled
-route, the oracle here: both give the same report or the same refusal text.
-The law route turns three kinds of refusal into answers, each pinned below:
-an exponent above the sampled fit's cap of 63, an exponent too large to
-sample in time, and a rank that the laws prove stable after the sampled
-window has started.
+``abgrp._colimit_laws`` decides every family on the canonical chain from
+its laws: its rank is proved, and the image walk stops at the first level
+that reaches it.  The same steps handed over by
+``DirectedSystem.from_family``, which carries no laws, have their laws read
+off samples (``abgrp._family_laws``), the sampled route here: both give the
+same report or the same refusal text.  The reader finds the polynomial of
+least degree on each parity class from finite differences, up to degree 63;
+a family that fits none, or that changes past every sample it reads, is
+refused or read as its samples' law.  Given laws decide two kinds of input
+that no sample reads: an exponent above 63, and an exponent too large to
+sample in time.
 """
 
 from fractions import Fraction
@@ -27,6 +27,8 @@ from ringkt.ktheory import kappa, kappa_laws, rank_one_system, subsets_graded_le
 
 _WINDOW = ("window rank depends on the starting level; the system is outside "
            "the certified class")
+_NO_FIT = ("diagonal scaling law fits no monomial c*d^e on a parity class; the system "
+           "is outside the certified class")
 
 
 def _outcome(system):
@@ -38,7 +40,7 @@ def _outcome(system):
 
 
 def _sampled(system):
-    """The same steps, with no laws: the sampled route decides them."""
+    """The same steps, with no laws: they are read off samples."""
     return DirectedSystem.from_family(system.dim, system._family)
 
 
@@ -117,24 +119,59 @@ def test_law_route_matches_the_sampled_route_on_acyclic_law_systems(system):
     except UnsupportedSystemError as exc:
         assert str(exc) == sampled
         return
-    if sampled != _WINDOW:
-        assert report.to_json_dict() == sampled
-        return
-    # The sampled window holds the 7 steps from level 8, on which a chain of
-    # 8 zero laws keeps rank 1.  The laws prove rank 0 by level 8 instead:
-    # it holds on every window of 8 steps, and the composite reaches it.
-    assert system.dim == 8 and report.rank == 0
-    for start in (1, 7, 9):
-        steps = [system._step(t) for t in range(start, start + 8)]
-        assert not any(abgrp._composite(steps))
-    assert report.stabilization_level <= 8
+    assert report.to_json_dict() == sampled
 
 
 def test_an_exponent_above_the_sampled_cap_gives_q():
+    # 65 samples per class read a degree of at most 63 and confirm it
     system = DirectedSystem.symbolic(1, [{"kind": "diag_power", "exp": 64}])
     assert str(colimit(system).invariants) == "Q"
     with pytest.raises(UnsupportedSystemError, match="fits no monomial"):
         colimit(_sampled(system))
+
+
+@st.composite
+def class_laws(draw):
+    """A law on one parity class: a monomial ``c d^e`` with ``e <= 63``, or
+    a polynomial of degree <= 6 with integer weights on the binomials
+    ``C(d, k)``, integer-valued with ``Fraction`` coefficients in d."""
+    if draw(st.booleans()):
+        return (0,) * draw(st.integers(0, 63)) + (draw(st.integers(-3, 3).filter(bool)),)
+    weights = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=7))
+    coeffs, binomial = [Fraction(0)] * len(weights), [Fraction(1)]
+    for k, w in enumerate(weights):
+        for i, b in enumerate(binomial):
+            coeffs[i] += w * b
+        # C(d, k + 1) = C(d, k) (d - k) / (k + 1)
+        binomial = [(y - k * x) / (k + 1) for x, y in zip(binomial + [0], [0] + binomial)]
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(odd=class_laws(), even=class_laws())
+def test_family_laws_read_back_as_their_laws(odd, even):
+    system = DirectedSystem.from_laws(1, [(odd, even)])
+    sampled = _sampled(system)
+    (law,), _, _ = abgrp._family_laws(sampled)
+    assert law == (odd, even)
+    assert _outcome(sampled) == _outcome(system)
+
+
+@pytest.mark.parametrize("step", [lambda d: 1 if d < 50 else 2, lambda d: 2 ** d],
+                         ids=["late-change", "exponential"])
+def test_a_family_that_fits_no_polynomial_is_refused(step):
+    system = DirectedSystem.from_family(1, lambda d: [[step(d)]])
+    (law,), _, _ = abgrp._family_laws(system)
+    assert law is None
+    assert _outcome(system) == _NO_FIT
+
+
+@pytest.mark.parametrize("e", [0, 1, 7, 31, 63])
+def test_a_monomial_family_up_to_degree_63_answers(e):
+    system = DirectedSystem.from_family(1, lambda d: [[-3 * d ** e]])
+    assert str(colimit(system).invariants) == ("Loc{3}" if e == 0 else "Q")
 
 
 def test_a_huge_exponent_gives_q_in_time():
@@ -145,16 +182,15 @@ def test_a_huge_exponent_gives_q_in_time():
 
 
 def test_a_chain_of_eight_zero_laws_dies():
-    # The sampled window, the 7 steps from level 8, is the shift to the 7th
-    # power, of rank 1, so the sampled route refuses; the laws prove rank 0
-    # by level 8.
+    # The laws prove rank 0 by level 8, and so do the laws read off the
+    # samples: no window of 7 steps, on which the shift keeps rank 1, is read.
     dim = 8
     shift = [{"row": i + 1, "col": i, "poly": [1]} for i in range(dim - 1)]
     system = DirectedSystem.symbolic(dim, [{"kind": "zero"}] * dim, shift)
     report = colimit(system)
     assert (report.invariants, report.rank, report.stabilization_level) == (
         GroupDescriptor.zero(), 0, dim)
-    assert _outcome(_sampled(system)) == _WINDOW
+    assert _outcome(_sampled(system)) == report.to_json_dict()
 
 
 def test_parity_laws_keep_the_odd_class_refusal_text():
@@ -167,24 +203,31 @@ def test_parity_laws_keep_the_odd_class_refusal_text():
     assert str(colimit(halves).invariants) == "Q"
 
 
-def test_laws_outside_the_rule_take_the_sampled_route(monkeypatch):
-    sampled = []
-    symbolic = abgrp._colimit_symbolic
-    monkeypatch.setattr(abgrp, "_colimit_symbolic",
-                        lambda system: sampled.append(system) or symbolic(system))
-    for laws, offdiag in (
-        ([{"kind": "poly", "coeffs": [-3, 1]}], []),  # d - 3 is no monomial
-        ([{"kind": "identity"}] * 2, [{"row": 0, "col": 1, "poly": [1]},  # a cycle
-                                      {"row": 1, "col": 0, "poly": [1]}]),
+def test_one_route_decides_every_family(monkeypatch):
+    decided, read = [], []
+    decide, family_laws = abgrp._colimit_laws, abgrp._family_laws
+    monkeypatch.setattr(abgrp, "_colimit_laws", lambda system: decided.append(system)
+                        or decide(system))
+    monkeypatch.setattr(abgrp, "_family_laws", lambda system: read.append(system)
+                        or family_laws(system))
+    cycle = [{"row": 0, "col": 1, "poly": [1]}, {"row": 1, "col": 0, "poly": [1]}]
+    for diag, offdiag, expected in (
+        ([{"kind": "poly", "coeffs": [-3, 1]}], [], _WINDOW),  # d - 3 vanishes at d = 3
+        ([{"kind": "poly", "coeffs": [-1, 1]}], [], _NO_FIT),  # d - 1 vanishes off the chain
+        ([{"kind": "identity"}] * 2, cycle, "Loc{2}"),  # eigen laws 2 and 0
+        ([{"kind": "mult_d"}] * 2, cycle, _NO_FIT),  # eigen laws d + 1 and d - 1
     ):
-        system = DirectedSystem.symbolic(len(laws), laws, offdiag)
-        assert abgrp._colimit_laws(system) is None
-        _outcome(system)
-        assert sampled.pop() is system
+        system = DirectedSystem.symbolic(len(diag), diag, offdiag)
+        outcome = _outcome(system)
+        assert (outcome if isinstance(outcome, str) else outcome["pretty"]) == expected
+        assert decided.pop() is system and not read
+    sampled = _sampled(DirectedSystem.symbolic(1, [{"kind": "mult_d"}]))
+    assert str(colimit(sampled).invariants) == "Q"
+    assert decided.pop() is sampled and read.pop() is sampled
     # a zero off-diagonal law closes no cycle
     system = DirectedSystem.symbolic(2, [{"kind": "identity"}] * 2, [
         {"row": 0, "col": 1, "poly": [1]}, {"row": 1, "col": 0, "poly": [0, 0]}])
-    assert str(colimit(system).invariants) == "Z^2" and not sampled
+    assert str(colimit(system).invariants) == "Z^2"
 
 
 def _lying(dim, diag, cells, rows):

@@ -36,8 +36,6 @@ REASONS = (
     "structure maps do not commute",
     "window rank depends on the starting level",
     "irrational eigenvalue",
-    "drops rank on the stabilized subspace",
-    "did not stabilize",
     "odd-step scaling",
     "the flag keeps",
 )
