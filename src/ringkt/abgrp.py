@@ -1019,7 +1019,10 @@ def _class_poly(coeffs, parity):
     on the class.  With ``d = 2m + parity`` it is a polynomial in ``m`` of
     the same degree ``k``, and one that is an integer at ``k + 1``
     consecutive ``m`` is an integer at every ``m`` (its finite differences
-    are integers), so ``k + 1`` values decide it."""
+    are integers), so ``k + 1`` values decide it.  Integer coefficients are
+    the polynomial itself, at denominator 1, with nothing to check."""
+    if _INT.issuperset(map(type, coeffs)):
+        return tuple(coeffs), 1
     _as_rational([coeffs], "law coefficient")
     den = math.lcm(*(c.denominator for c in coeffs if type(c) is Fraction))
     nums = tuple(int(c * den) for c in coeffs)

@@ -933,15 +933,16 @@ class _ResidueSieve:
     unity of order ``m`` forces ``m | p^f - 1`` for every residue degree
     ``f`` at ``p``, so a residue-field witness ``(p, f)`` refutes ``m``; its
     degrees are re-derived from the factor counts ``n - rank(Q^d - I)`` over
-    GF(p^d), d = 1..n (``_confirm_degrees``), and a mismatch, or degrees
-    that do not refute ``m``, raises ``CrossCheckError``.  Each candidate
-    reads the first ``PRIME_COUNT`` primes of the table not dividing ``m``
-    (2 never counts), and fewer for a likely true order: after
-    ``WITNESS_WAIT * n`` primes without a witness it stops at the first
-    admissible prime (``m | p^f - 1`` for every ``f``) with at most two
-    residue factors.  A candidate without a witness runs the exact lift
-    (``_lift_primitive_root``) at the admissible prime read that the prime
-    rule picks, with at most ``phi(m)`` combinations at the stop prime.  A
+    GF(p^d) for the divisors d of the degrees read (``_confirm_degrees``),
+    and a mismatch, or degrees that do not refute ``m``, raises
+    ``CrossCheckError``.  Each candidate reads the first ``PRIME_COUNT``
+    primes of the table not dividing ``m`` (2 never counts), and fewer for
+    a likely true order: after ``WITNESS_WAIT * n`` primes without a witness
+    it stops at the first admissible prime (``m | p^f - 1`` for every
+    ``f``) with at most two residue factors.  A candidate without a witness
+    runs the exact lift (``_lift_primitive_root``) at the admissible prime
+    read that the prime rule picks, with at most ``phi(m)`` combinations at
+    the stop prime.  A
     "yes" is checked in K; a "no" needs a witness among the first
     ``PRIME_COUNT + CROSS_CHECK_PRIMES`` primes not dividing ``m``
     (``confirm_refuted``).
@@ -1049,7 +1050,7 @@ class _ResidueSieve:
     def _check_count(self, p, degrees):
         """Raise ``CrossCheckError`` unless Berlekamp's count of the factors
         of f mod p is the number of residue ``degrees`` read at ``p``."""
-        count = next(_factor_counts(self.coeffs, p))
+        count = _factor_counts(self.coeffs, p, [1])[0]
         if count != len(degrees):
             raise CrossCheckError(
                 f"residue degrees mod {p} disagree: distinct-degree factorization "
@@ -1261,18 +1262,40 @@ class _ResidueSieve:
         self.check_witness(m, *witness)
 
     def _confirm_degrees(self, p):
-        """Raise ``CrossCheckError`` unless the factor counts of f over
-        GF(p^d), d = 1..n, which fix the degrees, match the table's at ``p``."""
+        """Raise ``CrossCheckError`` unless the table's degrees ``f_i`` at
+        ``p`` sum to n and, for each d in the set D of the divisors of the
+        ``f_i``, the number of factors of f over GF(p^d), ``n - rank(Q^d -
+        I)``, is ``sum gcd(d, f_i)``.
+
+        That fixes the degrees.  Let B(e) be the number of true factors whose
+        degree e divides.  As ``sum_{e | k} phi(e) = k``, the count at d is
+        ``sum_{e | d} phi(e) B(e)``; D is closed under divisors, so Möbius
+        inversion over D reads B on D off the counts on D, and B agrees there
+        with the B' of the degrees read.  Over every e, ``sum phi(e) B(e)``
+        is the sum of the true degrees, n; the degrees read sum to n and
+        each of their divisors lies in D, so ``sum_{e in D} phi(e) B(e) =
+        sum_{e in D} phi(e) B'(e) = n`` too, and B(e) = 0 for every e
+        outside D.  A true degree k has B(k) >= 1, so it lies in D, and the
+        number of factors of degree exactly k, inverted from B over the
+        multiples of k in D, is the one read.  The sum is a premise: a cubic
+        that is [1, 2] mod p passes for [1, 1] on counts alone, as D = {1}
+        and both have 2 factors over GF(p)."""
         if p in self._confirmed:
             return
         read = sorted(self.table.get(p, ()))
         n = len(self.coeffs) - 1
-        want = [sum(math.gcd(d, f) for f in read) for d in range(1, n + 1)]
-        counts = list(_factor_counts(self.coeffs, p))
+        if sum(read) != n:
+            raise CrossCheckError(
+                f"residue degrees mod {p} disagree: the sieve read {read}, which do "
+                f"not sum to the degree {n}"
+            )
+        ds = [d for d in range(1, max(read) + 1) if any(f % d == 0 for f in read)]
+        want = [sum(math.gcd(d, f) for f in read) for d in ds]
+        counts = _factor_counts(self.coeffs, p, ds)
         if counts != want:
             raise CrossCheckError(
                 f"residue degrees mod {p} disagree: the sieve read {read}, with {want} "
-                f"factors over GF({p}^d) for d = 1..{n}; n - rank(Q^d - I) gives {counts}"
+                f"factors over GF({p}^d) for d = {ds}; n - rank(Q^d - I) gives {counts}"
             )
         self._confirmed.add(p)
 
@@ -1361,27 +1384,34 @@ def _polymod_gcd(a, b, p):
 
 
 def _rank_mod_p(rows, p):
-    """Rank over GF(p) of an integer matrix (Gaussian elimination)."""
+    """Rank over GF(p) of an integer matrix (Gaussian elimination): each
+    pivot row leaves the working rows and is subtracted from the others in
+    place, past its column, which is not read again."""
     rows = [[x % p for x in row] for row in rows]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
+        for k, top in enumerate(rows):
+            if top[col]:
+                break
+        else:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        for i in range(rank + 1, len(rows)):
-            c = rows[i][col] * inv % p
-            if c:
-                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
+        del rows[k]
         rank += 1
+        inv = pow(top[col], -1, p)
+        for row in rows:
+            if c := row[col]:
+                c = c * inv % p
+                for j in range(col + 1, len(row)):
+                    row[j] = (row[j] - c * top[j]) % p
     return rank
 
 
-def _factor_counts(coeffs, p):
-    """Numbers of irreducible factors of f over GF(p^d), d = 1..n, for f
-    squarefree mod p: ``sum gcd(d, f_i) = n - rank(Q^d - I)``, as ``a ->
-    a^(p^d)`` fixes the subfields ``F_(p^gcd(d, f_i))`` of the ``F_(p^f_i)``.
+def _factor_counts(coeffs, p, ds):
+    """Numbers of irreducible factors of f over GF(p^d), one for each d in
+    ``ds``, for f squarefree mod p: ``sum gcd(d, f_i) = n - rank(Q^d - I)``,
+    as ``a -> a^(p^d)`` fixes the subfields ``F_(p^gcd(d, f_i))`` of the
+    ``F_(p^f_i)``.  The ladder of ``x^(p^d)`` climbs to the largest d asked
+    for, and ``Q^d`` is built and ranked only at the d in ``ds``.
     The first count is Berlekamp's (Math. Comp. 24, 1970; Cohen, section
     3.4).  It shares two values with ``_factor_degrees_mod_p``, each reached
     by another method: ``x^p mod f``, which the distinct-degree side reads off
@@ -1391,21 +1421,26 @@ def _factor_counts(coeffs, p):
     gcd chain there and the rank of ``Q^d - I`` here, with ``x^(p^d)`` from
     the ladder.
 
-    >>> list(_factor_counts([1, 0, 0, 0, 1], 3))  # x^4 + 1: two quadratics mod 3
+    >>> _factor_counts([1, 0, 0, 0, 1], 3, [1, 2, 3, 4])  # x^4 + 1: two quadratics mod 3
     [2, 4, 2, 4]
     """
     f = _trim_mod(coeffs, p)
     n = len(f) - 1
+    counts = dict.fromkeys(ds)
     xq = [0, 1]
-    for _ in range(n):
+    for d in range(1, max(counts, default=0) + 1):
         xq = _polymod_pow(xq, p, f, p)  # x^(p^d) mod f; row i of Q^d is xq^i mod f
+        if d not in counts:
+            continue
         power, q_minus_i = [1], []
         for i in range(n):
+            if i:
+                power = _polymod_mul(power, xq, f, p)
             row = power + [0] * (n - len(power))
             row[i] -= 1
             q_minus_i.append(row)
-            power = _polymod_mul(power, xq, f, p)
-        yield n - _rank_mod_p(q_minus_i, p)
+        counts[d] = n - _rank_mod_p(q_minus_i, p)
+    return [counts[d] for d in ds]
 
 
 def _distinct_degree_parts(f, p, xp):

@@ -3,12 +3,15 @@ reference kernel kept here: every step of a division reduced mod p, and
 x^(p^k) mod f recomputed by square and multiply at each degree.  Remainders,
 powers mod f and the distinct-degree parts are unique, so the two kernels must
 agree object for object, on unreduced dividends and on composite moduli p^k
-(monic f) as the p-adic lifts use them."""
+(monic f) as the p-adic lifts use them.  The rank mod p behind Berlekamp's
+counts is checked against sympy's rank over GF(p)."""
 
 import itertools
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from ringkt import numfield
 from ringkt.numfield import _poly_sub_mod, _trim_mod
@@ -140,3 +143,18 @@ def test_walk_of_a_large_coefficient_field():
     for p in read[::25] + read[-1:]:
         assert sieve.frobenius[p] == ref_pow([0, 1], p, f, p)
         assert sum(sieve.table[p]) == 12
+
+
+MATRIX = st.integers(1, 9).flatmap(
+    lambda c: st.lists(st.lists(st.integers(-50, 50), min_size=c, max_size=c), max_size=9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=MATRIX, p=st.sampled_from(PRIMES[:30]), mix=st.lists(st.integers(-3, 3), max_size=9))
+def test_rank_mod_p_matches_sympy(rows, p, mix):
+    if rows:  # and a row that depends on the others
+        rows = rows + [[sum(k * row[j] for k, row in zip(mix, rows)) for j in range(len(rows[0]))]]
+    copy = [row[:] for row in rows]
+    want = DomainMatrix.from_list(rows, GF(p)).rank() if rows else 0
+    assert numfield._rank_mod_p(rows, p) == want
+    assert rows == copy

@@ -258,6 +258,17 @@ def test_laws_must_be_integer_valued_on_their_class():
         DirectedSystem.from_laws(1, [((1.5,), (1,))])
 
 
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.lists(st.integers(-10**30, 10**30), max_size=7), parity=st.sampled_from([0, 1]))
+def test_fraction_copies_of_integer_laws_give_the_same_class_polynomials(coeffs, parity):
+    want = abgrp._class_poly(coeffs, parity)
+    assert want == (tuple(coeffs), 1)
+    assert abgrp._class_poly([Fraction(c) for c in coeffs], parity) == want
+    for bad in (True, 2.0):  # the type rule holds for integer-valued laws too
+        with pytest.raises(InputError, match="not an integer or a Fraction"):
+            abgrp._class_poly(coeffs + [bad], parity)
+
+
 def test_parity_laws_have_no_json_form():
     system = DirectedSystem.from_laws(kappa(1, 2).size, *kappa_laws(1))
     with pytest.raises(InputError, match="JSON form"):

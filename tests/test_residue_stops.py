@@ -7,8 +7,9 @@ first admissible prime with at most two residue factors, where the exact lift
 reads back at most phi(m) sums.  The same sieve with both
 stops switched off reads every row it read before them, and is the oracle:
 every answer must be the same.  The census rows keep the fields whose
-certificate path the stops change, a field of degree 1200 and the refusal of
-a degree above ``numfield._MAX_DEGREE`` inside a deadline.
+certificate path the stops change, a field of degree 1200, two fields whose
+witness primes have residue degrees up to 37 and 60, and the refusal of a
+degree above ``numfield._MAX_DEGREE`` inside a deadline.
 """
 
 import pytest
@@ -208,6 +209,10 @@ CENSUS = [
     ("x^4 - 10x^2 + 1", parse_polynomial("x^4 - 10x^2 + 1"), (4, 0), 2),
     # Eisenstein at 2: no residue row at parse, and w = 2 for a real field
     ("x^1200 - 2", parse_polynomial("x^1200 - 2"), (2, 599), 2),
+    # witnesses with residue degrees up to 37 and 60: the degree check reads
+    # only the divisors of the degrees read
+    ("x^60 + x + 1", parse_polynomial("x^60 + x + 1"), (0, 30), 2),
+    ("x^300 + 2", parse_polynomial("x^300 + 2"), (0, 150), 2),
 ]
 
 

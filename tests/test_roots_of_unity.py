@@ -247,33 +247,98 @@ def test_a_no_on_a_survivor_is_confirmed_by_a_further_witness(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_false_witness_degrees_raise(monkeypatch):
+@pytest.mark.parametrize("lie,match", [
+    ([1, 1, 1, 1], "mod 3 disagree"),
+    ([2], r"mod 3 disagree: .* \[2\], which do not sum"),
+], ids=["all-linear", "dropped-factor"])
+def test_false_witness_degrees_raise(monkeypatch, lie, match):
     # x^4 + 1 mod 3 factors as two quadratics; the false pattern [1, 1, 1, 1]
-    # refutes the true order 8 (3 - 1 = 2) and, unchecked, gives w = 2.
+    # refutes the true order 8 (3 - 1 = 2) and, unchecked, gives w = 2; [2]
+    # drops a factor and fails the degree sum.
     honest = numfield._factor_degrees_mod_p
 
     def lying(coeffs, p, xp):
-        return [1, 1, 1, 1] if p == 3 else honest(coeffs, p, xp)
+        return lie if p == 3 else honest(coeffs, p, xp)
 
     monkeypatch.setattr(numfield, "_factor_degrees_mod_p", lying)
-    with pytest.raises(CrossCheckError, match="mod 3 disagree"):
+    with pytest.raises(CrossCheckError, match=match):
         parse_field("x^4 + 1").roots_of_unity_order
 
 
 def test_false_factor_count_over_gf_p2_raises(monkeypatch):
-    # x^2 + 7 splits mod 11, the witness against order 6.  A count over
-    # GF(11^2) that does not fit the degrees [1, 1] stops the search; the
-    # count over GF(p) stays honest, so the irreducibility proof passes.
+    # x^4 + 1 is two quadratics mod 3, the witness against order 10, so the
+    # degree check reads the counts over GF(3) and GF(3^2).  A count over
+    # GF(3^2) that does not fit the degrees [2, 2] stops the search; the
+    # count over GF(p) stays honest.
     honest = numfield._factor_counts
 
-    def lying(coeffs, p):
-        counts = list(honest(coeffs, p))
-        counts[1] += p == 11
-        return iter(counts)
+    def lying(coeffs, p, ds):
+        return [c + (p == 3 and d == 2) for d, c in zip(ds, honest(coeffs, p, ds))]
 
     monkeypatch.setattr(numfield, "_factor_counts", lying)
-    with pytest.raises(CrossCheckError, match="mod 11 disagree"):
-        parse_field("x^2 + 7").roots_of_unity_order
+    with pytest.raises(CrossCheckError, match=r"mod 3 disagree: .* d = \[1, 2\]"):
+        parse_field("x^4 + 1").roots_of_unity_order
+
+
+def _sieve_at(poly, p):
+    """A fresh sieve of ``poly`` whose table reaches ``p``."""
+    coeffs = numfield.parse_polynomial(poly)
+    sieve = _ResidueSieve(coeffs, numfield.poly_discriminant(coeffs))
+    sieve.frobenius_at(p)
+    return sieve
+
+
+def _partitions(n, most=None):
+    if n == 0:
+        yield []
+        return
+    for k in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield [k] + rest
+
+
+@pytest.mark.parametrize("poly,p,row", [
+    ("x^6 + x^5 + x^4 + x^3 + x^2 + x + 1", 11, [3, 3]),  # Phi7: the witness against 18
+    ("x^8 + 1", 7, [2, 2, 2, 2]),  # the witness against 30 and 20
+])
+def test_every_other_partition_at_a_witness_prime_raises(poly, p, row):
+    sieve = _sieve_at(poly, p)
+    assert sieve.table[p] == row
+    sieve._confirm_degrees(p)
+    others = [part for part in _partitions(sum(row)) if sorted(part) != row]
+    assert len(others) == {6: 10, 8: 21}[sum(row)]
+    for part in others:
+        sieve.table[p] = part
+        sieve._confirmed.discard(p)
+        with pytest.raises(CrossCheckError, match=f"mod {p} disagree"):
+            sieve._confirm_degrees(p)
+
+
+def test_the_degree_sum_is_a_premise_of_the_check():
+    # x^3 - 2 = (x - 3)(x^2 + 3x + 4) mod 5.  [1, 1] has D = {1} and the same
+    # count over GF(5), 2, so only the sum refutes it.
+    sieve = _sieve_at("x^3 - 2", 5)
+    assert sieve.table[5] == [1, 2]
+    assert numfield._factor_counts(sieve.coeffs, 5, [1]) == [2]
+    sieve.table[5] = [1, 1]
+    with pytest.raises(CrossCheckError, match="mod 5 disagree: .* do not sum to the degree 3"):
+        sieve._confirm_degrees(5)
+
+
+def test_the_degree_check_ranks_only_at_the_divisors_of_the_degrees(monkeypatch):
+    # x^4 + 1 is [2, 2] mod 3: D = {1, 2}, so two ranks, not four
+    counts, rank = [], numfield._rank_mod_p
+
+    def spy(rows, p):
+        r = rank(rows, p)
+        counts.append(len(rows) - r)
+        return r
+
+    monkeypatch.setattr(numfield, "_rank_mod_p", spy)
+    sieve = _sieve_at("x^4 + 1", 3)
+    assert sieve.table[3] == [2, 2]
+    sieve._confirm_degrees(3)
+    assert counts == [2, 4]  # the factors over GF(3) and GF(3^2)
 
 
 def test_false_exact_hit_on_a_surviving_candidate_raises(monkeypatch):
