@@ -28,27 +28,29 @@ exports are
 
 * a classifier for sequential colimits ``Z^k -M1-> Z^k -M2-> ...`` of free
   abelian groups along integer matrices (``DirectedSystem`` / ``colimit``),
-  together with the element-identification decision procedure
-  ``identified``, which classifies the colimit only when a "no" needs its
-  rank: a difference that vanishes proves a "yes" by itself.  The engine
-  keeps every structure map as sparse rows, checked once in whichever form
-  it came; only the kernel lattice, the basis the eigen classifier restricts
-  to and public return values get dense copies.  Steps are multiplied
-  together only in the relations below full rank.  A coordinate on which every
-  map is diagonal (an isolated one) is a direct summand of rank at most
-  one, read off its diagonal; only the other, coupled coordinates go
-  through the pass over the composites' images.
+  together with the element-identification decision procedure ``identified``,
+  which classifies the colimit only when a "no" needs its rank: a difference
+  that vanishes proves a "yes" by itself, and the window it walks reaches the
+  rank within the ``2 * dim`` steps the rank's proof bounds.  The engine
+  keeps every structure map as sparse rows, checked once in whichever form it
+  came; only the kernel lattice, the basis the eigen classifier restricts to
+  and public return values get dense copies.  Steps are multiplied together
+  only in the relations below full rank.  A coordinate on which every map is
+  diagonal (an isolated one) is a direct summand of rank at most one, read
+  off its diagonal; only the other, coupled coordinates go through the pass
+  over the composites' images.
 
 A family is decided from its laws, polynomials in ``d`` on each parity class
-of ``d``: given, or read off samples of its steps by finite differences
-(``_colimit_laws``).  Its directions are the coordinates when the feed arcs
-of its off-diagonal laws have no cycle, and otherwise the joint eigenspaces
-of its coefficient matrices, read in integers (characteristic polynomials,
-their integer roots and generalized eigenspaces; no sympy).  Each direction
-law must be a monomial ``c * d**e`` or zero on each class, and each distinct
-law is typed once by one rule; the colimit rank is proved, and the steps are
-read only up to the first level of that rank.  Systems outside this class
-are rejected with a diagnostic instead of guessed at.
+of ``d`` (``_colimit_laws``): given, or read by finite differences off one
+window of its steps, d = 2 .. 131 (``_family_laws``).  Its directions are the
+coordinates when the feed arcs of its off-diagonal laws have no cycle, and
+otherwise the joint eigenspaces of its coefficient matrices, read in integers
+(characteristic polynomials, their integer roots and generalized eigenspaces;
+no sympy).  Each direction law must be a monomial ``c * d**e`` or zero on
+each class, and each distinct law is typed once by one rule; the colimit rank
+is proved, and the steps are read only up to the first level of that rank.
+Systems outside this class are rejected with a diagnostic instead of guessed
+at.
 """
 
 from __future__ import annotations
@@ -1069,8 +1071,8 @@ class DirectedSystem:
       ``d = 2, 3, 4, ...`` (divisibility-cofinal, so classifications are
       exact), with ``finite_length = None``.
       ``DirectedSystem.from_family(dim, fn)`` takes an arbitrary callable and
-      has no ``laws``, so no JSON form; ``colimit`` reads its laws off
-      samples of its steps.
+      has no ``laws``, so no JSON form; ``colimit`` reads its laws off its
+      first 65 steps on each parity class, d = 2 .. 131.
 
     ``DirectedSystem.from_laws(dim, diag, cells)`` builds the family whose
     entries are polynomials in ``d`` on each parity class of ``d``, with
@@ -1588,14 +1590,18 @@ def _eigen_laws(coords, entry):
     class (the same or the other), ``M(d) M(d') - M(d') M(d)`` is
     ``sum_(j,k) [A_j, B_k] d^j d'^k``: the steps commute exactly when all
     coefficient matrices commute pairwise.  These are split jointly by
-    ``_common_flag_eigenvalues``, each scaled to integers first, and a joint
-    tuple's eigenvalues, scaled back, are its direction's coefficients."""
+    ``_common_flag_eigenvalues``, each distinct one once and scaled to
+    integers first, and a joint tuple's eigenvalues, scaled back, are its
+    direction's coefficients."""
     laws = [[entry(i, j) for j in coords] for i in coords]
     if any(None in row for row in laws):
         raise UnsupportedSystemError(_NO_MONOMIAL)
-    keys = sorted({(c, k) for row in laws for law in row
-                   for c, coeffs in enumerate(law) for k, x in enumerate(coeffs) if x})
-    ts = [[[dict(enumerate(law[c])).get(k, 0) for law in row] for row in laws] for c, k in keys]
+    distinct, at = {}, {}  # each distinct coefficient matrix, and each key's index into them
+    for c, k in sorted({(c, k) for row in laws for law in row
+                        for c, coeffs in enumerate(law) for k, x in enumerate(coeffs) if x}):
+        t = tuple(tuple(dict(enumerate(law[c])).get(k, 0) for law in row) for row in laws)
+        at[c, k] = distinct.setdefault(t, len(distinct))
+    ts = list(distinct)
     if any(mat_mul(a, b) != mat_mul(b, a) for a, b in combinations(ts, 2)):
         raise UnsupportedSystemError(
             "structure maps do not commute and no common triangular "
@@ -1605,8 +1611,7 @@ def _eigen_laws(coords, entry):
     dens = [math.lcm(*(x.denominator for row in t for x in row)) for t in ts]
     flag = _common_flag_eigenvalues([[[int(x * den) for x in row] for row in t]
                                      for t, den in zip(ts, dens)])
-    at = {key: m for m, key in enumerate(keys)}
-    top = [max((k for c, k in keys if c == cls), default=0) for cls in (0, 1)]
+    top = [max((k for c, k in at if c == cls), default=0) for cls in (0, 1)]
     return [tuple(tuple(Fraction(vals[at[c, k]], dens[at[c, k]]) if (c, k) in at else 0
                         for k in range(top[c] + 1)) for c in (0, 1)) for vals in flag]
 
@@ -1643,35 +1648,26 @@ def _difference_law(values, first):
 
 def _family_laws(system):
     """``(diag, feeds, entry)`` of a family without laws (``from_family``),
-    read off its steps: ``feeds`` are the arcs of the union zero pattern of
-    the steps at d = 2 .. cap + 1, ``cap = max(14, dim + 6)``, and at d = 101
-    and 102.  ``entry(i, j)`` reads an entry's law on each parity class by
-    ``_difference_law`` off the steps up to the cap, confirmed at 101 (odd)
-    or 102 (even), or else off the first ``_LONG_READ`` steps of its class,
-    and is None when no polynomial of degree <= 63 fits them.  The degree
-    rule is a heuristic: a family that changes past every step read is read
-    as the law of those steps.  Only a cycle reads entries off the diagonal.
+    read off one window of its steps: the first ``_LONG_READ`` steps of each
+    parity class, d = 2 .. 2 * _LONG_READ + 1.  ``feeds`` are the arcs of
+    their union zero pattern.  ``entry(i, j)`` reads an entry's law on each
+    class by ``_difference_law``, and is None when no polynomial of degree
+    <= 63 fits: 64 values fix such a law and the 65th confirms it.  The
+    degree rule is a heuristic: a family that changes past the window is
+    read as the law of the window.  Only a cycle reads entries off the
+    diagonal.
     """
-    cap = max(14, system.dim + 6)
-    confirm = {d: system._family(d) for d in (101, 102)}
+    steps = list(map(system._step, range(1, 2 * _LONG_READ + 1)))
     feeds = [set() for _ in range(system.dim)]
-    for m in (*map(system._step, range(1, cap + 1)), *confirm.values()):
+    for m in steps:
         for i, row in enumerate(m):
             for j in row.keys() - {i}:
                 feeds[j].add(i)
 
-    def read(i, j, first, end):
-        return _difference_law([system._step(d - 1)[i].get(j, 0)
-                                for d in range(first, end, 2)], first)
-
-    def entry(i, j):
-        law = []
-        for first, d in ((3, 101), (2, 102)):
-            coeffs = read(i, j, first, cap + 2)
-            if coeffs is None or _poly_eval(coeffs, d) != confirm[d][i].get(j, 0):
-                coeffs = read(i, j, first, first + 2 * _LONG_READ)
-            law.append(coeffs)
-        return None if None in law else tuple(law)
+    def entry(i, j):  # steps[0] is d = 2, so a class from ``first`` starts at first - 2
+        law = tuple(_difference_law([m[i].get(j, 0) for m in steps[first - 2::2]], first)
+                    for first in (3, 2))
+        return None if None in law else law
 
     return [entry(p, p) for p in range(system.dim)], feeds, entry
 
@@ -1682,7 +1678,7 @@ _CANONICAL = "classified along the canonical divisibility-cofinal chain d = 2, 3
 def _colimit_laws(system):
     """The colimit of a family on the canonical chain, decided from its laws:
     those it was built from (``from_laws``, ``symbolic``), or those read off
-    samples of its steps (``_family_laws``).  A nonzero off-diagonal law at
+    one window of its steps (``_family_laws``).  A nonzero off-diagonal law at
     ``(i, j)`` is a feed arc from ``j`` to ``i``.
 
     The flag.  With no cycle of feed arcs its directions are the
@@ -1799,8 +1795,8 @@ def colimit(system):
 
     A family on the canonical chain gets an exact answer
     (``truncated = False``) or a refusal (``UnsupportedSystemError``) with a
-    diagnostic from its laws (``_colimit_laws``), read off samples for a
-    family built by ``from_family``.  The rule is generic: the engine checks
+    diagnostic from its laws (``_colimit_laws``), read off the steps at
+    d = 2 .. 131 for a family built by ``from_family``.  The rule is generic: the engine checks
     of ``ktheory.k_of_A0`` and ``k_of_B0`` hand it the laws of ``kappa``,
     the one thing they share with the closed forms.  Finite chains (a
     symbolic system with a finite ``d_chain`` is one) report the exact
@@ -1830,11 +1826,6 @@ def colimit(system):
     return system._analysis_cache
 
 
-# Steps the window walk of ``identified`` may take before reaching the
-# certified rank; running out means the certification is wrong.
-_WINDOW_STEPS = 64
-
-
 def identified(system, a, b):
     """Decide whether two formal elements agree in the colimit.
 
@@ -1855,13 +1846,14 @@ def identified(system, a, b):
     every later composite satisfies
     ``rank(M_j ... M_base) >= rank(M_j ... M_1) = r = rank W``, so the maps
     after ``W`` are injective on the image of ``W``, which holds the
-    difference, and it never vanishes.  The same bound shows that ``W``
-    reaches rank ``r`` after finitely many steps; a walk that does not reach
-    it within a fixed number of steps raises ``CrossCheckError``, since the
-    certified rank must then be wrong.  ``rank W`` is read off the echelon
-    of the first step's columns, pushed along the later steps and
-    echelonized at each one: its span is im W, so no window composite is
-    formed.
+    difference, and it never vanishes.  ``_colimit_laws`` proves that every
+    window of one step per direction dead on both classes and two per other
+    dead one has rank ``r``, from any level, so the walk takes at most
+    ``2 * dim`` steps; one that does not reach ``r`` by then raises
+    ``CrossCheckError``, since the certified rank must then be wrong.
+    ``rank W`` is read off the echelon of the first step's columns, pushed
+    along the later steps and echelonized at each one: its span is im W, so
+    no window composite is formed.
 
     On ``Q + 0`` (the first coordinate scales by d, the second dies), the
     step at level 1 has d = 2:
@@ -1904,7 +1896,7 @@ def identified(system, a, b):
     diff = [x - y for x, y in zip(va, vb)]
     if length is not None or not any(diff):
         return not any(diff)
-    steps = range(base, base + _WINDOW_STEPS)
+    steps = range(base, base + 2 * system.dim)
     window = _image_bases(map(system._step, steps), system.dim)
     r = None  # the certified rank, classified only when a "no" is first tested
     for level in steps:
@@ -1918,5 +1910,5 @@ def identified(system, a, b):
             return False
     raise CrossCheckError(
         f"identified: the window from level {base} did not reach the certified "
-        f"colimit rank {r} within {_WINDOW_STEPS} steps"
+        f"colimit rank {r} within {len(steps)} steps"
     )

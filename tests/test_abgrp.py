@@ -561,8 +561,8 @@ def _conj(a, b):
 
 
 def _late(d):
-    """1 below d = 50 and 2 from there on: the samples up to the cap read 1,
-    those at the confirmation samples d = 101, 102 read 2."""
+    """1 below d = 50 and 2 from there on, inside the window of d = 2 .. 131
+    that the laws are read off, so no polynomial of degree <= 63 fits it."""
     return 1 if d < 50 else 2
 
 
@@ -804,6 +804,26 @@ def test_identified_outlasts_a_window_rank_plateau():
     assert identified(chain, (4, e0), (4, (0,) * dim)) is True
 
 
+# An identity coordinate feeds a path of dead coordinates along a unit
+# subdiagonal, so the colimit is Z.
+@pytest.mark.parametrize("system, level", [
+    # the symbolic chain of 65 zero laws: one step per dead coordinate
+    (DirectedSystem.symbolic(66, [{"kind": "identity"}] + [{"kind": "zero"}] * 65,
+                             [{"row": i + 1, "col": i, "poly": [1]} for i in range(65)]), 65),
+    # 40 coordinates that die on even d: two steps per dead coordinate
+    (DirectedSystem.from_laws(41, [((1,), (1,))] + [((1,), (0,))] * 40,
+                              [(i + 1, i, ((1,), (1,))) for i in range(40)]), 79),
+], ids=["zero-65", "zero-on-even-40"])
+def test_identified_walks_to_a_stabilization_level_past_64(system, level):
+    # The window from level 1 reaches the certified rank 1 only at the
+    # stabilization level, within the proved 2 * dim steps.
+    report = colimit(system)
+    assert (str(report.invariants), report.rank, report.stabilization_level) == ("Z", 1, level)
+    e0 = (1,) + (0,) * (system.dim - 1)
+    for decide in (identified, _window_identified):
+        assert decide(system, (1, e0), (1, (0,) * system.dim)) is False
+
+
 def test_a_vanishing_difference_answers_yes_without_a_colimit(monkeypatch):
     def refuse(system):
         raise RuntimeError("the colimit was classified")
@@ -905,7 +925,7 @@ def _window_identified(system, a, b):
     if not any(diff):
         return True
     window = None
-    for level in range(base, base + abgrp._WINDOW_STEPS):
+    for level in range(base, base + 2 * system.dim):
         step = system._step(level)
         diff = abgrp._apply(step, diff)
         if not any(diff):

@@ -2,7 +2,8 @@
 engine's certified class that two checkouts are compared by: the systems are
 fixed by their seed, and the summary counts the answers and the refusals by
 reason.  The census systems also keep their answers, or their refusals'
-reasons, under a signed permutation of the coordinates."""
+reasons, under a signed permutation of the coordinates, and when their laws
+are read off their steps instead (``DirectedSystem.from_family``)."""
 
 import importlib.util
 import io
@@ -100,3 +101,18 @@ def test_a_signed_permutation_keeps_each_answer_and_reason():
         assert _outcome(_conjugated(obj, rng)) == outcome, obj
         answered += not isinstance(outcome, str)
     assert answered == 244
+
+
+def _report_or_text(system):
+    try:
+        return colimit(system).to_json_dict()
+    except UnsupportedSystemError as exc:
+        return str(exc)
+
+
+def test_laws_read_off_the_steps_keep_each_outcome():
+    # each system's own family, with no laws: they are read off its steps
+    for obj in colim_census.systems(1, 100):
+        system = DirectedSystem.from_json(obj)
+        sampled = DirectedSystem.from_family(system.dim, system._family)
+        assert _report_or_text(sampled) == _report_or_text(system), obj

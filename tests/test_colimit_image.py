@@ -8,11 +8,13 @@ of the window's composite).  The law route reads an isolated coordinate
 (every step diagonal on it) off its diagonal law and walks only the coupled
 ones; its ``rank`` and ``stabilization_level`` are checked against the same
 oracles on the first ``max(14, dim + 6)`` steps of the whole system, the
-horizon.  The relations of a report come from the kernel of the composite
-up to the stabilization level, printed as its Hermite normal form, and only
-when read; the kernel of the composite up to the horizon is their oracle.
-At full rank they are empty and no composite is formed, and ``identified``
-reads its window's rank off a pushed basis.
+horizon.  The feed arcs that ``abgrp._family_laws`` reads off a family are
+checked against the union zero pattern of the steps at d = 2 .. 131, the
+window it reads.  The relations of a report come from the kernel of the
+composite up to the stabilization level, printed as its Hermite normal
+form, and only when read; the kernel of the composite up to the horizon is
+their oracle.  At full rank they are empty and no composite is formed, and
+``identified`` reads its window's rank off a pushed basis.
 """
 
 import dataclasses
@@ -430,10 +432,11 @@ def _union_pattern(maps):
 
 def _isolated(system):
     """The number of isolated coordinates of the samples' union pattern;
-    checks the arcs and the diagonal laws that ``_family_laws`` reads off
-    the samples on the way, against the system's own laws."""
+    checks the arcs that ``_family_laws`` reads off the samples, against the
+    union pattern of the steps at d = 2 .. 131, and its diagonal laws,
+    against the system's own laws, on the way."""
     diag, feeds, _ = abgrp._family_laws(DirectedSystem.from_family(system.dim, system._family))
-    assert feeds == _union_pattern(_horizon_maps(system) + [system._family(d) for d in (101, 102)])
+    assert feeds == _union_pattern([system._family(d) for d in range(2, 132)])
     assert list(map(_trimmed, diag)) == list(map(_trimmed, system.laws[0]))
     return sum(not into and not any(p in other for other in feeds)
                for p, into in enumerate(feeds))

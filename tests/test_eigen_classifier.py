@@ -176,6 +176,31 @@ def test_a_nilpotent_cycle_has_an_empty_flag():
 
 
 # ---------------------------------------------------------------------------
+# each distinct coefficient matrix is split once
+# ---------------------------------------------------------------------------
+
+
+def test_each_distinct_coefficient_matrix_is_split_once(monkeypatch):
+    split, counts = abgrp._common_flag_eigenvalues, []
+    monkeypatch.setattr(abgrp, "_common_flag_eigenvalues",
+                        lambda ts: counts.append(len(ts)) or split(ts))
+    cycle = {(0, 1): 1, (1, 0): 1}
+    # A JSON law is one polynomial on both classes, so the odd and the even
+    # coefficient matrices are equal: the cycle alone for the identity
+    # diagonal, the cycle and I for d I.
+    unit_cycle = [{"row": r, "col": c, "poly": [v]} for (r, c), v in cycle.items()]
+    system = DirectedSystem.symbolic(2, [{"kind": "identity"}] * 2, unit_cycle)
+    assert str(colimit(system).invariants) == "Loc{2}"
+    with pytest.raises(UnsupportedSystemError, match="fits no monomial"):
+        colimit(_d_plus(2, cycle))
+    # parity laws whose classes differ: J on odd d and I + J on even d
+    one = ((1,), (1,))
+    system = DirectedSystem.from_laws(2, [((1,), (2,))] * 2, [(0, 1, one), (1, 0, one)])
+    assert str(colimit(system).invariants) == "Loc{2,3}"
+    assert counts == [1, 2, 2]
+
+
+# ---------------------------------------------------------------------------
 # fault injection
 # ---------------------------------------------------------------------------
 

@@ -6,11 +6,11 @@ that reaches it.  The same steps handed over by
 ``DirectedSystem.from_family``, which carries no laws, have their laws read
 off samples (``abgrp._family_laws``), the sampled route here: both give the
 same report or the same refusal text.  The reader finds the polynomial of
-least degree on each parity class from finite differences, up to degree 63;
-a family that fits none, or that changes past every sample it reads, is
-refused or read as its samples' law.  Given laws decide two kinds of input
-that no sample reads: an exponent above 63, and an exponent too large to
-sample in time.
+least degree on each parity class from finite differences of the steps at
+d = 2 .. 131, up to degree 63; a family that fits none is refused, and one
+that changes past those steps is read as their law.  Given laws decide two
+kinds of input that no sample reads: an exponent above 63, and an exponent
+too large to sample in time.
 """
 
 from fractions import Fraction
@@ -132,11 +132,22 @@ def test_an_exponent_above_the_sampled_cap_gives_q():
 
 @st.composite
 def class_laws(draw):
-    """A law on one parity class: a monomial ``c d^e`` with ``e <= 63``, or
-    a polynomial of degree <= 6 with integer weights on the binomials
-    ``C(d, k)``, integer-valued with ``Fraction`` coefficients in d."""
-    if draw(st.booleans()):
+    """A law on one parity class: a monomial ``c d^e`` with ``e <= 63``; a
+    product ``c prod (d - r)`` whose roots hold every d <= 15 of one class,
+    101 or 102, and up to two more roots, so that it vanishes on the first
+    samples of a class and at one far sample; or a polynomial of degree <= 6
+    with integer weights on the binomials ``C(d, k)``, integer-valued with
+    ``Fraction`` coefficients in d."""
+    kind = draw(st.sampled_from(("monomial", "roots", "binomials")))
+    if kind == "monomial":
         return (0,) * draw(st.integers(0, 63)) + (draw(st.integers(-3, 3).filter(bool)),)
+    if kind == "roots":
+        roots = [*range(draw(st.sampled_from((2, 3))), 16, 2), draw(st.sampled_from((101, 102))),
+                 *draw(st.lists(st.integers(-3, 15), max_size=2))]
+        coeffs = [draw(st.integers(-3, 3).filter(bool))]
+        for r in roots:  # times (d - r)
+            coeffs = [y - r * x for x, y in zip(coeffs + [0], [0] + coeffs)]
+        return tuple(coeffs)
     weights = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=7))
     coeffs, binomial = [Fraction(0)] * len(weights), [Fraction(1)]
     for k, w in enumerate(weights):
@@ -166,6 +177,18 @@ def test_a_family_that_fits_no_polynomial_is_refused(step):
     (law,), _, _ = abgrp._family_laws(system)
     assert law is None
     assert _outcome(system) == _NO_FIT
+
+
+def test_a_family_zero_on_the_first_samples_and_at_101_is_refused():
+    # prod (d - j), j in {3, 5, ..., 15, 101}, on odd d and 1 on even d: zero
+    # on the first seven odd d and at d = 101, but f(17) = -54190080.  Its
+    # root at d = 3 refuses it, with the text its laws get.
+    odd = (1,)
+    for j in (*range(3, 16, 2), 101):
+        odd = tuple(y - j * x for x, y in zip(odd + (0,), (0,) + odd))
+    system = DirectedSystem.from_laws(1, [(odd, (1,))])
+    assert abgrp._poly_eval(odd, 17) == -54190080
+    assert _outcome(system) == _outcome(_sampled(system)) == _WINDOW
 
 
 @pytest.mark.parametrize("e", [0, 1, 7, 31, 63])
