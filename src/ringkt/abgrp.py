@@ -119,6 +119,14 @@ def _as_list(x, what):
     return x
 
 
+def _as_iterable(x, what):
+    """``iter(x)``, or ``InputError`` naming ``what`` when ``x`` is not iterable."""
+    try:
+        return iter(x)
+    except TypeError:
+        raise InputError(f"{what} {x!r} is not iterable") from None
+
+
 def _check_keys(obj, keys, what):
     """Refuse a key of the JSON object ``obj`` that is not among ``keys``."""
     for key in obj:
@@ -799,7 +807,7 @@ def invariant_factors(orders):
     (2, 2)
     """
     counts = {}
-    for x in orders:
+    for x in _as_iterable(orders, "cyclic orders"):
         x = _as_int(x, "cyclic order")
         if x < 1:
             raise InputError(f"cyclic order {x} is not positive")
@@ -829,7 +837,9 @@ class GroupDescriptor:
     ``Loc(S)`` denotes the integers with the primes in the finite set ``S``
     inverted.  Summands are kept in a canonical order (free part, localized
     parts sorted by support, rational part, torsion as an ascending chain of
-    invariant factors), so ``==`` is structural group isomorphism.
+    invariant factors), so ``==`` is structural group isomorphism.  ``loc``
+    (of supports) and ``torsion`` may be any iterables; anything else
+    raises ``InputError``.
 
     >>> GroupDescriptor(free_rank=1, torsion=(4, 2, 3))
     GroupDescriptor(free_rank=1, q_rank=0, loc=(), torsion=(2, 12))
@@ -849,8 +859,9 @@ class GroupDescriptor:
         if free_rank < 0 or q_rank < 0:
             raise InputError("ranks must be nonnegative")
         supports = []
-        for supp in loc:
-            s = tuple(sorted({_as_int(p, "localization prime") for p in supp}))
+        for supp in _as_iterable(loc, "'loc'"):
+            s = tuple(sorted({_as_int(p, "localization prime")
+                              for p in _as_iterable(supp, "a 'loc' support")}))
             for p in s:
                 if not _is_prime(p):
                     raise InputError(f"{p} is not prime in a localization support")
@@ -861,7 +872,7 @@ class GroupDescriptor:
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "q_rank", q_rank)
         object.__setattr__(self, "loc", tuple(sorted(supports)))
-        object.__setattr__(self, "torsion", invariant_factors(torsion))
+        object.__setattr__(self, "torsion", invariant_factors(_as_iterable(torsion, "'torsion'")))
 
     def __reduce__(self):  # copies and pickles rebuild through __init__, not setattr
         return type(self), (self.free_rank, self.q_rank, self.loc, self.torsion)
@@ -1035,6 +1046,16 @@ def _class_poly(coeffs, parity):
     return nums, den
 
 
+def _as_law(law):
+    """A law from outside, a pair ``(odd, even)`` of coefficient lists of
+    ints and ``Fraction``s (``_as_rational``), as a pair of tuples."""
+    if len(_as_list(law, "a law")) != 2:
+        raise InputError("a law must be a pair (odd, even) of coefficient lists")
+    law = (tuple(_as_list(law[0], "a law's odd coefficients")),
+           tuple(_as_list(law[1], "a law's even coefficients")))
+    return _as_rational(law, "law coefficient")
+
+
 def _as_int_rows(a, dim, wrong_size):
     """A step ``a`` (dense, or sparse rows of ``{column: value}``) as sparse
     rows without zeros, by the rule of ``_as_int``; a size other than
@@ -1072,15 +1093,18 @@ class DirectedSystem:
       exact), with ``finite_length = None``.
       ``DirectedSystem.from_family(dim, fn)`` takes an arbitrary callable and
       has no ``laws``, so no JSON form; ``colimit`` reads its laws off its
-      first 65 steps on each parity class, d = 2 .. 131.
+      first 65 steps on each parity class, d = 2 .. 131, into the form
+      ``from_laws`` keeps (``_family_laws``).
 
     ``DirectedSystem.from_laws(dim, diag, cells)`` builds the family whose
     entries are polynomials in ``d`` on each parity class of ``d``, with
     integer or ``Fraction`` coefficients and integer values on their class.
     A law is a pair ``(odd, even)`` of ascending coefficient tuples; the
     system keeps its ``laws`` as ``(diag, cells)``, one law per coordinate
-    and one ``(row, col, law)`` per off-diagonal cell, and ``colimit``
-    decides the system from them.
+    and one ``(row, col, law)`` per off-diagonal cell, each law a pair of
+    tuples, and ``colimit`` decides the system from them.  A law of any
+    other shape, a cell that is no triple, or a row or column that is no
+    integer raises ``InputError``.
     ``DirectedSystem.symbolic(dim, diag_laws, offdiag)`` reads JSON laws,
     integer polynomials in ``d``, each one law on both classes; ``to_json``
     writes them back.  Given a finite ``d_chain``, it evaluates the family
@@ -1094,9 +1118,11 @@ class DirectedSystem:
     where it enters, once, and kept as sparse int rows without zeros:
     ``explicit`` checks its matrices, ``from_family`` every step its callable
     returns, and ``from_laws`` checks its laws, so its own family needs no
-    check.  ``matrix`` and ``to_json`` copy them dense; the step at any
-    parameter ``d`` is ``matrix(1)`` of the same system built on
-    ``d_chain=[d]``.
+    check; ``symbolic`` checks its JSON laws and hands them, as do the
+    engine checks of ``ktheory`` with the laws they build, to
+    ``_from_checked_laws``, which ``from_laws`` calls once its checks pass.
+    ``matrix`` and ``to_json`` copy them dense; the step at any parameter
+    ``d`` is ``matrix(1)`` of the same system built on ``d_chain=[d]``.
     """
 
     def __init__(self, dim, *, family=None, d_chain=None, steps=None, laws=None):
@@ -1127,6 +1153,20 @@ class DirectedSystem:
 
     @classmethod
     def from_laws(cls, dim, diag, cells=()):
+        diag = tuple(map(_as_law, _as_list(diag, "diagonal laws")))
+        checked = []
+        for cell in _as_list(cells, "offdiag cells"):
+            if len(_as_list(cell, "an offdiag cell")) != 3:
+                raise InputError("an offdiag cell must be a triple (row, col, law)")
+            checked.append((_as_int(cell[0], "offdiag row"), _as_int(cell[1], "offdiag col"),
+                            _as_law(cell[2])))
+        return cls._from_checked_laws(dim, diag, checked)
+
+    @classmethod
+    def _from_checked_laws(cls, dim, diag, cells=()):
+        """``from_laws`` for laws already in its form, pairs of tuples of
+        ints and ``Fraction``s, with integer rows and columns: the laws that
+        ``symbolic`` reads and those the library builds (``kappa_laws``)."""
         dim = _as_int(dim, "system dimension")
         diag, cells = tuple(diag), tuple(cells)
         if len(diag) != dim:
@@ -1176,7 +1216,7 @@ class DirectedSystem:
                                for x in _as_list(entry.get("poly"), "offdiag 'poly'"))
             cells.append((r, c, (coeffs, coeffs)))
         # built first, so that ``dim`` and the laws are checked before the chain
-        system = cls.from_laws(dim, [(p, p) for p in polys], cells)
+        system = cls._from_checked_laws(dim, [(p, p) for p in polys], cells)
         if d_chain is None:
             return system
         ds = tuple(_as_int(d, "d_chain entry") for d in _as_list(d_chain, "d_chain"))
@@ -1647,29 +1687,23 @@ def _difference_law(values, first):
 
 
 def _family_laws(system):
-    """``(diag, feeds, entry)`` of a family without laws (``from_family``),
-    read off one window of its steps: the first ``_LONG_READ`` steps of each
-    parity class, d = 2 .. 2 * _LONG_READ + 1.  ``feeds`` are the arcs of
-    their union zero pattern.  ``entry(i, j)`` reads an entry's law on each
-    class by ``_difference_law``, and is None when no polynomial of degree
-    <= 63 fits: 64 values fix such a law and the 65th confirms it.  The
-    degree rule is a heuristic: a family that changes past the window is
-    read as the law of the window.  Only a cycle reads entries off the
-    diagonal.
+    """The laws ``(diag, cells)`` of a family without laws (``from_family``),
+    in the form ``from_laws`` keeps, read off one window of its steps: the
+    first ``_LONG_READ`` steps of each parity class, d = 2 .. 2 * _LONG_READ
+    + 1.  ``cells`` holds one ``(row, col, law)`` per off-diagonal entry
+    that some step of the window holds, in sorted order.  A law is read on
+    each class by ``_difference_law``, and is None when no polynomial of
+    degree <= 63 fits: 64 values fix such a law and the 65th confirms it.
+    The degree rule is a heuristic: a family that changes past the window is
+    read as the law of the window.
     """
     steps = list(map(system._step, range(1, 2 * _LONG_READ + 1)))
-    feeds = [set() for _ in range(system.dim)]
-    for m in steps:
-        for i, row in enumerate(m):
-            for j in row.keys() - {i}:
-                feeds[j].add(i)
-
-    def entry(i, j):  # steps[0] is d = 2, so a class from ``first`` starts at first - 2
-        law = tuple(_difference_law([m[i].get(j, 0) for m in steps[first - 2::2]], first)
-                    for first in (3, 2))
-        return None if None in law else law
-
-    return [entry(p, p) for p in range(system.dim)], feeds, entry
+    held = sorted({(i, j) for m in steps for i, row in enumerate(m) for j in row if j != i})
+    # steps[0] is d = 2, so a class from ``first`` starts at steps[first - 2]
+    laws = [tuple(_difference_law([m[i].get(j, 0) for m in steps[first - 2::2]], first)
+                  for first in (3, 2)) for i, j in [(p, p) for p in range(system.dim)] + held]
+    laws = [None if None in law else law for law in laws]
+    return laws[:system.dim], [(i, j, law) for (i, j), law in zip(held, laws[system.dim:])]
 
 
 _CANONICAL = "classified along the canonical divisibility-cofinal chain d = 2, 3, 4, ..."
@@ -1678,8 +1712,10 @@ _CANONICAL = "classified along the canonical divisibility-cofinal chain d = 2, 3
 def _colimit_laws(system):
     """The colimit of a family on the canonical chain, decided from its laws:
     those it was built from (``from_laws``, ``symbolic``), or those read off
-    one window of its steps (``_family_laws``).  A nonzero off-diagonal law at
-    ``(i, j)`` is a feed arc from ``j`` to ``i``.
+    one window of its steps (``_family_laws``), both as ``(diag, cells)``.  A
+    cell ``(i, j, law)`` is a feed arc from ``j`` to ``i`` when its law is
+    nonzero on a class, or None (read, but fit by no polynomial): a cycle
+    that reads a None law refuses it as fitting no monomial.
 
     The flag.  With no cycle of feed arcs its directions are the
     coordinates, each with its diagonal law (``_triangular_flag``).  With a
@@ -1739,18 +1775,15 @@ def _colimit_laws(system):
     dead ones first, then the other non-free ones, then the free ones.
     """
     dim = system.dim
-    if system.laws is None:
-        diag, feeds, entry = _family_laws(system)
-    else:
-        diag, cells = system.laws
-        feeds, at = [set() for _ in range(dim)], {}
-        for r, c, law in cells:
-            if any(map(any, law)):
-                feeds[c].add(r)
-                at[r, c] = law
+    diag, cells = system.laws or _family_laws(system)
+    feeds, at = [set() for _ in range(dim)], {}
+    for r, c, law in cells:
+        if law is None or any(map(any, law)):
+            feeds[c].add(r)
+            at[r, c] = law
 
-        def entry(i, j):  # a cell with no law, or a zero one, is zero on both classes
-            return diag[i] if i == j else at.get((i, j), ((0,), (0,)))
+    def entry(i, j):  # a cell that is no arc is zero on both classes
+        return diag[i] if i == j else at.get((i, j), ((0,), (0,)))
 
     coupled, flag, typed = _coupled(feeds), _triangular_flag(feeds, diag), {}
     laws, block = diag, coupled  # the directions' laws; the coupled ones among them
@@ -1795,8 +1828,9 @@ def colimit(system):
 
     A family on the canonical chain gets an exact answer
     (``truncated = False``) or a refusal (``UnsupportedSystemError``) with a
-    diagnostic from its laws (``_colimit_laws``), read off the steps at
-    d = 2 .. 131 for a family built by ``from_family``.  The rule is generic: the engine checks
+    diagnostic from its laws ``(diag, cells)`` (``_colimit_laws``); a
+    family built by ``from_family`` has them read off its steps at
+    d = 2 .. 131 (``_family_laws``).  The rule is generic: the engine checks
     of ``ktheory.k_of_A0`` and ``k_of_B0`` hand it the laws of ``kappa``,
     the one thing they share with the closed forms.  Finite chains (a
     symbolic system with a finite ``d_chain`` is one) report the exact

@@ -377,7 +377,7 @@ def k_of_B0(n, engine_check=None):
         powers = [((0,) * (n - k) + (1,),) * 2 for k in range(n + 1)]  # d^(n-k), both classes
         for parity, expected in ((0, k0), (1, k1)):
             degrees = _subset_sizes(n, parity)
-            system = DirectedSystem.from_laws(len(degrees), [powers[k] for k in degrees])
+            system = DirectedSystem._from_checked_laws(len(degrees), [powers[k] for k in degrees])
             got = colimit(system).invariants
             if got != expected:
                 raise CrossCheckError(
@@ -414,7 +414,7 @@ def k_of_A0(n, engine_check=None):
     if engine_check is None:
         engine_check = n <= 12
     if engine_check:
-        system = DirectedSystem.from_laws(kappa(n, 2).size, *kappa_laws(n))
+        system = DirectedSystem._from_checked_laws(kappa(n, 2).size, *kappa_laws(n))
         got = colimit(system).invariants
         if got != k0:
             raise CrossCheckError(
@@ -920,13 +920,16 @@ def classify_B(field, gamma=(), truncate=None, grading_offset=None):
     4. ``r1 >= 2`` even: Z/2 tensor Lambda(Gamma) (no sign data needed).
 
     With ``r1`` odd and no generators supplied the case split is undecidable
-    and an ``InputError`` explains what is missing.  The default grading
+    and an ``InputError`` explains what is missing; so does one for a
+    generator that is not a nonzero element of ``field``.  The default grading
     places exterior degree ``k`` in ``K_((k + n) mod 2)``.
     """
     offset = _grading_offset(grading_offset, field.degree % 2)
     parities = []
     notes = []
     for el in gamma:
+        if getattr(el, "field", None) is not field:
+            raise InputError(f"generator {el!r} is not an element of the field")
         if el.is_zero:
             raise InputError("generators must be nonzero field elements")
         p = field.sign_parity(el)

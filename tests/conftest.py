@@ -279,6 +279,27 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, old)
 
 
+def trimmed_laws(laws):
+    """Laws ``(diag, cells)`` to compare as polynomials: each law's
+    coefficients as ``Fraction``s with no zero above the degree (a None law
+    stays None), and the cells sorted, less those zero on both classes."""
+    def trimmed(law):
+        if law is None:
+            return None
+        out = []
+        for coeffs in law:
+            coeffs = list(map(Fraction, coeffs))
+            while len(coeffs) > 1 and not coeffs[-1]:
+                coeffs.pop()
+            out.append(tuple(coeffs))
+        return tuple(out)
+
+    diag, cells = laws
+    return ([trimmed(law) for law in diag],
+            sorted((r, c, trimmed(law)) for r, c, law in cells
+                   if law is None or any(map(any, law))))
+
+
 def seeded_rng(name):
     """Deterministic RNG per test, keyed by a label."""
     return random.Random(f"ringkt::{name}")

@@ -263,6 +263,26 @@ def test_descriptor_validation():
         GroupDescriptor(torsion=(0,))
 
 
+@pytest.mark.parametrize("make, text", [
+    (lambda: GroupDescriptor(loc=5), "'loc' 5 is not iterable"),
+    (lambda: GroupDescriptor(loc=[2]), "a 'loc' support 2 is not iterable"),
+    (lambda: GroupDescriptor(torsion=5), "'torsion' 5 is not iterable"),
+    (lambda: invariant_factors(5), "cyclic orders 5 is not iterable"),
+], ids=["loc", "loc-support", "torsion", "invariant-factors"])
+def test_a_summand_list_that_is_not_iterable_is_refused(make, text):
+    with pytest.raises(InputError) as exc:
+        make()
+    assert text in str(exc.value)
+
+
+def test_every_iterable_summand_list_is_accepted():
+    want = GroupDescriptor(loc=[[2], [3, 5]], torsion=[2, 4])
+    assert GroupDescriptor(loc=({2}, (p for p in (5, 3))), torsion=(4, 2)) == want
+    assert GroupDescriptor(loc=(s for s in ([2], (3, 5))), torsion={2, 4}) == want
+    assert GroupDescriptor(torsion=(x for x in (4, 2))) == GroupDescriptor(torsion=[2, 4])
+    assert invariant_factors(x for x in (4, 2, 3)) == invariant_factors({4, 2, 3}) == (2, 12)
+
+
 def test_localization_primes_are_decided_or_refused():
     # 2^61 - 1 is prime, and far beyond trial division
     assert str(GroupDescriptor(loc=[[2 ** 61 - 1]])) == "Loc{2305843009213693951}"

@@ -11,6 +11,7 @@ import random
 import re
 from pathlib import Path
 
+from conftest import trimmed_laws
 from ringkt import abgrp
 from ringkt.abgrp import DirectedSystem, colimit
 from ringkt.errors import UnsupportedSystemError
@@ -116,3 +117,12 @@ def test_laws_read_off_the_steps_keep_each_outcome():
         system = DirectedSystem.from_json(obj)
         sampled = DirectedSystem.from_family(system.dim, system._family)
         assert _report_or_text(sampled) == _report_or_text(system), obj
+
+
+def test_the_law_reader_gives_each_system_its_own_laws():
+    # one law per coordinate, and one per cell that a step holds, in sorted order
+    for obj in colim_census.systems(1, 100):
+        system = DirectedSystem.from_json(obj)
+        diag, cells = abgrp._family_laws(DirectedSystem.from_family(system.dim, system._family))
+        assert [cell[:2] for cell in cells] == sorted(cell[:2] for cell in cells)
+        assert trimmed_laws((diag, cells)) == trimmed_laws(system.laws), obj

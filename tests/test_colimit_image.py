@@ -8,26 +8,26 @@ of the window's composite).  The law route reads an isolated coordinate
 (every step diagonal on it) off its diagonal law and walks only the coupled
 ones; its ``rank`` and ``stabilization_level`` are checked against the same
 oracles on the first ``max(14, dim + 6)`` steps of the whole system, the
-horizon.  The feed arcs that ``abgrp._family_laws`` reads off a family are
+horizon.  The cells that ``abgrp._family_laws`` reads off a family are
 checked against the union zero pattern of the steps at d = 2 .. 131, the
-window it reads.  The relations of a report come from the kernel of the
-composite up to the stabilization level, printed as its Hermite normal
-form, and only when read; the kernel of the composite up to the horizon is
-their oracle.  At full rank they are empty and no composite is formed, and
-``identified`` reads its window's rank off a pushed basis.
+window it reads, and their laws against the family's own.  The relations
+of a report come from the kernel of the composite up to the stabilization
+level, printed as its Hermite normal form, and only when read; the kernel
+of the composite up to the horizon is their oracle.  At full rank they are
+empty and no composite is formed, and ``identified`` reads its window's
+rank off a pushed basis.
 """
 
 import dataclasses
 import json
 import pathlib
-from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import deadline, random_unimodular, seeded_rng
+from conftest import deadline, random_unimodular, seeded_rng, trimmed_laws
 from ringkt import abgrp, ktheory
 from ringkt.abgrp import DirectedSystem, GroupDescriptor, colimit, identified, mat_mul
 from ringkt.cli import main
@@ -432,25 +432,16 @@ def _union_pattern(maps):
 
 def _isolated(system):
     """The number of isolated coordinates of the samples' union pattern;
-    checks the arcs that ``_family_laws`` reads off the samples, against the
-    union pattern of the steps at d = 2 .. 131, and its diagonal laws,
-    against the system's own laws, on the way."""
-    diag, feeds, _ = abgrp._family_laws(DirectedSystem.from_family(system.dim, system._family))
-    assert feeds == _union_pattern([system._family(d) for d in range(2, 132)])
-    assert list(map(_trimmed, diag)) == list(map(_trimmed, system.laws[0]))
+    checks the cells that ``_family_laws`` reads off the samples, against the
+    union pattern of the steps at d = 2 .. 131 in sorted order, and its laws,
+    against the system's own nonzero laws, on the way."""
+    laws = abgrp._family_laws(DirectedSystem.from_family(system.dim, system._family))
+    feeds = _union_pattern([system._family(d) for d in range(2, 132)])
+    assert [(i, j) for i, j, _ in laws[1]] == sorted((i, j) for j, into in enumerate(feeds)
+                                                     for i in into)
+    assert trimmed_laws(laws) == trimmed_laws(system.laws)
     return sum(not into and not any(p in other for other in feeds)
                for p, into in enumerate(feeds))
-
-
-def _trimmed(law):
-    """A law's coefficients as ``Fraction``s, with no zero above the degree."""
-    out = []
-    for coeffs in law:
-        coeffs = list(map(Fraction, coeffs))
-        while len(coeffs) > 1 and not coeffs[-1]:
-            coeffs.pop()
-        out.append(tuple(coeffs))
-    return tuple(out)
 
 
 def test_the_sampled_report_matches_on_the_engine_check_systems(monkeypatch):

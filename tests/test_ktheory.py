@@ -709,6 +709,13 @@ def test_classify_B_rationals():
                for r in rep.truncations)
 
 
+@pytest.mark.parametrize("gen", [1, None, "1,1", parse_field("x^2 - 3").element([1, 1])],
+                         ids=["int", "none", "text", "other-field"])
+def test_classify_B_refuses_a_generator_outside_the_field(gen):
+    with pytest.raises(InputError, match="is not an element of the field"):
+        classify_B(parse_field("x^2 - 2"), [gen])
+
+
 def test_classify_B_gaussian():
     qi = parse_field("x^2 + 1")
     rep = classify_B(qi)

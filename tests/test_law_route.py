@@ -165,7 +165,7 @@ def class_laws(draw):
 def test_family_laws_read_back_as_their_laws(odd, even):
     system = DirectedSystem.from_laws(1, [(odd, even)])
     sampled = _sampled(system)
-    (law,), _, _ = abgrp._family_laws(sampled)
+    (law,), _ = abgrp._family_laws(sampled)
     assert law == (odd, even)
     assert _outcome(sampled) == _outcome(system)
 
@@ -174,9 +174,19 @@ def test_family_laws_read_back_as_their_laws(odd, even):
                          ids=["late-change", "exponential"])
 def test_a_family_that_fits_no_polynomial_is_refused(step):
     system = DirectedSystem.from_family(1, lambda d: [[step(d)]])
-    (law,), _, _ = abgrp._family_laws(system)
+    (law,), _ = abgrp._family_laws(system)
     assert law is None
     assert _outcome(system) == _NO_FIT
+
+
+@pytest.mark.parametrize("below, text", [
+    (1, _NO_FIT),  # the cycle reads the cell
+    (0, "non-free direction 1 couples into non-divisible direction 0"),
+], ids=["cycle", "acyclic"])
+def test_a_cell_that_fits_no_polynomial_is_an_arc(below, text):
+    system = DirectedSystem.from_family(2, lambda d: [[1, 2 ** d], [below, d]])
+    assert (0, 1, None) in abgrp._family_laws(system)[1]
+    assert text in str(_outcome(system))
 
 
 def test_a_family_zero_on_the_first_samples_and_at_101_is_refused():
@@ -279,6 +289,41 @@ def test_laws_must_be_integer_valued_on_their_class():
         DirectedSystem.from_laws(1, [(half, (1,))])
     with pytest.raises(InputError, match="not an integer or a Fraction"):
         DirectedSystem.from_laws(1, [((1.5,), (1,))])
+
+
+_ONE = ((1,), (1,))
+
+
+@pytest.mark.parametrize("diag, cells, text", [
+    ([([1], [1])] * 2, [(0, 1, [[1], [1]])], None),  # lists are read as tuples
+    ([(1, 1)] * 2, (), "a law's odd coefficients must be a list"),
+    ([((1,),)] * 2, (), "a law must be a pair"),
+    ([((1,), (1,), (1,))] * 2, (), "a law must be a pair"),
+    ([(([1],), (1,))] * 2, (), "law coefficient [1] is not an integer or a Fraction"),
+    ([_ONE, ((1.0,), (1,))], (), "law coefficient 1.0 is not an integer or a Fraction"),
+    ([_ONE, ((True,), (1,))], (), "law coefficient True is not an integer or a Fraction"),
+    ([_ONE] * 2, [(0, 1, (1, 1))], "a law's odd coefficients must be a list"),
+    ([_ONE] * 2, [(0, 1)], "an offdiag cell must be a triple"),
+    ([_ONE] * 2, [(0, 1, _ONE, 0)], "an offdiag cell must be a triple"),
+    ([_ONE] * 2, [5], "an offdiag cell must be a list"),
+    ([_ONE] * 2, [("0", 1, _ONE)], "offdiag row '0' is not an integer"),
+    ([_ONE] * 2, [(True, 0, _ONE)], "offdiag row True is not an integer"),
+    ([_ONE] * 2, [(0, 1.0, _ONE)], "offdiag col 1.0 is not an integer"),
+    (5, (), "diagonal laws must be a list"),
+    ([_ONE] * 2, 5, "offdiag cells must be a list"),
+], ids=["lists", "law-of-ints", "one-class", "three-classes", "list-coefficient",
+        "float-equal-to-a-law-before", "bool-equal-to-a-law-before",
+        "cell-law-of-ints", "pair-cell", "quadruple-cell", "int-cell", "str-row", "bool-row",
+        "float-col", "int-diag", "int-cells"])
+def test_malformed_laws_are_refused_as_input(diag, cells, text):
+    if text is None:
+        system = DirectedSystem.from_laws(2, diag, cells)
+        assert system.laws == ((_ONE, _ONE), ((0, 1, _ONE),))
+        assert str(colimit(system).invariants) == "Z^2"
+        return
+    with pytest.raises(InputError) as exc:
+        DirectedSystem.from_laws(2, diag, cells)
+    assert text in str(exc.value)
 
 
 @settings(max_examples=60, deadline=None)

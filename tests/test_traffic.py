@@ -20,7 +20,7 @@ def test_the_counter_on_a_small_callable():
     listed = set(names.values())
     assert {"abgrp.GroupDescriptor.__eq__", "abgrp.GroupDescriptor.__init__",
             "numfield.NumberField.roots_of_unity_order", "abgrp.DirectedSystem.symbolic",
-            "abgrp.DirectedSystem.from_laws.<locals>.family", "cli.colim"} <= listed
+            "abgrp.DirectedSystem._from_checked_laws.<locals>.family", "cli.colim"} <= listed
     same, calls = traffic.count_calls(
         lambda: GroupDescriptor.free(2) == GroupDescriptor(free_rank=2), names)
     assert same is True
@@ -34,7 +34,7 @@ def test_the_counter_on_a_small_callable():
     system = DirectedSystem.symbolic(1, [{"kind": "mult_d"}])
     matrix, calls = traffic.count_calls(lambda: system.matrix(3), names)
     assert matrix == [[4]]
-    assert calls["abgrp.DirectedSystem.from_laws.<locals>.family"] == 1
+    assert calls["abgrp.DirectedSystem._from_checked_laws.<locals>.family"] == 1
 
 
 def test_generated_methods_are_told_apart():
