@@ -33,20 +33,20 @@ exports are
   that vanishes proves a "yes" by itself, and the window it walks reaches the
   rank within the ``2 * dim`` steps the rank's proof bounds.  The engine
   keeps every structure map as sparse rows, checked once in whichever form it
-  came; only the kernel lattice, the basis the eigen classifier restricts to
-  and public return values get dense copies.  Steps are multiplied together
-  only in the relations below full rank.  A coordinate on which every map is
-  diagonal (an isolated one) is a direct summand of rank at most one, read
-  off its diagonal; only the other, coupled coordinates go through the pass
-  over the composites' images.
+  came; only the kernel lattice and public return values get dense copies.
+  Steps are multiplied together only in the relations below full rank.  A
+  coordinate on which every map is diagonal (an isolated one) is a direct
+  summand of rank at most one, read off its diagonal; only the other,
+  coupled coordinates go through the pass over the composites' images.
 
 A family is decided from its laws, polynomials in ``d`` on each parity class
 of ``d`` (``_colimit_laws``): given, or read by finite differences off one
 window of its steps, d = 2 .. 131 (``_family_laws``).  Its directions are the
 coordinates when the feed arcs of its off-diagonal laws have no cycle, and
 otherwise the joint eigenspaces of its coefficient matrices, read in integers
-(characteristic polynomials, their integer roots and generalized eigenspaces;
-no sympy).  Each direction law must be a monomial ``c * d**e`` or zero on
+on sparse rows (characteristic polynomials, their integer roots, and each
+joint generalized eigenspace's dimension as the corank of stacked powers; no
+sympy).  Each direction law must be a monomial ``c * d**e`` or zero on
 each class, and each distinct law is typed once by one rule; the colimit rank
 is proved, and the steps are read only up to the first level of that rank.
 Systems outside this class are rejected with a diagnostic instead of guessed
@@ -145,13 +145,6 @@ def as_int_matrix(a):
             out.append(list(row))
         else:
             out.append([_as_int(x, "matrix entry") for x in row])
-    return out
-
-
-def identity_matrix(k):
-    out = [[0] * k for _ in range(k)]
-    for i, row in enumerate(out):
-        row[i] = 1
     return out
 
 
@@ -1047,12 +1040,15 @@ def _class_poly(coeffs, parity):
 
 
 def _as_law(law):
-    """A law from outside, a pair ``(odd, even)`` of coefficient lists of
-    ints and ``Fraction``s (``_as_rational``), as a pair of tuples."""
+    """A law from outside, a pair ``(odd, even)`` of non-empty coefficient
+    lists of ints and ``Fraction``s (``_as_rational``), as a pair of tuples.
+    A coefficient list is never empty, here or in JSON: zero is ``[0]``."""
     if len(_as_list(law, "a law")) != 2:
         raise InputError("a law must be a pair (odd, even) of coefficient lists")
     law = (tuple(_as_list(law[0], "a law's odd coefficients")),
            tuple(_as_list(law[1], "a law's even coefficients")))
+    if not all(law):
+        raise InputError("a law's coefficient lists must be non-empty")
     return _as_rational(law, "law coefficient")
 
 
@@ -1214,6 +1210,8 @@ class DirectedSystem:
                 _check_keys(entry, ("row", "col", "poly"), "an offdiag entry")
                 coeffs = tuple(_as_int(x, "poly coefficient")
                                for x in _as_list(entry.get("poly"), "offdiag 'poly'"))
+                if not coeffs:
+                    raise InputError("offdiag 'poly' needs a non-empty list")
             cells.append((r, c, (coeffs, coeffs)))
         # built first, so that ``dim`` and the laws are checked before the chain
         system = cls._from_checked_laws(dim, [(p, p) for p in polys], cells)
@@ -1420,19 +1418,6 @@ def _colimit_finite(maps):
         "divisibility beyond the horizon is not certified",))
 
 
-def _law_fit(coeffs):
-    """A class polynomial's fit read off its ascending ``coeffs``:
-    ``("zero",)``, ``("monomial", c, e)`` when it has one nonzero term
-    ``c d^e``, and otherwise None."""
-    terms = [(e, c) for e, c in enumerate(coeffs) if c]
-    if not terms:
-        return ("zero",)
-    if len(terms) == 1:
-        (e, c), = terms
-        return ("monomial", Fraction(c), e)
-    return None
-
-
 _NO_MONOMIAL = ("diagonal scaling law fits no monomial c*d^e on a parity class; "
                 "the system is outside the certified class")
 
@@ -1442,24 +1427,27 @@ def _direction_type(law):
     polynomial per parity class of d (this covers parity-dependent laws), or
     None when no law could be read for it.
 
-    The law must be a monomial ``c d^e`` or zero on both classes.  Returns
-    ``None`` for a dead direction, a GroupDescriptor for a surviving one, and
-    raises for laws outside the certified class.
+    The law must be a monomial ``c d^e`` (one nonzero coefficient) or zero
+    on both classes.  Returns ``None`` for a dead direction, a
+    GroupDescriptor for a surviving one, and raises for laws outside the
+    certified class.
 
     The answer inverts the primes that divide infinitely many steps: all of
     them for an even-class ``e >= 1``; for an odd-class ``e >= 1`` the odd
     ones, and 2 when it divides either constant (else ``Z[1/p : p odd]``,
     which is refused); the primes of the constants otherwise.
     """
-    fits = (None,) if law is None else tuple(map(_law_fit, law))
-    if None in fits:
+    if law is None:
         raise UnsupportedSystemError(_NO_MONOMIAL)
-    if any(f[0] == "zero" for f in fits):
+    odd, even = ([(e, c.numerator) for e, c in enumerate(coeffs) if c] for coeffs in law)
+    if len(odd) > 1 or len(even) > 1:
+        raise UnsupportedSystemError(_NO_MONOMIAL)
+    if not (odd and even):
         # Zeros recur on a full parity class of the canonical chain: the
         # direction is annihilated infinitely often, so it dies in the colimit.
         return None
-    (_, c_odd, e_odd), (_, c_even, e_even) = fits
-    if e_odd >= 1 and e_even == 0 and c_odd.numerator % 2 and c_even.numerator % 2:
+    [(e_odd, c_odd)], [(e_even, c_even)] = odd, even
+    if e_odd >= 1 and e_even == 0 and c_odd % 2 and c_even % 2:
         raise UnsupportedSystemError(
             "the odd-step scaling c*d^e (e >= 1) inverts every odd prime but "
             "2 divides no step, so the colimit is Z[1/p : p odd], which no "
@@ -1468,8 +1456,8 @@ def _direction_type(law):
     if e_odd >= 1 or e_even >= 1:
         return GroupDescriptor.rationals(1)
     # Both laws are constant, hence integers.
-    primes = set(_factor_multiplicity(abs(c_odd.numerator)))
-    primes.update(_factor_multiplicity(abs(c_even.numerator)))
+    primes = set(_factor_multiplicity(abs(c_odd)))
+    primes.update(_factor_multiplicity(abs(c_even)))
     if not primes:
         return GroupDescriptor.free(1)
     return GroupDescriptor.localized(sorted(primes))
@@ -1496,14 +1484,6 @@ def _refuse_a_root(law):
                     "the certified class")
 
 
-def _coupled(feeds):
-    """The coordinates on some feed arc (``feeds[j]`` holds each ``i != j``
-    with a nonzero law, or sample, at ``(i, j)``): together a direct summand
-    of every step.  Each other coordinate is isolated, a direct summand of
-    rank at most one on which every step is diagonal."""
-    return {j for j, into in enumerate(feeds) if into}.union(*feeds)
-
-
 def _reachable(feeds, start):
     """The coordinates reached from ``start`` along one or more feed arcs;
     ``start`` is among them exactly when it lies on a cycle."""
@@ -1517,31 +1497,16 @@ def _reachable(feeds, start):
     return seen
 
 
-def _triangular_flag(feeds, laws):
-    """The flag of a system whose feed arcs (see ``_coupled``) have no
-    cycle: one direction ``(laws[p], the coordinates p reaches)`` per
-    coordinate ``p``.  None when a coordinate reaches itself: it closes a
-    cycle, so no common triangular order exists."""
-    reach = [_reachable(feeds, p) if into else () for p, into in enumerate(feeds)]
-    if any(p in into for p, into in enumerate(reach)):
-        return None
-    return [(law, sorted(into)) for law, into in zip(laws, reach)]
-
-
 def _flag_sum(flag, r, typed):
     """The colimit read off a flag of directions, each ``(law, into)``.
 
-    ``into`` lists the flag indices the direction couples into.  ``typed``
-    maps the laws typed already to their types; ``_direction_type`` is
-    pure, so it types each other distinct law once, here.  The survivors
-    must number the proved rank ``r``.  Split safety: a non-free
-    survivor may couple only into divisible or dead directions, since only
-    then is the extension certified to split; the answer is their direct
-    sum.
+    ``into`` lists the flag indices the direction couples into, and
+    ``typed`` maps each direction's law to its type, which
+    ``_direction_type`` gave it once per distinct law.  The survivors must
+    number the proved rank ``r``.  Split safety: a non-free survivor may
+    couple only into divisible or dead directions, since only then is the
+    extension certified to split; the answer is their direct sum.
     """
-    for law, _ in flag:
-        if law not in typed:
-            typed[law] = _direction_type(law)
     types = [typed[law] for law, _ in flag]
     survivors = [t for t in types if t is not None]
     if len(survivors) != r:
@@ -1562,78 +1527,106 @@ def _flag_sum(flag, r, typed):
     return GroupDescriptor.zero().direct_sum(*survivors)
 
 
-def _restricted_maps(maps, basis):
-    """Each map of sparse rows on the column span of ``basis``, which it
-    preserves: ``t`` with ``m @ basis == basis @ t``, solved exactly."""
-    rows, r = _sparse_rows(basis), len(basis[0])
-    return [solve_exact(basis, _dense_rows(_sparse_mul(m, rows), r)) for m in maps]
+def _eigen_powers(t):
+    """``(k, (t - k)^n)`` per integer root ``k`` of the characteristic
+    polynomial of the ``n x n`` integer map ``t``, both maps as sparse rows:
+    the kernel of the power is the generalized eigenspace of ``k``.
 
-
-def _rational_eigenspaces(t):
-    """``(k, columns of its generalized eigenspace)`` per rational eigenvalue
-    ``k`` of ``t``, an integer map restricted to an invariant subspace: its
-    characteristic polynomial (Faddeev--LeVerrier; Cohen, section 2.2) is
-    monic and integral, so ``k`` is one of its integer roots, and the kernel
-    of ``(t - k)^n`` is not zero."""
+    The polynomial comes from Faddeev--LeVerrier (Cohen, section 2.2) in
+    ints: ``M_1 = I``, ``c_k = -tr(t M_k) / k`` and
+    ``M_(k+1) = t M_k + c_k I``.  It is monic and integral, so each division
+    is exact, and a remainder raises ``CrossCheckError``; its rational roots
+    are integers.  A root whose power has full rank, so no eigenspace, raises
+    ``CrossCheckError`` too.
+    """
     from . import numfield
 
     n = len(t)
-    poly, tm = [Fraction(1)], t  # descending coefficients; tm = t @ M_k
+
+    def plus(rows, c):  # rows + c I, as sparse rows without zeros
+        out = [dict(row) for row in rows]
+        for i, row in enumerate(out):
+            row[i] = row.get(i, 0) + c
+            if not row[i]:
+                del row[i]
+        return out
+
+    poly, tm = [1], [{}] * n  # descending coefficients; tm = t M_(k-1), M_0 = 0
     for k in range(1, n + 1):
-        poly.append(-sum(tm[i][i] for i in range(n)) / k)
-        tm = mat_mul(t, [[x + poly[-1] * (i == j) for j, x in enumerate(row)]
-                         for i, row in enumerate(tm)])
+        tm = _sparse_mul(t, plus(tm, poly[-1]))
+        c, rem = divmod(-sum(row.get(i, 0) for i, row in enumerate(tm)), k)
+        if rem:
+            raise CrossCheckError(f"the trace of t M_{k} is not divisible by {k}, so the "
+                                  "characteristic polynomial is not integral")
+        poly.append(c)
     out = []
     for k in numfield.integer_roots(poly[::-1]):
-        shifted = [[x - k * (i == j) for j, x in enumerate(row)] for i, row in enumerate(t)]
-        den = math.lcm(*(x.denominator for row in shifted for x in row))
-        power = step = [[int(x * den) for x in row] for row in shifted]
+        power = step = plus(t, -k)
         for _ in range(n - 1):
-            power = mat_mul(power, step)
-        vecs = _kernel_basis(_sparse_rows(power), n)
-        if not vecs:
+            power = _sparse_mul(power, step)
+        if len(_echelon(power)) == n:
             raise CrossCheckError(f"(t - {k})^{n} has no kernel, though {k} is a root "
                                   "of the characteristic polynomial")
-        out.append((k, [list(col) for col in zip(*vecs)]))
+        out.append((k, power))
     return out
 
 
 def _common_flag_eigenvalues(ts):
-    """Eigenvalue tuples of a common flag for the commuting integer family
-    ``ts``: each map in turn splits every space by its generalized
-    eigenspaces, and each joint tuple comes as often as its space has
-    dimensions, largest absolute values first."""
-    r = len(ts[0])
-    spaces = [((), identity_matrix(r))]
+    """Eigenvalue tuples of a common flag for the commuting ``n x n``
+    integer maps ``ts``, given as sparse rows: each joint tuple comes as
+    often as its joint generalized eigenspace has dimensions, largest
+    absolute values first.
+
+    Over an algebraic closure, ``Q^n`` is the direct sum of the joint
+    generalized eigenspaces ``V_l`` of the commuting ``ts``, one per tuple
+    ``l`` of their eigenvalues, and every map preserves every ``V_l``.  On
+    ``V_l``, ``t_i - k`` is nilpotent when ``l_i = k`` and invertible
+    otherwise, so the kernel of ``(t_i - k)^n`` is the sum of the ``V_l``
+    with ``l_i = k``, and the kernels of the ``(t_i - k_i)^n`` meet in
+    ``V_k`` alone.  That meet is the kernel of the powers stacked, of
+    dimension ``n`` less their rank, and a rank over Q is the rank over its
+    closure.  So each map in turn extends every tuple by each integer root
+    ``k`` of its characteristic polynomial (``_eigen_powers``), stacking
+    ``(t - k)^n`` onto the tuple's rows (kept as an echelon basis), and
+    keeps the tuple while the rank is below ``n``; the tuple comes
+    ``n - rank`` times.  No eigenspace basis is formed.  The tuples fill
+    ``n`` exactly when every joint eigenvalue is rational; otherwise the
+    system is refused.
+    """
+    n = len(ts[0])
+    joint = [((), [])]  # each tuple, and an echelon basis of its stacked powers
     for t in ts:
-        spaces = [(vals + (k,), mat_mul(b, sub))
-                  for vals, b in spaces
-                  for k, sub in _rational_eigenspaces(_restricted_maps([_sparse_rows(t)], b)[0])]
-    flag = sorted((vals for vals, b in spaces for _ in b[0]),
+        split = _eigen_powers(t)
+        joint = [(vals + (k,), rows) for vals, stack in joint for k, power in split
+                 if len(rows := list(_echelon(stack + power).values())) < n]
+    flag = sorted((vals for vals, rows in joint for _ in range(n - len(rows))),
                   key=lambda vals: (tuple(-abs(v) for v in vals), vals))
-    if len(flag) < r:
+    if len(flag) < n:
+        # No restricted map is formed any more, but the text is kept: the
+        # census's REASONS and lines and the tests compare it.  It is renamed
+        # with the other refusal texts (ROADMAP item 1).
         raise UnsupportedSystemError(
             "a restricted structure map has an irrational eigenvalue; "
             "the system is outside the certified class")
     for i, t in enumerate(ts):
-        if sum(vals[i] for vals in flag) != sum(t[j][j] for j in range(r)):
+        if sum(vals[i] for vals in flag) != sum(row.get(j, 0) for j, row in enumerate(t)):
             raise CrossCheckError(f"the eigenvalues of structure map {i} do not sum to its trace")
     return flag
 
 
-def _eigen_laws(coords, entry):
-    """One law per direction of a common flag of the coordinates ``coords``,
-    whose entries' laws ``entry(i, j)`` feed along a cycle.
+def _eigen_laws(laws):
+    """One law per direction of a common flag of the coupled coordinates,
+    whose laws ``laws[i][j]`` (a cell that is no arc zero on both classes)
+    feed along a cycle.
 
     On each parity class a step is ``M(d) = sum_k A_k d^k``, ``A_k`` the
     matrix of the entries' coefficients of ``d^k``.  With ``B_k`` those of a
     class (the same or the other), ``M(d) M(d') - M(d') M(d)`` is
     ``sum_(j,k) [A_j, B_k] d^j d'^k``: the steps commute exactly when all
-    coefficient matrices commute pairwise.  These are split jointly by
-    ``_common_flag_eigenvalues``, each distinct one once and scaled to
-    integers first, and a joint tuple's eigenvalues, scaled back, are its
-    direction's coefficients."""
-    laws = [[entry(i, j) for j in coords] for i in coords]
+    coefficient matrices commute pairwise.  Each distinct one is scaled to
+    integers, they are split jointly by ``_common_flag_eigenvalues``, and a
+    joint tuple's eigenvalues, scaled back, are its direction's
+    coefficients."""
     if any(None in row for row in laws):
         raise UnsupportedSystemError(_NO_MONOMIAL)
     distinct, at = {}, {}  # each distinct coefficient matrix, and each key's index into them
@@ -1641,16 +1634,16 @@ def _eigen_laws(coords, entry):
                         for c, coeffs in enumerate(law) for k, x in enumerate(coeffs) if x}):
         t = tuple(tuple(dict(enumerate(law[c])).get(k, 0) for law in row) for row in laws)
         at[c, k] = distinct.setdefault(t, len(distinct))
-    ts = list(distinct)
-    if any(mat_mul(a, b) != mat_mul(b, a) for a, b in combinations(ts, 2)):
+    dens = [math.lcm(*(x.denominator for row in t for x in row)) for t in distinct]
+    ts = [_sparse_rows([[int(x * den) for x in row] for row in t])
+          for t, den in zip(distinct, dens)]
+    if any(_sparse_mul(a, b) != _sparse_mul(b, a) for a, b in combinations(ts, 2)):
         raise UnsupportedSystemError(
             "structure maps do not commute and no common triangular "
             "coordinate order exists; the system is outside the "
             "certified class"
         )
-    dens = [math.lcm(*(x.denominator for row in t for x in row)) for t in ts]
-    flag = _common_flag_eigenvalues([[[int(x * den) for x in row] for row in t]
-                                     for t, den in zip(ts, dens)])
+    flag = _common_flag_eigenvalues(ts)
     top = [max((k for c, k in at if c == cls), default=0) for cls in (0, 1)]
     return [tuple(tuple(Fraction(vals[at[c, k]], dens[at[c, k]]) if (c, k) in at else 0
                         for k in range(top[c] + 1)) for c in (0, 1)) for vals in flag]
@@ -1717,16 +1710,18 @@ def _colimit_laws(system):
     nonzero on a class, or None (read, but fit by no polynomial): a cycle
     that reads a None law refuses it as fitting no monomial.
 
-    The flag.  With no cycle of feed arcs its directions are the
-    coordinates, each with its diagonal law (``_triangular_flag``).  With a
-    cycle the isolated coordinates keep theirs, and the coupled ones are
+    The flag, built in one place.  With no cycle of feed arcs its directions
+    are the coordinates, each with its diagonal law.  With a cycle the
+    isolated coordinates (on no arc) keep theirs, and the coupled ones are
     split by the joint eigenspaces of their coefficient matrices
     (``_eigen_laws``); a family whose steps do not commute, or that has an
     irrational joint eigenvalue, is refused.  A living direction whose law
-    has a root on the chain is refused (``_refuse_a_root``), and each other
-    law is typed (``_direction_type``): it must be a monomial ``c d^e`` with
-    ``c != 0`` or zero on each class.  A direction is dead when its law is
-    zero on a class; the other ``s0`` never vanish on the chain.
+    has a root on the chain is refused (``_refuse_a_root``), the kept laws
+    first, then the eigen ones.  Then each distinct law is typed once
+    (``_direction_type``), the eigen ones first, and ``_flag_sum`` reads the
+    types: a law must be a monomial ``c d^e`` with ``c != 0`` or zero on
+    each class.  A direction is dead when its law is zero on a class; the
+    other ``s0`` never vanish on the chain.
 
     The rank.  Order the directions so that every arc runs from a later one
     to an earlier one: every step is upper triangular, and so is every
@@ -1781,26 +1776,26 @@ def _colimit_laws(system):
         if law is None or any(map(any, law)):
             feeds[c].add(r)
             at[r, c] = law
-
-    def entry(i, j):  # a cell that is no arc is zero on both classes
-        return diag[i] if i == j else at.get((i, j), ((0,), (0,)))
-
-    coupled, flag, typed = _coupled(feeds), _triangular_flag(feeds, diag), {}
-    laws, block = diag, coupled  # the directions' laws; the coupled ones among them
-    if flag is None:
-        isolated = [diag[p] for p in range(dim) if p not in coupled]
-        eigen = _eigen_laws(sorted(coupled), entry)
-        laws, block = isolated + eigen, range(len(isolated), dim)
-    zeros = {law: _zero_classes(law) for law in dict.fromkeys(laws)}
+    # the coordinates on some arc: together a direct summand of every step
+    coupled = {j for j, into in enumerate(feeds) if into}.union(*feeds)
+    reach = [_reachable(feeds, p) if into else () for p, into in enumerate(feeds)]
+    kept, eigen = diag, []  # the coordinates' own laws that stay; the eigen directions'
+    if any(p in into for p, into in enumerate(reach)):  # a cycle: no triangular order
+        coords = sorted(coupled)
+        kept = [diag[p] for p in range(dim) if p not in coupled]
+        eigen = _eigen_laws([[diag[i] if i == j else at.get((i, j), ((0,), (0,)))
+                              for j in coords] for i in coords])
+    zeros = {law: _zero_classes(law) for law in dict.fromkeys([*kept, *eigen])}
     for law in zeros:
         _refuse_a_root(law)
-    if flag is None:
-        typed = {law: _direction_type(law) for law in dict.fromkeys(eigen)}
-        eigen.sort(key=lambda law: 0 if typed[law] is None or typed[law].is_divisible
-                   else 2 if typed[law].is_free else 1)
-        laws = isolated + eigen
-        flag = [(law, ()) if p < block.start else (law, range(block.start, p))
-                for p, law in enumerate(laws)]
+    typed = {law: _direction_type(law) for law in dict.fromkeys([*eigen, *zeros])}
+    eigen.sort(key=lambda law: 0 if typed[law] is None or typed[law].is_divisible
+               else 2 if typed[law].is_free else 1)
+    laws = [*kept, *eigen]  # the directions' laws
+    block = range(len(kept), dim) if eigen else coupled  # the coupled ones among them
+    if eigen:
+        reach = [range(block.start, p) if p in block else () for p in range(dim)]
+    flag = [(law, sorted(into)) for law, into in zip(laws, reach)]
     dead = [p for p, law in enumerate(laws) if True in zeros[law]]
     s0 = dim - len(dead)
     invariants = _flag_sum(flag, s0, typed)

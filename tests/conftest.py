@@ -133,6 +133,11 @@ def cyclotomic(m):
     return [int(c) for c in out]
 
 
+def identity_matrix(k):
+    """The dense ``k x k`` integer identity."""
+    return [[int(i == j) for j in range(k)] for i in range(k)]
+
+
 def bareiss_determinant(a):
     """Determinant of a square integer matrix by fraction-free Bareiss
     elimination: the dense route ``abgrp.determinant`` replaced, kept as the

@@ -394,6 +394,9 @@ def test_system_validation():
         DirectedSystem.from_json({"mode": "weird"})
     with pytest.raises(InputError):
         DirectedSystem.symbolic(1, [{"kind": "identity"}], d_chain=[1])
+    # an empty coefficient list is refused, as in a diagonal law; zero is [0]
+    with pytest.raises(InputError, match="offdiag 'poly' needs a non-empty list"):
+        DirectedSystem.symbolic(2, [{"kind": "identity"}] * 2, [{"row": 0, "col": 1, "poly": []}])
 
 
 def test_an_empty_d_chain_is_refused():
@@ -1062,24 +1065,53 @@ def _outcome(flag_sum, args):
 
 
 def _assert_flags_match_the_pair_route(run):
-    """Every ``(flag, r, typed)`` that ``run()``, which may be refused, hands to
-    ``_flag_sum`` gives the same descriptor or refusal on both routes."""
-    calls, flag_sum = [], abgrp._flag_sum
+    """Every flag that ``run()``, which may be refused, builds gives the same
+    descriptor or refusal on both routes; ``run`` is called twice, so it
+    reads no report ``colimit`` kept.  The library types each distinct
+    law once where it builds the flag, and ``_flag_sum`` reads the types, so
+    a law refused while typing refuses the run before ``_flag_sum``.  A
+    second run records such a refusal and types the law as a stand-in
+    instead, so that the flag reaches ``_flag_sum``; there the pair route
+    types every direction of it on its own and must give the refusal the
+    first run raised."""
+    try:
+        run()
+        raised = None
+    except UnsupportedSystemError as exc:
+        raised = str(exc)
+    calls, refusals, flag_sum, direction_type = [], [], abgrp._flag_sum, abgrp._direction_type
+
+    def typing(law):
+        try:
+            return direction_type(law)
+        except UnsupportedSystemError as exc:
+            refusals.append(str(exc))
+            return GroupDescriptor.free(1)
+
+    def reading(flag, r, typed):
+        calls.append((flag, r, typed, refusals[:1]))
+        refusals.clear()
+        return flag_sum(flag, r, typed)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(abgrp, "_flag_sum", lambda *args: calls.append(args) or flag_sum(*args))
+        mp.setattr(abgrp, "_direction_type", typing)
+        mp.setattr(abgrp, "_flag_sum", reading)
         try:
             run()
         except UnsupportedSystemError:
             pass
     assert calls
-    for args in calls:
-        assert _outcome(abgrp._flag_sum, args) == _outcome(_flag_sum_by_pairs, args)
+    for *args, refusal in calls:
+        if refusal:
+            assert refusal == [raised]
+        library = refusal[0] if refusal else _outcome(flag_sum, args)
+        assert library == _outcome(_flag_sum_by_pairs, args)
 
 
 @settings(max_examples=40, deadline=None)
 @given(system=triangular_systems())
 def test_flag_sum_matches_the_pair_route_on_triangular_systems(system):
-    _assert_flags_match_the_pair_route(lambda: colimit(system))
+    _assert_flags_match_the_pair_route(lambda: abgrp._colimit_laws(system))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -1105,11 +1137,12 @@ def test_each_value_sequence_is_typed_once(monkeypatch):
     typed, counts, flag_sum, direction_type = [], [], abgrp._flag_sum, abgrp._direction_type
 
     def count(flag, r, given):
-        before = len(typed)
-        out = flag_sum(flag, r, given)
-        assert typed[before:] == list(dict.fromkeys(law for law, _ in flag))
-        counts.append(len(typed) - before)
-        return out
+        # the laws typed since the last flag, as it was built: each of its
+        # distinct laws once, in the order of the flag (no eigen law here)
+        assert typed == list(dict.fromkeys(law for law, _ in flag)) == list(given)
+        counts.append(len(typed))
+        typed.clear()
+        return flag_sum(flag, r, given)
 
     monkeypatch.setattr(abgrp, "_flag_sum", count)
     monkeypatch.setattr(abgrp, "_direction_type",

@@ -126,3 +126,74 @@ def test_the_law_reader_gives_each_system_its_own_laws():
         diag, cells = abgrp._family_laws(DirectedSystem.from_family(system.dim, system._family))
         assert [cell[:2] for cell in cells] == sorted(cell[:2] for cell in cells)
         assert trimmed_laws((diag, cells)) == trimmed_laws(system.laws), obj
+
+
+_IRRATIONAL = ("refused: a restricted structure map has an irrational eigenvalue; "
+               "the system is outside the certified class")
+_NO_FIT = ("refused: diagonal scaling law fits no monomial c*d^e on a parity class; "
+           "the system is outside the certified class")
+# ``(seed, index, line)`` for each of the 47 census systems whose flag the
+# joint eigen split reads (seed 1 at count 2000, seeds 3 and 7 at count
+# 3000): 13 answers and 34 refusals
+CYCLE_LINES = [
+    (1, 325, "2f899680949c " + _IRRATIONAL),
+    (1, 532, "0767e5743edb " + _IRRATIONAL),
+    (1, 877, "b03147ae7157 " + _IRRATIONAL),
+    (1, 1086, "c46449476ede " + _NO_FIT),
+    (1, 1091, "146183f80182 " + _IRRATIONAL),
+    (1, 1127, "0da7c6dbf30d Loc{2}"),
+    (1, 1280, "299e6a8d51c6 " + _NO_FIT),
+    (1, 1414, "7139f2348581 " + _IRRATIONAL),
+    (1, 1904, "4229319b0713 " + _IRRATIONAL),
+    (3, 136, "411882d4f091 Q^2"),
+    (3, 533, "b824b92930b0 " + _NO_FIT),
+    (3, 566, "a4c4a2430142 " + _IRRATIONAL),
+    (3, 889, "ca2b9ce11818 " + _NO_FIT),
+    (3, 976, "2ac9702f5728 " + _IRRATIONAL),
+    (3, 1062, "74ae7f1bce8d " + _IRRATIONAL),
+    (3, 1293, "00a18e746165 Z + Loc{3}"),
+    (3, 1483, "3f157c216b39 " + _IRRATIONAL),
+    (3, 1920, "efebd20e13dd " + _IRRATIONAL),
+    (3, 1972, "1a16f0db6a73 " + _IRRATIONAL),
+    (3, 2027, "52b1fa331abb " + _IRRATIONAL),
+    (3, 2141, "598547bddabe " + _IRRATIONAL),
+    (3, 2209, "efb4ec7bdcf6 " + _IRRATIONAL),
+    (3, 2328, "45b7d8c49214 " + _IRRATIONAL),
+    (3, 2435, "f81c1c7ba4f7 Z^2"),
+    (3, 2454, "5fac2872ba36 " + _IRRATIONAL),
+    (3, 2489, "6fa632fba5fb " + _NO_FIT),
+    (3, 2490, "3951b9e1b38c " + _IRRATIONAL),
+    (3, 2703, "c74c9771ba35 " + _IRRATIONAL),
+    (3, 2903, "dc74e9332cee " + _IRRATIONAL),
+    (7, 34, "b2ca61078089 " + _IRRATIONAL),
+    (7, 280, "946715ebcc62 Q^3"),
+    (7, 292, "f78fb7abbab2 " + _IRRATIONAL),
+    (7, 554, "a961ed8579f0 Z^2"),
+    (7, 757, "ca2b9ce11818 " + _NO_FIT),
+    (7, 854, "261a9b1d55e8 Loc{2}"),
+    (7, 900, "bfa383544f92 Loc{2}"),
+    (7, 1260, "bfa383544f92 Loc{2}"),
+    (7, 1549, "7009a3b519ae Q"),
+    (7, 1604, "5b38b8fa687e " + _IRRATIONAL),
+    (7, 1677, "bfa383544f92 Loc{2}"),
+    (7, 1954, "a961ed8579f0 Z^2"),
+    (7, 2017, "9e761117c4c8 " + _IRRATIONAL),
+    (7, 2613, "ffe96b0b0b84 " + _IRRATIONAL),
+    (7, 2800, "5b16d8055fda " + _IRRATIONAL),
+    (7, 2861, "98a1320d0e71 Loc{2}"),
+    (7, 2862, "a1364ca6e4e0 " + _IRRATIONAL),
+    (7, 2912, "fd0df8178ad5 " + _IRRATIONAL),
+]
+
+
+def test_the_cycle_systems_keep_their_census_lines(monkeypatch):
+    split, reached = abgrp._common_flag_eigenvalues, []
+    monkeypatch.setattr(abgrp, "_common_flag_eigenvalues",
+                        lambda ts: reached.append(1) or split(ts))
+    for seed in (1, 3, 7):
+        rows = [(index, line) for s, index, line in CYCLE_LINES if s == seed]
+        systems = colim_census.systems(seed, rows[-1][0] + 1)
+        for index, line in rows:
+            assert colim_census.classify(systems[index])[0] == line, (seed, index)
+    assert len(reached) == len(CYCLE_LINES) == 47
+    assert sum("refused" not in line for _, _, line in CYCLE_LINES) == 13

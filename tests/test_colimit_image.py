@@ -142,6 +142,7 @@ def _check_report(system):
         assert (report.rank, report.stabilization_level) == (r, stab)
         return ranks, window
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(abgrp, "_direction_type", lambda law: None)
         patch.setattr(abgrp, "_flag_sum", lambda flag, r, typed: GroupDescriptor.free(r))
         try:
             report = abgrp._colimit_laws(system)

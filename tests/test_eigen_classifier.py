@@ -1,14 +1,24 @@
-"""The eigen classifier's common flag against the route it replaced.
+"""The eigen classifier's common flag against the routes it replaced.
 
-The library reads the flag of a commuting family off one joint split: every
-map in turn splits each current space by the generalized eigenspaces of its
-restriction, whose integer eigenvalues come from the characteristic
-polynomial and Sturm isolation.  The reference below is the earlier route: a
-recursion that takes a common eigenvector of the largest joint eigenvalue
-tuple (sympy's ``eigenvects``), quotients every map by it and recurses.  Both
-must give the same list, and the refusals keep their texts.
+The library reads the flag of a commuting family off ranks: every map in
+turn extends each joint eigenvalue tuple by each integer root ``k`` of its
+characteristic polynomial (Faddeev--LeVerrier in ints, Sturm isolation),
+stacks ``(t - k)^n`` onto the tuple's rows, and reads the tuple's
+multiplicity as ``n`` less the rank, on sparse integer rows.  Two references
+below must give the same list:
+
+* the restriction route it replaced: every map in turn splits each current
+  space by the generalized eigenspaces of its restriction, solved exactly
+  over Q, each eigenspace a Hermite kernel basis;
+* the route before that: a recursion that takes a common eigenvector of the
+  largest joint eigenvalue tuple (sympy's ``eigenvects``), quotients every
+  map by it and recurses.
+
+The refusals keep their texts, and the split itself builds no dense matrix,
+no Q-solve and no lattice basis.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,9 +26,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import identity_matrix
 from ringkt import abgrp, numfield
-from ringkt.abgrp import (DirectedSystem, GroupDescriptor, colimit, identity_matrix, mat_mul,
-                          solve_exact)
+from ringkt.abgrp import DirectedSystem, GroupDescriptor, colimit, mat_mul, solve_exact
 from ringkt.errors import CrossCheckError, UnsupportedSystemError
 
 IRRATIONAL = ("a restricted structure map has an irrational eigenvalue; "
@@ -27,6 +37,56 @@ NOT_COMMUTING = ("structure maps do not commute and no common triangular coordin
                  "order exists; the system is outside the certified class")
 WINDOW = ("window rank depends on the starting level; "
           "the system is outside the certified class")
+
+# ---------------------------------------------------------------------------
+# reference: the restriction route, with Hermite kernel bases
+# ---------------------------------------------------------------------------
+
+
+def _restricted_maps(maps, basis):
+    """Each map of sparse rows on the column span of ``basis``, which it
+    preserves: ``t`` with ``m @ basis == basis @ t``, solved exactly."""
+    rows, r = abgrp._sparse_rows(basis), len(basis[0])
+    return [solve_exact(basis, abgrp._dense_rows(abgrp._sparse_mul(m, rows), r)) for m in maps]
+
+
+def _hnf_eigenspaces(t):
+    """``(k, columns of its generalized eigenspace)`` per rational eigenvalue
+    ``k`` of the restricted map ``t``: the integer roots of its
+    characteristic polynomial (Faddeev--LeVerrier over Q), each eigenspace
+    the Hermite kernel basis of ``(t - k)^n`` scaled to integers."""
+    n = len(t)
+    poly, tm = [Fraction(1)], t
+    for k in range(1, n + 1):
+        poly.append(-sum(tm[i][i] for i in range(n)) / k)
+        tm = mat_mul(t, [[x + poly[-1] * (i == j) for j, x in enumerate(row)]
+                         for i, row in enumerate(tm)])
+    out = []
+    for k in numfield.integer_roots(poly[::-1]):
+        shifted = [[x - k * (i == j) for j, x in enumerate(row)] for i, row in enumerate(t)]
+        den = math.lcm(*(x.denominator for row in shifted for x in row))
+        power = step = [[int(x * den) for x in row] for row in shifted]
+        for _ in range(n - 1):
+            power = mat_mul(power, step)
+        vecs = abgrp._kernel_basis(abgrp._sparse_rows(power), n)
+        assert vecs, k
+        out.append((k, [list(col) for col in zip(*vecs)]))
+    return out
+
+
+def _restricted_flag(ts):
+    """The flag of the dense integer family ``ts`` by restriction: each map
+    in turn splits every space by the eigenspaces of its restriction, and
+    each tuple comes as often as its space has dimensions."""
+    r = len(ts[0])
+    spaces = [((), identity_matrix(r))]
+    for t in ts:
+        spaces = [(vals + (k,), mat_mul(b, sub))
+                  for vals, b in spaces
+                  for k, sub in _hnf_eigenspaces(_restricted_maps([abgrp._sparse_rows(t)], b)[0])]
+    return sorted((vals for vals, b in spaces for _ in b[0]),
+                  key=lambda vals: (tuple(-abs(v) for v in vals), vals))
+
 
 # ---------------------------------------------------------------------------
 # reference: the quotient recursion with sympy's eigenvectors
@@ -54,7 +114,7 @@ def _recursive_flag(ts):
     for t in ts:
         new = []
         for vals, b in spaces:
-            (restricted,) = abgrp._restricted_maps([abgrp._sparse_rows(t)], b)
+            (restricted,) = _restricted_maps([abgrp._sparse_rows(t)], b)
             for val, sub in _sympy_rational_eigenspaces(restricted):
                 new.append((vals + (val,), mat_mul(b, sub)))
         spaces = new
@@ -111,14 +171,18 @@ def commuting_families(draw):
 @settings(max_examples=40, deadline=None)
 @given(ts=commuting_families())
 def test_joint_split_matches_the_quotient_recursion(ts):
-    assert abgrp._common_flag_eigenvalues(ts) == _recursive_flag(ts)
+    flag = abgrp._common_flag_eigenvalues(list(map(abgrp._sparse_rows, ts)))
+    assert flag == _restricted_flag(ts) == _recursive_flag(ts)
+
+
+JORDAN = [{0: 2, 1: 1}, {1: 2}]  # [[2, 1], [0, 2]]
 
 
 def test_generalized_eigenspace_of_a_jordan_block():
-    (k, basis), = abgrp._rational_eigenspaces([[Fraction(2), Fraction(1)],
-                                               [Fraction(0), Fraction(2)]])
-    assert k == 2 and len(basis[0]) == 2
-    assert abgrp._common_flag_eigenvalues([[[2, 1], [0, 2]], [[3, 0], [0, 3]]]) == [(2, 3)] * 2
+    # (t - 2)^2 is zero: its kernel, the generalized eigenspace, is the plane
+    (k, power), = abgrp._eigen_powers(JORDAN)
+    assert k == 2 and power == [{}, {}]
+    assert abgrp._common_flag_eigenvalues([JORDAN, [{0: 3}, {1: 3}]]) == [(2, 3)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +272,57 @@ def test_each_distinct_coefficient_matrix_is_split_once(monkeypatch):
 def test_a_root_without_an_eigenspace_is_a_cross_check_failure(monkeypatch):
     monkeypatch.setattr(numfield, "integer_roots", lambda poly: [5])
     with pytest.raises(CrossCheckError, match=r"\(t - 5\)\^2 has no kernel, though 5 is a root"):
-        abgrp._rational_eigenspaces([[Fraction(2), Fraction(1)], [Fraction(0), Fraction(2)]])
+        abgrp._eigen_powers(JORDAN)
+
+
+def test_an_inexact_faddeev_leverrier_division_is_a_cross_check_failure(monkeypatch):
+    # every product gains 1 at (0, 0): on the zero map, tr(t M_2) = 1 is odd
+    mul = abgrp._sparse_mul
+
+    def off_by_one(a, b):
+        out = mul(a, b)
+        out[0][0] = out[0].get(0, 0) + 1
+        return out
+
+    assert abgrp._eigen_powers([{}, {}]) == [(0, [{}, {}])]
+    monkeypatch.setattr(abgrp, "_sparse_mul", off_by_one)
+    with pytest.raises(CrossCheckError, match="the trace of t M_2 is not divisible by 2"):
+        abgrp._eigen_powers([{}, {}])
 
 
 def test_wrong_eigenvalues_are_stopped_by_the_trace(monkeypatch):
-    split = abgrp._rational_eigenspaces
-    monkeypatch.setattr(abgrp, "_rational_eigenspaces",
-                        lambda t: [(k + 1, basis) for k, basis in split(t)])
+    split = abgrp._eigen_powers
+    monkeypatch.setattr(abgrp, "_eigen_powers",
+                        lambda t: [(k + 1, power) for k, power in split(t)])
     system = DirectedSystem.from_family(2, lambda d: [[2 * d - 1, 1 - d], [2 * d - 2, 2 - d]])
     with pytest.raises(CrossCheckError, match="structure map 0 do not sum to its trace"):
         colimit(system)
-    monkeypatch.setattr(abgrp, "_rational_eigenspaces", split)
+    monkeypatch.setattr(abgrp, "_eigen_powers", split)
     assert colimit(system).invariants == GroupDescriptor(free_rank=1, q_rank=1)
+
+
+# ---------------------------------------------------------------------------
+# the split runs on sparse integer rows alone
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("system, outcome", [
+    (DirectedSystem.from_family(2, lambda d: [[2 * d - 1, 1 - d], [2 * d - 2, 2 - d]]), "Z + Q"),
+    (DirectedSystem.from_family(2, lambda d: _conjugated_diag(d, 2)), "Loc{2} + Q"),
+    (DirectedSystem.symbolic(2, [{"kind": "identity"}] * 2, [
+        {"row": 0, "col": 1, "poly": [1]}, {"row": 1, "col": 0, "poly": [1]}]), "Loc{2}"),
+    (_d_plus(2, {(0, 1): 2, (1, 0): 1}), IRRATIONAL),
+], ids=["trace-pair", "conjugated", "unit-cycle", "irrational"])
+def test_the_joint_split_forms_no_dense_matrix_solve_or_basis(monkeypatch, system, outcome):
+    def refuse(*args):
+        raise AssertionError("the joint split formed a dense matrix, a solve or a basis")
+
+    for name in ("solve_exact", "rref_fractions", "_kernel_basis", "_hnf", "mat_mul"):
+        monkeypatch.setattr(abgrp, name, refuse)
+    split, calls = abgrp._eigen_powers, []
+    monkeypatch.setattr(abgrp, "_eigen_powers", lambda t: calls.append(t) or split(t))
+    try:
+        got = str(colimit(system).invariants)
+    except UnsupportedSystemError as exc:
+        got = str(exc)
+    assert got == outcome and calls

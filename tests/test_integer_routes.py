@@ -188,7 +188,7 @@ def test_the_bisections_read_each_point_of_a_chain_once(monkeypatch):
     assert (len(ends), len(set(ends))) == (8, 5)
     assert len(seen) == len(set(seen)) == 5
 
-    split = abgrp._rational_eigenspaces
+    split = abgrp._eigen_powers
     per_call = []
 
     def recording(t):
@@ -197,7 +197,7 @@ def test_the_bisections_read_each_point_of_a_chain_once(monkeypatch):
         per_call.append(list(seen))
         return out
 
-    monkeypatch.setattr(abgrp, "_rational_eigenspaces", recording)
+    monkeypatch.setattr(abgrp, "_eigen_powers", recording)
     system = DirectedSystem.from_family(2, lambda d: [[2 * d - 1, 1 - d], [2 * d - 2, 2 - d]])
     assert colimit(system).invariants == GroupDescriptor(free_rank=1, q_rank=1)
     assert per_call and max(map(len, per_call)) > 2

@@ -6,7 +6,7 @@ import pathlib
 from fractions import Fraction
 
 import pytest
-from conftest import deadline, random_unimodular, seeded_rng
+from conftest import deadline, identity_matrix, random_unimodular, seeded_rng
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,6 @@ from ringkt.abgrp import (
     colimit,
     determinant,
     identified,
-    identity_matrix,
     mat_mul,
     rank,
     solve_exact,

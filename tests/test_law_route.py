@@ -13,6 +13,7 @@ kinds of input that no sample reads: an exponent above 63, and an exponent
 too large to sample in time.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -311,10 +312,12 @@ _ONE = ((1,), (1,))
     ([_ONE] * 2, [(0, 1.0, _ONE)], "offdiag col 1.0 is not an integer"),
     (5, (), "diagonal laws must be a list"),
     ([_ONE] * 2, 5, "offdiag cells must be a list"),
+    ([_ONE, ((), (1,))], (), "a law's coefficient lists must be non-empty"),
+    ([_ONE] * 2, [(0, 1, ((), ()))], "a law's coefficient lists must be non-empty"),
 ], ids=["lists", "law-of-ints", "one-class", "three-classes", "list-coefficient",
         "float-equal-to-a-law-before", "bool-equal-to-a-law-before",
         "cell-law-of-ints", "pair-cell", "quadruple-cell", "int-cell", "str-row", "bool-row",
-        "float-col", "int-diag", "int-cells"])
+        "float-col", "int-diag", "int-cells", "empty-odd-class", "empty-cell-law"])
 def test_malformed_laws_are_refused_as_input(diag, cells, text):
     if text is None:
         system = DirectedSystem.from_laws(2, diag, cells)
@@ -335,6 +338,48 @@ def test_fraction_copies_of_integer_laws_give_the_same_class_polynomials(coeffs,
     for bad in (True, 2.0):  # the type rule holds for integer-valued laws too
         with pytest.raises(InputError, match="not an integer or a Fraction"):
             abgrp._class_poly(coeffs + [bad], parity)
+
+
+_COEFFS = st.lists(st.integers(-3, 3), max_size=3)  # an empty list among them
+
+
+@st.composite
+def integer_law_systems(draw):
+    """A system from ``from_laws`` with integer laws, one polynomial on both
+    classes, or from ``symbolic`` (with a finite ``d_chain`` or none) on the
+    same coefficient lists, or None where an empty list is refused."""
+    dim = draw(st.integers(1, 3))
+    diag = draw(st.lists(_COEFFS, min_size=dim, max_size=dim))
+    cells = draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1), _COEFFS),
+                          max_size=3, unique_by=lambda cell: cell[:2]))
+    cells = [cell for cell in cells if cell[0] != cell[1]]
+    empty = not all(diag) or not all(p for _, _, p in cells)
+    try:
+        if draw(st.booleans()):
+            system = DirectedSystem.from_laws(dim, [(p, p) for p in diag],
+                                              [(r, c, (p, p)) for r, c, p in cells])
+        else:
+            system = DirectedSystem.symbolic(
+                dim, [{"kind": "poly", "coeffs": p} for p in diag],
+                [{"row": r, "col": c, "poly": p} for r, c, p in cells],
+                d_chain=draw(st.none() | st.lists(st.integers(2, 9), min_size=1, max_size=3)))
+    except InputError as exc:
+        assert empty and "non-empty" in str(exc)
+        return None
+    assert not empty
+    return system
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=integer_law_systems())
+def test_from_json_rebuilds_every_system_to_json_writes(system):
+    if system is None:
+        return
+    obj = system.to_json()
+    again = DirectedSystem.from_json(json.loads(json.dumps(obj)))
+    assert again.to_json() == obj and again.laws == system.laws
+    levels = range(1, (system.finite_length or 2) + 1)
+    assert [again.matrix(t) for t in levels] == [system.matrix(t) for t in levels]
 
 
 def test_parity_laws_have_no_json_form():

@@ -27,7 +27,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from sympy import factorint, multiplicity
 
-from conftest import check_smith_form, deadline, hnf_basis, in_lattice, seeded_rng
+from conftest import (check_smith_form, deadline, hnf_basis, identity_matrix, in_lattice,
+                      seeded_rng)
 from ringkt import abgrp
 from ringkt.abgrp import (
     GroupDescriptor,
@@ -35,7 +36,6 @@ from ringkt.abgrp import (
     _sparse_rows,
     as_int_matrix,
     cokernel,
-    identity_matrix,
     image_lattice_basis,
     kernel_lattice_basis,
     mat_mul,
