@@ -41,7 +41,8 @@ exports are
 
 A family is decided from its laws, polynomials in ``d`` on each parity class
 of ``d`` (``_colimit_laws``): given, or read by finite differences off one
-window of its steps, d = 2 .. 131 (``_family_laws``).  Its directions are the
+window of its steps, d = 2 .. 131 (``_family_laws``), each class kept as
+integer numerators over one denominator.  Its directions are the
 coordinates when the feed arcs of its off-diagonal laws have no cycle, and
 otherwise the joint eigenspaces of its coefficient matrices, read in integers
 on sparse rows (characteristic polynomials, their integer roots, and each
@@ -59,7 +60,7 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, compress
 
 from .errors import CrossCheckError, InputError, UnsupportedSystemError
@@ -110,6 +111,14 @@ def _as_rational(a, what="matrix entry"):
                 if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
                     raise InputError(f"{what} {x!r} is not an integer or a Fraction")
     return a
+
+
+def _numerators(xs):
+    """The integer numerators of the rationals ``xs`` (ints and ``Fraction``s)
+    over their least positive common denominator, and that denominator: the
+    two in lowest terms, ``gcd(den, *nums) == 1``."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def _as_list(x, what):
@@ -243,12 +252,11 @@ def _add_row(pivots, row):
     integer multiples of pivot rows, divided by ``content`` (0 when the row
     reduces to zero and nothing is stored); ``applied > 0``.
     """
-    vals = row.values()
-    if _INT.issuperset(map(type, vals)):
+    if _INT.issuperset(map(type, row.values())):
         row, applied = dict(row), 1
     else:
-        applied = math.lcm(*(x.denominator for x in vals))
-        row = {j: x.numerator * (applied // x.denominator) for j, x in row.items()}
+        nums, applied = _numerators(row.values())
+        row = dict(zip(row, nums))
     while row:
         c = min(row)
         piv = pivots.get(c)
@@ -1018,38 +1026,42 @@ def _poly_eval(coeffs, x):
     return sum(c * x ** i for i, c in enumerate(coeffs) if c)
 
 
-def _class_poly(coeffs, parity):
-    """A law's polynomial on the class of ``d`` with ``d % 2 == parity``, as
-    ``(integer coefficients, denominator)``: its value at ``d`` there is
-    ``_poly_eval(nums, d) // den``.  The polynomial must take integer values
-    on the class.  With ``d = 2m + parity`` it is a polynomial in ``m`` of
-    the same degree ``k``, and one that is an integer at ``k + 1``
-    consecutive ``m`` is an integer at every ``m`` (its finite differences
-    are integers), so ``k + 1`` values decide it.  Integer coefficients are
-    the polynomial itself, at denominator 1, with nothing to check."""
-    if _INT.issuperset(map(type, coeffs)):
-        return tuple(coeffs), 1
-    _as_rational([coeffs], "law coefficient")
-    den = math.lcm(*(c.denominator for c in coeffs if type(c) is Fraction))
-    nums = tuple(int(c * den) for c in coeffs)
-    ds = range(2 + parity, 2 + parity + 2 * len(coeffs), 2)
-    if den > 1 and any(_poly_eval(nums, d) % den for d in ds):
-        kind = "odd" if parity else "even"
-        raise InputError(f"law {[str(c) for c in coeffs]} is not integer-valued on {kind} d")
-    return nums, den
+def _lowest_terms(nums, den):
+    """The class polynomial ``nums / den`` in the law form: ``nums`` a tuple
+    and ``gcd(den, *nums) == 1``."""
+    g = math.gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
 
 
 def _as_law(law):
     """A law from outside, a pair ``(odd, even)`` of non-empty coefficient
-    lists of ints and ``Fraction``s (``_as_rational``), as a pair of tuples.
-    A coefficient list is never empty, here or in JSON: zero is ``[0]``."""
+    lists of ints and ``Fraction``s (``_as_rational``), in the form a system
+    keeps: each class as ``(nums, den)``, integer numerators over their
+    least positive common denominator (``_numerators``), whose value at
+    ``d`` is ``_poly_eval(nums, d) // den``.  A coefficient list is never
+    empty, here or in JSON: zero is ``[0]``.
+
+    Each polynomial must take integer values on its class.  With
+    ``d = 2m + parity`` it is a polynomial in ``m`` of the same degree
+    ``k``, and one that is an integer at ``k + 1`` consecutive ``m`` is an
+    integer at every ``m`` (its finite differences are integers), so
+    ``k + 1`` values decide it.
+
+    >>> _as_law([[Fraction(-1, 2), 0, Fraction(1, 2)], [4]])
+    (((-1, 0, 1), 2), ((4,), 1))
+    """
     if len(_as_list(law, "a law")) != 2:
         raise InputError("a law must be a pair (odd, even) of coefficient lists")
     law = (tuple(_as_list(law[0], "a law's odd coefficients")),
            tuple(_as_list(law[1], "a law's even coefficients")))
     if not all(law):
         raise InputError("a law's coefficient lists must be non-empty")
-    return _as_rational(law, "law coefficient")
+    classes = [_numerators(coeffs) for coeffs in _as_rational(law, "law coefficient")]
+    for kind, first, coeffs, (nums, den) in zip(("odd", "even"), (3, 2), law, classes):
+        ds = range(first, first + 2 * len(nums), 2)
+        if den > 1 and any(_poly_eval(nums, d) % den for d in ds):
+            raise InputError(f"law {[str(c) for c in coeffs]} is not integer-valued on {kind} d")
+    return tuple((tuple(nums), den) for nums, den in classes)
 
 
 def _as_int_rows(a, dim, wrong_size):
@@ -1095,17 +1107,21 @@ class DirectedSystem:
     ``DirectedSystem.from_laws(dim, diag, cells)`` builds the family whose
     entries are polynomials in ``d`` on each parity class of ``d``, with
     integer or ``Fraction`` coefficients and integer values on their class.
-    A law is a pair ``(odd, even)`` of ascending coefficient tuples; the
-    system keeps its ``laws`` as ``(diag, cells)``, one law per coordinate
-    and one ``(row, col, law)`` per off-diagonal cell, each law a pair of
-    tuples, and ``colimit`` decides the system from them.  A law of any
-    other shape, a cell that is no triple, or a row or column that is no
-    integer raises ``InputError``.
+    A law is given as a pair ``(odd, even)`` of ascending coefficient lists;
+    the system keeps its ``laws`` as ``(diag, cells)``, one law per
+    coordinate and one ``(row, col, law)`` per off-diagonal cell, and
+    ``colimit`` decides the system from them.  A kept law is a pair
+    ``(odd, even)`` of classes in one integer form, ``(nums, den)``: a tuple
+    of integer numerators over one positive denominator, in lowest terms
+    (``gcd(den, *nums) == 1``), so that equal laws are equal tuples.  A law
+    of any other shape, a cell that is no triple, or a row or column that
+    is no integer raises ``InputError``.
     ``DirectedSystem.symbolic(dim, diag_laws, offdiag)`` reads JSON laws,
     integer polynomials in ``d``, each one law on both classes; ``to_json``
-    writes them back.  Given a finite ``d_chain``, it evaluates the family
-    at each of its ``d`` and builds the finite chain of those steps, keeping
-    the laws and the chain only for ``to_json``.
+    writes back laws whose two classes are one polynomial over ``den = 1``,
+    however they were given.  Given a finite ``d_chain``, it evaluates the
+    family at each of its ``d`` and builds the finite chain of those steps,
+    keeping the laws and the chain only for ``to_json``.
 
     Steps live in one store, ``_step_cache``, keyed by their 1-based index:
     a finite chain fills it when built; a family fills it on first read of
@@ -1160,9 +1176,15 @@ class DirectedSystem:
 
     @classmethod
     def _from_checked_laws(cls, dim, diag, cells=()):
-        """``from_laws`` for laws already in its form, pairs of tuples of
-        ints and ``Fraction``s, with integer rows and columns: the laws that
-        ``symbolic`` reads and those the library builds (``kappa_laws``)."""
+        """``from_laws`` for laws already in the form a system keeps, each
+        class ``(nums, den)`` in lowest terms, with integer rows and columns:
+        the laws that ``symbolic`` reads and those the library builds
+        (``kappa_laws``).  They are taken as they are.
+
+        >>> system = DirectedSystem._from_checked_laws(1, [(((-1, 0, 1), 2), ((0, 0, 1), 2))])
+        >>> system.matrix(1), system.matrix(2)  # d^2 / 2 at d = 2, (d^2 - 1) / 2 at d = 3
+        ([[2]], [[4]])
+        """
         dim = _as_int(dim, "system dimension")
         diag, cells = tuple(diag), tuple(cells)
         if len(diag) != dim:
@@ -1180,7 +1202,7 @@ class DirectedSystem:
         at = {}  # each distinct law and its index
         on_diag = [at.setdefault(law, len(at)) for law in diag]
         in_cells = [(r, c, at.setdefault(law, len(at))) for r, c, law in cells]
-        classes = tuple([_class_poly(law[1 - parity], parity) for law in at] for parity in (0, 1))
+        classes = tuple([law[1 - parity] for law in at] for parity in (0, 1))
 
         def family(d):
             vals = [_poly_eval(p, d) // den for p, den in classes[d % 2]]
@@ -1212,9 +1234,9 @@ class DirectedSystem:
                                for x in _as_list(entry.get("poly"), "offdiag 'poly'"))
                 if not coeffs:
                     raise InputError("offdiag 'poly' needs a non-empty list")
-            cells.append((r, c, (coeffs, coeffs)))
+            cells.append((r, c, ((coeffs, 1),) * 2))
         # built first, so that ``dim`` and the laws are checked before the chain
-        system = cls._from_checked_laws(dim, [(p, p) for p in polys], cells)
+        system = cls._from_checked_laws(dim, [((p, 1),) * 2 for p in polys], cells)
         if d_chain is None:
             return system
         ds = tuple(_as_int(d, "d_chain entry") for d in _as_list(d_chain, "d_chain"))
@@ -1260,13 +1282,12 @@ class DirectedSystem:
                         "matrices": [_dense_rows(m, self.dim) for m in self._step_cache.values()]}
             raise InputError("a family-backed system has no JSON form")
         diag, cells = self.laws
-        if any(odd != even or not _INT.issuperset(map(type, odd))
-               for odd, even in (*diag, *(law for _, _, law in cells))):
+        if any(odd != even or odd[1] != 1 for odd, even in (*diag, *(law for _, _, law in cells))):
             raise InputError("only laws that are one integer polynomial on both "
                              "parity classes have a JSON form")
         out = {"mode": "symbolic", "dim": self.dim,
-               "law": [{"kind": "poly", "coeffs": list(p)} for p, _ in diag],
-               "offdiag": [{"row": r, "col": c, "poly": list(p)} for r, c, (p, _) in cells]}
+               "law": [{"kind": "poly", "coeffs": list(p)} for (p, _), _ in diag],
+               "offdiag": [{"row": r, "col": c, "poly": list(p)} for r, c, ((p, _), _) in cells]}
         if self._d_chain is not None:
             out["d_chain"] = list(self._d_chain)
         return out
@@ -1424,8 +1445,8 @@ _NO_MONOMIAL = ("diagonal scaling law fits no monomial c*d^e on a parity class; 
 
 def _direction_type(law):
     """Classify one flag direction from its law ``(odd, even)``, one
-    polynomial per parity class of d (this covers parity-dependent laws), or
-    None when no law could be read for it.
+    polynomial ``(nums, den)`` per parity class of d (this covers
+    parity-dependent laws), or None when no law could be read for it.
 
     The law must be a monomial ``c d^e`` (one nonzero coefficient) or zero
     on both classes.  Returns ``None`` for a dead direction, a
@@ -1439,7 +1460,8 @@ def _direction_type(law):
     """
     if law is None:
         raise UnsupportedSystemError(_NO_MONOMIAL)
-    odd, even = ([(e, c.numerator) for e, c in enumerate(coeffs) if c] for coeffs in law)
+    # in lowest terms, a monomial's numerator is its coefficient's numerator
+    odd, even = ([(e, c) for e, c in enumerate(nums) if c] for nums, _ in law)
     if len(odd) > 1 or len(even) > 1:
         raise UnsupportedSystemError(_NO_MONOMIAL)
     if not (odd and even):
@@ -1465,7 +1487,7 @@ def _direction_type(law):
 
 def _zero_classes(law):
     """Whether ``law`` is zero on each class, ``(odd, even)``; ``()`` for no law."""
-    return () if law is None else (not any(law[0]), not any(law[1]))
+    return () if law is None else (not any(law[0][0]), not any(law[1][0]))
 
 
 def _refuse_a_root(law):
@@ -1474,11 +1496,11 @@ def _refuse_a_root(law):
     it, so the rank of a window depends on where the window starts."""
     if law is None or True in _zero_classes(law):
         return
-    for coeffs in dict.fromkeys(law):  # each distinct class polynomial once
-        if sum(map(bool, coeffs)) > 1:
+    for poly in dict.fromkeys(law):  # each distinct class polynomial once
+        if sum(map(bool, poly[0])) > 1:
             from . import numfield
 
-            if any(d >= 2 and law[1 - d % 2] == coeffs for d in numfield.integer_roots(coeffs)):
+            if any(d >= 2 and law[1 - d % 2] == poly for d in numfield.integer_roots(poly[0])):
                 raise UnsupportedSystemError(
                     "window rank depends on the starting level; the system is outside "
                     "the certified class")
@@ -1624,19 +1646,24 @@ def _eigen_laws(laws):
     class (the same or the other), ``M(d) M(d') - M(d') M(d)`` is
     ``sum_(j,k) [A_j, B_k] d^j d'^k``: the steps commute exactly when all
     coefficient matrices commute pairwise.  Each distinct one is scaled to
-    integers, they are split jointly by ``_common_flag_eigenvalues``, and a
-    joint tuple's eigenvalues, scaled back, are its direction's
-    coefficients."""
+    integers by ``den``, the one lcm of the laws' denominators, they are
+    split jointly by ``_common_flag_eigenvalues``, and a joint tuple's
+    eigenvalues over ``den``, in lowest terms, are its direction's law.
+
+    >>> zero, swap = (((0,), 1),) * 2, (((1,), 1), ((0, 1), 2))  # 1 on odd d, d/2 on even d
+    >>> _eigen_laws([[zero, swap], [swap, zero]])
+    [(((-1,), 1), ((0, -1), 2)), (((1,), 1), ((0, 1), 2))]
+    """
     if any(None in row for row in laws):
         raise UnsupportedSystemError(_NO_MONOMIAL)
+    den = math.lcm(*(d for row in laws for law in row for _, d in law))
     distinct, at = {}, {}  # each distinct coefficient matrix, and each key's index into them
     for c, k in sorted({(c, k) for row in laws for law in row
-                        for c, coeffs in enumerate(law) for k, x in enumerate(coeffs) if x}):
-        t = tuple(tuple(dict(enumerate(law[c])).get(k, 0) for law in row) for row in laws)
+                        for c, (nums, _) in enumerate(law) for k, x in enumerate(nums) if x}):
+        t = tuple(tuple(nums[k] * (den // d) if k < len(nums) else 0 for nums, d in
+                        (law[c] for law in row)) for row in laws)
         at[c, k] = distinct.setdefault(t, len(distinct))
-    dens = [math.lcm(*(x.denominator for row in t for x in row)) for t in distinct]
-    ts = [_sparse_rows([[int(x * den) for x in row] for row in t])
-          for t, den in zip(distinct, dens)]
+    ts = list(map(_sparse_rows, distinct))
     if any(_sparse_mul(a, b) != _sparse_mul(b, a) for a, b in combinations(ts, 2)):
         raise UnsupportedSystemError(
             "structure maps do not commute and no common triangular "
@@ -1645,8 +1672,9 @@ def _eigen_laws(laws):
         )
     flag = _common_flag_eigenvalues(ts)
     top = [max((k for c, k in at if c == cls), default=0) for cls in (0, 1)]
-    return [tuple(tuple(Fraction(vals[at[c, k]], dens[at[c, k]]) if (c, k) in at else 0
-                        for k in range(top[c] + 1)) for c in (0, 1)) for vals in flag]
+    return [tuple(_lowest_terms([vals[at[c, k]] if (c, k) in at else 0
+                                 for k in range(top[c] + 1)], den)
+                  for c in (0, 1)) for vals in flag]
 
 
 _LONG_READ = 65  # steps per class that fix a law of degree up to 63 and confirm it
@@ -1654,13 +1682,16 @@ _LONG_READ = 65  # steps per class that fix a law of degree up to 63 and confirm
 
 def _difference_law(values, first):
     """The polynomial of least degree through ``values`` at the equally
-    spaced d = first, first + 2, ..., as ascending coefficients in d, or None
+    spaced d = first, first + 2, ..., in the law form ``(nums, den)`` of
+    ascending numerators in d over one denominator, in lowest terms, or None
     when no finite difference vanishes, so that no sample confirms it.  In
     Newton's forward form, with ``d = first + 2m``, it is
     ``sum_k D_k C(m, k)``, ``D_k`` the k-th difference at the first sample.
 
     >>> _difference_law([4, 16, 36, 64], 2), _difference_law([1, 3, 2], 3)
-    ((0, 0, 1), None)
+    (((0, 0, 1), 1), None)
+    >>> _difference_law([2, 8, 18, 32], 2)  # d^2 / 2
+    ((0, 0, 1), 2)
     """
     leading, row = [], list(values)
     while any(row):
@@ -1676,7 +1707,7 @@ def _difference_law(values, first):
             coeffs[i] += delta * weight * b
         basis = [y - (first + 2 * k) * x for x, y in zip(basis + [0], [0] + basis)]
         weight //= 2 * k + 2
-    return tuple(c // scale if c % scale == 0 else Fraction(c, scale) for c in coeffs)
+    return _lowest_terms(coeffs, scale)
 
 
 def _family_laws(system):
@@ -1688,12 +1719,14 @@ def _family_laws(system):
     each class by ``_difference_law``, and is None when no polynomial of
     degree <= 63 fits: 64 values fix such a law and the 65th confirms it.
     The degree rule is a heuristic: a family that changes past the window is
-    read as the law of the window.
+    read as the law of the window.  Each distinct column of samples is read
+    once.
     """
     steps = list(map(system._step, range(1, 2 * _LONG_READ + 1)))
     held = sorted({(i, j) for m in steps for i, row in enumerate(m) for j in row if j != i})
+    read = cache(_difference_law)
     # steps[0] is d = 2, so a class from ``first`` starts at steps[first - 2]
-    laws = [tuple(_difference_law([m[i].get(j, 0) for m in steps[first - 2::2]], first)
+    laws = [tuple(read(tuple(m[i].get(j, 0) for m in steps[first - 2::2]), first)
                   for first in (3, 2)) for i, j in [(p, p) for p in range(system.dim)] + held]
     laws = [None if None in law else law for law in laws]
     return laws[:system.dim], [(i, j, law) for (i, j), law in zip(held, laws[system.dim:])]
@@ -1773,7 +1806,7 @@ def _colimit_laws(system):
     diag, cells = system.laws or _family_laws(system)
     feeds, at = [set() for _ in range(dim)], {}
     for r, c, law in cells:
-        if law is None or any(map(any, law)):
+        if law is None or any(law[0][0]) or any(law[1][0]):
             feeds[c].add(r)
             at[r, c] = law
     # the coordinates on some arc: together a direct summand of every step
@@ -1783,7 +1816,7 @@ def _colimit_laws(system):
     if any(p in into for p, into in enumerate(reach)):  # a cycle: no triangular order
         coords = sorted(coupled)
         kept = [diag[p] for p in range(dim) if p not in coupled]
-        eigen = _eigen_laws([[diag[i] if i == j else at.get((i, j), ((0,), (0,)))
+        eigen = _eigen_laws([[diag[i] if i == j else at.get((i, j), (((0,), 1),) * 2)
                               for j in coords] for i in coords])
     zeros = {law: _zero_classes(law) for law in dict.fromkeys([*kept, *eigen])}
     for law in zeros:

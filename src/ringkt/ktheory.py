@@ -265,33 +265,34 @@ def kappa(n, d):
 
 
 def kappa_laws(n):
-    """The entries of ``kappa(n, d)`` as laws in ``d``, for
-    ``DirectedSystem.from_laws``: one pair ``(odd, even)`` of ascending
-    coefficient tuples per entry, a polynomial on each parity class of
-    ``d``, read off the closed form of :func:`kappa`.  On the finite part
-    the diagonal is 1, except 0 on even ``d`` off the empty set, where the
-    entry at the empty set's column is 1 instead; the infinite diagonal is
+    """The entries of ``kappa(n, d)`` as laws in ``d``, in the form that
+    ``DirectedSystem.laws`` holds (``DirectedSystem._from_checked_laws``
+    takes them as they are): one pair ``(odd, even)`` per entry, a
+    polynomial on each parity class of ``d``, read off the closed form of
+    :func:`kappa`, each class ``(nums, den)``, ascending integer numerators
+    over one denominator in lowest terms.  On the finite part the diagonal
+    is 1, except 0 on even ``d`` off the empty set, where the entry at the
+    empty set's column is 1 instead; the infinite diagonal is
     ``d^(n - |T|)``; the mixing entries are ``(d^n - 1)/2`` on odd ``d``,
-    and ``d^n/2``, less ``2^(n-1)`` at the empty set, on even ``d``.  The
-    mixing laws have ``Fraction`` coefficients and integer values on their
-    class.
+    and ``d^n/2``, less ``2^(n-1)`` at the empty set, on even ``d``: the
+    mixing laws are numerators over 2, the others over 1.
 
     >>> diag, cells = kappa_laws(1)
     >>> diag
-    (((1,), (1,)), ((1,), (0,)), ((0, 1), (0, 1)))
-    >>> cells[0], [[str(c) for c in p] for p in cells[1][2]]  # cells[1] is (2, 0, law)
-    ((1, 0, ((0,), (1,))), [['-1/2', '1/2'], ['-1', '1/2']])
+    ((((1,), 1), ((1,), 1)), (((1,), 1), ((0,), 1)), (((0, 1), 1), ((0, 1), 1)))
+    >>> cells[0], cells[1]  # (d - 1)/2 on odd d, d/2 - 1 on even d
+    ((1, 0, (((0,), 1), ((1,), 1))), (2, 0, (((-1, 1), 2), ((-2, 1), 2))))
     """
     n = _level_count(n)
-    n2, one, zero = 2 ** n, (1,), (0,)
-    top = (0,) * n + (Fraction(1, 2),)  # d^n / 2
+    n2, one, zero = 2 ** n, ((1,), 1), ((0,), 1)
+    top = (0,) * n + (1,)  # the numerators of d^n / 2
     diag = ((one, one),) + ((one, zero),) * (n2 - 1)
     for k in range(0, n + 1, 2):
-        power = (0,) * (n - k) + (1,)
+        power = ((0,) * (n - k) + (1,), 1)
         diag += ((power, power),) * math.comb(n, k)
-    odd = (Fraction(-1, 2),) + top[1:]
+    odd = ((-1,) + top[1:], 2)
     cells = [(i, 0, (zero, one)) for i in range(1, n2)]
-    cells += [(n2, j, (odd, top if j else (-(n2 // 2),) + top[1:])) for j in range(n2)]
+    cells += [(n2, j, (odd, (top if j else (-n2,) + top[1:], 2))) for j in range(n2)]
     return diag, tuple(cells)
 
 
@@ -374,7 +375,7 @@ def k_of_B0(n, engine_check=None):
     if engine_check is None:
         engine_check = n <= 16
     if engine_check:
-        powers = [((0,) * (n - k) + (1,),) * 2 for k in range(n + 1)]  # d^(n-k), both classes
+        powers = [(((0,) * (n - k) + (1,), 1),) * 2 for k in range(n + 1)]  # d^(n-k), both classes
         for parity, expected in ((0, k0), (1, k1)):
             degrees = _subset_sizes(n, parity)
             system = DirectedSystem._from_checked_laws(len(degrees), [powers[k] for k in degrees])

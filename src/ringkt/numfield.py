@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abgrp import (_as_int, _as_rational, _determinant, _factor_multiplicity, _is_prime,
-                    determinant, solve_exact)
+                    _numerators, determinant, solve_exact)
 from .errors import CrossCheckError, HypothesisError, InputError
 
 # ---------------------------------------------------------------------------
@@ -66,13 +66,6 @@ def poly_trim(p):
     while p and not p[-1]:
         p.pop()
     return p
-
-
-def _numerators(coeffs):
-    """The integer numerators of rational ``coeffs`` over their least
-    positive common denominator, and that denominator."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _rationals(values, what):

@@ -285,15 +285,16 @@ def deadline(seconds):
 
 
 def trimmed_laws(laws):
-    """Laws ``(diag, cells)`` to compare as polynomials: each law's
-    coefficients as ``Fraction``s with no zero above the degree (a None law
-    stays None), and the cells sorted, less those zero on both classes."""
+    """Laws ``(diag, cells)`` to compare as polynomials: each law's classes
+    ``(nums, den)`` as ``Fraction`` coefficients with no zero above the
+    degree (a None law stays None), and the cells sorted, less those zero on
+    both classes."""
     def trimmed(law):
         if law is None:
             return None
         out = []
-        for coeffs in law:
-            coeffs = list(map(Fraction, coeffs))
+        for nums, den in law:
+            coeffs = [Fraction(x, den) for x in nums]
             while len(coeffs) > 1 and not coeffs[-1]:
                 coeffs.pop()
             out.append(tuple(coeffs))
@@ -302,7 +303,7 @@ def trimmed_laws(laws):
     diag, cells = laws
     return ([trimmed(law) for law in diag],
             sorted((r, c, trimmed(law)) for r, c, law in cells
-                   if law is None or any(map(any, law))))
+                   if law is None or any(any(nums) for nums, _ in law)))
 
 
 def seeded_rng(name):

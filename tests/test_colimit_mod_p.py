@@ -85,11 +85,13 @@ def _json_entries(obj):
 
 
 def _system_entries(system):
-    """The entry laws a system of laws was built from."""
+    """The entry laws a system of laws was built from, each class
+    ``(nums, den)`` as ``Fraction`` coefficients."""
     diag, cells = system.laws
     entries = {(i, i): law for i, law in enumerate(diag)}
     entries.update({(r, c): law for r, c, law in cells})
-    return entries
+    return {at: tuple(tuple(Fraction(x, den) for x in nums) for nums, den in law)
+            for at, law in entries.items()}
 
 
 def _law_step(entries):

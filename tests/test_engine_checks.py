@@ -9,6 +9,7 @@ import collections
 import json
 import pathlib
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -49,6 +50,22 @@ def test_k_of_B0_engine_check_up_to_6(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_k_of_A0_engine_check_up_to_5(n):
     assert k_of_A0(n, engine_check=True) == k_of_A0(n, engine_check=False)
+
+
+def test_the_law_route_builds_and_hashes_no_fraction(monkeypatch):
+    """Each law enters in its integer form, so building and deciding the
+    kappa systems, and the ``k_of_B0`` checks, build and hash no ``Fraction``."""
+    calls = collections.Counter()
+    new, hashed = Fraction.__new__, Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(
+        lambda *args, **kwargs: calls.update(["new"]) or new(*args, **kwargs)))
+    monkeypatch.setattr(Fraction, "__hash__", lambda x: calls.update(["hash"]) or hashed(x))
+    for n in range(1, 7):
+        system = DirectedSystem._from_checked_laws(kappa(n, 2).size, *ktheory.kappa_laws(n))
+        assert colimit(system).invariants == k_of_A0(n, engine_check=False).k0
+        assert k_of_B0(n, engine_check=True) == k_of_B0(n, engine_check=False)
+    assert calls == {}
+    assert {Fraction(1, 2)} and calls == {"new": 1, "hash": 1}  # the counters count
 
 
 @pytest.mark.parametrize("closed_form, last_checked", [(k_of_B0, 16), (k_of_A0, 12)],

@@ -14,13 +14,15 @@ too large to sample in time.
 """
 
 import json
+import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import deadline
+from conftest import deadline, trimmed_laws
 from ringkt import abgrp
 from ringkt.abgrp import DirectedSystem, GroupDescriptor, colimit
 from ringkt.errors import CrossCheckError, InputError, UnsupportedSystemError
@@ -54,14 +56,14 @@ def _decided_from_laws(system):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_kappa_laws_reproduce_the_rows(n):
-    system = DirectedSystem.from_laws(kappa(n, 2).size, *kappa_laws(n))
+    system = DirectedSystem._from_checked_laws(kappa(n, 2).size, *kappa_laws(n))
     for d in range(2, 41):
         assert system._step(d - 1) == kappa(n, d).rows()
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_a0_law_route_matches_the_sampled_route(n):
-    system = DirectedSystem.from_laws(kappa(n, 2).size, *kappa_laws(n))
+    system = DirectedSystem._from_checked_laws(kappa(n, 2).size, *kappa_laws(n))
     report = _decided_from_laws(system)
     assert report.stabilization_level == 1
     assert report.to_json_dict() == _outcome(_sampled(system))
@@ -167,7 +169,7 @@ def test_family_laws_read_back_as_their_laws(odd, even):
     system = DirectedSystem.from_laws(1, [(odd, even)])
     sampled = _sampled(system)
     (law,), _ = abgrp._family_laws(sampled)
-    assert law == (odd, even)
+    assert law == system.laws[0][0] == abgrp._as_law((odd, even))
     assert _outcome(sampled) == _outcome(system)
 
 
@@ -271,7 +273,7 @@ def _lying(dim, diag, cells, rows):
 
 
 def test_a_rank_the_laws_do_not_prove_raises():
-    zero, one = ((0,), (0,)), ((1,), (1,))
+    zero, one = (((0,), 1),) * 2, (((1,), 1),) * 2
     # two dead coordinates fed along an arc: rank 0 by level 2, but the
     # steps are the identity
     above = _lying(2, [zero, zero], [(0, 1, one)], [{0: 1}, {1: 1}])
@@ -321,7 +323,8 @@ _ONE = ((1,), (1,))
 def test_malformed_laws_are_refused_as_input(diag, cells, text):
     if text is None:
         system = DirectedSystem.from_laws(2, diag, cells)
-        assert system.laws == ((_ONE, _ONE), ((0, 1, _ONE),))
+        kept = (((1,), 1),) * 2
+        assert system.laws == ((kept, kept), ((0, 1, kept),))
         assert str(colimit(system).invariants) == "Z^2"
         return
     with pytest.raises(InputError) as exc:
@@ -330,14 +333,50 @@ def test_malformed_laws_are_refused_as_input(diag, cells, text):
 
 
 @settings(max_examples=60, deadline=None)
-@given(coeffs=st.lists(st.integers(-10**30, 10**30), max_size=7), parity=st.sampled_from([0, 1]))
+@given(coeffs=st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=7),
+       parity=st.sampled_from([0, 1]))
 def test_fraction_copies_of_integer_laws_give_the_same_class_polynomials(coeffs, parity):
-    want = abgrp._class_poly(coeffs, parity)
-    assert want == (tuple(coeffs), 1)
-    assert abgrp._class_poly([Fraction(c) for c in coeffs], parity) == want
+    def law(p):  # ``p`` on the class of ``parity``, 1 on the other
+        return (p, [1]) if parity else ([1], p)
+
+    want = abgrp._as_law(law(coeffs))
+    assert want[1 - parity] == (tuple(coeffs), 1)
+    assert abgrp._as_law(law([Fraction(c) for c in coeffs])) == want
     for bad in (True, 2.0):  # the type rule holds for integer-valued laws too
         with pytest.raises(InputError, match="not an integer or a Fraction"):
-            abgrp._class_poly(coeffs + [bad], parity)
+            abgrp._as_law(law(coeffs + [bad]))
+
+
+def _in_lowest_terms(law):
+    """Whether each class ``(nums, den)`` of ``law`` is a tuple of ints over a
+    positive ``den`` with ``gcd(den, *nums) == 1``."""
+    return all(type(nums) is tuple and {type(x) for x in (*nums, den)} == {int}
+               and den > 0 and math.gcd(den, *nums) == 1 for nums, den in law)
+
+
+def _as_fractions(law):
+    """A law's classes as ``Fraction`` coefficients with no zero above the degree."""
+    return trimmed_laws(([law], ()))[0][0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.tuples(class_laws(), class_laws()), b=st.tuples(class_laws(), class_laws()))
+def test_kept_read_and_eigen_laws_are_in_lowest_terms(a, b):
+    """The laws of the cycle ``[[a, b], [b, a]]``, as ``from_laws`` keeps them
+    and as ``_family_laws`` reads them, are in lowest terms, and so are its
+    eigen laws, ``a + b`` and ``a - b``: equal laws are equal tuples."""
+    system = DirectedSystem.from_laws(2, [a, a], [(0, 1, b), (1, 0, b)])
+    (kept_a, _), ((_, _, kept_b), _) = system.laws
+    diag, cells = abgrp._family_laws(_sampled(system))
+    assert all(map(_in_lowest_terms, [kept_a, kept_b, *diag, *(law for _, _, law in cells)]))
+    assert diag == [kept_a, kept_a] and [law for _, _, law in cells] in ([], [kept_b] * 2)
+    if cells:  # a cycle
+        eigen = abgrp._eigen_laws([[kept_a, kept_b], [kept_b, kept_a]])
+        assert all(map(_in_lowest_terms, eigen))
+        sums = [tuple(zip_longest(p, q, fillvalue=0)) for p, q in zip(a, b)]
+        want = [tuple(tuple(x + s * y for x, y in pairs) for pairs in sums) for s in (1, -1)]
+        assert sorted(map(_as_fractions, eigen)) == sorted(
+            _as_fractions(abgrp._as_law(law)) for law in want)
 
 
 _COEFFS = st.lists(st.integers(-3, 3), max_size=3)  # an empty list among them
@@ -345,19 +384,24 @@ _COEFFS = st.lists(st.integers(-3, 3), max_size=3)  # an empty list among them
 
 @st.composite
 def integer_law_systems(draw):
-    """A system from ``from_laws`` with integer laws, one polynomial on both
-    classes, or from ``symbolic`` (with a finite ``d_chain`` or none) on the
-    same coefficient lists, or None where an empty list is refused."""
+    """A system from ``from_laws`` with integer laws, or with their
+    ``Fraction`` copies, one polynomial on both classes, or from ``symbolic``
+    (with a finite ``d_chain`` or none) on the same coefficient lists, or
+    None where an empty list is refused."""
     dim = draw(st.integers(1, 3))
     diag = draw(st.lists(_COEFFS, min_size=dim, max_size=dim))
     cells = draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1), _COEFFS),
                           max_size=3, unique_by=lambda cell: cell[:2]))
     cells = [cell for cell in cells if cell[0] != cell[1]]
     empty = not all(diag) or not all(p for _, _, p in cells)
+    kind = draw(st.sampled_from((int, Fraction, "symbolic")))
     try:
-        if draw(st.booleans()):
-            system = DirectedSystem.from_laws(dim, [(p, p) for p in diag],
-                                              [(r, c, (p, p)) for r, c, p in cells])
+        if kind != "symbolic":
+            def law(p):
+                return (list(map(kind, p)),) * 2
+
+            system = DirectedSystem.from_laws(dim, list(map(law, diag)),
+                                              [(r, c, law(p)) for r, c, p in cells])
         else:
             system = DirectedSystem.symbolic(
                 dim, [{"kind": "poly", "coeffs": p} for p in diag],
@@ -372,6 +416,7 @@ def integer_law_systems(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(system=integer_law_systems())
+@example(system=DirectedSystem.from_laws(1, [((Fraction(2),), (Fraction(2),))]))
 def test_from_json_rebuilds_every_system_to_json_writes(system):
     if system is None:
         return
@@ -383,6 +428,6 @@ def test_from_json_rebuilds_every_system_to_json_writes(system):
 
 
 def test_parity_laws_have_no_json_form():
-    system = DirectedSystem.from_laws(kappa(1, 2).size, *kappa_laws(1))
+    system = DirectedSystem._from_checked_laws(kappa(1, 2).size, *kappa_laws(1))
     with pytest.raises(InputError, match="JSON form"):
         system.to_json()
