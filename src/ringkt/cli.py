@@ -209,7 +209,15 @@ def pv(system_path, resolution, pretty):
     _emit(_run(work), pretty)
 
 
-_ALGEBRAS = ("A", "B", "A0", "B0", "A_full_Q")
+# Each algebra and the options it reads besides --algebra and --pretty; any
+# other option given is refused, not dropped.
+_READS = {
+    "A": ("--field", "--truncate", "--grading"),
+    "B": ("--field", "--gamma", "--truncate", "--grading"),
+    "A0": ("--field",),
+    "B0": ("--field",),
+    "A_full_Q": ("--truncate", "--grading"),
+}
 
 # The level-zero algebras: the ``ktheory`` closed form of degree n and its
 # citations.
@@ -220,7 +228,7 @@ _CLOSED_FORMS = {
 
 
 @main.command("kgroups")
-@click.option("--algebra", type=click.Choice(_ALGEBRAS), required=True)
+@click.option("--algebra", type=click.Choice(list(_READS)), required=True)
 @click.option("--field", "field_str", default=None,
               help="Required for A, B, A0, B0.")
 @click.option("--gamma", default=None,
@@ -237,6 +245,11 @@ def kgroups(algebra, field_str, gamma, truncate, grading, pretty):
     from . import ktheory
 
     def work():
+        given = {"--field": field_str, "--gamma": gamma, "--truncate": truncate,
+                 "--grading": grading}
+        for option, value in given.items():
+            if value is not None and option not in _READS[algebra]:
+                raise InputError(f"{option} does not apply to algebra {algebra}")
         if algebra == "A_full_Q":
             return ktheory.k_full_adele_Q(
                 truncate=truncate, grading_offset=grading

@@ -125,6 +125,7 @@ def subsets_graded_lex(n):
     >>> subsets_graded_lex(2)
     [(), (1,), (2,), (1, 2)]
     """
+    n = _as_int(n, "the set size n")
     if n < 0:
         raise InputError("n must be nonnegative")
     out = []

@@ -37,9 +37,10 @@ Highlights:
 Polynomials are lists/tuples of coefficients in ascending order of degree.
 The public Sturm routines take rational coefficients and scale them to
 integers first; every chain, every product in the field and every residue
-computation then runs on plain integers.  A field element keeps its
-coordinates as ``Fraction``s, and a product reads them as integer numerators
-over one positive denominator.
+computation then runs on plain integers.  A field element is kept in one
+integer form, numerators over one positive denominator in lowest terms,
+converted once where its coordinates enter; its arithmetic, its norm and
+its signs read that form, and only ``coeffs`` gives ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abgrp import (_as_int, _as_rational, _determinant, _factor_multiplicity, _is_prime,
-                    _numerators, determinant, solve_exact)
+                    _lowest_terms, _numerators, determinant, solve_exact)
 from .errors import CrossCheckError, HypothesisError, InputError
 
 # ---------------------------------------------------------------------------
@@ -261,8 +262,11 @@ def count_real_roots(p, lo=None, hi=None):
 
 
 def root_bound(p):
-    """A rational bound B with all real roots of ``p`` inside (-B, B)."""
+    """A rational bound B with all real roots of ``p`` inside (-B, B).  The
+    zero polynomial, whose roots are every number, raises ``InputError``."""
     p = poly_trim([Fraction(c) for c in _rationals(p, "polynomial coefficient")])
+    if not p:
+        raise InputError("the zero polynomial vanishes everywhere; it has no root bound")
     lead = abs(p[-1])
     b = Fraction(1) + max((abs(c) / lead for c in p[:-1]), default=Fraction(0))
     return b + 1
@@ -397,7 +401,8 @@ def parse_polynomial(text):
 
 
 def poly_discriminant(coeffs):
-    """Discriminant of a monic integer polynomial, 0 for a constant: the
+    """Discriminant of a monic integer polynomial, 0 for a constant (a
+    nonconstant polynomial that is not monic raises ``InputError``): the
     determinant of the trace form ``Tr(theta^(i+j))`` (Cohen, *A Course in
     Computational Algebraic Number Theory*, ch. 4).
 
@@ -412,6 +417,9 @@ def poly_discriminant(coeffs):
     n = len(coeffs) - 1
     if n < 1:
         return 0
+    if coeffs[-1] != 1:
+        raise InputError(f"poly_discriminant needs a monic polynomial, got leading "
+                         f"coefficient {coeffs[-1]}")
     s = [_as_int(x, "matrix entry") for x in _power_sums(coeffs)]
     nonzero = [k for k, x in enumerate(s) if x]
     rows = []
@@ -430,24 +438,51 @@ def poly_discriminant(coeffs):
 class FieldElement:
     """An element of ``Q[x]/(f)`` on the power basis, with exact arithmetic.
 
-    Products and powers run in ``Z[x]/(f)`` on the integer numerators over
-    one positive denominator (``_numerators``), reduced by the monic integer
-    ``f``.  Two elements are equal when they lie in the same field object
-    and have the same coordinates.
+    An element is kept in one integer form: ``nums``, its ``n`` coordinates
+    as integer numerators over ``den``, one positive denominator, in lowest
+    terms (``gcd(den, *nums) == 1``), the form of a colimit law's class.  The
+    constructor converts its coordinates once (``_numerators``); sums,
+    products, powers, the norm and the signs then run on ``nums`` in
+    ``Z[x]/(f)``, reduced by the monic integer ``f``, and ``coeffs`` gives
+    the coordinates as ``Fraction``s.  Two elements are equal when they lie
+    in the same field object and have the same coordinates.
+
+    >>> k = parse_field("x^2 - 2")
+    >>> a = k.element([Fraction(1, 2), 1])
+    >>> a.nums, a.den, (a * a).nums, (a * a).den  # (1/2 + theta)^2 = 9/4 + theta
+    ((1, 2), 2, (9, 4), 4)
+    >>> (a * a).coeffs
+    (Fraction(9, 4), Fraction(1, 1))
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "nums", "den")
     field: NumberField
-    coeffs: tuple
+    nums: tuple
+    den: int
 
     def __init__(self, field, coeffs):
-        coeffs = [Fraction(c) for c in _rationals(coeffs, "element coordinate")]
-        if len(coeffs) > field.degree:
-            nums, den = _numerators(coeffs)
-            coeffs = [Fraction(c, den) for c in _reduce_monic(nums, field.coeffs)]
-        coeffs += [Fraction(0)] * (field.degree - len(coeffs))
+        self._settle(field, *_numerators(_rationals(coeffs, "element coordinate")))
+
+    def _settle(self, field, nums, den):
+        """Store ``nums / den`` from integers taken as they are, ``den > 0``:
+        reduced by the monic f past the degree, padded, in lowest terms.  The
+        constructor ends here, and ``_of`` builds every arithmetic result here."""
+        if len(nums) > field.degree:
+            nums = _reduce_monic(nums, field.coeffs)
+        nums, den = _lowest_terms(tuple(nums) + (0,) * (field.degree - len(nums)), den)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(coeffs[: field.degree]))
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    def _of(self, nums, den):
+        out = object.__new__(FieldElement)
+        out._settle(self.field, nums, den)
+        return out
+
+    @property
+    def coeffs(self):
+        """The coordinates as ``Fraction``s, ``nums[i] / den``."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __copy__(self):  # immutable; a deep copy would reach the field's sieve
         return self
@@ -457,70 +492,58 @@ class FieldElement:
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def __bool__(self):
         return not self.is_zero
 
-    def _rational(self, other):
-        """``other`` as a ``Fraction``, or None for an element of this field."""
-        if not isinstance(other, FieldElement):
-            return Fraction(*_rationals([other], "field operand"))
-        if other.field is not self.field:
-            raise InputError("elements live in different fields")
-        return None
+    def _operand(self, other):
+        """``other`` in the form ``(nums, den)``: an element of this field, or
+        an int or a ``Fraction``, its numerator on the coordinate of 1."""
+        if isinstance(other, FieldElement):
+            if other.field is not self.field:
+                raise InputError("elements live in different fields")
+            return other.nums, other.den
+        c, = _rationals([other], "field operand")
+        return (c.numerator,) + (0,) * (self.field.degree - 1), c.denominator
 
     def __add__(self, other):
-        c = self._rational(other)
-        if c is not None:
-            return FieldElement(self.field, (self.coeffs[0] + c,) + self.coeffs[1:])
-        return FieldElement(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        b, db = self._operand(other)
+        return self._of([x * db + y * self.den for x, y in zip(self.nums, b)], self.den * db)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        c = self._rational(other)
-        if c is not None:
-            return FieldElement(self.field, (self.coeffs[0] - c,) + self.coeffs[1:])
-        return FieldElement(self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + -self._of(*self._operand(other))
 
     def __rsub__(self, other):
-        c = self._rational(other)
-        return FieldElement(self.field, [c - self.coeffs[0]] + [-a for a in self.coeffs[1:]])
+        return -self + other
 
     def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coeffs])
+        return self._of([-x for x in self.nums], self.den)
 
     def __mul__(self, other):
-        c = self._rational(other)
-        a, da = _numerators(self.coeffs)
-        if c is not None:
-            return FieldElement(self.field, [Fraction(x * c.numerator, da * c.denominator)
-                                             for x in a])
-        b, db = _numerators(other.coeffs)
-        return FieldElement(self.field, [Fraction(x, da * db) for x in _int_mul(a, b)])
+        b, db = self._operand(other)
+        return self._of(_int_mul(b, self.nums), self.den * db)
 
     __rmul__ = __mul__
 
     def __rtruediv__(self, other):
-        return self._rational(other) * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, e):
         e = _as_int(e, "exponent")
         if e < 0:
             return self.inverse() ** (-e)
-        base, den = _numerators(self.coeffs)
-        den **= e
-        return FieldElement(self.field, [Fraction(c, den) for c in _power_mod(base, e, self.field.coeffs)])
+        return self._of(_power_mod(self.nums, e, self.field.coeffs), self.den ** e)
 
     def inverse(self):
         """The ``x`` with ``M x = e_0`` for the multiplication matrix ``M``."""
         if self.is_zero:
             raise InputError("division by zero in the field")
-        rows, den = _multiplication_rows(self)
         e0 = [[1]] + [[0]] * (self.field.degree - 1)
-        x = solve_exact([list(col) for col in zip(*rows)], e0)
-        return FieldElement(self.field, [den * c for c, in x])
+        x = solve_exact([list(col) for col in zip(*_multiplication_rows(self))], e0)
+        return FieldElement(self.field, [self.den * c for c, in x])
 
     def norm(self):
         """Field norm (product of the images under all embeddings): the
@@ -529,8 +552,7 @@ class FieldElement:
         >>> parse_field("x^2 - 2").element([Fraction(1, 2), 1]).norm()  # 1/4 - 2
         Fraction(-7, 4)
         """
-        rows, den = _multiplication_rows(self)
-        return Fraction(determinant(rows), den ** self.field.degree)
+        return Fraction(determinant(_multiplication_rows(self)), self.den ** self.field.degree)
 
     def __repr__(self):
         return f"FieldElement({self.as_string()!r})"
@@ -555,13 +577,12 @@ class FieldElement:
 
 def _multiplication_rows(elem):
     """The integer rows ``theta^j * den * elem``, j = 0..n-1, on the power
-    basis, and ``den``, the common denominator of the coordinates: shift and
-    reduce with the monic f.  Their determinant is ``den^n`` times the norm."""
-    row, den = _numerators(elem.coeffs)
-    rows = [row]
+    basis: shift and reduce with the monic f.  Their determinant is ``den^n``
+    times the norm."""
+    rows = [list(elem.nums)]
     for _ in range(elem.field.degree - 1):
         rows.append(_reduce_monic([0] + rows[-1], elem.field.coeffs))
-    return rows, den
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +733,7 @@ class NumberField:
         if elem.is_zero:
             raise InputError("the zero element has no sign vector")
         f = self.coeffs
-        g, _ = _numerators(elem.coeffs)
-        chain = _signed_remainders(f, _reduce_monic(_int_mul(_derivative(f), g), f))
+        chain = _signed_remainders(f, _reduce_monic(_int_mul(_derivative(f), elem.nums), f))
         # adjacent intervals share an endpoint: read each point once
         points = {x for interval in self._intervals for x in interval}
         changes = {x: _chain_changes_at(chain, x) for x in points}

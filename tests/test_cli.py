@@ -11,7 +11,8 @@ import pytest
 from click.testing import CliRunner
 
 import ringkt
-from ringkt import cli, numfield
+from ringkt import cli, ktheory, numfield
+from ringkt.abgrp import GroupDescriptor
 from ringkt.cli import main
 from ringkt.errors import InputError
 
@@ -258,6 +259,60 @@ def test_kgroups_classification_verbs(runner):
                  "--gamma", "1,1")
     out = json.loads(res.output)
     assert out["case"] == "even-reals"
+
+
+def _sign_tower(signs):
+    """The graded K-groups after 0, 1, ... ``pv_step``s from the base (0, Z),
+    one step per generator, each acting by its sign on every free summand."""
+    g = ktheory.GradedKGroup(GroupDescriptor.zero(), GroupDescriptor.free(1))
+    tower = [g]
+    for sign in signs:
+        blocks = ({"z": [[sign * (i == j) for j in range(d.free_rank)] for i in range(d.free_rank)]}
+                  for d in (g.k0, g.k1))
+        g = ktheory.pv_step(g, ktheory.ActionDescriptor.build(g, *blocks)).graded()
+        tower.append(g)
+    return tower
+
+
+def _row(g):
+    """A tower's group in the shape of a printed truncation row."""
+    return {"k0_rank": g.k0.free_rank, "k1_rank": g.k1.free_rank,
+            "torsion": {"k0": list(g.k0.torsion), "k1": list(g.k1.torsion)}}
+
+
+@pytest.mark.parametrize("gamma, odd", [("2;3", None), ("2;-3", 1), ("-2;3", 0)])
+def test_odd_sign_rows_run_one_generator_ahead_of_the_tower(runner, gamma, odd):
+    """An observation, pinned with no output change: on Q with every sign
+    even, the printed truncation row m is the sign tower after m steps; with
+    one odd-sign generator, row m is the tower over that generator and m of
+    the others, so ``-2;3`` gives (0, Z/2) and then (Z/2, Z/2).  Which
+    convention the finite rows should follow is ROADMAP item 17's to settle."""
+    res = invoke(runner, "kgroups", "--algebra", "B", "--field", "x - 1", "--gamma", gamma,
+                 "--truncate", "2")
+    rows = [{key: row[key] for key in ("k0_rank", "k1_rank", "torsion")}
+            for row in json.loads(res.output)["truncations"]]
+    signs = [-1 if part.startswith("-") else 1 for part in gamma.split(";")]
+    if odd is None:
+        assert rows == [_row(g) for g in _sign_tower(signs)]
+    else:
+        tower = _sign_tower([signs[odd]] + signs[:odd] + signs[odd + 1:])
+        assert rows[:2] == [_row(g) for g in tower[1:]]
+    if gamma == "-2;3":
+        assert [str(g) for g in tower[1:]] == ["K0 = 0, K1 = Z/2", "K0 = Z/2, K1 = Z/2"]
+
+
+def test_kgroups_refuses_an_option_its_algebra_does_not_read(runner):
+    # each of these once exited 0 with the option dropped
+    dropped = {"B0": ("--truncate", "--grading", "--gamma"), "A0": ("--truncate", "--grading", "--gamma"),
+               "A": ("--gamma",), "A_full_Q": ("--field", "--gamma")}
+    values = {"--truncate": "3", "--grading": "1", "--gamma": "2", "--field": "x - 1"}
+    for algebra, options in dropped.items():
+        base = () if algebra == "A_full_Q" else ("--field", "x^3 - 2")
+        for option in options:
+            res = invoke(runner, "kgroups", "--algebra", algebra, *base, option, values[option])
+            assert res.exit_code == 2, (algebra, option)
+            assert res.output == f"error: {option} does not apply to algebra {algebra}\n"
+        assert invoke(runner, "kgroups", "--algebra", algebra, *base).exit_code == 0
 
 
 def test_exit_codes(runner):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from ringkt import numfield
 from ringkt.abgrp import _poly_eval
-from ringkt.errors import CrossCheckError
+from ringkt.errors import CrossCheckError, InputError
 from ringkt.numfield import (
     FieldElement,
     NumberField,
@@ -125,6 +125,14 @@ def test_discriminant_matches_the_sylvester_route(coeffs):
 def test_discriminant_of_a_constant_is_zero():
     assert poly_discriminant([5]) == _reference_discriminant([5]) == 0
     assert poly_discriminant([1, 0, 0]) == 0  # trailing zeros: the constant 1
+
+
+@pytest.mark.parametrize("coeffs", [[1, 0, 2], [1, 3, 2], [1, 0, -1, 0], [0, 0, Fraction(1, 2)]])
+def test_discriminant_refuses_a_polynomial_that_is_not_monic(coeffs):
+    # the power sums assume a monic polynomial: 2x^2 + 1 once gave -4 (it is
+    # -8) and 2x^2 + 3x + 1 gave 5 (it is 1)
+    with pytest.raises(InputError, match="needs a monic polynomial, got leading coefficient"):
+        poly_discriminant(coeffs)
 
 
 # degree 1 to 8, real and imaginary, one with a 7-digit coefficient

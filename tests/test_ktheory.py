@@ -260,6 +260,8 @@ _INTEGER_GUARDS = {
     "k_of_A0": (lambda k: k_of_A0(k), 2),
     "involution_action": (lambda k: involution_action(k), 2),
     "k_of_A_truncated_Q": (lambda k: k_of_A_truncated_Q(k), 2),
+    # True once gave [(), (1,)] and 1.5 a bare TypeError
+    "subsets_graded_lex": (lambda k: subsets_graded_lex(k), 2),
     "exterior_graded_ranks": (lambda k: exterior_graded_ranks(k, 0), 4),
     # True once read as 1 and 1.0 raised a bare TypeError
     "exterior_graded_ranks-parity": (lambda k: exterior_graded_ranks(3, k), 1),

@@ -215,7 +215,9 @@ def test_count_real_roots_refuses_a_reversed_interval():
 
 @pytest.mark.parametrize("zero", [[0], [], [Fraction(0), 0]])
 def test_the_zero_polynomial_is_refused(zero):
-    for routine in (sturm_chain, isolate_real_roots, count_real_roots, integer_roots):
+    # root_bound once raised a bare IndexError
+    for routine in (sturm_chain, isolate_real_roots, count_real_roots, integer_roots,
+                    numfield.root_bound):
         with pytest.raises(InputError, match="zero polynomial vanishes everywhere"):
             routine(zero)
 
@@ -223,6 +225,7 @@ def test_the_zero_polynomial_is_refused(zero):
 def test_a_nonzero_constant_has_no_roots():
     assert count_real_roots([5]) == count_real_roots([Fraction(-1, 3)], -1, 1) == 0
     assert isolate_real_roots([5]) == integer_roots([7]) == []
+    assert numfield.root_bound([5]) == 2
 
 
 @st.composite
@@ -502,6 +505,57 @@ def test_rational_operands_keep_the_errors():
         k.element([1, 1]) * other.element([1])
     with pytest.raises(InputError, match=r"field operand 1\.5j is not an integer or a Fraction"):
         k.element([1, 1]) + 1.5j
+
+
+def _count_fractions(monkeypatch):
+    """A list that grows by one for each ``Fraction`` built from now on."""
+    built, new = [], Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(
+        lambda *args, **kwargs: built.append(1) or new(*args, **kwargs)))
+    return built
+
+
+@pytest.mark.parametrize("poly", ["x^2 - 2", "x^4 - 10x^2 + 1", "x^5 - 5x + 1"])
+def test_element_arithmetic_builds_no_fraction(poly, monkeypatch):
+    """An element is kept as integer numerators over one denominator, so
+    sums, differences, negation, products (by an element, an int or a
+    ``Fraction``) and powers build no ``Fraction``, and the norm builds one,
+    its result.  The operands are built before the count starts."""
+    k = parse_field(poly)
+    a = k.element([Fraction(i + 1, i + 2) for i in range(k.degree)])
+    b = k.element([Fraction(3, 7)] + [-i for i in range(1, k.degree)])
+    half = Fraction(-1, 2)
+    operations = {
+        "a + b": lambda: a + b, "a + 3": lambda: a + 3, "half + a": lambda: half + a,
+        "a - b": lambda: a - b, "a - half": lambda: a - half, "3 - a": lambda: 3 - a,
+        "-a": lambda: -a, "a * b": lambda: a * b, "a * 3": lambda: a * 3,
+        "half * a": lambda: half * a, "a ** 5": lambda: a ** 5, "a ** 0": lambda: a ** 0,
+    }
+    built = _count_fractions(monkeypatch)
+    for name, operation in operations.items():
+        operation()
+        assert built == [], name
+    norm = a.norm()
+    assert len(built) == 1
+    assert Fraction(1, 2) and len(built) == 2  # the counter counts
+    x = sympy.Symbol("x")  # the norm of g(theta) is the resultant of the monic f and g
+    f, g = (sum(sympy.Rational(c) * x ** i for i, c in enumerate(p)) for p in (k.coeffs, a.coeffs))
+    assert sympy.resultant(f, g, x) == sympy.Rational(norm.numerator, norm.denominator)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(_OPERAND_FIELDS),
+       coords=st.lists(st.fractions(-30, 30, max_denominator=12), min_size=1, max_size=9))
+def test_elements_enter_in_lowest_terms(field, coords):
+    """Coordinates, more of them than the degree too, are converted once:
+    ``den > 0`` and ``gcd(den, *nums) == 1``, and ``coeffs`` holds the
+    coordinates of the ``Fraction`` route (reduce by f, then pad)."""
+    e = field.element(coords)
+    assert len(e.nums) == field.degree and all(type(x) is int for x in e.nums)
+    assert e.den > 0 and math.gcd(e.den, *e.nums) == 1
+    want = poly_divmod(list(coords), list(field.coeffs))[1]
+    assert e.coeffs == tuple(want + [Fraction(0)] * (field.degree - len(want)))
+    assert all(type(x) is Fraction for x in e.coeffs)
 
 
 def test_sturm_chain_rejects_a_gcd_that_does_not_divide(monkeypatch):
